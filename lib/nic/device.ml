@@ -1,8 +1,3 @@
-type descriptor = {
-  segments : Mem.Pinned.Buf.t list;
-  on_complete : unit -> unit;
-}
-
 exception Too_many_segments of { requested : int; limit : int }
 
 exception Ring_full
@@ -364,7 +359,7 @@ let take_holds txd ~site =
 
 let post_txd t txd =
   let nsge = txd.d_n in
-  if nsge = 0 then invalid_arg "Device.post: empty gather list";
+  if nsge = 0 then invalid_arg "Device.post_txd: empty gather list";
   if nsge > t.model.Model.max_sge then
     raise (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge });
   if t.in_flight >= t.model.Model.tx_ring_entries then raise Ring_full;
@@ -408,7 +403,7 @@ let post_txd t txd =
    scratch array (only the first [n] slots are read, and they are
    snapshotted before returning, so the caller can refill it immediately). *)
 let post_txd_batch t txds ~n =
-  if n = 0 then invalid_arg "Device.post_batch: empty batch";
+  if n = 0 then invalid_arg "Device.post_txd_batch: empty batch";
   if t.in_flight + n > t.model.Model.tx_ring_entries then raise Ring_full;
   t.doorbells <- t.doorbells + 1;
   let last_finish = ref 0 in
@@ -416,7 +411,7 @@ let post_txd_batch t txds ~n =
   Array.iteri
     (fun i txd ->
       let nsge = txd.d_n in
-      if nsge = 0 then invalid_arg "Device.post_batch: empty gather list";
+      if nsge = 0 then invalid_arg "Device.post_txd_batch: empty gather list";
       if nsge > t.model.Model.max_sge then
         raise
           (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge });
@@ -443,23 +438,6 @@ let post_txd_batch t txds ~n =
   (* One coalesced CQE: a completion fault hits the whole batch at once. *)
   Sim.Engine.schedule_at t.engine ~time:!last_finish (fun () ->
       deliver_txd_batch t batch)
-
-(* --- List-descriptor compatibility API --------------------------------- *)
-
-let txd_of_descriptor t desc =
-  let txd = txd_acquire t in
-  List.iter (txd_push txd) desc.segments;
-  (* The callback owns reference release on this path (the reusable-txd
-     path instead sets [d_release] and leaves [d_done] a no-op). *)
-  txd.d_done <- desc.on_complete;
-  txd
-
-let post t desc = post_txd t (txd_of_descriptor t desc)
-
-let post_batch t descs =
-  if descs = [] then invalid_arg "Device.post_batch: empty batch";
-  let batch = Array.of_list (List.map (txd_of_descriptor t) descs) in
-  post_txd_batch t batch ~n:(Array.length batch)
 
 let in_flight t = t.in_flight
 

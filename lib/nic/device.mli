@@ -7,15 +7,6 @@
     callback, which is where the stack releases buffer references — i.e. the
     point until which zero-copy memory must stay alive. *)
 
-type descriptor = {
-  (* Gather list in wire order (length <= model.max_sge); each buffer holds
-     a reference until completion. A bare buffer list — not a wrapper record
-     per entry — so the stack's per-send descriptor build is allocation-free
-     beyond the list itself. *)
-  segments : Mem.Pinned.Buf.t list;
-  on_complete : unit -> unit;
-}
-
 exception Too_many_segments of { requested : int; limit : int }
 
 exception Ring_full
@@ -53,13 +44,20 @@ val txd_set_done : txd -> (unit -> unit) -> unit
 (** Number of gather entries pushed so far. *)
 val txd_len : txd -> int
 
-(** [post_txd t txd] — {!post} for a reusable descriptor. *)
+(** [post_txd t txd] enqueues a send. Raises [Too_many_segments] if the
+    gather list exceeds the model's SGE limit, [Ring_full] if the device
+    backlog exceeds the ring size. Gathers the segment bytes (device DMA —
+    not CPU time), transmits at line rate, then completes the descriptor. *)
 val post_txd : t -> txd -> unit
 
-(** [post_txd_batch t txds ~n] — {!post_batch} for reusable descriptors:
-    posts the first [n] slots of [txds] under one doorbell. The slots are
-    snapshotted before returning, so the caller may reuse the array for
-    the next batch immediately. *)
+(** [post_txd_batch t txds ~n] posts the first [n] slots of [txds] under a
+    single doorbell: the first pays the full per-descriptor PCIe fetch, the
+    rest only their per-SGE fetches, and completions are coalesced into one
+    CQE event at the last packet's finish time. Packets still egress (and
+    reach the fabric) at their individual finish times. Raises [Ring_full]
+    if the whole batch does not fit. The slots are snapshotted before
+    returning, so the caller may reuse the array for the next batch
+    immediately. *)
 val post_txd_batch : t -> txd array -> n:int -> unit
 
 (** Egress frame handed to the {!set_on_wire} hook: the device's pooled
@@ -86,20 +84,6 @@ val wire_release : wire -> unit
     packet's last bit leaves the NIC, with the gathered wire bytes. The
     default hook releases the frame immediately (dropped on the floor). *)
 val set_on_wire : t -> (wire -> unit) -> unit
-
-(** [post t desc] enqueues a send. Raises [Too_many_segments] if the gather
-    list exceeds the model's SGE limit, [Ring_full] if the device backlog
-    exceeds the ring size. Gathers the segment bytes (device DMA — not CPU
-    time), transmits at line rate, then schedules [on_complete]. *)
-val post : t -> descriptor -> unit
-
-(** [post_batch t descs] enqueues the descriptors under a single doorbell:
-    the first pays the full per-descriptor PCIe fetch, the rest only their
-    per-SGE fetches, and completion callbacks are coalesced into one CQE
-    event at the last packet's finish time. Packets still egress (and reach
-    the fabric) at their individual finish times. Raises [Ring_full] if the
-    whole batch does not fit. *)
-val post_batch : t -> descriptor list -> unit
 
 (** Number of descriptors queued but not yet completed. *)
 val in_flight : t -> int
@@ -141,8 +125,8 @@ val rx_bytes : t -> int
 
 val rx_dropped : t -> int
 
-(** Fault injection: consulted once per CQE that is due ([post] CQEs
-    cover one descriptor, [post_batch] CQEs the whole batch). [`Lose]
+(** Fault injection: consulted once per CQE that is due ([post_txd] CQEs
+    cover one descriptor, [post_txd_batch] CQEs the whole batch). [`Lose]
     stashes the completion — ring slots stay occupied and segment
     references (and RefSan holds) stay pinned until {!reap_lost};
     [`Delay d] delivers it [d] ns late. Egress is unaffected: the packet
@@ -169,6 +153,6 @@ val tx_packets : t -> int
 
 val tx_bytes : t -> int
 
-(** Doorbell rings so far ([post] counts one each; [post_batch] one per
-    batch). *)
+(** Doorbell rings so far ([post_txd] counts one each; [post_txd_batch]
+    one per batch). *)
 val doorbells : t -> int

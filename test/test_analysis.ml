@@ -31,7 +31,7 @@ let test_spec_parse () =
     Analysis.Spec.parse
       "# comment\n\
        op Mem.Pinned.Buf.alloc alloc\n\
-       op Nic.Device.post post subject=1\n\
+       op Nic.Device.txd_push post subject=1\n\
        par Par.Pool.map subject=0\n\
        stateful Workload.Cdn.make\n\
        assume Tcp.rtx_queue\n\
@@ -46,7 +46,7 @@ let test_spec_parse () =
   Alcotest.(check bool) "single component rejected" true
     (Analysis.Spec.find_op spec [ "alloc" ] = None);
   Alcotest.(check bool) "subject parsed" true
-    (match Analysis.Spec.find_op spec [ "Nic"; "Device"; "post" ] with
+    (match Analysis.Spec.find_op spec [ "Nic"; "Device"; "txd_push" ] with
     | Some e -> e.Analysis.Spec.subject = Analysis.Spec.Pos 1
     | None -> false);
   Alcotest.(check bool) "par entry" true
