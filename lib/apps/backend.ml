@@ -1,10 +1,10 @@
 type t = {
   name : string;
-  (* RX discipline: [true] routes servers through the in-place
-     [Wire.Reader] path (validate once, access fields in the receive
-     buffer); [false] materializes a [Wire.Dyn] via [recv]. Only the
-     Cornflakes wire format supports in-place access; baselines always
-     parse-into-heap. *)
+  (* A fixed fact of the wire format, not an option: [true] exactly for
+     Cornflakes, whose frames servers validate once and read in place
+     ([Wire.Reader], the generated skeleton's [serve]); [false] for the
+     baselines, whose frames only their own decoders can read ([recv]
+     into a [Wire.Dyn] for [serve_dyn]). *)
   zc_rx : bool;
   send :
     ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit;
@@ -18,7 +18,7 @@ type t = {
     ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
 }
 
-let cornflakes ?(config = Cornflakes.Config.default) ?(zc_rx = true) () =
+let cornflakes ?(config = Cornflakes.Config.default) () =
   {
     name =
       (if config = Cornflakes.Config.default then "cornflakes"
@@ -26,9 +26,8 @@ let cornflakes ?(config = Cornflakes.Config.default) ?(zc_rx = true) () =
        else if config = Cornflakes.Config.all_zero_copy then "cornflakes-zc"
        else
          Printf.sprintf "cornflakes-t%d%s" config.Cornflakes.Config.zero_copy_threshold
-           (if config.Cornflakes.Config.serialize_and_send then "" else "-nosas"))
-      ^ (if zc_rx then "" else "-copyrx");
-    zc_rx;
+           (if config.Cornflakes.Config.serialize_and_send then "" else "-nosas"));
+    zc_rx = true;
     send = (fun ?cpu tr ~dst msg -> Cornflakes.Send.send_via ?cpu config tr ~dst msg);
     recv =
       (fun ?cpu _tr desc buf ->

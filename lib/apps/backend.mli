@@ -12,11 +12,11 @@
 
 type t = {
   name : string;
-  (* RX discipline: [true] routes servers through the in-place
-     [Wire.Reader] path (validate once, access fields in the receive
-     buffer); [false] materializes a [Wire.Dyn] via [recv]. Only the
-     Cornflakes wire format supports in-place access; baselines always
-     parse-into-heap. *)
+  (* A fixed fact of the wire format, not an option: [true] exactly for
+     Cornflakes, whose frames servers validate once and read in place
+     ([Wire.Reader], the generated skeleton's [serve]); [false] for the
+     baselines, whose frames only their own decoders can read ([recv]
+     into a [Wire.Dyn] for [serve_dyn]). *)
   zc_rx : bool;
   send :
     ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit;
@@ -31,11 +31,8 @@ type t = {
 }
 
 (** [cornflakes ~config] — hybrid by default; pass
-    {!Cornflakes.Config.all_copy} / [all_zero_copy] for the ablations.
-    [~zc_rx:false] keeps the TX config but parses received messages into a
-    [Wire.Dyn] (the pre-reader receive path, kept for the [rx] ablation);
-    its name gains a ["-copyrx"] suffix. *)
-val cornflakes : ?config:Cornflakes.Config.t -> ?zc_rx:bool -> unit -> t
+    {!Cornflakes.Config.all_copy} / [all_zero_copy] for the ablations. *)
+val cornflakes : ?config:Cornflakes.Config.t -> unit -> t
 
 val protobuf : t
 

@@ -84,6 +84,114 @@ let test_kv_put_then_get () =
   Sim.Engine.run_all rig.Apps.Rig.engine;
   Alcotest.(check int) "served updated value" 700 !got
 
+(* --- each request shape through each decoder, on both transports -------- *)
+
+(* Distinct bytes per stored value, so a reply can only match the value it
+   asked for. *)
+let value_bytes ~tag n =
+  String.init n (fun i -> Char.chr (65 + (((tag * 7) + i) mod 58)))
+
+let fixture_workload =
+  {
+    Workload.Spec.name = "rx-cases";
+    store_capacity = 64;
+    pool_classes = [ (1024, 64) ];
+    populate =
+      (fun store ~pool ->
+        let buf tag n =
+          let b = Mem.Pinned.Buf.alloc ~site:"Test.populate" pool ~len:n in
+          Mem.Pinned.Buf.fill ~site:"Test.populate" b (value_bytes ~tag n);
+          b
+        in
+        Kvstore.Store.put store ~key:"single" (Kvstore.Store.Single (buf 1 700));
+        Kvstore.Store.put store ~key:"vector"
+          (Kvstore.Store.Vector [| buf 2 300; buf 3 900; buf 4 64 |]));
+    next = (fun _ -> invalid_arg "rx-cases: ops are sent explicitly");
+    mean_response_bytes = 0.0;
+  }
+
+(* Ops sent in order; the last one's reply must carry exactly [expect]. *)
+let rx_cases =
+  let open Workload.Spec in
+  [
+    ( "put single",
+      [ Put { key = "fresh"; sizes = [ 700 ] }; Get { keys = [ "fresh" ] } ],
+      [ filler 700 ] );
+    ( "put multi-value",
+      [ Put { key = "fresh"; sizes = [ 300; 900 ] }; Get { keys = [ "fresh" ] } ],
+      [ filler 300; filler 900 ] );
+    ("get hit", [ Get { keys = [ "single" ] } ], [ value_bytes ~tag:1 700 ]);
+    ("get miss", [ Get { keys = [ "absent" ] } ], []);
+    ( "get_index",
+      [ Get_index { key = "vector"; index = 1 } ],
+      [ value_bytes ~tag:3 900 ] );
+  ]
+
+(* What the store holds for the value a query reads. *)
+let stored app op =
+  let bufs key =
+    match Kvstore.Store.get (Apps.Kv_app.store app) ~key with
+    | Some v ->
+        List.map
+          (fun b -> Mem.View.to_string (Mem.Pinned.Buf.view b))
+          (Kvstore.Store.buffers v)
+    | None -> []
+  in
+  match op with
+  | Workload.Spec.Get { keys } -> List.concat_map bufs keys
+  | Workload.Spec.Get_index { key; index } -> [ List.nth (bufs key) index ]
+  | Workload.Spec.Put _ -> []
+
+let run_rx_case ~transport backend (label, ops, expect) =
+  let name =
+    Printf.sprintf "%s %s %s"
+      (Apps.Rig.transport_kind_name transport)
+      backend.Apps.Backend.name label
+  in
+  let rig = Apps.Rig.create ~n_clients:1 ~transport () in
+  let app = Apps.Kv_app.install rig ~backend ~workload:fixture_workload in
+  let client = List.hd rig.Apps.Rig.clients in
+  let reply = ref None in
+  Net.Transport.set_rx client (fun ~src:_ buf ->
+      let msg = backend.Apps.Backend.recv client Apps.Proto.resp buf in
+      let vals =
+        List.filter_map
+          (function
+            | Wire.Dyn.Payload p -> Some (Mem.View.to_string (Wire.Payload.view p))
+            | _ -> None)
+          (Wire.Dyn.get_list msg "vals")
+      in
+      reply := Some (Wire.Dyn.get_int msg "id", vals);
+      Wire.Dyn.release msg;
+      Mem.Pinned.Buf.decr_ref buf);
+  List.iteri
+    (fun i op ->
+      reply := None;
+      Apps.Kv_app.send_op app op client ~dst:Apps.Rig.server_id ~id:(i + 1);
+      Sim.Engine.run_all rig.Apps.Rig.engine;
+      match !reply with
+      | Some (id, _) ->
+          Alcotest.(check (option int64))
+            (name ^ " echoes id") (Some (Int64.of_int (i + 1))) id
+      | None -> Alcotest.failf "%s: op %d unanswered" name i)
+    ops;
+  let vals = match !reply with Some (_, v) -> v | None -> [] in
+  Alcotest.(check (list string)) name expect vals;
+  Alcotest.(check (list string))
+    (name ^ " = stored bytes")
+    (stored app (List.nth ops (List.length ops - 1)))
+    vals
+
+(* The in-place reader rows (Cornflakes) and the Dyn rows (a baseline) must
+   serve every request shape identically. *)
+let test_kv_rx_cases () =
+  List.iter
+    (fun transport ->
+      List.iter
+        (fun backend -> List.iter (run_rx_case ~transport backend) rx_cases)
+        [ Apps.Backend.cornflakes (); Apps.Backend.protobuf ])
+    [ `Udp; `Tcp ]
+
 let test_open_loop_latency_reasonable () =
   let backend = Apps.Backend.cornflakes () in
   let rig = Apps.Rig.create ~n_clients:4 () in
@@ -191,6 +299,8 @@ let suite =
     Alcotest.test_case "kv responses carry values" `Quick
       test_kv_responses_carry_values;
     Alcotest.test_case "kv put then get" `Quick test_kv_put_then_get;
+    Alcotest.test_case "kv request shapes x decoders x transports" `Quick
+      test_kv_rx_cases;
     Alcotest.test_case "open loop latency" `Quick test_open_loop_latency_reasonable;
     Alcotest.test_case "open loop overload" `Quick test_open_loop_overload_detected;
     Alcotest.test_case "echo modes roundtrip" `Slow test_echo_modes_roundtrip;

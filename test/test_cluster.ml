@@ -241,6 +241,17 @@ let test_adaptive_observations_advance () =
   Alcotest.(check int) "every forward observed (zc + copy)" (obs ())
     (Cluster.Dispatcher.zc_forwards d + Cluster.Dispatcher.copy_forwards d)
 
+(* Dispatchers and shards read requests in place, so the topology only
+   accepts the Cornflakes wire format. *)
+let test_rejects_baseline_backend () =
+  Alcotest.check_raises "protobuf rejected"
+    (Invalid_argument
+       "Topology.create: the cluster needs the Cornflakes wire format")
+    (fun () ->
+      ignore
+        (Cluster.Topology.create ~seed:11 ~n_clients:1 ~shards:2 ~n_keys
+           ~backend:Apps.Backend.protobuf ()))
+
 let suite =
   [
     Alcotest.test_case "ring membership order irrelevant" `Quick
@@ -255,4 +266,6 @@ let suite =
     Alcotest.test_case "fan-out over tcp" `Quick test_fanout_over_tcp;
     Alcotest.test_case "adaptive observations advance" `Quick
       test_adaptive_observations_advance;
+    Alcotest.test_case "topology rejects a baseline backend" `Quick
+      test_rejects_baseline_backend;
   ]
