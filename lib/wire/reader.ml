@@ -274,6 +274,9 @@ let count t i =
   charge t ~off:(s + 4) ~len:4;
   u32_at t (s + 4)
 
+(* An empty repeated field is not encoded: absent reads as zero elements. *)
+let count_or_zero t i = if present t i then count t i else 0
+
 let elem_slot t i ~j =
   let s = slot t i in
   charge t ~off:s ~len:8;
