@@ -36,46 +36,51 @@ let schedule_fires st ~now =
   | Plan.Every_nth n -> st.seen mod n = 0
   | Plan.One_shot { at_event } -> st.seen = at_event
 
+(* The classifiers: a rule's fault as the outcome one decision site acts
+   on, or [None] when the rule is not for that site. *)
+let fabric_fault = function
+  | Plan.Drop -> Some `Drop
+  | Plan.Corrupt -> Some `Corrupt
+  | Plan.Duplicate -> Some `Duplicate
+  | Plan.Delay { extra_ns } -> Some (`Delay extra_ns)
+  | Plan.Reorder -> Some `Reorder
+  | _ -> None
+
+let completion_fault = function
+  | Plan.Completion_loss -> Some `Lose
+  | Plan.Completion_delay { extra_ns } -> Some (`Delay extra_ns)
+  | _ -> None
+
+let stall_fault = function
+  | Plan.Slow_consumer { stall_ns } -> Some stall_ns
+  | _ -> None
+
 (* Evaluate rules in plan order; the first rule that fires wins and later
    rules do not observe the event. *)
 let decide t ~now ~ep ~classify =
   let n = Array.length t.rules in
-  let rec go i =
-    if i >= n then None
-    else
-      let st = t.rules.(i) in
-      match classify st.rule.Plan.fault with
-      | Some outcome when scope_matches st.rule.Plan.scope ~ep ->
-          if schedule_fires st ~now then begin
-            st.fired <- st.fired + 1;
-            Some outcome
-          end
-          else go (i + 1)
-      | _ -> go (i + 1)
-  in
-  go 0
+  let i = ref 0 and outcome = ref None in
+  while !i < n do
+    let st = t.rules.(!i) in
+    incr i;
+    match classify st.rule.Plan.fault with
+    | Some _ as o when scope_matches st.rule.Plan.scope ~ep ->
+        if schedule_fires st ~now then begin
+          st.fired <- st.fired + 1;
+          outcome := o;
+          i := n
+        end
+    | _ -> ()
+  done;
+  !outcome
 
-let fabric_decision t ~now ~dst =
-  decide t ~now ~ep:dst ~classify:(function
-    | Plan.Drop -> Some `Drop
-    | Plan.Corrupt -> Some `Corrupt
-    | Plan.Duplicate -> Some `Duplicate
-    | Plan.Delay { extra_ns } -> Some (`Delay extra_ns)
-    | Plan.Reorder -> Some `Reorder
-    | _ -> None)
+let fabric_decision t ~now ~dst = decide t ~now ~ep:dst ~classify:fabric_fault
 
 let completion_decision t ~now ~ep =
-  decide t ~now ~ep ~classify:(function
-    | Plan.Completion_loss -> Some `Lose
-    | Plan.Completion_delay { extra_ns } -> Some (`Delay extra_ns)
-    | _ -> None)
+  decide t ~now ~ep ~classify:completion_fault
 
 let service_stall t ~now ~ep =
-  match
-    decide t ~now ~ep ~classify:(function
-      | Plan.Slow_consumer { stall_ns } -> Some stall_ns
-      | _ -> None)
-  with
+  match decide t ~now ~ep ~classify:stall_fault with
   | Some stall -> stall
   | None -> 0
 

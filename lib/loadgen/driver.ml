@@ -22,7 +22,18 @@ let to_point r =
     mean_ns = Stats.Histogram.mean r.hist;
   }
 
-type ctx = {
+(* An id-matched request awaiting its response: a slot in the run's
+   id-indexed ring ([Sim.Id_ring]), with its give-up continuation (for the
+   retry layer) built once with the slot. *)
+type call = {
+  mutable busy : bool;
+  mutable id : int;
+  mutable sent_at : int;
+  mutable on_give_up : unit -> unit;
+  give_up : unit -> unit;
+}
+
+and ctx = {
   engine : Sim.Engine.t;
   hist : Stats.Histogram.t;
   warmup_abs : int;
@@ -31,7 +42,7 @@ type ctx = {
   mutable completed : int;
   mutable resp_bytes : int;
   mutable next_id : int;
-  pending : (int, int) Hashtbl.t; (* id -> send time, when parse_id given *)
+  pending : (ctx, call) Sim.Id_ring.t; (* when parse_id is given *)
   reliab : Net.Reliab.t option;
   retries0 : int; (* reliab counter baselines, for per-run deltas *)
   give_ups0 : int;
@@ -41,6 +52,47 @@ let fresh_id ctx =
   let id = ctx.next_id in
   ctx.next_id <- ctx.next_id + 1;
   id
+
+let nothing () = ()
+
+let free c =
+  c.busy <- false;
+  c.on_give_up <- nothing
+
+let new_call (_ : ctx) =
+  let rec c =
+    {
+      busy = false;
+      id = 0;
+      sent_at = 0;
+      on_give_up = nothing;
+      give_up =
+        (fun () ->
+          let k = c.on_give_up in
+          free c;
+          k ());
+    }
+  in
+  c
+
+(* Register id-matched request [id], sent now. *)
+let pend ctx ~id ~on_give_up =
+  let c = Sim.Id_ring.claim ctx.pending ctx ~id in
+  c.busy <- true;
+  c.id <- id;
+  c.sent_at <- Sim.Engine.now ctx.engine;
+  c.on_give_up <- on_give_up;
+  c
+
+(* The send time of pending request [id], which is no longer pending; -1
+   when [id] is unknown (already answered, given up, or never sent). *)
+let take_sent ctx ~id =
+  if Sim.Id_ring.mem ctx.pending ~id then begin
+    let c = Sim.Id_ring.get ctx.pending ~id in
+    free c;
+    c.sent_at
+  end
+  else -1
 
 (* Install the response handler on a client endpoint. [fifo] is this
    client's in-order queue when id parsing is not available. [on_complete]
@@ -59,37 +111,37 @@ let install_rx ctx client ~parse_id ~fifo ~on_complete =
                 (match ctx.reliab with
                 | Some r -> ignore (Net.Reliab.ack r ~id)
                 | None -> ());
-                let t = Hashtbl.find_opt ctx.pending id in
-                (match t with Some _ -> Hashtbl.remove ctx.pending id | None -> ());
-                t
-            | exception _ -> None
+                take_sent ctx ~id
+            | exception _ -> -1
           end
-        | None -> Queue.take_opt fifo
+        | None -> ( match Queue.take_opt fifo with Some t -> t | None -> -1)
       in
-      (match send_ns with
-      | Some t when t >= ctx.warmup_abs && now <= ctx.end_abs ->
-          ctx.completed <- ctx.completed + 1;
-          ctx.resp_bytes <- ctx.resp_bytes + Mem.Pinned.Buf.len buf;
-          Stats.Histogram.record ctx.hist (now - t)
-      | Some _ | None -> ());
+      if send_ns >= 0 && send_ns >= ctx.warmup_abs && now <= ctx.end_abs
+      then begin
+        ctx.completed <- ctx.completed + 1;
+        ctx.resp_bytes <- ctx.resp_bytes + Mem.Pinned.Buf.len buf;
+        Stats.Histogram.record ctx.hist (now - send_ns)
+      end;
       Mem.Pinned.Buf.decr_ref ~site:"Driver.response_done" buf;
       on_complete ())
 
-let issue ?(on_give_up = fun () -> ()) ctx client ~server ~send ~parse_id ~fifo =
+let issue ?(on_give_up = nothing) ctx client ~server ~send ~parse_id ~fifo =
   let id = fresh_id ctx in
-  let now = Sim.Engine.now ctx.engine in
-  (match parse_id with
-  | Some _ -> Hashtbl.replace ctx.pending id now
-  | None -> Queue.add now fifo);
-  ctx.sent <- ctx.sent + 1;
-  match ctx.reliab with
-  | None -> send client ~dst:server ~id
-  | Some r ->
-      Net.Reliab.track r ~id
-        ~send:(fun () -> send client ~dst:server ~id)
-        ~give_up:(fun () ->
-          Hashtbl.remove ctx.pending id;
-          on_give_up ())
+  match parse_id with
+  | None ->
+      (* Retries need id-matched completions ([check_reliab]). *)
+      Queue.add (Sim.Engine.now ctx.engine) fifo;
+      ctx.sent <- ctx.sent + 1;
+      send client ~dst:server ~id
+  | Some _ -> (
+      let c = pend ctx ~id ~on_give_up in
+      ctx.sent <- ctx.sent + 1;
+      match ctx.reliab with
+      | None -> send client ~dst:server ~id
+      | Some r ->
+          Net.Reliab.track r ~id
+            ~send:(fun () -> send client ~dst:server ~id)
+            ~give_up:c.give_up)
 
 let make_ctx ?reliab engine ~duration_ns ~warmup_ns =
   let now = Sim.Engine.now engine in
@@ -102,7 +154,10 @@ let make_ctx ?reliab engine ~duration_ns ~warmup_ns =
     completed = 0;
     resp_bytes = 0;
     next_id = 1;
-    pending = Hashtbl.create 4096;
+    pending =
+      Sim.Id_ring.create ~make:new_call
+        ~occupied:(fun c -> c.busy)
+        ~id_of:(fun c -> c.id);
     reliab;
     retries0 = (match reliab with Some r -> Net.Reliab.retries r | None -> 0);
     give_ups0 = (match reliab with Some r -> Net.Reliab.give_ups r | None -> 0);
@@ -191,7 +246,7 @@ let open_loop_conns ?reliab engine ~conns ~clients ~server ~rate_rps
       let conn = Sim.Rng.int master (Conns.length conns) in
       let client = clients_arr.(conn mod n_clients) in
       let id = fresh_id ctx in
-      Hashtbl.replace ctx.pending id (Sim.Engine.now engine);
+      let c = pend ctx ~id ~on_give_up:nothing in
       ctx.sent <- ctx.sent + 1;
       let do_send () =
         Conns.with_stream conns conn (fun crng ->
@@ -199,9 +254,7 @@ let open_loop_conns ?reliab engine ~conns ~clients ~server ~rate_rps
       in
       (match ctx.reliab with
       | None -> do_send ()
-      | Some r ->
-          Net.Reliab.track r ~id ~send:do_send ~give_up:(fun () ->
-              Hashtbl.remove ctx.pending id));
+      | Some r -> Net.Reliab.track r ~id ~send:do_send ~give_up:c.give_up);
       let gap = Sim.Dist.exponential master ~mean:mean_gap_ns in
       Sim.Engine.schedule engine ~after:(max 1 (int_of_float gap)) arrival
     end

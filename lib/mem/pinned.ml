@@ -88,22 +88,21 @@ module Pool = struct
 
   let contains t ~addr = addr >= t.base && addr < t.limit
 
+  (* Index of the smallest class holding [len] bytes, or -1. *)
   let class_for t ~len =
     let n = Array.length t.classes in
-    let rec find i =
-      if i >= n then None
-      else if t.classes.(i).size >= len then Some i
-      else find (i + 1)
-    in
-    find 0
+    let i = ref 0 in
+    while !i < n && t.classes.(!i).size < len do
+      incr i
+    done;
+    if !i < n then !i else -1
 
   let live t =
     Array.fold_left (fun acc c -> acc + (c.capacity - c.free_top)) 0 t.classes
 
   let available_for t ~len =
-    match class_for t ~len with
-    | None -> 0
-    | Some i -> t.classes.(i).free_top
+    let i = class_for t ~len in
+    if i < 0 then 0 else t.classes.(i).free_top
 
   (* Which class owns [addr]? Classes have disjoint contiguous data ranges. *)
   let class_of_addr t ~addr =
@@ -191,11 +190,11 @@ module Buf = struct
 
   let alloc ?cpu ?(site = "Pinned.alloc") pool ~len =
     match Pool.class_for pool ~len with
-    | None ->
+    | -1 ->
         raise
           (Out_of_memory
              (Printf.sprintf "%s: no class for %d bytes" pool.name len))
-    | Some cls ->
+    | cls ->
         let c = pool.classes.(cls) in
         if c.free_top = 0 then
           raise

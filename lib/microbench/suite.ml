@@ -155,7 +155,10 @@ let make_rpc_call_loop () =
     Mem.Arena.reset (Net.Endpoint.arena cli);
     Mem.Arena.reset (Net.Endpoint.arena srv_ep)
 
+let event_tick () = ()
+
 let make_benchmarks ~seed () =
+  let event_engine = Sim.Engine.create () in
   let space = Mem.Addr_space.create () in
   (* Shared scratch: one Addr_space, payload strings and sample messages
      built once — so per-op numbers measure the serializer, not setup. *)
@@ -479,6 +482,17 @@ let make_benchmarks ~seed () =
       name = "cf-rpc-call-folded";
       tracked = true;
       fn = make_rpc_call_loop ();
+    };
+    (* The event core alone: schedule and fire one event whose
+       continuation was built once, as every recurring schedule site in
+       the stack does. *)
+    {
+      name = "engine-event-prealloc";
+      tracked = true;
+      fn =
+        (fun () ->
+          Sim.Engine.schedule event_engine ~after:1 event_tick;
+          Sim.Engine.run_all event_engine);
     };
     {
       name = "zipf-sample";

@@ -36,12 +36,22 @@ type t = {
   rxq : Nic.Device.rxq; (* receive ring over [rx_pool] on [nic] *)
   arena : Mem.Arena.t;
   mutable rx_handler : src:int -> Mem.Pinned.Buf.t -> unit;
-  mutable held : Nic.Device.txd list option; (* queued posts, reversed *)
+  (* Send hold (see [begin_hold]): posts queue in [held] while [holding];
+     a release moves them to [deferred] until [submit_deferred] runs. Both
+     are reusable scratch arrays, first [_n] slots live. *)
+  mutable holding : bool;
+  mutable held : Nic.Device.txd array;
+  mutable held_n : int;
+  mutable deferred : Nic.Device.txd array;
+  mutable deferred_n : int;
   (* Coalesced posts parked for the next doorbell: a reusable scratch array
      (first [pending_n] slots live) — no per-batch list is built. *)
   mutable pending_txds : Nic.Device.txd array;
   mutable pending_n : int;
   mutable flush_scheduled : bool;
+  (* Event continuations, built once with the endpoint. *)
+  flush_k : unit -> unit; (* the batch-timeout flush *)
+  submit_deferred_k : unit -> unit; (* a [release_hold ~after] replay *)
   (* Lazily built, cached UDP transport record (see [Transport]): hot send
      paths reach the datagram surfaces through the shared abstraction
      without allocating a record of closures per message. *)
@@ -89,7 +99,7 @@ let engine t = Fabric.engine t.fabric
 let handle_wire t frame =
   let bytes = Nic.Device.wire_bytes frame in
   let frame_len = Nic.Device.wire_len frame in
-  let src, _dst = Packet.parse_header_bytes bytes ~len:frame_len in
+  let src = Packet.src_of_bytes bytes ~len:frame_len in
   let payload_len = frame_len - Packet.header_len in
   if payload_len > 0 then
     (* The frame is the sender device's pooled snapshot, valid only for
@@ -104,54 +114,6 @@ let handle_wire t frame =
     with
     | Some buf -> t.rx_handler ~src buf
     | None -> ()
-
-let create ?cpu ?nic ?(config = default_config) fabric registry ~id =
-  let space = Mem.Registry.space registry in
-  let tx_pool =
-    Mem.Pinned.Pool.create space
-      ~name:(Printf.sprintf "ep%d-tx" id)
-      ~classes:
-        (List.map
-           (fun size -> (size, config.tx_class_capacity))
-           [ 64; 128; 256; 512; 1024; 2048; 4096; 8192; 16384 ])
-  in
-  let rx_pool =
-    Mem.Pinned.Pool.create space
-      ~name:(Printf.sprintf "ep%d-rx" id)
-      ~classes:[ (16384, config.rx_capacity) ]
-  in
-  Mem.Registry.register registry tx_pool;
-  Mem.Registry.register registry rx_pool;
-  let nic =
-    match nic with
-    | Some nic -> nic
-    | None -> Nic.Device.create (Fabric.engine fabric) ~model:config.nic_model
-  in
-  let t =
-    {
-      id;
-      fabric;
-      registry;
-      cpu;
-      nic;
-      config;
-      tx_pool;
-      rx_pool;
-      rxq = Nic.Device.attach_rx ?cpu nic rx_pool;
-      arena = Mem.Arena.create space ~capacity:config.arena_capacity;
-      rx_handler =
-        (fun ~src:_ buf ->
-          Mem.Pinned.Buf.decr_ref ~site:"Endpoint.rx_default_drop" buf);
-      held = None;
-      pending_txds = [||];
-      pending_n = 0;
-      flush_scheduled = false;
-      udp_transport = None;
-    }
-  in
-  Nic.Device.set_on_wire nic (fun frame -> Fabric.inject fabric frame);
-  Fabric.attach fabric ~id ~rx:(fun frame -> handle_wire t frame);
-  t
 
 let id t = t.id
 
@@ -199,13 +161,17 @@ let acquire_txd t =
   Nic.Device.txd_set_release txd release_seg;
   txd
 
+(* [arr] with room for an element at [n], grown by doubling when full. *)
+let room arr n txd =
+  if n < Array.length arr then arr
+  else begin
+    let grown = Array.make (max 8 (2 * n)) txd in
+    Array.blit arr 0 grown 0 n;
+    grown
+  end
+
 let pending_park t txd =
-  let cap = Array.length t.pending_txds in
-  if t.pending_n >= cap then begin
-    let arr = Array.make (max 8 (2 * cap)) txd in
-    Array.blit t.pending_txds 0 arr 0 t.pending_n;
-    t.pending_txds <- arr
-  end;
+  t.pending_txds <- room t.pending_txds t.pending_n txd;
   t.pending_txds.(t.pending_n) <- txd;
   t.pending_n <- t.pending_n + 1
 
@@ -228,16 +194,81 @@ let submit t txd =
     else if not t.flush_scheduled then begin
       t.flush_scheduled <- true;
       Sim.Engine.schedule (engine t) ~after:t.config.tx_batch_timeout_ns
-        (fun () ->
-          t.flush_scheduled <- false;
-          flush_tx t)
+        t.flush_k
     end
   end
 
 let post t txd =
-  match t.held with
-  | Some queued -> t.held <- Some (txd :: queued)
-  | None -> submit t txd
+  if t.holding then begin
+    t.held <- room t.held t.held_n txd;
+    t.held.(t.held_n) <- txd;
+    t.held_n <- t.held_n + 1
+  end
+  else submit t txd
+
+let submit_deferred t =
+  let n = t.deferred_n in
+  t.deferred_n <- 0;
+  for i = 0 to n - 1 do
+    submit t t.deferred.(i)
+  done
+
+let create ?cpu ?nic ?(config = default_config) fabric registry ~id =
+  let space = Mem.Registry.space registry in
+  let tx_pool =
+    Mem.Pinned.Pool.create space
+      ~name:(Printf.sprintf "ep%d-tx" id)
+      ~classes:
+        (List.map
+           (fun size -> (size, config.tx_class_capacity))
+           [ 64; 128; 256; 512; 1024; 2048; 4096; 8192; 16384 ])
+  in
+  let rx_pool =
+    Mem.Pinned.Pool.create space
+      ~name:(Printf.sprintf "ep%d-rx" id)
+      ~classes:[ (16384, config.rx_capacity) ]
+  in
+  Mem.Registry.register registry tx_pool;
+  Mem.Registry.register registry rx_pool;
+  let nic =
+    match nic with
+    | Some nic -> nic
+    | None -> Nic.Device.create (Fabric.engine fabric) ~model:config.nic_model
+  in
+  let rec t =
+    {
+      id;
+      fabric;
+      registry;
+      cpu;
+      nic;
+      config;
+      tx_pool;
+      rx_pool;
+      rxq = Nic.Device.attach_rx ?cpu nic rx_pool;
+      arena = Mem.Arena.create space ~capacity:config.arena_capacity;
+      rx_handler =
+        (fun ~src:_ buf ->
+          Mem.Pinned.Buf.decr_ref ~site:"Endpoint.rx_default_drop" buf);
+      holding = false;
+      held = [||];
+      held_n = 0;
+      deferred = [||];
+      deferred_n = 0;
+      pending_txds = [||];
+      pending_n = 0;
+      flush_scheduled = false;
+      flush_k =
+        (fun () ->
+          t.flush_scheduled <- false;
+          flush_tx t);
+      submit_deferred_k = (fun () -> submit_deferred t);
+      udp_transport = None;
+    }
+  in
+  Nic.Device.set_on_wire nic (fun frame -> Fabric.inject fabric frame);
+  Fabric.attach fabric ~id ~rx:(fun frame -> handle_wire t frame);
+  t
 
 let write_header ?cpu t ~dst buf =
   Packet.write_header
@@ -325,18 +356,27 @@ let send_string t ~dst s =
 let set_rx t f = t.rx_handler <- f
 
 let begin_hold t =
-  if t.held <> None then invalid_arg "Endpoint.begin_hold: already holding";
-  t.held <- Some []
+  if t.holding then invalid_arg "Endpoint.begin_hold: already holding";
+  t.holding <- true
+
+(* The held posts become the deferred set; the arrays swap, so neither is
+   copied. *)
+let end_hold t =
+  if not t.holding then invalid_arg "Endpoint.end_hold: not holding";
+  if t.deferred_n > 0 then
+    invalid_arg "Endpoint.end_hold: previous release not yet submitted";
+  t.holding <- false;
+  let held = t.held in
+  t.held <- t.deferred;
+  t.deferred <- held;
+  t.deferred_n <- t.held_n;
+  t.held_n <- 0
 
 let release_hold t ~after =
-  match t.held with
-  | None -> invalid_arg "Endpoint.release_hold: not holding"
-  | Some queued ->
-      t.held <- None;
-      let batches = List.rev queued in
-      if batches <> [] then
-        Sim.Engine.schedule (engine t) ~after (fun () ->
-            List.iter (fun txd -> submit t txd) batches)
+  if not t.holding then invalid_arg "Endpoint.release_hold: not holding";
+  end_hold t;
+  if t.deferred_n > 0 then
+    Sim.Engine.schedule (engine t) ~after t.submit_deferred_k
 
 let charge_rx ?cpu _t ~len =
   match cpu with

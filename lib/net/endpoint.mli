@@ -188,10 +188,20 @@ val set_rx : t -> (src:int -> Mem.Pinned.Buf.t -> unit) -> unit
     to *measure* its service time dt, but the responses it produced must not
     reach the NIC before T+dt. [begin_hold] buffers descriptor posts;
     [release_hold ~after] replays them [after] ns later (order preserved).
-    CPU costs are charged at call time either way. *)
+    CPU costs are charged at call time either way. Raises
+    [Invalid_argument] on a nested hold or a release without one. *)
 val begin_hold : t -> unit
 
 val release_hold : t -> after:int -> unit
+
+(** The two halves of {!release_hold}, for a caller that schedules the
+    replay in an event of its own: [end_hold t] ends the hold and sets the
+    held posts aside; [submit_deferred t] posts them. At most one set may
+    be aside at a time: [end_hold] raises [Invalid_argument] if the
+    previous set has not been submitted. *)
+val end_hold : t -> unit
+
+val submit_deferred : t -> unit
 
 (** Software receive-path cost (parse + steering), charged by the request
     harness when it dequeues a packet. *)

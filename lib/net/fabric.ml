@@ -3,6 +3,11 @@ type t = {
   one_way_delay_ns : int;
   mutable loss_rate : float;
   rng : Sim.Rng.t;
+  (* Endpoint id -> its arrival function (count, receive, release), built
+     once at attach. Each scheduled arrival owns one reference on the
+     frame: the receiving NIC copies it into a posted rx buffer
+     synchronously in [rx], so the frame goes back to the sender's pool as
+     soon as its last delivery (or drop) is accounted. *)
   endpoints : (int, Nic.Device.wire -> unit) Hashtbl.t;
   mutable delivered : int;
   mutable dropped : int;
@@ -43,7 +48,10 @@ let one_way_delay_ns t = t.one_way_delay_ns
 let attach t ~id ~rx =
   if Hashtbl.mem t.endpoints id then
     invalid_arg (Printf.sprintf "Fabric.attach: duplicate endpoint %d" id);
-  Hashtbl.replace t.endpoints id rx
+  Hashtbl.replace t.endpoints id (fun w ->
+      t.delivered <- t.delivered + 1;
+      rx w;
+      Nic.Device.wire_release w)
 
 let set_loss_rate t r =
   check_loss_rate r;
@@ -58,20 +66,15 @@ let drop t ~dst =
   let prev = Option.value (Hashtbl.find_opt t.dropped_by_dst dst) ~default:0 in
   Hashtbl.replace t.dropped_by_dst dst (prev + 1)
 
-(* Each scheduled delivery owns one reference on the frame: the receiving
-   NIC copies it into a posted rx buffer synchronously in [rx], so the
-   frame goes back to the sender's pool as soon as its last delivery (or
-   drop) is accounted. *)
-let deliver t ~after rx w =
-  Sim.Engine.schedule t.engine ~after (fun () ->
-      t.delivered <- t.delivered + 1;
-      rx w;
-      Nic.Device.wire_release w)
+let fault_for t ~dst =
+  match t.injector with
+  | None -> None
+  | Some inj ->
+      Faults.Injector.fabric_decision inj ~now:(Sim.Engine.now t.engine) ~dst
 
 let inject t w =
-  let _src, dst =
-    Packet.parse_header_bytes (Nic.Device.wire_bytes w)
-      ~len:(Nic.Device.wire_len w)
+  let dst =
+    Packet.dst_of_bytes (Nic.Device.wire_bytes w) ~len:(Nic.Device.wire_len w)
   in
   let lost = t.loss_rate > 0.0 && Sim.Rng.bool t.rng t.loss_rate in
   if lost then begin
@@ -79,18 +82,13 @@ let inject t w =
     Nic.Device.wire_release w
   end
   else
-    match Hashtbl.find_opt t.endpoints dst with
-    | None ->
+    match Hashtbl.find t.endpoints dst with
+    | exception Not_found ->
         drop t ~dst;
         Nic.Device.wire_release w
-    | Some rx -> (
-        let fault =
-          match t.injector with
-          | None -> None
-          | Some inj ->
-              Faults.Injector.fabric_decision inj ~now:(Sim.Engine.now t.engine) ~dst
-        in
-        match fault with
+    | arrive -> (
+        (* Each hop rides the frame's own continuation. *)
+        match fault_for t ~dst with
         | Some `Drop ->
             drop t ~dst;
             Nic.Device.wire_release w
@@ -104,17 +102,18 @@ let inject t w =
         | Some `Duplicate ->
             t.duplicated <- t.duplicated + 1;
             Nic.Device.wire_retain w;
-            deliver t ~after:t.one_way_delay_ns rx w;
-            deliver t ~after:(2 * t.one_way_delay_ns) rx w
+            Nic.Device.wire_arrive_after w ~after:t.one_way_delay_ns arrive;
+            Nic.Device.wire_arrive_after w ~after:(2 * t.one_way_delay_ns) arrive
         | Some (`Delay extra) ->
             t.delayed <- t.delayed + 1;
-            deliver t ~after:(t.one_way_delay_ns + extra) rx w
+            Nic.Device.wire_arrive_after w ~after:(t.one_way_delay_ns + extra) arrive
         | Some `Reorder ->
             (* Hold the packet for two extra one-way delays so anything
                sent in that window overtakes it. *)
             t.reordered <- t.reordered + 1;
-            deliver t ~after:(3 * t.one_way_delay_ns) rx w
-        | None -> deliver t ~after:t.one_way_delay_ns rx w)
+            Nic.Device.wire_arrive_after w ~after:(3 * t.one_way_delay_ns) arrive
+        | None -> Nic.Device.wire_arrive_after w ~after:t.one_way_delay_ns arrive)
+[@@alloc_free]
 
 let delivered t = t.delivered
 

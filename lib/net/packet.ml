@@ -1,5 +1,5 @@
-(* Header field offsets, shared by the writer and both parser entry points
-   so the layout is stated exactly once. *)
+(* Header field offsets, shared by the writer and the readers so the layout
+   is stated exactly once. *)
 module Off = struct
   let header_len = 42
 
@@ -39,12 +39,12 @@ let write_header buf ~off ~src ~dst =
   set_u32 buf (off + Off.src) src;
   set_u32 buf (off + Off.dst) dst
 
-(* The single parser: [len] is the frame length, not the buffer capacity —
-   pooled egress frames ride in rounded-up buffers. *)
-let parse_header_bytes b ~len =
-  if len < header_len then invalid_arg "Packet.parse_header: truncated";
-  (get_u32 b Off.src, get_u32 b Off.dst)
+(* [len] is the frame length, not the buffer capacity — pooled egress
+   frames ride in rounded-up buffers. *)
+let header_field b ~len off =
+  if len < header_len then invalid_arg "Packet: truncated header";
+  get_u32 b off
 
-(* [Bytes.unsafe_of_string] is sound here because the parser only reads. *)
-let parse_header s =
-  parse_header_bytes (Bytes.unsafe_of_string s) ~len:(String.length s)
+let src_of_bytes b ~len = header_field b ~len Off.src
+
+let dst_of_bytes b ~len = header_field b ~len Off.dst

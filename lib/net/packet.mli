@@ -5,7 +5,7 @@
     the first scatter-gather entry of every send (§3.2.3). *)
 
 (** Header field offsets — the layout in one place, shared by the writer and
-    both parser entry points. *)
+    the readers. *)
 module Off : sig
   val header_len : int
 
@@ -27,11 +27,10 @@ val max_payload : int
 (** [write_header buf ~off ~src ~dst] writes the 42-byte header. *)
 val write_header : Bytes.t -> off:int -> src:int -> dst:int -> unit
 
-(** [parse_header s] reads [(src, dst)] from a wire packet — a zero-copy
-    wrapper over {!parse_header_bytes}. Raises [Invalid_argument] if [s] is
-    shorter than a header. *)
-val parse_header : string -> int * int
+(** [src_of_bytes b ~len] and [dst_of_bytes b ~len] read the source and
+    destination endpoint ids of the frame in [b]: [len] is the frame
+    length within [b] (whose capacity may be larger). Raise
+    [Invalid_argument] if [len] is shorter than a header. *)
+val src_of_bytes : Bytes.t -> len:int -> int
 
-(** [parse_header_bytes b ~len] — the single header parser: [len] is the
-    frame length within [b] (whose capacity may be larger). *)
-val parse_header_bytes : Bytes.t -> len:int -> int * int
+val dst_of_bytes : Bytes.t -> len:int -> int

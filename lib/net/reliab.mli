@@ -42,7 +42,11 @@ val create : ?config:config -> Sim.Engine.t -> rng:Sim.Rng.t -> t
     running [give_up] and counting as {!abandoned} (deterministic: the
     abandon time is the deadline, independent of jitter draws). Raises
     [Invalid_argument] if [id] is already tracked or the deadline is not
-    positive. *)
+    positive.
+
+    Per-request state lives in an id-indexed slot ring ({!Sim.Id_ring}),
+    so ids should be dense, e.g. sequential: the ring grows to the span of
+    ids whose timers are still queued. *)
 val track :
   ?deadline_ns:int ->
   t ->

@@ -9,21 +9,28 @@ type completion_fault = now:int -> [ `Lose | `Delay of int ] option
    completion delivers. The steady-state post path builds no per-send
    lists — segment refs land in [d_segs], RefSan hold tokens in the
    parallel [d_holds], and [d_release] (one long-lived closure, typically
-   the endpoint's decr_ref) runs per segment at completion. *)
+   the endpoint's decr_ref) runs per segment at completion.
+
+   The descriptor also carries its own event continuations, built once
+   with it, so posting schedules no fresh closure: [d_egress] puts the
+   gathered frame [d_wire] on the wire; [d_egress_cqe] does that and then
+   delivers the CQE; [d_late] runs a completion a fault delayed. A batch's
+   coalesced CQE rides on its last descriptor, whose [d_batch] holds the
+   first [d_batch_n] members ([d_batch_n = 0] for a descriptor posted
+   alone). *)
 type txd = {
   mutable d_segs : Mem.Pinned.Buf.t array; (* first [d_n] slots live *)
   mutable d_n : int;
   mutable d_holds : int option array; (* RefSan holds, parallel to d_segs *)
   mutable d_release : Mem.Pinned.Buf.t -> unit;
   mutable d_done : unit -> unit;
+  mutable d_wire : wire;
+  mutable d_batch : txd array;
+  mutable d_batch_n : int;
+  d_egress : unit -> unit;
+  d_egress_cqe : unit -> unit;
+  d_late : unit -> unit;
 }
-
-let noop () = ()
-
-let noop_release (_ : Mem.Pinned.Buf.t) = ()
-
-let new_txd () =
-  { d_segs = [||]; d_n = 0; d_holds = [||]; d_release = noop_release; d_done = noop }
 
 (* Egress frame: the device's payload snapshot, pooled and recycled. The
    gather copy lands in [w_buf] (capacity rounded up so steady-state sends
@@ -32,12 +39,18 @@ let new_txd () =
    Ownership transfers to the [on_wire] consumer, who must call
    {!wire_release} exactly once per reference when the frame is finished
    (and {!wire_retain} before duplicating delivery). Consumers may read
-   [w_buf.[0 .. w_len)] but never mutate or stash it past release. *)
-type wire = {
+   [w_buf.[0 .. w_len)] but never mutate or stash it past release.
+
+   [w_hop] is the frame's arrival continuation, built with the frame: it
+   runs [w_arrive w], the receiver the carrier set when it scheduled the
+   frame's arrival. *)
+and wire = {
   mutable w_buf : Bytes.t;
   mutable w_len : int;
   mutable w_refs : int;
   w_dev : t;
+  mutable w_arrive : wire -> unit;
+  w_hop : unit -> unit;
 }
 
 (* Receive queue: one per attached endpoint (a shared device carries one
@@ -61,8 +74,10 @@ and t = {
   model : Model.t;
   mutable rxqs : rxq list; (* newest first; aggregate stats sum these *)
   mutable on_wire : wire -> unit;
-  mutable wire_free : wire list; (* recycled egress frames *)
+  (* Recycled egress frames: a stack, first [wire_pooled] slots live. *)
+  mutable wire_free : wire array;
   mutable wire_pooled : int;
+  idle_wire : wire; (* empty frame held by descriptors between posts *)
   mutable busy_until : int; (* when the DMA/wire pipeline frees up *)
   mutable in_flight : int;
   mutable tx_packets : int;
@@ -83,6 +98,12 @@ and t = {
   mutable reaped_completions : int;
 }
 
+let noop () = ()
+
+let noop_release (_ : Mem.Pinned.Buf.t) = ()
+
+let no_arrival (_ : wire) = ()
+
 (* Ceiling on recycled frames: enough for every packet that can be in
    flight across fabric delays in practice, while bounding retained bytes
    if a consumer holds frames unusually long. *)
@@ -99,70 +120,90 @@ let wire_release w =
   if w.w_refs = 0 then begin
     let t = w.w_dev in
     if t.wire_pooled < wire_pool_cap then begin
-      t.wire_free <- w :: t.wire_free;
+      if Array.length t.wire_free = 0 then
+        t.wire_free <- Array.make wire_pool_cap w;
+      t.wire_free.(t.wire_pooled) <- w;
       t.wire_pooled <- t.wire_pooled + 1
     end
   end
+
+let new_wire t ~buf ~len =
+  let rec w =
+    {
+      w_buf = buf;
+      w_len = len;
+      w_refs = 1;
+      w_dev = t;
+      w_arrive = no_arrival;
+      w_hop = (fun () -> w.w_arrive w);
+    }
+  in
+  w
+
+(* Schedule [f w] [after] ns from now through the frame's own arrival
+   continuation. Every pending arrival of one frame runs the same [f]. *)
+let wire_arrive_after w ~after f =
+  w.w_arrive <- f;
+  Sim.Engine.schedule w.w_dev.engine ~after w.w_hop
+[@@alloc_free]
 
 let wire_capacity_for len =
   let c = ref 256 in
   while !c < len do c := !c * 2 done;
   !c
 
+(* Take the most recently recycled frame that fits [len]: in the steady
+   state packets are near-constant size, so the top of the stack fits and
+   the acquire is allocation-free. *)
 let wire_acquire t len =
-  match t.wire_free with
-  | w :: rest when Bytes.length w.w_buf >= len ->
-      (* Steady state: packets are near-constant size, so the head of the
-         free list fits and the acquire is allocation-free. *)
-      t.wire_free <- rest;
-      t.wire_pooled <- t.wire_pooled - 1;
-      w.w_len <- len;
-      w.w_refs <- 1;
-      w
-  | free -> (
-      (* Head too small: scan for any fitting frame before allocating. *)
-      let rec take acc = function
-        | [] -> None
-        | w :: rest when Bytes.length w.w_buf >= len ->
-            Some (w, List.rev_append acc rest)
-        | w :: rest -> take (w :: acc) rest
-      in
-      match take [] free with
-      | Some (w, rest) ->
-          t.wire_free <- rest;
-          t.wire_pooled <- t.wire_pooled - 1;
-          w.w_len <- len;
-          w.w_refs <- 1;
-          w
-      | None ->
-          {
-            w_buf = Bytes.create (wire_capacity_for len);
-            w_len = len;
-            w_refs = 1;
-            w_dev = t;
-          })
+  let i = ref (t.wire_pooled - 1) in
+  while !i >= 0 && Bytes.length t.wire_free.(!i).w_buf < len do
+    decr i
+  done;
+  if !i < 0 then new_wire t ~buf:(Bytes.create (wire_capacity_for len)) ~len
+  else begin
+    let w = t.wire_free.(!i) in
+    t.wire_pooled <- t.wire_pooled - 1;
+    t.wire_free.(!i) <- t.wire_free.(t.wire_pooled);
+    w.w_len <- len;
+    w.w_refs <- 1;
+    w
+  end
 
 let create engine ~model =
-  {
-    engine;
-    model;
-    rxqs = [];
-    on_wire = wire_release;
-    wire_free = [];
-    wire_pooled = 0;
-    busy_until = 0;
-    in_flight = 0;
-    tx_packets = 0;
-    tx_bytes = 0;
-    doorbells = 0;
-    txd_free = [||];
-    txd_top = 0;
-    completion_fault = None;
-    lost = [];
-    lost_completions = 0;
-    delayed_completions = 0;
-    reaped_completions = 0;
-  }
+  let rec t =
+    {
+      engine;
+      model;
+      rxqs = [];
+      on_wire = wire_release;
+      wire_free = [||];
+      wire_pooled = 0;
+      idle_wire;
+      busy_until = 0;
+      in_flight = 0;
+      tx_packets = 0;
+      tx_bytes = 0;
+      doorbells = 0;
+      txd_free = [||];
+      txd_top = 0;
+      completion_fault = None;
+      lost = [];
+      lost_completions = 0;
+      delayed_completions = 0;
+      reaped_completions = 0;
+    }
+  and idle_wire =
+    {
+      w_buf = Bytes.empty;
+      w_len = 0;
+      w_refs = 0;
+      w_dev = t;
+      w_arrive = no_arrival;
+      w_hop = (fun () -> idle_wire.w_arrive idle_wire);
+    }
+  in
+  t
 
 let model t = t.model
 
@@ -228,13 +269,6 @@ let rx_bytes t = List.fold_left (fun n q -> n + q.q_bytes) 0 t.rxqs
 let rx_dropped t = List.fold_left (fun n q -> n + q.q_dropped) 0 t.rxqs
 
 (* --- Reusable descriptors --------------------------------------------- *)
-
-let txd_acquire t =
-  if t.txd_top > 0 then begin
-    t.txd_top <- t.txd_top - 1;
-    t.txd_free.(t.txd_top)
-  end
-  else new_txd ()
 
 let txd_recycle t txd =
   let cap = Array.length t.txd_free in
@@ -304,36 +338,41 @@ let finish_txd t txd =
   txd_recycle t txd;
   cb ()
 
+(* Finish every member of the batch whose CQE [owner] carries, in post
+   order. The owner is the last member, so it is recycled (and may be
+   reused by a callback) only after its membership has been read. *)
+let finish_batch t owner =
+  for i = 0 to owner.d_batch_n - 1 do
+    finish_txd t owner.d_batch.(i)
+  done
+
+(* A completion a fault delayed: the descriptor's own, or its batch's. *)
+let finish_late t txd =
+  if txd.d_batch_n = 0 then finish_txd t txd else finish_batch t txd
+
 (* Decide the fate of a CQE that is due now. [`Lose] stashes the
    completions on the lost list (ring slots stay occupied); [`Delay d]
-   re-schedules delivery [d] ns later. *)
+   re-schedules delivery [d] ns later. One decision covers a coalesced
+   batch CQE. *)
 let cqe_fate t =
   match t.completion_fault with
   | None -> None
   | Some f -> f ~now:(Sim.Engine.now t.engine)
 
-let deliver_txd t txd =
-  match cqe_fate t with
-  | Some `Lose ->
-      t.lost_completions <- t.lost_completions + 1;
-      t.lost <- txd :: t.lost
-  | Some (`Delay extra) ->
-      t.delayed_completions <- t.delayed_completions + 1;
-      Sim.Engine.schedule t.engine ~after:extra (fun () -> finish_txd t txd)
-  | None -> finish_txd t txd
-
-(* Coalesced CQE for a batch: one fate decision covers every descriptor. *)
-let deliver_txd_batch t txds =
-  let n = Array.length txds in
+let deliver_cqe t txd =
+  let n = max 1 txd.d_batch_n in
   match cqe_fate t with
   | Some `Lose ->
       t.lost_completions <- t.lost_completions + n;
-      Array.iter (fun txd -> t.lost <- txd :: t.lost) txds
+      if txd.d_batch_n = 0 then t.lost <- txd :: t.lost
+      else
+        for i = 0 to n - 1 do
+          t.lost <- txd.d_batch.(i) :: t.lost
+        done
   | Some (`Delay extra) ->
       t.delayed_completions <- t.delayed_completions + n;
-      Sim.Engine.schedule t.engine ~after:extra (fun () ->
-          Array.iter (finish_txd t) txds)
-  | None -> Array.iter (finish_txd t) txds
+      Sim.Engine.schedule t.engine ~after:extra txd.d_late
+  | None -> finish_late t txd
 
 let reap_lost t =
   let lost = t.lost in
@@ -349,6 +388,44 @@ let delayed_completions t = t.delayed_completions
 
 let reaped_completions t = t.reaped_completions
 
+(* The packet's last bit leaves the NIC. Egress happens regardless of the
+   CQE's fate: losing a completion does not claw the packet back off the
+   wire. *)
+let egress t txd =
+  let w = txd.d_wire in
+  txd.d_wire <- t.idle_wire;
+  t.tx_packets <- t.tx_packets + 1;
+  t.tx_bytes <- t.tx_bytes + w.w_len;
+  t.on_wire w
+
+let new_txd t =
+  let rec d =
+    {
+      d_segs = [||];
+      d_n = 0;
+      d_holds = [||];
+      d_release = noop_release;
+      d_done = noop;
+      d_wire = t.idle_wire;
+      d_batch = [||];
+      d_batch_n = 0;
+      d_egress = (fun () -> egress t d);
+      d_egress_cqe =
+        (fun () ->
+          egress t d;
+          deliver_cqe t d);
+      d_late = (fun () -> finish_late t d);
+    }
+  in
+  d
+
+let txd_acquire t =
+  if t.txd_top > 0 then begin
+    t.txd_top <- t.txd_top - 1;
+    t.txd_free.(t.txd_top)
+  end
+  else new_txd t
+
 (* --- Posting ----------------------------------------------------------- *)
 
 let take_holds txd ~site =
@@ -357,87 +434,73 @@ let take_holds txd ~site =
       txd.d_holds.(i) <- Mem.Pinned.Buf.hold ~site txd.d_segs.(i)
     done
 
-let post_txd t txd =
+(* Occupy the DMA/wire pipeline for one descriptor and gather its frame;
+   returns the time its last bit leaves. PCIe descriptor + gather fetches
+   overlap wire serialization, so the pipeline occupancy per packet is
+   whichever is longer. [~first] pays the per-descriptor fetch. Bytes are
+   snapshotted at post time: the zero-copy contract says the app must not
+   mutate in place during sends, and refcounts keep buffers alive, so
+   gathering now is equivalent to gathering at DMA time. RefSan holds
+   write-protect each segment until the completion fires, turning any
+   in-place mutation of posted bytes into a write-after-post diagnostic. *)
+let occupy t txd ~first ~site =
   let nsge = txd.d_n in
-  if nsge = 0 then invalid_arg "Device.post_txd: empty gather list";
-  if nsge > t.model.Model.max_sge then
-    raise (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge });
-  if t.in_flight >= t.model.Model.tx_ring_entries then raise Ring_full;
-  t.doorbells <- t.doorbells + 1;
   t.in_flight <- t.in_flight + 1;
-  let now = Sim.Engine.now t.engine in
-  let start = max now t.busy_until in
+  let start = max (Sim.Engine.now t.engine) t.busy_until in
   let payload_bytes = txd_payload_bytes txd in
-  (* PCIe descriptor + gather fetches overlap wire serialization; the
-     pipeline occupancy per packet is whichever is longer. *)
   let dma_ns =
-    t.model.Model.pcie_per_descriptor_ns
+    (if first then t.model.Model.pcie_per_descriptor_ns else 0.0)
     +. (float_of_int nsge *. t.model.Model.pcie_per_sge_ns)
   in
   let wire_ns = Model.wire_time_ns t.model ~bytes:payload_bytes in
-  let occupancy = int_of_float (ceil (Float.max dma_ns wire_ns)) in
-  let finish = start + occupancy in
+  let finish = start + int_of_float (ceil (Float.max dma_ns wire_ns)) in
   t.busy_until <- finish;
-  (* Snapshot bytes at post time: the zero-copy contract says the app must
-     not mutate in place during sends, and refcounts keep buffers alive, so
-     gathering now is equivalent to gathering at DMA time. RefSan holds
-     write-protect each segment until the completion fires, turning any
-     in-place mutation of posted bytes into a write-after-post diagnostic. *)
-  take_holds txd ~site:"Nic.post";
-  let payload = gather t txd ~len:payload_bytes in
-  Sim.Engine.schedule_at t.engine ~time:finish (fun () ->
-      t.tx_packets <- t.tx_packets + 1;
-      t.tx_bytes <- t.tx_bytes + payload.w_len;
-      (* Egress happens regardless of the CQE's fate: losing a completion
-         does not claw the packet back off the wire. *)
-      t.on_wire payload;
-      deliver_txd t txd)
+  take_holds txd ~site;
+  txd.d_wire <- gather t txd ~len:payload_bytes;
+  finish
+
+let check_sge t txd ~what =
+  let nsge = txd.d_n in
+  if nsge = 0 then invalid_arg what;
+  if nsge > t.model.Model.max_sge then
+    raise (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge })
+
+let post_txd t txd =
+  check_sge t txd ~what:"Device.post_txd: empty gather list";
+  if t.in_flight >= t.model.Model.tx_ring_entries then raise Ring_full;
+  t.doorbells <- t.doorbells + 1;
+  txd.d_batch_n <- 0;
+  let finish = occupy t txd ~first:true ~site:"Nic.post" in
+  Sim.Engine.schedule_at t.engine ~time:finish txd.d_egress_cqe
+[@@alloc_free]
 
 (* Batched post: one doorbell covers every descriptor. The first descriptor
    pays the full per-descriptor PCIe fetch; the rest ride the same burst and
    pay only their per-SGE fetches. Packets still leave the wire one by one
    (each gets its own egress event at its own finish time, so fabric arrival
    times match back-to-back unbatched posts), but completion delivery is
-   coalesced into a single CQE event at the last packet's finish — which is
-   when every segment reference is released. [txds] may be a caller-owned
-   scratch array (only the first [n] slots are read, and they are
-   snapshotted before returning, so the caller can refill it immediately). *)
+   coalesced into a single CQE at the last packet's finish — which is when
+   every segment reference is released. Finish times never decrease along
+   the batch, so the last packet's egress and the batch CQE share one event
+   on the last descriptor, which takes a copy of the membership. [txds] may
+   be a caller-owned scratch array (only the first [n] slots are read), so
+   the caller can refill it immediately. *)
 let post_txd_batch t txds ~n =
   if n = 0 then invalid_arg "Device.post_txd_batch: empty batch";
   if t.in_flight + n > t.model.Model.tx_ring_entries then raise Ring_full;
   t.doorbells <- t.doorbells + 1;
-  let last_finish = ref 0 in
-  let batch = Array.sub txds 0 n in
-  Array.iteri
-    (fun i txd ->
-      let nsge = txd.d_n in
-      if nsge = 0 then invalid_arg "Device.post_txd_batch: empty gather list";
-      if nsge > t.model.Model.max_sge then
-        raise
-          (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge });
-      t.in_flight <- t.in_flight + 1;
-      let now = Sim.Engine.now t.engine in
-      let start = max now t.busy_until in
-      let payload_bytes = txd_payload_bytes txd in
-      let dma_ns =
-        (if i = 0 then t.model.Model.pcie_per_descriptor_ns else 0.0)
-        +. (float_of_int nsge *. t.model.Model.pcie_per_sge_ns)
-      in
-      let wire_ns = Model.wire_time_ns t.model ~bytes:payload_bytes in
-      let occupancy = int_of_float (ceil (Float.max dma_ns wire_ns)) in
-      let finish = start + occupancy in
-      t.busy_until <- finish;
-      if finish > !last_finish then last_finish := finish;
-      take_holds txd ~site:"Nic.post_batch";
-      let payload = gather t txd ~len:payload_bytes in
-      Sim.Engine.schedule_at t.engine ~time:finish (fun () ->
-          t.tx_packets <- t.tx_packets + 1;
-          t.tx_bytes <- t.tx_bytes + payload.w_len;
-          t.on_wire payload))
-    batch;
-  (* One coalesced CQE: a completion fault hits the whole batch at once. *)
-  Sim.Engine.schedule_at t.engine ~time:!last_finish (fun () ->
-      deliver_txd_batch t batch)
+  for i = 0 to n - 1 do
+    let txd = txds.(i) in
+    check_sge t txd ~what:"Device.post_txd_batch: empty gather list";
+    let finish = occupy t txd ~first:(i = 0) ~site:"Nic.post_batch" in
+    if i < n - 1 then Sim.Engine.schedule_at t.engine ~time:finish txd.d_egress
+    else begin
+      if Array.length txd.d_batch < n then txd.d_batch <- Array.make n txd;
+      Array.blit txds 0 txd.d_batch 0 n;
+      txd.d_batch_n <- n;
+      Sim.Engine.schedule_at t.engine ~time:finish txd.d_egress_cqe
+    end
+  done
 
 let in_flight t = t.in_flight
 

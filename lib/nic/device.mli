@@ -80,6 +80,13 @@ val wire_retain : wire -> unit
 
 val wire_release : wire -> unit
 
+(** [wire_arrive_after w ~after f] schedules [f w] [after] ns from now
+    through the frame's own arrival continuation, which is built once with
+    the frame, so the hop schedules no fresh closure. Every arrival of one
+    frame still pending runs the most recently set [f]: a carrier that
+    delivers a frame twice must deliver both copies to the same receiver. *)
+val wire_arrive_after : wire -> after:int -> (wire -> unit) -> unit
+
 (** [set_on_wire t f] registers the fabric hook: [f frame] is called when a
     packet's last bit leaves the NIC, with the gathered wire bytes. The
     default hook releases the frame immediately (dropped on the floor). *)

@@ -22,13 +22,29 @@ type reply_handler =
       coll : Stream.collector;
     }
 
-type t = {
+(* One pending call, in an id-indexed slot ring ([Sim.Id_ring]). The slot
+   is occupied from the call until its reply, give-up or deadline — and,
+   when a deadline timer of its own is queued, until that timer fires, so
+   the timer never wakes a later call. Its give-up and deadline
+   continuations are built once with the slot. *)
+type call = {
+  mutable busy : bool;
+  mutable live : bool; (* awaiting its reply *)
+  mutable id : int;
+  mutable handler : reply_handler;
+  mutable timer_queued : bool;
+  give_up : unit -> unit; (* retry layer exhausted or deadline hit *)
+  deadline_fired : unit -> unit; (* the deadline timer, without a retry layer *)
+}
+
+and t = {
   tr : Net.Transport.t;
   config : Cornflakes.Config.t;
   engine : Sim.Engine.t option;
   reliab : Net.Reliab.t option;
   reader : Wire.Reader.t;
-  pending : (int, reply_handler) Hashtbl.t;
+  calls_ring : (t, call) Sim.Id_ring.t;
+  mutable pending : int;
   mutable next_id : int;
   mutable calls : int;
   mutable replies : int;
@@ -38,6 +54,44 @@ type t = {
   mutable misordered : int;
 }
 
+let no_handler = Unary (fun (_ : Wire.Reader.t) -> ())
+
+let release c =
+  c.busy <- c.timer_queued;
+  c.handler <- no_handler
+
+let resolve t c =
+  c.live <- false;
+  t.pending <- t.pending - 1;
+  release c
+
+let abandon t c =
+  if c.live then begin
+    let handler = c.handler in
+    resolve t c;
+    t.abandoned <- t.abandoned + 1;
+    match handler with Unary _ -> () | Streamed s -> s.on_done ~ok:false
+  end
+
+let deadline_fired t c =
+  c.timer_queued <- false;
+  abandon t c;
+  if not c.live then c.busy <- false
+
+let new_call t =
+  let rec c =
+    {
+      busy = false;
+      live = false;
+      id = 0;
+      handler = no_handler;
+      timer_queued = false;
+      give_up = (fun () -> abandon t c);
+      deadline_fired = (fun () -> deadline_fired t c);
+    }
+  in
+  c
+
 let create ?(config = Cornflakes.Config.default) ?engine ?reliab ~resp tr =
   {
     tr;
@@ -45,7 +99,11 @@ let create ?(config = Cornflakes.Config.default) ?engine ?reliab ~resp tr =
     engine;
     reliab;
     reader = Wire.Reader.create resp;
-    pending = Hashtbl.create 64;
+    calls_ring =
+      Sim.Id_ring.create ~make:new_call
+        ~occupied:(fun c -> c.busy)
+        ~id_of:(fun c -> c.id);
+    pending = 0;
     next_id = 1;
     calls = 0;
     replies = 0;
@@ -64,29 +122,27 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let abandon t ~id =
-  match Hashtbl.find_opt t.pending id with
-  | None -> ()
-  | Some h ->
-      Hashtbl.remove t.pending id;
-      t.abandoned <- t.abandoned + 1;
-      (match h with Unary _ -> () | Streamed s -> s.on_done ~ok:false)
-
 let start t ?deadline_ms ~handler ~prepare ~send () =
   let id = fresh_id t in
-  Hashtbl.replace t.pending id handler;
+  let c = Sim.Id_ring.claim t.calls_ring t ~id in
+  c.busy <- true;
+  c.live <- true;
+  c.id <- id;
+  c.handler <- handler;
+  t.pending <- t.pending + 1;
   t.calls <- t.calls + 1;
   prepare id;
   let deadline_ns = Option.map Deadline.ns_of_ms deadline_ms in
   (match t.reliab with
-  | Some rl -> Net.Reliab.track ?deadline_ns rl ~id ~send ~give_up:(fun () -> abandon t ~id)
+  | Some rl -> Net.Reliab.track ?deadline_ns rl ~id ~send ~give_up:c.give_up
   | None -> (
       send ();
       (* No retry layer: the deadline still resolves the call
          deterministically, provided an engine clock is attached. *)
       match (deadline_ns, t.engine) with
       | Some d, Some engine ->
-          Sim.Engine.schedule engine ~after:d (fun () -> abandon t ~id)
+          c.timer_queued <- true;
+          Sim.Engine.schedule engine ~after:d c.deadline_fired
       | _ -> ()));
   id
 
@@ -103,34 +159,39 @@ let ack_reliab t ~id =
   | Some rl -> ignore (Net.Reliab.ack rl ~id)
   | None -> ()
 
-let complete ?seq_word t ~id r =
-  match Hashtbl.find_opt t.pending id with
-  | None -> t.orphans <- t.orphans + 1
-  | Some (Unary f) ->
-      Hashtbl.remove t.pending id;
-      ack_reliab t ~id;
-      t.replies <- t.replies + 1;
-      f r
-  | Some (Streamed s) -> (
-      match seq_word with
-      | None ->
-          (* A streamed reply without a seq word is a framing error. *)
-          t.misordered <- t.misordered + 1
-      | Some w -> (
-          match Stream.observe s.coll w with
-          | `Chunk ->
-              t.chunks <- t.chunks + 1;
-              s.on_chunk r
-          | `Last ->
-              Hashtbl.remove t.pending id;
-              ack_reliab t ~id;
-              t.chunks <- t.chunks + 1;
-              t.replies <- t.replies + 1;
-              s.on_chunk r;
-              s.on_done ~ok:true
-          | `Out_of_order | `After_end -> t.misordered <- t.misordered + 1))
+let live_call t ~id =
+  Sim.Id_ring.mem t.calls_ring ~id && (Sim.Id_ring.get t.calls_ring ~id).live
 
-let outstanding t = Hashtbl.length t.pending
+let complete ?seq_word t ~id r =
+  if not (live_call t ~id) then t.orphans <- t.orphans + 1
+  else
+    let c = Sim.Id_ring.get t.calls_ring ~id in
+    match c.handler with
+    | Unary f ->
+        resolve t c;
+        ack_reliab t ~id;
+        t.replies <- t.replies + 1;
+        f r
+    | Streamed s -> (
+        match seq_word with
+        | None ->
+            (* A streamed reply without a seq word is a framing error. *)
+            t.misordered <- t.misordered + 1
+        | Some w -> (
+            match Stream.observe s.coll w with
+            | `Chunk ->
+                t.chunks <- t.chunks + 1;
+                s.on_chunk r
+            | `Last ->
+                resolve t c;
+                ack_reliab t ~id;
+                t.chunks <- t.chunks + 1;
+                t.replies <- t.replies + 1;
+                s.on_chunk r;
+                s.on_done ~ok:true
+            | `Out_of_order | `After_end -> t.misordered <- t.misordered + 1))
+
+let outstanding t = t.pending
 let calls t = t.calls
 let replies t = t.replies
 let chunks t = t.chunks

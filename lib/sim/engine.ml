@@ -2,10 +2,26 @@ type t = {
   mutable now : int;
   mutable seq : int;
   heap : (unit -> unit) Heap.t;
+  fire : int -> (unit -> unit) -> unit; (* built once, in [create] *)
   mutable quiesce_hooks : (unit -> unit) list; (* run when the queue drains *)
 }
 
-let create () = { now = 0; seq = 0; heap = Heap.create (); quiesce_hooks = [] }
+let idle () = ()
+
+let create () =
+  let rec t =
+    {
+      now = 0;
+      seq = 0;
+      heap = Heap.create ~dummy:idle;
+      fire =
+        (fun time f ->
+          t.now <- time;
+          f ());
+      quiesce_hooks = [];
+    }
+  in
+  t
 
 let now t = t.now
 
@@ -15,28 +31,20 @@ let schedule_at t ~time f =
       (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time t.now);
   t.seq <- t.seq + 1;
   Heap.push t.heap ~time ~seq:t.seq f
+[@@alloc_free]
 
 let schedule t ~after f =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.now + after) f
 
-let fire t time f =
-  t.now <- time;
-  f ()
-
 let run t ~until =
-  let fire_one = fire t in
-  let continue = ref true in
-  while !continue do
-    match Heap.peek_time t.heap with
-    | Some time when time <= until -> ignore (Heap.pop_into t.heap fire_one)
-    | Some _ | None -> continue := false
+  while (not (Heap.is_empty t.heap)) && Heap.min_time t.heap <= until do
+    ignore (Heap.pop_into t.heap t.fire)
   done;
   if t.now < until then t.now <- until
 
 let run_all t =
-  let fire_one = fire t in
-  while Heap.pop_into t.heap fire_one do
+  while Heap.pop_into t.heap t.fire do
     ()
   done
 

@@ -2,11 +2,17 @@
 
     The event engine needs a stable priority queue: two events scheduled for
     the same instant must fire in scheduling order, so the key is the pair of
-    the event time and a monotonically increasing sequence number. *)
+    the event time and a monotonically increasing sequence number.
+
+    Keys and payloads are kept in parallel arrays, so {!push} and
+    {!pop_into} allocate nothing once the arrays have grown to the peak
+    queue length. *)
 
 type 'a t
 
-val create : unit -> 'a t
+(** [create ~dummy] is an empty heap. [dummy] fills vacated payload slots,
+    so a popped payload is never kept reachable by the heap. *)
+val create : dummy:'a -> 'a t
 
 val length : 'a t -> int
 
@@ -25,7 +31,6 @@ val pop_min : 'a t -> (int * int * 'a) option
     [f] may {!push}. Returns [false] on an empty heap ([f] not called). *)
 val pop_into : 'a t -> (int -> 'a -> unit) -> bool
 
-(** [peek_time heap] is the time of the minimum element, if any. *)
-val peek_time : 'a t -> int option
-
-val clear : 'a t -> unit
+(** [min_time heap] is the time of the minimum element. Raises
+    [Invalid_argument] on an empty heap. *)
+val min_time : 'a t -> int

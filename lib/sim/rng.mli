@@ -2,7 +2,10 @@
 
     Every stochastic component of the simulation (arrival processes, key
     popularity, trace synthesis) draws from an explicitly seeded [Rng.t] so
-    experiments are reproducible run to run. *)
+    experiments are reproducible run to run.
+
+    The state is kept unboxed: [int] and [bool] allocate nothing, and
+    [next_int64] and [float] allocate only their boxed result. *)
 
 type t
 

@@ -50,6 +50,7 @@ type conn = {
          pinned references until the handshake completes and they frame *)
   mutable retransmissions : int;
   mutable timer_armed : bool;
+  rto_k : unit -> unit; (* the retransmission timer event, built once *)
   (* RTT estimation (RFC 6298 style) and fast retransmit. *)
   mutable srtt_ns : float;
   mutable rttvar_ns : float;
@@ -155,15 +156,13 @@ let send_control conn ~flags ~seq =
 
 (* --- Retransmission ---------------------------------------------------- *)
 
-let rec arm_timer conn =
+let arm_timer conn =
   if not conn.timer_armed then begin
     conn.timer_armed <- true;
-    Sim.Engine.schedule conn.stack.engine ~after:conn.rto_ns (fun () ->
-        conn.timer_armed <- false;
-        check_rto conn)
+    Sim.Engine.schedule conn.stack.engine ~after:conn.rto_ns conn.rto_k
   end
 
-and check_rto conn =
+let check_rto conn =
   match (conn.state, conn.inflight) with
   | Closed, _ | _, [] -> ()
   | _, oldest :: _ ->
@@ -468,26 +467,34 @@ let flush_pending conn =
 
 let isn_for id = 1000 + (id * 101)
 
+let rto_fired conn =
+  conn.timer_armed <- false;
+  check_rto conn
+
 let new_conn stack ~peer ~state ~isn =
-  {
-    stack;
-    peer;
-    state;
-    snd_nxt = isn;
-    snd_una = isn;
-    inflight = [];
-    rcv_nxt = 0;
-    ooo = Hashtbl.create 8;
-    assembly = Buffer.create 256;
-    pending = [];
-    retransmissions = 0;
-    timer_armed = false;
-    srtt_ns = 0.0;
-    rttvar_ns = 0.0;
-    rto_ns = initial_rto_ns;
-    dup_acks = 0;
-    last_ack = 0;
-  }
+  let rec conn =
+    {
+      stack;
+      peer;
+      state;
+      snd_nxt = isn;
+      snd_una = isn;
+      inflight = [];
+      rcv_nxt = 0;
+      ooo = Hashtbl.create 8;
+      assembly = Buffer.create 256;
+      pending = [];
+      retransmissions = 0;
+      timer_armed = false;
+      rto_k = (fun () -> rto_fired conn);
+      srtt_ns = 0.0;
+      rttvar_ns = 0.0;
+      rto_ns = initial_rto_ns;
+      dup_acks = 0;
+      last_ack = 0;
+    }
+  in
+  conn
 
 let handle_frame stack ~src buf =
   let v = Mem.Pinned.Buf.view buf in

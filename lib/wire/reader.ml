@@ -32,7 +32,10 @@ type t = {
      the field is absent from the validated frame. *)
   slots : int array;
   mutable words : int array; (* bitmap scratch *)
-  mutable buf : Mem.Pinned.Buf.t option;
+  (* The bound frame's buffer in a one-slot array, empty when unbound:
+     binding the next frame overwrites the slot instead of boxing the
+     buffer in a fresh option. *)
+  mutable frame : Mem.Pinned.Buf.t array;
   mutable data : Bytes.t;
   mutable base : int; (* window start within [data] *)
   mutable addr : int; (* simulated address of the window *)
@@ -47,7 +50,7 @@ let create (desc : Schema.Desc.message) =
     desc;
     slots = Array.make (max 1 n) (-1);
     words = Array.make (max 1 (bitmap_words n)) 0;
-    buf = None;
+    frame = [||];
     data = Bytes.empty;
     base = 0;
     addr = 0;
@@ -98,23 +101,23 @@ let charge_call t =
 
 (* --- validation -------------------------------------------------------- *)
 
+let check_payload t ~slot =
+  let off = u32_at t slot in
+  let len = u32_at t (slot + 4) in
+  if off < 0 || len < 0 || off + len > t.total then
+    invalid "payload [%d, %d) out of object of %d bytes" off (off + len)
+      t.total
+
+let check_nested t ~slot =
+  let off = u32_at t slot in
+  let hlen = u32_at t (slot + 4) in
+  if off < 0 || hlen < 4 || off + hlen > t.total then
+    invalid "nested header out of range"
+
 (* Bounds-check one present field's contents behind its (already checked)
    info slot. Charges the extra table reads a repeated field costs; the
    slot itself was charged with the header block. *)
 let check_field t (field : Schema.Desc.field) ~slot =
-  let check_payload ~slot =
-    let off = u32_at t slot in
-    let len = u32_at t (slot + 4) in
-    if off < 0 || len < 0 || off + len > t.total then
-      invalid "payload [%d, %d) out of object of %d bytes" off (off + len)
-        t.total
-  in
-  let check_nested ~slot =
-    let off = u32_at t slot in
-    let hlen = u32_at t (slot + 4) in
-    if off < 0 || hlen < 4 || off + hlen > t.total then
-      invalid "nested header out of range"
-  in
   match field.Schema.Desc.label with
   | Schema.Desc.Repeated -> (
       let table = u32_at t slot in
@@ -126,22 +129,21 @@ let check_field t (field : Schema.Desc.field) ~slot =
       | Schema.Desc.Scalar _ -> ()
       | Schema.Desc.Str | Schema.Desc.Bytes ->
           for j = 0 to count - 1 do
-            check_payload ~slot:(table + (8 * j))
+            check_payload t ~slot:(table + (8 * j))
           done
       | Schema.Desc.Message _ ->
           for j = 0 to count - 1 do
-            check_nested ~slot:(table + (8 * j))
+            check_nested t ~slot:(table + (8 * j))
           done)
   | Schema.Desc.Singular -> (
       match field.Schema.Desc.ty with
       | Schema.Desc.Scalar _ -> ()
-      | Schema.Desc.Str | Schema.Desc.Bytes -> check_payload ~slot
-      | Schema.Desc.Message _ -> check_nested ~slot)
+      | Schema.Desc.Str | Schema.Desc.Bytes -> check_payload t ~slot
+      | Schema.Desc.Message _ -> check_nested t ~slot)
 
 let bind ?cpu t buf =
-  (match t.buf with
-  | Some b when b == buf -> ()
-  | _ -> t.buf <- Some buf);
+  if Array.length t.frame = 0 then t.frame <- [| buf |]
+  else Array.unsafe_set t.frame 0 buf;
   t.data <- Mem.Pinned.Buf.backing buf;
   t.base <- Mem.Pinned.Buf.backing_off buf;
   t.addr <- Mem.Pinned.Buf.addr buf;
@@ -182,6 +184,7 @@ let validate_at ?cpu t buf ~hpos ~depth =
   charge t ~off:hpos ~len:(4 + (4 * bw) + (8 * !k))
 
 let validate ?cpu t buf = validate_at ?cpu t buf ~hpos:0 ~depth:0
+[@@alloc_free]
 
 (* Specialized entry for codegen'd [read_folded]: when the frame carries
    the constant-folded all-present layout (bitmap word count 1, the literal
@@ -208,6 +211,7 @@ let validate_folded ?cpu t buf ~bitmap ~header_len =
     charge t ~off:0 ~len:header_len;
     true
   end
+[@@alloc_free]
 
 (* --- accessors (total over validated frames) --------------------------- *)
 
@@ -244,9 +248,8 @@ let payload_len t i =
   u32_at t (s + 4)
 
 let the_buf t =
-  match t.buf with
-  | Some b -> b
-  | None -> invalid "reader has no validated frame"
+  if Array.length t.frame = 0 then invalid "reader has no validated frame"
+  else Array.unsafe_get t.frame 0
 
 let payload_view t i =
   let off, len = payload_off_len t i in
@@ -335,7 +338,7 @@ let nested_elem t i ~j ~into =
    reader does not pin the last delivery's buffer handle in its cache).
    Readers never own a reference; this only clears the convenience cache. *)
 let clear t =
-  t.buf <- None;
+  t.frame <- [||];
   t.data <- Bytes.empty;
   t.base <- 0;
   t.addr <- 0;

@@ -171,6 +171,37 @@ let test_reliab_ack_disarms () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate track accepted"
 
+(* Slot reuse in the id ring: an acked request's timer stays queued, so
+   tracking the same id again before it fires must not let the stale
+   timer act on the new request, and a window of ids wider than the ring
+   grows it without losing a request. *)
+let test_reliab_slot_reuse () =
+  let engine = Sim.Engine.create () in
+  let r = Net.Reliab.create ~config:reliab_cfg engine ~rng:(Sim.Rng.create ~seed:3) in
+  let sends = ref 0 in
+  Net.Reliab.track r ~id:5 ~send:ignore ~give_up:ignore;
+  ignore (Net.Reliab.ack r ~id:5);
+  Sim.Engine.run engine ~until:500;
+  Net.Reliab.track r ~id:5 ~send:(fun () -> incr sends) ~give_up:ignore;
+  (* The stale timer fires at 1000; the new request's first retry is due
+     at 1500. *)
+  Sim.Engine.run engine ~until:1_200;
+  Alcotest.(check int) "stale timer sent nothing" 1 !sends;
+  Alcotest.(check int) "still outstanding" 1 (Net.Reliab.outstanding r);
+  Sim.Engine.run engine ~until:1_600;
+  Alcotest.(check int) "own retry" 2 !sends;
+  ignore (Net.Reliab.ack r ~id:5);
+  for id = 100 to 1_099 do
+    Net.Reliab.track r ~id ~send:ignore ~give_up:ignore
+  done;
+  Alcotest.(check int) "wide window outstanding" 1_000 (Net.Reliab.outstanding r);
+  for id = 100 to 1_099 do
+    if Net.Reliab.ack r ~id <> `Acked then Alcotest.failf "id %d lost" id
+  done;
+  Sim.Engine.run_all engine;
+  Alcotest.(check int) "drained" 0 (Net.Reliab.outstanding r);
+  Alcotest.(check int) "acks" 1_002 (Net.Reliab.acked r)
+
 let test_reliab_reaper_runs_while_outstanding () =
   let engine = Sim.Engine.create () in
   let r =
@@ -527,6 +558,7 @@ let suite =
     Alcotest.test_case "reliab retries then gives up" `Quick
       test_reliab_retries_then_gives_up;
     Alcotest.test_case "reliab ack disarms timer" `Quick test_reliab_ack_disarms;
+    Alcotest.test_case "reliab slot reuse" `Quick test_reliab_slot_reuse;
     Alcotest.test_case "reliab reaper cadence" `Quick
       test_reliab_reaper_runs_while_outstanding;
     Alcotest.test_case "reliab deadline clamps retries" `Quick

@@ -309,6 +309,47 @@ let qcheck_streamed_round_trip =
       !chunks = keys && !done_ok = Some true
       && Rpc.Client.chunks c = List.length keys)
 
+(* Allocation budget of the whole request path: UDP round trips through
+   the generated stub, [Net.Reliab], both NICs and the fabric, with an
+   in-place server handler. Words per call are counted after a warm-up
+   has grown every pool, ring and heap to its steady size; the ceiling
+   catches any per-call closure or table entry that creeps back in. *)
+let words_per_call_ceiling = 150.0
+
+let test_round_trip_alloc_budget () =
+  let rig = make_rig () in
+  KS.on_get rig.srv ~reader:(fun ~src:_ r _resp ->
+      ignore (Wire.Reader.count r keys_idx));
+  let reliab =
+    Net.Reliab.create rig.engine ~rng:(Sim.Rng.create ~seed:3)
+  in
+  let c = KS.client ~engine:rig.engine ~reliab (Net.Endpoint.transport rig.cli) in
+  Net.Endpoint.set_rx rig.cli (fun ~src:_ buf ->
+      KS.deliver c buf;
+      Mem.Pinned.Buf.decr_ref ~site:"test_rpc.cli_done" buf);
+  let req = req_of rig [ "twitter:user:0000000000001:profile-01"; "k2" ] in
+  let on_reply (_ : Wire.Reader.t) = () in
+  let round_trip () =
+    ignore (KS.call_get c ~dst:2 req ~on_reply);
+    Sim.Engine.run_all rig.engine;
+    Mem.Arena.reset (Net.Endpoint.arena rig.cli);
+    Mem.Arena.reset (Net.Endpoint.arena rig.srv_ep)
+  in
+  for _ = 1 to 500 do
+    round_trip ()
+  done;
+  let calls = 2000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    round_trip ()
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  Alcotest.(check int) "every call answered" (500 + calls) (Rpc.Client.replies c);
+  Alcotest.(check int) "no retries" 0 (Net.Reliab.retries reliab);
+  if per_call > words_per_call_ceiling then
+    Alcotest.failf "%.1f minor words per call, ceiling %.0f" per_call
+      words_per_call_ceiling
+
 let suite =
   [
     Alcotest.test_case "table dispatch" `Quick test_table_dispatch;
@@ -325,6 +366,8 @@ let suite =
     Alcotest.test_case "orphan reply counted" `Quick test_orphan_reply;
     Alcotest.test_case "generated streamed round trip" `Quick
       test_streamed_round_trip;
+    Alcotest.test_case "round trip allocation budget" `Quick
+      test_round_trip_alloc_budget;
     QCheck_alcotest.to_alcotest qcheck_unary_round_trip;
     QCheck_alcotest.to_alcotest qcheck_streamed_round_trip;
   ]

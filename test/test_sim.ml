@@ -1,7 +1,7 @@
 (* Tests for the discrete-event engine, PRNG, and samplers. *)
 
 let test_heap_ordering () =
-  let h = Sim.Heap.create () in
+  let h = Sim.Heap.create ~dummy:0 in
   let rng = Sim.Rng.create ~seed:42 in
   let n = 1000 in
   for i = 0 to n - 1 do
@@ -21,7 +21,7 @@ let test_heap_ordering () =
   Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h)
 
 let test_heap_fifo_same_time () =
-  let h = Sim.Heap.create () in
+  let h = Sim.Heap.create ~dummy:0 in
   for i = 0 to 9 do
     Sim.Heap.push h ~time:7 ~seq:i i
   done;
@@ -83,6 +83,177 @@ let test_rng_split_independent () =
   let xa = Sim.Rng.next_int64 a and xb = Sim.Rng.next_int64 b in
   Alcotest.(check bool) "different streams" true (not (Int64.equal xa xb))
 
+(* Golden outputs: the first 1,000 draws of each kind from each way of
+   making a generator, digested. Every simulated number in the repo is a
+   function of these streams, so a change to the generator's
+   representation must leave them bit-identical. *)
+let rng_digest r =
+  let b = Buffer.create (4 * 8 * 1000) in
+  for _ = 1 to 1000 do
+    Buffer.add_int64_le b (Sim.Rng.next_int64 r)
+  done;
+  for _ = 1 to 1000 do
+    Buffer.add_int64_le b (Int64.bits_of_float (Sim.Rng.float r))
+  done;
+  for _ = 1 to 1000 do
+    Buffer.add_int64_le b (Int64.of_int (Sim.Rng.int r 1_000_003))
+  done;
+  for _ = 1 to 1000 do
+    Buffer.add_char b (if Sim.Rng.bool r 0.3 then '1' else '0')
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_rng_golden () =
+  let check name expected r =
+    Alcotest.(check string) name expected (rng_digest r)
+  in
+  check "create" "31cb115be7b98eaa3ca01ba0809954ab" (Sim.Rng.create ~seed:42);
+  check "split" "b4b5e766419994babbef6992b0808069" (Sim.Rng.split (Sim.Rng.create ~seed:7));
+  check "stream" "9dccc09c11778c40bb92e7c6139be328" (Sim.Rng.stream ~seed:3 ~index:5);
+  let r = Sim.Rng.create ~seed:0 in
+  Sim.Rng.set_state r 0x123456789ABCDEF0L;
+  check "set_state" "1f89851dc9a9b6a463891d522417e026" r;
+  (* [state] round-trips: a rehydrated copy continues the same stream. *)
+  let a = Sim.Rng.create ~seed:99 in
+  ignore (Sim.Rng.next_int64 a);
+  let b = Sim.Rng.create ~seed:0 in
+  Sim.Rng.set_state b (Sim.Rng.state a);
+  Alcotest.(check int64) "state round-trip" (Sim.Rng.next_int64 a)
+    (Sim.Rng.next_int64 b)
+
+(* Minor words allocated by [f ()], net of the measurement itself. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  int_of_float (w1 -. w0)
+
+let test_rng_alloc_free () =
+  let r = Sim.Rng.create ~seed:5 in
+  let acc = ref 0 in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to 10_000 do
+          acc := !acc + Sim.Rng.int r 1000;
+          if Sim.Rng.bool r 0.5 then incr acc
+        done)
+  in
+  ignore (Sys.opaque_identity !acc);
+  if words > 8 then Alcotest.failf "rng int/bool: %d minor words for 20k draws" words
+
+(* Random interleavings of push and pop against a sorted-list model: every
+   pop returns the model's least [(time, seq)], so equal times come out in
+   push (FIFO) order. An op is [Some time] to push, [None] to pop. *)
+let qcheck_heap_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    QCheck.(list (option (int_bound 20)))
+    (fun ops ->
+      let h = Sim.Heap.create ~dummy:(-1) in
+      let model = ref [] and seq = ref 0 and ok = ref true in
+      let pop_both () =
+        match (Sim.Heap.pop_min h, !model) with
+        | None, [] -> ()
+        | Some (time, s, v), (mt, ms) :: rest ->
+            if time <> mt || s <> ms || v <> ms then ok := false;
+            model := rest
+        | _ -> ok := false
+      in
+      List.iter
+        (function
+          | Some time ->
+              incr seq;
+              Sim.Heap.push h ~time ~seq:!seq !seq;
+              model := List.merge compare !model [ (time, !seq) ]
+          | None -> pop_both ())
+        ops;
+      while !model <> [] || not (Sim.Heap.is_empty h) do
+        pop_both ()
+      done;
+      !ok && Sim.Heap.length h = 0)
+
+(* A drained heap keeps no popped payload reachable: vacated slots are
+   cleared, so the payloads can be collected. *)
+let test_heap_releases_payloads () =
+  let h = Sim.Heap.create ~dummy:(Bytes.empty) in
+  let weak = Weak.create 8 in
+  let fill () =
+    for i = 0 to 7 do
+      let b = Bytes.make 16 'x' in
+      Weak.set weak i (Some b);
+      Sim.Heap.push h ~time:(8 - i) ~seq:i b
+    done
+  in
+  fill ();
+  while Sim.Heap.pop_into h (fun _ _ -> ()) do
+    ()
+  done;
+  Gc.full_major ();
+  for i = 0 to 7 do
+    if Weak.check weak i then
+      Alcotest.failf "payload %d still reachable after the drain" i
+  done;
+  (* The heap itself must stay live across the collection. *)
+  Alcotest.(check int) "drained" 0 (Sim.Heap.length (Sys.opaque_identity h))
+
+(* The event loop's own cost: once the heap has grown, scheduling and
+   firing an event through a continuation built once allocates nothing. *)
+let test_engine_prealloc_alloc_free () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  let rec k () =
+    incr fired;
+    if !fired < 10_000 then Sim.Engine.schedule e ~after:3 k
+  in
+  (* Warm-up: grow the heap arrays. *)
+  for _ = 1 to 64 do
+    Sim.Engine.schedule e ~after:1 ignore
+  done;
+  Sim.Engine.run_all e;
+  let words =
+    minor_words_of (fun () ->
+        Sim.Engine.schedule e ~after:1 k;
+        Sim.Engine.run_all e)
+  in
+  Alcotest.(check int) "events fired" 10_000 !fired;
+  if words > 8 then
+    Alcotest.failf "%d minor words for 10k events (%.4f per event)" words
+      (float_of_int words /. 10_000.)
+
+(* The id ring under its two growth regimes: a window of occupied ids
+   wider than the ring widens it, and an id that is never freed is parked
+   once the ring is at its widest, so later ids keep reusing slots. *)
+type ring_slot = { mutable busy : bool; mutable id : int }
+
+let test_id_ring () =
+  let ring =
+    Sim.Id_ring.create
+      ~make:(fun () -> { busy = false; id = 0 })
+      ~occupied:(fun s -> s.busy)
+      ~id_of:(fun s -> s.id)
+  in
+  let claim id =
+    let s = Sim.Id_ring.claim ring () ~id in
+    s.busy <- true;
+    s.id <- id;
+    s
+  in
+  let window = List.init 300 (fun i -> claim (i + 1)) in
+  List.iteri
+    (fun i s ->
+      if not (Sim.Id_ring.mem ring ~id:(i + 1) && Sim.Id_ring.get ring ~id:(i + 1) == s)
+      then Alcotest.failf "id %d lost while widening" (i + 1))
+    window;
+  List.iter (fun s -> s.busy <- false) window;
+  let stuck = claim 1_000 in
+  for id = 1_001 to 100_000 do
+    (claim id).busy <- false
+  done;
+  Alcotest.(check bool) "stuck id still found" true
+    (Sim.Id_ring.mem ring ~id:1_000 && Sim.Id_ring.get ring ~id:1_000 == stuck);
+  Alcotest.(check bool) "freed id gone" false (Sim.Id_ring.mem ring ~id:99_999);
+  stuck.busy <- false;
+  Alcotest.(check bool) "freed stuck id gone" false (Sim.Id_ring.mem ring ~id:1_000)
+
 let test_exponential_mean () =
   let r = Sim.Rng.create ~seed:11 in
   let n = 200_000 in
@@ -135,7 +306,7 @@ let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (pair small_nat small_nat))
     (fun pairs ->
-      let h = Sim.Heap.create () in
+      let h = Sim.Heap.create ~dummy:() in
       List.iteri (fun i (t, _) -> Sim.Heap.push h ~time:t ~seq:i ()) pairs;
       let rec drain last =
         match Sim.Heap.pop_min h with
@@ -154,9 +325,17 @@ let suite =
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
+    Alcotest.test_case "rng golden streams" `Quick test_rng_golden;
+    Alcotest.test_case "rng int/bool allocate nothing" `Quick test_rng_alloc_free;
     Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
     Alcotest.test_case "zipf bounds and skew" `Quick test_zipf_bounds_and_skew;
     Alcotest.test_case "zipf n=1" `Quick test_zipf_single;
     Alcotest.test_case "discrete sampler" `Quick test_discrete_sampler;
     QCheck_alcotest.to_alcotest qcheck_heap_sorted;
+    QCheck_alcotest.to_alcotest qcheck_heap_model;
+    Alcotest.test_case "id ring widens and parks" `Quick test_id_ring;
+    Alcotest.test_case "heap releases popped payloads" `Quick
+      test_heap_releases_payloads;
+    Alcotest.test_case "engine event through a preallocated continuation allocates nothing"
+      `Quick test_engine_prealloc_alloc_free;
   ]
