@@ -223,38 +223,22 @@ let compile_cmd =
               instead of the hardcoded 512 B default.")
   in
   let run input output ir crossover_from_probe =
-    let text = read_file input in
-    match Schema.Parser.parse text with
-    | exception Schema.Parser.Parse_error e ->
-        Printf.eprintf "parse error: %s\n" e;
+    let crossover =
+      if crossover_from_probe then Some (Sanitizer.Crossover.crossover_bytes ())
+      else None
+    in
+    match Codegen.Compile.file ?crossover ?output ?ir input with
+    | Error e ->
+        prerr_endline e;
         exit 1
-    | exception Schema.Lexer.Lex_error { pos; message } ->
-        Printf.eprintf "lex error at offset %d: %s\n" pos message;
-        exit 1
-    | schema ->
-        let crossover =
-          if crossover_from_probe then Sanitizer.Crossover.crossover_bytes ()
-          else 512
-        in
-        let source =
-          Codegen.Emit.module_source ~crossover ~schema_text:text schema
-        in
-        (match output with
-        | None -> print_string source
-        | Some path ->
-            let oc = open_out path in
-            output_string oc source;
-            close_out oc;
+    | Ok schema ->
+        Option.iter
+          (fun path ->
             Printf.printf "wrote %s (%d messages, %d services)\n" path
               (List.length schema.Schema.Desc.messages)
-              (List.length schema.Schema.Desc.services));
-        match ir with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Codegen.Emit.ir_source ~crossover schema);
-            close_out oc;
-            Printf.printf "wrote %s\n" path
+              (List.length schema.Schema.Desc.services))
+          output;
+        Option.iter (Printf.printf "wrote %s\n") ir
   in
   Cmd.v
     (Cmd.info "compile"

@@ -1,6 +1,7 @@
 (* The paper's Listing 4 flow: a key-value server that answers multi-get
    requests with values taken zero-copy from pinned memory, written against
-   the compiler-generated accessors in kv_msgs.ml.
+   the compiler-generated accessors in Kv_msgs (compiled from kv.proto at
+   build time).
 
    Run with:  dune exec examples/kv_store_demo.exe *)
 

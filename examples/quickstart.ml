@@ -15,8 +15,8 @@ let schema_text =
   |}
 
 let () =
-  (* 1. Compile the schema (at runtime here; see examples/kv_msgs.ml for
-        ahead-of-time generated accessors). *)
+  (* 1. Compile the schema (at runtime here; the build compiles
+        examples/kv.proto ahead of time into the Kv_msgs accessors). *)
   let schema = Schema.Parser.parse schema_text in
   let greeting = Schema.Desc.message schema "Greeting" in
 

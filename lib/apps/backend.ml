@@ -88,3 +88,19 @@ let by_name name =
   match List.find_opt (fun b -> b.name = name) all with
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Backend.by_name: %s" name)
+
+let response_id t reader ~clients buf =
+  let id =
+    if t.zc_rx then
+      match Kv_rpc.Resp.read_folded reader buf with
+      | () -> Wire.Reader.get_u64_or reader Proto.resp_id ~default:(-1L)
+      | exception Wire.Reader.Invalid _ -> -1L
+    else begin
+      let msg = t.recv (List.hd clients) Proto.resp buf in
+      let id = Option.value (Wire.Dyn.get_int msg "id") ~default:(-1L) in
+      Wire.Dyn.release msg;
+      id
+    end
+  in
+  List.iter (fun c -> Mem.Arena.reset (Net.Transport.arena c)) clients;
+  Int64.to_int id

@@ -40,6 +40,18 @@ val flatbuffers : t
 
 val capnproto : t
 
+(** [response_id t reader ~clients buf] — the request id a [Proto.resp]
+    frame echoes, or [-1]; the kv and echo drivers' client-side parse,
+    uncharged. Cornflakes frames are read in place through [reader] (a
+    pooled [Proto.resp] reader), baseline frames through [recv] on the
+    first client. Resets every client's arena. *)
+val response_id :
+  t ->
+  Wire.Reader.t ->
+  clients:Net.Transport.t list ->
+  Mem.Pinned.Buf.t ->
+  int
+
 (** The four systems of the end-to-end comparisons, Cornflakes first. *)
 val all : t list
 

@@ -21,6 +21,7 @@ type t = {
      after send, so [Dyn.clear] between uses, never [reset]. *)
   resp_scratch : Wire.Dyn.t;
   req_scratch : Wire.Dyn.t;
+  resp_reader : Wire.Reader.t; (* client-side response parse *)
 }
 
 let lib_handler t backend ~src buf =
@@ -71,6 +72,7 @@ let install rig mode =
       mode;
       resp_scratch = Wire.Dyn.create Proto.resp;
       req_scratch = Wire.Dyn.create Proto.resp;
+      resp_reader = Kv_rpc.Resp.reader ();
     }
   in
   (match mode with
@@ -118,20 +120,5 @@ let parse_id t =
   match t.mode with
   | Lib backend ->
       Some
-        (fun buf ->
-          let msg =
-            backend.Backend.recv
-              (List.hd t.rig.Rig.clients)
-              Proto.resp buf
-          in
-          let id =
-            match Wire.Dyn.get_int msg "id" with
-            | Some id -> Int64.to_int id
-            | None -> -1
-          in
-          Wire.Dyn.release msg;
-          List.iter
-            (fun c -> Mem.Arena.reset (Net.Transport.arena c))
-            t.rig.Rig.clients;
-          id)
+        (Backend.response_id backend t.resp_reader ~clients:t.rig.Rig.clients)
   | _ -> None

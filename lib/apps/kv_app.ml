@@ -11,6 +11,7 @@ type t = {
      response now lives inside the generated [Kv_rpc.Kv_service] server
      skeleton built per [activate]. *)
   req_scratch : Wire.Dyn.t;
+  resp_reader : Wire.Reader.t; (* client-side response parse *)
   (* Resilience mode (set by [enable_resilience]; shared across
      [switch_backend] copies via the ref/tables). With a dedup window
      installed, duplicate puts are suppressed (gets are idempotent and
@@ -195,6 +196,7 @@ let install rig ~backend ~workload =
       pool;
       client_rng = Sim.Rng.split rig.Rig.rng;
       req_scratch = Wire.Dyn.create Proto.req;
+      resp_reader = Kv_rpc.Resp.reader ();
       dedup = None;
       puts_suppressed = ref 0;
       put_applies = Hashtbl.create 256;
@@ -264,15 +266,8 @@ let send_next t client ~dst ~id =
       send_op t op client ~dst ~id
 
 let parse_id t buf =
-  let msg = t.backend.Backend.recv (List.hd t.rig.Rig.clients) Proto.resp buf in
   let id =
-    match Wire.Dyn.get_int msg "id" with
-    | Some id -> Int64.to_int id
-    | None -> -1
+    Backend.response_id t.backend t.resp_reader ~clients:t.rig.Rig.clients buf
   in
-  Wire.Dyn.release msg;
-  List.iter
-    (fun c -> Mem.Arena.reset (Net.Transport.arena c))
-    t.rig.Rig.clients;
   Hashtbl.remove t.retry_cache id;
   id

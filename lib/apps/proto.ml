@@ -1,11 +1,11 @@
 (* The kv protocol's stable alias surface. The schema itself lives in
-   [kv.proto], compiled (and committed) as the generated [Kv_rpc] module;
+   [kv.proto], compiled at build time into the generated [Kv_rpc] module;
    this module re-exports the descriptors, the op-tag words and the
    in-place field indices so existing call sites keep one name for each.
 
    The op tags are the schema-declared method ids of the [Kv] service —
    one source of truth for the store, the sharded cluster and the load
-   drivers, enforced by the golden/CI regeneration of [kv_rpc.ml]. *)
+   drivers. *)
 
 let schema = Kv_rpc.schema
 
@@ -25,12 +25,12 @@ let req_id = Kv_rpc.Kv_service.req_id
 
 let req_op = Kv_rpc.Kv_service.req_op
 
-let req_keys = Schema.Desc.field_index req "keys"
+let req_keys = Kv_rpc.Req.idx_keys
 
-let req_index = Schema.Desc.field_index req "index"
+let req_index = Kv_rpc.Req.idx_index
 
-let req_vals = Schema.Desc.field_index req "vals"
+let req_vals = Kv_rpc.Req.idx_vals
 
 let resp_id = Kv_rpc.Kv_service.resp_id
 
-let resp_vals = Schema.Desc.field_index resp "vals"
+let resp_vals = Kv_rpc.Resp.idx_vals

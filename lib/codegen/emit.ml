@@ -265,8 +265,22 @@ let emit_message ~crossover buf (m : Schema.Desc.message) =
   Printf.bprintf buf "module %s = struct\n" (module_name m.Schema.Desc.msg_name);
   Printf.bprintf buf "  let desc = Schema.Desc.message schema %S\n\n"
     m.Schema.Desc.msg_name;
+  if Array.length m.Schema.Desc.fields > 0 then begin
+    Buffer.add_string buf
+      "  (* Field indices (schema order) for the in-place [Wire.Reader]. *)\n";
+    Array.iteri
+      (fun i (f : Schema.Desc.field) ->
+        Printf.bprintf buf "  let idx_%s = %d\n"
+          (ocaml_name f.Schema.Desc.field_name) i)
+      m.Schema.Desc.fields;
+    Buffer.add_char buf '\n'
+  end;
   Buffer.add_string buf "  type t = { msg : Wire.Dyn.t }\n\n";
   Buffer.add_string buf "  let create () = { msg = Wire.Dyn.create desc }\n\n";
+  Buffer.add_string buf
+    "  (* Blank every field so a pooled message is rebuilt in place. Payload\n\
+    \     references are not released: [send] handed them to the stack. *)\n\
+    \  let clear t = Wire.Dyn.clear t.msg\n\n";
   Buffer.add_string buf "  let to_dyn t = t.msg\n\n";
   Buffer.add_string buf
     "  let of_dyn msg =\n\
@@ -580,6 +594,7 @@ let ir_message ~crossover buf (m : Schema.Desc.message) =
   in
   fn "desc" "desc" "Schema.Desc.message";
   fn "create" "alloc" "Wire.Dyn.create";
+  fn "clear" "accessor" "Wire.Dyn.clear";
   fn "to_dyn" "accessor" "-";
   fn "of_dyn" "accessor" "Wire.Dyn.desc";
   Array.iter

@@ -11,8 +11,8 @@
     copy/zero-copy verdict against [crossover] compile to the corresponding
     [Cf_ptr] arm directly; unbounded fields keep the size-class-table
     dispatch. The generated source depends only on the public [schema],
-    [wire], [mem] and [cornflakes] libraries; [examples/] contains a
-    checked-in instance kept in sync by a golden test. *)
+    [wire], [mem] and [cornflakes] libraries. {!Compile} is the front end
+    the build rules and [cornflakes_cli compile] run. *)
 
 (** [module_source ?crossover ~schema_text schema] is the complete [.ml]
     source. [crossover] (default 512 B, the runtime default threshold)

@@ -9,17 +9,29 @@
     backups zero-copy out of the primary's own store — replication traffic
     exercises exactly the same hybrid path as client responses.
 
-    Ordering: envelopes carry a sequence number; backups apply in order and
-    buffer out-of-order arrivals, so duplicates and reordering are safe.
-    (Loss recovery is out of scope — the fabric is reliable in-order here,
-    as the paper's UDP prototype assumes for its own experiments.)
+    The protocol is the [Replica] service of [replication.proto], compiled
+    at build time: every message is built, sent and read through the
+    generated [Replication_rpc] module. [RepMsg.op] carries the method word
+    (request = 0, replicate = 1) or a response word (ack = 2, reply = 3);
+    [RepOp.kind] carries the kv service's [Get]/[Put] method word.
+
+    Ordering and duplicates: replicate envelopes carry a sequence number.
+    Each backup applies ops in sequence order, parking early arrivals (as
+    in-place views of their receive buffers) until their turn, and acks an
+    op only once it is applied; a duplicate of an applied op is re-acked, a
+    duplicate of a parked op is dropped. The primary commits a put once
+    every backup has acked it, counting each backup once, so reordering and
+    duplication on the fabric are safe. Loss recovery is out of scope: a
+    dropped replicate or ack leaves its put uncommitted.
 
     Schema:
     {v
     message RepOp  { uint64 seq = 1; uint32 kind = 2; bytes key = 3;
                      repeated bytes vals = 4; }
-    message RepMsg { uint64 id = 1; uint32 role = 2; RepOp op = 3;
+    message RepMsg { uint64 id = 1; uint32 op = 2; RepOp body = 3;
                      repeated bytes vals = 4; }
+    service Replica { rpc Request (RepMsg) returns (RepMsg);
+                      rpc Replicate (RepMsg) returns (RepMsg); }
     v} *)
 
 val schema : Schema.Desc.t
@@ -28,7 +40,8 @@ type cluster
 
 (** [create rig ~backups ~workload] builds one primary (the rig's server)
     plus [backups] backup servers, each single-core with its own store,
-    populated identically from the workload. *)
+    populated identically from the workload. Backup [i] is endpoint
+    [11 + i] on the rig's fabric. *)
 val create : Apps.Rig.t -> backups:int -> workload:Workload.Spec.t -> cluster
 
 val primary_store : cluster -> Kvstore.Store.t

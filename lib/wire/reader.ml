@@ -193,14 +193,15 @@ let validate ?cpu t buf = validate_at ?cpu t buf ~hpos:0 ~depth:0
    [false] — without rejecting — on any other shape, so the caller falls
    back to the generic [validate] (which also produces the precise
    rejection). Extent checks still run per field: only the presence
-   decoding is folded, never the bounds. *)
+   decoding is folded, never the bounds. The call is charged only on the
+   folded path: on a fallback, [validate] charges it, once. *)
 let validate_folded ?cpu t buf ~bitmap ~header_len =
   bind ?cpu t buf;
-  charge_call t;
   t.depth <- 0;
   if t.total < header_len || header_len < 8 then false
   else if u32_at t 0 <> 1 || u32_at t 4 <> bitmap then false
   else begin
+    charge_call t;
     let fields = t.desc.Schema.Desc.fields in
     let nfields = Array.length fields in
     for i = 0 to nfields - 1 do

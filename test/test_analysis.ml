@@ -1,7 +1,7 @@
 (* Tests for StatCheck (lib/analysis): spec parsing, the four known-bad
-   fixtures (golden finding ids), a clean run over the real tree, IR
-   sidecar sync, baseline reconciliation, and the site-label format shared
-   with RefSan. *)
+   fixtures (golden finding ids), a clean run over the real tree (generated
+   modules included), IR verification of the generated modules, baseline
+   reconciliation, and the site-label format shared with RefSan. *)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -9,7 +9,8 @@ let contains hay needle =
   go 0
 
 (* dune runs tests in _build/default/test; the copied source tree (lib/,
-   bin/) and the declared deps (analysis/, examples/) live one level up. *)
+   bin/), the build-generated modules and the declared deps (analysis/,
+   examples/) live one level up. *)
 let root = Filename.concat (Sys.getcwd ()) ".."
 
 let path p = Filename.concat root p
@@ -17,12 +18,6 @@ let path p = Filename.concat root p
 let have p = Sys.file_exists (path p)
 
 let load_spec () = Analysis.Check.load_specs (path "analysis/specs")
-
-let read_file p =
-  let ic = open_in_bin p in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 (* --- spec language ------------------------------------------------------ *)
 
@@ -118,6 +113,14 @@ let test_real_tree_clean () =
     in
     Alcotest.(check bool) "found a realistic number of sources" true
       (List.length files > 40);
+    (* Generated modules exist only in the build tree: the run must cover
+       each one, next to the sidecar its IR pass verifies it against. *)
+    List.iter
+      (fun (_, gen) ->
+        Alcotest.(check bool) (gen ^ ".ml analyzed") true
+          (List.mem (path (gen ^ ".ml")) files);
+        Alcotest.(check bool) (gen ^ ".ir present") true (have (gen ^ ".ir")))
+      Test_codegen.generated_modules;
     let findings = Analysis.Check.run_files ~spec files in
     let errs = Analysis.Finding.errors findings in
     if errs <> [] then
@@ -125,43 +128,28 @@ let test_real_tree_clean () =
         (String.concat "\n" (List.map Analysis.Finding.to_string errs))
   end
 
-(* --- IR sidecar ---------------------------------------------------------- *)
-
-let test_ir_sidecar_in_sync () =
-  if not (have "examples/kv.proto" && have "examples/kv_msgs.ir") then
-    print_endline "(examples not found; skipping)"
-  else begin
-    let schema = Schema.Parser.parse (read_file (path "examples/kv.proto")) in
-    let want = Codegen.Emit.ir_source schema in
-    let got = read_file (path "examples/kv_msgs.ir") in
-    if not (String.equal want got) then
-      Alcotest.fail
-        "examples/kv_msgs.ir is stale; regenerate with:\n\
-         dune exec bin/cornflakes_cli.exe -- compile examples/kv.proto -o \
-         examples/kv_msgs.ml --ir examples/kv_msgs.ir"
-  end
+(* --- IR verification of the generated modules --------------------------- *)
 
 let test_ir_verifies_generated_module () =
-  if not (have "examples/kv_msgs.ml" && have "examples/kv_msgs.ir") then
-    print_endline "(examples not found; skipping)"
-  else begin
-    (* The committed pair must verify clean... *)
-    let findings =
-      Analysis.Check.run_file ~spec:(load_spec ()) (path "examples/kv_msgs.ml")
-    in
-    Alcotest.(check (list string)) "committed pair verifies" [] (ids findings);
-    (* ...and a declared-but-missing binding must fail. *)
-    let entries =
-      Analysis.Ircheck.parse
-        "fn Getreq.nonexistent role=setter callee=Wire.Dyn.set\n"
-    in
-    match Analysis.Loader.load (path "examples/kv_msgs.ml") with
-    | Error f -> Alcotest.failf "parse failed: %s" (Analysis.Finding.to_string f)
-    | Ok src ->
-        let bad = Analysis.Ircheck.check_source ~ir_path:"test.ir" entries src in
-        Alcotest.(check (list string)) "missing binding caught"
-          [ "SC-IR-MISSING" ] (ids bad)
-  end
+  (* Every build-generated pair must verify clean... *)
+  List.iter
+    (fun (_, gen) ->
+      let findings =
+        Analysis.Check.run_file ~spec:(load_spec ()) (path (gen ^ ".ml"))
+      in
+      Alcotest.(check (list string)) (gen ^ " verifies") [] (ids findings))
+    Test_codegen.generated_modules;
+  (* ...and a declared-but-missing binding must fail. *)
+  let entries =
+    Analysis.Ircheck.parse
+      "fn Getreq.nonexistent role=setter callee=Wire.Dyn.set\n"
+  in
+  match Analysis.Loader.load (path "examples/kv_msgs.ml") with
+  | Error f -> Alcotest.failf "parse failed: %s" (Analysis.Finding.to_string f)
+  | Ok src ->
+      let bad = Analysis.Ircheck.check_source ~ir_path:"test.ir" entries src in
+      Alcotest.(check (list string)) "missing binding caught"
+        [ "SC-IR-MISSING" ] (ids bad)
 
 (* --- baseline reconciliation -------------------------------------------- *)
 
@@ -277,8 +265,6 @@ let suite =
     Alcotest.test_case "fixture: rx view outlives recycle" `Quick
       test_fixture_rx_view;
     Alcotest.test_case "real tree is clean" `Quick test_real_tree_clean;
-    Alcotest.test_case "IR sidecar in sync (golden)" `Quick
-      test_ir_sidecar_in_sync;
     Alcotest.test_case "IR verifies generated module" `Quick
       test_ir_verifies_generated_module;
     Alcotest.test_case "baseline roundtrip + staleness" `Quick

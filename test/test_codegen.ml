@@ -40,44 +40,51 @@ let test_generated_source_mentions_all_fields () =
       "DO NOT EDIT";
     ]
 
-(* Golden test: the checked-in generated module and IR sidecar in examples/
-   must match what the compiler emits today (the module is compiled by the
-   examples build, so together these prove generated code builds and stays
-   in sync, and that the ownership-IR summary tracks it). *)
-let test_generated_example_in_sync () =
-  let read path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  (* dune runs tests in _build/default/test; sources are two levels up. *)
-  let root = Filename.concat (Filename.concat (Sys.getcwd ()) "..") ".." in
-  let proto = Filename.concat root "examples/kv.proto" in
-  let generated = Filename.concat root "examples/kv_msgs.ml" in
-  let sidecar = Filename.concat root "examples/kv_msgs.ir" in
-  if Sys.file_exists proto && Sys.file_exists generated then begin
-    let schema_text = read proto in
-    let schema = Schema.Parser.parse schema_text in
-    let want = Codegen.Emit.module_source ~schema_text schema in
-    let got = read generated in
-    if not (String.equal want got) then
-      Alcotest.fail
-        "examples/kv_msgs.ml is stale; regenerate with:\n\
-         dune exec bin/cornflakes_cli.exe -- compile examples/kv.proto -o \
-         examples/kv_msgs.ml --ir examples/kv_msgs.ir";
-    if Sys.file_exists sidecar then begin
-      let want_ir = Codegen.Emit.ir_source schema in
-      let got_ir = read sidecar in
-      if not (String.equal want_ir got_ir) then
-        Alcotest.fail
-          "examples/kv_msgs.ir is stale; regenerate with:\n\
-           dune exec bin/cornflakes_cli.exe -- compile examples/kv.proto -o \
-           examples/kv_msgs.ml --ir examples/kv_msgs.ir"
-    end
-  end
-  else Printf.printf "(examples not found from %s; skipping golden check)\n"
-         (Sys.getcwd ())
+(* The modules dune compiles from [.proto] files at build time (one rule
+   per directory, running bin/compile_schema.exe), as build-tree paths
+   without extension: each [.ml] lands next to its [.ir] sidecar, and its
+   schema is the [.proto] alongside. *)
+let generated_modules =
+  [
+    ("lib/apps/kv.proto", "lib/apps/kv_rpc");
+    ("lib/replication/replication.proto", "lib/replication/replication_rpc");
+    ("examples/kv.proto", "examples/kv_msgs");
+  ]
+
+(* dune runs tests in _build/default/test; the build tree is one level up. *)
+let build_root = Filename.concat (Sys.getcwd ()) ".."
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* The CLI and the build rule share one front end ([Codegen.Compile]):
+   [cornflakes_cli compile] reproduces every build-generated pair byte for
+   byte. *)
+let test_cli_compile_matches_rule () =
+  let in_build p = Filename.concat build_root p in
+  let cli = in_build "bin/cornflakes_cli.exe" in
+  List.iter
+    (fun (proto, gen) ->
+      let ml = Filename.temp_file "cf_compile" ".ml" in
+      let ir = Filename.temp_file "cf_compile" ".ir" in
+      let cmd =
+        Filename.quote_command cli ~stdout:Filename.null
+          [ "compile"; in_build proto; "-o"; ml; "--ir"; ir ]
+      in
+      Alcotest.(check int) (proto ^ ": compile exits 0") 0 (Sys.command cmd);
+      List.iter
+        (fun (out, ext) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "CLI output equals %s%s" gen ext)
+            true
+            (String.equal (read_file out) (read_file (in_build (gen ^ ext)))))
+        [ (ml, ".ml"); (ir, ".ir") ];
+      Sys.remove ml;
+      Sys.remove ir)
+    generated_modules
 
 let contains ~hay needle =
   let n = String.length needle and h = String.length hay in
@@ -272,8 +279,8 @@ let suite =
     Alcotest.test_case "name sanitization" `Quick test_ocaml_name_sanitization;
     Alcotest.test_case "source covers fields" `Quick
       test_generated_source_mentions_all_fields;
-    Alcotest.test_case "example in sync (golden)" `Quick
-      test_generated_example_in_sync;
+    Alcotest.test_case "CLI compile equals build rule" `Quick
+      test_cli_compile_matches_rule;
     Alcotest.test_case "dispatch folding" `Quick test_dispatch_folding;
     Alcotest.test_case "folded writer emission" `Quick
       test_write_folded_emission;

@@ -318,6 +318,23 @@ let test_rx_slot_reuse () =
   Alcotest.(check int) "all frames delivered" 50 !got;
   Alcotest.(check int) "no slots pinned" 0 (Net.Endpoint.rx_outstanding ep2)
 
+(* A generated [read_folded] falls back to [validate] on any frame that is
+   not all-present; the fallback must not charge the validator call twice.
+   A [Resp] carrying only its id is such a frame. *)
+let test_read_folded_fallback_costs_validate () =
+  let env = Test_format.make_env () in
+  let msg = Apps.Kv_rpc.Resp.create () in
+  Apps.Kv_rpc.Resp.set_id msg 7L;
+  let _plan, buf = Test_format.serialize env (Apps.Kv_rpc.Resp.to_dyn msg) in
+  let cycles read =
+    let cpu = Memmodel.Cpu.create Memmodel.Params.default in
+    read ~cpu (Apps.Kv_rpc.Resp.reader ()) buf;
+    Memmodel.Cpu.cycles cpu
+  in
+  let folded = cycles (fun ~cpu r b -> Apps.Kv_rpc.Resp.read_folded ~cpu r b) in
+  let generic = cycles (fun ~cpu r b -> Wire.Reader.validate ~cpu r b) in
+  Alcotest.(check (float 0.)) "same cycles as validate" generic folded
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_reader_equals_dyn;
@@ -330,4 +347,6 @@ let suite =
       test_rx_view_lifecycle;
     Alcotest.test_case "rx slot recycles and is reused" `Quick
       test_rx_slot_reuse;
+    Alcotest.test_case "read_folded fallback costs one validate" `Quick
+      test_read_folded_fallback_costs_validate;
   ]
