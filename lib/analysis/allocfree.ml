@@ -7,9 +7,19 @@
    - tuple / record / non-constant constructor / polymorphic-variant builds
    - array and list literals, list cons
    - closures ([fun]/[function] inside the body — a closure is a heap block)
+   - a partial application passed to an iterator ([List.iter (f x) l],
+     [Array.iteri], [List.find_opt], ...): the partial application is a
+     closure built per call
+   - a local [let rec] (or local function) that captures variables of the
+     enclosing function: its closure is built per call. A local function
+     that captures nothing is a static closure and is not reported; its
+     body runs on the hot path and is checked like the rest.
    - [lazy] blocks
    - calls to known allocators ([ref], [Bytes.create], [^], [@], [Printf.*],
      [List.map]-family) or any spec'd [allocates <Path>]
+
+   A [match] on a tuple of expressions ([match (a, b) with ...]) builds no
+   tuple: the compiler matches the components directly.
 
    Exempt, because they are off the steady-state path:
    - arguments of [raise] / [failwith] / [invalid_arg] / [assert] — error
@@ -62,6 +72,97 @@ let builtin_allocators =
 
 let raising_heads = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
+(* Higher-order iterators whose function argument, when a partial
+   application, is a closure allocated at the call. *)
+let iterators =
+  [
+    [ "List"; "iter" ];
+    [ "List"; "iteri" ];
+    [ "List"; "iter2" ];
+    [ "List"; "find_opt" ];
+    [ "List"; "exists" ];
+    [ "List"; "for_all" ];
+    [ "List"; "fold_left" ];
+    [ "Array"; "iter" ];
+    [ "Array"; "iteri" ];
+    [ "Array"; "iter2" ];
+    [ "Array"; "exists" ];
+    [ "Array"; "for_all" ];
+    [ "Array"; "fold_left" ];
+  ]
+
+let is_iterator path =
+  List.exists (fun p -> Spec.path_matches ~min_match:2 p path) iterators
+
+(* The body under a function's parameter spine: [fun a b -> body]. *)
+let rec skip_params (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) | Pexp_constraint (body, _)
+    ->
+      skip_params body
+  | _ -> e
+
+let rec is_function (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_fun _ | Pexp_function _ -> true
+  | Pexp_newtype (_, e) | Pexp_constraint (e, _) -> is_function e
+  | _ -> false
+
+(* Variables bound by the patterns (parameters, lets, match cases,
+   for-loop indices) inside a pattern or an expression. *)
+let binders () =
+  let vars = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      pat =
+        (fun it p ->
+          (match p.ppat_desc with
+          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
+              vars := txt :: !vars
+          | _ -> ());
+          Ast_iterator.default_iterator.pat it p);
+    }
+  in
+  (it, vars)
+
+let pattern_vars p =
+  let it, vars = binders () in
+  it.pat it p;
+  !vars
+
+let bound_vars e =
+  let it, vars = binders () in
+  it.expr it e;
+  !vars
+
+(* Unqualified identifiers [e] refers to. *)
+let free_idents (e : Parsetree.expression) =
+  let ids = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_ident { txt = Longident.Lident x; _ } -> ids := x :: !ids
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.expr it e;
+  !ids
+
+(* The enclosing function's variables a local function [fn] refers to
+   (an approximation that ignores shadowing): [locals] are the names bound
+   in the annotated function, [own] the local function's own names. *)
+let captures ~locals ~own fn =
+  let inner = own @ bound_vars fn in
+  List.sort_uniq String.compare
+    (List.filter
+       (fun x -> List.mem x locals && not (List.mem x inner))
+       (free_idents fn))
+
 type ctx = { spec : Spec.t; file : string; site : string }
 
 let is_allocator ctx path =
@@ -79,6 +180,7 @@ let is_coldguard_call ctx (e : Parsetree.expression) =
   | _ -> false
 
 let check_body ctx (body : Parsetree.expression) =
+  let locals = bound_vars body in
   let out = ref [] in
   let report ~line fmt =
     Printf.ksprintf
@@ -115,6 +217,43 @@ let check_body ctx (body : Parsetree.expression) =
         report ~line "builds a closure on the hot path (heap block)"
         (* don't descend: the closure body runs elsewhere; the allocation
            is the closure itself *)
+    | Pexp_let (_, vbs, let_body)
+      when List.exists
+             (fun (vb : Parsetree.value_binding) -> is_function vb.pvb_expr)
+             vbs ->
+        let own =
+          List.concat_map
+            (fun (vb : Parsetree.value_binding) -> pattern_vars vb.pvb_pat)
+            vbs
+        in
+        List.iter
+          (fun (vb : Parsetree.value_binding) ->
+            let vb_line = vb.pvb_loc.loc_start.pos_lnum in
+            if is_function vb.pvb_expr then begin
+              (match captures ~locals ~own vb.pvb_expr with
+              | [] -> ()
+              | vars ->
+                  report ~line:vb_line
+                    "local function %s captures %s: its closure is built on \
+                     every call"
+                    (String.concat ", " own) (String.concat ", " vars));
+              (* its body runs on the hot path too *)
+              match skip_params vb.pvb_expr with
+              | { pexp_desc = Pexp_function cases; _ } ->
+                  List.iter (fun (c : Parsetree.case) -> walk c.pc_rhs) cases
+              | fn_body -> walk fn_body
+            end
+            else walk vb.pvb_expr)
+          vbs;
+        walk let_body
+    | Pexp_match ({ pexp_desc = Pexp_tuple scrutinees; _ }, cases) ->
+        (* matched component-wise: no tuple is built *)
+        List.iter walk scrutinees;
+        List.iter
+          (fun (c : Parsetree.case) ->
+            Option.iter walk c.pc_guard;
+            walk c.pc_rhs)
+          cases
     | Pexp_apply (f, args) -> (
         match Loader.head_path f with
         | Some [ name ] when List.mem name raising_heads ->
@@ -124,6 +263,17 @@ let check_body ctx (body : Parsetree.expression) =
             report ~line "calls allocator %s on the hot path"
               (String.concat "." path);
             List.iter (fun (_, a) -> walk a) args
+        | Some path when is_iterator path ->
+            List.iter
+              (fun (_, (a : Parsetree.expression)) ->
+                match a.pexp_desc with
+                | Pexp_apply _ ->
+                    report ~line
+                      "passes a partial application to %s: a closure is \
+                       built on every call"
+                      (String.concat "." path)
+                | _ -> walk a)
+              args
         | _ ->
             walk f;
             List.iter (fun (_, a) -> walk a) args)
@@ -143,15 +293,8 @@ let check_body ctx (body : Parsetree.expression) =
     in
     Ast_iterator.default_iterator.expr it e
   in
-  (* Skip the parameter spine: [fun a b -> body] — the outer closures are
-     built once at definition time, not per call. *)
-  let rec skip_params (e : Parsetree.expression) =
-    match e.pexp_desc with
-    | Pexp_fun (_, _, _, body) -> skip_params body
-    | Pexp_newtype (_, body) -> skip_params body
-    | Pexp_constraint (body, _) -> skip_params body
-    | _ -> e
-  in
+  (* Skip the parameter spine: the outer closures are built once at
+     definition time, not per call. *)
   walk (skip_params body);
   List.rev !out
 

@@ -97,7 +97,10 @@ let response_id t reader ~clients buf =
       | exception Wire.Reader.Invalid _ -> -1L
     else begin
       let msg = t.recv (List.hd clients) Proto.resp buf in
-      let id = Option.value (Wire.Dyn.get_int msg "id") ~default:(-1L) in
+      let id =
+        if Wire.Dyn.mem msg Proto.resp_id then Wire.Dyn.int_at msg Proto.resp_id
+        else -1L
+      in
       Wire.Dyn.release msg;
       id
     end

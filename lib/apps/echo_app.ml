@@ -31,17 +31,13 @@ let lib_handler t backend ~src buf =
   let req = backend.Backend.recv ~cpu tr Proto.resp buf in
   let resp = t.resp_scratch in
   Wire.Dyn.clear resp;
-  (match Wire.Dyn.get_int req "id" with
-  | Some id -> Wire.Dyn.set_int resp "id" id
-  | None -> ());
-  List.iter
-    (fun v ->
-      match v with
-      | Wire.Dyn.Payload p ->
-          let payload = backend.Backend.wrap ~cpu tr (Wire.Payload.view p) in
-          Wire.Dyn.append resp "vals" (Wire.Dyn.Payload payload)
-      | _ -> ())
-    (Wire.Dyn.get_list req "vals");
+  if Wire.Dyn.mem req Proto.resp_id then
+    Wire.Dyn.set_int_at resp Proto.resp_id (Wire.Dyn.int_at req Proto.resp_id);
+  for j = 0 to Wire.Dyn.count req Proto.resp_vals - 1 do
+    let p = Wire.Dyn.elem_payload req Proto.resp_vals j in
+    let payload = backend.Backend.wrap ~cpu tr (Wire.Payload.view p) in
+    Wire.Dyn.append_payload_at resp Proto.resp_vals payload
+  done;
   backend.Backend.send ~cpu tr ~dst:src resp;
   Wire.Dyn.release ~cpu req;
   Mem.Pinned.Buf.decr_ref ~cpu buf
@@ -90,12 +86,11 @@ let send_request t ~sizes client ~dst ~id =
       let space = t.rig.Rig.space in
       let msg = t.req_scratch in
       Wire.Dyn.clear msg;
-      Wire.Dyn.set_int msg "id" (Int64.of_int id);
+      Wire.Dyn.set_int_of_int msg Proto.resp_id id;
       List.iter
         (fun n ->
-          Wire.Dyn.append msg "vals"
-            (Wire.Dyn.Payload
-               (Wire.Payload.of_string space (Workload.Spec.filler (max 1 n)))))
+          Wire.Dyn.append_payload_at msg Proto.resp_vals
+            (Wire.Payload.of_string space (Workload.Spec.filler (max 1 n))))
         sizes;
       backend.Backend.send client ~dst msg;
       Mem.Arena.reset (Net.Transport.arena client)

@@ -40,12 +40,23 @@ let append_value t ~cpu resp buf =
   let payload =
     t.backend.Backend.wrap ~cpu t.rig.Rig.server_tr (Mem.Pinned.Buf.view buf)
   in
-  Wire.Dyn.append resp "vals" (Wire.Dyn.Payload payload)
+  Wire.Dyn.append_payload_at resp Proto.resp_vals payload
 
+let rec append_values t ~cpu resp = function
+  | [] -> ()
+  | buf :: rest ->
+      append_value t ~cpu resp buf;
+      append_values t ~cpu resp rest
+
+(* Values in [Kvstore.Store.buffers] order. *)
 let get t ~cpu resp key =
   match Kvstore.Store.get ~cpu t.store ~key with
-  | Some value ->
-      List.iter (append_value t ~cpu resp) (Kvstore.Store.buffers value)
+  | Some (Kvstore.Store.Single buf) -> append_value t ~cpu resp buf
+  | Some (Kvstore.Store.Linked bufs) -> append_values t ~cpu resp bufs
+  | Some (Kvstore.Store.Vector arr) ->
+      for j = 0 to Array.length arr - 1 do
+        append_value t ~cpu resp arr.(j)
+      done
   | None -> ()
 
 let get_index t ~cpu resp key index =
@@ -89,10 +100,9 @@ let admit t ~src ~put resp =
   match t.dedup with
   | None -> true
   | Some d -> (
-      match Wire.Dyn.get_int resp "id" with
-      | None -> true
-      | Some id ->
-          let id = Int64.to_int id in
+      if not (Wire.Dyn.mem resp Proto.resp_id) then true
+      else
+          let id = Wire.Dyn.int_of_int_at resp Proto.resp_id in
           let duplicate = Net.Dedup.witness d ~src ~id = `Duplicate in
           if put && duplicate then incr t.puts_suppressed
           else if put then
@@ -127,7 +137,10 @@ let activate t =
   in
   let nkeys r = Wire.Reader.count_or_zero r Proto.req_keys in
   let key r j = Wire.Reader.elem_string r Proto.req_keys ~j in
-  let keys req = Wire.Dyn.get_list req "keys" in
+  let dyn_nkeys req = Wire.Dyn.count req Proto.req_keys in
+  let dyn_key req j =
+    key_string ~cpu (Wire.Dyn.elem_payload req Proto.req_keys j)
+  in
   Kv_rpc.Kv_service.on_get srv
     ~reader:(fun ~src r resp ->
       if admit t ~src ~put:false resp then
@@ -136,11 +149,9 @@ let activate t =
         done)
     ~dyn:(fun ~src req resp ->
       if admit t ~src ~put:false resp then
-        List.iter
-          (function
-            | Wire.Dyn.Payload p -> get t ~cpu resp (key_string ~cpu p)
-            | _ -> ())
-          (keys req));
+        for j = 0 to dyn_nkeys req - 1 do
+          get t ~cpu resp (dyn_key req j)
+        done);
   Kv_rpc.Kv_service.on_get_index srv
     ~reader:(fun ~src r resp ->
       if
@@ -151,11 +162,13 @@ let activate t =
         get_index t ~cpu resp (key r 0)
           (Int64.to_int (Wire.Reader.get_u64 r Proto.req_index)))
     ~dyn:(fun ~src req resp ->
-      if admit t ~src ~put:false resp then
-        match (keys req, Wire.Dyn.get_int req "index") with
-        | [ Wire.Dyn.Payload p ], Some index ->
-            get_index t ~cpu resp (key_string ~cpu p) (Int64.to_int index)
-        | _ -> ());
+      if
+        admit t ~src ~put:false resp
+        && dyn_nkeys req = 1
+        && Wire.Dyn.mem req Proto.req_index
+      then
+        get_index t ~cpu resp (dyn_key req 0)
+          (Wire.Dyn.int_of_int_at req Proto.req_index));
   Kv_rpc.Kv_service.on_put srv
     ~reader:(fun ~src r resp ->
       if admit t ~src ~put:true resp && nkeys r = 1 then
@@ -163,16 +176,10 @@ let activate t =
           (List.init (Wire.Reader.count_or_zero r Proto.req_vals) (fun j ->
                Wire.Reader.elem_view r Proto.req_vals ~j)))
     ~dyn:(fun ~src req resp ->
-      if admit t ~src ~put:true resp then
-        match keys req with
-        | [ Wire.Dyn.Payload kp ] ->
-            put t ~cpu (key_string ~cpu kp)
-              (List.filter_map
-                 (function
-                   | Wire.Dyn.Payload p -> Some (Wire.Payload.view p)
-                   | _ -> None)
-                 (Wire.Dyn.get_list req "vals"))
-        | _ -> ());
+      if admit t ~src ~put:true resp && dyn_nkeys req = 1 then
+        put t ~cpu (dyn_key req 0)
+          (List.init (Wire.Dyn.count req Proto.req_vals) (fun j ->
+               Wire.Payload.view (Wire.Dyn.elem_payload req Proto.req_vals j))));
   Loadgen.Server.set_handler t.rig.Rig.server (fun ~src buf ->
       handler t srv ~src buf);
   t
@@ -220,30 +227,27 @@ let put_apply_counts t =
 let send_op t op client ~dst ~id =
   let space = t.rig.Rig.space in
   let msg = t.req_scratch in
+  let add_key key =
+    Wire.Dyn.append_payload_at msg Proto.req_keys
+      (Wire.Payload.of_string space key)
+  in
   Wire.Dyn.clear msg;
-  Wire.Dyn.set_int msg "id" (Int64.of_int id);
+  Wire.Dyn.set_int_of_int msg Proto.req_id id;
   (match op with
   | Workload.Spec.Get { keys } ->
-      Wire.Dyn.set_int msg "op" Proto.op_get;
-      List.iter
-        (fun key ->
-          Wire.Dyn.append msg "keys"
-            (Wire.Dyn.Payload (Wire.Payload.of_string space key)))
-        keys
+      Wire.Dyn.set_int_at msg Proto.req_op Proto.op_get;
+      List.iter add_key keys
   | Workload.Spec.Get_index { key; index } ->
-      Wire.Dyn.set_int msg "op" Proto.op_get_index;
-      Wire.Dyn.append msg "keys"
-        (Wire.Dyn.Payload (Wire.Payload.of_string space key));
-      Wire.Dyn.set_int msg "index" (Int64.of_int index)
+      Wire.Dyn.set_int_at msg Proto.req_op Proto.op_get_index;
+      add_key key;
+      Wire.Dyn.set_int_of_int msg Proto.req_index index
   | Workload.Spec.Put { key; sizes } ->
-      Wire.Dyn.set_int msg "op" Proto.op_put;
-      Wire.Dyn.append msg "keys"
-        (Wire.Dyn.Payload (Wire.Payload.of_string space key));
+      Wire.Dyn.set_int_at msg Proto.req_op Proto.op_put;
+      add_key key;
       List.iter
         (fun n ->
-          Wire.Dyn.append msg "vals"
-            (Wire.Dyn.Payload
-               (Wire.Payload.of_string space (Workload.Spec.filler (max 1 n)))))
+          Wire.Dyn.append_payload_at msg Proto.req_vals
+            (Wire.Payload.of_string space (Workload.Spec.filler (max 1 n))))
         sizes);
   t.backend.Backend.send client ~dst msg;
   (* Client-side arenas hold per-request copies; recycle them. *)

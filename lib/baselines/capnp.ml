@@ -69,44 +69,58 @@ let write_scalar_slot seg ~pos v =
   W.u64 seg.w v;
   W.u32 seg.w 0
 
-let rec build_value b (v : Wire.Dyn.value) seg ~pos =
-  match v with
-  | Wire.Dyn.Int i -> write_scalar_slot seg ~pos i
-  | Wire.Dyn.Float f -> write_scalar_slot seg ~pos (Int64.bits_of_float f)
-  | Wire.Dyn.Payload p ->
+(* Field [i] itself when [j < 0], else its element [j]. *)
+let rec build_elem b msg i (field : Schema.Desc.field) ~j seg ~pos =
+  match field.Schema.Desc.ty with
+  | Schema.Desc.Scalar _ ->
+      write_scalar_slot seg ~pos
+        (if j < 0 then Wire.Dyn.int_at msg i else Wire.Dyn.elem_int msg i j)
+  | Schema.Desc.Str | Schema.Desc.Bytes ->
+      let p =
+        if j < 0 then Wire.Dyn.payload_at msg i else Wire.Dyn.elem_payload msg i j
+      in
       let src = Wire.Payload.view p in
       let dseg, doff = alloc b src.Mem.View.len in
       Wire.Cursor.Writer.seek dseg.w doff;
       Wire.Cursor.Writer.view_bytes dseg.w src;
-      write_slot seg ~pos (dseg.id, doff, src.Mem.View.len);
+      write_slot seg ~pos (dseg.id, doff, src.Mem.View.len)
       (* view_bytes moved the writer; slots rewritten via seek are safe. *)
-      ()
-  | Wire.Dyn.Nested m ->
+  | Schema.Desc.Message _ ->
+      let m =
+        if j < 0 then Wire.Dyn.nested_at msg i else Wire.Dyn.elem_nested msg i j
+      in
       let nseg, noff = build_msg b m in
       write_slot seg ~pos (nseg.id, noff, 0)
-  | Wire.Dyn.List elems ->
-      let count = List.length elems in
+
+and build_field b msg i (field : Schema.Desc.field) seg ~pos =
+  match field.Schema.Desc.label with
+  | Schema.Desc.Singular -> build_elem b msg i field ~j:(-1) seg ~pos
+  | Schema.Desc.Repeated ->
+      let count = Wire.Dyn.count msg i in
       let vseg, voff = alloc b (12 * count) in
-      List.iteri
-        (fun j elem -> build_value b elem vseg ~pos:(voff + (12 * j)))
-        elems;
+      for j = 0 to count - 1 do
+        build_elem b msg i field ~j vseg ~pos:(voff + (12 * j))
+      done;
       write_slot seg ~pos (vseg.id, voff, count)
 
 and build_msg b msg =
   let desc = Wire.Dyn.desc msg in
-  if Array.length desc.Schema.Desc.fields > 32 then
+  let fields = desc.Schema.Desc.fields in
+  if Array.length fields > 32 then
     invalid_arg "Capnp: messages are limited to 32 fields";
   let present = Wire.Dyn.present_count msg in
   let seg, off = alloc b (4 + (12 * present)) in
-  let bitmap = ref 0 in
-  Wire.Dyn.iter_present msg (fun i _ _ -> bitmap := !bitmap lor (1 lsl i));
   Wire.Cursor.Writer.seek seg.w off;
-  Wire.Cursor.Writer.u32 seg.w !bitmap;
+  Wire.Cursor.Writer.u32 seg.w
+    (if Array.length fields = 0 then 0 else Wire.Dyn.bitmap_word msg 0);
   let k = ref 0 in
-  Wire.Dyn.iter_present msg (fun _ _ v ->
+  for i = 0 to Array.length fields - 1 do
+    if Wire.Dyn.mem msg i then begin
       let pos = off + 4 + (12 * !k) in
       incr k;
-      build_value b v seg ~pos);
+      build_field b msg i fields.(i) seg ~pos
+    end
+  done;
   (seg, off)
 
 let build_segments ?cpu ep msg =

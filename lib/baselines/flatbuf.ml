@@ -8,18 +8,34 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
 let rec table_len msg = 4 + (8 * Wire.Dyn.present_count msg)
 
-and value_extra (v : Wire.Dyn.value) =
-  match v with
-  | Wire.Dyn.Int _ | Wire.Dyn.Float _ -> 0
-  | Wire.Dyn.Payload p -> Wire.Payload.len p
-  | Wire.Dyn.Nested m -> total_msg m
-  | Wire.Dyn.List elems ->
-      (8 * List.length elems)
-      + List.fold_left (fun acc e -> acc + value_extra e) 0 elems
+(* Bytes field [i] (element [j] when [j >= 0]) adds past its table slot. *)
+and elem_extra msg i (field : Schema.Desc.field) ~j =
+  match field.Schema.Desc.ty with
+  | Schema.Desc.Scalar _ -> 0
+  | Schema.Desc.Str | Schema.Desc.Bytes ->
+      Wire.Payload.len
+        (if j < 0 then Wire.Dyn.payload_at msg i else Wire.Dyn.elem_payload msg i j)
+  | Schema.Desc.Message _ ->
+      total_msg
+        (if j < 0 then Wire.Dyn.nested_at msg i else Wire.Dyn.elem_nested msg i j)
+
+and field_extra msg i (field : Schema.Desc.field) =
+  match field.Schema.Desc.label with
+  | Schema.Desc.Singular -> elem_extra msg i field ~j:(-1)
+  | Schema.Desc.Repeated ->
+      let n = Wire.Dyn.count msg i in
+      let acc = ref (8 * n) in
+      for j = 0 to n - 1 do
+        acc := !acc + elem_extra msg i field ~j
+      done;
+      !acc
 
 and total_msg msg =
+  let fields = (Wire.Dyn.desc msg).Schema.Desc.fields in
   let extra = ref 0 in
-  Wire.Dyn.iter_present msg (fun _ _ v -> extra := !extra + value_extra v);
+  for i = 0 to Array.length fields - 1 do
+    if Wire.Dyn.mem msg i then extra := !extra + field_extra msg i fields.(i)
+  done;
   table_len msg + !extra
 
 let total_buffer msg = 4 + total_msg msg
@@ -56,22 +72,33 @@ let write_slot b ~pos slot =
       W.u32 b.w (target - pos);
       W.u32 b.w count
 
-let rec build_value b (v : Wire.Dyn.value) =
-  match v with
-  | Wire.Dyn.Int i -> S_inline i
-  | Wire.Dyn.Float f -> S_inline (Int64.bits_of_float f)
-  | Wire.Dyn.Payload p ->
+(* Field [i] itself when [j < 0], else its element [j]. *)
+let rec build_elem b msg i (field : Schema.Desc.field) ~j =
+  match field.Schema.Desc.ty with
+  | Schema.Desc.Scalar _ ->
+      S_inline (if j < 0 then Wire.Dyn.int_at msg i else Wire.Dyn.elem_int msg i j)
+  | Schema.Desc.Str | Schema.Desc.Bytes ->
+      let p =
+        if j < 0 then Wire.Dyn.payload_at msg i else Wire.Dyn.elem_payload msg i j
+      in
       let pos = push_payload b p in
       S_ref (pos, Wire.Payload.len p)
-  | Wire.Dyn.Nested m ->
+  | Schema.Desc.Message _ ->
+      let m =
+        if j < 0 then Wire.Dyn.nested_at msg i else Wire.Dyn.elem_nested msg i j
+      in
       let pos = build_msg b m in
       S_ref (pos, 0)
-  | Wire.Dyn.List elems ->
-      let slots = List.map (build_value b) elems in
-      let count = List.length elems in
+
+and build_field b msg i (field : Schema.Desc.field) =
+  match field.Schema.Desc.label with
+  | Schema.Desc.Singular -> build_elem b msg i field ~j:(-1)
+  | Schema.Desc.Repeated ->
+      let count = Wire.Dyn.count msg i in
+      let slots = Array.init count (fun j -> build_elem b msg i field ~j) in
       b.head <- b.head - (8 * count);
       let vec = b.head in
-      List.iteri (fun j slot -> write_slot b ~pos:(vec + (8 * j)) slot) slots;
+      Array.iteri (fun j slot -> write_slot b ~pos:(vec + (8 * j)) slot) slots;
       S_vec (vec, count)
 
 and build_msg b msg =
@@ -79,8 +106,11 @@ and build_msg b msg =
     invalid_arg "Flatbuf: messages are limited to 32 fields";
   (* Children first: back-to-front building places them at higher
      positions, so relative offsets from the table are positive. *)
+  let fields = (Wire.Dyn.desc msg).Schema.Desc.fields in
   let slots = ref [] in
-  Wire.Dyn.iter_present msg (fun i _ v -> slots := (i, build_value b v) :: !slots);
+  for i = 0 to Array.length fields - 1 do
+    if Wire.Dyn.mem msg i then slots := (i, build_field b msg i fields.(i)) :: !slots
+  done;
   let slots = List.rev !slots in
   b.head <- b.head - table_len msg;
   let table = b.head in

@@ -23,52 +23,68 @@ let scalar_is_float = function
 
 let varint_len = Wire.Cursor.varint_len
 
-let rec value_len (field : Schema.Desc.field) (v : Wire.Dyn.value) =
-  match v with
-  | Wire.Dyn.Int i -> (
-      match field.Schema.Desc.ty with
-      | Schema.Desc.Scalar s when scalar_is_float s -> 8
-      | _ -> varint_len i)
-  | Wire.Dyn.Float _ -> 8
-  | Wire.Dyn.Payload p -> Wire.Payload.len p
-  | Wire.Dyn.Nested m -> encoded_len m
-  | Wire.Dyn.List _ -> invalid_arg "Protobuf.value_len: nested list"
+(* Sizing and encoding walk the message's columns by field index (no boxed
+   values): present fields in schema order, repeated fields element by
+   element. *)
+let is_float (field : Schema.Desc.field) =
+  match field.Schema.Desc.ty with
+  | Schema.Desc.Scalar s -> scalar_is_float s
+  | Schema.Desc.Str | Schema.Desc.Bytes | Schema.Desc.Message _ -> false
 
-and field_len (field : Schema.Desc.field) (v : Wire.Dyn.value) =
-  let number = field.Schema.Desc.number in
-  let klen = varint_len (key ~number ~wt:0) in
-  match v with
-  | Wire.Dyn.List elems -> (
-      match field.Schema.Desc.ty with
-      | Schema.Desc.Scalar s when not (scalar_is_float s) ->
-          (* Packed: one key, length, then varints. *)
-          let body =
-            List.fold_left (fun acc e -> acc + value_len field e) 0 elems
-          in
-          if elems = [] then klen + varint_len 0L
-          else klen + varint_len (Int64.of_int body) + body
-      | _ ->
-          (* One key per element; payloads/messages are length-delimited. *)
-          List.fold_left
-            (fun acc e ->
-              let body = value_len field e in
-              acc + klen + varint_len (Int64.of_int body) + body)
-            0 elems)
-  | Wire.Dyn.Int i -> (
-      match field.Schema.Desc.ty with
-      | Schema.Desc.Scalar s when scalar_is_float s -> klen + 8
-      | _ -> klen + varint_len i)
-  | Wire.Dyn.Float _ -> klen + 8
-  | Wire.Dyn.Payload p ->
-      let body = Wire.Payload.len p in
-      klen + varint_len (Int64.of_int body) + body
-  | Wire.Dyn.Nested m ->
-      let body = encoded_len m in
-      klen + varint_len (Int64.of_int body) + body
+(* Repeated non-float scalars travel packed. *)
+let is_packed (field : Schema.Desc.field) =
+  match field.Schema.Desc.ty with
+  | Schema.Desc.Scalar s -> not (scalar_is_float s)
+  | Schema.Desc.Str | Schema.Desc.Bytes | Schema.Desc.Message _ -> false
+
+let delimited_len ~klen body = klen + varint_len (Int64.of_int body) + body
+
+let rec field_len msg i (field : Schema.Desc.field) =
+  let klen = varint_len (key ~number:field.Schema.Desc.number ~wt:0) in
+  let n = Wire.Dyn.count msg i in
+  match (field.Schema.Desc.label, field.Schema.Desc.ty) with
+  | Schema.Desc.Repeated, Schema.Desc.Scalar _ when is_packed field ->
+      (* Packed: one key, length, then varints. *)
+      if n = 0 then klen + varint_len 0L
+      else delimited_len ~klen (packed_len msg i n)
+  | Schema.Desc.Repeated, Schema.Desc.Scalar _ ->
+      (* One key per element; payloads/messages are length-delimited. *)
+      n * delimited_len ~klen 8
+  | Schema.Desc.Repeated, (Schema.Desc.Str | Schema.Desc.Bytes) ->
+      let acc = ref 0 in
+      for j = 0 to n - 1 do
+        acc :=
+          !acc
+          + delimited_len ~klen (Wire.Payload.len (Wire.Dyn.elem_payload msg i j))
+      done;
+      !acc
+  | Schema.Desc.Repeated, Schema.Desc.Message _ ->
+      let acc = ref 0 in
+      for j = 0 to n - 1 do
+        acc := !acc + delimited_len ~klen (encoded_len (Wire.Dyn.elem_nested msg i j))
+      done;
+      !acc
+  | Schema.Desc.Singular, Schema.Desc.Scalar _ ->
+      if is_float field then klen + 8
+      else klen + varint_len (Wire.Dyn.int_at msg i)
+  | Schema.Desc.Singular, (Schema.Desc.Str | Schema.Desc.Bytes) ->
+      delimited_len ~klen (Wire.Payload.len (Wire.Dyn.payload_at msg i))
+  | Schema.Desc.Singular, Schema.Desc.Message _ ->
+      delimited_len ~klen (encoded_len (Wire.Dyn.nested_at msg i))
+
+and packed_len msg i n =
+  let body = ref 0 in
+  for j = 0 to n - 1 do
+    body := !body + varint_len (Wire.Dyn.elem_int msg i j)
+  done;
+  !body
 
 and encoded_len msg =
+  let fields = (Wire.Dyn.desc msg).Schema.Desc.fields in
   let total = ref 0 in
-  Wire.Dyn.iter_present msg (fun _ field v -> total := !total + field_len field v);
+  for i = 0 to Array.length fields - 1 do
+    if Wire.Dyn.mem msg i then total := !total + field_len msg i fields.(i)
+  done;
   !total
 
 (* --- Encoding --------------------------------------------------------- *)
@@ -80,59 +96,61 @@ let charge_field cpu =
       Memmodel.Cpu.charge cpu Memmodel.Cpu.Tx
         (Memmodel.Cpu.params cpu).Memmodel.Params.cost_per_call
 
-let rec encode_scalar ?cpu w (field : Schema.Desc.field) v =
-  ignore cpu;
-  let module W = Wire.Cursor.Writer in
-  match (field.Schema.Desc.ty, v) with
-  | Schema.Desc.Scalar s, Wire.Dyn.Int i when not (scalar_is_float s) ->
-      W.varint w i
-  | Schema.Desc.Scalar Schema.Desc.Float64, Wire.Dyn.Float f ->
-      W.u64 w (Int64.bits_of_float f)
-  | Schema.Desc.Scalar Schema.Desc.Float64, Wire.Dyn.Int i ->
-      W.u64 w i
-  | _ -> invalid_arg "Protobuf.encode_scalar"
-
-and encode_field ?cpu w (field : Schema.Desc.field) v =
+let rec encode_field ?cpu w msg i (field : Schema.Desc.field) =
   let module W = Wire.Cursor.Writer in
   let number = field.Schema.Desc.number in
   charge_field cpu;
-  match v with
-  | Wire.Dyn.List elems -> (
-      match field.Schema.Desc.ty with
-      | Schema.Desc.Scalar s when not (scalar_is_float s) ->
-          W.varint w (key ~number ~wt:wt_len);
-          let body =
-            List.fold_left (fun acc e -> acc + value_len field e) 0 elems
-          in
-          W.varint w (Int64.of_int body);
-          List.iter (fun e -> encode_scalar ?cpu w field e) elems
-      | _ -> List.iter (fun e -> encode_element ?cpu w field e) elems)
-  | _ -> encode_element ?cpu w field v
+  match field.Schema.Desc.label with
+  | Schema.Desc.Repeated ->
+      let n = Wire.Dyn.count msg i in
+      if is_packed field then begin
+        W.varint w (key ~number ~wt:wt_len);
+        W.varint w (Int64.of_int (packed_len msg i n));
+        for j = 0 to n - 1 do
+          W.varint w (Wire.Dyn.elem_int msg i j)
+        done
+      end
+      else
+        for j = 0 to n - 1 do
+          encode_element ?cpu w msg i field ~j
+        done
+  | Schema.Desc.Singular -> encode_element ?cpu w msg i field ~j:(-1)
 
-and encode_element ?cpu w (field : Schema.Desc.field) v =
+(* Field [i] itself when [j < 0], else its element [j]. *)
+and encode_element ?cpu w msg i (field : Schema.Desc.field) ~j =
   let module W = Wire.Cursor.Writer in
   let number = field.Schema.Desc.number in
-  match v with
-  | Wire.Dyn.Int _ | Wire.Dyn.Float _ ->
-      let wt =
-        match field.Schema.Desc.ty with
-        | Schema.Desc.Scalar s when scalar_is_float s -> wt_fixed64
-        | _ -> wt_varint
+  match field.Schema.Desc.ty with
+  | Schema.Desc.Scalar _ ->
+      let v = if j < 0 then Wire.Dyn.int_at msg i else Wire.Dyn.elem_int msg i j in
+      if is_float field then begin
+        W.varint w (key ~number ~wt:wt_fixed64);
+        W.u64 w v
+      end
+      else begin
+        W.varint w (key ~number ~wt:wt_varint);
+        W.varint w v
+      end
+  | Schema.Desc.Str | Schema.Desc.Bytes ->
+      let p =
+        if j < 0 then Wire.Dyn.payload_at msg i else Wire.Dyn.elem_payload msg i j
       in
-      W.varint w (key ~number ~wt);
-      encode_scalar ?cpu w field v
-  | Wire.Dyn.Payload p ->
       W.varint w (key ~number ~wt:wt_len);
       W.varint w (Int64.of_int (Wire.Payload.len p));
       W.view_bytes w (Wire.Payload.view p)
-  | Wire.Dyn.Nested m ->
+  | Schema.Desc.Message _ ->
+      let m =
+        if j < 0 then Wire.Dyn.nested_at msg i else Wire.Dyn.elem_nested msg i j
+      in
       W.varint w (key ~number ~wt:wt_len);
       W.varint w (Int64.of_int (encoded_len m));
       encode ?cpu w m
-  | Wire.Dyn.List _ -> invalid_arg "Protobuf.encode_element: nested list"
 
 and encode ?cpu w msg =
-  Wire.Dyn.iter_present msg (fun _ field v -> encode_field ?cpu w field v)
+  let fields = (Wire.Dyn.desc msg).Schema.Desc.fields in
+  for i = 0 to Array.length fields - 1 do
+    if Wire.Dyn.mem msg i then encode_field ?cpu w msg i fields.(i)
+  done
 
 let serialize_and_send ?cpu tr ~dst msg =
   let ep = Net.Transport.endpoint tr in

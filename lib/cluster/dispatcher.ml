@@ -189,7 +189,7 @@ let handle_request_zc t ~src r =
   if p.awaiting = 0 then begin
     let resp = t.resp_scratch in
     Wire.Dyn.clear resp;
-    Wire.Dyn.set_int resp "id" client_id;
+    Wire.Dyn.set_int_at resp Apps.Proto.resp_id client_id;
     t.backend.Apps.Backend.send ~cpu t.tr ~dst:src resp;
     t.started <- t.started + 1;
     t.completed <- t.completed + 1;
@@ -206,27 +206,27 @@ let handle_request_zc t ~src r =
       (fun g ->
         let sub = t.subreq_scratch in
         Wire.Dyn.clear sub;
-        Wire.Dyn.set_int sub "id" (Int64.of_int fid);
-        Wire.Dyn.set_int sub "op" op;
+        Wire.Dyn.set_int_of_int sub Apps.Proto.req_id fid;
+        Wire.Dyn.set_int_at sub Apps.Proto.req_op op;
         if Wire.Reader.present r Apps.Proto.req_index then
-          Wire.Dyn.set_int sub "index"
-            (Wire.Reader.get_u64 r Apps.Proto.req_index);
+          Wire.Dyn.set_int_of_reader sub Apps.Proto.req_index r
+            Apps.Proto.req_index;
         Array.iter
           (fun slot_idx ->
             let rc =
               Wire.Reader.elem_rc ~site:"Dispatcher.retain" r
                 Apps.Proto.req_keys ~j:slot_idx
             in
-            Wire.Dyn.append sub "keys"
-              (Wire.Dyn.Payload (Wire.Rc_view.to_payload rc)))
+            Wire.Dyn.append_payload_at sub Apps.Proto.req_keys
+              (Wire.Rc_view.to_payload rc))
           g.g_slots;
         for j = 0 to nvals - 1 do
           let rc =
             Wire.Reader.elem_rc ~site:"Dispatcher.retain" r Apps.Proto.req_vals
               ~j
           in
-          Wire.Dyn.append sub "vals"
-            (Wire.Dyn.Payload (Wire.Rc_view.to_payload rc))
+          Wire.Dyn.append_payload_at sub Apps.Proto.req_vals
+            (Wire.Rc_view.to_payload rc)
         done;
         t.backend.Apps.Backend.send ~cpu t.tr ~dst:g.g_shard sub)
       groups
@@ -239,7 +239,7 @@ let assemble t fid p =
   Hashtbl.remove t.pending fid;
   let resp = t.resp_scratch in
   Wire.Dyn.clear resp;
-  Wire.Dyn.set_int resp "id" p.client_id;
+  Wire.Dyn.set_int_at resp Apps.Proto.resp_id p.client_id;
   Array.iter
     (fun s ->
       match s.payload with
@@ -247,8 +247,8 @@ let assemble t fid p =
           let shard_idx =
             Option.value ~default:0 (Hashtbl.find_opt t.shard_index s.owner)
           in
-          Wire.Dyn.append resp "vals"
-            (Wire.Dyn.Payload (forward t ~shard_idx payload));
+          Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals
+            (forward t ~shard_idx payload);
           s.payload <- None
       | None -> ())
     p.slots;

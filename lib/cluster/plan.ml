@@ -15,7 +15,7 @@
 
 type item = { rank : int; size : int }
 
-let key_of rank = Printf.sprintf "cl:%016d" rank
+let key_of rank = Workload.Spec.padded_key ~prefix:"cl:" ~width:16 rank
 
 let min_value = 16
 

@@ -33,27 +33,40 @@ type t = {
   mutable drops : int; (* put values dropped on pool exhaustion *)
 }
 
+let append_value t ~cpu resp buf =
+  let payload =
+    t.backend.Apps.Backend.wrap ~cpu t.tr (Mem.Pinned.Buf.view buf)
+  in
+  Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals payload
+
+let rec append_values t ~cpu resp = function
+  | [] -> ()
+  | buf :: rest ->
+      append_value t ~cpu resp buf;
+      append_values t ~cpu resp rest
+
 (* Keys come out of the receive buffer through [Reader.elem_string], which
-   charges the byte sweep (the handler must hash/compare them) to App. *)
+   charges the byte sweep (the handler must hash/compare them) to App.
+   Values go out in [Kvstore.Store.buffers] order. *)
 let handle_get t ~cpu r resp =
   for j = 0 to Wire.Reader.count_or_zero r Apps.Proto.req_keys - 1 do
     let key = Wire.Reader.elem_string r Apps.Proto.req_keys ~j in
     match Kvstore.Store.get ~cpu t.store ~key with
-    | Some value ->
+    | Some value -> (
         t.keys_served <- t.keys_served + 1;
-        List.iter
-          (fun buf ->
-            let payload =
-              t.backend.Apps.Backend.wrap ~cpu t.tr (Mem.Pinned.Buf.view buf)
-            in
-            Wire.Dyn.append resp "vals" (Wire.Dyn.Payload payload))
-          (Kvstore.Store.buffers value)
+        match value with
+        | Kvstore.Store.Single buf -> append_value t ~cpu resp buf
+        | Kvstore.Store.Linked bufs -> append_values t ~cpu resp bufs
+        | Kvstore.Store.Vector arr ->
+            for k = 0 to Array.length arr - 1 do
+              append_value t ~cpu resp arr.(k)
+            done)
     | None ->
         (* Positional alignment with the sub-request keys must survive a
            miss: answer an empty value for this slot. *)
         t.misses <- t.misses + 1;
-        Wire.Dyn.append resp "vals"
-          (Wire.Dyn.Payload (Wire.Payload.of_string t.space ""))
+        Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals
+          (Wire.Payload.of_string t.space "")
   done
 
 let handle_put t ~cpu r =

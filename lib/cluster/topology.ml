@@ -130,27 +130,26 @@ let create ?transport ?seed ?(n_clients = 8) ?(dispatchers = 1)
 (* --- Client side (uncharged, mirrors Kv_app) --------------------------- *)
 
 let append_key t msg rank =
-  Wire.Dyn.append msg "keys"
-    (Wire.Dyn.Payload (Wire.Payload.of_string t.space (Plan.key_of rank)))
+  Wire.Dyn.append_payload_at msg Apps.Proto.req_keys
+    (Wire.Payload.of_string t.space (Plan.key_of rank))
 
 (* Draw one request from a connection's private stream and send it. The op
    mix and Zipf key popularity are functions of that stream alone. *)
 let gen_and_send t crng client ~dst ~id =
   let msg = t.req_scratch in
   Wire.Dyn.clear msg;
-  Wire.Dyn.set_int msg "id" (Int64.of_int id);
+  Wire.Dyn.set_int_of_int msg Apps.Proto.req_id id;
   let u = Sim.Rng.float crng in
   if u < t.put_fraction then begin
     let rank = Sim.Dist.Zipf.sample t.zipf crng in
-    Wire.Dyn.set_int msg "op" Apps.Proto.op_put;
+    Wire.Dyn.set_int_at msg Apps.Proto.req_op Apps.Proto.op_put;
     append_key t msg rank;
-    Wire.Dyn.append msg "vals"
-      (Wire.Dyn.Payload
-         (Wire.Payload.of_string t.space
-            (Workload.Spec.filler (Plan.size_of ~seed:t.plan_seed rank))))
+    Wire.Dyn.append_payload_at msg Apps.Proto.req_vals
+      (Wire.Payload.of_string t.space
+         (Workload.Spec.filler (Plan.size_of ~seed:t.plan_seed rank)))
   end
   else begin
-    Wire.Dyn.set_int msg "op" Apps.Proto.op_get;
+    Wire.Dyn.set_int_at msg Apps.Proto.req_op Apps.Proto.op_get;
     let batch =
       if u < t.put_fraction +. t.mget_fraction then t.mget_batch else 1
     in

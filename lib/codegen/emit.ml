@@ -58,38 +58,51 @@ let dispatch_reason ~crossover (f : Schema.Desc.field) = function
         crossover
   | Table -> "CFPtr's size-class table decides copy vs zero-copy"
 
+(* Setters and getters address the field by its [idx_*] constant: the
+   index API of [Wire.Dyn], with no name lookup and no boxed value. *)
 let emit_scalar_field buf (f : Schema.Desc.field) scalar =
   let n = ocaml_name f.Schema.Desc.field_name in
-  let fname = f.Schema.Desc.field_name in
   match (f.Schema.Desc.label, scalar) with
+  | Schema.Desc.Repeated, Schema.Desc.Float64 ->
+      Printf.bprintf buf
+        "  let add_%s t v = Wire.Dyn.append_float_at t.msg idx_%s v\n\n" n n;
+      Printf.bprintf buf
+        "  let %s t =\n\
+        \    List.init (Wire.Dyn.count t.msg idx_%s) (Wire.Dyn.elem_float t.msg idx_%s)\n\n"
+        n n n
   | Schema.Desc.Repeated, _ ->
       Printf.bprintf buf
-        "  let add_%s t v = Wire.Dyn.append t.msg %S (Wire.Dyn.Int v)\n\n" n
-        fname;
+        "  let add_%s t v = Wire.Dyn.append_int_at t.msg idx_%s v\n\n" n n;
       Printf.bprintf buf
         "  let %s t =\n\
-        \    List.filter_map\n\
-        \      (function Wire.Dyn.Int v -> Some v | _ -> None)\n\
-        \      (Wire.Dyn.get_list t.msg %S)\n\n"
-        n fname
+        \    List.init (Wire.Dyn.count t.msg idx_%s) (Wire.Dyn.elem_int t.msg idx_%s)\n\n"
+        n n n
   | Schema.Desc.Singular, Schema.Desc.Float64 ->
       Printf.bprintf buf
-        "  let set_%s t v = Wire.Dyn.set t.msg %S (Wire.Dyn.Float v)\n\n" n
-        fname;
+        "  let set_%s t v = Wire.Dyn.set_float_at t.msg idx_%s v [@@alloc_free]\n\n"
+        n n;
       Printf.bprintf buf
         "  let %s t =\n\
-        \    match Wire.Dyn.get t.msg %S with\n\
-        \    | Some (Wire.Dyn.Float v) -> Some v\n\
-        \    | _ -> None\n\n"
-        n fname
+        \    if Wire.Dyn.mem t.msg idx_%s then Some (Wire.Dyn.float_at t.msg idx_%s)\n\
+        \    else None\n\n"
+        n n n
   | Schema.Desc.Singular, _ ->
-      Printf.bprintf buf "  let set_%s t v = Wire.Dyn.set_int t.msg %S v\n\n" n
-        fname;
-      Printf.bprintf buf "  let %s t = Wire.Dyn.get_int t.msg %S\n\n" n fname
+      Printf.bprintf buf
+        "  let set_%s t v = Wire.Dyn.set_int_at t.msg idx_%s v [@@alloc_free]\n\n"
+        n n;
+      Printf.bprintf buf
+        "  (* [set_%s_int] stamps a native int without boxing an int64. *)\n\
+        \  let set_%s_int t v = Wire.Dyn.set_int_of_int t.msg idx_%s v\n\
+        \  [@@alloc_free]\n\n"
+        n n n;
+      Printf.bprintf buf
+        "  let %s t =\n\
+        \    if Wire.Dyn.mem t.msg idx_%s then Some (Wire.Dyn.int_at t.msg idx_%s)\n\
+        \    else None\n\n"
+        n n n
 
 let emit_payload_field ~crossover buf (f : Schema.Desc.field) =
   let n = ocaml_name f.Schema.Desc.field_name in
-  let fname = f.Schema.Desc.field_name in
   let d = payload_dispatch ~crossover f in
   let ctor = dispatch_ctor d in
   let reason = dispatch_reason ~crossover f d in
@@ -98,55 +111,52 @@ let emit_payload_field ~crossover buf (f : Schema.Desc.field) =
       Printf.bprintf buf
         "  (* [add_%s] accepts any bytes; %s. *)\n\
         \  let add_%s ?cpu config ep t view =\n\
-        \    Wire.Dyn.append t.msg %S\n\
-        \      (Wire.Dyn.Payload (%s ?cpu config ep view))\n\n"
-        n reason n fname ctor;
+        \    Wire.Dyn.append_payload_at t.msg idx_%s (%s ?cpu config ep view)\n\n"
+        n reason n n ctor;
       Printf.bprintf buf
-        "  let add_%s_payload t p =\n\
-        \    Wire.Dyn.append t.msg %S (Wire.Dyn.Payload p)\n\n"
-        n fname;
+        "  let add_%s_payload t p = Wire.Dyn.append_payload_at t.msg idx_%s p\n\n"
+        n n;
       Printf.bprintf buf
         "  let %s t =\n\
-        \    List.filter_map\n\
-        \      (function Wire.Dyn.Payload p -> Some p | _ -> None)\n\
-        \      (Wire.Dyn.get_list t.msg %S)\n\n"
-        n fname
+        \    List.init (Wire.Dyn.count t.msg idx_%s) (Wire.Dyn.elem_payload t.msg idx_%s)\n\n"
+        n n n
   | Schema.Desc.Singular ->
       Printf.bprintf buf
         "  (* [set_%s] accepts any bytes; %s. *)\n\
         \  let set_%s ?cpu config ep t view =\n\
-        \    Wire.Dyn.set t.msg %S\n\
-        \      (Wire.Dyn.Payload (%s ?cpu config ep view))\n\n"
-        n reason n fname ctor;
+        \    Wire.Dyn.set_payload_at t.msg idx_%s (%s ?cpu config ep view)\n\n"
+        n reason n n ctor;
       Printf.bprintf buf
-        "  let set_%s_payload t p = Wire.Dyn.set t.msg %S (Wire.Dyn.Payload p)\n\n"
-        n fname;
-      Printf.bprintf buf "  let %s t = Wire.Dyn.get_payload t.msg %S\n\n" n fname
+        "  let set_%s_payload t p = Wire.Dyn.set_payload_at t.msg idx_%s p\n\
+        \  [@@alloc_free]\n\n"
+        n n;
+      Printf.bprintf buf
+        "  let %s t =\n\
+        \    if Wire.Dyn.mem t.msg idx_%s then Some (Wire.Dyn.payload_at t.msg idx_%s)\n\
+        \    else None\n\n"
+        n n n
 
 let emit_message_field buf (f : Schema.Desc.field) =
   let n = ocaml_name f.Schema.Desc.field_name in
-  let fname = f.Schema.Desc.field_name in
   match f.Schema.Desc.label with
   | Schema.Desc.Repeated ->
       Printf.bprintf buf
-        "  let add_%s t nested = Wire.Dyn.append t.msg %S (Wire.Dyn.Nested nested)\n\n"
-        n fname;
+        "  let add_%s t nested = Wire.Dyn.append_nested_at t.msg idx_%s nested\n\n"
+        n n;
       Printf.bprintf buf
         "  let %s t =\n\
-        \    List.filter_map\n\
-        \      (function Wire.Dyn.Nested m -> Some m | _ -> None)\n\
-        \      (Wire.Dyn.get_list t.msg %S)\n\n"
-        n fname
+        \    List.init (Wire.Dyn.count t.msg idx_%s) (Wire.Dyn.elem_nested t.msg idx_%s)\n\n"
+        n n n
   | Schema.Desc.Singular ->
       Printf.bprintf buf
-        "  let set_%s t nested = Wire.Dyn.set t.msg %S (Wire.Dyn.Nested nested)\n\n"
-        n fname;
+        "  let set_%s t nested = Wire.Dyn.set_nested_at t.msg idx_%s nested\n\
+        \  [@@alloc_free]\n\n"
+        n n;
       Printf.bprintf buf
         "  let %s t =\n\
-        \    match Wire.Dyn.get t.msg %S with\n\
-        \    | Some (Wire.Dyn.Nested m) -> Some m\n\
-        \    | _ -> None\n\n"
-        n fname
+        \    if Wire.Dyn.mem t.msg idx_%s then Some (Wire.Dyn.nested_at t.msg idx_%s)\n\
+        \    else None\n\n"
+        n n n
 
 (* The specialized serializer body handed to [Send.send_planned] /
    [Format_.run]: when every field is present, the layout is fully folded —
@@ -176,7 +186,7 @@ let emit_write_folded buf (m : Schema.Desc.message) =
       \     bounds check covers every unrolled store below. Any other\n\
       \     presence falls back to the generic writer (identical bytes). *)\n\
       \  let write_folded ~cpu plan w msg =\n\
-      \    if Wire.Dyn.present_count msg = %d then begin\n\
+      \    if Wire.Dyn.bitmap_word msg 0 = 0x%x then begin\n\
       \      Wire.Cursor.Writer.span w ~pos:0 ~len:%d;\n\
       \      Wire.Cursor.Writer.u32_at w ~pos:0 1;\n\
       \      Wire.Cursor.Writer.u32_at w ~pos:4 0x%x;\n"
@@ -184,35 +194,33 @@ let emit_write_folded buf (m : Schema.Desc.message) =
       (if n = 1 then "" else "s")
       (Layout.all_present_header_len n)
       (Layout.all_present_bitmap n)
-      (Layout.slot_base n) n
+      (Layout.slot_base n)
+      (Layout.all_present_bitmap n)
       (Layout.all_present_header_len n)
       (Layout.all_present_bitmap n);
     Array.iteri
       (fun i (f : Schema.Desc.field) ->
         let slot = Layout.slot n i in
+        let idx = "idx_" ^ ocaml_name f.Schema.Desc.field_name in
         let sep = if i = n - 1 then "" else ";" in
         match (f.Schema.Desc.label, f.Schema.Desc.ty) with
-        | Schema.Desc.Singular, Schema.Desc.Scalar Schema.Desc.Float64 ->
-            Printf.bprintf buf
-              "      (match Wire.Dyn.raw_field msg %d with\n\
-              \      | Some (Wire.Dyn.Float v) ->\n\
-              \          Wire.Cursor.Writer.u64_at w ~pos:%d (Int64.bits_of_float v)\n\
-              \      | Some v -> Cornflakes.Format_.write_value_at ?cpu w plan v ~slot:%d\n\
-              \      | None -> assert false)%s\n"
-              i slot slot sep
         | Schema.Desc.Singular, Schema.Desc.Scalar _ ->
+            Printf.bprintf buf "      Wire.Dyn.write_scalar msg %s w ~pos:%d%s\n"
+              idx slot sep
+        | Schema.Desc.Singular, (Schema.Desc.Str | Schema.Desc.Bytes) ->
             Printf.bprintf buf
-              "      (match Wire.Dyn.raw_field msg %d with\n\
-              \      | Some (Wire.Dyn.Int v) -> Wire.Cursor.Writer.u64_at w ~pos:%d v\n\
-              \      | Some v -> Cornflakes.Format_.write_value_at ?cpu w plan v ~slot:%d\n\
-              \      | None -> assert false)%s\n"
-              i slot slot sep
-        | _ ->
+              "      Cornflakes.Format_.write_payload_at ?cpu w plan\n\
+              \        (Wire.Dyn.payload_at msg %s) ~slot:%d%s\n"
+              idx slot sep
+        | Schema.Desc.Singular, Schema.Desc.Message _ ->
             Printf.bprintf buf
-              "      (match Wire.Dyn.raw_field msg %d with\n\
-              \      | Some v -> Cornflakes.Format_.write_value_at ?cpu w plan v ~slot:%d\n\
-              \      | None -> assert false)%s\n"
-              i slot sep)
+              "      Cornflakes.Format_.write_nested_at ?cpu w plan\n\
+              \        (Wire.Dyn.nested_at msg %s) ~slot:%d%s\n"
+              idx slot sep
+        | Schema.Desc.Repeated, _ ->
+            Printf.bprintf buf
+              "      Cornflakes.Format_.write_list_at ?cpu w plan msg %s ~slot:%d%s\n"
+              idx slot sep)
       fields;
     Buffer.add_string buf
       "    end\n\
@@ -267,7 +275,8 @@ let emit_message ~crossover buf (m : Schema.Desc.message) =
     m.Schema.Desc.msg_name;
   if Array.length m.Schema.Desc.fields > 0 then begin
     Buffer.add_string buf
-      "  (* Field indices (schema order) for the in-place [Wire.Reader]. *)\n";
+      "  (* Field indices (schema order): the [Wire.Dyn] index API and the\n\
+      \     in-place [Wire.Reader] both address fields by them. *)\n";
     Array.iteri
       (fun i (f : Schema.Desc.field) ->
         Printf.bprintf buf "  let idx_%s = %d\n"
@@ -275,7 +284,7 @@ let emit_message ~crossover buf (m : Schema.Desc.message) =
       m.Schema.Desc.fields;
     Buffer.add_char buf '\n'
   end;
-  Buffer.add_string buf "  type t = { msg : Wire.Dyn.t }\n\n";
+  Buffer.add_string buf "  type t = { msg : Wire.Dyn.t } [@@unboxed]\n\n";
   Buffer.add_string buf "  let create () = { msg = Wire.Dyn.create desc }\n\n";
   Buffer.add_string buf
     "  (* Blank every field so a pooled message is rebuilt in place. Payload\n\
@@ -454,9 +463,7 @@ let emit_service schema buf (s : Schema.Desc.service) =
     \  let method_of_reader r =\n\
     \    Int64.to_int (Wire.Reader.get_u64_or r req_op ~default:(-1L))\n\n\
     \  let method_of_dyn req =\n\
-    \    match Wire.Dyn.get_int req \"op\" with\n\
-    \    | Some v -> Int64.to_int v\n\
-    \    | None -> -1\n\n";
+    \    if Wire.Dyn.mem req req_op then Wire.Dyn.int_of_int_at req req_op else -1\n\n";
   Buffer.add_string buf
     "  (* Server skeleton, zero-copy path: validate the frame exactly once\n\
     \     into the pooled in-place reader, echo the caller's id into the\n\
@@ -466,7 +473,7 @@ let emit_service schema buf (s : Schema.Desc.service) =
     \    Wire.Reader.validate ?cpu s.s_reader buf;\n\
     \    Wire.Dyn.clear s.s_resp;\n\
     \    if Wire.Reader.present s.s_reader req_id then\n\
-    \      Wire.Dyn.set_int s.s_resp \"id\" (Wire.Reader.get_u64 s.s_reader req_id);\n\
+    \      Wire.Dyn.set_int_of_reader s.s_resp resp_id s.s_reader req_id;\n\
     \    let h = Rpc.Table.dispatch s.s_table (method_of_reader s.s_reader) in\n\
     \    h.h_reader ~src s.s_reader s.s_resp;\n\
     \    if not h.h_stream then s.s_send ~dst:src s.s_resp\n\n\
@@ -475,9 +482,8 @@ let emit_service schema buf (s : Schema.Desc.service) =
     \     ownership of [req]). *)\n\
     \  let serve_dyn s ~src req =\n\
     \    Wire.Dyn.clear s.s_resp;\n\
-    \    (match Wire.Dyn.get_int req \"id\" with\n\
-    \    | Some id -> Wire.Dyn.set_int s.s_resp \"id\" id\n\
-    \    | None -> ());\n\
+    \    if Wire.Dyn.mem req req_id then\n\
+    \      Wire.Dyn.set_int_at s.s_resp resp_id (Wire.Dyn.int_at req req_id);\n\
     \    let h = Rpc.Table.dispatch s.s_table (method_of_dyn req) in\n\
     \    h.h_dyn ~src req s.s_resp;\n\
     \    if not h.h_stream then s.s_send ~dst:src s.s_resp\n\n";
@@ -491,58 +497,52 @@ let emit_service schema buf (s : Schema.Desc.service) =
           \     send one response frame per chunk; the response is cleared\n\
           \     for the handler to fill the next chunk. *)\n\
           \  let emit_%s s ~dst ~id cur ~last =\n\
-          \    Wire.Dyn.set_int s.s_resp \"id\" id;\n\
-          \    Wire.Dyn.set_int s.s_resp \"seq\" (Rpc.Stream.next cur ~last);\n\
+          \    Wire.Dyn.set_int_at s.s_resp resp_id id;\n\
+          \    Wire.Dyn.set_int_at s.s_resp resp_seq (Rpc.Stream.next cur ~last);\n\
           \    s.s_send ~dst s.s_resp;\n\
           \    Wire.Dyn.clear s.s_resp\n\n"
           m.Schema.Desc.meth_name n)
     methods;
   Printf.bprintf buf
-    "  (* Client call state over this service's response envelope. *)\n\
+    "  (* Client call state over this service's envelopes: responses\n\
+    \     validate into its pooled reader, requests go out through the\n\
+    \     request envelope's folded writer. *)\n\
     \  let client ?config ?engine ?reliab tr =\n\
-    \    Rpc.Client.create ?config ?engine ?reliab ~resp:%s.desc tr\n\n"
-    resp_mod;
+    \    Rpc.Client.create ?config ?engine ?reliab ~resp:%s.desc ~req_id ~req_op\n\
+    \      ~write:%s.write_folded tr\n\n"
+    resp_mod req_mod;
   Array.iter
     (fun (m : Schema.Desc.method_) ->
       let n = ocaml_name m.Schema.Desc.meth_name in
       if m.Schema.Desc.stream then
         Printf.bprintf buf
-          "  (* Typed stub for %s (streamed): stamps the call id and method\n\
-          \     word into a caller-built request, then sends through the\n\
-          \     folded writer — via the retry layer when the client carries\n\
-          \     one. Declared deadline defaults in. *)\n\
+          "  (* Typed stub for %s (streamed): the client stamps the call id\n\
+          \     and method word into a caller-built request, then sends it\n\
+          \     through the folded writer — via the retry layer when the\n\
+          \     client carries one. Declared deadline defaults in. The request\n\
+          \     belongs to the call until it resolves. *)\n\
           \  let call_%s ?cpu ?deadline_ms c ~dst req ~on_chunk ~on_done =\n\
           \    let deadline_ms =\n\
           \      match deadline_ms with Some _ as d -> d | None -> deadline_ms_%s\n\
           \    in\n\
-          \    Rpc.Client.call_stream c ?deadline_ms\n\
-          \      ~prepare:(fun id ->\n\
-          \        %s.set_id req (Int64.of_int id);\n\
-          \        %s.set_op req id_%s)\n\
-          \      ~send:(fun () ->\n\
-          \        %s.send ?cpu (Rpc.Client.config c) (Rpc.Client.transport c)\n\
-          \          ~dst req)\n\
-          \      ~on_chunk ~on_done ()\n\n"
-          m.Schema.Desc.meth_name n n req_mod req_mod n req_mod
+          \    Rpc.Client.call_stream c ?cpu ?deadline_ms ~op:id_%s ~dst ~on_chunk\n\
+          \      ~on_done (%s.to_dyn req)\n\n"
+          m.Schema.Desc.meth_name n n n req_mod
       else
         Printf.bprintf buf
-          "  (* Typed stub for %s: stamps the call id and method word into a\n\
-          \     caller-built request, then sends through the folded writer —\n\
-          \     via the retry layer when the client carries one. Declared\n\
-          \     deadline defaults in. *)\n\
+          "  (* Typed stub for %s: the client stamps the call id and method\n\
+          \     word into a caller-built request, then sends it through the\n\
+          \     folded writer — via the retry layer when the client carries\n\
+          \     one. Declared deadline defaults in. The request belongs to the\n\
+          \     call until it resolves. *)\n\
           \  let call_%s ?cpu ?deadline_ms c ~dst req ~on_reply =\n\
           \    let deadline_ms =\n\
           \      match deadline_ms with Some _ as d -> d | None -> deadline_ms_%s\n\
           \    in\n\
-          \    Rpc.Client.call c ?deadline_ms\n\
-          \      ~prepare:(fun id ->\n\
-          \        %s.set_id req (Int64.of_int id);\n\
-          \        %s.set_op req id_%s)\n\
-          \      ~send:(fun () ->\n\
-          \        %s.send ?cpu (Rpc.Client.config c) (Rpc.Client.transport c)\n\
-          \          ~dst req)\n\
-          \      ~on_reply ()\n\n"
-          m.Schema.Desc.meth_name n n req_mod req_mod n req_mod)
+          \    Rpc.Client.call c ?cpu ?deadline_ms ~op:id_%s ~dst ~on_reply\n\
+          \      (%s.to_dyn req)\n\
+          \  [@@alloc_free]\n\n"
+          m.Schema.Desc.meth_name n n n req_mod)
     methods;
   (match env.e_resp_seq with
   | Some _ ->
@@ -601,31 +601,35 @@ let ir_message ~crossover buf (m : Schema.Desc.message) =
     (fun (f : Schema.Desc.field) ->
       let n = ocaml_name f.Schema.Desc.field_name in
       match (f.Schema.Desc.ty, f.Schema.Desc.label) with
+      | Schema.Desc.Scalar Schema.Desc.Float64, Schema.Desc.Repeated ->
+          fn ("add_" ^ n) "setter" "Wire.Dyn.append_float_at";
+          fn n "getter" "Wire.Dyn.count"
       | Schema.Desc.Scalar _, Schema.Desc.Repeated ->
-          fn ("add_" ^ n) "setter" "Wire.Dyn.append";
-          fn n "getter" "Wire.Dyn.get_list"
+          fn ("add_" ^ n) "setter" "Wire.Dyn.append_int_at";
+          fn n "getter" "Wire.Dyn.count"
       | Schema.Desc.Scalar Schema.Desc.Float64, Schema.Desc.Singular ->
-          fn ("set_" ^ n) "setter" "Wire.Dyn.set";
-          fn n "getter" "Wire.Dyn.get"
+          fn ("set_" ^ n) "setter" "Wire.Dyn.set_float_at";
+          fn n "getter" "Wire.Dyn.float_at"
       | Schema.Desc.Scalar _, Schema.Desc.Singular ->
-          fn ("set_" ^ n) "setter" "Wire.Dyn.set_int";
-          fn n "getter" "Wire.Dyn.get_int"
+          fn ("set_" ^ n) "setter" "Wire.Dyn.set_int_at";
+          fn ("set_" ^ n ^ "_int") "setter" "Wire.Dyn.set_int_of_int";
+          fn n "getter" "Wire.Dyn.int_at"
       | (Schema.Desc.Str | Schema.Desc.Bytes), Schema.Desc.Repeated ->
           fn ("add_" ^ n) "setter"
             (dispatch_ctor (payload_dispatch ~crossover f));
-          fn ("add_" ^ n ^ "_payload") "setter" "Wire.Dyn.append";
-          fn n "getter" "Wire.Dyn.get_list"
+          fn ("add_" ^ n ^ "_payload") "setter" "Wire.Dyn.append_payload_at";
+          fn n "getter" "Wire.Dyn.count"
       | (Schema.Desc.Str | Schema.Desc.Bytes), Schema.Desc.Singular ->
           fn ("set_" ^ n) "setter"
             (dispatch_ctor (payload_dispatch ~crossover f));
-          fn ("set_" ^ n ^ "_payload") "setter" "Wire.Dyn.set";
-          fn n "getter" "Wire.Dyn.get_payload"
+          fn ("set_" ^ n ^ "_payload") "setter" "Wire.Dyn.set_payload_at";
+          fn n "getter" "Wire.Dyn.payload_at"
       | Schema.Desc.Message _, Schema.Desc.Repeated ->
-          fn ("add_" ^ n) "setter" "Wire.Dyn.append";
-          fn n "getter" "Wire.Dyn.get_list"
+          fn ("add_" ^ n) "setter" "Wire.Dyn.append_nested_at";
+          fn n "getter" "Wire.Dyn.count"
       | Schema.Desc.Message _, Schema.Desc.Singular ->
-          fn ("set_" ^ n) "setter" "Wire.Dyn.set";
-          fn n "getter" "Wire.Dyn.get")
+          fn ("set_" ^ n) "setter" "Wire.Dyn.set_nested_at";
+          fn n "getter" "Wire.Dyn.nested_at")
     m.Schema.Desc.fields;
   fn "object_len" "len" "Cornflakes.Format_.object_len";
   fn "deserialize" "deserialize" "Cornflakes.Send.deserialize";
@@ -650,7 +654,7 @@ let ir_service buf (s : Schema.Desc.service) =
       fn ("on_" ^ ocaml_name m.Schema.Desc.meth_name) "setter" "Rpc.Table.set")
     s.Schema.Desc.methods;
   fn "method_of_reader" "getter" "Wire.Reader.get_u64_or";
-  fn "method_of_dyn" "getter" "Wire.Dyn.get_int";
+  fn "method_of_dyn" "getter" "Wire.Dyn.int_of_int_at";
   fn "serve" "reader" "Wire.Reader.validate";
   fn "serve_dyn" "accessor" "Rpc.Table.dispatch";
   Array.iter

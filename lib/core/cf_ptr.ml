@@ -15,8 +15,10 @@ let reset_counters () = oom_fallbacks_ctr () := 0
 let copy ?cpu ep view =
   Wire.Payload.Copied (Mem.Arena.copy_in ?cpu (Net.Endpoint.arena ep) view)
 
+(* The referenced pinned handle under [view]; raises [Mem.Pinned.Unpinned]
+   when the bytes are not DMA-safe. *)
 let recover ?cpu ep (view : Mem.View.t) =
-  Mem.Registry.recover_ptr ?cpu
+  Mem.Registry.recover_exn ?cpu
     (Net.Endpoint.registry ep)
     ~addr:view.Mem.View.addr ~len:view.Mem.View.len
 
@@ -28,18 +30,18 @@ let recover ?cpu ep (view : Mem.View.t) =
 
 let zc_folded ?cpu (_config : Config.t) ep (view : Mem.View.t) =
   match recover ?cpu ep view with
-  | Some buf -> Wire.Payload.Zero_copy buf
-  | None -> copy ?cpu ep view
+  | buf -> Wire.Payload.Zero_copy buf
+  | exception Mem.Pinned.Unpinned -> copy ?cpu ep view
 
 let copy_folded ?cpu (_config : Config.t) ep (view : Mem.View.t) =
   match copy ?cpu ep view with
   | p -> p
   | exception (Mem.Pinned.Out_of_memory _ as oom) -> (
       match recover ?cpu ep view with
-      | Some buf ->
+      | buf ->
           incr (oom_fallbacks_ctr ());
           Wire.Payload.Zero_copy buf
-      | None -> raise oom)
+      | exception Mem.Pinned.Unpinned -> raise oom)
 
 (* Unbounded fields dispatch through the arena's size-class verdict table
    instead of a per-field compare. The table depends only on the threshold;

@@ -53,7 +53,7 @@ let push_zc plan buf =
   plan.zc.(plan.zc_count) <- buf;
   plan.zc_count <- plan.zc_count + 1
 
-let rec measure_payload plan (p : Wire.Payload.t) =
+let measure_payload plan (p : Wire.Payload.t) =
   match p with
   | Wire.Payload.Zero_copy buf ->
       plan.zc_len <- plan.zc_len + Mem.Pinned.Buf.len buf;
@@ -61,25 +61,39 @@ let rec measure_payload plan (p : Wire.Payload.t) =
   | Wire.Payload.Copied v | Wire.Payload.Literal v ->
       plan.stream_len <- plan.stream_len + v.Mem.View.len
 
-and measure_msg plan (msg : Wire.Dyn.t) =
-  (* Direct slot iteration: no per-call closure for [iter_present]. *)
-  let values = Wire.Dyn.raw_values msg in
-  for i = 0 to Array.length values - 1 do
-    match Array.unsafe_get values i with
-    | Some v -> measure_value plan v
-    | None -> ()
+(* Column traversal: present fields in schema order, dispatched on the
+   field's kind; repeated fields walk their element arrays. No closures,
+   no lists. *)
+let rec measure_msg plan (msg : Wire.Dyn.t) =
+  let fields = (Wire.Dyn.desc msg).Schema.Desc.fields in
+  for i = 0 to Array.length fields - 1 do
+    if Wire.Dyn.mem msg i then measure_field plan msg i (Array.unsafe_get fields i)
   done
 
-and measure_value plan (v : Wire.Dyn.value) =
-  match v with
-  | Wire.Dyn.Int _ | Wire.Dyn.Float _ -> ()
-  | Wire.Dyn.Payload p -> measure_payload plan p
-  | Wire.Dyn.Nested m ->
-      plan.stream_len <- plan.stream_len + header_block_len m;
-      measure_msg plan m
-  | Wire.Dyn.List elems ->
-      plan.stream_len <- plan.stream_len + (8 * List.length elems);
-      List.iter (measure_value plan) elems
+and measure_field plan msg i (f : Schema.Desc.field) =
+  match (f.Schema.Desc.label, f.Schema.Desc.ty) with
+  | Schema.Desc.Singular, Schema.Desc.Scalar _ -> ()
+  | Schema.Desc.Singular, (Schema.Desc.Str | Schema.Desc.Bytes) ->
+      measure_payload plan (Wire.Dyn.payload_at msg i)
+  | Schema.Desc.Singular, Schema.Desc.Message _ ->
+      measure_nested plan (Wire.Dyn.nested_at msg i)
+  | Schema.Desc.Repeated, ty -> (
+      let n = Wire.Dyn.count msg i in
+      plan.stream_len <- plan.stream_len + (8 * n);
+      match ty with
+      | Schema.Desc.Scalar _ -> ()
+      | Schema.Desc.Str | Schema.Desc.Bytes ->
+          for j = 0 to n - 1 do
+            measure_payload plan (Wire.Dyn.elem_payload msg i j)
+          done
+      | Schema.Desc.Message _ ->
+          for j = 0 to n - 1 do
+            measure_nested plan (Wire.Dyn.elem_nested msg i j)
+          done)
+
+and measure_nested plan m =
+  plan.stream_len <- plan.stream_len + header_block_len m;
+  measure_msg plan m
 
 let measure_into plan msg =
   plan.stream_len <- 0;
@@ -88,6 +102,7 @@ let measure_into plan msg =
   measure_msg plan msg;
   plan.header_len <- header_block_len msg;
   plan.total_len <- plan.header_len + plan.stream_len + plan.zc_len
+[@@alloc_free]
 
 let measure msg =
   let plan = create_plan () in
@@ -116,101 +131,85 @@ let num_entries plan = 1 + plan.zc_count
 (* --- Writing ----------------------------------------------------------
 
    Every header-block and table store goes through the constant-offset
-   [Cursor.Writer] fast stores: the enclosing [write_msg] (or the List arm)
-   issues one [span] bounds check over the region, after which slot writes
-   are straight-line unchecked stores. Charge order is byte-for-byte the
-   same as the historical cursor-seeking writer, so simulated figures are
-   unchanged. *)
+   [Cursor.Writer] fast stores: the enclosing [write_msg] (or a repeated
+   field's table) issues one [span] bounds check over the region, after
+   which slot writes are straight-line unchecked stores. The bitmap words
+   are the message's own presence bytes and scalars are copied from its
+   word column. Charge order is byte-for-byte the same as the historical
+   cursor-seeking writer, so simulated figures are unchanged. *)
 
 let rec write_msg ?cpu w cur (msg : Wire.Dyn.t) ~hpos =
   let module W = Wire.Cursor.Writer in
-  let desc = Wire.Dyn.desc msg in
-  let nfields = Array.length desc.Schema.Desc.fields in
-  let bw = bitmap_words nfields in
-  let values = Wire.Dyn.raw_values msg in
-  if bw <= 1 then begin
-    (* Folded path (≤32 fields): the bitmap fits one native int — one pass
-       builds bitmap + present count, one [span] covers the whole header
-       block, and every slot store lands at a computed offset with no
-       cursor seeks and no per-store bounds checks. *)
-    let bitmap = ref 0 in
-    let present = ref 0 in
-    for i = 0 to nfields - 1 do
-      match Array.unsafe_get values i with
-      | Some _ ->
-          bitmap := !bitmap lor (1 lsl i);
-          incr present
-      | None -> ()
-    done;
-    W.span w ~pos:hpos ~len:(4 + (4 * bw) + (8 * !present));
-    W.u32_at w ~pos:hpos bw;
-    if bw = 1 then W.u32_at w ~pos:(hpos + 4) !bitmap;
-    let slot_base = hpos + 4 + (4 * bw) in
-    let k = ref 0 in
-    for i = 0 to nfields - 1 do
-      match Array.unsafe_get values i with
-      | Some (Wire.Dyn.Int value) ->
-          W.u64_at w ~pos:(slot_base + (8 * !k)) value;
-          incr k
-      | Some (Wire.Dyn.Float f) ->
-          W.u64_at w ~pos:(slot_base + (8 * !k)) (Int64.bits_of_float f);
-          incr k
-      | Some v ->
-          write_value ?cpu w cur v ~slot:(slot_base + (8 * !k));
-          incr k
-      | None -> ()
-    done
-  end
-  else begin
-    (* Wide messages (>32 fields): multi-word bitmap via a scratch array. *)
-    W.span w ~pos:hpos
-      ~len:(4 + (4 * bw) + (8 * Wire.Dyn.present_count msg));
-    W.u32_at w ~pos:hpos bw;
-    let words = Array.make bw 0 in
-    for i = 0 to nfields - 1 do
-      match Array.unsafe_get values i with
-      | Some _ -> words.(i / 32) <- words.(i / 32) lor (1 lsl (i mod 32))
-      | None -> ()
-    done;
-    Array.iteri (fun j word -> W.u32_at w ~pos:(hpos + 4 + (4 * j)) word) words;
-    let slot_base = hpos + 4 + (4 * bw) in
-    let k = ref 0 in
-    for i = 0 to nfields - 1 do
-      match Array.unsafe_get values i with
-      | Some v ->
-          write_value ?cpu w cur v ~slot:(slot_base + (8 * !k));
-          incr k
-      | None -> ()
-    done
-  end
+  let fields = (Wire.Dyn.desc msg).Schema.Desc.fields in
+  let bw = bitmap_words (Array.length fields) in
+  W.span w ~pos:hpos ~len:(4 + (4 * bw) + (8 * Wire.Dyn.present_count msg));
+  W.u32_at w ~pos:hpos bw;
+  for j = 0 to bw - 1 do
+    W.u32_at w ~pos:(hpos + 4 + (4 * j)) (Wire.Dyn.bitmap_word msg j)
+  done;
+  write_fields ?cpu w cur msg fields 0 ~slot:(hpos + 4 + (4 * bw))
+[@@alloc_free]
+
+(* Present fields from [i] on, their info slots packed from [slot]. *)
+and write_fields ?cpu w cur msg fields i ~slot =
+  if i < Array.length fields then
+    if Wire.Dyn.mem msg i then begin
+      write_field ?cpu w cur msg i (Array.unsafe_get fields i) ~slot;
+      write_fields ?cpu w cur msg fields (i + 1) ~slot:(slot + 8)
+    end
+    else write_fields ?cpu w cur msg fields (i + 1) ~slot
+[@@alloc_free]
 
 (* Precondition: [slot, slot+8) lies inside a region already [span]ed by the
    caller (the header block, or a repeated-field table). *)
-and write_value ?cpu w cur (v : Wire.Dyn.value) ~slot =
-  let module W = Wire.Cursor.Writer in
-  match v with
-  | Wire.Dyn.Int value -> W.u64_at w ~pos:slot value
-  | Wire.Dyn.Float f -> W.u64_at w ~pos:slot (Int64.bits_of_float f)
-  | Wire.Dyn.Payload p -> write_payload ?cpu w cur p ~slot
-  | Wire.Dyn.Nested m ->
-      let nh = header_block_len m in
-      let pos = cur.stream_pos in
-      cur.stream_pos <- cur.stream_pos + nh;
-      W.u32_at w ~pos:slot pos;
-      W.u32_at w ~pos:(slot + 4) nh;
-      write_msg ?cpu w cur m ~hpos:pos
-  | Wire.Dyn.List elems ->
-      let count = List.length elems in
-      let table = cur.stream_pos in
-      cur.stream_pos <- cur.stream_pos + (8 * count);
-      W.u32_at w ~pos:slot table;
-      W.u32_at w ~pos:(slot + 4) count;
-      W.span w ~pos:table ~len:(8 * count);
-      List.iteri
-        (fun j elem -> write_value ?cpu w cur elem ~slot:(table + (8 * j)))
-        elems
+and write_field ?cpu w cur msg i (f : Schema.Desc.field) ~slot =
+  match (f.Schema.Desc.label, f.Schema.Desc.ty) with
+  | Schema.Desc.Singular, Schema.Desc.Scalar _ ->
+      Wire.Dyn.write_scalar msg i w ~pos:slot
+  | Schema.Desc.Singular, (Schema.Desc.Str | Schema.Desc.Bytes) ->
+      write_payload_at ?cpu w cur (Wire.Dyn.payload_at msg i) ~slot
+  | Schema.Desc.Singular, Schema.Desc.Message _ ->
+      write_nested_at ?cpu w cur (Wire.Dyn.nested_at msg i) ~slot
+  | Schema.Desc.Repeated, _ -> write_list_at ?cpu w cur msg i ~slot
+[@@alloc_free]
 
-and write_payload ?cpu w cur (p : Wire.Payload.t) ~slot =
+and write_nested_at ?cpu w cur m ~slot =
+  let module W = Wire.Cursor.Writer in
+  let nh = header_block_len m in
+  let pos = cur.stream_pos in
+  cur.stream_pos <- cur.stream_pos + nh;
+  W.u32_at w ~pos:slot pos;
+  W.u32_at w ~pos:(slot + 4) nh;
+  write_msg ?cpu w cur m ~hpos:pos
+[@@alloc_free]
+
+and write_list_at ?cpu w cur msg i ~slot =
+  let module W = Wire.Cursor.Writer in
+  let count = Wire.Dyn.count msg i in
+  let table = cur.stream_pos in
+  cur.stream_pos <- cur.stream_pos + (8 * count);
+  W.u32_at w ~pos:slot table;
+  W.u32_at w ~pos:(slot + 4) count;
+  W.span w ~pos:table ~len:(8 * count);
+  let f = Array.unsafe_get (Wire.Dyn.desc msg).Schema.Desc.fields i in
+  match f.Schema.Desc.ty with
+  | Schema.Desc.Scalar _ ->
+      for j = 0 to count - 1 do
+        Wire.Dyn.write_elem_scalar msg i j w ~pos:(table + (8 * j))
+      done
+  | Schema.Desc.Str | Schema.Desc.Bytes ->
+      for j = 0 to count - 1 do
+        write_payload_at ?cpu w cur (Wire.Dyn.elem_payload msg i j)
+          ~slot:(table + (8 * j))
+      done
+  | Schema.Desc.Message _ ->
+      for j = 0 to count - 1 do
+        write_nested_at ?cpu w cur (Wire.Dyn.elem_nested msg i j)
+          ~slot:(table + (8 * j))
+      done
+[@@alloc_free]
+
+and write_payload_at ?cpu w cur (p : Wire.Payload.t) ~slot =
   let module W = Wire.Cursor.Writer in
   match p with
   | Wire.Payload.Zero_copy buf ->
@@ -228,10 +227,10 @@ and write_payload ?cpu w cur (p : Wire.Payload.t) ~slot =
       W.view_bytes w v;
       W.u32_at w ~pos:slot pos;
       W.u32_at w ~pos:(slot + 4) v.Mem.View.len
-
-let write_value_at ?cpu w plan v ~slot = write_value ?cpu w plan v ~slot
+[@@alloc_free]
 
 let write_msg_generic ?cpu w plan msg = write_msg ?cpu w plan msg ~hpos:0
+[@@alloc_free]
 
 (* [run] owns the cursor init / postcondition bookkeeping around a writer
    body, so specialized (codegen-folded) writers share the exact contract of
@@ -243,6 +242,7 @@ let run ?cpu plan w msg ~write =
   write ~cpu plan w msg;
   assert (plan.stream_pos = plan.header_len + plan.stream_len);
   assert (plan.zc_pos = plan.total_len)
+[@@alloc_free]
 
 let generic_entry ~cpu plan w msg = write_msg_generic ?cpu w plan msg
 
@@ -285,13 +285,13 @@ let rec read_msg ?cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
         let slot = slot_base + (8 * !k) in
         incr k;
         if slot + 8 > total then malformed "info slot out of range";
-        let v = read_value ?cpu ~depth schema field buf r ~slot ~total in
-        Wire.Dyn.set msg field.Schema.Desc.field_name v
+        read_field ?cpu ~depth schema field buf r msg i ~slot ~total
       end)
     desc.Schema.Desc.fields;
   msg
 
-and read_value ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
+(* Reads present field [i] straight into [msg]'s columns. *)
+and read_field ?cpu ~depth schema (field : Schema.Desc.field) buf r msg i ~slot
     ~total =
   let module R = Wire.Cursor.Reader in
   charge_field_read cpu;
@@ -302,24 +302,26 @@ and read_value ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
       let count = R.u32 r in
       if count < 0 || table < 0 || table + (8 * count) > total then
         malformed "repeated field table out of range";
-      let elems =
-        List.init count (fun j ->
-            read_element ?cpu ~depth schema field buf r
-              ~slot:(table + (8 * j))
-              ~total)
-      in
-      Wire.Dyn.List elems
+      Wire.Dyn.touch_list msg i;
+      for j = 0 to count - 1 do
+        read_element ?cpu ~depth schema field buf r msg i ~repeated:true
+          ~slot:(table + (8 * j))
+          ~total
+      done
   | Schema.Desc.Singular ->
-      read_element ?cpu ~depth schema field buf r ~slot ~total
+      read_element ?cpu ~depth schema field buf r msg i ~repeated:false ~slot
+        ~total
 
-and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
-    ~total =
+and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r msg i
+    ~repeated ~slot ~total =
   let module R = Wire.Cursor.Reader in
   R.seek r slot;
   match field.Schema.Desc.ty with
-  | Schema.Desc.Scalar Schema.Desc.Float64 ->
-      Wire.Dyn.Float (Int64.float_of_bits (R.u64 r))
-  | Schema.Desc.Scalar _ -> Wire.Dyn.Int (R.u64 r)
+  | Schema.Desc.Scalar _ ->
+      (* Float fields keep their bits in the word column too. *)
+      let v = R.u64 r in
+      if repeated then Wire.Dyn.append_int_at msg i v
+      else Wire.Dyn.set_int_at msg i v
   | Schema.Desc.Str | Schema.Desc.Bytes ->
       let off = R.u32 r in
       let len = R.u32 r in
@@ -330,7 +332,9 @@ and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
          buffer, holding its own reference. *)
       let sub = Mem.Pinned.Buf.sub buf ~off ~len in
       Mem.Pinned.Buf.incr_ref ?cpu sub;
-      Wire.Dyn.Payload (Wire.Payload.Zero_copy sub)
+      let p = Wire.Payload.Zero_copy sub in
+      if repeated then Wire.Dyn.append_payload_at msg i p
+      else Wire.Dyn.set_payload_at msg i p
   | Schema.Desc.Message name -> (
       let off = R.u32 r in
       let hlen = R.u32 r in
@@ -344,6 +348,7 @@ and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
             read_msg ?cpu ~depth:(depth + 1) schema nested_desc buf ~hpos:off
           in
           R.seek r saved;
-          Wire.Dyn.Nested nested)
+          if repeated then Wire.Dyn.append_nested_at msg i nested
+          else Wire.Dyn.set_nested_at msg i nested)
 
 let deserialize ?cpu schema desc buf = read_msg ?cpu schema desc buf ~hpos:0

@@ -96,15 +96,36 @@ val write : ?cpu:Memmodel.Cpu.t -> plan -> Wire.Cursor.Writer.t -> Wire.Dyn.t ->
     {!write_msg_generic} whenever presence deviates from the all-fields
     fast path. *)
 
-(** [write_value_at ?cpu w plan v ~slot] writes one field value whose 8-byte
-    info slot sits at absolute offset [slot]. Precondition: the slot lies in
-    a region already bounds-checked with [Cursor.Writer.span] (generated
-    code spans the whole header block up front). *)
-val write_value_at :
+(** Field writers for the variable-size kinds. Each writes one 8-byte
+    info slot at absolute offset [slot] and the bytes it points at.
+    Precondition: the slot lies in a region already bounds-checked with
+    [Cursor.Writer.span] (generated code spans the whole header block up
+    front). Singular scalars need no hook: {!Wire.Dyn.write_scalar}. *)
+val write_payload_at :
   ?cpu:Memmodel.Cpu.t ->
   Wire.Cursor.Writer.t ->
   plan ->
-  Wire.Dyn.value ->
+  Wire.Payload.t ->
+  slot:int ->
+  unit
+
+(** A nested message: its header block in the copied region. *)
+val write_nested_at :
+  ?cpu:Memmodel.Cpu.t ->
+  Wire.Cursor.Writer.t ->
+  plan ->
+  Wire.Dyn.t ->
+  slot:int ->
+  unit
+
+(** [write_list_at ?cpu w plan msg i ~slot]: repeated field [i] of [msg],
+    its element table in the copied region. *)
+val write_list_at :
+  ?cpu:Memmodel.Cpu.t ->
+  Wire.Cursor.Writer.t ->
+  plan ->
+  Wire.Dyn.t ->
+  int ->
   slot:int ->
   unit
 

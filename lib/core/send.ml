@@ -98,6 +98,13 @@ let scratch_dls : scratch Domain.DLS.key =
 
 let scratch () = Domain.DLS.get scratch_dls
 
+type writer =
+  cpu:Memmodel.Cpu.t option ->
+  Format_.plan ->
+  Wire.Cursor.Writer.t ->
+  Wire.Dyn.t ->
+  unit
+
 (* The full send pipeline, parameterised over the serializer body: the
    generic writer for [send_via], a codegen-folded [write_folded] for
    generated [send]s ([send_planned]). [write] must be a top-level function

@@ -46,6 +46,14 @@ val send_via :
   Wire.Dyn.t ->
   unit
 
+(** A serializer body: {!Format_.run}'s [write] contract. *)
+type writer =
+  cpu:Memmodel.Cpu.t option ->
+  Format_.plan ->
+  Wire.Cursor.Writer.t ->
+  Wire.Dyn.t ->
+  unit
+
 (** [send_planned ?cpu config tr ~dst msg ~write] — the same pipeline as
     {!send_via} (measure, size/SGE/pressure checks, staging, post) but with
     the serializer body supplied by the caller: generated modules pass their
@@ -58,12 +66,7 @@ val send_planned :
   Net.Transport.t ->
   dst:int ->
   Wire.Dyn.t ->
-  write:
-    (cpu:Memmodel.Cpu.t option ->
-    Format_.plan ->
-    Wire.Cursor.Writer.t ->
-    Wire.Dyn.t ->
-    unit) ->
+  write:writer ->
   unit
 
 (** [send_object config ep ~dst msg] = [send_via config (Endpoint.transport

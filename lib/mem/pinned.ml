@@ -8,6 +8,8 @@ exception
 
 exception Out_of_memory of string
 
+exception Unpinned
+
 type size_class = {
   size : int; (* power-of-two buffer size *)
   capacity : int;
@@ -104,19 +106,17 @@ module Pool = struct
     let i = class_for t ~len in
     if i < 0 then 0 else t.classes.(i).free_top
 
-  (* Which class owns [addr]? Classes have disjoint contiguous data ranges. *)
-  let class_of_addr t ~addr =
-    let n = Array.length t.classes in
-    let rec find i =
-      if i >= n then None
-      else begin
-        let c = t.classes.(i) in
-        if addr >= c.data_base && addr < c.data_base + (c.size * c.capacity) then
-          Some i
-        else find (i + 1)
-      end
-    in
-    find 0
+  (* Which class owns [addr]? Classes have disjoint contiguous data ranges;
+     [-1] when none does. *)
+  let rec class_from t ~addr i =
+    if i >= Array.length t.classes then -1
+    else begin
+      let c = t.classes.(i) in
+      if addr >= c.data_base && addr < c.data_base + (c.size * c.capacity) then i
+      else class_from t ~addr (i + 1)
+    end
+
+  let class_of_addr t ~addr = class_from t ~addr 0
 end
 
 type t = {
@@ -390,21 +390,21 @@ module Buf = struct
         Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy
           ~addr:(addr t + dst_off) ~len:src.View.len
 
-  let recover ?cpu ?(site = "Pinned.recover") pool ~addr:a ~len =
+  let recover_exn ?cpu ?(site = "Pinned.recover") pool ~addr:a ~len =
     (match cpu with
     | None -> ()
     | Some cpu ->
         Memmodel.Cpu.charge cpu Memmodel.Cpu.Safety
           (Memmodel.Cpu.params cpu).Memmodel.Params.cost_range_lookup);
     match Pool.class_of_addr pool ~addr:a with
-    | None -> None
-    | Some cls ->
+    | -1 -> raise_notrace Unpinned
+    | cls ->
         let c = pool.classes.(cls) in
         let rel = a - c.data_base in
         let slot = rel / c.size in
         let off = rel mod c.size in
-        if off + len > c.size then None
-        else if c.refcounts.(slot) = 0 then None
+        if off + len > c.size then raise_notrace Unpinned
+        else if c.refcounts.(slot) = 0 then raise_notrace Unpinned
         else begin
           let t = { pool; cls; slot; gen = c.gens.(slot); off; len } in
           (* Zero-copy safety: recovering a pointer takes a reference. *)
@@ -413,6 +413,6 @@ module Buf = struct
           if san_on () then
             Sanitizer.Refsan.on_incref ~id:(san_id t)
               ~refs:c.refcounts.(slot) ~site;
-          Some t
+          t
         end
 end

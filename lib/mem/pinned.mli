@@ -31,6 +31,10 @@ exception
 
 exception Out_of_memory of string
 
+(** Raised (without a backtrace) by the [_exn] recovery functions when an
+    address range is not inside a live pinned allocation. *)
+exception Unpinned
+
 module Pool : sig
   type t
 
@@ -173,9 +177,10 @@ module Buf : sig
 
   val release_hold : int option -> unit
 
-  (** [recover pool ~addr ~len] implements the stack's [recover_ptr]: if
-      [addr, addr+len) lies within a live allocation of [pool], bump its
-      refcount and return a handle windowed to that slice. *)
-  val recover :
-    ?cpu:Memmodel.Cpu.t -> ?site:string -> Pool.t -> addr:int -> len:int -> t option
+  (** [recover_exn pool ~addr ~len] implements the stack's [recover_ptr]:
+      if [addr, addr+len) lies within a live allocation of [pool], bump its
+      refcount and return a handle windowed to that slice; otherwise raise
+      {!Unpinned}. Only the handle is allocated. *)
+  val recover_exn :
+    ?cpu:Memmodel.Cpu.t -> ?site:string -> Pool.t -> addr:int -> len:int -> t
 end

@@ -13,11 +13,17 @@ let register t pool = t.pools <- pool :: t.pools
 
 let pools t = t.pools
 
-let find t ~addr = List.find_opt (fun p -> Pinned.Pool.contains p ~addr) t.pools
+(* The pool whose range holds [addr]; [Not_found] (raised without a
+   backtrace) when none does. A plain walk: no closure, no option. *)
+let rec pool_of pools ~addr =
+  match pools with
+  | [] -> raise_notrace Not_found
+  | p :: rest -> if Pinned.Pool.contains p ~addr then p else pool_of rest ~addr
 
-let is_pinned t ~addr = Option.is_some (find t ~addr)
+let is_pinned t ~addr =
+  match pool_of t.pools ~addr with _ -> true | exception Not_found -> false
 
-let recover_ptr ?cpu t ~addr ~len =
+let recover_exn ?cpu t ~addr ~len =
   (match cpu with
   | None -> ()
   | Some cpu ->
@@ -25,6 +31,11 @@ let recover_ptr ?cpu t ~addr ~len =
       Memmodel.Cpu.charge cpu Memmodel.Cpu.Safety
         (Memmodel.Cpu.params cpu).Memmodel.Params.cost_range_lookup;
       Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Safety ~addr:t.table_addr);
-  match find t ~addr with
-  | None -> None
-  | Some pool -> Pinned.Buf.recover ?cpu ~site:"Registry.recover_ptr" pool ~addr ~len
+  match pool_of t.pools ~addr with
+  | exception Not_found -> raise_notrace Pinned.Unpinned
+  | pool -> Pinned.Buf.recover_exn ?cpu ~site:"Registry.recover_ptr" pool ~addr ~len
+
+let recover_ptr ?cpu t ~addr ~len =
+  match recover_exn ?cpu t ~addr ~len with
+  | buf -> Some buf
+  | exception Pinned.Unpinned -> None

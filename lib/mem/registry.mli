@@ -24,3 +24,8 @@ val is_pinned : t -> addr:int -> bool
     [addr, addr+len) lies in a live pinned allocation. *)
 val recover_ptr :
   ?cpu:Memmodel.Cpu.t -> t -> addr:int -> len:int -> Pinned.Buf.t option
+
+(** [recover_exn] is {!recover_ptr} raising [Pinned.Unpinned] instead of
+    returning [None]: the zero-copy wrap allocates only the handle. *)
+val recover_exn :
+  ?cpu:Memmodel.Cpu.t -> t -> addr:int -> len:int -> Pinned.Buf.t

@@ -33,25 +33,6 @@ let words_per_op ~iters fn =
   done;
   (Gc.minor_words () -. w0) /. float_of_int iters
 
-(* Hand-transcription of the writer [Codegen.Emit] folds for
-   [Apps.Proto.resp] (uint64 id = 1; repeated bytes vals = 2) — the exact
-   shape of the generated [Getresp.write_folded]. Top-level so passing it
-   to [Format_.run]/[Send.send_planned] allocates nothing. *)
-let resp_write_folded ~cpu plan w msg =
-  if Wire.Dyn.present_count msg = 2 then begin
-    Wire.Cursor.Writer.span w ~pos:0 ~len:24;
-    Wire.Cursor.Writer.u32_at w ~pos:0 1;
-    Wire.Cursor.Writer.u32_at w ~pos:4 0x3;
-    (match Wire.Dyn.raw_field msg 0 with
-    | Some (Wire.Dyn.Int v) -> Wire.Cursor.Writer.u64_at w ~pos:8 v
-    | Some v -> Cornflakes.Format_.write_value_at ?cpu w plan v ~slot:8
-    | None -> assert false);
-    (match Wire.Dyn.raw_field msg 1 with
-    | Some v -> Cornflakes.Format_.write_value_at ?cpu w plan v ~slot:16
-    | None -> assert false)
-  end
-  else Cornflakes.Format_.write_msg_generic ?cpu w plan msg
-
 (* The serialize-and-send loop: the paper's steady-state hot path. One
    pooled response object is cleared and rebuilt per op (one copied 64 B
    field, two zero-copy fields), sent through [Send.send_object] (or a
@@ -81,14 +62,13 @@ let make_send_loop ~pooled ?write () =
   let config = Cornflakes.Config.default in
   let scratch = Wire.Dyn.create Apps.Proto.resp in
   let build msg =
-    Wire.Dyn.set_int msg "id" 7L;
-    Wire.Dyn.set msg "vals"
-      (Wire.Dyn.List
-         [
-           Wire.Dyn.Payload (Cornflakes.Cf_ptr.make config ep v64);
-           Wire.Dyn.Payload (Cornflakes.Cf_ptr.make config ep v512);
-           Wire.Dyn.Payload (Cornflakes.Cf_ptr.make config ep v2048);
-         ])
+    Wire.Dyn.set_int_at msg Apps.Proto.resp_id 7L;
+    Wire.Dyn.append_payload_at msg Apps.Proto.resp_vals
+      (Cornflakes.Cf_ptr.make config ep v64);
+    Wire.Dyn.append_payload_at msg Apps.Proto.resp_vals
+      (Cornflakes.Cf_ptr.make config ep v512);
+    Wire.Dyn.append_payload_at msg Apps.Proto.resp_vals
+      (Cornflakes.Cf_ptr.make config ep v2048)
   in
   fun () ->
     let msg =
@@ -157,6 +137,8 @@ let make_rpc_call_loop () =
 
 let event_tick () = ()
 
+let release_frame ~src:_ buf = Mem.Pinned.Buf.decr_ref buf
+
 let make_benchmarks ~seed () =
   let event_engine = Sim.Engine.create () in
   let space = Mem.Addr_space.create () in
@@ -209,10 +191,10 @@ let make_benchmarks ~seed () =
   let writer = Wire.Cursor.Writer.create scratch_view in
   let dyn_scratch = Wire.Dyn.create Apps.Proto.resp in
   let build_dyn m =
-    Wire.Dyn.set_int m "id" 7L;
-    Wire.Dyn.append m "vals" (Wire.Dyn.Payload lit_64);
-    Wire.Dyn.append m "vals" (Wire.Dyn.Payload lit_512);
-    Wire.Dyn.append m "vals" (Wire.Dyn.Payload lit_2048)
+    Wire.Dyn.set_int_at m Apps.Proto.resp_id 7L;
+    Wire.Dyn.append_payload_at m Apps.Proto.resp_vals lit_64;
+    Wire.Dyn.append_payload_at m Apps.Proto.resp_vals lit_512;
+    Wire.Dyn.append_payload_at m Apps.Proto.resp_vals lit_2048
   in
   (* RX pair scratch: one response frame produced by a real send through
      the loopback fabric, then parsed per op — into a heap [Dyn] (the
@@ -348,7 +330,7 @@ let make_benchmarks ~seed () =
           Wire.Cursor.Writer.reset writer scratch_view;
           Cornflakes.Format_.write plan writer msg);
     };
-    (* The codegen-specialized writer body (literal layout, one hoisted
+    (* The generated folded writer of [Resp] (literal layout, one hoisted
        span) over the same message and reused plan/writer. *)
     {
       name = "cf-write-folded";
@@ -357,7 +339,8 @@ let make_benchmarks ~seed () =
         (fun () ->
           Cornflakes.Format_.measure_into plan msg;
           Wire.Cursor.Writer.reset writer scratch_view;
-          Cornflakes.Format_.run plan writer msg ~write:resp_write_folded);
+          Cornflakes.Format_.run plan writer msg
+            ~write:Apps.Kv_rpc.Resp.write_folded);
     };
     (* Paired: message object allocated per request vs pooled + cleared. *)
     {
@@ -409,9 +392,8 @@ let make_benchmarks ~seed () =
       tracked = true;
       fn =
         (fun () ->
-          match Nic.Device.rx_deliver rxq rx_wire ~off:0 ~len:1024 with
-          | Some buf -> Mem.Pinned.Buf.decr_ref buf
-          | None -> ());
+          Nic.Device.rx_deliver rxq rx_wire ~off:0 ~len:1024 ~src:0
+            ~deliver:release_frame);
     };
     (* Paired: arena chunk from the bump pointer (mass reset) vs recycled
        through the size-class free list. *)
@@ -465,7 +447,7 @@ let make_benchmarks ~seed () =
     {
       name = "cf-serialize+send-folded";
       tracked = true;
-      fn = make_send_loop ~pooled:true ~write:resp_write_folded ();
+      fn = make_send_loop ~pooled:true ~write:Apps.Kv_rpc.Resp.write_folded ();
     };
     (* Generated service skeleton: validate-once + branchless method-table
        dispatch over the delivered GET request frame. *)

@@ -228,10 +228,10 @@ let send_cornflakes t ~cpu ~dst config reply =
   (* Replies become Cornflakes objects; each bulk goes through the hybrid
      CFPtr constructor. *)
   let msg = Wire.Dyn.create Apps.Proto.resp in
-  Wire.Dyn.set_int msg "id" 0L;
+  Wire.Dyn.set_int_at msg Apps.Proto.resp_id 0L;
   let add_bulk view =
-    Wire.Dyn.append msg "vals"
-      (Wire.Dyn.Payload (Cornflakes.Cf_ptr.make ~cpu config ep view))
+    Wire.Dyn.append_payload_at msg Apps.Proto.resp_vals
+      (Cornflakes.Cf_ptr.make ~cpu config ep view)
   in
   (match reply with
   | Resp.Bulk view -> add_bulk view

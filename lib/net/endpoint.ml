@@ -108,12 +108,8 @@ let handle_wire t frame =
        reference; the ring slot recycles when the refcount hits zero
        (i.e. after the handler and every retained view release). Drops
        (ring overrun) are counted inside the queue. *)
-    match
-      Nic.Device.rx_deliver t.rxq bytes ~off:Packet.header_len
-        ~len:payload_len
-    with
-    | Some buf -> t.rx_handler ~src buf
-    | None -> ()
+    Nic.Device.rx_deliver t.rxq bytes ~off:Packet.header_len ~len:payload_len
+      ~src ~deliver:t.rx_handler
 
 let id t = t.id
 

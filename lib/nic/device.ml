@@ -229,13 +229,13 @@ let attach_rx ?cpu t pool =
 
 (* DMA one arriving frame's payload into a posted receive buffer. Real
    bytes move but no CPU cycles are charged: the NIC does the write, the
-   host only sees the DDIO-installed lines. The returned buffer carries the
-   delivery reference (refcount 1) — whoever consumes the delivery releases
-   it, and the ring slot recycles at refcount zero. [None] is an RX ring
-   overrun: the ring has no free buffer posted (every slot is pinned by an
-   outstanding delivery or view), so the frame drops, exactly as a real NIC
-   drops when the host can't keep up. *)
-let rx_deliver q bytes ~off ~len =
+   host only sees the DDIO-installed lines. [deliver ~src buf] receives the
+   buffer with the delivery reference (refcount 1) — whoever consumes the
+   delivery releases it, and the ring slot recycles at refcount zero. An
+   RX ring overrun (the ring has no free buffer posted: every slot is
+   pinned by an outstanding delivery or view) drops the frame instead,
+   exactly as a real NIC drops when the host can't keep up. *)
+let rx_deliver q bytes ~off ~len ~src ~deliver =
   match Mem.Pinned.Buf.alloc ~site:"Nic.rx_dma" q.q_pool ~len with
   | buf ->
       Mem.Pinned.Buf.fill_subbytes ~site:"Nic.rx_dma" buf bytes ~src_off:off
@@ -247,10 +247,8 @@ let rx_deliver q bytes ~off ~len =
       | None -> ());
       q.q_packets <- q.q_packets + 1;
       q.q_bytes <- q.q_bytes + len;
-      Some buf
-  | exception Mem.Pinned.Out_of_memory _ ->
-      q.q_dropped <- q.q_dropped + 1;
-      None
+      deliver ~src buf
+  | exception Mem.Pinned.Out_of_memory _ -> q.q_dropped <- q.q_dropped + 1
 
 let rxq_packets q = q.q_packets
 

@@ -107,13 +107,21 @@ type rxq
     [cpu] receives the DDIO cache installs for delivered frames. *)
 val attach_rx : ?cpu:Memmodel.Cpu.t -> t -> Mem.Pinned.Pool.t -> rxq
 
-(** [rx_deliver q bytes ~off ~len] DMAs [bytes[off, off+len)] into a posted
-    receive buffer and returns it with the delivery reference (refcount 1);
-    the consumer must [decr_ref] when done (directly or by handing the last
-    [Rc_view] back). [None] means RX ring overrun — no free buffer was
-    posted — and the frame is dropped and counted. No CPU cycles are
-    charged: the device does the write. *)
-val rx_deliver : rxq -> Bytes.t -> off:int -> len:int -> Mem.Pinned.Buf.t option
+(** [rx_deliver q bytes ~off ~len ~src ~deliver] DMAs
+    [bytes[off, off+len)] into a posted receive buffer and passes it to
+    [deliver ~src] with the delivery reference (refcount 1); the consumer
+    must [decr_ref] when done (directly or by handing the last [Rc_view]
+    back). On an RX ring overrun — no free buffer was posted — the frame is
+    dropped and counted instead, and [deliver] does not run. No CPU cycles
+    are charged: the device does the write. *)
+val rx_deliver :
+  rxq ->
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  src:int ->
+  deliver:(src:int -> Mem.Pinned.Buf.t -> unit) ->
+  unit
 
 val rxq_packets : rxq -> int
 

@@ -384,7 +384,7 @@ let send_op t op client ~dst ~id =
   let msg = t.client_msg and o = t.client_op in
   Msg.clear msg;
   Op.clear o;
-  Msg.set_id msg (Int64.of_int id);
+  Msg.set_id_int msg id;
   Msg.set_op msg Svc.id_request;
   (match op with
   | Workload.Spec.Get { keys } -> (

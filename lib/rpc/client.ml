@@ -1,11 +1,11 @@
 (* Client-side call state shared by every generated stub.
 
-   A generated [call_<m>] closes over this record: it assigns a request
-   id, registers the reply continuation, stamps the id + method word into
-   the request envelope via [prepare], then hands the folded send closure
-   either to [Net.Reliab] (retry/backoff, deadline-clamped) or straight
-   to the transport. Responses come back through the generated [deliver],
-   which validates the frame into the pooled [reader] exactly once and
+   A generated [call_<m>] hands its request to {!call}: it assigns a
+   request id, registers the reply continuation, stamps the id + method
+   word into the request envelope by field index, then hands the call
+   slot's send continuation either to [Net.Reliab] (retry/backoff,
+   deadline-clamped) or straight to the transport. Responses come back
+   through the generated [deliver], which validates the frame into the pooled [reader] exactly once and
    routes on the echoed id here — {!complete} acks the retry layer and
    runs the continuation with the in-place reader, so a unary round trip
    allocates nothing on the reply path beyond the validation itself.
@@ -25,14 +25,20 @@ type reply_handler =
 (* One pending call, in an id-indexed slot ring ([Sim.Id_ring]). The slot
    is occupied from the call until its reply, give-up or deadline — and,
    when a deadline timer of its own is queued, until that timer fires, so
-   the timer never wakes a later call. Its give-up and deadline
-   continuations are built once with the slot. *)
+   the timer never wakes a later call. It holds the call's request and
+   destination while the call is live, so its send continuation (built
+   once with the slot, like its give-up and deadline continuations)
+   re-sends the call's own request on every retransmission. *)
 type call = {
   mutable busy : bool;
   mutable live : bool; (* awaiting its reply *)
   mutable id : int;
   mutable handler : reply_handler;
   mutable timer_queued : bool;
+  mutable req : Wire.Dyn.t; (* [Wire.Dyn.vacant] once resolved *)
+  mutable dst : int;
+  mutable cpu : Memmodel.Cpu.t option;
+  send : unit -> unit; (* send [req] to [dst] through the folded writer *)
   give_up : unit -> unit; (* retry layer exhausted or deadline hit *)
   deadline_fired : unit -> unit; (* the deadline timer, without a retry layer *)
 }
@@ -40,6 +46,9 @@ type call = {
 and t = {
   tr : Net.Transport.t;
   config : Cornflakes.Config.t;
+  write : Cornflakes.Send.writer; (* the request envelope's folded writer *)
+  req_id : int; (* request envelope field indices *)
+  req_op : int;
   engine : Sim.Engine.t option;
   reliab : Net.Reliab.t option;
   reader : Wire.Reader.t;
@@ -58,7 +67,9 @@ let no_handler = Unary (fun (_ : Wire.Reader.t) -> ())
 
 let release c =
   c.busy <- c.timer_queued;
-  c.handler <- no_handler
+  c.handler <- no_handler;
+  c.req <- Wire.Dyn.vacant;
+  c.cpu <- None
 
 let resolve t c =
   c.live <- false;
@@ -78,6 +89,10 @@ let deadline_fired t c =
   abandon t c;
   if not c.live then c.busy <- false
 
+let send t c =
+  Cornflakes.Send.send_planned ?cpu:c.cpu t.config t.tr ~dst:c.dst c.req
+    ~write:t.write
+
 let new_call t =
   let rec c =
     {
@@ -86,16 +101,24 @@ let new_call t =
       id = 0;
       handler = no_handler;
       timer_queued = false;
+      req = Wire.Dyn.vacant;
+      dst = 0;
+      cpu = None;
+      send = (fun () -> send t c);
       give_up = (fun () -> abandon t c);
       deadline_fired = (fun () -> deadline_fired t c);
     }
   in
   c
 
-let create ?(config = Cornflakes.Config.default) ?engine ?reliab ~resp tr =
+let create ?(config = Cornflakes.Config.default) ?engine ?reliab ~resp
+    ~req_id ~req_op ~write tr =
   {
     tr;
     config;
+    write;
+    req_id;
+    req_op;
     engine;
     reliab;
     reader = Wire.Reader.create resp;
@@ -122,21 +145,26 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let start t ?deadline_ms ~handler ~prepare ~send () =
+let start t ?cpu ?deadline_ms ~handler ~op ~dst req =
   let id = fresh_id t in
   let c = Sim.Id_ring.claim t.calls_ring t ~id in
   c.busy <- true;
   c.live <- true;
   c.id <- id;
   c.handler <- handler;
+  c.req <- req;
+  c.dst <- dst;
+  c.cpu <- cpu;
   t.pending <- t.pending + 1;
   t.calls <- t.calls + 1;
-  prepare id;
+  Wire.Dyn.set_int_of_int req t.req_id id;
+  Wire.Dyn.set_int_at req t.req_op op;
   let deadline_ns = Option.map Deadline.ns_of_ms deadline_ms in
   (match t.reliab with
-  | Some rl -> Net.Reliab.track ?deadline_ns rl ~id ~send ~give_up:c.give_up
+  | Some rl ->
+      Net.Reliab.track ?deadline_ns rl ~id ~send:c.send ~give_up:c.give_up
   | None -> (
-      send ();
+      c.send ();
       (* No retry layer: the deadline still resolves the call
          deterministically, provided an engine clock is attached. *)
       match (deadline_ns, t.engine) with
@@ -146,13 +174,13 @@ let start t ?deadline_ms ~handler ~prepare ~send () =
       | _ -> ()));
   id
 
-let call t ?deadline_ms ~prepare ~send ~on_reply () =
-  start t ?deadline_ms ~handler:(Unary on_reply) ~prepare ~send ()
+let call t ?cpu ?deadline_ms ~op ~dst ~on_reply req =
+  start t ?cpu ?deadline_ms ~handler:(Unary on_reply) ~op ~dst req
 
-let call_stream t ?deadline_ms ~prepare ~send ~on_chunk ~on_done () =
-  start t ?deadline_ms
+let call_stream t ?cpu ?deadline_ms ~op ~dst ~on_chunk ~on_done req =
+  start t ?cpu ?deadline_ms
     ~handler:(Streamed { on_chunk; on_done; coll = Stream.collector () })
-    ~prepare ~send ()
+    ~op ~dst req
 
 let ack_reliab t ~id =
   match t.reliab with

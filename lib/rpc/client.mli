@@ -8,16 +8,21 @@
 
 type t
 
-(** [create ?config ?engine ?reliab ~resp tr] — [resp] is the service's
-    response envelope descriptor (backs the pooled reader); [tr] the
-    transport the stubs send on. Attach [reliab] for retry/backoff with
-    deadline clamping; without it, [engine] alone still resolves
-    deadlines deterministically. *)
+(** [create ?config ?engine ?reliab ~resp ~req_id ~req_op ~write tr] —
+    [resp] is the service's response envelope descriptor (backs the
+    pooled reader); [req_id]/[req_op] the request envelope's [id] and [op]
+    field indices; [write] its folded writer; [tr] the transport the stubs
+    send on. Attach [reliab] for retry/backoff with deadline clamping;
+    without it, [engine] alone still resolves deadlines
+    deterministically. *)
 val create :
   ?config:Cornflakes.Config.t ->
   ?engine:Sim.Engine.t ->
   ?reliab:Net.Reliab.t ->
   resp:Schema.Desc.message ->
+  req_id:int ->
+  req_op:int ->
+  write:Cornflakes.Send.writer ->
   Net.Transport.t ->
   t
 
@@ -27,17 +32,21 @@ val config : t -> Cornflakes.Config.t
 (** Pooled reader the generated [deliver] validates responses into. *)
 val reader : t -> Wire.Reader.t
 
-(** [call t ?deadline_ms ~prepare ~send ~on_reply ()] — assigns an id,
-    runs [prepare id] (stub stamps id + method word into the request),
-    then sends — via the retry layer when attached. Returns the id.
-    [on_reply] runs at most once, with the validated in-place reader. *)
+(** [call t ?cpu ?deadline_ms ~op ~dst ~on_reply req] — assigns an id,
+    stamps it and the method word [op] into [req] by field index, then
+    sends [req] to [dst] — via the retry layer when attached, whose
+    retransmissions re-send [req]. The call slot holds [req] until the
+    call resolves: the caller must not rebuild it before then. Returns
+    the id. [on_reply] runs at most once, with the validated in-place
+    reader. *)
 val call :
   t ->
+  ?cpu:Memmodel.Cpu.t ->
   ?deadline_ms:int ->
-  prepare:(int -> unit) ->
-  send:(unit -> unit) ->
+  op:int64 ->
+  dst:int ->
   on_reply:(Wire.Reader.t -> unit) ->
-  unit ->
+  Wire.Dyn.t ->
   int
 
 (** Streamed variant: [on_chunk] per in-order chunk (including the last),
@@ -45,12 +54,13 @@ val call :
     [on_done ~ok:false]. *)
 val call_stream :
   t ->
+  ?cpu:Memmodel.Cpu.t ->
   ?deadline_ms:int ->
-  prepare:(int -> unit) ->
-  send:(unit -> unit) ->
+  op:int64 ->
+  dst:int ->
   on_chunk:(Wire.Reader.t -> unit) ->
   on_done:(ok:bool -> unit) ->
-  unit ->
+  Wire.Dyn.t ->
   int
 
 (** Route a validated response. [seq_word] must be given for streamed

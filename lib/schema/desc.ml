@@ -22,7 +22,16 @@ type field = {
           threshold and fold its dispatch away *)
 }
 
-type message = { msg_name : string; fields : field array }
+type columns = {
+  col : int array;
+  n_payload : int;
+  n_nested : int;
+  n_scalar_list : int;
+  n_payload_list : int;
+  n_nested_list : int;
+}
+
+type message = { msg_name : string; fields : field array; columns : columns }
 
 type method_ = {
   meth_name : string;
@@ -53,6 +62,43 @@ let field_type_to_string = function
   | Bytes -> "bytes"
   | Message m -> m
 
+(* Number each field within the column of its storage kind, in schema
+   order. Singular scalars live in the per-field word column and take no
+   number. *)
+let columns_of fields =
+  let counts = Array.make 5 0 in
+  let col =
+    Array.map
+      (fun f ->
+        let k =
+          match (f.label, f.ty) with
+          | Singular, Scalar _ -> -1
+          | Singular, (Str | Bytes) -> 0
+          | Singular, Message _ -> 1
+          | Repeated, Scalar _ -> 2
+          | Repeated, (Str | Bytes) -> 3
+          | Repeated, Message _ -> 4
+        in
+        if k < 0 then -1
+        else begin
+          let c = counts.(k) in
+          counts.(k) <- c + 1;
+          c
+        end)
+      fields
+  in
+  {
+    col;
+    n_payload = counts.(0);
+    n_nested = counts.(1);
+    n_scalar_list = counts.(2);
+    n_payload_list = counts.(3);
+    n_nested_list = counts.(4);
+  }
+
+let make_message msg_name fields =
+  { msg_name; fields; columns = columns_of fields }
+
 let find_message t name =
   List.find_opt (fun m -> m.msg_name = name) t.messages
 
@@ -61,14 +107,12 @@ let message t name =
   | Some m -> m
   | None -> raise Not_found
 
-let field_index msg name =
-  let n = Array.length msg.fields in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if msg.fields.(i).field_name = name then i
-    else go (i + 1)
-  in
-  go 0
+let rec field_index_from fields name i =
+  if i >= Array.length fields then raise Not_found
+  else if String.equal (Array.unsafe_get fields i).field_name name then i
+  else field_index_from fields name (i + 1)
+
+let field_index msg name = field_index_from msg.fields name 0 [@@alloc_free]
 
 let field msg name = msg.fields.(field_index msg name)
 
@@ -78,14 +122,12 @@ let find_service t name =
 let service t name =
   match find_service t name with Some s -> s | None -> raise Not_found
 
-let method_index svc name =
-  let n = Array.length svc.methods in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if svc.methods.(i).meth_name = name then i
-    else go (i + 1)
-  in
-  go 0
+let rec method_index_from methods name i =
+  if i >= Array.length methods then raise Not_found
+  else if String.equal methods.(i).meth_name name then i
+  else method_index_from methods name (i + 1)
+
+let method_index svc name = method_index_from svc.methods name 0
 
 let method_ svc name = svc.methods.(method_index svc name)
 

@@ -27,9 +27,25 @@ type field = {
          lets codegen prove the zero-copy verdict and fold dispatch away *)
 }
 
+(** Where an in-memory message ([Wire.Dyn]) keeps each field: singular
+    scalars in a per-field 8-byte word column, every other kind in a
+    column of its own. [col.(i)] numbers field [i] within its kind's
+    column (singular payload, singular nested, repeated scalar, repeated
+    payload, repeated nested), in schema order; [-1] for singular
+    scalars. The [n_*] fields size the columns. *)
+type columns = {
+  col : int array;
+  n_payload : int;
+  n_nested : int;
+  n_scalar_list : int;
+  n_payload_list : int;
+  n_nested_list : int;
+}
+
 type message = {
   msg_name : string;
   fields : field array; (* sorted by [number] *)
+  columns : columns; (* derived from [fields] by {!make_message} *)
 }
 
 (** One RPC method of a [service] declaration. The generated dispatch
@@ -51,6 +67,10 @@ type t = { messages : message list; services : service list }
 val scalar_to_string : scalar -> string
 
 val field_type_to_string : field_type -> string
+
+(** [make_message name fields] builds a descriptor, numbering the storage
+    columns. *)
+val make_message : string -> field array -> message
 
 (** [message t name] finds a message by name. Raises [Not_found]. *)
 val message : t -> string -> message

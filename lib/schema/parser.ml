@@ -101,7 +101,7 @@ let parse_message st =
   let fields =
     List.sort (fun a b -> compare a.Desc.number b.Desc.number) (List.rev !fields)
   in
-  { Desc.msg_name; fields = Array.of_list fields }
+  Desc.make_message msg_name (Array.of_list fields)
 
 (* One method declaration:
      rpc Name (ReqType) returns (RespType) [stream deadline_ms=N];

@@ -147,6 +147,15 @@ module Writer = struct
       else byte t (low lor 0x80)
     done
 
+  (* Copy 8 raw bytes from [src] at an absolute offset: a scalar that is
+     already stored little-endian goes to the wire without passing through
+     an int64. Charged like [u64_at]. *)
+  let word_at t ~pos src ~src_off =
+    charge_at t ~pos ~len:8;
+    Bytes.set_int64_le t.view.Mem.View.data
+      (t.view.Mem.View.off + pos)
+      (Bytes.get_int64_le src src_off)
+
   let string t s =
     let n = String.length s in
     need t n;

@@ -61,6 +61,11 @@ module Writer : sig
   (** Store a little-endian u64 at absolute offset [pos]. Unchecked.
       Same byte extraction as {!u64}. *)
   val u64_at : t -> pos:int -> int64 -> unit
+
+  (** [word_at t ~pos src ~src_off] stores the 8 bytes of [src] at
+      [src_off] at absolute offset [pos] (a little-endian u64 kept in a
+      byte column); charged like {!u64_at}. Unchecked. *)
+  val word_at : t -> pos:int -> Bytes.t -> src_off:int -> unit
 end
 
 module Reader : sig

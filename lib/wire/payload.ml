@@ -3,6 +3,8 @@ type t =
   | Zero_copy of Mem.Pinned.Buf.t
   | Literal of Mem.View.t
 
+let empty = Literal (Mem.View.make ~addr:0 ~data:Bytes.empty ~off:0 ~len:0)
+
 let len = function
   | Copied v | Literal v -> v.Mem.View.len
   | Zero_copy b -> Mem.Pinned.Buf.len b

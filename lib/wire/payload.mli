@@ -14,6 +14,9 @@ type t =
   | Zero_copy of Mem.Pinned.Buf.t
   | Literal of Mem.View.t
 
+(** A shared zero-length [Literal]: the value vacated payload slots hold. *)
+val empty : t
+
 val len : t -> int
 
 (** A read window on the payload bytes (raises [Use_after_free] for a dead

@@ -233,6 +233,14 @@ let get_u64 t i =
   charge t ~off:s ~len:8;
   u64_at t s
 
+(* Copy field [i]'s 8 raw bytes into [dst]: the u64 keeps its exact bits
+   without an int64 in between. Charged like [get_u64]. *)
+let blit_u64 t i dst ~dst_off =
+  let s = slot t i in
+  charge t ~off:s ~len:8;
+  Bytes.blit t.data (t.base + s) dst dst_off 8
+[@@alloc_free]
+
 let get_u64_or t i ~default =
   if present t i then get_u64 t i else default
 

@@ -17,7 +17,7 @@ let sample_object_size rng =
   else if s > max_object_bytes then max_object_bytes
   else s
 
-let key_of ~rank = Printf.sprintf "cdn-image-object-%043d" rank
+let key_of ~rank = Spec.padded_key ~prefix:"cdn-image-object-" ~width:43 rank
 
 (* Object sizes are a deterministic function of the rank so that the
    populate pass, the request generator, and the experiment harness agree

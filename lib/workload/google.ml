@@ -18,7 +18,7 @@ let size_points =
     (4096, 0.008);
   |]
 
-let key_of rank = Printf.sprintf "google-object-key-%045d" rank
+let key_of rank = Spec.padded_key ~prefix:"google-object-key-" ~width:45 rank
 
 let mtu_budget = 8192
 

@@ -19,6 +19,24 @@ let pattern =
   done;
   Buffer.contents b
 
+(* Decimal digits of [n <= 0] (negative arithmetic covers [min_int]). *)
+let rec digits_neg n = if n > -10 then 1 else 1 + digits_neg (n / 10)
+
+let rec put_digits b n pos =
+  Bytes.unsafe_set b pos (Char.unsafe_chr (48 - (n mod 10)));
+  if n <= -10 then put_digits b (n / 10) (pos - 1)
+
+let padded_key ~prefix ~width rank =
+  let neg = if rank < 0 then rank else -rank in
+  let sign = if rank < 0 then 1 else 0 in
+  let body = max width (digits_neg neg + sign) in
+  let plen = String.length prefix in
+  let b = Bytes.make (plen + body) '0' in
+  Bytes.blit_string prefix 0 b 0 plen;
+  if rank < 0 then Bytes.set b plen '-';
+  put_digits b neg (plen + body - 1);
+  Bytes.unsafe_to_string b
+
 let filler n =
   if n <= 0 then ""
   else begin

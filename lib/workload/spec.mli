@@ -29,6 +29,12 @@ val alloc_value :
   int list ->
   Kvstore.Store.value
 
+(** [padded_key ~prefix ~width rank] is
+    [Printf.sprintf "%s%0*d" prefix width rank] — the zero-padded key every
+    workload names its ranks with — written digit by digit into one
+    string. *)
+val padded_key : prefix:string -> width:int -> int -> string
+
 (** [filler n] is a deterministic printable string of length [n]. *)
 val filler : int -> string
 

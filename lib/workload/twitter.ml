@@ -11,7 +11,7 @@ let sample_size rng =
   let n = int_of_float s in
   if n < 8 then 8 else if n > max_size then max_size else n
 
-let key_of rank = Printf.sprintf "tw:%016d" rank
+let key_of rank = Spec.padded_key ~prefix:"tw:" ~width:16 rank
 
 let mean_size = exp (mu +. (sigma *. sigma /. 2.0)) (* ~ 625 B, pre-clip *)
 

@@ -1,4 +1,4 @@
-let key_of rank = Printf.sprintf "user%026d" rank
+let key_of rank = Spec.padded_key ~prefix:"user" ~width:26 rank
 
 let make ?(n_keys = 65536) ?(zipf_s = 0.99) ?(multiget = 1) ~entries
     ~entry_size () =

@@ -95,6 +95,32 @@ let test_fixture_par =
 
 let test_fixture_alloc = check_fixture "bad_alloc_free.ml" [ "SC-ALLOC" ]
 
+(* The closure rules: a partial application handed to an iterator and a
+   local [let rec] that captures variables are one finding each; the
+   allocation-free shapes next to them (tuple match, closed local
+   function, top-level iteratee) are none. *)
+let test_fixture_closures () =
+  if not (have "analysis/fixtures") then
+    print_endline "(analysis/fixtures not found; skipping)"
+  else begin
+    let messages name =
+      List.map (fun f -> f.Analysis.Finding.message) (run_fixture name)
+    in
+    let bad = messages "bad_iter_capture.ml" in
+    let mentions needle m =
+      let n = String.length needle and h = String.length m in
+      let rec go i = i + n <= h && (String.sub m i n = needle || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check int) "two findings" 2 (List.length bad);
+    Alcotest.(check bool) "partial application to List.iter" true
+      (List.exists (mentions "partial application to List.iter") bad);
+    Alcotest.(check bool) "capturing local let rec" true
+      (List.exists (mentions "go captures msg, n, name") bad);
+    Alcotest.(check (list string)) "allocation-free shapes pass" []
+      (messages "ok_alloc_free.ml")
+  end
+
 let test_fixture_cluster =
   check_fixture "bad_cluster_cursor.ml" [ "SC-PAR-CAPTURE"; "SC-PAR-MUT" ]
 
@@ -260,6 +286,8 @@ let suite =
     Alcotest.test_case "fixture: par capture (exp_tab2 bug)" `Quick
       test_fixture_par;
     Alcotest.test_case "fixture: alloc on hot path" `Quick test_fixture_alloc;
+    Alcotest.test_case "fixture: closures on hot path" `Quick
+      test_fixture_closures;
     Alcotest.test_case "fixture: cluster cursor shared across shards" `Quick
       test_fixture_cluster;
     Alcotest.test_case "fixture: rx view outlives recycle" `Quick

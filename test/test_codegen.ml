@@ -34,7 +34,8 @@ let test_generated_source_mentions_all_fields () =
       "let first";
       "let set_second";
       "let set_ratio";
-      "Wire.Dyn.Float";
+      "Wire.Dyn.set_float_at t.msg idx_ratio";
+      "let set_first_int";
       "let deserialize";
       "let send";
       "DO NOT EDIT";
@@ -164,7 +165,10 @@ let test_write_folded_emission () =
       "~pos:8";
       "~pos:16";
       "~slot:24";
-      "Int64.bits_of_float";
+      (* presence is tested on the bitmap word; scalars (floats included)
+         are copied from the word column *)
+      "Wire.Dyn.bitmap_word msg 0 = 0x7";
+      "Wire.Dyn.write_scalar msg idx_b w ~pos:16";
       "Cornflakes.Format_.write_msg_generic";
       "~write:write_folded";
     ];

@@ -18,6 +18,7 @@ let () =
       ("tcp", Test_tcp.suite);
       ("codegen", Test_codegen.suite);
       ("specialized", Test_specialized.suite);
+      ("golden", Test_golden.suite);
       ("fuzz", Test_fuzz.suite);
       ("reader", Test_reader.suite);
       ("extensions", Test_extensions.suite);

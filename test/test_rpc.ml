@@ -313,8 +313,9 @@ let qcheck_streamed_round_trip =
    the generated stub, [Net.Reliab], both NICs and the fabric, with an
    in-place server handler. Words per call are counted after a warm-up
    has grown every pool, ring and heap to its steady size; the ceiling
-   catches any per-call closure or table entry that creeps back in. *)
-let words_per_call_ceiling = 150.0
+   (56 measured, plus about 10%) catches any per-call closure or table
+   entry that creeps back in. *)
+let words_per_call_ceiling = 62.0
 
 let test_round_trip_alloc_budget () =
   let rig = make_rig () in
@@ -350,6 +351,41 @@ let test_round_trip_alloc_budget () =
     Alcotest.failf "%.1f minor words per call, ceiling %.0f" per_call
       words_per_call_ceiling
 
+(* The call slot holds the request until the call resolves: when the
+   first call's frame is lost, the retry layer's retransmission re-sends
+   that call's own request, though a second call went out meanwhile. *)
+let test_retransmission_resends_own_request () =
+  let served = ref None in
+  let lost = ref false in
+  let rig =
+    make_rig ~serve:false
+      ~on_frame:(fun buf ->
+        if not !lost then lost := true
+        else Option.iter (fun srv -> KS.serve srv ~src:1 buf) !served)
+      ()
+  in
+  served := Some rig.srv;
+  echo_get rig;
+  let reliab = Net.Reliab.create rig.engine ~rng:(Sim.Rng.create ~seed:5) in
+  let c = KS.client ~engine:rig.engine ~reliab (Net.Endpoint.transport rig.cli) in
+  Net.Endpoint.set_rx rig.cli (fun ~src:_ buf ->
+      KS.deliver c buf;
+      Mem.Pinned.Buf.decr_ref ~site:"test_rpc.cli_done" buf);
+  let replies = ref [] in
+  let call name keys =
+    ignore
+      (KS.call_get c ~dst:2 (req_of rig keys) ~on_reply:(fun r ->
+           replies := (name, resp_strings r) :: !replies))
+  in
+  call "first" [ "a1"; "a2" ];
+  call "second" [ "b1" ];
+  Sim.Engine.run_all rig.engine;
+  Alcotest.(check int) "one retransmission" 1 (Net.Reliab.retries reliab);
+  Alcotest.(check (list (pair string (list string))))
+    "each reply echoes its own call's keys"
+    [ ("first", [ "a1"; "a2" ]); ("second", [ "b1" ]) ]
+    (List.sort compare !replies)
+
 let suite =
   [
     Alcotest.test_case "table dispatch" `Quick test_table_dispatch;
@@ -368,6 +404,8 @@ let suite =
       test_streamed_round_trip;
     Alcotest.test_case "round trip allocation budget" `Quick
       test_round_trip_alloc_budget;
+    Alcotest.test_case "retransmission re-sends the call's own request" `Quick
+      test_retransmission_resends_own_request;
     QCheck_alcotest.to_alcotest qcheck_unary_round_trip;
     QCheck_alcotest.to_alcotest qcheck_streamed_round_trip;
   ]

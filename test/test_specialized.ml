@@ -101,10 +101,9 @@ let rec ref_measure_value (stream, zc) (v : Wire.Dyn.value) =
       List.fold_left ref_measure_value (stream + (8 * List.length elems), zc) elems
 
 and ref_measure_msg acc msg =
-  let values = Wire.Dyn.raw_values msg in
-  Array.fold_left
-    (fun acc v -> match v with Some v -> ref_measure_value acc v | None -> acc)
-    acc values
+  let acc = ref acc in
+  Wire.Dyn.iter_present msg (fun _ _ v -> acc := ref_measure_value !acc v);
+  !acc
 
 type ref_cur = { mutable spos : int; mutable zpos : int }
 
@@ -113,23 +112,18 @@ let rec ref_write_msg b cur msg ~hpos =
   let nfields = Array.length desc.Schema.Desc.fields in
   let bw = bitmap_words nfields in
   put32 b hpos bw;
-  let values = Wire.Dyn.raw_values msg in
   for j = 0 to bw - 1 do
     let word = ref 0 in
     for i = 32 * j to min (nfields - 1) ((32 * j) + 31) do
-      if values.(i) <> None then word := !word lor (1 lsl (i - (32 * j)))
+      if Wire.Dyn.mem msg i then word := !word lor (1 lsl (i - (32 * j)))
     done;
     put32 b (hpos + 4 + (4 * j)) !word
   done;
   let slot_base = hpos + 4 + (4 * bw) in
   let k = ref 0 in
-  for i = 0 to nfields - 1 do
-    match values.(i) with
-    | Some v ->
-        ref_write_value b cur v ~slot:(slot_base + (8 * !k));
-        incr k
-    | None -> ()
-  done
+  Wire.Dyn.iter_present msg (fun _ _ v ->
+      ref_write_value b cur v ~slot:(slot_base + (8 * !k));
+      incr k)
 
 and ref_write_value b cur (v : Wire.Dyn.value) ~slot =
   match v with
@@ -269,17 +263,12 @@ let g_desc = Schema.Desc.message folded_schema "G"
 
 (* The exact writer shape [Codegen.Emit] generates for G. *)
 let folded_write ~cpu plan w msg =
-  if Wire.Dyn.present_count msg = 2 then begin
+  if Wire.Dyn.bitmap_word msg 0 = 0x3 then begin
     Wire.Cursor.Writer.span w ~pos:0 ~len:24;
     Wire.Cursor.Writer.u32_at w ~pos:0 1;
     Wire.Cursor.Writer.u32_at w ~pos:4 0x3;
-    (match Wire.Dyn.raw_field msg 0 with
-    | Some (Wire.Dyn.Int v) -> Wire.Cursor.Writer.u64_at w ~pos:8 v
-    | Some v -> Cornflakes.Format_.write_value_at ?cpu w plan v ~slot:8
-    | None -> assert false);
-    (match Wire.Dyn.raw_field msg 1 with
-    | Some v -> Cornflakes.Format_.write_value_at ?cpu w plan v ~slot:16
-    | None -> assert false)
+    Wire.Dyn.write_scalar msg 0 w ~pos:8;
+    Cornflakes.Format_.write_list_at ?cpu w plan msg 1 ~slot:16
   end
   else Cornflakes.Format_.write_msg_generic ?cpu w plan msg
 
@@ -310,9 +299,85 @@ let test_folded_partial_presence_falls_back () =
   let empty = Wire.Dyn.create g_desc in
   check_folded_matches env empty
 
+(* --- Allocation budgets ------------------------------------------------- *)
+
+module Resp = Apps.Kv_rpc.Resp
+
+(* Minor words over [n] calls of [f] after a warm-up; the two
+   [Gc.minor_words] readings cost a few words in all, never per call. *)
+let words_over n f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+let calls = 10_000
+
+let check_budget name ~per_call words =
+  let budget = float_of_int (per_call * calls) in
+  if words < budget || words > budget +. 8.0 then
+    Alcotest.failf "%s: %.0f minor words over %d calls, expected %d per call"
+      name words calls per_call
+
+(* A warmed pooled response (id, copied + zero-copy + literal values):
+   measuring it and writing it through the generated folded writer
+   allocate nothing. *)
+let test_write_path_allocates_nothing () =
+  let env = make_env () in
+  let resp = Resp.create () in
+  Resp.set_id resp 7L;
+  List.iter
+    (fun (flavour, s) -> Resp.add_vals_payload resp (payload env flavour s))
+    [ (`Copied, String.make 64 'c'); (`Zero_copy, String.make 600 'z');
+      (`Literal, "lit") ];
+  let msg = Resp.to_dyn resp in
+  let plan = Cornflakes.Format_.create_plan () in
+  let data = Bytes.create 4096 in
+  let view = Mem.View.make ~addr:0 ~data ~off:0 ~len:4096 in
+  let w = Wire.Cursor.Writer.create view in
+  check_budget "measure_into" ~per_call:0
+    (words_over calls (fun () -> Cornflakes.Format_.measure_into plan msg));
+  check_budget "write_folded" ~per_call:0
+    (words_over calls (fun () ->
+         Cornflakes.Format_.measure_into plan msg;
+         Wire.Cursor.Writer.reset w view;
+         Cornflakes.Format_.run plan w msg ~write:Resp.write_folded))
+
+(* Rebuilding a pooled response with one zero-copy value allocates only
+   that value's payload handle: the [Zero_copy] block (2 words) around
+   its [Pinned.Buf.t] (7 words). Clearing, stamping the id and appending
+   allocate nothing. *)
+let test_pooled_build_allocates_handle () =
+  let engine = Sim.Engine.create () in
+  let fabric = Net.Fabric.create engine in
+  let space = Mem.Addr_space.create () in
+  let registry = Mem.Registry.create space in
+  let ep = Net.Endpoint.create fabric registry ~id:1 in
+  let pool = Mem.Pinned.Pool.create space ~name:"budget" ~classes:[ (1024, 4) ] in
+  Mem.Registry.register registry pool;
+  let buf = Mem.Pinned.Buf.alloc pool ~len:600 in
+  let view = Mem.Pinned.Buf.view buf in
+  let config = Cornflakes.Config.default in
+  let resp = Resp.create () in
+  check_budget "pooled build" ~per_call:9
+    (words_over calls (fun () ->
+         Resp.clear resp;
+         Resp.set_id_int resp 9;
+         Resp.add_vals config ep resp view));
+  Alcotest.(check bool) "value went zero-copy" true
+    (Wire.Payload.is_zero_copy (List.hd (Resp.vals resp)))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_specialized_equals_reference;
+    Alcotest.test_case "measure and folded write allocate nothing" `Quick
+      test_write_path_allocates_nothing;
+    Alcotest.test_case "pooled build allocates only the payload handle" `Quick
+      test_pooled_build_allocates_handle;
     Alcotest.test_case "folded callback, full presence" `Quick
       test_folded_full_presence;
     Alcotest.test_case "folded callback, fallback" `Quick

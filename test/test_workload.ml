@@ -213,3 +213,51 @@ let suite = suite @ [
   Alcotest.test_case "trace record/replay" `Quick test_trace_record_replay;
   Alcotest.test_case "trace line roundtrip" `Quick test_trace_line_roundtrip;
 ]
+
+(* [padded_key] against [Printf] over every key shape the workloads use:
+   random ranks in [0, 10^width - 1], plus the boundaries (0, each power
+   of ten, 10^width - 1 and past it, [max_int], negatives). *)
+let key_shapes =
+  [ ("tw:", 16); ("cl:", 16); ("user", 26); ("google-object-key-", 45);
+    ("cdn-image-object-", 43); ("k", 1); ("", 3) ]
+
+let rec pow10 n = if n = 0 then 1 else 10 * pow10 (n - 1)
+
+(* Largest rank with at most [width] digits that fits an int. *)
+let max_rank width = if width >= 18 then max_int else pow10 width - 1
+
+let same_as_printf prefix width rank =
+  String.equal
+    (Workload.Spec.padded_key ~prefix ~width rank)
+    (Printf.sprintf "%s%0*d" prefix width rank)
+
+let qcheck_padded_key_matches_printf =
+  QCheck.Test.make ~name:"padded_key = Printf %s%0*d" ~count:2000
+    QCheck.(pair (int_bound (List.length key_shapes - 1)) (int_bound max_int))
+    (fun (shape, r) ->
+      let prefix, width = List.nth key_shapes shape in
+      let hi = max_rank width in
+      same_as_printf prefix width (if hi = max_int then r else r mod (hi + 1)))
+
+let test_padded_key_boundaries () =
+  List.iter
+    (fun (prefix, width) ->
+      let powers = List.init 19 (fun k -> pow10 k) in
+      List.iter
+        (fun rank ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S width %d rank %d" prefix width rank)
+            true
+            (same_as_printf prefix width rank))
+        ([ 0; 1; 9; max_rank width; max_int; -1; -42; min_int ]
+        @ powers
+        @ List.map (fun p -> p - 1) powers))
+    key_shapes
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_padded_key_matches_printf;
+      Alcotest.test_case "padded_key boundaries" `Quick
+        test_padded_key_boundaries;
+    ]
