@@ -13,7 +13,7 @@ let handle_get rig store ~src buf =
   let cpu = rig.Apps.Rig.cpu in
   let ep = rig.Apps.Rig.server_ep in
   let tr = rig.Apps.Rig.server_tr in
-  let getm = Kv_msgs.Getreq.deserialize buf in
+  let getm = Kv_msgs.Getreq.deserialize ~cpu buf in
   let resp = Kv_msgs.Getresp.create () in
   (match Kv_msgs.Getreq.id getm with
   | Some id -> Kv_msgs.Getresp.set_id resp id
@@ -30,7 +30,7 @@ let handle_get rig store ~src buf =
             (Kvstore.Store.buffers value)
       | None -> ())
     (Kv_msgs.Getreq.keys getm);
-  Kv_msgs.Getresp.send ~cpu config tr ~dst:src resp;
+  Kv_msgs.Getresp.send config tr ~dst:src resp;
   Kv_msgs.Getreq.release ~cpu getm;
   Mem.Pinned.Buf.decr_ref ~cpu buf
 
@@ -43,16 +43,17 @@ let () =
   let store = Kvstore.Store.create rig.Apps.Rig.space ~name:"demo" ~capacity:64 in
   List.iter
     (fun (key, size) ->
-      let buf = Mem.Pinned.Buf.alloc pool ~len:size in
-      Mem.Pinned.Buf.fill buf (Workload.Spec.filler size);
-      Kvstore.Store.put store ~key (Kvstore.Store.Single buf))
+      let cpu = Memmodel.Cpu.none (* the preload is not measured *) in
+      let buf = Mem.Pinned.Buf.alloc ~cpu pool ~len:size in
+      Mem.Pinned.Buf.fill ~cpu buf (Workload.Spec.filler size);
+      Kvstore.Store.put ~cpu store ~key (Kvstore.Store.Single buf))
     [ ("small", 100); ("medium", 800); ("large", 4000) ];
   Loadgen.Server.set_handler rig.Apps.Rig.server (fun ~src buf ->
       handle_get rig store ~src buf);
 
   let client = List.hd rig.Apps.Rig.clients in
   Net.Transport.set_rx client (fun ~src:_ buf ->
-      let resp = Kv_msgs.Getresp.deserialize buf in
+      let resp = Kv_msgs.Getresp.deserialize ~cpu:Memmodel.Cpu.none buf in
       Printf.printf "response id=%Ld with %d values: %s\n"
         (Option.value ~default:0L (Kv_msgs.Getresp.id resp))
         (List.length (Kv_msgs.Getresp.vals resp))
@@ -60,8 +61,8 @@ let () =
            (List.map
               (fun p -> string_of_int (Wire.Payload.len p) ^ "B")
               (Kv_msgs.Getresp.vals resp)));
-      Wire.Dyn.release (Kv_msgs.Getresp.to_dyn resp);
-      Mem.Pinned.Buf.decr_ref buf);
+      Wire.Dyn.release ~cpu:Memmodel.Cpu.none (Kv_msgs.Getresp.to_dyn resp);
+      Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none buf);
 
   (* A multi-get for all three keys: the 100 B value is copied, the 800 B
      and 4000 B values ride as zero-copy gather entries. *)

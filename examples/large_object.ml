@@ -21,8 +21,10 @@ let () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let alice = Net.Endpoint.create fabric registry ~id:1 in
-  let bob = Net.Endpoint.create fabric registry ~id:2 in
+  (* No core is measured here: every charge goes to the unmetered meter. *)
+  let cpu = Memmodel.Cpu.none in
+  let alice = Net.Endpoint.create ~cpu fabric registry ~id:1 in
+  let bob = Net.Endpoint.create ~cpu fabric registry ~id:2 in
   let pool =
     Mem.Pinned.Pool.create space ~name:"blobs" ~classes:[ (65536, 8) ]
   in
@@ -33,8 +35,9 @@ let () =
   Wire.Dyn.set_int msg "id" 150L;
   Wire.Dyn.set_string msg space "label" "three 50 KB parts";
   for i = 1 to 3 do
-    let part = Mem.Pinned.Buf.alloc pool ~len:50_000 in
-    Mem.Pinned.Buf.fill part (String.make 50_000 (Char.chr (Char.code '0' + i)));
+    let part = Mem.Pinned.Buf.alloc ~cpu pool ~len:50_000 in
+    Mem.Pinned.Buf.fill ~cpu part
+      (String.make 50_000 (Char.chr (Char.code '0' + i)));
     Wire.Dyn.append msg "parts" (Wire.Dyn.Payload (Wire.Payload.Zero_copy part))
   done;
   Printf.printf "object is %d bytes; a jumbo frame carries %d\n"
@@ -44,9 +47,9 @@ let () =
   let segmenter = Cornflakes.Segment.Segmenter.create alice in
   let reassembler = Cornflakes.Segment.Reassembler.create registry in
   Net.Endpoint.set_rx bob (fun ~src buf ->
-      Cornflakes.Segment.Reassembler.on_packet reassembler ~src buf
+      Cornflakes.Segment.Reassembler.on_packet ~cpu reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
-          let back = Cornflakes.Send.deserialize schema blob obj in
+          let back = Cornflakes.Send.deserialize ~cpu schema blob obj in
           Printf.printf "bob reassembled id=%Ld %S with parts [%s]\n"
             (Option.value ~default:0L (Wire.Dyn.get_int back "id"))
             (Option.fold ~none:"" ~some:Wire.Payload.to_string
@@ -60,8 +63,8 @@ let () =
                           (Wire.Payload.to_string p).[0]
                     | _ -> "?")
                   (Wire.Dyn.get_list back "parts")));
-          Wire.Dyn.release back;
-          Mem.Pinned.Buf.decr_ref obj));
+          Wire.Dyn.release ~cpu back;
+          Mem.Pinned.Buf.decr_ref ~cpu obj));
   Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg;
   Sim.Engine.run_all engine;
   Printf.printf "frames on the wire: %d\n" (Net.Endpoint.tx_packets alice)

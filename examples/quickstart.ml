@@ -26,8 +26,10 @@ let () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let alice = Net.Endpoint.create fabric registry ~id:1 in
-  let bob = Net.Endpoint.create fabric registry ~id:2 in
+  (* No core is measured here: every charge goes to the unmetered meter. *)
+  let cpu = Memmodel.Cpu.none in
+  let alice = Net.Endpoint.create ~cpu fabric registry ~id:1 in
+  let bob = Net.Endpoint.create ~cpu fabric registry ~id:2 in
 
   (* 3. Application data: one value in pinned (DMA-safe) memory, one on the
         ordinary heap. *)
@@ -35,8 +37,8 @@ let () =
     Mem.Pinned.Pool.create space ~name:"app" ~classes:[ (1024, 16); (4096, 16) ]
   in
   Mem.Registry.register registry pool;
-  let big_value = Mem.Pinned.Buf.alloc pool ~len:2600 in
-  Mem.Pinned.Buf.fill big_value (String.make 2600 'Z');
+  let big_value = Mem.Pinned.Buf.alloc ~cpu pool ~len:2600 in
+  Mem.Pinned.Buf.fill ~cpu big_value (String.make 2600 'Z');
   let small_value = Mem.View.of_string space "tiny" in
 
   (* 4. Build the message. CFPtr decides per field: the 2600-byte pinned
@@ -48,9 +50,10 @@ let () =
   Wire.Dyn.set_string msg space "title" "hello, scatter-gather";
   Wire.Dyn.append msg "chunks"
     (Wire.Dyn.Payload
-       (Cornflakes.Cf_ptr.make config alice (Mem.Pinned.Buf.view big_value)));
+       (Cornflakes.Cf_ptr.make ~cpu config alice
+          (Mem.Pinned.Buf.view big_value)));
   Wire.Dyn.append msg "chunks"
-    (Wire.Dyn.Payload (Cornflakes.Cf_ptr.make config alice small_value));
+    (Wire.Dyn.Payload (Cornflakes.Cf_ptr.make ~cpu config alice small_value));
   let plan = Cornflakes.Format_.measure msg in
   Printf.printf "object: %d bytes total, %d gather entries (1 header+copied + %d zero-copy)\n"
     plan.Cornflakes.Format_.total_len
@@ -60,7 +63,7 @@ let () =
   (* 5. Send. The stack holds references on the zero-copy fields until the
         NIC completion fires — freeing [big_value] early would be caught. *)
   Net.Endpoint.set_rx bob (fun ~src buf ->
-      let received = Cornflakes.Send.deserialize schema greeting buf in
+      let received = Cornflakes.Send.deserialize ~cpu schema greeting buf in
       Printf.printf "bob received from %d: id=%Ld title=%S chunks=[%s]\n" src
         (Option.value ~default:0L (Wire.Dyn.get_int received "id"))
         (Option.fold ~none:"" ~some:Wire.Payload.to_string
@@ -73,8 +76,8 @@ let () =
                     Printf.sprintf "%d bytes" (Wire.Payload.len p)
                 | _ -> "?")
               (Wire.Dyn.get_list received "chunks")));
-      Wire.Dyn.release received;
-      Mem.Pinned.Buf.decr_ref buf);
+      Wire.Dyn.release ~cpu received;
+      Mem.Pinned.Buf.decr_ref ~cpu buf);
   Cornflakes.Send.send_object config alice ~dst:2 msg;
   Sim.Engine.run_all engine;
   Printf.printf "big value still owned by the app: refcount=%d\n"

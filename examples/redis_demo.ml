@@ -4,7 +4,8 @@
    Run with:  dune exec examples/redis_demo.exe *)
 
 let print_resp rig label s =
-  match Mini_redis.Resp.decode (Mem.View.of_string rig.Apps.Rig.space s) with
+  let view = Mem.View.of_string rig.Apps.Rig.space s in
+  match Mini_redis.Resp.decode ~cpu:Memmodel.Cpu.none view with
   | v -> Format.printf "%s -> %a@." label Mini_redis.Resp.pp v
   | exception Mini_redis.Resp.Protocol_error _ ->
       Printf.printf "%s -> (non-RESP reply, %d bytes)\n" label (String.length s)
@@ -14,7 +15,7 @@ let run_command rig label cmd ~print =
   let got = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       got := Some (Mem.View.to_string (Mem.Pinned.Buf.view buf));
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none buf);
   Net.Transport.send_string client ~dst:Apps.Rig.server_id
     (Mini_redis.Resp.to_string rig.Apps.Rig.space
        (Mini_redis.Resp.command rig.Apps.Rig.space cmd));

@@ -12,7 +12,7 @@ let () =
       Printf.printf "client: ack for request %d at t=%d ns\n"
         (Replication.Replicated_kv.parse_id cluster buf)
         (Sim.Engine.now rig.Apps.Rig.engine);
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none buf);
   Replication.Replicated_kv.send_op cluster
     (Workload.Spec.Put { key = "demo-key"; sizes = [ 900 ] })
     client ~dst:Apps.Rig.server_id ~id:1;

@@ -6,16 +6,10 @@ type t = {
      baselines, whose frames only their own decoders can read ([recv]
      into a [Wire.Dyn] for [serve_dyn]). *)
   zc_rx : bool;
-  send :
-    ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit;
+  send : Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit;
   recv :
-    ?cpu:Memmodel.Cpu.t ->
-    Net.Transport.t ->
-    Schema.Desc.message ->
-    Mem.Pinned.Buf.t ->
-    Wire.Dyn.t;
-  wrap :
-    ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
+    Net.Transport.t -> Schema.Desc.message -> Mem.Pinned.Buf.t -> Wire.Dyn.t;
+  wrap : Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
 }
 
 let cornflakes ?(config = Cornflakes.Config.default) () =
@@ -28,35 +22,37 @@ let cornflakes ?(config = Cornflakes.Config.default) () =
          Printf.sprintf "cornflakes-t%d%s" config.Cornflakes.Config.zero_copy_threshold
            (if config.Cornflakes.Config.serialize_and_send then "" else "-nosas"));
     zc_rx = true;
-    send = (fun ?cpu tr ~dst msg -> Cornflakes.Send.send_via ?cpu config tr ~dst msg);
+    send = (fun tr ~dst msg -> Cornflakes.Send.send_via config tr ~dst msg);
     recv =
-      (fun ?cpu _tr desc buf ->
-        Cornflakes.Send.deserialize ?cpu Proto.schema desc buf);
+      (fun tr desc buf ->
+        Cornflakes.Send.deserialize ~cpu:(Net.Transport.cpu tr) Proto.schema
+          desc buf);
     wrap =
-      (fun ?cpu tr view ->
-        Cornflakes.Cf_ptr.make ?cpu config (Net.Transport.endpoint tr) view);
+      (fun tr view ->
+        Cornflakes.Cf_ptr.make ~cpu:(Net.Transport.cpu tr) config
+          (Net.Transport.endpoint tr) view);
   }
 
-let literal_wrap ?cpu _tr view =
-  ignore cpu;
-  Wire.Payload.Literal view
+let literal_wrap _tr view = Wire.Payload.Literal view
 
 (* Setting a bytes field on a Protobuf struct copies the data into the
    message object (paper section 8: "applications still move data from
    in-memory data structures to Protobuf objects"); SerializeTo* then moves
    it again into the output buffer. The first copy is the cold one. *)
-let protobuf_wrap ?cpu tr view =
-  Wire.Payload.Copied (Mem.Arena.copy_in ?cpu (Net.Transport.arena tr) view)
+let protobuf_wrap tr view =
+  Wire.Payload.Copied
+    (Mem.Arena.copy_in ~cpu:(Net.Transport.cpu tr) (Net.Transport.arena tr)
+       view)
 
 let protobuf =
   {
     name = "protobuf";
     zc_rx = false;
-    send = (fun ?cpu tr ~dst msg -> Baselines.Protobuf.serialize_and_send ?cpu tr ~dst msg);
+    send = Baselines.Protobuf.serialize_and_send;
     recv =
-      (fun ?cpu tr desc buf ->
-        Baselines.Protobuf.deserialize ?cpu (Net.Transport.endpoint tr)
-          Proto.schema desc buf);
+      (fun tr desc buf ->
+        Baselines.Protobuf.deserialize ~cpu:(Net.Transport.cpu tr)
+          (Net.Transport.endpoint tr) Proto.schema desc buf);
     wrap = protobuf_wrap;
   }
 
@@ -64,10 +60,11 @@ let flatbuffers =
   {
     name = "flatbuffers";
     zc_rx = false;
-    send = (fun ?cpu tr ~dst msg -> Baselines.Flatbuf.serialize_and_send ?cpu tr ~dst msg);
+    send = Baselines.Flatbuf.serialize_and_send;
     recv =
-      (fun ?cpu _tr desc buf ->
-        Baselines.Flatbuf.deserialize ?cpu Proto.schema desc buf);
+      (fun tr desc buf ->
+        Baselines.Flatbuf.deserialize ~cpu:(Net.Transport.cpu tr) Proto.schema
+          desc buf);
     wrap = literal_wrap;
   }
 
@@ -75,10 +72,11 @@ let capnproto =
   {
     name = "capnproto";
     zc_rx = false;
-    send = (fun ?cpu tr ~dst msg -> Baselines.Capnp.serialize_and_send ?cpu tr ~dst msg);
+    send = Baselines.Capnp.serialize_and_send;
     recv =
-      (fun ?cpu _tr desc buf ->
-        Baselines.Capnp.deserialize ?cpu Proto.schema desc buf);
+      (fun tr desc buf ->
+        Baselines.Capnp.deserialize ~cpu:(Net.Transport.cpu tr) Proto.schema
+          desc buf);
     wrap = literal_wrap;
   }
 
@@ -101,7 +99,7 @@ let response_id t reader ~clients buf =
         if Wire.Dyn.mem msg Proto.resp_id then Wire.Dyn.int_at msg Proto.resp_id
         else -1L
       in
-      Wire.Dyn.release msg;
+      Wire.Dyn.release ~cpu:Memmodel.Cpu.none msg;
       id
     end
   in

@@ -3,7 +3,8 @@
     Each backend knows how to send a dynamic message over a transport
     (UDP or TCP — the backend is datapath-agnostic), how to deserialize a
     received buffer, and how to wrap raw application bytes into a payload
-    for an outgoing message:
+    for an outgoing message — all three charged to the transport's meter
+    ([Net.Transport.cpu]):
 
     - Cornflakes wraps through {!Cornflakes.Cf_ptr.make} — the hybrid
       threshold plus [recover_ptr], paying copy or refcount per field;
@@ -18,16 +19,10 @@ type t = {
      baselines, whose frames only their own decoders can read ([recv]
      into a [Wire.Dyn] for [serve_dyn]). *)
   zc_rx : bool;
-  send :
-    ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit;
+  send : Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit;
   recv :
-    ?cpu:Memmodel.Cpu.t ->
-    Net.Transport.t ->
-    Schema.Desc.message ->
-    Mem.Pinned.Buf.t ->
-    Wire.Dyn.t;
-  wrap :
-    ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
+    Net.Transport.t -> Schema.Desc.message -> Mem.Pinned.Buf.t -> Wire.Dyn.t;
+  wrap : Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
 }
 
 (** [cornflakes ~config] — hybrid by default; pass

@@ -28,17 +28,17 @@ let lib_handler t backend ~src buf =
   let rig = t.rig in
   let cpu = rig.Rig.cpu in
   let tr = rig.Rig.server_tr in
-  let req = backend.Backend.recv ~cpu tr Proto.resp buf in
+  let req = backend.Backend.recv tr Proto.resp buf in
   let resp = t.resp_scratch in
   Wire.Dyn.clear resp;
   if Wire.Dyn.mem req Proto.resp_id then
     Wire.Dyn.set_int_at resp Proto.resp_id (Wire.Dyn.int_at req Proto.resp_id);
   for j = 0 to Wire.Dyn.count req Proto.resp_vals - 1 do
     let p = Wire.Dyn.elem_payload req Proto.resp_vals j in
-    let payload = backend.Backend.wrap ~cpu tr (Wire.Payload.view p) in
+    let payload = backend.Backend.wrap tr (Wire.Payload.view p) in
     Wire.Dyn.append_payload_at resp Proto.resp_vals payload
   done;
-  backend.Backend.send ~cpu tr ~dst:src resp;
+  backend.Backend.send tr ~dst:src resp;
   Wire.Dyn.release ~cpu req;
   Mem.Pinned.Buf.decr_ref ~cpu buf
 
@@ -48,16 +48,16 @@ let manual_handler rig mode ~src buf =
   match mode with
   | No_serialization ->
       (* Pure L3 forward: the receive buffer itself is retransmitted. *)
-      Baselines.Manual.forward ~cpu tr ~dst:src buf
+      Baselines.Manual.forward tr ~dst:src buf
   | _ ->
       let fields = Baselines.Manual.parse ~cpu (Mem.Pinned.Buf.view buf) in
       (match mode with
       | Zero_copy_raw ->
-          Baselines.Manual.send_zero_copy ~cpu ~safety:`Raw tr ~dst:src fields
+          Baselines.Manual.send_zero_copy ~safety:`Raw tr ~dst:src fields
       | Zero_copy_safe ->
-          Baselines.Manual.send_zero_copy ~cpu ~safety:`Safe tr ~dst:src fields
-      | One_copy -> Baselines.Manual.send_one_copy ~cpu tr ~dst:src fields
-      | Two_copy -> Baselines.Manual.send_two_copy ~cpu tr ~dst:src fields
+          Baselines.Manual.send_zero_copy ~safety:`Safe tr ~dst:src fields
+      | One_copy -> Baselines.Manual.send_one_copy tr ~dst:src fields
+      | Two_copy -> Baselines.Manual.send_two_copy tr ~dst:src fields
       | Lib _ | No_serialization -> assert false);
       Mem.Pinned.Buf.decr_ref ~cpu buf
 
@@ -68,7 +68,7 @@ let install rig mode =
       mode;
       resp_scratch = Wire.Dyn.create Proto.resp;
       req_scratch = Wire.Dyn.create Proto.resp;
-      resp_reader = Kv_rpc.Resp.reader ();
+      resp_reader = Kv_rpc.Resp.reader ~cpu:Memmodel.Cpu.none ();
     }
   in
   (match mode with

@@ -36,33 +36,33 @@ let key_string ~cpu (p : Wire.Payload.t) =
     ~len:v.Mem.View.len;
   Mem.View.to_string v
 
-let append_value t ~cpu resp buf =
+let append_value t resp buf =
   let payload =
-    t.backend.Backend.wrap ~cpu t.rig.Rig.server_tr (Mem.Pinned.Buf.view buf)
+    t.backend.Backend.wrap t.rig.Rig.server_tr (Mem.Pinned.Buf.view buf)
   in
   Wire.Dyn.append_payload_at resp Proto.resp_vals payload
 
-let rec append_values t ~cpu resp = function
+let rec append_values t resp = function
   | [] -> ()
   | buf :: rest ->
-      append_value t ~cpu resp buf;
-      append_values t ~cpu resp rest
+      append_value t resp buf;
+      append_values t resp rest
 
 (* Values in [Kvstore.Store.buffers] order. *)
 let get t ~cpu resp key =
   match Kvstore.Store.get ~cpu t.store ~key with
-  | Some (Kvstore.Store.Single buf) -> append_value t ~cpu resp buf
-  | Some (Kvstore.Store.Linked bufs) -> append_values t ~cpu resp bufs
+  | Some (Kvstore.Store.Single buf) -> append_value t resp buf
+  | Some (Kvstore.Store.Linked bufs) -> append_values t resp bufs
   | Some (Kvstore.Store.Vector arr) ->
       for j = 0 to Array.length arr - 1 do
-        append_value t ~cpu resp arr.(j)
+        append_value t resp arr.(j)
       done
   | None -> ()
 
 let get_index t ~cpu resp key index =
   match Kvstore.Store.get ~cpu t.store ~key with
   | Some (Kvstore.Store.Vector arr) when index < Array.length arr ->
-      append_value t ~cpu resp arr.(index)
+      append_value t resp arr.(index)
   | Some _ | None -> ()
 
 (* Allocate-and-swap: copy the incoming bytes into fresh pinned buffers;
@@ -119,9 +119,9 @@ let admit t ~src ~put resp =
    branchless table and tail-sends the response, unknown ops included. *)
 let handler t srv ~src buf =
   let cpu = t.rig.Rig.cpu in
-  if t.backend.Backend.zc_rx then Kv_rpc.Kv_service.serve ~cpu srv ~src buf
+  if t.backend.Backend.zc_rx then Kv_rpc.Kv_service.serve srv ~src buf
   else begin
-    let req = t.backend.Backend.recv ~cpu t.rig.Rig.server_tr Proto.req buf in
+    let req = t.backend.Backend.recv t.rig.Rig.server_tr Proto.req buf in
     Kv_rpc.Kv_service.serve_dyn srv ~src req;
     Wire.Dyn.release ~cpu req
   end;
@@ -131,8 +131,8 @@ let activate t =
   let cpu = t.rig.Rig.cpu in
   let tr = t.rig.Rig.server_tr in
   let srv =
-    Kv_rpc.Kv_service.server
-      ~send:(fun ~dst resp -> t.backend.Backend.send ~cpu tr ~dst resp)
+    Kv_rpc.Kv_service.server ~cpu
+      ~send:(fun ~dst resp -> t.backend.Backend.send tr ~dst resp)
       ()
   in
   let nkeys r = Wire.Reader.count_or_zero r Proto.req_keys in
@@ -203,7 +203,7 @@ let install rig ~backend ~workload =
       pool;
       client_rng = Sim.Rng.split rig.Rig.rng;
       req_scratch = Wire.Dyn.create Proto.req;
-      resp_reader = Kv_rpc.Resp.reader ();
+      resp_reader = Kv_rpc.Resp.reader ~cpu:Memmodel.Cpu.none ();
       dedup = None;
       puts_suppressed = ref 0;
       put_applies = Hashtbl.create 256;

@@ -72,10 +72,12 @@ let create ?(params = Memmodel.Params.default) ?shared_l3 ?nic_model
   in
   let as_transport ep = transport_for ~kind:transport_kind ep in
   let server_tr = as_transport server_ep in
-  let server = Loadgen.Server.create server_tr cpu in
+  let server = Loadgen.Server.create server_tr in
   let clients =
     List.init n_clients (fun i ->
-        as_transport (Net.Endpoint.create fabric registry ~id:(100 + i)))
+        as_transport
+          (Net.Endpoint.create ~cpu:Memmodel.Cpu.none fabric registry
+             ~id:(100 + i)))
   in
   {
     engine;

@@ -17,19 +17,19 @@ type seg = {
 }
 
 type builder = {
-  cpu : Memmodel.Cpu.t option;
+  cpu : Memmodel.Cpu.t;
   ep : Net.Endpoint.t;
   mutable segs_rev : seg list;
   mutable nsegs : int;
 }
 
 let new_seg b ~capacity =
-  let view = Mem.Arena.alloc ?cpu:b.cpu (Net.Endpoint.arena b.ep) ~len:capacity in
+  let view = Mem.Arena.alloc ~cpu:b.cpu (Net.Endpoint.arena b.ep) ~len:capacity in
   let seg =
     {
       id = b.nsegs;
       view;
-      w = Wire.Cursor.Writer.create ?cpu:b.cpu view;
+      w = Wire.Cursor.Writer.create ~cpu:b.cpu view;
       used = 0;
       capacity;
     }
@@ -123,47 +123,48 @@ and build_msg b msg =
   done;
   (seg, off)
 
-let build_segments ?cpu ep msg =
+let build_segments ~cpu ep msg =
   let b = { cpu; ep; segs_rev = []; nsegs = 0 } in
   let seg0, off0 = build_msg b msg in
   if seg0.id <> 0 || off0 <> 0 then fail "root struct must open segment 0";
   List.rev b.segs_rev
 
-let build ?cpu ep msg =
+let build ~cpu ep msg =
   List.map
     (fun seg -> Mem.View.sub seg.view ~off:0 ~len:seg.used)
-    (build_segments ?cpu ep msg)
+    (build_segments ~cpu ep msg)
 
 let framing_len segs = 4 + (4 * List.length segs)
 
-let serialize_and_send ?cpu tr ~dst msg =
+let serialize_and_send tr ~dst msg =
   let ep = Net.Transport.endpoint tr in
+  let cpu = Net.Endpoint.cpu ep in
   let headroom = Net.Transport.headroom tr in
-  let segs = build ?cpu ep msg in
+  let segs = build ~cpu ep msg in
   let body =
     framing_len segs
     + List.fold_left (fun acc s -> acc + s.Mem.View.len) 0 segs
   in
   if body > Net.Transport.max_msg_len tr then
     invalid_arg "Capnp.serialize_and_send: message exceeds frame";
-  let staging = Net.Endpoint.alloc_tx ?cpu ep ~len:(headroom + body) in
+  let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + body) in
   let window =
     Mem.View.sub (Mem.Pinned.Buf.view staging) ~off:headroom ~len:body
   in
-  let w = Wire.Cursor.Writer.create ?cpu window in
+  let w = Wire.Cursor.Writer.create ~cpu window in
   Wire.Cursor.Writer.u32 w (List.length segs);
   List.iter (fun s -> Wire.Cursor.Writer.u32 w s.Mem.View.len) segs;
   (* Second copy: each segment moves into the DMA-safe staging buffer. *)
   List.iter (fun s -> Wire.Cursor.Writer.view_bytes w s) segs;
-  Net.Transport.send_inline ?cpu tr ~dst ~segments:[ staging ]
+  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
 
 (* --- Reading ----------------------------------------------------------- *)
 
 type frame = { bases : int array; lens : int array; total : int }
 
-let parse_frame ?cpu view =
+let parse_frame ~cpu view =
   let module R = Wire.Cursor.Reader in
-  let r = R.create ?cpu view in
+  let r = R.create ~cpu view in
   if view.Mem.View.len < 4 then fail "missing segment table";
   let nsegs = R.u32 r in
   if nsegs <= 0 || nsegs > 4096 then fail "implausible segment count %d" nsegs;
@@ -187,13 +188,13 @@ let resolve frame ~seg ~off ~len =
 
 let max_depth = 32
 
-let rec read_msg ?cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
+let rec read_msg ~cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
     frame ~seg ~off =
   if depth > max_depth then fail "nesting deeper than %d" max_depth;
   let module R = Wire.Cursor.Reader in
   let pos = resolve frame ~seg ~off ~len:4 in
   let view = Mem.Pinned.Buf.view buf in
-  let r = R.create ?cpu view in
+  let r = R.create ~cpu view in
   R.seek r pos;
   let bitmap = R.u32 r in
   let msg = Wire.Dyn.create desc in
@@ -204,13 +205,13 @@ let rec read_msg ?cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
         let slot_off = off + 4 + (12 * !k) in
         incr k;
         let slot = resolve frame ~seg ~off:slot_off ~len:12 in
-        let v = read_value ?cpu ~depth schema field buf frame r ~slot in
+        let v = read_value ~cpu ~depth schema field buf frame r ~slot in
         Wire.Dyn.set msg field.Schema.Desc.field_name v
       end)
     desc.Schema.Desc.fields;
   msg
 
-and read_value ?cpu ~depth schema (field : Schema.Desc.field) buf frame r
+and read_value ~cpu ~depth schema (field : Schema.Desc.field) buf frame r
     ~slot =
   match field.Schema.Desc.label with
   | Schema.Desc.Repeated ->
@@ -226,13 +227,13 @@ and read_value ?cpu ~depth schema (field : Schema.Desc.field) buf frame r
             let slot =
               resolve frame ~seg:vseg ~off:(voff + (12 * j)) ~len:12
             in
-            read_element ?cpu ~depth schema field buf frame r ~slot)
+            read_element ~cpu ~depth schema field buf frame r ~slot)
       in
       Wire.Dyn.List elems
   | Schema.Desc.Singular ->
-      read_element ?cpu ~depth schema field buf frame r ~slot
+      read_element ~cpu ~depth schema field buf frame r ~slot
 
-and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf frame r
+and read_element ~cpu ~depth schema (field : Schema.Desc.field) buf frame r
     ~slot =
   let module R = Wire.Cursor.Reader in
   R.seek r slot;
@@ -246,7 +247,7 @@ and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf frame r
       let len = R.u32 r in
       let pos = resolve frame ~seg:dseg ~off:doff ~len in
       let sub = Mem.Pinned.Buf.sub buf ~off:pos ~len in
-      Mem.Pinned.Buf.incr_ref ?cpu sub;
+      Mem.Pinned.Buf.incr_ref ~cpu sub;
       Wire.Dyn.Payload (Wire.Payload.Zero_copy sub)
   | Schema.Desc.Message mname -> (
       let nseg = R.u32 r in
@@ -257,13 +258,13 @@ and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf frame r
       | Some nested_desc ->
           let saved = R.pos r in
           let nested =
-            read_msg ?cpu ~depth:(depth + 1) schema nested_desc buf frame
+            read_msg ~cpu ~depth:(depth + 1) schema nested_desc buf frame
               ~seg:nseg ~off:noff
           in
           R.seek r saved;
           Wire.Dyn.Nested nested)
 
-let deserialize ?cpu schema desc buf =
+let deserialize ~cpu schema desc buf =
   let view = Mem.Pinned.Buf.view buf in
-  let frame = parse_frame ?cpu view in
-  read_msg ?cpu schema desc buf frame ~seg:0 ~off:0
+  let frame = parse_frame ~cpu view in
+  read_msg ~cpu schema desc buf frame ~seg:0 ~off:0

@@ -25,15 +25,14 @@ exception Decode_error of string
     segment). *)
 val segment_bytes : int
 
-(** [build ?cpu ep msg] returns the segments in order; the root struct
+(** [build ~cpu ep msg] returns the segments in order; the root struct
     starts at offset 0 of segment 0. *)
-val build : ?cpu:Memmodel.Cpu.t -> Net.Endpoint.t -> Wire.Dyn.t -> Mem.View.t list
+val build : cpu:Memmodel.Cpu.t -> Net.Endpoint.t -> Wire.Dyn.t -> Mem.View.t list
 
-val serialize_and_send :
-  ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
+val serialize_and_send : Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
 
 val deserialize :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Schema.Desc.t ->
   Schema.Desc.message ->
   Mem.Pinned.Buf.t ->

@@ -125,10 +125,10 @@ and build_msg b msg =
     slots;
   table
 
-let build ?cpu ep msg =
+let build ~cpu ep msg =
   let size = total_buffer msg in
-  let scratch = Mem.Arena.alloc ?cpu (Net.Endpoint.arena ep) ~len:size in
-  let w = Wire.Cursor.Writer.create ?cpu scratch in
+  let scratch = Mem.Arena.alloc ~cpu (Net.Endpoint.arena ep) ~len:size in
+  let w = Wire.Cursor.Writer.create ~cpu scratch in
   let b = { w; scratch; head = size } in
   let root = build_msg b msg in
   b.head <- b.head - 4;
@@ -137,32 +137,33 @@ let build ?cpu ep msg =
   assert (b.head = 0);
   b.scratch
 
-let serialize_and_send ?cpu tr ~dst msg =
+let serialize_and_send tr ~dst msg =
   let ep = Net.Transport.endpoint tr in
+  let cpu = Net.Endpoint.cpu ep in
   let headroom = Net.Transport.headroom tr in
-  let finished = build ?cpu ep msg in
+  let finished = build ~cpu ep msg in
   if finished.Mem.View.len > Net.Transport.max_msg_len tr then
     invalid_arg "Flatbuf.serialize_and_send: message exceeds frame";
   let staging =
-    Net.Endpoint.alloc_tx ?cpu ep ~len:(headroom + finished.Mem.View.len)
+    Net.Endpoint.alloc_tx ep ~len:(headroom + finished.Mem.View.len)
   in
   (* Second copy: the contiguous builder output moves into DMA-safe
      staging; the source is cache-hot from the build. *)
-  Mem.Pinned.Buf.blit_from ?cpu staging ~src:finished ~dst_off:headroom;
-  Net.Transport.send_inline ?cpu tr ~dst ~segments:[ staging ]
+  Mem.Pinned.Buf.blit_from ~cpu staging ~src:finished ~dst_off:headroom;
+  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
 
 (* --- Reading (zero-copy) ---------------------------------------------- *)
 
 let max_depth = 32
 
-let rec read_msg ?cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
+let rec read_msg ~cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
     ~pos =
   if depth > max_depth then fail "nesting deeper than %d" max_depth;
   let module R = Wire.Cursor.Reader in
   let view = Mem.Pinned.Buf.view buf in
   let total = view.Mem.View.len in
   if pos < 0 || pos + 4 > total then fail "table position out of range";
-  let r = R.create ?cpu view in
+  let r = R.create ~cpu view in
   R.seek r pos;
   let bitmap = R.u32 r in
   let msg = Wire.Dyn.create desc in
@@ -173,13 +174,13 @@ let rec read_msg ?cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
         let slot = pos + 4 + (8 * !k) in
         incr k;
         if slot + 8 > total then fail "slot out of range";
-        let v = read_value ?cpu ~depth schema field buf r ~slot ~total in
+        let v = read_value ~cpu ~depth schema field buf r ~slot ~total in
         Wire.Dyn.set msg field.Schema.Desc.field_name v
       end)
     desc.Schema.Desc.fields;
   msg
 
-and read_value ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
+and read_value ~cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
     ~total =
   match field.Schema.Desc.label with
   | Schema.Desc.Repeated ->
@@ -191,15 +192,15 @@ and read_value ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
       if vec < 0 || vec + (8 * count) > total then fail "vector out of range";
       let elems =
         List.init count (fun j ->
-            read_element ?cpu ~depth schema field buf r
+            read_element ~cpu ~depth schema field buf r
               ~slot:(vec + (8 * j))
               ~total)
       in
       Wire.Dyn.List elems
   | Schema.Desc.Singular ->
-      read_element ?cpu ~depth schema field buf r ~slot ~total
+      read_element ~cpu ~depth schema field buf r ~slot ~total
 
-and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
+and read_element ~cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
     ~total =
   let module R = Wire.Cursor.Reader in
   R.seek r slot;
@@ -214,7 +215,7 @@ and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
       if target < 0 || len < 0 || target + len > total then
         fail "payload out of range";
       let sub = Mem.Pinned.Buf.sub buf ~off:target ~len in
-      Mem.Pinned.Buf.incr_ref ?cpu sub;
+      Mem.Pinned.Buf.incr_ref ~cpu sub;
       Wire.Dyn.Payload (Wire.Payload.Zero_copy sub)
   | Schema.Desc.Message mname -> (
       let rel = R.u32 r in
@@ -224,16 +225,16 @@ and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
       | Some nested_desc ->
           let saved = R.pos r in
           let nested =
-            read_msg ?cpu ~depth:(depth + 1) schema nested_desc buf
+            read_msg ~cpu ~depth:(depth + 1) schema nested_desc buf
               ~pos:(slot + rel)
           in
           R.seek r saved;
           Wire.Dyn.Nested nested)
 
-let deserialize ?cpu schema desc buf =
+let deserialize ~cpu schema desc buf =
   let module R = Wire.Cursor.Reader in
   let view = Mem.Pinned.Buf.view buf in
   if view.Mem.View.len < 4 then fail "buffer too small";
-  let r = R.create ?cpu view in
+  let r = R.create ~cpu view in
   let root = R.u32 r in
-  read_msg ?cpu schema desc buf ~pos:root
+  read_msg ~cpu schema desc buf ~pos:root

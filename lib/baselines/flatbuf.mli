@@ -23,16 +23,15 @@ val name : string
 
 exception Decode_error of string
 
-(** [build ?cpu ep msg] assembles the object in builder scratch (taken from
+(** [build ~cpu ep msg] assembles the object in builder scratch (taken from
     the endpoint's arena) and returns the finished contiguous buffer. *)
-val build : ?cpu:Memmodel.Cpu.t -> Net.Endpoint.t -> Wire.Dyn.t -> Mem.View.t
+val build : cpu:Memmodel.Cpu.t -> Net.Endpoint.t -> Wire.Dyn.t -> Mem.View.t
 
-val serialize_and_send :
-  ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
+val serialize_and_send : Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
 
 (** Zero-copy deserialization: payload fields are windows into [buf]. *)
 val deserialize :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Schema.Desc.t ->
   Schema.Desc.message ->
   Mem.Pinned.Buf.t ->

@@ -22,28 +22,20 @@ type safety = [ `Raw | `Safe ]
     lengths. *)
 val frame_len : int list -> int
 
-(** [forward ?cpu tr ~dst buf] retransmits [buf]'s window unchanged,
+(** [forward tr ~dst buf] retransmits [buf]'s window unchanged,
     zero-copy (takes over one reference on [buf]). *)
-val forward :
-  ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Mem.Pinned.Buf.t -> unit
+val forward : Net.Transport.t -> dst:int -> Mem.Pinned.Buf.t -> unit
 
-(** [send_zero_copy ?cpu ~safety ep ~dst views] frames and transmits the
+(** [send_zero_copy ~safety tr ~dst views] frames and transmits the
     fields as scatter-gather entries. All views must lie in registered
     pinned memory (raises [Invalid_argument] otherwise). *)
 val send_zero_copy :
-  ?cpu:Memmodel.Cpu.t ->
-  safety:safety ->
-  Net.Transport.t ->
-  dst:int ->
-  Mem.View.t list ->
-  unit
+  safety:safety -> Net.Transport.t -> dst:int -> Mem.View.t list -> unit
 
-val send_one_copy :
-  ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Mem.View.t list -> unit
+val send_one_copy : Net.Transport.t -> dst:int -> Mem.View.t list -> unit
 
-val send_two_copy :
-  ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Mem.View.t list -> unit
+val send_two_copy : Net.Transport.t -> dst:int -> Mem.View.t list -> unit
 
-(** [parse ?cpu view] splits a framed payload back into field windows
+(** [parse ~cpu view] splits a framed payload back into field windows
     (zero-copy). Raises [Invalid_argument] on malformed framing. *)
-val parse : ?cpu:Memmodel.Cpu.t -> Mem.View.t -> Mem.View.t list
+val parse : cpu:Memmodel.Cpu.t -> Mem.View.t -> Mem.View.t list

@@ -90,13 +90,9 @@ and encoded_len msg =
 (* --- Encoding --------------------------------------------------------- *)
 
 let charge_field cpu =
-  match cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.Tx
-        (Memmodel.Cpu.params cpu).Memmodel.Params.cost_per_call
+  Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Tx Memmodel.Cpu.Per_call
 
-let rec encode_field ?cpu w msg i (field : Schema.Desc.field) =
+let rec encode_field ~cpu w msg i (field : Schema.Desc.field) =
   let module W = Wire.Cursor.Writer in
   let number = field.Schema.Desc.number in
   charge_field cpu;
@@ -112,12 +108,12 @@ let rec encode_field ?cpu w msg i (field : Schema.Desc.field) =
       end
       else
         for j = 0 to n - 1 do
-          encode_element ?cpu w msg i field ~j
+          encode_element ~cpu w msg i field ~j
         done
-  | Schema.Desc.Singular -> encode_element ?cpu w msg i field ~j:(-1)
+  | Schema.Desc.Singular -> encode_element ~cpu w msg i field ~j:(-1)
 
 (* Field [i] itself when [j < 0], else its element [j]. *)
-and encode_element ?cpu w msg i (field : Schema.Desc.field) ~j =
+and encode_element ~cpu w msg i (field : Schema.Desc.field) ~j =
   let module W = Wire.Cursor.Writer in
   let number = field.Schema.Desc.number in
   match field.Schema.Desc.ty with
@@ -144,27 +140,28 @@ and encode_element ?cpu w msg i (field : Schema.Desc.field) ~j =
       in
       W.varint w (key ~number ~wt:wt_len);
       W.varint w (Int64.of_int (encoded_len m));
-      encode ?cpu w m
+      encode ~cpu w m
 
-and encode ?cpu w msg =
+and encode ~cpu w msg =
   let fields = (Wire.Dyn.desc msg).Schema.Desc.fields in
   for i = 0 to Array.length fields - 1 do
-    if Wire.Dyn.mem msg i then encode_field ?cpu w msg i fields.(i)
+    if Wire.Dyn.mem msg i then encode_field ~cpu w msg i fields.(i)
   done
 
-let serialize_and_send ?cpu tr ~dst msg =
+let serialize_and_send tr ~dst msg =
   let ep = Net.Transport.endpoint tr in
+  let cpu = Net.Endpoint.cpu ep in
   let headroom = Net.Transport.headroom tr in
   let body = encoded_len msg in
   if body > Net.Transport.max_msg_len tr then
     invalid_arg "Protobuf.serialize_and_send: message exceeds frame";
-  let staging = Net.Endpoint.alloc_tx ?cpu ep ~len:(headroom + body) in
+  let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + body) in
   let window =
     Mem.View.sub (Mem.Pinned.Buf.view staging) ~off:headroom ~len:body
   in
-  let w = Wire.Cursor.Writer.create ?cpu window in
-  encode ?cpu w msg;
-  Net.Transport.send_inline ?cpu tr ~dst ~segments:[ staging ]
+  let w = Wire.Cursor.Writer.create ~cpu window in
+  encode ~cpu w msg;
+  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
 
 (* --- Decoding --------------------------------------------------------- *)
 
@@ -181,27 +178,24 @@ let field_by_number (desc : Schema.Desc.message) number =
 (* Charge a cheap per-byte validation pass (UTF-8 check) — the baselines do
    this eagerly at deserialization time (§6.4). *)
 let charge_validate cpu ~len =
-  match cpu with
-  | None -> ()
-  | Some cpu -> Memmodel.Cpu.charge cpu Memmodel.Cpu.Deser (0.3 *. float_of_int len)
+  Memmodel.Cpu.charge cpu Memmodel.Cpu.Deser (0.3 *. float_of_int len)
 
-let rec decode ?cpu ep schema (desc : Schema.Desc.message) (view : Mem.View.t) =
+let rec decode ~cpu ep schema (desc : Schema.Desc.message) (view : Mem.View.t) =
   let module R = Wire.Cursor.Reader in
-  let r = R.create ?cpu view in
+  let r = R.create ~cpu view in
   let msg = Wire.Dyn.create desc in
   (try
      while R.remaining r > 0 do
        let k = Int64.to_int (R.varint r) in
        let number = k lsr 3 and wt = k land 7 in
        match field_by_number desc number with
-       | None -> skip ?cpu r wt
-       | Some field -> decode_field ?cpu ep schema msg field r wt
+       | None -> skip r wt
+       | Some field -> decode_field ~cpu ep schema msg field r wt
      done
    with Invalid_argument _ -> fail "truncated message");
   msg
 
-and skip ?cpu r wt =
-  ignore cpu;
+and skip r wt =
   let module R = Wire.Cursor.Reader in
   if wt = wt_varint then ignore (R.varint r)
   else if wt = wt_fixed64 then ignore (R.u64 r)
@@ -212,7 +206,7 @@ and skip ?cpu r wt =
   end
   else fail "unsupported wire type %d" wt
 
-and decode_field ?cpu ep schema msg (field : Schema.Desc.field) r wt =
+and decode_field ~cpu ep schema msg (field : Schema.Desc.field) r wt =
   let module R = Wire.Cursor.Reader in
   let fname = field.Schema.Desc.field_name in
   let add v =
@@ -246,7 +240,7 @@ and decode_field ?cpu ep schema msg (field : Schema.Desc.field) r wt =
       if len < 0 || len > R.remaining r then fail "bad payload length";
       let src = R.sub r ~len in
       (* Protobuf materialises field bytes: copy them out of the packet. *)
-      let copied = Mem.Arena.copy_in ?cpu (Net.Endpoint.arena ep) src in
+      let copied = Mem.Arena.copy_in ~cpu (Net.Endpoint.arena ep) src in
       if field.Schema.Desc.ty = Schema.Desc.Str then charge_validate cpu ~len;
       add (Wire.Dyn.Payload (Wire.Payload.Copied copied))
   | Schema.Desc.Message mname ->
@@ -259,7 +253,7 @@ and decode_field ?cpu ep schema msg (field : Schema.Desc.field) r wt =
         | Some d -> d
         | None -> fail "unknown message %s" mname
       in
-      add (Wire.Dyn.Nested (decode ?cpu ep schema nested_desc src))
+      add (Wire.Dyn.Nested (decode ~cpu ep schema nested_desc src))
 
-let deserialize ?cpu ep schema desc buf =
-  decode ?cpu ep schema desc (Mem.Pinned.Buf.view buf)
+let deserialize ~cpu ep schema desc buf =
+  decode ~cpu ep schema desc (Mem.Pinned.Buf.view buf)

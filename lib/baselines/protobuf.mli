@@ -13,17 +13,16 @@ val name : string
 (** Encoded size of a message body (without any outer length prefix). *)
 val encoded_len : Wire.Dyn.t -> int
 
-(** [encode ?cpu w msg] writes the proto3 encoding of [msg] into [w]. *)
-val encode : ?cpu:Memmodel.Cpu.t -> Wire.Cursor.Writer.t -> Wire.Dyn.t -> unit
+(** [encode ~cpu w msg] writes the proto3 encoding of [msg] into [w]. *)
+val encode : cpu:Memmodel.Cpu.t -> Wire.Cursor.Writer.t -> Wire.Dyn.t -> unit
 
-val serialize_and_send :
-  ?cpu:Memmodel.Cpu.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
+val serialize_and_send : Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
 
-(** [decode ?cpu ep schema desc view] parses an encoded body. Unknown field
+(** [decode ~cpu ep schema desc view] parses an encoded body. Unknown field
     numbers are skipped, last-wins for duplicated singular fields. Raises
     [Decode_error] on truncated/invalid input. *)
 val decode :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Net.Endpoint.t ->
   Schema.Desc.t ->
   Schema.Desc.message ->
@@ -31,7 +30,7 @@ val decode :
   Wire.Dyn.t
 
 val deserialize :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Net.Endpoint.t ->
   Schema.Desc.t ->
   Schema.Desc.message ->

@@ -139,9 +139,7 @@ let record_completion t client_id =
 (* --- Client request: route, group, fan out ----------------------------- *)
 
 let charge_route t key =
-  let cpu = t.cpu in
-  let prm = Memmodel.Cpu.params cpu in
-  Memmodel.Cpu.charge cpu Memmodel.Cpu.App prm.Memmodel.Params.cost_hash_op;
+  Memmodel.Cpu.charge_op t.cpu Memmodel.Cpu.App Memmodel.Cpu.Hash_op;
   ignore key
 
 (* Client request over the validated reader: keys are hashed straight out
@@ -149,7 +147,6 @@ let charge_route t key =
    an [Rc_view] slice whose reference transfers to the sub-request's send
    path — the request bytes are never re-materialized. *)
 let handle_request_zc t ~src r =
-  let cpu = t.cpu in
   let client_id = Wire.Reader.get_u64_or r Apps.Proto.req_id ~default:(-1L) in
   let op =
     Wire.Reader.get_u64_or r Apps.Proto.req_op ~default:Apps.Proto.op_get
@@ -190,7 +187,7 @@ let handle_request_zc t ~src r =
     let resp = t.resp_scratch in
     Wire.Dyn.clear resp;
     Wire.Dyn.set_int_at resp Apps.Proto.resp_id client_id;
-    t.backend.Apps.Backend.send ~cpu t.tr ~dst:src resp;
+    t.backend.Apps.Backend.send t.tr ~dst:src resp;
     t.started <- t.started + 1;
     t.completed <- t.completed + 1;
     record_completion t client_id
@@ -228,14 +225,13 @@ let handle_request_zc t ~src r =
           Wire.Dyn.append_payload_at sub Apps.Proto.req_vals
             (Wire.Rc_view.to_payload rc)
         done;
-        t.backend.Apps.Backend.send ~cpu t.tr ~dst:g.g_shard sub)
+        t.backend.Apps.Backend.send t.tr ~dst:g.g_shard sub)
       groups
   end
 
 (* --- Partial response: slot fill, assemble on last arrival -------------- *)
 
 let assemble t fid p =
-  let cpu = t.cpu in
   Hashtbl.remove t.pending fid;
   let resp = t.resp_scratch in
   Wire.Dyn.clear resp;
@@ -252,7 +248,7 @@ let assemble t fid p =
           s.payload <- None
       | None -> ())
     p.slots;
-  t.backend.Apps.Backend.send ~cpu t.tr ~dst:p.client resp;
+  t.backend.Apps.Backend.send t.tr ~dst:p.client resp;
   t.completed <- t.completed + 1;
   record_completion t p.client_id
 
@@ -290,23 +286,22 @@ let handle_partial_zc t ~src r =
           if p.awaiting = 0 then assemble t fid p)
 
 let handler t ~src buf =
-  let cpu = t.cpu in
   if Hashtbl.mem t.shard_index src then begin
-    Wire.Reader.validate ~cpu t.partial_reader buf;
+    Wire.Reader.validate t.partial_reader buf;
     handle_partial_zc t ~src t.partial_reader
   end
   else begin
-    Wire.Reader.validate ~cpu t.req_reader buf;
+    Wire.Reader.validate t.req_reader buf;
     handle_request_zc t ~src t.req_reader
   end;
-  Mem.Pinned.Buf.decr_ref ~cpu ~site:"Dispatcher.handler_done" buf
+  Mem.Pinned.Buf.decr_ref ~cpu:t.cpu ~site:"Dispatcher.handler_done" buf
 
 let create ~fabric ~registry ~kind ~backend ~queue_limit ~id ~ring ~shard_ids
     =
   let cpu = Memmodel.Cpu.create Memmodel.Params.default in
   let ep = Net.Endpoint.create ~cpu fabric registry ~id in
   let tr = Apps.Rig.transport_for ~kind ep in
-  let server = Loadgen.Server.create ~queue_limit tr cpu in
+  let server = Loadgen.Server.create ~queue_limit tr in
   let shard_index = Hashtbl.create 16 in
   List.iteri (fun i sid -> Hashtbl.replace shard_index sid i) shard_ids;
   let t =
@@ -327,8 +322,8 @@ let create ~fabric ~registry ~kind ~backend ~queue_limit ~id ~ring ~shard_ids
             Cornflakes.Adaptive.create ~initial:64 ());
       subreq_scratch = Wire.Dyn.create Apps.Proto.req;
       resp_scratch = Wire.Dyn.create Apps.Proto.resp;
-      req_reader = Wire.Reader.create Apps.Proto.req;
-      partial_reader = Wire.Reader.create Apps.Proto.resp;
+      req_reader = Wire.Reader.create ~cpu Apps.Proto.req;
+      partial_reader = Wire.Reader.create ~cpu Apps.Proto.resp;
       strategies =
         (let get_shaped = { keep_slots = true; forward_vals = false } in
          let tbl =

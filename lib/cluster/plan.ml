@@ -62,12 +62,17 @@ let pool_classes items =
       (c, n + (n / 4) + 128))
     classes
 
+(* The preload runs off-core, unmetered. *)
 let install items shard =
   let pool = Shard.pool shard and store = Shard.store shard in
+  let cpu = Memmodel.Cpu.none in
   List.iter
     (fun { rank; size } ->
-      let buf = Mem.Pinned.Buf.alloc ~site:"Cluster.populate" pool ~len:size in
-      Mem.Pinned.Buf.fill ~site:"Cluster.populate" buf
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu ~site:"Cluster.populate" pool ~len:size
+      in
+      Mem.Pinned.Buf.fill ~cpu ~site:"Cluster.populate" buf
         (Workload.Spec.filler size);
-      Kvstore.Store.put store ~key:(key_of rank) (Kvstore.Store.Single buf))
+      Kvstore.Store.put ~cpu store ~key:(key_of rank)
+        (Kvstore.Store.Single buf))
     items

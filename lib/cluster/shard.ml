@@ -33,17 +33,15 @@ type t = {
   mutable drops : int; (* put values dropped on pool exhaustion *)
 }
 
-let append_value t ~cpu resp buf =
-  let payload =
-    t.backend.Apps.Backend.wrap ~cpu t.tr (Mem.Pinned.Buf.view buf)
-  in
+let append_value t resp buf =
+  let payload = t.backend.Apps.Backend.wrap t.tr (Mem.Pinned.Buf.view buf) in
   Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals payload
 
-let rec append_values t ~cpu resp = function
+let rec append_values t resp = function
   | [] -> ()
   | buf :: rest ->
-      append_value t ~cpu resp buf;
-      append_values t ~cpu resp rest
+      append_value t resp buf;
+      append_values t resp rest
 
 (* Keys come out of the receive buffer through [Reader.elem_string], which
    charges the byte sweep (the handler must hash/compare them) to App.
@@ -55,11 +53,11 @@ let handle_get t ~cpu r resp =
     | Some value -> (
         t.keys_served <- t.keys_served + 1;
         match value with
-        | Kvstore.Store.Single buf -> append_value t ~cpu resp buf
-        | Kvstore.Store.Linked bufs -> append_values t ~cpu resp bufs
+        | Kvstore.Store.Single buf -> append_value t resp buf
+        | Kvstore.Store.Linked bufs -> append_values t resp bufs
         | Kvstore.Store.Vector arr ->
             for k = 0 to Array.length arr - 1 do
-              append_value t ~cpu resp arr.(k)
+              append_value t resp arr.(k)
             done)
     | None ->
         (* Positional alignment with the sub-request keys must survive a
@@ -103,7 +101,7 @@ let handle_put t ~cpu r =
    reader, echoes the id into the pooled response, dispatches the method
    word through the branchless table and tail-sends. *)
 let handler t ~src buf =
-  Apps.Kv_rpc.Kv_service.serve ~cpu:t.cpu t.rpc ~src buf;
+  Apps.Kv_rpc.Kv_service.serve t.rpc ~src buf;
   Mem.Pinned.Buf.decr_ref ~cpu:t.cpu ~site:"Shard.handler_done" buf
 
 let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit
@@ -111,7 +109,7 @@ let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit
   let cpu = Memmodel.Cpu.create ~shared_l3 Memmodel.Params.default in
   let ep = Net.Endpoint.create ~cpu fabric registry ~id in
   let tr = Apps.Rig.transport_for ~kind ep in
-  let server = Loadgen.Server.create ~queue_limit tr cpu in
+  let server = Loadgen.Server.create ~queue_limit tr in
   let pool =
     Mem.Pinned.Pool.create space
       ~name:(Printf.sprintf "shard-%d" index)
@@ -124,8 +122,8 @@ let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit
       ~capacity:store_capacity
   in
   let rpc =
-    Apps.Kv_rpc.Kv_service.server
-      ~send:(fun ~dst resp -> backend.Apps.Backend.send ~cpu tr ~dst resp)
+    Apps.Kv_rpc.Kv_service.server ~cpu
+      ~send:(fun ~dst resp -> backend.Apps.Backend.send tr ~dst resp)
       ()
   in
   let t =

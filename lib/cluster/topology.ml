@@ -94,7 +94,8 @@ let create ?transport ?seed ?(n_clients = 8) ?(dispatchers = 1)
   let clients =
     List.init n_clients (fun i ->
         Apps.Rig.transport_for ~kind
-          (Net.Endpoint.create fabric registry ~id:(client_base + i)))
+          (Net.Endpoint.create ~cpu:Memmodel.Cpu.none fabric registry
+             ~id:(client_base + i)))
   in
   (* Every client endpoint may carry traffic for any dispatcher (the
      connection table multiplexes over them), so open the full mesh up

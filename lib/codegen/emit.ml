@@ -110,8 +110,8 @@ let emit_payload_field ~crossover buf (f : Schema.Desc.field) =
   | Schema.Desc.Repeated ->
       Printf.bprintf buf
         "  (* [add_%s] accepts any bytes; %s. *)\n\
-        \  let add_%s ?cpu config ep t view =\n\
-        \    Wire.Dyn.append_payload_at t.msg idx_%s (%s ?cpu config ep view)\n\n"
+        \  let add_%s ~cpu config ep t view =\n\
+        \    Wire.Dyn.append_payload_at t.msg idx_%s (%s ~cpu config ep view)\n\n"
         n reason n n ctor;
       Printf.bprintf buf
         "  let add_%s_payload t p = Wire.Dyn.append_payload_at t.msg idx_%s p\n\n"
@@ -123,8 +123,8 @@ let emit_payload_field ~crossover buf (f : Schema.Desc.field) =
   | Schema.Desc.Singular ->
       Printf.bprintf buf
         "  (* [set_%s] accepts any bytes; %s. *)\n\
-        \  let set_%s ?cpu config ep t view =\n\
-        \    Wire.Dyn.set_payload_at t.msg idx_%s (%s ?cpu config ep view)\n\n"
+        \  let set_%s ~cpu config ep t view =\n\
+        \    Wire.Dyn.set_payload_at t.msg idx_%s (%s ~cpu config ep view)\n\n"
         n reason n n ctor;
       Printf.bprintf buf
         "  let set_%s_payload t p = Wire.Dyn.set_payload_at t.msg idx_%s p\n\
@@ -173,8 +173,8 @@ let emit_write_folded buf (m : Schema.Desc.message) =
     Printf.bprintf buf
       "  (* Specialized serializer: %s, so writes always take the generic\n\
       \     path. *)\n\
-      \  let write_folded ~cpu plan w msg =\n\
-      \    Cornflakes.Format_.write_msg_generic ?cpu w plan msg\n\
+      \  let write_folded plan w msg =\n\
+      \    Cornflakes.Format_.write_msg_generic plan w msg\n\
       \  [@@alloc_free]\n\n"
       (if n = 0 then "the message has no fields"
        else "the bitmap spans several words")
@@ -185,7 +185,7 @@ let emit_write_folded buf (m : Schema.Desc.message) =
       \     count 1, bitmap 0x%x, info slots from byte %d — so one [span]\n\
       \     bounds check covers every unrolled store below. Any other\n\
       \     presence falls back to the generic writer (identical bytes). *)\n\
-      \  let write_folded ~cpu plan w msg =\n\
+      \  let write_folded plan w msg =\n\
       \    if Wire.Dyn.bitmap_word msg 0 = 0x%x then begin\n\
       \      Wire.Cursor.Writer.span w ~pos:0 ~len:%d;\n\
       \      Wire.Cursor.Writer.u32_at w ~pos:0 1;\n\
@@ -209,22 +209,22 @@ let emit_write_folded buf (m : Schema.Desc.message) =
               idx slot sep
         | Schema.Desc.Singular, (Schema.Desc.Str | Schema.Desc.Bytes) ->
             Printf.bprintf buf
-              "      Cornflakes.Format_.write_payload_at ?cpu w plan\n\
+              "      Cornflakes.Format_.write_payload_at w plan\n\
               \        (Wire.Dyn.payload_at msg %s) ~slot:%d%s\n"
               idx slot sep
         | Schema.Desc.Singular, Schema.Desc.Message _ ->
             Printf.bprintf buf
-              "      Cornflakes.Format_.write_nested_at ?cpu w plan\n\
+              "      Cornflakes.Format_.write_nested_at w plan\n\
               \        (Wire.Dyn.nested_at msg %s) ~slot:%d%s\n"
               idx slot sep
         | Schema.Desc.Repeated, _ ->
             Printf.bprintf buf
-              "      Cornflakes.Format_.write_list_at ?cpu w plan msg %s ~slot:%d%s\n"
+              "      Cornflakes.Format_.write_list_at w plan msg %s ~slot:%d%s\n"
               idx slot sep)
       fields;
     Buffer.add_string buf
       "    end\n\
-      \    else Cornflakes.Format_.write_msg_generic ?cpu w plan msg\n\
+      \    else Cornflakes.Format_.write_msg_generic plan w msg\n\
       \  [@@alloc_free]\n\n"
   end
 
@@ -241,12 +241,12 @@ let emit_read_folded buf (m : Schema.Desc.message) =
   Buffer.add_string buf
     "  (* A reusable in-place reader for this message type; validate with\n\
     \     [read_folded] then access fields in the receive buffer. *)\n\
-    \  let reader () = Wire.Reader.create desc\n\n";
+    \  let reader ~cpu () = Wire.Reader.create ~cpu desc\n\n";
   if not (Layout.foldable n) then
     Printf.bprintf buf
       "  (* Specialized validator: %s, so validation always takes the\n\
       \     generic pass. *)\n\
-      \  let read_folded ?cpu r buf = Wire.Reader.validate ?cpu r buf\n\
+      \  let read_folded r buf = Wire.Reader.validate r buf\n\
       \  [@@alloc_free]\n\n"
       (if n = 0 then "the message has no fields"
        else "the bitmap spans several words")
@@ -257,9 +257,9 @@ let emit_read_folded buf (m : Schema.Desc.message) =
       \     0x%x, info slots from byte %d — so one bounds check plus\n\
       \     arithmetic slot fill validates the frame. Any other presence\n\
       \     falls back to the generic pass (same frames accepted). *)\n\
-      \  let read_folded ?cpu r buf =\n\
-      \    if not (Wire.Reader.validate_folded ?cpu r buf ~bitmap:0x%x ~header_len:%d)\n\
-      \    then Wire.Reader.validate ?cpu r buf\n\
+      \  let read_folded r buf =\n\
+      \    if not (Wire.Reader.validate_folded r buf ~bitmap:0x%x ~header_len:%d)\n\
+      \    then Wire.Reader.validate r buf\n\
       \  [@@alloc_free]\n\n"
       n
       (if n = 1 then "" else "s")
@@ -307,8 +307,8 @@ let emit_message ~crossover buf (m : Schema.Desc.message) =
   Buffer.add_string buf
     "  let object_len t = Cornflakes.Format_.object_len t.msg\n\n";
   Buffer.add_string buf
-    "  let deserialize buf =\n\
-    \    { msg = Cornflakes.Send.deserialize schema desc buf }\n\n";
+    "  let deserialize ~cpu buf =\n\
+    \    { msg = Cornflakes.Send.deserialize ~cpu schema desc buf }\n\n";
   emit_read_folded buf m;
   emit_write_folded buf m;
   Buffer.add_string buf
@@ -316,12 +316,12 @@ let emit_message ~crossover buf (m : Schema.Desc.message) =
     \     transport decides framing and headroom, so the same accessor\n\
     \     sends over UDP datagrams or TCP records; the serializer body is\n\
     \     this module's folded writer. *)\n\
-    \  let send ?cpu config tr ~dst t =\n\
-    \    Cornflakes.Send.send_planned ?cpu config tr ~dst t.msg\n\
+    \  let send config tr ~dst t =\n\
+    \    Cornflakes.Send.send_planned config tr ~dst t.msg\n\
     \      ~write:write_folded\n\
     \  [@@alloc_free]\n\n";
   Buffer.add_string buf
-    "  let release ?cpu t = Wire.Dyn.release ?cpu t.msg\nend\n\n"
+    "  let release ~cpu t = Wire.Dyn.release ~cpu t.msg\nend\n\n"
 
 (* --- service compilation ---------------------------------------------- *)
 
@@ -436,10 +436,10 @@ let emit_service schema buf (s : Schema.Desc.service) =
     \    s_send : dst:int -> Wire.Dyn.t -> unit;\n\
     \  }\n\n";
   Printf.bprintf buf
-    "  let server ~send () =\n\
+    "  let server ~cpu ~send () =\n\
     \    {\n\
     \      s_table = Rpc.Table.create ~n:%d ~fallback:unhandled;\n\
-    \      s_reader = %s.reader ();\n\
+    \      s_reader = %s.reader ~cpu ();\n\
     \      s_resp = Wire.Dyn.create %s.desc;\n\
     \      s_send = send;\n\
     \    }\n\n"
@@ -469,8 +469,8 @@ let emit_service schema buf (s : Schema.Desc.service) =
     \     into the pooled in-place reader, echo the caller's id into the\n\
     \     pooled response, dispatch the method word through the branchless\n\
     \     table; unary methods tail-send the response the handler filled. *)\n\
-    \  let serve ?cpu s ~src buf =\n\
-    \    Wire.Reader.validate ?cpu s.s_reader buf;\n\
+    \  let serve s ~src buf =\n\
+    \    Wire.Reader.validate s.s_reader buf;\n\
     \    Wire.Dyn.clear s.s_resp;\n\
     \    if Wire.Reader.present s.s_reader req_id then\n\
     \      Wire.Dyn.set_int_of_reader s.s_resp resp_id s.s_reader req_id;\n\
@@ -521,11 +521,11 @@ let emit_service schema buf (s : Schema.Desc.service) =
           \     through the folded writer — via the retry layer when the\n\
           \     client carries one. Declared deadline defaults in. The request\n\
           \     belongs to the call until it resolves. *)\n\
-          \  let call_%s ?cpu ?deadline_ms c ~dst req ~on_chunk ~on_done =\n\
+          \  let call_%s ?deadline_ms c ~dst req ~on_chunk ~on_done =\n\
           \    let deadline_ms =\n\
           \      match deadline_ms with Some _ as d -> d | None -> deadline_ms_%s\n\
           \    in\n\
-          \    Rpc.Client.call_stream c ?cpu ?deadline_ms ~op:id_%s ~dst ~on_chunk\n\
+          \    Rpc.Client.call_stream c ?deadline_ms ~op:id_%s ~dst ~on_chunk\n\
           \      ~on_done (%s.to_dyn req)\n\n"
           m.Schema.Desc.meth_name n n n req_mod
       else
@@ -535,11 +535,11 @@ let emit_service schema buf (s : Schema.Desc.service) =
           \     folded writer — via the retry layer when the client carries\n\
           \     one. Declared deadline defaults in. The request belongs to the\n\
           \     call until it resolves. *)\n\
-          \  let call_%s ?cpu ?deadline_ms c ~dst req ~on_reply =\n\
+          \  let call_%s ?deadline_ms c ~dst req ~on_reply =\n\
           \    let deadline_ms =\n\
           \      match deadline_ms with Some _ as d -> d | None -> deadline_ms_%s\n\
           \    in\n\
-          \    Rpc.Client.call c ?cpu ?deadline_ms ~op:id_%s ~dst ~on_reply\n\
+          \    Rpc.Client.call c ?deadline_ms ~op:id_%s ~dst ~on_reply\n\
           \      (%s.to_dyn req)\n\
           \  [@@alloc_free]\n\n"
           m.Schema.Desc.meth_name n n n req_mod)
@@ -549,9 +549,9 @@ let emit_service schema buf (s : Schema.Desc.service) =
       Printf.bprintf buf
         "  (* Response delivery: validate the frame once into the client's\n\
         \     pooled reader, then route on the echoed id and seq word. *)\n\
-        \  let deliver ?cpu c buf =\n\
+        \  let deliver c buf =\n\
         \    let r = Rpc.Client.reader c in\n\
-        \    %s.read_folded ?cpu r buf;\n\
+        \    %s.read_folded r buf;\n\
         \    let id = Int64.to_int (Wire.Reader.get_u64_or r resp_id ~default:0L) in\n\
         \    let seq_word =\n\
         \      if Wire.Reader.present r resp_seq then\n\
@@ -564,9 +564,9 @@ let emit_service schema buf (s : Schema.Desc.service) =
       Printf.bprintf buf
         "  (* Response delivery: validate the frame once into the client's\n\
         \     pooled reader, then route on the echoed id. *)\n\
-        \  let deliver ?cpu c buf =\n\
+        \  let deliver c buf =\n\
         \    let r = Rpc.Client.reader c in\n\
-        \    %s.read_folded ?cpu r buf;\n\
+        \    %s.read_folded r buf;\n\
         \    let id = Int64.to_int (Wire.Reader.get_u64_or r resp_id ~default:0L) in\n\
         \    Rpc.Client.complete c ~id r\n"
         resp_mod);

@@ -46,25 +46,24 @@ let observe_zc t ~cycles =
   t.zc_fixed <- ewma t t.zc_fixed cycles;
   refresh t
 
-let make ?cpu t ep (view : Mem.View.t) =
+let make ~cpu t ep (view : Mem.View.t) =
   let config = Config.with_threshold t.threshold in
-  match cpu with
-  | None -> Cf_ptr.make config ep view
-  | Some cpu ->
-      let c0 = Memmodel.Cpu.cycles cpu in
-      let payload = Cf_ptr.make ~cpu config ep view in
-      let cost = Memmodel.Cpu.cycles cpu -. c0 in
-      t.observations <- t.observations + 1;
-      (match payload with
-      | Wire.Payload.Zero_copy _ ->
-          (* Add the completion-side share the construction doesn't see. *)
-          let p = Memmodel.Cpu.params cpu in
-          t.zc_fixed <-
-            ewma t t.zc_fixed
-              (cost +. p.Memmodel.Params.cost_completion_per_sge)
-      | Wire.Payload.Copied _ | Wire.Payload.Literal _ ->
-          if view.Mem.View.len > 0 then
-            t.copy_per_byte <-
-              ewma t t.copy_per_byte (cost /. float_of_int view.Mem.View.len));
-      refresh t;
-      payload
+  let c0 = Memmodel.Cpu.cycles cpu in
+  let payload = Cf_ptr.make ~cpu config ep view in
+  (* An unmetered construction costs nothing visible: nothing to learn. *)
+  if Memmodel.Cpu.metered cpu then begin
+    let cost = Memmodel.Cpu.cycles cpu -. c0 in
+    t.observations <- t.observations + 1;
+    (match payload with
+    | Wire.Payload.Zero_copy _ ->
+        (* Add the completion-side share the construction doesn't see. *)
+        let p = Memmodel.Cpu.params cpu in
+        t.zc_fixed <-
+          ewma t t.zc_fixed (cost +. p.Memmodel.Params.cost_completion_per_sge)
+    | Wire.Payload.Copied _ | Wire.Payload.Literal _ ->
+        if view.Mem.View.len > 0 then
+          t.copy_per_byte <-
+            ewma t t.copy_per_byte (cost /. float_of_int view.Mem.View.len));
+    refresh t
+  end;
+  payload

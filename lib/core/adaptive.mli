@@ -26,9 +26,10 @@ val create : ?initial:int -> ?alpha:float -> unit -> t
 val threshold : t -> int
 
 (** Drop-in replacement for {!Cf_ptr.make} that uses — and updates — the
-    adaptive threshold. Without a [cpu] the estimates stay frozen. *)
+    adaptive threshold, timing each construction on [cpu]. On an
+    unmetered [cpu] ({!Memmodel.Cpu.none}) the estimates stay frozen. *)
 val make :
-  ?cpu:Memmodel.Cpu.t -> t -> Net.Endpoint.t -> Mem.View.t -> Wire.Payload.t
+  cpu:Memmodel.Cpu.t -> t -> Net.Endpoint.t -> Mem.View.t -> Wire.Payload.t
 
 (** Feed one synthetic copy-path observation ([cycles] spent copying
     [bytes]) through the same EWMA/refresh step [make] performs. No-op when

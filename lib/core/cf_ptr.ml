@@ -12,13 +12,13 @@ let oom_fallbacks () = !(oom_fallbacks_ctr ())
 
 let reset_counters () = oom_fallbacks_ctr () := 0
 
-let copy ?cpu ep view =
-  Wire.Payload.Copied (Mem.Arena.copy_in ?cpu (Net.Endpoint.arena ep) view)
+let copy ~cpu ep view =
+  Wire.Payload.Copied (Mem.Arena.copy_in ~cpu (Net.Endpoint.arena ep) view)
 
 (* The referenced pinned handle under [view]; raises [Mem.Pinned.Unpinned]
    when the bytes are not DMA-safe. *)
-let recover ?cpu ep (view : Mem.View.t) =
-  Mem.Registry.recover_exn ?cpu
+let recover ~cpu ep (view : Mem.View.t) =
+  Mem.Registry.recover_exn ~cpu
     (Net.Endpoint.registry ep)
     ~addr:view.Mem.View.addr ~len:view.Mem.View.len
 
@@ -28,16 +28,16 @@ let recover ?cpu ep (view : Mem.View.t) =
    keep [make]'s resilience behaviour and take the config for a uniform
    call shape in generated setters. *)
 
-let zc_folded ?cpu (_config : Config.t) ep (view : Mem.View.t) =
-  match recover ?cpu ep view with
+let zc_folded ~cpu (_config : Config.t) ep (view : Mem.View.t) =
+  match recover ~cpu ep view with
   | buf -> Wire.Payload.Zero_copy buf
-  | exception Mem.Pinned.Unpinned -> copy ?cpu ep view
+  | exception Mem.Pinned.Unpinned -> copy ~cpu ep view
 
-let copy_folded ?cpu (_config : Config.t) ep (view : Mem.View.t) =
-  match copy ?cpu ep view with
+let copy_folded ~cpu (_config : Config.t) ep (view : Mem.View.t) =
+  match copy ~cpu ep view with
   | p -> p
   | exception (Mem.Pinned.Out_of_memory _ as oom) -> (
-      match recover ?cpu ep view with
+      match recover ~cpu ep view with
       | buf ->
           incr (oom_fallbacks_ctr ());
           Wire.Payload.Zero_copy buf
@@ -62,19 +62,19 @@ let verdict_for threshold =
     v
   end
 
-let make ?cpu (config : Config.t) ep (view : Mem.View.t) =
+let make ~cpu (config : Config.t) ep (view : Mem.View.t) =
   let v = verdict_for config.zero_copy_threshold in
-  if Mem.Arena.Verdict.zc v view.Mem.View.len then zc_folded ?cpu config ep view
-  else copy_folded ?cpu config ep view
+  if Mem.Arena.Verdict.zc v view.Mem.View.len then zc_folded ~cpu config ep view
+  else copy_folded ~cpu config ep view
 
-let of_buf ?cpu (config : Config.t) ep buf =
+let of_buf ~cpu (config : Config.t) ep buf =
   let v = verdict_for config.zero_copy_threshold in
   if Mem.Arena.Verdict.zc v (Mem.Pinned.Buf.len buf) then
     Wire.Payload.Zero_copy buf
   else
-    match copy ?cpu ep (Mem.Pinned.Buf.view buf) with
+    match copy ~cpu ep (Mem.Pinned.Buf.view buf) with
     | p ->
-        Mem.Pinned.Buf.decr_ref ?cpu buf;
+        Mem.Pinned.Buf.decr_ref ~cpu buf;
         p
     | exception Mem.Pinned.Out_of_memory _ ->
         (* Already-referenced pinned bytes: keep the reference and ship

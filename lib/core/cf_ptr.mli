@@ -17,12 +17,12 @@
     failing the request — the inverse of the usual demotion. Only a
     sub-threshold copy of non-pinned bytes still raises. *)
 
-(** [make ?cpu config ep view] builds a payload from arbitrary bytes. The
+(** [make ~cpu config ep view] builds a payload from arbitrary bytes. The
     size test is a lookup in a precomputed {!Mem.Arena.Verdict} table over
     the arena's 16 B size classes (cached per domain, keyed by the config's
     threshold) — semantically identical to [len >= threshold]. *)
 val make :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Config.t ->
   Net.Endpoint.t ->
   Mem.View.t ->
@@ -36,27 +36,27 @@ val make :
     to copy), so a stale bound degrades gracefully instead of failing. *)
 
 val copy_folded :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Config.t ->
   Net.Endpoint.t ->
   Mem.View.t ->
   Wire.Payload.t
 
 val zc_folded :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Config.t ->
   Net.Endpoint.t ->
   Mem.View.t ->
   Wire.Payload.t
 
-(** [of_buf ?cpu config buf] builds a payload from an already-referenced
+(** [of_buf ~cpu config buf] builds a payload from an already-referenced
     pinned buffer (e.g. a value freshly read from the store, or a field of a
     deserialized request): no recover_ptr lookup is needed, but the
     threshold still applies — a small pinned field is copied and its
     reference dropped. Ownership of one reference passes to the payload when
     the zero-copy variant is chosen. *)
 val of_buf :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Config.t ->
   Net.Endpoint.t ->
   Mem.Pinned.Buf.t ->

@@ -12,8 +12,8 @@
 
 type t
 
-(** [create ?cpu pool ~len] — a fresh exclusive buffer. *)
-val create : ?cpu:Memmodel.Cpu.t -> Mem.Pinned.Pool.t -> len:int -> t
+(** [create ~cpu pool ~len] — a fresh exclusive buffer. *)
+val create : cpu:Memmodel.Cpu.t -> Mem.Pinned.Pool.t -> len:int -> t
 
 (** [of_buf pool buf] wraps an existing buffer, taking over the caller's
     reference. The pool is where copy-on-write clones come from. *)
@@ -32,11 +32,11 @@ val shared : t -> bool
 (** Number of copy-on-write clones performed so far. *)
 val cow_count : t -> int
 
-(** [write ?cpu t ~off s] mutates the value. If the buffer is shared, the
+(** [write ~cpu t ~off s] mutates the value. If the buffer is shared, the
     value is first cloned into a fresh allocation (charged as alloc +
     copy) and the smart pointer swings to the clone; concurrent readers
     keep the old, intact bytes. *)
-val write : ?cpu:Memmodel.Cpu.t -> t -> off:int -> string -> unit
+val write : cpu:Memmodel.Cpu.t -> t -> off:int -> string -> unit
 
 (** Release the smart pointer's reference. *)
-val release : ?cpu:Memmodel.Cpu.t -> t -> unit
+val release : cpu:Memmodel.Cpu.t -> t -> unit

@@ -138,7 +138,7 @@ let num_entries plan = 1 + plan.zc_count
    word column. Charge order is byte-for-byte the same as the historical
    cursor-seeking writer, so simulated figures are unchanged. *)
 
-let rec write_msg ?cpu w cur (msg : Wire.Dyn.t) ~hpos =
+let rec write_msg w cur (msg : Wire.Dyn.t) ~hpos =
   let module W = Wire.Cursor.Writer in
   let fields = (Wire.Dyn.desc msg).Schema.Desc.fields in
   let bw = bitmap_words (Array.length fields) in
@@ -147,43 +147,43 @@ let rec write_msg ?cpu w cur (msg : Wire.Dyn.t) ~hpos =
   for j = 0 to bw - 1 do
     W.u32_at w ~pos:(hpos + 4 + (4 * j)) (Wire.Dyn.bitmap_word msg j)
   done;
-  write_fields ?cpu w cur msg fields 0 ~slot:(hpos + 4 + (4 * bw))
+  write_fields w cur msg fields 0 ~slot:(hpos + 4 + (4 * bw))
 [@@alloc_free]
 
 (* Present fields from [i] on, their info slots packed from [slot]. *)
-and write_fields ?cpu w cur msg fields i ~slot =
+and write_fields w cur msg fields i ~slot =
   if i < Array.length fields then
     if Wire.Dyn.mem msg i then begin
-      write_field ?cpu w cur msg i (Array.unsafe_get fields i) ~slot;
-      write_fields ?cpu w cur msg fields (i + 1) ~slot:(slot + 8)
+      write_field w cur msg i (Array.unsafe_get fields i) ~slot;
+      write_fields w cur msg fields (i + 1) ~slot:(slot + 8)
     end
-    else write_fields ?cpu w cur msg fields (i + 1) ~slot
+    else write_fields w cur msg fields (i + 1) ~slot
 [@@alloc_free]
 
 (* Precondition: [slot, slot+8) lies inside a region already [span]ed by the
    caller (the header block, or a repeated-field table). *)
-and write_field ?cpu w cur msg i (f : Schema.Desc.field) ~slot =
+and write_field w cur msg i (f : Schema.Desc.field) ~slot =
   match (f.Schema.Desc.label, f.Schema.Desc.ty) with
   | Schema.Desc.Singular, Schema.Desc.Scalar _ ->
       Wire.Dyn.write_scalar msg i w ~pos:slot
   | Schema.Desc.Singular, (Schema.Desc.Str | Schema.Desc.Bytes) ->
-      write_payload_at ?cpu w cur (Wire.Dyn.payload_at msg i) ~slot
+      write_payload_at w cur (Wire.Dyn.payload_at msg i) ~slot
   | Schema.Desc.Singular, Schema.Desc.Message _ ->
-      write_nested_at ?cpu w cur (Wire.Dyn.nested_at msg i) ~slot
-  | Schema.Desc.Repeated, _ -> write_list_at ?cpu w cur msg i ~slot
+      write_nested_at w cur (Wire.Dyn.nested_at msg i) ~slot
+  | Schema.Desc.Repeated, _ -> write_list_at w cur msg i ~slot
 [@@alloc_free]
 
-and write_nested_at ?cpu w cur m ~slot =
+and write_nested_at w cur m ~slot =
   let module W = Wire.Cursor.Writer in
   let nh = header_block_len m in
   let pos = cur.stream_pos in
   cur.stream_pos <- cur.stream_pos + nh;
   W.u32_at w ~pos:slot pos;
   W.u32_at w ~pos:(slot + 4) nh;
-  write_msg ?cpu w cur m ~hpos:pos
+  write_msg w cur m ~hpos:pos
 [@@alloc_free]
 
-and write_list_at ?cpu w cur msg i ~slot =
+and write_list_at w cur msg i ~slot =
   let module W = Wire.Cursor.Writer in
   let count = Wire.Dyn.count msg i in
   let table = cur.stream_pos in
@@ -199,17 +199,17 @@ and write_list_at ?cpu w cur msg i ~slot =
       done
   | Schema.Desc.Str | Schema.Desc.Bytes ->
       for j = 0 to count - 1 do
-        write_payload_at ?cpu w cur (Wire.Dyn.elem_payload msg i j)
+        write_payload_at w cur (Wire.Dyn.elem_payload msg i j)
           ~slot:(table + (8 * j))
       done
   | Schema.Desc.Message _ ->
       for j = 0 to count - 1 do
-        write_nested_at ?cpu w cur (Wire.Dyn.elem_nested msg i j)
+        write_nested_at w cur (Wire.Dyn.elem_nested msg i j)
           ~slot:(table + (8 * j))
       done
 [@@alloc_free]
 
-and write_payload_at ?cpu w cur (p : Wire.Payload.t) ~slot =
+and write_payload_at w cur (p : Wire.Payload.t) ~slot =
   let module W = Wire.Cursor.Writer in
   match p with
   | Wire.Payload.Zero_copy buf ->
@@ -219,7 +219,7 @@ and write_payload_at ?cpu w cur (p : Wire.Payload.t) ~slot =
       W.u32_at w ~pos:slot pos;
       W.u32_at w ~pos:(slot + 4) len;
       (* Data travels as its own gather entry; nothing written here. *)
-      ignore cpu
+      ()
   | Wire.Payload.Copied v | Wire.Payload.Literal v ->
       let pos = cur.stream_pos in
       cur.stream_pos <- cur.stream_pos + v.Mem.View.len;
@@ -229,44 +229,34 @@ and write_payload_at ?cpu w cur (p : Wire.Payload.t) ~slot =
       W.u32_at w ~pos:(slot + 4) v.Mem.View.len
 [@@alloc_free]
 
-let write_msg_generic ?cpu w plan msg = write_msg ?cpu w plan msg ~hpos:0
+let write_msg_generic plan w msg = write_msg w plan msg ~hpos:0
 [@@alloc_free]
 
 (* [run] owns the cursor init / postcondition bookkeeping around a writer
    body, so specialized (codegen-folded) writers share the exact contract of
-   the generic one. The [write] callback takes [cpu] as a plain labeled
-   option so passing a top-level function here allocates nothing. *)
-let run ?cpu plan w msg ~write =
+   the generic one. Every store charges the writer's own meter. *)
+let run plan w msg ~write =
   plan.stream_pos <- plan.header_len;
   plan.zc_pos <- plan.header_len + plan.stream_len;
-  write ~cpu plan w msg;
+  write plan w msg;
   assert (plan.stream_pos = plan.header_len + plan.stream_len);
   assert (plan.zc_pos = plan.total_len)
 [@@alloc_free]
 
-let generic_entry ~cpu plan w msg = write_msg_generic ?cpu w plan msg
-
-let write ?cpu plan w msg = run ?cpu plan w msg ~write:generic_entry
+let write plan w msg = run plan w msg ~write:write_msg_generic
 
 (* --- Deserializing ---------------------------------------------------- *)
 
-let charge_field_read cpu =
-  match cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.Deser
-        (Memmodel.Cpu.params cpu).Memmodel.Params.cost_per_call
-
 let max_depth = 32
 
-let rec read_msg ?cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
+let rec read_msg ~cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
     ~hpos =
   if depth > max_depth then malformed "nesting deeper than %d" max_depth;
   let module R = Wire.Cursor.Reader in
   let view = Mem.Pinned.Buf.view buf in
   let total = view.Mem.View.len in
   if hpos < 0 || hpos + 4 > total then malformed "header position out of range";
-  let r = R.create ?cpu view in
+  let r = R.create ~cpu view in
   R.seek r hpos;
   let bw = R.u32 r in
   let nfields = Array.length desc.Schema.Desc.fields in
@@ -285,16 +275,16 @@ let rec read_msg ?cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
         let slot = slot_base + (8 * !k) in
         incr k;
         if slot + 8 > total then malformed "info slot out of range";
-        read_field ?cpu ~depth schema field buf r msg i ~slot ~total
+        read_field ~cpu ~depth schema field buf r msg i ~slot ~total
       end)
     desc.Schema.Desc.fields;
   msg
 
 (* Reads present field [i] straight into [msg]'s columns. *)
-and read_field ?cpu ~depth schema (field : Schema.Desc.field) buf r msg i ~slot
+and read_field ~cpu ~depth schema (field : Schema.Desc.field) buf r msg i ~slot
     ~total =
   let module R = Wire.Cursor.Reader in
-  charge_field_read cpu;
+  Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Deser Memmodel.Cpu.Per_call;
   match field.Schema.Desc.label with
   | Schema.Desc.Repeated ->
       R.seek r slot;
@@ -304,15 +294,15 @@ and read_field ?cpu ~depth schema (field : Schema.Desc.field) buf r msg i ~slot
         malformed "repeated field table out of range";
       Wire.Dyn.touch_list msg i;
       for j = 0 to count - 1 do
-        read_element ?cpu ~depth schema field buf r msg i ~repeated:true
+        read_element ~cpu ~depth schema field buf r msg i ~repeated:true
           ~slot:(table + (8 * j))
           ~total
       done
   | Schema.Desc.Singular ->
-      read_element ?cpu ~depth schema field buf r msg i ~repeated:false ~slot
+      read_element ~cpu ~depth schema field buf r msg i ~repeated:false ~slot
         ~total
 
-and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r msg i
+and read_element ~cpu ~depth schema (field : Schema.Desc.field) buf r msg i
     ~repeated ~slot ~total =
   let module R = Wire.Cursor.Reader in
   R.seek r slot;
@@ -331,7 +321,7 @@ and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r msg i
       (* Zero-copy deserialization: the field is a window into the receive
          buffer, holding its own reference. *)
       let sub = Mem.Pinned.Buf.sub buf ~off ~len in
-      Mem.Pinned.Buf.incr_ref ?cpu sub;
+      Mem.Pinned.Buf.incr_ref ~cpu sub;
       let p = Wire.Payload.Zero_copy sub in
       if repeated then Wire.Dyn.append_payload_at msg i p
       else Wire.Dyn.set_payload_at msg i p
@@ -345,10 +335,10 @@ and read_element ?cpu ~depth schema (field : Schema.Desc.field) buf r msg i
       | Some nested_desc ->
           let saved = R.pos r in
           let nested =
-            read_msg ?cpu ~depth:(depth + 1) schema nested_desc buf ~hpos:off
+            read_msg ~cpu ~depth:(depth + 1) schema nested_desc buf ~hpos:off
           in
           R.seek r saved;
           if repeated then Wire.Dyn.append_nested_at msg i nested
           else Wire.Dyn.set_nested_at msg i nested)
 
-let deserialize ?cpu schema desc buf = read_msg ?cpu schema desc buf ~hpos:0
+let deserialize ~cpu schema desc buf = read_msg ~cpu schema desc buf ~hpos:0

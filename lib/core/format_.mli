@@ -83,10 +83,11 @@ val object_len : Wire.Dyn.t -> int
     1 (header + copied region) + number of zero-copy payloads. *)
 val num_entries : plan -> int
 
-(** [write ?cpu plan w msg] emits header + copied region
-    ([plan.header_len + plan.stream_len] bytes) into [w]; zero-copy bytes
-    are not touched. Raises [Invalid_argument] if [w] is too small. *)
-val write : ?cpu:Memmodel.Cpu.t -> plan -> Wire.Cursor.Writer.t -> Wire.Dyn.t -> unit
+(** [write plan w msg] emits header + copied region
+    ([plan.header_len + plan.stream_len] bytes) into [w], charging [w]'s
+    meter; zero-copy bytes are not touched. Raises [Invalid_argument] if
+    [w] is too small. *)
+val write : plan -> Wire.Cursor.Writer.t -> Wire.Dyn.t -> unit
 
 (** {2 Specialized-writer hooks (Codegen.Emit folded serializers)}
 
@@ -102,7 +103,6 @@ val write : ?cpu:Memmodel.Cpu.t -> plan -> Wire.Cursor.Writer.t -> Wire.Dyn.t ->
     [Cursor.Writer.span] (generated code spans the whole header block up
     front). Singular scalars need no hook: {!Wire.Dyn.write_scalar}. *)
 val write_payload_at :
-  ?cpu:Memmodel.Cpu.t ->
   Wire.Cursor.Writer.t ->
   plan ->
   Wire.Payload.t ->
@@ -111,17 +111,15 @@ val write_payload_at :
 
 (** A nested message: its header block in the copied region. *)
 val write_nested_at :
-  ?cpu:Memmodel.Cpu.t ->
   Wire.Cursor.Writer.t ->
   plan ->
   Wire.Dyn.t ->
   slot:int ->
   unit
 
-(** [write_list_at ?cpu w plan msg i ~slot]: repeated field [i] of [msg],
+(** [write_list_at w plan msg i ~slot]: repeated field [i] of [msg],
     its element table in the copied region. *)
 val write_list_at :
-  ?cpu:Memmodel.Cpu.t ->
   Wire.Cursor.Writer.t ->
   plan ->
   Wire.Dyn.t ->
@@ -131,34 +129,25 @@ val write_list_at :
 
 (** Generic interpreter-shaped body at header position 0 — the fallback arm
     of generated folded writers. Cursors must have been initialized by
-    {!run}. *)
-val write_msg_generic :
-  ?cpu:Memmodel.Cpu.t -> Wire.Cursor.Writer.t -> plan -> Wire.Dyn.t -> unit
+    {!run}. Has the shape of {!run}'s [write] body. *)
+val write_msg_generic : plan -> Wire.Cursor.Writer.t -> Wire.Dyn.t -> unit
 
-(** [run ?cpu plan w msg ~write] initializes the plan's write cursors, runs
+(** [run plan w msg ~write] initializes the plan's write cursors, runs
     [write], and asserts the region postconditions — the shared harness for
-    both the generic writer and generated specialized ones. [write] receives
-    [cpu] as a plain labeled option so top-level functions pass through
-    without a closure. *)
+    both the generic writer and generated specialized ones. *)
 val run :
-  ?cpu:Memmodel.Cpu.t ->
   plan ->
   Wire.Cursor.Writer.t ->
   Wire.Dyn.t ->
-  write:
-    (cpu:Memmodel.Cpu.t option ->
-    plan ->
-    Wire.Cursor.Writer.t ->
-    Wire.Dyn.t ->
-    unit) ->
+  write:(plan -> Wire.Cursor.Writer.t -> Wire.Dyn.t -> unit) ->
   unit
 
-(** [deserialize ?cpu schema desc buf] rebuilds a message from a received
+(** [deserialize ~cpu schema desc buf] rebuilds a message from a received
     object. Bytes/string fields become [Zero_copy] windows into [buf] (one
     new reference each); nothing larger than the header/tables is read.
     Raises [Malformed] on out-of-bounds offsets or bad bitmaps. *)
 val deserialize :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Schema.Desc.t ->
   Schema.Desc.message ->
   Mem.Pinned.Buf.t ->

@@ -22,7 +22,7 @@ val attach :
   ?config:Config.t -> Net.Endpoint.t -> data_pool:Mem.Pinned.Pool.t -> t
 
 (** [alloc t ~size] — a fresh reference-counted DMA-safe buffer. *)
-val alloc : ?cpu:Memmodel.Cpu.t -> t -> size:int -> Mem.Pinned.Buf.t
+val alloc : t -> size:int -> Mem.Pinned.Buf.t
 
 (** [recv_packet t] — the next received payload, if any (one reference
     owned by the caller). *)
@@ -30,12 +30,11 @@ val recv_packet : t -> Mem.Pinned.Buf.t option
 
 (** [recover_ptr t view] — a referenced handle if the window lies in live
     pinned memory. *)
-val recover_ptr :
-  ?cpu:Memmodel.Cpu.t -> t -> Mem.View.t -> Mem.Pinned.Buf.t option
+val recover_ptr : t -> Mem.View.t -> Mem.Pinned.Buf.t option
 
 (** [send_object t ~dst msg] — the combined serialize-and-send. *)
-val send_object : ?cpu:Memmodel.Cpu.t -> t -> dst:int -> Wire.Dyn.t -> unit
+val send_object : t -> dst:int -> Wire.Dyn.t -> unit
 
 (** [cf_ptr t view] — the hybrid smart-pointer constructor bound to this
     network (Listing 3's [CFPtr::new(val, conn)]). *)
-val cf_ptr : ?cpu:Memmodel.Cpu.t -> t -> Mem.View.t -> Wire.Payload.t
+val cf_ptr : t -> Mem.View.t -> Wire.Payload.t

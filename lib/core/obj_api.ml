@@ -6,11 +6,11 @@ let num_copy_bytes msg =
 
 let num_zero_copy_entries msg = Format_.zc_count (Format_.measure msg)
 
-let write_object_header ?cpu msg w =
+let write_object_header msg w =
   let plan = Format_.measure msg in
-  Format_.write ?cpu plan w msg
+  Format_.write plan w msg
 
-let iterate_over_copy_entries ?cpu msg ~scratch ~start ~stop f =
+let iterate_over_copy_entries ~cpu msg ~scratch ~start ~stop f =
   let plan = Format_.measure msg in
   let copy_len = plan.Format_.header_len + plan.Format_.stream_len in
   let lo = max 0 start and hi = min stop copy_len in
@@ -18,9 +18,9 @@ let iterate_over_copy_entries ?cpu msg ~scratch ~start ~stop f =
     if scratch.Mem.View.len < copy_len then
       invalid_arg "Obj_api.iterate_over_copy_entries: scratch too small";
     let w =
-      Wire.Cursor.Writer.create ?cpu (Mem.View.sub scratch ~off:0 ~len:copy_len)
+      Wire.Cursor.Writer.create ~cpu (Mem.View.sub scratch ~off:0 ~len:copy_len)
     in
-    Format_.write ?cpu plan w msg;
+    Format_.write plan w msg;
     f (Mem.View.sub scratch ~off:lo ~len:(hi - lo))
   end
 

@@ -23,17 +23,16 @@ val num_copy_bytes : Wire.Dyn.t -> int
     region contributes. *)
 val num_zero_copy_entries : Wire.Dyn.t -> int
 
-(** [write_object_header ?cpu msg w] emits the header+copied region into
+(** [write_object_header msg w] emits the header+copied region into
     [w] (which must offer [num_copy_bytes] of space). *)
-val write_object_header :
-  ?cpu:Memmodel.Cpu.t -> Wire.Dyn.t -> Wire.Cursor.Writer.t -> unit
+val write_object_header : Wire.Dyn.t -> Wire.Cursor.Writer.t -> unit
 
-(** [iterate_over_copy_entries ?cpu msg ~start ~stop f] — calls [f] with
+(** [iterate_over_copy_entries ~cpu msg ~start ~stop f] — calls [f] with
     views of the header+copied region restricted to object-layout range
     [start, stop); requires a scratch buffer because the region is
     materialised on demand. *)
 val iterate_over_copy_entries :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Wire.Dyn.t ->
   scratch:Mem.View.t ->
   start:int ->

@@ -35,12 +35,12 @@ module Segmenter = struct
     }
 
   (* One frame covering object-layout range [start, stop). *)
-  let send_frame ?cpu t ~dst ~msg_id ~total ~start ~stop msg ~contiguous_len =
+  let send_frame ~cpu t ~dst ~msg_id ~total ~start ~stop msg ~contiguous_len =
     let copy_lo = min start contiguous_len
     and copy_hi = min stop contiguous_len in
     let copy_len = copy_hi - copy_lo in
     let staging =
-      Net.Endpoint.alloc_tx ?cpu t.ep
+      Net.Endpoint.alloc_tx t.ep
         ~len:(Net.Packet.header_len + frag_header_len + copy_len)
     in
     (* Fragment header. *)
@@ -51,15 +51,12 @@ module Segmenter = struct
     u32_to v.Mem.View.data
       (v.Mem.View.off + Net.Packet.header_len + 12)
       (stop - start);
-    (match cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx
-          ~addr:(v.Mem.View.addr + Net.Packet.header_len)
-          ~len:frag_header_len);
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx
+      ~addr:(v.Mem.View.addr + Net.Packet.header_len)
+      ~len:frag_header_len;
     (* The slice of the header+copied region. *)
     if copy_len > 0 then
-      Mem.Pinned.Buf.blit_from ?cpu staging
+      Mem.Pinned.Buf.blit_from ~cpu staging
         ~src:
           (Mem.View.make ~addr:(t.scratch_addr + copy_lo) ~data:t.scratch
              ~off:copy_lo ~len:copy_len)
@@ -67,19 +64,16 @@ module Segmenter = struct
     (* Zero-copy slices in range, each with its own reference. *)
     let zc = ref [] in
     Obj_api.iterate_over_zero_copy_entries msg ~start ~stop (fun slice ->
-        Mem.Pinned.Buf.incr_ref ?cpu slice;
+        Mem.Pinned.Buf.incr_ref ~cpu slice;
         zc := slice :: !zc);
-    (match cpu with
-    | None -> ()
-    | Some cpu ->
-        let p = Memmodel.Cpu.params cpu in
-        Memmodel.Cpu.charge cpu Memmodel.Cpu.Safety
-          (float_of_int (Memutil.distinct_meta_lines !zc)
-          *. p.Memmodel.Params.cost_completion_per_sge));
-    Net.Endpoint.send_inline_header ?cpu t.ep ~dst
+    Memmodel.Cpu.charge_ops cpu Memmodel.Cpu.Safety
+      Memmodel.Cpu.Completion_per_sge
+      (Memutil.distinct_meta_lines !zc);
+    Net.Endpoint.send_inline_header t.ep ~dst
       ~segments:(staging :: List.rev !zc)
 
-  let send ?cpu t ~dst msg =
+  let send t ~dst msg =
+    let cpu = Net.Endpoint.cpu t.ep in
     let plan = Format_.measure msg in
     let total = plan.Format_.total_len in
     if total > max_object then
@@ -91,23 +85,23 @@ module Segmenter = struct
       invalid_arg "Segmenter.send: header+copied region exceeds one frame";
     (* Materialise the contiguous region once. *)
     let w =
-      Wire.Cursor.Writer.create ?cpu
+      Wire.Cursor.Writer.create ~cpu
         (Mem.View.make ~addr:t.scratch_addr ~data:t.scratch ~off:0
            ~len:contiguous_len)
     in
-    Format_.write ?cpu plan w msg;
+    Format_.write plan w msg;
     let msg_id = t.next_msg_id in
     t.next_msg_id <- t.next_msg_id + 1;
     let rec frames start =
       if start < total then begin
         let stop = min total (start + max_chunk) in
-        send_frame ?cpu t ~dst ~msg_id ~total ~start ~stop msg ~contiguous_len;
+        send_frame ~cpu t ~dst ~msg_id ~total ~start ~stop msg ~contiguous_len;
         frames stop
       end
     in
     frames 0;
     (* The frames hold slice references; drop the message's own. *)
-    Format_.iter_zc plan (fun buf -> Mem.Pinned.Buf.decr_ref ?cpu buf)
+    Format_.iter_zc plan (fun buf -> Mem.Pinned.Buf.decr_ref ~cpu buf)
 end
 
 module Reassembler = struct
@@ -151,16 +145,16 @@ module Reassembler = struct
     List.iter
       (fun (key, e) ->
         Hashtbl.remove t.pending key;
-        Mem.Pinned.Buf.decr_ref e.buf)
+        Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none e.buf)
       dead;
     List.length dead
 
   let overlaps chunks ~start ~stop =
     List.exists (fun (a, b) -> start < b && a < stop) chunks
 
-  let on_packet ?cpu t ~src buf ~deliver =
+  let on_packet ~cpu t ~src buf ~deliver =
     let v = Mem.Pinned.Buf.view buf in
-    if v.Mem.View.len < frag_header_len then Mem.Pinned.Buf.decr_ref ?cpu buf
+    if v.Mem.View.len < frag_header_len then Mem.Pinned.Buf.decr_ref ~cpu buf
     else begin
       let msg_id = u32_of v 0 in
       let start = u32_of v 4 in
@@ -170,7 +164,7 @@ module Reassembler = struct
         chunk_len < 0 || start < 0 || total <= 0 || total > max_object
         || start + chunk_len > total
         || frag_header_len + chunk_len > v.Mem.View.len
-      then Mem.Pinned.Buf.decr_ref ?cpu buf
+      then Mem.Pinned.Buf.decr_ref ~cpu buf
       else begin
         let key = (src, msg_id) in
         let entry =
@@ -178,7 +172,7 @@ module Reassembler = struct
           | Some e when e.total = total -> Some e
           | Some _ -> None (* conflicting total: drop *)
           | None -> (
-              match Mem.Pinned.Buf.alloc ?cpu t.pool ~len:total with
+              match Mem.Pinned.Buf.alloc ~cpu t.pool ~len:total with
               | obj ->
                   let e =
                     {
@@ -199,7 +193,7 @@ module Reassembler = struct
             let stop = start + chunk_len in
             e.last_activity <- t.now;
             if not (overlaps e.chunks ~start ~stop) then begin
-              Mem.Pinned.Buf.blit_from ?cpu e.buf
+              Mem.Pinned.Buf.blit_from ~cpu e.buf
                 ~src:(Mem.View.sub v ~off:frag_header_len ~len:chunk_len)
                 ~dst_off:start;
               e.chunks <- (start, stop) :: e.chunks;
@@ -209,7 +203,7 @@ module Reassembler = struct
                 deliver ~src e.buf
               end
             end);
-        Mem.Pinned.Buf.decr_ref ?cpu buf
+        Mem.Pinned.Buf.decr_ref ~cpu buf
       end
     end
 end

@@ -30,15 +30,15 @@ module Segmenter : sig
 
   val create : Net.Endpoint.t -> t
 
-  (** [send ?cpu t ~dst msg] transmits an object of any size up to
+  (** [send t ~dst msg] transmits an object of any size up to
       [max_object], in as many frames as needed (single-frame objects also
       get a fragment header, so one receive path handles everything). The
       hybrid copy/zero-copy decisions were already taken per field at CFPtr
       construction time. Ownership of the message's zero-copy references
-      transfers to the stack, as with {!Send.send_object}. Raises
-      [Invalid_argument] if the object exceeds [max_object] or its
-      header+copied region exceeds [max_chunk]. *)
-  val send : ?cpu:Memmodel.Cpu.t -> t -> dst:int -> Wire.Dyn.t -> unit
+      transfers to the stack, as with {!Send.send_object}. Charges the
+      endpoint's meter. Raises [Invalid_argument] if the object exceeds
+      [max_object] or its header+copied region exceeds [max_chunk]. *)
+  val send : t -> dst:int -> Wire.Dyn.t -> unit
 end
 
 module Reassembler : sig
@@ -49,12 +49,12 @@ module Reassembler : sig
       when echoed). *)
   val create : Mem.Registry.t -> t
 
-  (** [on_packet ?cpu t ~src buf ~deliver] consumes one received frame
+  (** [on_packet ~cpu t ~src buf ~deliver] consumes one received frame
       (taking ownership of [buf]); when the frame completes an object,
       [deliver ~src obj] is called with a buffer the callee must release.
       Malformed fragments are dropped. *)
   val on_packet :
-    ?cpu:Memmodel.Cpu.t ->
+    cpu:Memmodel.Cpu.t ->
     t ->
     src:int ->
     Mem.Pinned.Buf.t ->

@@ -27,7 +27,7 @@ let reset_counters () =
    SGE-limit overflow or under memory pressure. With [best_effort] an
    arena-exhausted copy keeps the zero-copy reference instead of raising;
    returns (demoted, kept-for-lack-of-arena). *)
-let demote_excess ?cpu ?(site = "Send.demote") ?(best_effort = false) ep msg ~keep =
+let demote_excess ~cpu ?(site = "Send.demote") ?(best_effort = false) ep msg ~keep =
   let zc_lens =
     Wire.Dyn.fold_payloads msg ~init:[] ~f:(fun acc p ->
         match p with
@@ -65,10 +65,10 @@ let demote_excess ?cpu ?(site = "Send.demote") ?(best_effort = false) ep msg ~ke
             if keep_this then p
             else begin
               match
-                Mem.Arena.copy_in ?cpu ~site arena (Mem.Pinned.Buf.view buf)
+                Mem.Arena.copy_in ~cpu ~site arena (Mem.Pinned.Buf.view buf)
               with
               | copied ->
-                  Mem.Pinned.Buf.decr_ref ?cpu ~site buf;
+                  Mem.Pinned.Buf.decr_ref ~cpu ~site buf;
                   incr demoted;
                   Wire.Payload.Copied copied
               | exception Mem.Pinned.Out_of_memory _ when best_effort ->
@@ -92,26 +92,22 @@ let scratch_dls : scratch Domain.DLS.key =
         (* One reusable writer, retargeted ([Writer.reset]) at each send's
            staging window instead of allocated per message. *)
         writer =
-          Wire.Cursor.Writer.create
+          Wire.Cursor.Writer.create ~cpu:Memmodel.Cpu.none
             (Mem.View.make ~addr:0 ~data:Bytes.empty ~off:0 ~len:0);
       })
 
 let scratch () = Domain.DLS.get scratch_dls
 
-type writer =
-  cpu:Memmodel.Cpu.t option ->
-  Format_.plan ->
-  Wire.Cursor.Writer.t ->
-  Wire.Dyn.t ->
-  unit
+type writer = Format_.plan -> Wire.Cursor.Writer.t -> Wire.Dyn.t -> unit
 
 (* The full send pipeline, parameterised over the serializer body: the
    generic writer for [send_via], a codegen-folded [write_folded] for
    generated [send]s ([send_planned]). [write] must be a top-level function
-   so the hot path stays allocation-free. *)
-let send_planned ?cpu (config : Config.t) (tr : Net.Transport.t) ~dst msg
-    ~write =
+   so the hot path stays allocation-free. Every charge goes to the
+   transport's meter. *)
+let send_planned (config : Config.t) (tr : Net.Transport.t) ~dst msg ~write =
   let ep = tr.Net.Transport.tr_ep in
+  let cpu = Net.Endpoint.cpu ep in
   let headroom = tr.Net.Transport.tr_headroom in
   let max_len = tr.Net.Transport.tr_max_msg_len in
   let scratch = scratch () in
@@ -122,7 +118,7 @@ let send_planned ?cpu (config : Config.t) (tr : Net.Transport.t) ~dst msg
   let limit = (Nic.Device.model (Net.Endpoint.nic ep)).Nic.Model.max_sge in
   let max_zc = limit - if config.serialize_and_send then 1 else 2 in
   if plan.Format_.zc_count > max_zc then begin
-    ignore (demote_excess ?cpu ep msg ~keep:max_zc);
+    ignore (demote_excess ~cpu ep msg ~keep:max_zc);
     Format_.measure_into plan msg
   end;
   (* Graceful degradation: when completions are backing up (lost/delayed
@@ -134,7 +130,7 @@ let send_planned ?cpu (config : Config.t) (tr : Net.Transport.t) ~dst msg
     && Net.Endpoint.under_pressure ep
   then begin
     let demoted, skipped =
-      demote_excess ?cpu ~site:"Send.pressure_demote" ~best_effort:true ep msg
+      demote_excess ~cpu ~site:"Send.pressure_demote" ~best_effort:true ep msg
         ~keep:0
     in
     let c = counters () in
@@ -149,59 +145,46 @@ let send_planned ?cpu (config : Config.t) (tr : Net.Transport.t) ~dst msg
      cache line (adjacent slots, e.g. one value's linked list) amortise it.
      Charged here (per distinct metadata line) so per-request service times
      include it; staging entries recycle hot buffers and pay nothing. *)
-  (match cpu with
-  | None -> ()
-  | Some cpu ->
-      let p = Memmodel.Cpu.params cpu in
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.Safety
-        (float_of_int
-           (Memutil.distinct_meta_lines_arr plan.Format_.zc
-              ~n:plan.Format_.zc_count)
-        *. p.Memmodel.Params.cost_completion_per_sge));
+  Memmodel.Cpu.charge_ops cpu Memmodel.Cpu.Safety
+    Memmodel.Cpu.Completion_per_sge
+    (Memutil.distinct_meta_lines_arr plan.Format_.zc ~n:plan.Format_.zc_count);
   if config.serialize_and_send then begin
     (* One staging buffer: transport headroom (wire headers + framing) +
        object header + copied fields. Zero-copy payloads ride as further
        gather entries. *)
-    let staging =
-      Net.Endpoint.alloc_tx ?cpu ep ~len:(headroom + contiguous_len)
-    in
+    let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + contiguous_len) in
     let window =
       Mem.Pinned.Buf.sub_view ~site:"Send.staging" staging ~off:headroom
         ~len:contiguous_len
     in
     let w = scratch.writer in
-    Wire.Cursor.Writer.reset ?cpu w window;
-    Format_.run ?cpu plan w msg ~write;
-    tr.Net.Transport.tr_send_inline_zc ?cpu ~dst ~head:staging
+    Wire.Cursor.Writer.reset ~cpu w window;
+    Format_.run plan w msg ~write;
+    tr.Net.Transport.tr_send_inline_zc ~dst ~head:staging
       ~zc:plan.Format_.zc ~zc_n:plan.Format_.zc_count
   end
   else begin
     (* Layered path: object buffer, then an explicit scatter-gather array
        handed to the stack, which prepends a header-only entry. *)
-    let obj = Net.Endpoint.alloc_tx ?cpu ep ~len:contiguous_len in
+    let obj = Net.Endpoint.alloc_tx ep ~len:contiguous_len in
     let w = scratch.writer in
-    Wire.Cursor.Writer.reset ?cpu w (Mem.Pinned.Buf.view obj);
-    Format_.run ?cpu plan w msg ~write;
+    Wire.Cursor.Writer.reset ~cpu w (Mem.Pinned.Buf.view obj);
+    Format_.run plan w msg ~write;
     let nsge = 1 + plan.Format_.zc_count in
     let arena = Net.Endpoint.arena ep in
-    let sga = Mem.Arena.alloc ?cpu ~site:"Send.sga" arena ~len:(16 * nsge) in
-    (match cpu with
-    | None -> ()
-    | Some cpu ->
-        let p = Memmodel.Cpu.params cpu in
-        (* Materialising the scatter-gather array: a heap vector allocation,
-           writing (ptr, len) pairs, and the stack re-reading them while
-           posting — the intermediate transformation serialize-and-send
-           eliminates (paper section 3.2.3). *)
-        Memmodel.Cpu.charge cpu Memmodel.Cpu.Alloc
-          p.Memmodel.Params.cost_vec_alloc;
-        Memmodel.Cpu.charge cpu Memmodel.Cpu.Tx
-          (float_of_int nsge *. 2.0 *. p.Memmodel.Params.cost_per_call);
-        Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx ~addr:sga.Mem.View.addr
-          ~len:(16 * nsge);
-        Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx ~addr:sga.Mem.View.addr
-          ~len:(16 * nsge));
-    tr.Net.Transport.tr_send_extra_zc ?cpu ~dst ~head:obj ~zc:plan.Format_.zc
+    let sga = Mem.Arena.alloc ~cpu ~site:"Send.sga" arena ~len:(16 * nsge) in
+    (* Materialising the scatter-gather array: a heap vector allocation,
+       writing (ptr, len) pairs (two calls per entry), and the stack
+       re-reading them while posting — the intermediate transformation
+       serialize-and-send eliminates (paper section 3.2.3). *)
+    Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Alloc Memmodel.Cpu.Vec_alloc;
+    Memmodel.Cpu.charge_ops cpu Memmodel.Cpu.Tx Memmodel.Cpu.Per_call
+      (2 * nsge);
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx ~addr:sga.Mem.View.addr
+      ~len:(16 * nsge);
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx ~addr:sga.Mem.View.addr
+      ~len:(16 * nsge);
+    tr.Net.Transport.tr_send_extra_zc ~dst ~head:obj ~zc:plan.Format_.zc
       ~zc_n:plan.Format_.zc_count;
     (* The stack has consumed the scatter-gather array; hand the chunk back
        so the next layered send reuses it. *)
@@ -209,17 +192,13 @@ let send_planned ?cpu (config : Config.t) (tr : Net.Transport.t) ~dst msg
   end
 [@@alloc_free]
 
-(* Generic serializer body as a top-level function: passing it below is a
-   static value, not a closure allocation. *)
-let generic_write ~cpu plan w msg = Format_.write_msg_generic ?cpu w plan msg
-
-let send_via ?cpu config tr ~dst msg =
-  send_planned ?cpu config tr ~dst msg ~write:generic_write
+let send_via config tr ~dst msg =
+  send_planned config tr ~dst msg ~write:Format_.write_msg_generic
 [@@alloc_free]
 
 (* Compatibility shim for the UDP-only call sites: [Endpoint.transport] is
    cached per endpoint, so this stays allocation-free. *)
-let send_object ?cpu config ep ~dst msg =
-  send_via ?cpu config (Net.Endpoint.transport ep) ~dst msg
+let send_object config ep ~dst msg =
+  send_via config (Net.Endpoint.transport ep) ~dst msg
 
 let deserialize = Format_.deserialize

@@ -30,38 +30,26 @@ val pressure_demotion_skips : unit -> int
 
 val reset_counters : unit -> unit
 
-(** [send_via ?cpu config tr ~dst msg] — serialize [msg] and send it over
-    any transport: the staging buffer reserves [tr]'s headroom (packet
-    header for UDP; packet + TCP headers + record prefix for TCP, so the
-    stream fast path is still one gather entry), the size limit is the
-    transport's, and the zero-copy array goes down the transport's [_zc]
-    fast path. Ownership is identical on both datapaths from the caller's
+(** [send_via config tr ~dst msg] — serialize [msg] and send it over
+    any transport, charging [Net.Transport.cpu tr]: the staging buffer
+    reserves [tr]'s headroom (packet header for UDP; packet + TCP headers +
+    record prefix for TCP, so the stream fast path is still one gather
+    entry), the size limit is the transport's, and the zero-copy array goes
+    down the transport's [_zc] fast path. Ownership is identical on both datapaths from the caller's
     side; internally UDP releases references at completion, TCP at
     cumulative ACK. *)
-val send_via :
-  ?cpu:Memmodel.Cpu.t ->
-  Config.t ->
-  Net.Transport.t ->
-  dst:int ->
-  Wire.Dyn.t ->
-  unit
+val send_via : Config.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
 
 (** A serializer body: {!Format_.run}'s [write] contract. *)
-type writer =
-  cpu:Memmodel.Cpu.t option ->
-  Format_.plan ->
-  Wire.Cursor.Writer.t ->
-  Wire.Dyn.t ->
-  unit
+type writer = Format_.plan -> Wire.Cursor.Writer.t -> Wire.Dyn.t -> unit
 
-(** [send_planned ?cpu config tr ~dst msg ~write] — the same pipeline as
+(** [send_planned config tr ~dst msg ~write] — the same pipeline as
     {!send_via} (measure, size/SGE/pressure checks, staging, post) but with
     the serializer body supplied by the caller: generated modules pass their
     codegen-folded [write_folded] here via {!Format_.run}'s contract. [write]
     must be a top-level function (not a closure) to keep the hot path
     allocation-free. *)
 val send_planned :
-  ?cpu:Memmodel.Cpu.t ->
   Config.t ->
   Net.Transport.t ->
   dst:int ->
@@ -72,18 +60,12 @@ val send_planned :
 (** [send_object config ep ~dst msg] = [send_via config (Endpoint.transport
     ep)] — the historical UDP entry point (Listing 2); allocation-free, the
     endpoint's transport record is cached. *)
-val send_object :
-  ?cpu:Memmodel.Cpu.t ->
-  Config.t ->
-  Net.Endpoint.t ->
-  dst:int ->
-  Wire.Dyn.t ->
-  unit
+val send_object : Config.t -> Net.Endpoint.t -> dst:int -> Wire.Dyn.t -> unit
 
-(** [deserialize ?cpu schema desc buf] — re-export of {!Format_.deserialize}
+(** [deserialize ~cpu schema desc buf] — re-export of {!Format_.deserialize}
     for API symmetry with Listing 1. *)
 val deserialize :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   Schema.Desc.t ->
   Schema.Desc.message ->
   Mem.Pinned.Buf.t ->

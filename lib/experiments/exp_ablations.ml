@@ -92,9 +92,9 @@ let run_adaptive_threshold () =
       (Apps.Backend.cornflakes ()) with
       Apps.Backend.name = "adaptive";
       wrap =
-        (fun ?cpu tr view ->
-          Cornflakes.Adaptive.make ?cpu adaptive (Net.Transport.endpoint tr)
-            view);
+        (fun tr view ->
+          Cornflakes.Adaptive.make ~cpu:(Net.Transport.cpu tr) adaptive
+            (Net.Transport.endpoint tr) view);
     }
   in
   let results =

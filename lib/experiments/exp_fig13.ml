@@ -32,7 +32,7 @@ let run_config ~cores path =
       Net.Endpoint.create ~cpu ~nic:shared_nic fabric registry ~id:(1 + core)
     in
     let server_tr = Net.Endpoint.transport server_ep in
-    let server = Loadgen.Server.create server_tr cpu in
+    let server = Loadgen.Server.create server_tr in
     let rig : Apps.Rig.t =
       {
         Apps.Rig.engine;
@@ -56,7 +56,8 @@ let run_config ~cores path =
        concurrently on the one engine. *)
     for c = 0 to 1 do
       let client =
-        Net.Endpoint.create fabric registry ~id:(100 + (core * 10) + c)
+        Net.Endpoint.create ~cpu:Memmodel.Cpu.none fabric registry
+          ~id:(100 + (core * 10) + c)
       in
       let client_tr = Net.Endpoint.transport client in
       let issue () = d.Util.send client_tr ~dst:(1 + core) ~id:0 in
@@ -66,7 +67,7 @@ let run_config ~cores path =
             incr completed;
             resp_bytes := !resp_bytes + Mem.Pinned.Buf.len buf
           end;
-          Mem.Pinned.Buf.decr_ref buf;
+          Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none buf;
           if now < duration then issue ());
       for k = 1 to 4 do
         Sim.Engine.schedule engine ~after:(k * 311) issue

@@ -39,8 +39,9 @@ let make_frame () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let ep = Net.Endpoint.create fabric registry ~id:1 in
-  let peer = Net.Endpoint.create fabric registry ~id:2 in
+  let cpu = Memmodel.Cpu.none in
+  let ep = Net.Endpoint.create ~cpu fabric registry ~id:1 in
+  let peer = Net.Endpoint.create ~cpu fabric registry ~id:2 in
   let got = ref None in
   Net.Endpoint.set_rx peer (fun ~src:_ buf -> got := Some buf);
   let m = Wire.Dyn.create Apps.Proto.req in
@@ -87,11 +88,11 @@ let consume_keys r sink =
 let measure_hand_dispatch () =
   let frame = make_frame () in
   let cpu = Memmodel.Cpu.create Memmodel.Params.default in
-  let reader = Wire.Reader.create Apps.Proto.req in
+  let reader = Wire.Reader.create ~cpu Apps.Proto.req in
   let resp = Wire.Dyn.create Apps.Proto.resp in
   let sent = ref 0 and sink = ref 0 in
   let op () =
-    Wire.Reader.validate ~cpu reader frame;
+    Wire.Reader.validate reader frame;
     Wire.Dyn.clear resp;
     if Wire.Reader.present reader Apps.Proto.req_id then
       Wire.Dyn.set_int resp "id" (Wire.Reader.get_u64 reader Apps.Proto.req_id);
@@ -103,18 +104,18 @@ let measure_hand_dispatch () =
   in
   let r = measure cpu op in
   Wire.Reader.clear reader;
-  Mem.Pinned.Buf.decr_ref ~site:"exp_rpc.frame" frame;
+  Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none ~site:"exp_rpc.frame" frame;
   r
 
 let measure_gen_dispatch () =
   let frame = make_frame () in
   let cpu = Memmodel.Cpu.create Memmodel.Params.default in
   let sent = ref 0 and sink = ref 0 in
-  let srv = S.server ~send:(fun ~dst:_ _ -> incr sent) () in
+  let srv = S.server ~cpu ~send:(fun ~dst:_ _ -> incr sent) () in
   S.on_get srv ~reader:(fun ~src:_ r _resp -> consume_keys r sink);
-  let op () = S.serve ~cpu srv ~src:1 frame in
+  let op () = S.serve srv ~src:1 frame in
   let r = measure cpu op in
-  Mem.Pinned.Buf.decr_ref ~site:"exp_rpc.frame" frame;
+  Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none ~site:"exp_rpc.frame" frame;
   r
 
 (* --- call --------------------------------------------------------------- *)
@@ -133,14 +134,14 @@ let make_call_rig () =
   let srv_ep = Net.Endpoint.create ~cpu fabric registry ~id:2 in
   let sink = ref 0 in
   let srv =
-    S.server
+    S.server ~cpu
       ~send:(fun ~dst resp ->
         Cornflakes.Send.send_object Cornflakes.Config.default srv_ep ~dst resp)
       ()
   in
   S.on_get srv ~reader:(fun ~src:_ r _resp -> consume_keys r sink);
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
-      S.serve ~cpu srv ~src buf;
+      S.serve srv ~src buf;
       Mem.Pinned.Buf.decr_ref ~cpu ~site:"exp_rpc.srv_done" buf);
   let req = Apps.Kv_rpc.Req.create () in
   List.iter
@@ -160,10 +161,10 @@ let drain engine cli srv_ep =
    folded writer, parse the reply with a hand-held reader. *)
 let measure_hand_call () =
   let engine, _space, cpu, cli, srv_ep, req = make_call_rig () in
-  let reader = Apps.Kv_rpc.Resp.reader () in
+  let reader = Apps.Kv_rpc.Resp.reader ~cpu () in
   let replies = ref 0 in
   Net.Endpoint.set_rx cli (fun ~src:_ buf ->
-      Apps.Kv_rpc.Resp.read_folded ~cpu reader buf;
+      Apps.Kv_rpc.Resp.read_folded reader buf;
       ignore (Wire.Reader.get_u64_or reader S.resp_id ~default:0L);
       incr replies;
       Mem.Pinned.Buf.decr_ref ~cpu ~site:"exp_rpc.cli_done" buf);
@@ -174,7 +175,7 @@ let measure_hand_call () =
     incr next;
     Apps.Kv_rpc.Req.set_id req (Int64.of_int !next);
     Apps.Kv_rpc.Req.set_op req S.id_get;
-    Apps.Kv_rpc.Req.send ~cpu config tr ~dst:2 req;
+    Apps.Kv_rpc.Req.send config tr ~dst:2 req;
     drain engine cli srv_ep
   in
   let r = measure cpu op in
@@ -185,12 +186,12 @@ let measure_gen_call () =
   let engine, _space, cpu, cli, srv_ep, req = make_call_rig () in
   let c = S.client (Net.Endpoint.transport cli) in
   Net.Endpoint.set_rx cli (fun ~src:_ buf ->
-      S.deliver ~cpu c buf;
+      S.deliver c buf;
       Mem.Pinned.Buf.decr_ref ~cpu ~site:"exp_rpc.cli_done" buf);
   let replies = ref 0 in
   let op () =
     ignore
-      (S.call_get ~cpu c ~dst:2 req ~on_reply:(fun r ->
+      (S.call_get c ~dst:2 req ~on_reply:(fun r ->
            ignore (Wire.Reader.get_u64_or r S.resp_id ~default:0L);
            incr replies));
     drain engine cli srv_ep

@@ -26,8 +26,9 @@ let make_frame () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let ep = Net.Endpoint.create fabric registry ~id:1 in
-  let peer = Net.Endpoint.create fabric registry ~id:2 in
+  let cpu = Memmodel.Cpu.none in
+  let ep = Net.Endpoint.create ~cpu fabric registry ~id:1 in
+  let peer = Net.Endpoint.create ~cpu fabric registry ~id:2 in
   let got = ref None in
   Net.Endpoint.set_rx peer (fun ~src:_ buf -> got := Some buf);
   let m = Wire.Dyn.create Apps.Proto.req in
@@ -85,16 +86,16 @@ let measure_dyn_parse () =
     Wire.Dyn.release ~cpu d
   in
   let r = measure cpu op in
-  Mem.Pinned.Buf.decr_ref ~site:"exp_rx.frame" frame;
+  Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none ~site:"exp_rx.frame" frame;
   r
 
 let measure_inplace_read () =
   let frame = make_frame () in
   let cpu = Memmodel.Cpu.create Memmodel.Params.default in
-  let reader = Wire.Reader.create Apps.Proto.req in
+  let reader = Wire.Reader.create ~cpu Apps.Proto.req in
   let sink = ref 0 in
   let op () =
-    Wire.Reader.validate ~cpu reader frame;
+    Wire.Reader.validate reader frame;
     ignore (Wire.Reader.get_u64 reader Apps.Proto.req_id);
     ignore (Wire.Reader.get_u64 reader Apps.Proto.req_op);
     let n = Wire.Reader.count reader Apps.Proto.req_keys in
@@ -107,7 +108,7 @@ let measure_inplace_read () =
   let r = measure cpu op in
   (* Drop the reader's handle cache, then the delivery reference. *)
   Wire.Reader.clear reader;
-  Mem.Pinned.Buf.decr_ref ~site:"exp_rx.frame" frame;
+  Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none ~site:"exp_rx.frame" frame;
   r
 
 let reduction_pct ~base ~now =

@@ -26,14 +26,13 @@ let handler t ~src buf =
           in
           (match t.path with
           | Raw_sg ->
-              Baselines.Manual.send_zero_copy ~cpu ~safety:`Raw tr ~dst:src views
+              Baselines.Manual.send_zero_copy ~safety:`Raw tr ~dst:src views
           | Safe_sg ->
-              Baselines.Manual.send_zero_copy ~cpu ~safety:`Safe tr ~dst:src
-                views
-          | Copy_once -> Baselines.Manual.send_one_copy ~cpu tr ~dst:src views)
+              Baselines.Manual.send_zero_copy ~safety:`Safe tr ~dst:src views
+          | Copy_once -> Baselines.Manual.send_one_copy tr ~dst:src views)
       | None ->
           (* Echo an empty frame so FIFO matching stays aligned. *)
-          Baselines.Manual.send_one_copy ~cpu tr ~dst:src []);
+          Baselines.Manual.send_one_copy tr ~dst:src []);
       Mem.Pinned.Buf.decr_ref ~cpu buf
   | _ | (exception Invalid_argument _) -> Mem.Pinned.Buf.decr_ref ~cpu buf
 

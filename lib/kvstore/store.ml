@@ -53,76 +53,69 @@ let value_len v =
 let root_value v =
   List.iter (fun b -> Mem.Pinned.Buf.root ~site:"Store.put" b) (buffers v)
 
-let release_value ?cpu v =
+let release_value ~cpu v =
   List.iter
     (fun b ->
       Mem.Pinned.Buf.unroot ~site:"Store.release" b;
-      Mem.Pinned.Buf.decr_ref ?cpu ~site:"Store.release" b)
+      Mem.Pinned.Buf.decr_ref ~cpu ~site:"Store.release" b)
     (buffers v)
 
 let bucket_addr t key =
   t.bucket_base + (8 * (Hashtbl.hash key land (t.nbuckets - 1)))
 
-let charge_lookup ?cpu t key entry_addr =
-  match cpu with
-  | None -> ()
-  | Some cpu ->
-      let p = Memmodel.Cpu.params cpu in
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.App p.Memmodel.Params.cost_hash_op;
-      Memmodel.Cpu.latency_access cpu Memmodel.Cpu.App ~addr:(bucket_addr t key);
-      Memmodel.Cpu.latency_access cpu Memmodel.Cpu.App ~addr:entry_addr;
-      (* Key compare sweeps the key bytes stored in the entry record. *)
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:(entry_addr + 16)
-        ~len:(min 48 (String.length key))
+(* Hash plus the bucket line: what every lookup pays, hit or miss. *)
+let charge_probe ~cpu t key =
+  Memmodel.Cpu.charge_op cpu Memmodel.Cpu.App Memmodel.Cpu.Hash_op;
+  Memmodel.Cpu.latency_access cpu Memmodel.Cpu.App ~addr:(bucket_addr t key)
+
+let charge_lookup ~cpu t key entry_addr =
+  charge_probe ~cpu t key;
+  Memmodel.Cpu.latency_access cpu Memmodel.Cpu.App ~addr:entry_addr;
+  (* Key compare sweeps the key bytes stored in the entry record. *)
+  Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:(entry_addr + 16)
+    ~len:(min 48 (String.length key))
 
 let alloc_entry_addr t =
   let off = t.next_entry in
   t.next_entry <- (t.next_entry + entry_record_bytes) mod t.entry_bytes;
   t.entry_base + off
 
-let put ?cpu t ~key v =
+let put ~cpu t ~key v =
   root_value v;
   match Hashtbl.find_opt t.table key with
   | Some entry ->
-      charge_lookup ?cpu t key entry.meta_addr;
+      charge_lookup ~cpu t key entry.meta_addr;
       let old = entry.v in
       entry.v <- v;
-      release_value ?cpu old
+      release_value ~cpu old
   | None ->
       let meta_addr = alloc_entry_addr t in
-      charge_lookup ?cpu t key meta_addr;
+      charge_lookup ~cpu t key meta_addr;
       Hashtbl.replace t.table key { v; meta_addr }
 
-let get ?cpu t ~key =
+let get ?(cpu = Memmodel.Cpu.none) t ~key =
   match Hashtbl.find_opt t.table key with
   | None ->
-      (match cpu with
-      | None -> ()
-      | Some cpu ->
-          let p = Memmodel.Cpu.params cpu in
-          Memmodel.Cpu.charge cpu Memmodel.Cpu.App p.Memmodel.Params.cost_hash_op;
-          Memmodel.Cpu.latency_access cpu Memmodel.Cpu.App
-            ~addr:(bucket_addr t key));
+      charge_probe ~cpu t key;
       None
   | Some entry ->
-      charge_lookup ?cpu t key entry.meta_addr;
+      charge_lookup ~cpu t key entry.meta_addr;
       (* Traversing a multi-buffer value touches its node descriptors,
          packed after the entry record (4 per line). *)
-      (match (cpu, entry.v) with
-      | Some cpu, (Linked bs) ->
-          let n = List.length bs in
+      (match entry.v with
+      | Linked bs ->
           Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:(entry.meta_addr + 64)
-            ~len:(16 * n)
-      | Some cpu, Vector arr ->
+            ~len:(16 * List.length bs)
+      | Vector arr ->
           Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:(entry.meta_addr + 64)
             ~len:(16 * Array.length arr)
-      | _, _ -> ());
+      | Single _ -> ());
       Some entry.v
 
-let remove ?cpu t ~key =
+let remove ~cpu t ~key =
   match Hashtbl.find_opt t.table key with
   | None -> ()
   | Some entry ->
-      charge_lookup ?cpu t key entry.meta_addr;
-      release_value ?cpu entry.v;
+      charge_lookup ~cpu t key entry.meta_addr;
+      release_value ~cpu entry.v;
       Hashtbl.remove t.table key

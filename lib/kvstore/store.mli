@@ -24,17 +24,18 @@ val create : Mem.Addr_space.t -> name:string -> capacity:int -> t
 
 val size : t -> int
 
-(** [put ?cpu t ~key value] installs [value] (taking ownership of the
+(** [put ~cpu t ~key value] installs [value] (taking ownership of the
     caller's references) and releases any previous value. *)
-val put : ?cpu:Memmodel.Cpu.t -> t -> key:string -> value -> unit
+val put : cpu:Memmodel.Cpu.t -> t -> key:string -> value -> unit
 
 (** [get ?cpu t ~key] returns the live value; the store retains ownership
     (callers wanting to keep buffers across a later [put] must take their
-    own reference, e.g. via CFPtr construction). *)
+    own reference, e.g. via CFPtr construction). The lookup is charged to
+    [cpu], default {!Memmodel.Cpu.none}. *)
 val get : ?cpu:Memmodel.Cpu.t -> t -> key:string -> value option
 
-(** [remove ?cpu t ~key] deletes the entry and releases its buffers. *)
-val remove : ?cpu:Memmodel.Cpu.t -> t -> key:string -> unit
+(** [remove ~cpu t ~key] deletes the entry and releases its buffers. *)
+val remove : cpu:Memmodel.Cpu.t -> t -> key:string -> unit
 
 (** Buffers of a value, in order (list/vector flattened). *)
 val buffers : value -> Mem.Pinned.Buf.t list

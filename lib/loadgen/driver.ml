@@ -122,7 +122,8 @@ let install_rx ctx client ~parse_id ~fifo ~on_complete =
         ctx.resp_bytes <- ctx.resp_bytes + Mem.Pinned.Buf.len buf;
         Stats.Histogram.record ctx.hist (now - send_ns)
       end;
-      Mem.Pinned.Buf.decr_ref ~site:"Driver.response_done" buf;
+      Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none
+        ~site:"Driver.response_done" buf;
       on_complete ())
 
 let issue ?(on_give_up = nothing) ctx client ~server ~send ~parse_id ~fifo =

@@ -54,7 +54,7 @@ let service t =
     t.q_len <- t.q_len - 1;
     t.busy <- true;
     let c0 = Memmodel.Cpu.cycles t.cpu in
-    Net.Endpoint.charge_rx ~cpu:t.cpu t.ep ~len:(Mem.Pinned.Buf.len buf);
+    Net.Endpoint.charge_rx t.ep;
     Net.Endpoint.begin_hold t.ep;
     (try t.handler ~src buf
      with e ->
@@ -92,20 +92,20 @@ let finish_slot t =
 let on_rx t ~src buf =
   if t.q_len >= t.queue_limit then begin
     t.dropped <- t.dropped + 1;
-    Mem.Pinned.Buf.decr_ref ~site:"Server.queue_drop" buf
+    Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none ~site:"Server.queue_drop" buf
   end
   else begin
     enqueue t ~src buf;
     if not t.busy then service t
   end
 
-let create ?(queue_limit = 4096) tr cpu =
+let create ?(queue_limit = 4096) tr =
   let ep = Net.Transport.endpoint tr in
   let rec t =
     {
       tr;
       ep;
-      cpu;
+      cpu = Net.Endpoint.cpu ep;
       engine = Net.Endpoint.engine ep;
       q_src = [||];
       q_buf = [||];
@@ -114,7 +114,9 @@ let create ?(queue_limit = 4096) tr cpu =
       queue_limit;
       busy = false;
       handler =
-        (fun ~src:_ buf -> Mem.Pinned.Buf.decr_ref ~site:"Server.no_handler" buf);
+        (fun ~src:_ buf ->
+          Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none
+            ~site:"Server.no_handler" buf);
       served = 0;
       dropped = 0;
       service_ns_total = 0.0;

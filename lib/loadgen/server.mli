@@ -10,11 +10,11 @@
 
 type t
 
-(** [create ?queue_limit tr cpu] — [tr]'s endpoint must have been created
-    with this [cpu]. Installs itself as the transport's message handler
-    (works for either datapath: one call per datagram over UDP, one per
-    reassembled record over TCP). *)
-val create : ?queue_limit:int -> Net.Transport.t -> Memmodel.Cpu.t -> t
+(** [create ?queue_limit tr] — the server's meter is [tr]'s
+    ([Net.Transport.cpu]). Installs itself as the transport's message
+    handler (works for either datapath: one call per datagram over UDP, one
+    per reassembled record over TCP). *)
+val create : ?queue_limit:int -> Net.Transport.t -> t
 
 (** [set_handler t f] — [f ~src buf] owns one reference on [buf]. *)
 val set_handler : t -> (src:int -> Mem.Pinned.Buf.t -> unit) -> unit

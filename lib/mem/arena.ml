@@ -99,13 +99,6 @@ let effective_capacity t =
 
 let oom_events t = t.oom_events
 
-let charge_alloc cpu =
-  match cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.Alloc
-        (Memmodel.Cpu.params cpu).Memmodel.Params.cost_arena_alloc
-
 let push stack off =
   let cap = Array.length stack.offs in
   if stack.top >= cap then begin
@@ -129,8 +122,8 @@ let san_id t ~off ~cls =
     base = t.base_addr + off;
   }
 
-let alloc ?cpu ?(site = "Arena.alloc") t ~len =
-  charge_alloc cpu;
+let alloc ~cpu ?(site = "Arena.alloc") t ~len =
+  Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Alloc Memmodel.Cpu.Arena_alloc;
   let cls = class_index len in
   if cls >= 0 && t.free.(cls).top > 0 then begin
     (* Recycled chunk: modeled for RefSan as a fresh allocation with a
@@ -160,16 +153,13 @@ let alloc ?cpu ?(site = "Arena.alloc") t ~len =
     View.make ~addr:(t.base_addr + off) ~data:t.backing ~off ~len
   end
 
-let copy_in ?cpu ?site t src =
-  let dst = alloc ?cpu ?site t ~len:src.View.len in
+let copy_in ~cpu ?site t src =
+  let dst = alloc ~cpu ?site t ~len:src.View.len in
   View.blit src ~dst:t.backing ~dst_off:dst.View.off;
-  (match cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:src.View.addr
-        ~len:src.View.len;
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:dst.View.addr
-        ~len:src.View.len);
+  Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:src.View.addr
+    ~len:src.View.len;
+  Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:dst.View.addr
+    ~len:src.View.len;
   dst
 
 (* Generation bumps only happen while the sanitizer observes: with it off

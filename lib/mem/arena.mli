@@ -46,14 +46,14 @@ val soft_capacity : t -> int option
 (** Allocations refused with [Out_of_memory] since creation. *)
 val oom_events : t -> int
 
-(** [copy_in ?cpu ?site t src] copies [src]'s bytes into the arena (charging
+(** [copy_in ~cpu ?site t src] copies [src]'s bytes into the arena (charging
     a streaming read of the source and write of the arena) and returns a view
     of the copy. Raises [Out_of_memory] if the arena is full. *)
-val copy_in : ?cpu:Memmodel.Cpu.t -> ?site:string -> t -> View.t -> View.t
+val copy_in : cpu:Memmodel.Cpu.t -> ?site:string -> t -> View.t -> View.t
 
-(** [alloc ?cpu ?site t ~len] reserves arena space (for headers built in
+(** [alloc ~cpu ?site t ~len] reserves arena space (for headers built in
     place), preferring a recycled chunk of the same size class. *)
-val alloc : ?cpu:Memmodel.Cpu.t -> ?site:string -> t -> len:int -> View.t
+val alloc : cpu:Memmodel.Cpu.t -> ?site:string -> t -> len:int -> View.t
 
 (** [recycle ?site t v] returns a chunk obtained from [alloc]/[copy_in] to
     its size-class free list. The view must come from this arena and must no

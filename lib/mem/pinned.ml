@@ -180,15 +180,11 @@ module Buf = struct
     let c = sc t in
     c.gens.(t.slot) = t.gen && c.refcounts.(t.slot) > 0
 
-  let charge_meta ?cpu t =
-    match cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Safety ~addr:(meta_addr t);
-        Memmodel.Cpu.charge cpu Memmodel.Cpu.Safety
-          (Memmodel.Cpu.params cpu).Memmodel.Params.cost_refcount_op
+  let charge_meta ~cpu t =
+    Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Safety ~addr:(meta_addr t);
+    Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Safety Memmodel.Cpu.Refcount_op
 
-  let alloc ?cpu ?(site = "Pinned.alloc") pool ~len =
+  let alloc ~cpu ?(site = "Pinned.alloc") pool ~len =
     match Pool.class_for pool ~len with
     | -1 ->
         raise
@@ -205,23 +201,17 @@ module Buf = struct
         c.refcounts.(slot) <- 1;
         let t = { pool; cls; slot; gen = c.gens.(slot); off = 0; len } in
         if san_on () then Sanitizer.Refsan.on_alloc ~id:(san_id t) ~site;
-        (match cpu with
-        | None -> ()
-        | Some cpu ->
-            let p = Memmodel.Cpu.params cpu in
-            Memmodel.Cpu.charge cpu Memmodel.Cpu.Alloc
-              p.Memmodel.Params.cost_slab_alloc;
-            (* Free-list head is a hot line; refcount init touches the slot's
-               metadata line. *)
-            Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Alloc
-              ~addr:pool.freelist_addr;
-            Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Alloc
-              ~addr:(meta_addr t));
+        Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Alloc Memmodel.Cpu.Slab_alloc;
+        (* Free-list head is a hot line; refcount init touches the slot's
+           metadata line. *)
+        Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Alloc
+          ~addr:pool.freelist_addr;
+        Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Alloc ~addr:(meta_addr t);
         t
 
-  let incr_ref ?cpu ?(site = "Pinned.incr_ref") t =
+  let incr_ref ~cpu ?(site = "Pinned.incr_ref") t =
     check_live ~site ~op:`Ref t;
-    charge_meta ?cpu t;
+    charge_meta ~cpu t;
     let c = sc t in
     c.refcounts.(t.slot) <- c.refcounts.(t.slot) + 1;
     if san_on () then
@@ -233,9 +223,9 @@ module Buf = struct
     c.free.(c.free_top) <- t.slot;
     c.free_top <- c.free_top + 1
 
-  let decr_ref ?cpu ?(site = "Pinned.decr_ref") t =
+  let decr_ref ~cpu ?(site = "Pinned.decr_ref") t =
     check_live ~site ~op:`Release t;
-    charge_meta ?cpu t;
+    charge_meta ~cpu t;
     let c = sc t in
     c.refcounts.(t.slot) <- c.refcounts.(t.slot) - 1;
     if san_on () then
@@ -324,7 +314,7 @@ module Buf = struct
     | None -> ()
     | Some token -> Sanitizer.Refsan.release_hold token
 
-  let fill ?cpu ?(site = "Pinned.fill") t s =
+  let fill ~cpu ?(site = "Pinned.fill") t s =
     check_live ~site ~op:`Write t;
     if String.length s > slot_size t - t.off then
       invalid_arg "Pinned.Buf.fill: string too long";
@@ -334,13 +324,10 @@ module Buf = struct
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len:(String.length s) ~via_cow:false ~site;
-    match cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t)
-          ~len:(String.length s)
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t)
+      ~len:(String.length s)
 
-  let fill_substring ?cpu ?(site = "Pinned.fill_substring") t s ~src_off ~len =
+  let fill_substring ~cpu ?(site = "Pinned.fill_substring") t s ~src_off ~len =
     check_live ~site ~op:`Write t;
     if src_off < 0 || len < 0 || src_off + len > String.length s then
       invalid_arg "Pinned.Buf.fill_substring: source out of bounds";
@@ -351,14 +338,12 @@ module Buf = struct
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len ~via_cow:false ~site;
-    match cpu with
-    | None -> ()
-    | Some cpu -> Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t) ~len
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t) ~len
 
   (* [fill_substring] over a caller-owned bytes window (e.g. a pooled NIC
      egress frame whose capacity exceeds the packet): same RefSan write
      event and CPU charge, no intermediate string. *)
-  let fill_subbytes ?cpu ?(site = "Pinned.fill_subbytes") t s ~src_off ~len =
+  let fill_subbytes ~cpu ?(site = "Pinned.fill_subbytes") t s ~src_off ~len =
     check_live ~site ~op:`Write t;
     if src_off < 0 || len < 0 || src_off + len > Bytes.length s then
       invalid_arg "Pinned.Buf.fill_subbytes: source out of bounds";
@@ -369,11 +354,9 @@ module Buf = struct
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len ~via_cow:false ~site;
-    match cpu with
-    | None -> ()
-    | Some cpu -> Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t) ~len
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t) ~len
 
-  let blit_from ?cpu ?(site = "Pinned.blit_from") t ~src ~dst_off =
+  let blit_from ~cpu ?(site = "Pinned.blit_from") t ~src ~dst_off =
     check_live ~site ~op:`Write t;
     if dst_off < 0 || t.off + dst_off + src.View.len > slot_size t then
       invalid_arg "Pinned.Buf.blit_from: out of bounds";
@@ -382,20 +365,13 @@ module Buf = struct
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t + dst_off) ~len:src.View.len ~via_cow:false ~site;
-    match cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:src.View.addr
-          ~len:src.View.len;
-        Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy
-          ~addr:(addr t + dst_off) ~len:src.View.len
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:src.View.addr
+      ~len:src.View.len;
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t + dst_off)
+      ~len:src.View.len
 
-  let recover_exn ?cpu ?(site = "Pinned.recover") pool ~addr:a ~len =
-    (match cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.charge cpu Memmodel.Cpu.Safety
-          (Memmodel.Cpu.params cpu).Memmodel.Params.cost_range_lookup);
+  let recover_exn ~cpu ?(site = "Pinned.recover") pool ~addr:a ~len =
+    Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Safety Memmodel.Cpu.Range_lookup;
     match Pool.class_of_addr pool ~addr:a with
     | -1 -> raise_notrace Unpinned
     | cls ->
@@ -408,7 +384,7 @@ module Buf = struct
         else begin
           let t = { pool; cls; slot; gen = c.gens.(slot); off; len } in
           (* Zero-copy safety: recovering a pointer takes a reference. *)
-          charge_meta ?cpu t;
+          charge_meta ~cpu t;
           c.refcounts.(slot) <- c.refcounts.(slot) + 1;
           if san_on () then
             Sanitizer.Refsan.on_incref ~id:(san_id t)

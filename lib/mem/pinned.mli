@@ -62,10 +62,10 @@ end
 module Buf : sig
   type t
 
-  (** [alloc ?cpu ?site pool ~len] takes a buffer from the smallest class
+  (** [alloc ~cpu ?site pool ~len] takes a buffer from the smallest class
       with size >= [len]; its visible window is [len] bytes; refcount starts
       at 1. Raises [Out_of_memory] when the class is exhausted. *)
-  val alloc : ?cpu:Memmodel.Cpu.t -> ?site:string -> Pool.t -> len:int -> t
+  val alloc : cpu:Memmodel.Cpu.t -> ?site:string -> Pool.t -> len:int -> t
 
   val addr : t -> int
 
@@ -85,14 +85,14 @@ module Buf : sig
   (** RefSan identity of this handle (pool uid, slot, generation, window). *)
   val san_id : t -> Sanitizer.Refsan.buf_id
 
-  (** [incr_ref ?cpu ?site t] charges a metadata access (the zero-copy
+  (** [incr_ref ~cpu ?site t] charges a metadata access (the zero-copy
       safety cost) and bumps the count. Raises [Use_after_free] on a stale
       handle. *)
-  val incr_ref : ?cpu:Memmodel.Cpu.t -> ?site:string -> t -> unit
+  val incr_ref : cpu:Memmodel.Cpu.t -> ?site:string -> t -> unit
 
-  (** [decr_ref ?cpu ?site t] releases one reference; at zero the slot
+  (** [decr_ref ~cpu ?site t] releases one reference; at zero the slot
       returns to the free list and the generation advances. *)
-  val decr_ref : ?cpu:Memmodel.Cpu.t -> ?site:string -> t -> unit
+  val decr_ref : cpu:Memmodel.Cpu.t -> ?site:string -> t -> unit
 
   (** [view t] is a read window over the visible bytes.
       Raises [Use_after_free] on a stale handle. *)
@@ -119,15 +119,15 @@ module Buf : sig
       bump it). *)
   val sub : ?site:string -> t -> off:int -> len:int -> t
 
-  (** [fill ?cpu ?site t s] writes [s] at the start of the visible window
+  (** [fill ~cpu ?site t s] writes [s] at the start of the visible window
       (setup/application writes). *)
-  val fill : ?cpu:Memmodel.Cpu.t -> ?site:string -> t -> string -> unit
+  val fill : cpu:Memmodel.Cpu.t -> ?site:string -> t -> string -> unit
 
-  (** [fill_substring ?cpu ?site t s ~src_off ~len] writes
+  (** [fill_substring ~cpu ?site t s ~src_off ~len] writes
       [s[src_off, src_off+len)] at the start of the visible window without
       materializing an intermediate substring (hot receive path). *)
   val fill_substring :
-    ?cpu:Memmodel.Cpu.t ->
+    cpu:Memmodel.Cpu.t ->
     ?site:string ->
     t ->
     string ->
@@ -135,11 +135,11 @@ module Buf : sig
     len:int ->
     unit
 
-  (** [fill_subbytes ?cpu ?site t b ~src_off ~len] — {!fill_substring} over
+  (** [fill_subbytes ~cpu ?site t b ~src_off ~len] — {!fill_substring} over
       a caller-owned bytes window (e.g. a pooled NIC egress frame): same
       RefSan write event, no intermediate string. *)
   val fill_subbytes :
-    ?cpu:Memmodel.Cpu.t ->
+    cpu:Memmodel.Cpu.t ->
     ?site:string ->
     t ->
     Bytes.t ->
@@ -147,11 +147,11 @@ module Buf : sig
     len:int ->
     unit
 
-  (** [blit_from ?cpu ?site t ~src ~dst_off] copies [src]'s visible bytes
+  (** [blit_from ~cpu ?site t ~src ~dst_off] copies [src]'s visible bytes
       into the buffer, charging a streaming read of [src] and write of the
       target. *)
   val blit_from :
-    ?cpu:Memmodel.Cpu.t -> ?site:string -> t -> src:View.t -> dst_off:int -> unit
+    cpu:Memmodel.Cpu.t -> ?site:string -> t -> src:View.t -> dst_off:int -> unit
 
   (** Report a write that mutated the buffer's bytes without going through
       [fill]/[blit_from] (direct view mutation, e.g. a header writer or
@@ -182,5 +182,5 @@ module Buf : sig
       refcount and return a handle windowed to that slice; otherwise raise
       {!Unpinned}. Only the handle is allocated. *)
   val recover_exn :
-    ?cpu:Memmodel.Cpu.t -> ?site:string -> Pool.t -> addr:int -> len:int -> t
+    cpu:Memmodel.Cpu.t -> ?site:string -> Pool.t -> addr:int -> len:int -> t
 end

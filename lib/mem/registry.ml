@@ -23,19 +23,16 @@ let rec pool_of pools ~addr =
 let is_pinned t ~addr =
   match pool_of t.pools ~addr with _ -> true | exception Not_found -> false
 
-let recover_exn ?cpu t ~addr ~len =
-  (match cpu with
-  | None -> ()
-  | Some cpu ->
-      (* Range-table lookup: arithmetic plus one (hot) table line. *)
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.Safety
-        (Memmodel.Cpu.params cpu).Memmodel.Params.cost_range_lookup;
-      Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Safety ~addr:t.table_addr);
+let recover_exn ~cpu t ~addr ~len =
+  (* Range-table lookup: arithmetic plus one (hot) table line. *)
+  Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Safety Memmodel.Cpu.Range_lookup;
+  Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Safety ~addr:t.table_addr;
   match pool_of t.pools ~addr with
   | exception Not_found -> raise_notrace Pinned.Unpinned
-  | pool -> Pinned.Buf.recover_exn ?cpu ~site:"Registry.recover_ptr" pool ~addr ~len
+  | pool ->
+      Pinned.Buf.recover_exn ~cpu ~site:"Registry.recover_ptr" pool ~addr ~len
 
-let recover_ptr ?cpu t ~addr ~len =
-  match recover_exn ?cpu t ~addr ~len with
+let recover_ptr ~cpu t ~addr ~len =
+  match recover_exn ~cpu t ~addr ~len with
   | buf -> Some buf
   | exception Pinned.Unpinned -> None

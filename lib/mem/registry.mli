@@ -20,12 +20,12 @@ val pools : t -> Pinned.Pool.t list
     effects, no charges). *)
 val is_pinned : t -> addr:int -> bool
 
-(** [recover_ptr ?cpu t ~addr ~len] returns a referenced handle if
+(** [recover_ptr ~cpu t ~addr ~len] returns a referenced handle if
     [addr, addr+len) lies in a live pinned allocation. *)
 val recover_ptr :
-  ?cpu:Memmodel.Cpu.t -> t -> addr:int -> len:int -> Pinned.Buf.t option
+  cpu:Memmodel.Cpu.t -> t -> addr:int -> len:int -> Pinned.Buf.t option
 
 (** [recover_exn] is {!recover_ptr} raising [Pinned.Unpinned] instead of
     returning [None]: the zero-copy wrap allocates only the handle. *)
 val recover_exn :
-  ?cpu:Memmodel.Cpu.t -> t -> addr:int -> len:int -> Pinned.Buf.t
+  cpu:Memmodel.Cpu.t -> t -> addr:int -> len:int -> Pinned.Buf.t

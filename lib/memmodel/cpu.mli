@@ -26,10 +26,44 @@ type t
     private L3 or the given shared one. *)
 val create : ?shared_l3:Cache.t -> Params.t -> t
 
+(** The unmetered meter, shared by every caller the simulation does not
+    charge (client endpoints, preloads, tests). Every operation on it is a
+    no-op that writes and allocates nothing, so one value serves every
+    domain; [cycles none = 0.] and its breakdown is all zeros. Its
+    [params] are [Params.default]. *)
+val none : t
+
 val params : t -> Params.t
 
-(** [charge t cat cycles] adds fixed instruction cycles. *)
+(** [false] exactly for {!none}. *)
+val metered : t -> bool
+
+(** Fixed instruction costs, each named after its [Params] field
+    ([Per_call] is [cost_per_call], ...). *)
+type op =
+  | Per_call
+  | Arena_alloc
+  | Slab_alloc
+  | Hash_op
+  | Refcount_op
+  | Range_lookup
+  | Rx_packet
+  | Completion_per_sge
+  | Vec_alloc
+
+(** [charge t cat cycles] adds computed instruction cycles. *)
 val charge : t -> category -> float -> unit
+
+(** [charge_op t cat op] adds [op]'s [Params] cost. *)
+val charge_op : t -> category -> op -> unit
+
+(** [charge_ops t cat op n] adds [float_of_int n *.] [op]'s cost. *)
+val charge_ops : t -> category -> op -> int -> unit
+
+(** [charge_post t ~nsge ~batch] charges one TX ring post to [Tx]: [nsge]
+    ring-entry writes, a doorbell shared by a batch of [batch] posts, and
+    the per-packet transmit cost. *)
+val charge_post : t -> nsge:int -> batch:int -> unit
 
 (** [stream t cat ~addr ~len] models a bulk (prefetchable) sweep over
     [addr, addr+len): per-line streaming cost by hit level. Used for both

@@ -23,6 +23,11 @@ type result = {
   words_per_op : float;
 }
 
+
+(* Every loop below is unmetered: the suite measures wall ns and minor
+   words, not simulated cycles. *)
+let none = Memmodel.Cpu.none
+
 let words_per_op ~iters fn =
   for _ = 1 to max 100 (iters / 10) do
     fn ()
@@ -43,15 +48,15 @@ let make_send_loop ~pooled ?write () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let ep = Net.Endpoint.create fabric registry ~id:1 in
-  let _peer = Net.Endpoint.create fabric registry ~id:2 in
+  let ep = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
+  let _peer = Net.Endpoint.create ~cpu:none fabric registry ~id:2 in
   let pool =
     Mem.Pinned.Pool.create space ~name:"bench-send"
       ~classes:[ (64, 64); (512, 64); (2048, 64) ]
   in
   let value len =
-    let b = Mem.Pinned.Buf.alloc ~site:"bench.value" pool ~len in
-    Mem.Pinned.Buf.fill ~site:"bench.value" b (String.make len 'v');
+    let b = Mem.Pinned.Buf.alloc ~cpu:none ~site:"bench.value" pool ~len in
+    Mem.Pinned.Buf.fill ~cpu:none ~site:"bench.value" b (String.make len 'v');
     b
   in
   let b64 = value 64 and b512 = value 512 and b2048 = value 2048 in
@@ -64,11 +69,11 @@ let make_send_loop ~pooled ?write () =
   let build msg =
     Wire.Dyn.set_int_at msg Apps.Proto.resp_id 7L;
     Wire.Dyn.append_payload_at msg Apps.Proto.resp_vals
-      (Cornflakes.Cf_ptr.make config ep v64);
+      (Cornflakes.Cf_ptr.make ~cpu:none config ep v64);
     Wire.Dyn.append_payload_at msg Apps.Proto.resp_vals
-      (Cornflakes.Cf_ptr.make config ep v512);
+      (Cornflakes.Cf_ptr.make ~cpu:none config ep v512);
     Wire.Dyn.append_payload_at msg Apps.Proto.resp_vals
-      (Cornflakes.Cf_ptr.make config ep v2048)
+      (Cornflakes.Cf_ptr.make ~cpu:none config ep v2048)
   in
   fun () ->
     let msg =
@@ -100,11 +105,11 @@ let make_rpc_call_loop () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let cli = Net.Endpoint.create fabric registry ~id:1 in
-  let srv_ep = Net.Endpoint.create fabric registry ~id:2 in
+  let cli = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
+  let srv_ep = Net.Endpoint.create ~cpu:none fabric registry ~id:2 in
   let sink = ref 0 in
   let srv =
-    S.server
+    S.server ~cpu:none
       ~send:(fun ~dst resp ->
         Cornflakes.Send.send_object Cornflakes.Config.default srv_ep ~dst resp)
       ()
@@ -117,11 +122,11 @@ let make_rpc_call_loop () =
       done);
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
       S.serve srv ~src buf;
-      Mem.Pinned.Buf.decr_ref ~site:"bench.rpc" buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"bench.rpc" buf);
   let c = S.client (Net.Endpoint.transport cli) in
   Net.Endpoint.set_rx cli (fun ~src:_ buf ->
       S.deliver c buf;
-      Mem.Pinned.Buf.decr_ref ~site:"bench.rpc" buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"bench.rpc" buf);
   let req = Apps.Kv_rpc.Req.create () in
   List.iter
     (fun j ->
@@ -137,7 +142,7 @@ let make_rpc_call_loop () =
 
 let event_tick () = ()
 
-let release_frame ~src:_ buf = Mem.Pinned.Buf.decr_ref buf
+let release_frame ~src:_ buf = Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let make_benchmarks ~seed () =
   let event_engine = Sim.Engine.create () in
@@ -158,8 +163,11 @@ let make_benchmarks ~seed () =
       ~classes:[ (64, 64); (512, 64); (2048, 64); (16384, 64) ]
   in
   let pinned s =
-    let b = Mem.Pinned.Buf.alloc ~site:"bench.micro" pool ~len:(String.length s) in
-    Mem.Pinned.Buf.fill ~site:"bench.micro" b s;
+    let b =
+      Mem.Pinned.Buf.alloc ~cpu:none ~site:"bench.micro" pool
+        ~len:(String.length s)
+    in
+    Mem.Pinned.Buf.fill ~cpu:none ~site:"bench.micro" b s;
     b
   in
   (* Hybrid message: one copied-size field, two zero-copy fields. *)
@@ -179,16 +187,16 @@ let make_benchmarks ~seed () =
   let engine = Sim.Engine.create () in
   let fabric = Net.Fabric.create engine in
   let registry = Mem.Registry.create space in
-  let ep = Net.Endpoint.create fabric registry ~id:1 in
+  let ep = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
   let proto_len = Baselines.Protobuf.encoded_len msg in
   let proto_buf =
-    let w = Wire.Cursor.Writer.create scratch_view in
-    Baselines.Protobuf.encode w msg;
+    let w = Wire.Cursor.Writer.create ~cpu:none scratch_view in
+    Baselines.Protobuf.encode ~cpu:none w msg;
     pinned (Bytes.sub_string scratch 0 proto_len)
   in
   (* Reused-plan / reused-writer scratch for the "after" pairs. *)
   let plan = Cornflakes.Format_.create_plan () in
-  let writer = Wire.Cursor.Writer.create scratch_view in
+  let writer = Wire.Cursor.Writer.create ~cpu:none scratch_view in
   let dyn_scratch = Wire.Dyn.create Apps.Proto.resp in
   let build_dyn m =
     Wire.Dyn.set_int_at m Apps.Proto.resp_id 7L;
@@ -201,7 +209,7 @@ let make_benchmarks ~seed () =
      pre-reader receive path) vs validated once and read in place. The
      frame is a delivered RX-ring buffer held for the life of the suite. *)
   let rx_frame =
-    let peer = Net.Endpoint.create fabric registry ~id:3 in
+    let peer = Net.Endpoint.create ~cpu:none fabric registry ~id:3 in
     let got = ref None in
     Net.Endpoint.set_rx peer (fun ~src:_ buf -> got := Some buf);
     (* A dedicated message: the send consumes one reference per zero-copy
@@ -227,7 +235,7 @@ let make_benchmarks ~seed () =
      skeleton validates the frame once, echoes the id, dispatches the
      method word through the branchless table and tail-sends into a sink. *)
   let rpc_frame =
-    let peer = Net.Endpoint.create fabric registry ~id:4 in
+    let peer = Net.Endpoint.create ~cpu:none fabric registry ~id:4 in
     let got = ref None in
     Net.Endpoint.set_rx peer (fun ~src:_ buf -> got := Some buf);
     let m = Wire.Dyn.create Apps.Proto.req in
@@ -248,7 +256,9 @@ let make_benchmarks ~seed () =
   in
   let rpc_sink = ref 0 in
   let rpc_srv =
-    Apps.Kv_rpc.Kv_service.server ~send:(fun ~dst:_ _ -> incr rpc_sink) ()
+    Apps.Kv_rpc.Kv_service.server ~cpu:none
+      ~send:(fun ~dst:_ _ -> incr rpc_sink)
+      ()
   in
   Apps.Kv_rpc.Kv_service.on_get rpc_srv ~reader:(fun ~src:_ r _resp ->
       let n = Wire.Reader.count r Apps.Proto.req_keys in
@@ -263,7 +273,7 @@ let make_benchmarks ~seed () =
   let rx_ring =
     Mem.Pinned.Pool.create space ~name:"bench-rx-ring" ~classes:[ (2048, 64) ]
   in
-  let rxq = Nic.Device.attach_rx rx_nic rx_ring in
+  let rxq = Nic.Device.attach_rx ~cpu:none rx_nic rx_ring in
   let rx_wire = Bytes.make 1024 'r' in
   (* Arena pair: classic bump-and-mass-reset vs free-list recycling. *)
   let arena_space = Mem.Addr_space.create () in
@@ -285,8 +295,8 @@ let make_benchmarks ~seed () =
       tracked = true;
       fn =
         (fun () ->
-          let w = Wire.Cursor.Writer.create scratch_view in
-          Baselines.Protobuf.encode w msg);
+          let w = Wire.Cursor.Writer.create ~cpu:none scratch_view in
+          Baselines.Protobuf.encode ~cpu:none w msg);
     };
     {
       name = "protobuf-decode";
@@ -294,8 +304,8 @@ let make_benchmarks ~seed () =
       fn =
         (fun () ->
           let m =
-            Baselines.Protobuf.deserialize ep Apps.Proto.schema Apps.Proto.resp
-              proto_buf
+            Baselines.Protobuf.deserialize ~cpu:none ep Apps.Proto.schema
+              Apps.Proto.resp proto_buf
           in
           Mem.Arena.reset (Net.Endpoint.arena ep);
           ignore m);
@@ -318,7 +328,7 @@ let make_benchmarks ~seed () =
       fn =
         (fun () ->
           let p = Cornflakes.Format_.measure msg in
-          let w = Wire.Cursor.Writer.create scratch_view in
+          let w = Wire.Cursor.Writer.create ~cpu:none scratch_view in
           Cornflakes.Format_.write p w msg);
     };
     {
@@ -327,7 +337,7 @@ let make_benchmarks ~seed () =
       fn =
         (fun () ->
           Cornflakes.Format_.measure_into plan msg;
-          Wire.Cursor.Writer.reset writer scratch_view;
+          Wire.Cursor.Writer.reset ~cpu:none writer scratch_view;
           Cornflakes.Format_.write plan writer msg);
     };
     (* The generated folded writer of [Resp] (literal layout, one hoisted
@@ -338,7 +348,7 @@ let make_benchmarks ~seed () =
       fn =
         (fun () ->
           Cornflakes.Format_.measure_into plan msg;
-          Wire.Cursor.Writer.reset writer scratch_view;
+          Wire.Cursor.Writer.reset ~cpu:none writer scratch_view;
           Cornflakes.Format_.run plan writer msg
             ~write:Apps.Kv_rpc.Resp.write_folded);
     };
@@ -366,12 +376,12 @@ let make_benchmarks ~seed () =
       fn =
         (fun () ->
           let m =
-            Cornflakes.Send.deserialize Apps.Proto.schema Apps.Proto.resp
-              rx_frame
+            Cornflakes.Send.deserialize ~cpu:none Apps.Proto.schema
+              Apps.Proto.resp rx_frame
           in
           ignore (Wire.Dyn.get_int m "id");
           ignore (Wire.Dyn.get_list m "vals");
-          Wire.Dyn.release m);
+          Wire.Dyn.release ~cpu:none m);
     };
     {
       name = "cf-read-inplace";
@@ -402,7 +412,7 @@ let make_benchmarks ~seed () =
       tracked = true;
       fn =
         (fun () ->
-          ignore (Mem.Arena.copy_in arena arena_src);
+          ignore (Mem.Arena.copy_in ~cpu:none arena arena_src);
           Mem.Arena.reset arena);
     };
     {
@@ -410,7 +420,7 @@ let make_benchmarks ~seed () =
       tracked = true;
       fn =
         (fun () ->
-          let c = Mem.Arena.copy_in arena arena_src in
+          let c = Mem.Arena.copy_in ~cpu:none arena arena_src in
           Mem.Arena.recycle arena c);
     };
     {

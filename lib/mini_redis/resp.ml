@@ -22,9 +22,9 @@ let rec encoded_len = function
       1 + digits (List.length elems) + 2
       + List.fold_left (fun acc e -> acc + encoded_len e) 0 elems
 
-let crlf ?cpu:_ w = Wire.Cursor.Writer.string w "\r\n"
+let crlf w = Wire.Cursor.Writer.string w "\r\n"
 
-let rec encode ?cpu w v =
+let rec encode w v =
   let module W = Wire.Cursor.Writer in
   match v with
   | Simple s ->
@@ -50,7 +50,7 @@ let rec encode ?cpu w v =
       W.string w "*";
       W.string w (string_of_int (List.length elems));
       crlf w;
-      List.iter (fun e -> encode ?cpu w e) elems
+      List.iter (fun e -> encode w e) elems
 
 type parser_state = {
   view : Mem.View.t;
@@ -105,8 +105,8 @@ let rec read_value st =
       Array (List.init n (fun _ -> read_value st))
   | c -> fail "unexpected type byte %C" c
 
-let decode ?cpu view =
-  let st = { view; r = Wire.Cursor.Reader.create ?cpu view } in
+let decode ~cpu view =
+  let st = { view; r = Wire.Cursor.Reader.create ~cpu view } in
   let v = read_value st in
   if Wire.Cursor.Reader.remaining st.r <> 0 then fail "trailing bytes";
   v
@@ -118,7 +118,7 @@ let to_string space v =
       ~addr:(Mem.Addr_space.reserve space ~bytes:(Bytes.length data))
       ~data ~off:0 ~len:(Bytes.length data)
   in
-  let w = Wire.Cursor.Writer.create view in
+  let w = Wire.Cursor.Writer.create ~cpu:Memmodel.Cpu.none view in
   encode w v;
   Bytes.to_string data
 

@@ -19,12 +19,12 @@ exception Protocol_error of string
 (** Encoded size in bytes. *)
 val encoded_len : value -> int
 
-(** [encode ?cpu w v] writes the RESP encoding into [w]. *)
-val encode : ?cpu:Memmodel.Cpu.t -> Wire.Cursor.Writer.t -> value -> unit
+(** [encode w v] writes the RESP encoding into [w], charging [w]'s meter. *)
+val encode : Wire.Cursor.Writer.t -> value -> unit
 
-(** [decode ?cpu view] parses one RESP value (must consume the window
+(** [decode ~cpu view] parses one RESP value (must consume the window
     exactly). Bulk contents are windows into [view]. *)
-val decode : ?cpu:Memmodel.Cpu.t -> Mem.View.t -> value
+val decode : cpu:Memmodel.Cpu.t -> Mem.View.t -> value
 
 (** Convenience for tests: encode to a string. *)
 val to_string : Mem.Addr_space.t -> value -> string

@@ -16,15 +16,12 @@ type t = {
 
 let store t = t.store
 
-let arg_string ?cpu (v : Resp.value) =
+let arg_string ~cpu (v : Resp.value) =
   match v with
-  | Resp.Bulk view -> (
-      (match cpu with
-      | None -> ()
-      | Some cpu ->
-          Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:view.Mem.View.addr
-            ~len:view.Mem.View.len);
-      Mem.View.to_string view)
+  | Resp.Bulk view ->
+      Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:view.Mem.View.addr
+        ~len:view.Mem.View.len;
+      Mem.View.to_string view
   | _ -> raise (Resp.Protocol_error "expected bulk argument")
 
 (* Case-insensitive command dispatch straight over the decoded view: the
@@ -209,22 +206,23 @@ let execute t ~cpu req =
    (values included) is composed directly into a DMA-safe output buffer —
    the paper's baseline integration minimises unnecessary copies, so this
    is a single copy of every value byte. *)
-let send_native t ~cpu ~dst reply =
+let send_native t ~dst reply =
   let tr = t.rig.Apps.Rig.server_tr in
   let ep = Net.Transport.endpoint tr in
   let headroom = Net.Transport.headroom tr in
   let len = Resp.encoded_len reply in
-  let staging = Net.Endpoint.alloc_tx ~cpu ep ~len:(headroom + len) in
+  let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + len) in
   let window =
     Mem.View.sub (Mem.Pinned.Buf.view staging) ~off:headroom ~len
   in
-  let w = Wire.Cursor.Writer.create ~cpu window in
-  Resp.encode ~cpu w reply;
-  Net.Transport.send_inline ~cpu tr ~dst ~segments:[ staging ]
+  let w = Wire.Cursor.Writer.create ~cpu:(Net.Endpoint.cpu ep) window in
+  Resp.encode w reply;
+  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
 
-let send_cornflakes t ~cpu ~dst config reply =
+let send_cornflakes t ~dst config reply =
   let tr = t.rig.Apps.Rig.server_tr in
   let ep = Net.Transport.endpoint tr in
+  let cpu = Net.Endpoint.cpu ep in
   (* Replies become Cornflakes objects; each bulk goes through the hybrid
      CFPtr constructor. *)
   let msg = Wire.Dyn.create Apps.Proto.resp in
@@ -240,7 +238,7 @@ let send_cornflakes t ~cpu ~dst config reply =
         (fun e -> match e with Resp.Bulk view -> add_bulk view | _ -> ())
         elems
   | Resp.Simple _ | Resp.Error _ | Resp.Int _ | Resp.Null -> ());
-  Cornflakes.Send.send_via ~cpu config tr ~dst msg
+  Cornflakes.Send.send_via config tr ~dst msg
 
 (* Redis spends considerable time per command outside serialization:
    command-table dispatch, SDS/robj bookkeeping, LRU/expiry accounting.
@@ -256,8 +254,8 @@ let handler t ~src buf =
   | req ->
       let reply = execute t ~cpu req in
       (match t.mode with
-      | Native -> send_native t ~cpu ~dst:src reply
-      | Cornflakes_backed config -> send_cornflakes t ~cpu ~dst:src config reply);
+      | Native -> send_native t ~dst:src reply
+      | Cornflakes_backed config -> send_cornflakes t ~dst:src config reply);
       Mem.Pinned.Buf.decr_ref ~cpu buf
 
 let install rig mode ~workload ~list_values =

@@ -28,7 +28,7 @@ type t = {
   id : int;
   fabric : Fabric.t;
   registry : Mem.Registry.t;
-  cpu : Memmodel.Cpu.t option;
+  cpu : Memmodel.Cpu.t;
   nic : Nic.Device.t;
   config : config;
   tx_pool : Mem.Pinned.Pool.t;
@@ -70,19 +70,15 @@ and transport = {
      datagrams; the reassembly cap for stream transports). *)
   tr_max_msg_len : int;
   tr_connect : peer:int -> unit;
-  tr_send_inline :
-    ?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
-  tr_send_extra :
-    ?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
+  tr_send_inline : dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
+  tr_send_extra : dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
   tr_send_inline_zc :
-    ?cpu:Memmodel.Cpu.t ->
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
     zc_n:int ->
     unit;
   tr_send_extra_zc :
-    ?cpu:Memmodel.Cpu.t ->
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
@@ -130,27 +126,23 @@ let arena t = t.arena
 let under_pressure t =
   2 * Nic.Device.in_flight t.nic >= (Nic.Device.model t.nic).Nic.Model.tx_ring_entries
 
-let alloc_tx ?cpu ?(site = "Endpoint.alloc_tx") t ~len =
-  Mem.Pinned.Buf.alloc ?cpu ~site t.tx_pool ~len
+let alloc_tx_on ~cpu ?(site = "Endpoint.alloc_tx") t ~len =
+  Mem.Pinned.Buf.alloc ~cpu ~site t.tx_pool ~len
 
-let charge_post ?cpu t ~nsge =
-  match cpu with
-  | None -> ()
-  | Some cpu ->
-      let p = Memmodel.Cpu.params cpu in
-      (* Ring-entry writes, doorbell, and the completion-side processing
-         (descriptor reap + reference releases) pre-charged per packet.
-         With doorbell coalescing the MMIO write is shared by the whole
-         batch, so each send is charged its amortized share. *)
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.Tx
-        ((float_of_int nsge *. p.Memmodel.Params.cost_sg_post)
-        +. (p.Memmodel.Params.cost_doorbell /. float_of_int (tx_batch t))
-        +. p.Memmodel.Params.cost_tx_packet)
+let alloc_tx ?site t ~len = alloc_tx_on ~cpu:t.cpu ?site t ~len
+
+(* Ring-entry writes, doorbell, and the completion-side processing
+   (descriptor reap + reference releases) pre-charged per packet. With
+   doorbell coalescing the MMIO write is shared by the whole batch, so each
+   send is charged its amortized share. *)
+let charge_post ~cpu t ~nsge =
+  Memmodel.Cpu.charge_post cpu ~nsge ~batch:(tx_batch t)
 
 (* One long-lived release closure shared by every descriptor: the stack's
    reference on each segment is dropped when the NIC completion fires;
    charged at post time. *)
-let release_seg buf = Mem.Pinned.Buf.decr_ref ~site:"Nic.complete" buf
+let release_seg buf =
+  Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none ~site:"Nic.complete" buf
 
 let acquire_txd t =
   let txd = Nic.Device.txd_acquire t.nic in
@@ -209,7 +201,7 @@ let submit_deferred t =
     submit t t.deferred.(i)
   done
 
-let create ?cpu ?nic ?(config = default_config) fabric registry ~id =
+let create ~cpu ?nic ?(config = default_config) fabric registry ~id =
   let space = Mem.Registry.space registry in
   let tx_pool =
     Mem.Pinned.Pool.create space
@@ -241,11 +233,12 @@ let create ?cpu ?nic ?(config = default_config) fabric registry ~id =
       config;
       tx_pool;
       rx_pool;
-      rxq = Nic.Device.attach_rx ?cpu nic rx_pool;
+      rxq = Nic.Device.attach_rx ~cpu nic rx_pool;
       arena = Mem.Arena.create space ~capacity:config.arena_capacity;
       rx_handler =
         (fun ~src:_ buf ->
-          Mem.Pinned.Buf.decr_ref ~site:"Endpoint.rx_default_drop" buf);
+          Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none
+            ~site:"Endpoint.rx_default_drop" buf);
       holding = false;
       held = [||];
       held_n = 0;
@@ -266,39 +259,39 @@ let create ?cpu ?nic ?(config = default_config) fabric registry ~id =
   Fabric.attach fabric ~id ~rx:(fun frame -> handle_wire t frame);
   t
 
-let write_header ?cpu t ~dst buf =
+let write_header ~cpu t ~dst buf =
   Packet.write_header
     (Mem.Pinned.Buf.backing buf)
     ~off:(Mem.Pinned.Buf.backing_off buf)
     ~src:t.id ~dst;
   Mem.Pinned.Buf.note_write ~site:"Endpoint.write_header" buf ~off:0
     ~len:Packet.header_len;
-  match cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx
-        ~addr:(Mem.Pinned.Buf.addr buf)
-        ~len:Packet.header_len
+  Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx ~addr:(Mem.Pinned.Buf.addr buf)
+    ~len:Packet.header_len
 
-let send_inline_header ?cpu t ~dst ~segments =
+let send_inline_header_on ~cpu t ~dst ~segments =
   match segments with
   | [] -> invalid_arg "Endpoint.send_inline_header: no segments"
   | first :: _ ->
       if Mem.Pinned.Buf.len first < Packet.header_len then
         invalid_arg "Endpoint.send_inline_header: no header headroom";
-      write_header ?cpu t ~dst first;
-      charge_post ?cpu t ~nsge:(List.length segments);
+      write_header ~cpu t ~dst first;
+      charge_post ~cpu t ~nsge:(List.length segments);
       let txd = acquire_txd t in
       List.iter (Nic.Device.txd_push txd) segments;
       post t txd
 
-let send_extra_header ?cpu t ~dst ~segments =
+let send_inline_header t ~dst ~segments =
+  send_inline_header_on ~cpu:t.cpu t ~dst ~segments
+
+let send_extra_header t ~dst ~segments =
+  let cpu = t.cpu in
   let hdr =
-    Mem.Pinned.Buf.alloc ?cpu ~site:"Endpoint.send_extra_header" t.tx_pool
+    Mem.Pinned.Buf.alloc ~cpu ~site:"Endpoint.send_extra_header" t.tx_pool
       ~len:Packet.header_len
   in
-  write_header ?cpu t ~dst hdr;
-  charge_post ?cpu t ~nsge:(1 + List.length segments);
+  write_header ~cpu t ~dst hdr;
+  charge_post ~cpu t ~nsge:(1 + List.length segments);
   let txd = acquire_txd t in
   Nic.Device.txd_push txd hdr;
   List.iter (Nic.Device.txd_push txd) segments;
@@ -307,11 +300,11 @@ let send_extra_header ?cpu t ~dst ~segments =
 (* Array-based serializer fast paths: gather entries come straight from the
    measured plan's zero-copy array (first [zc_n] slots of [zc]), filling a
    reusable NIC descriptor in place — no per-send segment list. *)
-let send_inline_zc ?cpu t ~dst ~head ~zc ~zc_n =
+let send_inline_zc t ~dst ~head ~zc ~zc_n =
   if Mem.Pinned.Buf.len head < Packet.header_len then
     invalid_arg "Endpoint.send_inline_zc: no header headroom";
-  write_header ?cpu t ~dst head;
-  charge_post ?cpu t ~nsge:(1 + zc_n);
+  write_header ~cpu:t.cpu t ~dst head;
+  charge_post ~cpu:t.cpu t ~nsge:(1 + zc_n);
   let txd = acquire_txd t in
   Nic.Device.txd_push txd head;
   for i = 0 to zc_n - 1 do
@@ -320,13 +313,14 @@ let send_inline_zc ?cpu t ~dst ~head ~zc ~zc_n =
   post t txd
 [@@alloc_free]
 
-let send_extra_zc ?cpu t ~dst ~head ~zc ~zc_n =
+let send_extra_zc t ~dst ~head ~zc ~zc_n =
+  let cpu = t.cpu in
   let hdr =
-    Mem.Pinned.Buf.alloc ?cpu ~site:"Endpoint.send_extra_header" t.tx_pool
+    Mem.Pinned.Buf.alloc ~cpu ~site:"Endpoint.send_extra_header" t.tx_pool
       ~len:Packet.header_len
   in
-  write_header ?cpu t ~dst hdr;
-  charge_post ?cpu t ~nsge:(2 + zc_n);
+  write_header ~cpu t ~dst hdr;
+  charge_post ~cpu t ~nsge:(2 + zc_n);
   let txd = acquire_txd t in
   Nic.Device.txd_push txd hdr;
   Nic.Device.txd_push txd head;
@@ -337,8 +331,9 @@ let send_extra_zc ?cpu t ~dst ~head ~zc ~zc_n =
 [@@alloc_free]
 
 let send_string t ~dst s =
+  let cpu = Memmodel.Cpu.none in
   let buf =
-    Mem.Pinned.Buf.alloc ~site:"Endpoint.send_string" t.tx_pool
+    alloc_tx_on ~cpu ~site:"Endpoint.send_string" t
       ~len:(Packet.header_len + String.length s)
   in
   let v = Mem.Pinned.Buf.view buf in
@@ -347,7 +342,7 @@ let send_string t ~dst s =
     (String.length s);
   Mem.Pinned.Buf.note_write ~site:"Endpoint.send_string" buf
     ~off:Packet.header_len ~len:(String.length s);
-  send_inline_header t ~dst ~segments:[ buf ]
+  send_inline_header_on ~cpu t ~dst ~segments:[ buf ]
 
 let set_rx t f = t.rx_handler <- f
 
@@ -374,20 +369,13 @@ let release_hold t ~after =
   if t.deferred_n > 0 then
     Sim.Engine.schedule (engine t) ~after t.submit_deferred_k
 
-let charge_rx ?cpu _t ~len =
-  match cpu with
-  | None -> ()
-  | Some cpu ->
-      let p = Memmodel.Cpu.params cpu in
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.Rx p.Memmodel.Params.cost_rx_packet;
-      ignore len
+let charge_rx t =
+  Memmodel.Cpu.charge_op t.cpu Memmodel.Cpu.Rx Memmodel.Cpu.Rx_packet
 
 (* The UDP endpoint *is* a transport: datagram per message, buffers released
    at NIC completion, no connection state. Built once per endpoint and
    cached so per-send transport dispatch never allocates. *)
-(* Closures stored in the record keep ?cpu in final position (the record
-   field types fix the shape); warning 16 is spurious here. *)
-let[@warning "-16"] transport t =
+let transport t =
   match t.udp_transport with
   | Some tr -> tr
   | None ->
@@ -399,15 +387,13 @@ let[@warning "-16"] transport t =
           tr_max_msg_len = Packet.max_payload;
           tr_connect = (fun ~peer -> ignore peer);
           tr_send_inline =
-            (fun ?cpu ~dst ~segments -> send_inline_header ?cpu t ~dst ~segments);
+            (fun ~dst ~segments -> send_inline_header t ~dst ~segments);
           tr_send_extra =
-            (fun ?cpu ~dst ~segments -> send_extra_header ?cpu t ~dst ~segments);
+            (fun ~dst ~segments -> send_extra_header t ~dst ~segments);
           tr_send_inline_zc =
-            (fun ?cpu ~dst ~head ~zc ~zc_n ->
-              send_inline_zc ?cpu t ~dst ~head ~zc ~zc_n);
+            (fun ~dst ~head ~zc ~zc_n -> send_inline_zc t ~dst ~head ~zc ~zc_n);
           tr_send_extra_zc =
-            (fun ?cpu ~dst ~head ~zc ~zc_n ->
-              send_extra_zc ?cpu t ~dst ~head ~zc ~zc_n);
+            (fun ~dst ~head ~zc ~zc_n -> send_extra_zc t ~dst ~head ~zc ~zc_n);
           tr_send_string = (fun ~dst s -> send_string t ~dst s);
           tr_set_rx = (fun f -> set_rx t f);
         }

@@ -55,19 +55,15 @@ type transport = {
   tr_connect : peer:int -> unit;
       (** establish a path to [peer] (no-op for UDP; 3-way handshake for
           TCP — drive the engine afterwards, e.g. during warmup) *)
-  tr_send_inline :
-    ?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
-  tr_send_extra :
-    ?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
+  tr_send_inline : dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
+  tr_send_extra : dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
   tr_send_inline_zc :
-    ?cpu:Memmodel.Cpu.t ->
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
     zc_n:int ->
     unit;
   tr_send_extra_zc :
-    ?cpu:Memmodel.Cpu.t ->
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
@@ -105,11 +101,15 @@ val default_config : config
     [tx_batch = 0]; clamped to >= 1. Set before driving traffic. *)
 val set_default_tx_batch : int -> unit
 
-(** [create ?cpu ?nic ?config fabric registry ~id] — pass [nic] to share one
-    NIC device between several endpoints (multicore experiments: cores share
-    the port's line rate and DMA pipeline). *)
+(** [create ~cpu ?nic ?config fabric registry ~id] — [cpu] is the
+    endpoint's meter: every send, TX allocation, receive charge and DDIO
+    install on this endpoint is charged to it ([Memmodel.Cpu.none] for an
+    endpoint the simulation does not meter, such as a load-generator
+    client). Pass [nic] to share one NIC device between several endpoints
+    (multicore experiments: cores share the port's line rate and DMA
+    pipeline). *)
 val create :
-  ?cpu:Memmodel.Cpu.t ->
+  cpu:Memmodel.Cpu.t ->
   ?nic:Nic.Device.t ->
   ?config:config ->
   Fabric.t ->
@@ -123,7 +123,8 @@ val engine : t -> Sim.Engine.t
 
 val registry : t -> Mem.Registry.t
 
-val cpu : t -> Memmodel.Cpu.t option
+(** The meter the endpoint was created with. *)
+val cpu : t -> Memmodel.Cpu.t
 
 val nic : t -> Nic.Device.t
 
@@ -138,19 +139,32 @@ val arena : t -> Mem.Arena.t
     trigger it. *)
 val under_pressure : t -> bool
 
-(** [alloc_tx ?cpu ?site t ~len] takes a staging buffer from the TX pool.
+(** [alloc_tx ?site t ~len] takes a staging buffer from the TX pool.
     [site] labels the allocation in RefSan reports. *)
-val alloc_tx :
-  ?cpu:Memmodel.Cpu.t -> ?site:string -> t -> len:int -> Mem.Pinned.Buf.t
+val alloc_tx : ?site:string -> t -> len:int -> Mem.Pinned.Buf.t
 
-(** [send_inline_header ?cpu t ~dst ~segments] — see module doc. The first
+(** [send_inline_header t ~dst ~segments] — see module doc. The first
     segment's initial [Packet.header_len] bytes are overwritten. *)
 val send_inline_header :
-  ?cpu:Memmodel.Cpu.t -> t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
+  t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
 
-(** [send_extra_header ?cpu t ~dst ~segments] — see module doc. *)
+(** [alloc_tx] and [send_inline_header] charged to [cpu] instead of the
+    endpoint's meter. TCP posts its ACKs and retransmissions on
+    [Memmodel.Cpu.none]: the simulation does not CPU-charge TCP protocol
+    work. *)
+val alloc_tx_on :
+  cpu:Memmodel.Cpu.t -> ?site:string -> t -> len:int -> Mem.Pinned.Buf.t
+
+val send_inline_header_on :
+  cpu:Memmodel.Cpu.t ->
+  t ->
+  dst:int ->
+  segments:Mem.Pinned.Buf.t list ->
+  unit
+
+(** [send_extra_header t ~dst ~segments] — see module doc. *)
 val send_extra_header :
-  ?cpu:Memmodel.Cpu.t -> t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
+  t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
 
 (** Array-based serializer fast paths: [send_inline_zc] /
     [send_extra_zc] behave exactly like their [_header] counterparts on
@@ -158,7 +172,6 @@ val send_extra_header :
     descriptor straight from the plan's zero-copy array — no per-send
     segment list is built. Slots of [zc] at index [>= zc_n] are ignored. *)
 val send_inline_zc :
-  ?cpu:Memmodel.Cpu.t ->
   t ->
   dst:int ->
   head:Mem.Pinned.Buf.t ->
@@ -167,7 +180,6 @@ val send_inline_zc :
   unit
 
 val send_extra_zc :
-  ?cpu:Memmodel.Cpu.t ->
   t ->
   dst:int ->
   head:Mem.Pinned.Buf.t ->
@@ -203,9 +215,9 @@ val end_hold : t -> unit
 
 val submit_deferred : t -> unit
 
-(** Software receive-path cost (parse + steering), charged by the request
-    harness when it dequeues a packet. *)
-val charge_rx : ?cpu:Memmodel.Cpu.t -> t -> len:int -> unit
+(** Software receive-path cost (parse + steering), charged to the
+    endpoint's meter by the request harness when it dequeues a packet. *)
+val charge_rx : t -> unit
 
 (** Post any coalesced TX descriptors waiting for a full batch now, without
     waiting for the flush timer. No-op when nothing is pending. *)

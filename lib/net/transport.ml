@@ -10,18 +10,16 @@ type t = Endpoint.transport = {
   tr_max_msg_len : int;
   tr_connect : peer:int -> unit;
   tr_send_inline :
-    ?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
+    dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
   tr_send_extra :
-    ?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
+    dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
   tr_send_inline_zc :
-    ?cpu:Memmodel.Cpu.t ->
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
     zc_n:int ->
     unit;
   tr_send_extra_zc :
-    ?cpu:Memmodel.Cpu.t ->
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
@@ -55,22 +53,24 @@ let endpoint t = t.tr_ep
 
 let arena t = Endpoint.arena t.tr_ep
 
+let cpu t = Endpoint.cpu t.tr_ep
+
 let headroom t = t.tr_headroom
 
 let max_msg_len t = t.tr_max_msg_len
 
 let connect t ~peer = t.tr_connect ~peer
 
-let send_inline ?cpu t ~dst ~segments = t.tr_send_inline ?cpu ~dst ~segments
+let send_inline t ~dst ~segments = t.tr_send_inline ~dst ~segments
 
-let send_extra ?cpu t ~dst ~segments = t.tr_send_extra ?cpu ~dst ~segments
+let send_extra t ~dst ~segments = t.tr_send_extra ~dst ~segments
 
-let send_inline_zc ?cpu t ~dst ~head ~zc ~zc_n =
-  t.tr_send_inline_zc ?cpu ~dst ~head ~zc ~zc_n
+let send_inline_zc t ~dst ~head ~zc ~zc_n =
+  t.tr_send_inline_zc ~dst ~head ~zc ~zc_n
 [@@alloc_free]
 
-let send_extra_zc ?cpu t ~dst ~head ~zc ~zc_n =
-  t.tr_send_extra_zc ?cpu ~dst ~head ~zc ~zc_n
+let send_extra_zc t ~dst ~head ~zc ~zc_n =
+  t.tr_send_extra_zc ~dst ~head ~zc ~zc_n
 [@@alloc_free]
 
 let send_string t ~dst s = t.tr_send_string ~dst s

@@ -26,18 +26,16 @@ type t = Endpoint.transport = {
   tr_max_msg_len : int;
   tr_connect : peer:int -> unit;
   tr_send_inline :
-    ?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
+    dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
   tr_send_extra :
-    ?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
+    dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
   tr_send_inline_zc :
-    ?cpu:Memmodel.Cpu.t ->
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
     zc_n:int ->
     unit;
   tr_send_extra_zc :
-    ?cpu:Memmodel.Cpu.t ->
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
@@ -60,19 +58,17 @@ val make :
   max_msg_len:int ->
   connect:(peer:int -> unit) ->
   send_inline:
-    (?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit) ->
+    (dst:int -> segments:Mem.Pinned.Buf.t list -> unit) ->
   send_extra:
-    (?cpu:Memmodel.Cpu.t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit) ->
+    (dst:int -> segments:Mem.Pinned.Buf.t list -> unit) ->
   send_inline_zc:
-    (?cpu:Memmodel.Cpu.t ->
-    dst:int ->
+    (dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
     zc_n:int ->
     unit) ->
   send_extra_zc:
-    (?cpu:Memmodel.Cpu.t ->
-    dst:int ->
+    (dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
     zc_n:int ->
@@ -89,6 +85,10 @@ val endpoint : t -> Endpoint.t
 (** [arena t] = [Endpoint.arena (endpoint t)]. *)
 val arena : t -> Mem.Arena.t
 
+(** [cpu t] = [Endpoint.cpu (endpoint t)]: the meter every send through
+    [t], and every layer built over [t], charges. *)
+val cpu : t -> Memmodel.Cpu.t
+
 (** Scratch bytes to leave at the front of the first inline gather
     segment; the transport writes its headers/framing there. *)
 val headroom : t -> int
@@ -98,13 +98,12 @@ val max_msg_len : t -> int
 val connect : t -> peer:int -> unit
 
 val send_inline :
-  ?cpu:Memmodel.Cpu.t -> t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
+  t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
 
 val send_extra :
-  ?cpu:Memmodel.Cpu.t -> t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
+  t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
 
 val send_inline_zc :
-  ?cpu:Memmodel.Cpu.t ->
   t ->
   dst:int ->
   head:Mem.Pinned.Buf.t ->
@@ -113,7 +112,6 @@ val send_inline_zc :
   unit
 
 val send_extra_zc :
-  ?cpu:Memmodel.Cpu.t ->
   t ->
   dst:int ->
   head:Mem.Pinned.Buf.t ->

@@ -63,7 +63,7 @@ and wire = {
 and rxq = {
   q_dev : t;
   q_pool : Mem.Pinned.Pool.t;
-  q_cpu : Memmodel.Cpu.t option;
+  q_cpu : Memmodel.Cpu.t;
   mutable q_packets : int;
   mutable q_bytes : int;
   mutable q_dropped : int;
@@ -213,7 +213,7 @@ let set_completion_fault t f = t.completion_fault <- f
 
 (* --- Receive ring ------------------------------------------------------ *)
 
-let attach_rx ?cpu t pool =
+let attach_rx ~cpu t pool =
   let q =
     {
       q_dev = t;
@@ -236,15 +236,13 @@ let attach_rx ?cpu t pool =
    pinned by an outstanding delivery or view) drops the frame instead,
    exactly as a real NIC drops when the host can't keep up. *)
 let rx_deliver q bytes ~off ~len ~src ~deliver =
-  match Mem.Pinned.Buf.alloc ~site:"Nic.rx_dma" q.q_pool ~len with
+  let cpu = Memmodel.Cpu.none in
+  match Mem.Pinned.Buf.alloc ~cpu ~site:"Nic.rx_dma" q.q_pool ~len with
   | buf ->
-      Mem.Pinned.Buf.fill_subbytes ~site:"Nic.rx_dma" buf bytes ~src_off:off
-        ~len;
+      Mem.Pinned.Buf.fill_subbytes ~cpu ~site:"Nic.rx_dma" buf bytes
+        ~src_off:off ~len;
       (* DDIO: the DMA write leaves the frame in the LLC. *)
-      (match q.q_cpu with
-      | Some cpu ->
-          Memmodel.Cpu.install_dma cpu ~addr:(Mem.Pinned.Buf.addr buf) ~len
-      | None -> ());
+      Memmodel.Cpu.install_dma q.q_cpu ~addr:(Mem.Pinned.Buf.addr buf) ~len;
       q.q_packets <- q.q_packets + 1;
       q.q_bytes <- q.q_bytes + len;
       deliver ~src buf

@@ -103,9 +103,9 @@ val in_flight : t -> int
     reference, so held views keep ring slots pinned. *)
 type rxq
 
-(** [attach_rx ?cpu t pool] registers a receive ring backed by [pool].
+(** [attach_rx ~cpu t pool] registers a receive ring backed by [pool].
     [cpu] receives the DDIO cache installs for delivered frames. *)
-val attach_rx : ?cpu:Memmodel.Cpu.t -> t -> Mem.Pinned.Pool.t -> rxq
+val attach_rx : cpu:Memmodel.Cpu.t -> t -> Mem.Pinned.Pool.t -> rxq
 
 (** [rx_deliver q bytes ~off ~len ~src ~deliver] DMAs
     [bytes[off, off+len)] into a posted receive buffer and passes it to

@@ -95,7 +95,8 @@ let committed t = t.committed
    (allocate-and-swap put). The sources are in-place views of the receive
    buffer (or parked [Rc_view]s) — one copy into the store, no
    intermediate. *)
-let apply_put_views ~cpu replica ~key views =
+let apply_put_views replica ~key views =
+  let cpu = replica.cpu in
   let bufs =
     List.filter_map
       (fun (src : Mem.View.t) ->
@@ -108,31 +109,33 @@ let apply_put_views ~cpu replica ~key views =
   in
   match bufs with
   | [] -> ()
-  | [ one ] -> Kvstore.Store.put ~cpu replica.store ~key (Kvstore.Store.Single one)
+  | [ one ] ->
+      Kvstore.Store.put ~cpu replica.store ~key (Kvstore.Store.Single one)
   | many -> Kvstore.Store.put ~cpu replica.store ~key (Kvstore.Store.Linked many)
 
-let send ~cpu replica ~dst msg =
-  Msg.send ~cpu config (Net.Endpoint.transport replica.ep) ~dst msg
+let send replica ~dst msg =
+  Msg.send config (Net.Endpoint.transport replica.ep) ~dst msg
 
 (* Reply to a client; [bufs] go out of the store zero-copy past the
    threshold. *)
-let reply ~cpu replica ~dst ~id bufs =
+let reply replica ~dst ~id bufs =
   let msg = replica.out in
   Msg.clear msg;
   Msg.set_id msg id;
   Msg.set_op msg op_reply;
   List.iter
     (fun buf ->
-      Msg.add_vals ~cpu config replica.ep msg (Mem.Pinned.Buf.view buf))
+      Msg.add_vals ~cpu:replica.cpu config replica.ep msg
+        (Mem.Pinned.Buf.view buf))
     bufs;
-  send ~cpu replica ~dst msg
+  send replica ~dst msg
 
-let send_ack ~cpu replica ~dst ~seq =
+let send_ack replica ~dst ~seq =
   let msg = replica.out in
   Msg.clear msg;
   Msg.set_id msg seq;
   Msg.set_op msg op_ack;
-  send ~cpu replica ~dst msg
+  send replica ~dst msg
 
 (* --- Backup side --------------------------------------------------------- *)
 
@@ -147,8 +150,7 @@ let rec backup_apply_in_order replica ~src =
         | Some rc -> Wire.Rc_view.to_string ~cpu rc
         | None -> ""
       in
-      apply_put_views ~cpu replica ~key
-        (List.map Wire.Rc_view.view parked.pk_vals);
+      apply_put_views replica ~key (List.map Wire.Rc_view.view parked.pk_vals);
       let seq = replica.expected_seq in
       replica.expected_seq <- Int64.add replica.expected_seq 1L;
       (* The store owns its copies now: release the parked slices, then
@@ -161,7 +163,7 @@ let rec backup_apply_in_order replica ~src =
         parked.pk_vals;
       Mem.Pinned.Buf.decr_ref ~cpu parked.pk_buf;
       (* Ack only now, when the op is applied. *)
-      send_ack ~cpu replica ~dst:src ~seq;
+      send_ack replica ~dst:src ~seq;
       backup_apply_in_order replica ~src
 
 let handle_replicate replica ~src r buf =
@@ -176,7 +178,7 @@ let handle_replicate replica ~src r buf =
         let seq = Wire.Reader.get_u64_or op Op.idx_seq ~default:(-1L) in
         if seq < replica.expected_seq then begin
           (* Already applied (a duplicate): re-ack idempotently. *)
-          send_ack ~cpu replica ~dst:src ~seq;
+          send_ack replica ~dst:src ~seq;
           Mem.Pinned.Buf.decr_ref ~cpu buf
         end
         else if Hashtbl.mem replica.ooo seq then
@@ -204,8 +206,9 @@ let handle_replicate replica ~src r buf =
 (* Fan a put out to every backup as a nested op. Values go out of the
    primary's freshly installed store value — zero-copy for fields past the
    threshold. *)
-let replicate t ~cpu ~seq ~key vals =
+let replicate t ~seq ~key vals =
   let p = t.primary in
+  let cpu = p.cpu in
   let env = p.out and op = p.out_op in
   List.iter
     (fun backup ->
@@ -221,11 +224,11 @@ let replicate t ~cpu ~seq ~key vals =
         (fun buf -> Op.add_vals ~cpu config p.ep op (Mem.Pinned.Buf.view buf))
         vals;
       Msg.set_body env (Op.to_dyn op);
-      send ~cpu p ~dst:(Net.Endpoint.id backup.ep) env)
+      send p ~dst:(Net.Endpoint.id backup.ep) env)
     t.backups
 
-let stored_buffers ~cpu replica ~key =
-  match Kvstore.Store.get ~cpu replica.store ~key with
+let stored_buffers replica ~key =
+  match Kvstore.Store.get ~cpu:replica.cpu replica.store ~key with
   | Some value -> Kvstore.Store.buffers value
   | None -> []
 
@@ -233,7 +236,7 @@ let stored_buffers ~cpu replica ~key =
    straight out of the receive buffer, and put values blit from their
    in-place windows into the store — the apply path never materializes a
    [Dyn]. *)
-let serve_op t ~cpu ~src ~id op =
+let serve_op t ~src ~id op =
   let key =
     if Wire.Reader.present op Op.idx_key then
       Wire.Reader.payload_string op Op.idx_key
@@ -241,16 +244,16 @@ let serve_op t ~cpu ~src ~id op =
   in
   let kind = Wire.Reader.get_u64_or op Op.idx_kind ~default:(-1L) in
   if kind = Kv.id_get then
-    reply ~cpu t.primary ~dst:src ~id (stored_buffers ~cpu t.primary ~key)
+    reply t.primary ~dst:src ~id (stored_buffers t.primary ~key)
   else if kind = Kv.id_put then begin
-    apply_put_views ~cpu t.primary ~key
+    apply_put_views t.primary ~key
       (List.init (Wire.Reader.count_or_zero op Op.idx_vals) (fun j ->
            Wire.Reader.elem_view op Op.idx_vals ~j));
     let seq = t.next_seq in
     t.next_seq <- Int64.add t.next_seq 1L;
     if t.backups = [] then begin
       t.committed <- t.committed + 1;
-      reply ~cpu t.primary ~dst:src ~id []
+      reply t.primary ~dst:src ~id []
     end
     else begin
       Hashtbl.replace t.pending seq
@@ -259,27 +262,25 @@ let serve_op t ~cpu ~src ~id op =
           client_id = id;
           unacked = (1 lsl List.length t.backups) - 1;
         };
-      replicate t ~cpu ~seq ~key (stored_buffers ~cpu t.primary ~key)
+      replicate t ~seq ~key (stored_buffers t.primary ~key)
     end
   end
-  else reply ~cpu t.primary ~dst:src ~id []
+  else reply t.primary ~dst:src ~id []
 
 let handle_request t ~src r buf =
-  let cpu = t.primary.cpu in
   let id = Wire.Reader.get_u64_or r Msg.idx_id ~default:0L in
   (if
      Wire.Reader.present r Msg.idx_body
      && match Wire.Reader.nested r Msg.idx_body ~into:t.primary.op_reader with
         | () -> true
         | exception Wire.Reader.Invalid _ -> false
-   then serve_op t ~cpu ~src ~id t.primary.op_reader
-   else reply ~cpu t.primary ~dst:src ~id []);
-  Mem.Pinned.Buf.decr_ref ~cpu buf
+   then serve_op t ~src ~id t.primary.op_reader
+   else reply t.primary ~dst:src ~id []);
+  Mem.Pinned.Buf.decr_ref ~cpu:t.primary.cpu buf
 
 (* A put commits once every backup has acked it; repeated acks from one
    backup (it re-acks every duplicate replicate) count once. *)
 let handle_ack t ~src r buf =
-  let cpu = t.primary.cpu in
   (if Wire.Reader.present r Msg.idx_id then
      let seq = Wire.Reader.get_u64 r Msg.idx_id in
      match Hashtbl.find_opt t.pending seq with
@@ -288,18 +289,18 @@ let handle_ack t ~src r buf =
          if p.unacked = 0 then begin
            Hashtbl.remove t.pending seq;
            t.committed <- t.committed + 1;
-           reply ~cpu t.primary ~dst:p.client_src ~id:p.client_id []
+           reply t.primary ~dst:p.client_src ~id:p.client_id []
          end
      | Some _ | None -> () (* repeated ack, or the put already committed *));
-  Mem.Pinned.Buf.decr_ref ~cpu buf
+  Mem.Pinned.Buf.decr_ref ~cpu:t.primary.cpu buf
 
 (* Every node's receive path: validate the envelope once into the pooled
    reader, then dispatch its op word. *)
 let serve replica ~src buf =
-  let cpu = replica.cpu in
   let r = replica.msg_reader in
-  match Msg.read_folded ~cpu r buf with
-  | exception Wire.Reader.Invalid _ -> Mem.Pinned.Buf.decr_ref ~cpu buf
+  match Msg.read_folded r buf with
+  | exception Wire.Reader.Invalid _ ->
+      Mem.Pinned.Buf.decr_ref ~cpu:replica.cpu buf
   | () ->
       (* Bound before the call: applying the labelled arguments straight to
          [dispatch]'s polymorphic result allocates on every delivery. *)
@@ -327,8 +328,8 @@ let make_replica rig ~ep ~cpu ~server ~workload ~name =
     expected_seq = 1L;
     ooo = Hashtbl.create 32;
     table = Rpc.Table.create ~n:(Int64.to_int op_reply + 1) ~fallback:drop;
-    msg_reader = Msg.reader ();
-    op_reader = Op.reader ();
+    msg_reader = Msg.reader ~cpu ();
+    op_reader = Op.reader ~cpu ();
     out = Msg.create ();
     out_op = Op.create ();
   }
@@ -348,7 +349,7 @@ let create rig ~backups ~workload =
           Net.Endpoint.create ~cpu rig.Apps.Rig.fabric rig.Apps.Rig.registry
             ~id:(backup_id i)
         in
-        let server = Loadgen.Server.create (Net.Endpoint.transport ep) cpu in
+        let server = Loadgen.Server.create (Net.Endpoint.transport ep) in
         make_replica rig ~ep ~cpu ~server ~workload
           ~name:(Printf.sprintf "backup%d" i))
   in
@@ -364,7 +365,7 @@ let create rig ~backups ~workload =
       client_rng = Sim.Rng.split rig.Apps.Rig.rng;
       client_msg = Msg.create ();
       client_op = Op.create ();
-      client_reader = Msg.reader ();
+      client_reader = Msg.reader ~cpu:Memmodel.Cpu.none ();
     }
   in
   on primary Svc.id_request (handle_request t);

@@ -37,7 +37,6 @@ type call = {
   mutable timer_queued : bool;
   mutable req : Wire.Dyn.t; (* [Wire.Dyn.vacant] once resolved *)
   mutable dst : int;
-  mutable cpu : Memmodel.Cpu.t option;
   send : unit -> unit; (* send [req] to [dst] through the folded writer *)
   give_up : unit -> unit; (* retry layer exhausted or deadline hit *)
   deadline_fired : unit -> unit; (* the deadline timer, without a retry layer *)
@@ -68,8 +67,7 @@ let no_handler = Unary (fun (_ : Wire.Reader.t) -> ())
 let release c =
   c.busy <- c.timer_queued;
   c.handler <- no_handler;
-  c.req <- Wire.Dyn.vacant;
-  c.cpu <- None
+  c.req <- Wire.Dyn.vacant
 
 let resolve t c =
   c.live <- false;
@@ -90,7 +88,7 @@ let deadline_fired t c =
   if not c.live then c.busy <- false
 
 let send t c =
-  Cornflakes.Send.send_planned ?cpu:c.cpu t.config t.tr ~dst:c.dst c.req
+  Cornflakes.Send.send_planned t.config t.tr ~dst:c.dst c.req
     ~write:t.write
 
 let new_call t =
@@ -103,7 +101,6 @@ let new_call t =
       timer_queued = false;
       req = Wire.Dyn.vacant;
       dst = 0;
-      cpu = None;
       send = (fun () -> send t c);
       give_up = (fun () -> abandon t c);
       deadline_fired = (fun () -> deadline_fired t c);
@@ -121,7 +118,7 @@ let create ?(config = Cornflakes.Config.default) ?engine ?reliab ~resp
     req_op;
     engine;
     reliab;
-    reader = Wire.Reader.create resp;
+    reader = Wire.Reader.create ~cpu:(Net.Transport.cpu tr) resp;
     calls_ring =
       Sim.Id_ring.create ~make:new_call
         ~occupied:(fun c -> c.busy)
@@ -145,7 +142,7 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let start t ?cpu ?deadline_ms ~handler ~op ~dst req =
+let start t ?deadline_ms ~handler ~op ~dst req =
   let id = fresh_id t in
   let c = Sim.Id_ring.claim t.calls_ring t ~id in
   c.busy <- true;
@@ -154,7 +151,6 @@ let start t ?cpu ?deadline_ms ~handler ~op ~dst req =
   c.handler <- handler;
   c.req <- req;
   c.dst <- dst;
-  c.cpu <- cpu;
   t.pending <- t.pending + 1;
   t.calls <- t.calls + 1;
   Wire.Dyn.set_int_of_int req t.req_id id;
@@ -174,11 +170,11 @@ let start t ?cpu ?deadline_ms ~handler ~op ~dst req =
       | _ -> ()));
   id
 
-let call t ?cpu ?deadline_ms ~op ~dst ~on_reply req =
-  start t ?cpu ?deadline_ms ~handler:(Unary on_reply) ~op ~dst req
+let call t ?deadline_ms ~op ~dst ~on_reply req =
+  start t ?deadline_ms ~handler:(Unary on_reply) ~op ~dst req
 
-let call_stream t ?cpu ?deadline_ms ~op ~dst ~on_chunk ~on_done req =
-  start t ?cpu ?deadline_ms
+let call_stream t ?deadline_ms ~op ~dst ~on_chunk ~on_done req =
+  start t ?deadline_ms
     ~handler:(Streamed { on_chunk; on_done; coll = Stream.collector () })
     ~op ~dst req
 

@@ -12,9 +12,9 @@ type t
     [resp] is the service's response envelope descriptor (backs the
     pooled reader); [req_id]/[req_op] the request envelope's [id] and [op]
     field indices; [write] its folded writer; [tr] the transport the stubs
-    send on. Attach [reliab] for retry/backoff with deadline clamping;
-    without it, [engine] alone still resolves deadlines
-    deterministically. *)
+    send on, whose meter every call and response validation charges.
+    Attach [reliab] for retry/backoff with deadline clamping; without it,
+    [engine] alone still resolves deadlines deterministically. *)
 val create :
   ?config:Cornflakes.Config.t ->
   ?engine:Sim.Engine.t ->
@@ -32,7 +32,7 @@ val config : t -> Cornflakes.Config.t
 (** Pooled reader the generated [deliver] validates responses into. *)
 val reader : t -> Wire.Reader.t
 
-(** [call t ?cpu ?deadline_ms ~op ~dst ~on_reply req] — assigns an id,
+(** [call t ?deadline_ms ~op ~dst ~on_reply req] — assigns an id,
     stamps it and the method word [op] into [req] by field index, then
     sends [req] to [dst] — via the retry layer when attached, whose
     retransmissions re-send [req]. The call slot holds [req] until the
@@ -41,7 +41,6 @@ val reader : t -> Wire.Reader.t
     reader. *)
 val call :
   t ->
-  ?cpu:Memmodel.Cpu.t ->
   ?deadline_ms:int ->
   op:int64 ->
   dst:int ->
@@ -54,7 +53,6 @@ val call :
     [on_done ~ok:false]. *)
 val call_stream :
   t ->
-  ?cpu:Memmodel.Cpu.t ->
   ?deadline_ms:int ->
   op:int64 ->
   dst:int ->

@@ -107,6 +107,11 @@ let release_frame_holds frame =
   List.iter Mem.Pinned.Buf.release_hold frame.f_holds;
   frame.f_holds <- []
 
+(* The simulation does not CPU-charge TCP protocol work: ACKs,
+   retransmissions, reassembly and the releases the ACK path performs all
+   run on the unmetered meter. Data frames charge the endpoint's meter. *)
+let unmetered = Memmodel.Cpu.none
+
 let read_u32 (v : Mem.View.t) off =
   let b = v.Mem.View.data and base = v.Mem.View.off + off in
   Char.code (Bytes.get b base)
@@ -117,17 +122,17 @@ let read_u32 (v : Mem.View.t) off =
 (* Post a frame's segments (header write + NIC post). The NIC's completion
    releases one reference per segment, so take one first: the connection
    keeps its own until the ACK. *)
-let post_frame ?cpu conn frame ~flags =
+let post_frame ~cpu conn frame ~flags =
   (match frame.f_segments with
   | first :: _ ->
       write_tcp_header first ~off:Net.Packet.header_len ~flags ~seq:frame.f_seq
         ~ack:conn.rcv_nxt ~len:frame.f_len
   | [] -> assert false);
   List.iter
-    (fun seg -> Mem.Pinned.Buf.incr_ref ?cpu ~site:"Tcp.post_frame" seg)
+    (fun seg -> Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.post_frame" seg)
     frame.f_segments;
   frame.sent_at <- Sim.Engine.now conn.stack.engine;
-  Net.Endpoint.send_inline_header ?cpu conn.stack.ep ~dst:conn.peer
+  Net.Endpoint.send_inline_header_on ~cpu conn.stack.ep ~dst:conn.peer
     ~segments:frame.f_segments
 
 (* First transmission of a transport fast-path frame: same ownership moves
@@ -135,24 +140,25 @@ let post_frame ?cpu conn frame ~flags =
    serializer's zero-copy array ([Endpoint.send_inline_zc]) instead of a
    rebuilt segment list. Retransmissions go through [post_frame] using the
    frame's own segment list — the caller's array is only valid now. *)
-let post_frame_zc ?cpu conn frame ~flags ~head ~zc ~zc_n =
+let post_frame_zc conn frame ~flags ~head ~zc ~zc_n =
   write_tcp_header head ~off:Net.Packet.header_len ~flags ~seq:frame.f_seq
     ~ack:conn.rcv_nxt ~len:frame.f_len;
+  let cpu = Net.Endpoint.cpu conn.stack.ep in
   List.iter
-    (fun seg -> Mem.Pinned.Buf.incr_ref ?cpu ~site:"Tcp.post_frame" seg)
+    (fun seg -> Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.post_frame" seg)
     frame.f_segments;
   frame.sent_at <- Sim.Engine.now conn.stack.engine;
-  Net.Endpoint.send_inline_zc ?cpu conn.stack.ep ~dst:conn.peer ~head ~zc ~zc_n
+  Net.Endpoint.send_inline_zc conn.stack.ep ~dst:conn.peer ~head ~zc ~zc_n
 
 let send_control conn ~flags ~seq =
   let staging =
-    Net.Endpoint.alloc_tx ~site:"Tcp.send_control" conn.stack.ep
-      ~len:(Net.Packet.header_len + header_len)
+    Net.Endpoint.alloc_tx_on ~cpu:unmetered ~site:"Tcp.send_control"
+      conn.stack.ep ~len:(Net.Packet.header_len + header_len)
   in
   write_tcp_header staging ~off:Net.Packet.header_len ~flags ~seq
     ~ack:conn.rcv_nxt ~len:0;
-  Net.Endpoint.send_inline_header conn.stack.ep ~dst:conn.peer
-    ~segments:[ staging ]
+  Net.Endpoint.send_inline_header_on ~cpu:unmetered conn.stack.ep
+    ~dst:conn.peer ~segments:[ staging ]
 
 (* --- Retransmission ---------------------------------------------------- *)
 
@@ -174,7 +180,8 @@ let check_rto conn =
             (fun f ->
               release_frame_holds f;
               List.iter
-                (fun seg -> Mem.Pinned.Buf.decr_ref ~site:"Tcp.abort" seg)
+                (fun seg ->
+                  Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.abort" seg)
                 f.f_segments)
             conn.inflight;
           conn.inflight <- []
@@ -184,7 +191,8 @@ let check_rto conn =
           conn.retransmissions <- conn.retransmissions + 1;
           (* Exponential backoff on timeout-driven retransmission. *)
           conn.rto_ns <- min max_rto_ns (conn.rto_ns * 2);
-          post_frame conn oldest ~flags:(flag_data lor flag_ack);
+          post_frame ~cpu:unmetered conn oldest
+            ~flags:(flag_data lor flag_ack);
           arm_timer conn
         end
       end
@@ -210,7 +218,7 @@ let split_run run at =
       ( R_zc (Mem.Pinned.Buf.sub b ~off:0 ~len:at),
         R_zc (Mem.Pinned.Buf.sub b ~off:at ~len:(Mem.Pinned.Buf.len b - at)) )
 
-let frames_of_runs ?cpu conn runs =
+let frames_of_runs ~cpu conn runs =
   (* Greedily pack runs into frames of at most [mss] stream bytes. *)
   let frames = ref [] in
   let pending = ref runs in
@@ -249,7 +257,7 @@ let frames_of_runs ?cpu conn runs =
         | R_zc b :: tl ->
             let segments = flush segments current_copies ~first:(segments = []) in
             (* The connection owns one reference per zero-copy slice. *)
-            Mem.Pinned.Buf.incr_ref ?cpu ~site:"Tcp.frame_ref" b;
+            Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.frame_ref" b;
             build (b :: segments) [] tl
         | [] -> flush segments current_copies ~first:(segments = [])
       and flush segments copies ~first =
@@ -261,13 +269,13 @@ let frames_of_runs ?cpu conn runs =
             if first then Net.Packet.header_len + header_len else 0
           in
           let staging =
-            Net.Endpoint.alloc_tx ?cpu ~site:"Tcp.staging" conn.stack.ep
+            Net.Endpoint.alloc_tx_on ~cpu ~site:"Tcp.staging" conn.stack.ep
               ~len:(headroom + data_len)
           in
           let off = ref headroom in
           List.iter
             (fun v ->
-              Mem.Pinned.Buf.blit_from ?cpu ~site:"Tcp.staging" staging ~src:v
+              Mem.Pinned.Buf.blit_from ~cpu ~site:"Tcp.staging" staging ~src:v
                 ~dst_off:!off;
               off := !off + v.Mem.View.len)
             copies;
@@ -289,7 +297,7 @@ let frames_of_runs ?cpu conn runs =
       f)
     frames
 
-let transmit_message ?cpu conn payloads =
+let transmit_message ~cpu conn payloads =
   let total = List.fold_left (fun acc p -> acc + Wire.Payload.len p) 0 payloads in
   (* Record framing: 4-byte length prefix. *)
   let prefix = Bytes.create 4 in
@@ -311,13 +319,15 @@ let transmit_message ?cpu conn payloads =
            | Wire.Payload.Zero_copy b -> R_zc b)
          payloads
   in
-  let frames = frames_of_runs ?cpu conn runs in
+  let frames = frames_of_runs ~cpu conn runs in
   (* The frames hold their own references on every zero-copy slice, so the
      ownership passed in by the caller can be dropped now. *)
-  List.iter (fun p -> Wire.Payload.release ?cpu p) payloads;
+  List.iter (fun p -> Wire.Payload.release ~cpu p) payloads;
   conn.inflight <- conn.inflight @ frames;
   List.iter take_frame_holds frames;
-  List.iter (fun f -> post_frame ?cpu conn f ~flags:(flag_data lor flag_ack)) frames;
+  List.iter
+    (fun f -> post_frame ~cpu conn f ~flags:(flag_data lor flag_ack))
+    frames;
   arm_timer conn
 
 (* --- Receiving ----------------------------------------------------------- *)
@@ -340,10 +350,10 @@ let rec drain_assembly conn =
       Buffer.clear a;
       Buffer.add_substring a s (4 + len) (String.length s - 4 - len);
       let buf =
-        Mem.Pinned.Buf.alloc ~site:"Tcp.reassemble" conn.stack.pool
-          ~len:(max 1 len)
+        Mem.Pinned.Buf.alloc ~cpu:unmetered ~site:"Tcp.reassemble"
+          conn.stack.pool ~len:(max 1 len)
       in
-      Mem.Pinned.Buf.fill ~site:"Tcp.reassemble" buf record;
+      Mem.Pinned.Buf.fill ~cpu:unmetered ~site:"Tcp.reassemble" buf record;
       let buf =
         if len = Mem.Pinned.Buf.len buf then buf
         else Mem.Pinned.Buf.sub buf ~off:0 ~len
@@ -364,7 +374,8 @@ let rec accept_in_order conn =
       accept_in_order conn
 
 let handle_data conn buf ~seq ~payload_off ~payload_len =
-  if payload_len = 0 then Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf
+  if payload_len = 0 then
+    Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
   else if seq = conn.rcv_nxt then begin
     conn.rcv_nxt <- conn.rcv_nxt + payload_len;
     (* Fast path: the frame holds exactly one whole record and the stream
@@ -386,7 +397,7 @@ let handle_data conn buf ~seq ~payload_off ~payload_len =
         Mem.View.sub (Mem.Pinned.Buf.view buf) ~off:payload_off ~len:payload_len
       in
       Buffer.add_string conn.assembly (Mem.View.to_string v);
-      Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf;
+      Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf;
       drain_assembly conn
     end;
     accept_in_order conn;
@@ -400,7 +411,7 @@ let handle_data conn buf ~seq ~payload_off ~payload_len =
       in
       Hashtbl.replace conn.ooo seq (Mem.View.to_string v)
     end;
-    Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf;
+    Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf;
     send_control conn ~flags:flag_ack ~seq:conn.snd_nxt
   end
 
@@ -438,7 +449,8 @@ let handle_ack conn ~ack ~pure =
         sample_rtt conn f;
         release_frame_holds f;
         List.iter
-          (fun seg -> Mem.Pinned.Buf.decr_ref ~site:"Tcp.acked" seg)
+          (fun seg ->
+            Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.acked" seg)
           f.f_segments)
       acked;
     if remaining <> [] then arm_timer conn
@@ -455,7 +467,8 @@ let handle_ack conn ~ack ~pure =
       | oldest :: _ when oldest.retries < max_retries ->
           oldest.retries <- oldest.retries + 1;
           conn.retransmissions <- conn.retransmissions + 1;
-          post_frame conn oldest ~flags:(flag_data lor flag_ack)
+          post_frame ~cpu:unmetered conn oldest
+            ~flags:(flag_data lor flag_ack)
       | _ -> ()
     end
   end
@@ -463,7 +476,11 @@ let handle_ack conn ~ack ~pure =
 let flush_pending conn =
   let pending = List.rev conn.pending in
   conn.pending <- [];
-  List.iter (fun sources -> transmit_message conn sources) pending
+  (* Queued during the handshake and sent on establishment, outside any
+     request's service window. *)
+  List.iter
+    (fun sources -> transmit_message ~cpu:unmetered conn sources)
+    pending
 
 let isn_for id = 1000 + (id * 101)
 
@@ -498,7 +515,8 @@ let new_conn stack ~peer ~state ~isn =
 
 let handle_frame stack ~src buf =
   let v = Mem.Pinned.Buf.view buf in
-  if v.Mem.View.len < header_len then Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf
+  if v.Mem.View.len < header_len then
+    Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
   else begin
     let flags = Char.code (Bytes.get v.Mem.View.data v.Mem.View.off) in
     let seq = read_u32 v 4 in
@@ -521,11 +539,11 @@ let handle_frame stack ~src buf =
       conn.state <- Established;
       conn.rcv_nxt <- seq + 1;
       send_control conn ~flags:(flag_syn lor flag_ack) ~seq:(conn.snd_nxt - 1);
-      Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf
+      Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
     end
     else
       match Hashtbl.find_opt stack.conns src with
-      | None -> Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf
+      | None -> Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
       | Some conn ->
           if flags land flag_syn <> 0 && flags land flag_ack <> 0 then begin
             (* SYN-ACK completes the active open. *)
@@ -536,7 +554,7 @@ let handle_frame stack ~src buf =
               send_control conn ~flags:flag_ack ~seq:conn.snd_nxt;
               flush_pending conn
             end;
-            Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf
+            Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
           end
           else begin
             if flags land flag_ack <> 0 then
@@ -544,19 +562,19 @@ let handle_frame stack ~src buf =
                 ~pure:(flags land flag_data = 0 || payload_len = 0);
             if flags land flag_data <> 0 && payload_len > 0 then begin
               if header_len + payload_len > v.Mem.View.len then
-                Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf
+                Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
               else
                 handle_data conn buf ~seq ~payload_off:header_len ~payload_len
             end
-            else Mem.Pinned.Buf.decr_ref ~site:"Tcp.rx" buf
+            else Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
           end
   end
 
-let send_message ?cpu conn payloads =
+let send_message ~cpu conn payloads =
   match conn.state with
   | Closed -> invalid_arg "Tcp.Conn.send_message: connection closed"
   | Syn_sent -> conn.pending <- payloads :: conn.pending
-  | Established -> transmit_message ?cpu conn payloads
+  | Established -> transmit_message ~cpu conn payloads
 
 let stack_connect stack ~peer =
   match Hashtbl.find_opt stack.conns peer with
@@ -589,7 +607,8 @@ module Conn = struct
 
   let is_established t = t.state = Established
 
-  let send_message = send_message
+  let send_message t payloads =
+    send_message ~cpu:(Net.Endpoint.cpu t.stack.ep) t payloads
 
   let unacked_bytes t = t.snd_nxt - t.snd_una
 
@@ -621,7 +640,9 @@ module Stack = struct
         conns = Hashtbl.create 16;
         pool;
         on_message =
-          (fun _ buf -> Mem.Pinned.Buf.decr_ref ~site:"Tcp.drop_message" buf);
+          (fun _ buf ->
+            Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.drop_message"
+              buf);
         tcp_transport = None;
       }
     in
@@ -687,7 +708,7 @@ let fast_path_send conn ~segments ~payload_len ~post =
    The first inline segment's headroom is scratch, not record bytes —
    narrow past it ([Buf.sub] shares the refcount, so the caller's reference
    rides along and [Payload.release] returns it after framing). *)
-let payloads_of_inline ?cpu segments =
+let payloads_of_inline ~cpu segments =
   match segments with
   | [] -> []
   | first :: rest ->
@@ -701,7 +722,7 @@ let payloads_of_inline ?cpu segments =
                  ~len:(flen - transport_headroom));
           ]
         else begin
-          Mem.Pinned.Buf.decr_ref ?cpu ~site:"Tcp.trim_headroom" first;
+          Mem.Pinned.Buf.decr_ref ~cpu ~site:"Tcp.trim_headroom" first;
           []
         end
       in
@@ -717,10 +738,11 @@ let check_msg_len total =
          record_len max_msg_len);
   record_len
 
-let transport_send_inline ?cpu stack ~dst ~segments =
+let transport_send_inline stack ~dst ~segments =
   match segments with
   | [] -> invalid_arg "Tcp.transport: empty gather list"
   | first :: _ ->
+      let cpu = Net.Endpoint.cpu stack.ep in
       let conn = conn_for stack ~peer:dst in
       let total =
         List.fold_left (fun a s -> a + Mem.Pinned.Buf.len s) 0 segments
@@ -736,11 +758,12 @@ let transport_send_inline ?cpu stack ~dst ~segments =
           ~off:(Net.Packet.header_len + header_len)
           ~record_len;
         fast_path_send conn ~segments ~payload_len ~post:(fun f ->
-            post_frame ?cpu conn f ~flags:(flag_data lor flag_ack))
+            post_frame ~cpu conn f ~flags:(flag_data lor flag_ack))
       end
-      else send_message ?cpu conn (payloads_of_inline ?cpu segments)
+      else send_message ~cpu conn (payloads_of_inline ~cpu segments)
 
-let transport_send_inline_zc ?cpu stack ~dst ~head ~zc ~zc_n =
+let transport_send_inline_zc stack ~dst ~head ~zc ~zc_n =
+  let cpu = Net.Endpoint.cpu stack.ep in
   let conn = conn_for stack ~peer:dst in
   let total = ref (Mem.Pinned.Buf.len head) in
   for i = 0 to zc_n - 1 do
@@ -758,31 +781,31 @@ let transport_send_inline_zc ?cpu stack ~dst ~head ~zc ~zc_n =
       ~record_len;
     let segments = head :: Array.to_list (Array.sub zc 0 zc_n) in
     fast_path_send conn ~segments ~payload_len ~post:(fun f ->
-        post_frame_zc ?cpu conn f ~flags:(flag_data lor flag_ack) ~head ~zc
-          ~zc_n)
+        post_frame_zc conn f ~flags:(flag_data lor flag_ack) ~head ~zc ~zc_n)
   end
   else
-    send_message ?cpu conn
-      (payloads_of_inline ?cpu (head :: Array.to_list (Array.sub zc 0 zc_n)))
+    send_message ~cpu conn
+      (payloads_of_inline ~cpu (head :: Array.to_list (Array.sub zc 0 zc_n)))
 
 (* The conventional paths carry no transport headroom: every byte of every
    segment is record payload, and [send_message] stages the framing. *)
-let transport_send_extra ?cpu stack ~dst ~segments =
+let transport_send_extra stack ~dst ~segments =
   let conn = conn_for stack ~peer:dst in
-  send_message ?cpu conn (List.map (fun b -> Wire.Payload.Zero_copy b) segments)
+  send_message ~cpu:(Net.Endpoint.cpu stack.ep) conn
+    (List.map (fun b -> Wire.Payload.Zero_copy b) segments)
 
-let transport_send_extra_zc ?cpu stack ~dst ~head ~zc ~zc_n =
+let transport_send_extra_zc stack ~dst ~head ~zc ~zc_n =
   let conn = conn_for stack ~peer:dst in
-  send_message ?cpu conn
+  send_message ~cpu:(Net.Endpoint.cpu stack.ep) conn
     (Wire.Payload.Zero_copy head
     :: List.init zc_n (fun i -> Wire.Payload.Zero_copy zc.(i)))
 
 let transport_send_string stack ~dst s =
   let conn = conn_for stack ~peer:dst in
   let space = Mem.Registry.space (Net.Endpoint.registry stack.ep) in
-  send_message conn [ Wire.Payload.of_string space s ]
+  send_message ~cpu:unmetered conn [ Wire.Payload.of_string space s ]
 
-let[@warning "-16"] transport stack =
+let transport stack =
   match stack.tcp_transport with
   | Some tr -> tr
   | None ->
@@ -790,14 +813,14 @@ let[@warning "-16"] transport stack =
         Net.Transport.make ~name:"tcp" ~ep:stack.ep
           ~headroom:transport_headroom ~max_msg_len
           ~connect:(fun ~peer -> ignore (conn_for stack ~peer))
-          ~send_inline:(fun ?cpu ~dst ~segments ->
-            transport_send_inline ?cpu stack ~dst ~segments)
-          ~send_extra:(fun ?cpu ~dst ~segments ->
-            transport_send_extra ?cpu stack ~dst ~segments)
-          ~send_inline_zc:(fun ?cpu ~dst ~head ~zc ~zc_n ->
-            transport_send_inline_zc ?cpu stack ~dst ~head ~zc ~zc_n)
-          ~send_extra_zc:(fun ?cpu ~dst ~head ~zc ~zc_n ->
-            transport_send_extra_zc ?cpu stack ~dst ~head ~zc ~zc_n)
+          ~send_inline:(fun ~dst ~segments ->
+            transport_send_inline stack ~dst ~segments)
+          ~send_extra:(fun ~dst ~segments ->
+            transport_send_extra stack ~dst ~segments)
+          ~send_inline_zc:(fun ~dst ~head ~zc ~zc_n ->
+            transport_send_inline_zc stack ~dst ~head ~zc ~zc_n)
+          ~send_extra_zc:(fun ~dst ~head ~zc ~zc_n ->
+            transport_send_extra_zc stack ~dst ~head ~zc ~zc_n)
           ~send_string:(fun ~dst s -> transport_send_string stack ~dst s)
           ~set_rx:(fun f ->
             stack.on_message <- (fun conn buf -> f ~src:conn.peer buf))

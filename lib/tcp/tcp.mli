@@ -37,13 +37,13 @@ module Conn : sig
 
   val is_established : t -> bool
 
-  (** [send_message ?cpu t payloads] frames the concatenated payloads as
+  (** [send_message t payloads] frames the concatenated payloads as
       one record and transmits it (segmenting at the MSS if needed). Takes
       ownership of one reference on each [Zero_copy] payload; [Copied] and
       [Literal] views are staged immediately. Messages sent during the
       handshake are queued and flushed on establishment; raises
       [Invalid_argument] on a closed connection. *)
-  val send_message : ?cpu:Memmodel.Cpu.t -> t -> Wire.Payload.t list -> unit
+  val send_message : t -> Wire.Payload.t list -> unit
 
   (** Bytes sent but not yet acknowledged. *)
   val unacked_bytes : t -> int

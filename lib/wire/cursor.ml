@@ -10,18 +10,18 @@ let varint_len v =
 module Writer = struct
   type t = {
     mutable view : Mem.View.t;
-    mutable cpu : Memmodel.Cpu.t option;
+    mutable cpu : Memmodel.Cpu.t;
     cat : Memmodel.Cpu.category;
     mutable pos : int;
   }
 
-  let create ?cpu ?(cat = Memmodel.Cpu.Tx) view = { view; cpu; cat; pos = 0 }
+  let create ~cpu ?(cat = Memmodel.Cpu.Tx) view = { view; cpu; cat; pos = 0 }
 
   (* Retarget a long-lived writer at a fresh window (same category), so
      per-send paths reuse one writer instead of allocating one per message.
      The charging cpu is rebound too: the scratch writer serves whichever
      endpoint is currently sending. *)
-  let reset ?cpu t view =
+  let reset ~cpu t view =
     t.view <- view;
     t.cpu <- cpu;
     t.pos <- 0
@@ -36,12 +36,7 @@ module Writer = struct
     t.pos <- pos
 
   let charge t ~len =
-    match t.cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.stream cpu t.cat
-          ~addr:(t.view.Mem.View.addr + t.pos)
-          ~len
+    Memmodel.Cpu.stream t.cpu t.cat ~addr:(t.view.Mem.View.addr + t.pos) ~len
 
   let need t n =
     if t.pos + n > t.view.Mem.View.len then
@@ -68,10 +63,7 @@ module Writer = struct
       raise (Overflow "Cursor.Writer: span overflow")
 
   let charge_at t ~pos ~len =
-    match t.cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.stream cpu t.cat ~addr:(t.view.Mem.View.addr + pos) ~len
+    Memmodel.Cpu.stream t.cpu t.cat ~addr:(t.view.Mem.View.addr + pos) ~len
 
   (* Store a byte at an absolute offset; caller has [span]-checked. *)
   let byte_at t ~pos v =
@@ -168,10 +160,7 @@ module Writer = struct
   let view_bytes t src =
     let n = src.Mem.View.len in
     need t n;
-    (match t.cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.stream cpu t.cat ~addr:src.Mem.View.addr ~len:n);
+    Memmodel.Cpu.stream t.cpu t.cat ~addr:src.Mem.View.addr ~len:n;
     charge t ~len:n;
     Mem.View.blit src ~dst:t.view.Mem.View.data
       ~dst_off:(t.view.Mem.View.off + t.pos);
@@ -181,12 +170,12 @@ end
 module Reader = struct
   type t = {
     view : Mem.View.t;
-    cpu : Memmodel.Cpu.t option;
+    cpu : Memmodel.Cpu.t;
     cat : Memmodel.Cpu.category;
     mutable pos : int;
   }
 
-  let create ?cpu ?(cat = Memmodel.Cpu.Deser) view = { view; cpu; cat; pos = 0 }
+  let create ~cpu ?(cat = Memmodel.Cpu.Deser) view = { view; cpu; cat; pos = 0 }
 
   let pos t = t.pos
 
@@ -198,12 +187,7 @@ module Reader = struct
     t.pos <- pos
 
   let charge t ~len =
-    match t.cpu with
-    | None -> ()
-    | Some cpu ->
-        Memmodel.Cpu.stream cpu t.cat
-          ~addr:(t.view.Mem.View.addr + t.pos)
-          ~len
+    Memmodel.Cpu.stream t.cpu t.cat ~addr:(t.view.Mem.View.addr + t.pos) ~len
 
   let need t n =
     if t.pos + n > t.view.Mem.View.len then

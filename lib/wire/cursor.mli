@@ -8,14 +8,14 @@
 module Writer : sig
   type t
 
-  (** [create ?cpu ?cat view] writes into [view] starting at offset 0.
-      Charges go to category [cat] (default [Tx]). *)
-  val create : ?cpu:Memmodel.Cpu.t -> ?cat:Memmodel.Cpu.category -> Mem.View.t -> t
+  (** [create ~cpu ?cat view] writes into [view] starting at offset 0.
+      Charges go to [cpu], category [cat] (default [Tx]). *)
+  val create : cpu:Memmodel.Cpu.t -> ?cat:Memmodel.Cpu.category -> Mem.View.t -> t
 
-  (** [reset ?cpu t view] retargets the writer at [view], position 0,
+  (** [reset ~cpu t view] retargets the writer at [view], position 0,
       rebinding the charging cpu and keeping the category — so hot paths
       reuse one writer across messages (and across endpoints). *)
-  val reset : ?cpu:Memmodel.Cpu.t -> t -> Mem.View.t -> unit
+  val reset : cpu:Memmodel.Cpu.t -> t -> Mem.View.t -> unit
 
   val pos : t -> int
 
@@ -71,7 +71,7 @@ end
 module Reader : sig
   type t
 
-  val create : ?cpu:Memmodel.Cpu.t -> ?cat:Memmodel.Cpu.category -> Mem.View.t -> t
+  val create : cpu:Memmodel.Cpu.t -> ?cat:Memmodel.Cpu.category -> Mem.View.t -> t
 
   val pos : t -> int
 

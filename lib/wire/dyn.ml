@@ -401,13 +401,13 @@ let fold_payloads t ~init ~f =
 
 let payload_bytes t = fold_payloads t ~init:0 ~f:(fun a p -> a + Payload.len p)
 
-let release ?cpu t =
+let release ~cpu t =
   rewrite_payloads t (fun p ->
-      Payload.release ?cpu p;
+      Payload.release ~cpu p;
       p)
 
-let reset ?cpu t =
-  release ?cpu t;
+let reset ~cpu t =
+  release ~cpu t;
   clear t
 
 let rec equal_value a b =

@@ -138,7 +138,7 @@ val payload_bytes : t -> int
 (** Release every [Zero_copy] payload reference, recursively. Call when the
     message will no longer be read (e.g. after the response is handed to the
     stack, which holds its own references). *)
-val release : ?cpu:Memmodel.Cpu.t -> t -> unit
+val release : cpu:Memmodel.Cpu.t -> t -> unit
 
 (** [clear t] blanks every field so the object can be rebuilt in place
     (pooled per endpoint instead of allocated per request). Vacated object
@@ -149,9 +149,9 @@ val release : ?cpu:Memmodel.Cpu.t -> t -> unit
     at send). *)
 val clear : t -> unit
 
-(** [reset ?cpu t] = [release] then [clear]: drop any payload references the
+(** [reset ~cpu t] = [release] then [clear]: drop any payload references the
     message still owns, then blank it for reuse. *)
-val reset : ?cpu:Memmodel.Cpu.t -> t -> unit
+val reset : cpu:Memmodel.Cpu.t -> t -> unit
 
 (** [map_payloads t f] rewrites every payload in place (depth-first, field
     order) — used to demote zero-copy entries when a message exceeds the

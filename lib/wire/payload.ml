@@ -17,8 +17,8 @@ let to_string t = Mem.View.to_string (view t)
 
 let of_string space s = Literal (Mem.View.of_string space s)
 
-let release ?cpu = function
+let release ~cpu = function
   | Copied _ | Literal _ -> ()
-  | Zero_copy b -> Mem.Pinned.Buf.decr_ref ?cpu ~site:"Payload.release" b
+  | Zero_copy b -> Mem.Pinned.Buf.decr_ref ~cpu ~site:"Payload.release" b
 
 let is_zero_copy = function Zero_copy _ -> true | Copied _ | Literal _ -> false

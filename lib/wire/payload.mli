@@ -27,9 +27,9 @@ val to_string : t -> string
 
 val of_string : Mem.Addr_space.t -> string -> t
 
-(** [release ?cpu t] drops the reference held by a [Zero_copy] payload;
+(** [release ~cpu t] drops the reference held by a [Zero_copy] payload;
     no-op for the other variants. *)
-val release : ?cpu:Memmodel.Cpu.t -> t -> unit
+val release : cpu:Memmodel.Cpu.t -> t -> unit
 
 (** [is_zero_copy t] — true only for the [Zero_copy] variant. *)
 val is_zero_copy : t -> bool

@@ -20,18 +20,20 @@
 
 type t = Mem.Pinned.Buf.t
 
-let of_buf ?cpu ?(site = "Rc_view.of_buf") buf ~off ~len =
+let of_buf ~cpu ?(site = "Rc_view.of_buf") buf ~off ~len =
   let v = Mem.Pinned.Buf.sub ~site buf ~off ~len in
-  Mem.Pinned.Buf.incr_ref ?cpu ~site v;
+  Mem.Pinned.Buf.incr_ref ~cpu ~site v;
   v
 
 (* Adopt an already-counted handle (e.g. a whole RX buffer whose delivery
    reference the caller is transferring into the view). *)
 let of_owned buf = buf
 
-let retain ?cpu ?(site = "Rc_view.retain") t = Mem.Pinned.Buf.incr_ref ?cpu ~site t
+let retain ~cpu ?(site = "Rc_view.retain") t =
+  Mem.Pinned.Buf.incr_ref ~cpu ~site t
 
-let release ?cpu ?(site = "Rc_view.release") t = Mem.Pinned.Buf.decr_ref ?cpu ~site t
+let release ~cpu ?(site = "Rc_view.release") t =
+  Mem.Pinned.Buf.decr_ref ~cpu ~site t
 
 let len t = Mem.Pinned.Buf.len t
 
@@ -51,11 +53,8 @@ let buf t = t
 
 (* Explicit copy-out, charged as an App-side read — the one deliberate exit
    from the zero-copy discipline (e.g. building a hash key). *)
-let to_string ?cpu t =
+let to_string ~cpu t =
   let v = Mem.Pinned.Buf.view t in
-  (match cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:v.Mem.View.addr
-        ~len:v.Mem.View.len);
+  Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:v.Mem.View.addr
+    ~len:v.Mem.View.len;
   Mem.View.to_string v

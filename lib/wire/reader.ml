@@ -41,10 +41,13 @@ type t = {
   mutable addr : int; (* simulated address of the window *)
   mutable total : int; (* object length *)
   mutable depth : int;
-  mutable cpu : Memmodel.Cpu.t option;
+  meter : Memmodel.Cpu.t; (* the meter the reader was created with *)
+  (* The meter the bound frame charges: [meter] after [validate], the
+     parent's after [nested]. *)
+  mutable cpu : Memmodel.Cpu.t;
 }
 
-let create (desc : Schema.Desc.message) =
+let create ?(cpu = Memmodel.Cpu.none) (desc : Schema.Desc.message) =
   let n = Array.length desc.Schema.Desc.fields in
   {
     desc;
@@ -56,7 +59,8 @@ let create (desc : Schema.Desc.message) =
     addr = 0;
     total = 0;
     depth = 0;
-    cpu = None;
+    meter = cpu;
+    cpu;
   }
 
 let desc t = t.desc
@@ -84,20 +88,13 @@ let u64_at t off =
   else Int64.logor (Int64.of_int acc) Int64.min_int
 
 let charge t ~off ~len =
-  match t.cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.Deser ~addr:(t.addr + off) ~len
+  Memmodel.Cpu.stream t.cpu Memmodel.Cpu.Deser ~addr:(t.addr + off) ~len
 
 (* One call into the validator per frame — versus [Format_]'s per-field
    parse-call charge, which is exactly the dispatch cost validate-once
    amortizes away. *)
 let charge_call t =
-  match t.cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.charge cpu Memmodel.Cpu.Deser
-        (Memmodel.Cpu.params cpu).Memmodel.Params.cost_per_call
+  Memmodel.Cpu.charge_op t.cpu Memmodel.Cpu.Deser Memmodel.Cpu.Per_call
 
 (* --- validation -------------------------------------------------------- *)
 
@@ -141,7 +138,7 @@ let check_field t (field : Schema.Desc.field) ~slot =
       | Schema.Desc.Str | Schema.Desc.Bytes -> check_payload t ~slot
       | Schema.Desc.Message _ -> check_nested t ~slot)
 
-let bind ?cpu t buf =
+let bind ~cpu t buf =
   if Array.length t.frame = 0 then t.frame <- [| buf |]
   else Array.unsafe_set t.frame 0 buf;
   t.data <- Mem.Pinned.Buf.backing buf;
@@ -150,9 +147,9 @@ let bind ?cpu t buf =
   t.total <- Mem.Pinned.Buf.len buf;
   t.cpu <- cpu
 
-let validate_at ?cpu t buf ~hpos ~depth =
+let validate_at ~cpu t buf ~hpos ~depth =
   if depth > max_depth then invalid "nesting deeper than %d" max_depth;
-  bind ?cpu t buf;
+  bind ~cpu t buf;
   charge_call t;
   t.depth <- depth;
   let fields = t.desc.Schema.Desc.fields in
@@ -183,7 +180,7 @@ let validate_at ?cpu t buf ~hpos ~depth =
      checked. Field accesses charge only the bytes they actually load. *)
   charge t ~off:hpos ~len:(4 + (4 * bw) + (8 * !k))
 
-let validate ?cpu t buf = validate_at ?cpu t buf ~hpos:0 ~depth:0
+let validate t buf = validate_at ~cpu:t.meter t buf ~hpos:0 ~depth:0
 [@@alloc_free]
 
 (* Specialized entry for codegen'd [read_folded]: when the frame carries
@@ -195,8 +192,8 @@ let validate ?cpu t buf = validate_at ?cpu t buf ~hpos:0 ~depth:0
    rejection). Extent checks still run per field: only the presence
    decoding is folded, never the bounds. The call is charged only on the
    folded path: on a fallback, [validate] charges it, once. *)
-let validate_folded ?cpu t buf ~bitmap ~header_len =
-  bind ?cpu t buf;
+let validate_folded t buf ~bitmap ~header_len =
+  bind ~cpu:t.meter t buf;
   t.depth <- 0;
   if t.total < header_len || header_len < 8 then false
   else if u32_at t 0 <> 1 || u32_at t 4 <> bitmap then false
@@ -266,17 +263,14 @@ let payload_view t i =
 
 let payload_rc ?(site = "Reader.payload_rc") t i =
   let off, len = payload_off_len t i in
-  Rc_view.of_buf ?cpu:t.cpu ~site (the_buf t) ~off ~len
+  Rc_view.of_buf ~cpu:t.cpu ~site (the_buf t) ~off ~len
 
 (* Copy-out, charged as an App-side read over the payload bytes — the
    deliberate small-field exit from the zero-copy discipline (hash keys,
    command names). *)
 let payload_string t i =
   let off, len = payload_off_len t i in
-  (match t.cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:(t.addr + off) ~len);
+  Memmodel.Cpu.stream t.cpu Memmodel.Cpu.App ~addr:(t.addr + off) ~len;
   Bytes.sub_string t.data (t.base + off) len
 
 (* --- repeated fields --------------------------------------------------- *)
@@ -315,14 +309,11 @@ let elem_view t i ~j =
 
 let elem_rc ?(site = "Reader.elem_rc") t i ~j =
   let off, len = elem_off_len t i ~j in
-  Rc_view.of_buf ?cpu:t.cpu ~site (the_buf t) ~off ~len
+  Rc_view.of_buf ~cpu:t.cpu ~site (the_buf t) ~off ~len
 
 let elem_string t i ~j =
   let off, len = elem_off_len t i ~j in
-  (match t.cpu with
-  | None -> ()
-  | Some cpu ->
-      Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:(t.addr + off) ~len);
+  Memmodel.Cpu.stream t.cpu Memmodel.Cpu.App ~addr:(t.addr + off) ~len;
   Bytes.sub_string t.data (t.base + off) len
 
 (* --- nested messages --------------------------------------------------- *)
@@ -335,13 +326,13 @@ let nested t i ~into =
   let s = slot t i in
   charge t ~off:s ~len:8;
   let off = u32_at t s in
-  validate_at ?cpu:t.cpu into (the_buf t) ~hpos:off ~depth:(t.depth + 1)
+  validate_at ~cpu:t.cpu into (the_buf t) ~hpos:off ~depth:(t.depth + 1)
 
 let nested_elem t i ~j ~into =
   let s = elem_slot t i ~j in
   charge t ~off:s ~len:8;
   let off = u32_at t s in
-  validate_at ?cpu:t.cpu into (the_buf t) ~hpos:off ~depth:(t.depth + 1)
+  validate_at ~cpu:t.cpu into (the_buf t) ~hpos:off ~depth:(t.depth + 1)
 
 (* Drop the cached frame handle (e.g. before quiescing RefSan, so a pooled
    reader does not pin the last delivery's buffer handle in its cache).
@@ -351,5 +342,4 @@ let clear t =
   t.data <- Bytes.empty;
   t.base <- 0;
   t.addr <- 0;
-  t.total <- 0;
-  t.cpu <- None
+  t.total <- 0

@@ -57,9 +57,13 @@ let class_of n =
   let rec go c = if c >= n then c else go (c * 2) in
   go 64
 
+(* Preloads run off-core, unmetered. *)
 let alloc_buf pool n =
-  let buf = Mem.Pinned.Buf.alloc ~site:"Workload.populate" pool ~len:(max 1 n) in
-  Mem.Pinned.Buf.fill ~site:"Workload.populate" buf (filler (max 1 n));
+  let cpu = Memmodel.Cpu.none in
+  let buf =
+    Mem.Pinned.Buf.alloc ~cpu ~site:"Workload.populate" pool ~len:(max 1 n)
+  in
+  Mem.Pinned.Buf.fill ~cpu ~site:"Workload.populate" buf (filler (max 1 n));
   buf
 
 let alloc_value pool ~repr sizes =

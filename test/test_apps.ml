@@ -1,6 +1,9 @@
 (* End-to-end tests of the applications over the full stack: KV server with
    every backend, echo server, the load drivers, and the server harness. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let small_ycsb () = Workload.Ycsb.make ~n_keys:512 ~entries:2 ~entry_size:600 ()
 
 let run_kv backend ~requests =
@@ -43,8 +46,8 @@ let test_kv_responses_carry_values () =
       Net.Transport.set_rx client (fun ~src:_ buf ->
           let msg = backend.Apps.Backend.recv client Apps.Proto.resp buf in
           got := Some (Wire.Dyn.get_list msg "vals" |> List.length);
-          Wire.Dyn.release msg;
-          Mem.Pinned.Buf.decr_ref buf);
+          Wire.Dyn.release ~cpu:none msg;
+          Mem.Pinned.Buf.decr_ref ~cpu:none buf);
       let op =
         Workload.Spec.Get { keys = [ Printf.sprintf "user%026d" 1 ] }
       in
@@ -76,8 +79,8 @@ let test_kv_put_then_get () =
       (match Wire.Dyn.get_list msg "vals" with
       | [ Wire.Dyn.Payload p ] -> got := Wire.Payload.len p
       | _ -> ());
-      Wire.Dyn.release msg;
-      Mem.Pinned.Buf.decr_ref buf);
+      Wire.Dyn.release ~cpu:none msg;
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Apps.Kv_app.send_op app
     (Workload.Spec.Get { keys = [ key ] })
     client ~dst:Apps.Rig.server_id ~id:2;
@@ -99,12 +102,14 @@ let fixture_workload =
     populate =
       (fun store ~pool ->
         let buf tag n =
-          let b = Mem.Pinned.Buf.alloc ~site:"Test.populate" pool ~len:n in
-          Mem.Pinned.Buf.fill ~site:"Test.populate" b (value_bytes ~tag n);
+          let b =
+            Mem.Pinned.Buf.alloc ~cpu:none ~site:"Test.populate" pool ~len:n
+          in
+          Mem.Pinned.Buf.fill ~cpu:none ~site:"Test.populate" b (value_bytes ~tag n);
           b
         in
-        Kvstore.Store.put store ~key:"single" (Kvstore.Store.Single (buf 1 700));
-        Kvstore.Store.put store ~key:"vector"
+        Kvstore.Store.put ~cpu:none store ~key:"single" (Kvstore.Store.Single (buf 1 700));
+        Kvstore.Store.put ~cpu:none store ~key:"vector"
           (Kvstore.Store.Vector [| buf 2 300; buf 3 900; buf 4 64 |]));
     next = (fun _ -> invalid_arg "rx-cases: ops are sent explicitly");
     mean_response_bytes = 0.0;
@@ -162,8 +167,8 @@ let run_rx_case ~transport backend (label, ops, expect) =
           (Wire.Dyn.get_list msg "vals")
       in
       reply := Some (Wire.Dyn.get_int msg "id", vals);
-      Wire.Dyn.release msg;
-      Mem.Pinned.Buf.decr_ref buf);
+      Wire.Dyn.release ~cpu:none msg;
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   List.iteri
     (fun i op ->
       reply := None;

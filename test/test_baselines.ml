@@ -2,6 +2,9 @@
    Cap'n Proto-like) and the manual echo paths, end to end over the
    simulated network. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let schema = Test_format.schema
 
 let everything = Test_format.everything
@@ -34,14 +37,14 @@ let send_catch_check env msg ~send ~deser =
   if not (Wire.Dyn.equal msg back) then
     Alcotest.failf "roundtrip mismatch:@.%a@.vs@.%a" Wire.Dyn.pp msg Wire.Dyn.pp
       back;
-  Mem.Pinned.Buf.decr_ref buf
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_protobuf_roundtrip () =
   let env = Test_env.make () in
   send_catch_check env (sample_message env)
     ~send:(fun ep -> Baselines.Protobuf.serialize_and_send ep)
     ~deser:(fun env buf ->
-      Baselines.Protobuf.deserialize env.Test_env.b schema everything buf)
+      Baselines.Protobuf.deserialize ~cpu:none env.Test_env.b schema everything buf)
 
 let test_protobuf_varint_boundaries () =
   let env = Test_env.make () in
@@ -53,7 +56,7 @@ let test_protobuf_varint_boundaries () =
   send_catch_check env msg
     ~send:(fun ep -> Baselines.Protobuf.serialize_and_send ep)
     ~deser:(fun env buf ->
-      Baselines.Protobuf.deserialize env.Test_env.b schema everything buf)
+      Baselines.Protobuf.deserialize ~cpu:none env.Test_env.b schema everything buf)
 
 let test_protobuf_skips_unknown_fields () =
   (* Encode with a schema that has an extra field; decode with one that
@@ -71,41 +74,41 @@ let test_protobuf_skips_unknown_fields () =
   Baselines.Protobuf.serialize_and_send (Net.Endpoint.transport env.Test_env.a) ~dst:2 msg;
   let _src, buf = Test_env.catch env in
   let back =
-    Baselines.Protobuf.deserialize env.Test_env.b smaller
+    Baselines.Protobuf.deserialize ~cpu:none env.Test_env.b smaller
       (Schema.Desc.message smaller "M") buf
   in
   Alcotest.(check (option int64)) "a" (Some 1L) (Wire.Dyn.get_int back "a");
   Alcotest.(check (option int64)) "b" (Some 2L) (Wire.Dyn.get_int back "b");
-  Mem.Pinned.Buf.decr_ref buf
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_protobuf_rejects_garbage () =
   let env = Test_env.make () in
   Net.Endpoint.send_string env.Test_env.a ~dst:2 "\xff\xff\xff\xff\xff";
   let _src, buf = Test_env.catch env in
-  (match Baselines.Protobuf.deserialize env.Test_env.b schema everything buf with
+  (match Baselines.Protobuf.deserialize ~cpu:none env.Test_env.b schema everything buf with
   | _ -> Alcotest.fail "expected Decode_error"
   | exception Baselines.Protobuf.Decode_error _ -> ());
-  Mem.Pinned.Buf.decr_ref buf
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_flatbuf_roundtrip () =
   let env = Test_env.make () in
   send_catch_check env (sample_message env)
     ~send:(fun ep -> Baselines.Flatbuf.serialize_and_send ep)
-    ~deser:(fun _env buf -> Baselines.Flatbuf.deserialize schema everything buf)
+    ~deser:(fun _env buf -> Baselines.Flatbuf.deserialize ~cpu:none schema everything buf)
 
 let test_flatbuf_empty_message () =
   let env = Test_env.make () in
   send_catch_check env
     (Wire.Dyn.create everything)
     ~send:(fun ep -> Baselines.Flatbuf.serialize_and_send ep)
-    ~deser:(fun _env buf -> Baselines.Flatbuf.deserialize schema everything buf)
+    ~deser:(fun _env buf -> Baselines.Flatbuf.deserialize ~cpu:none schema everything buf)
 
 let test_flatbuf_reads_are_zero_copy () =
   let env = Test_env.make () in
   let msg = sample_message env in
   Baselines.Flatbuf.serialize_and_send (Net.Endpoint.transport env.Test_env.a) ~dst:2 msg;
   let _src, buf = Test_env.catch env in
-  let back = Baselines.Flatbuf.deserialize schema everything buf in
+  let back = Baselines.Flatbuf.deserialize ~cpu:none schema everything buf in
   (match Wire.Dyn.get_payload back "name" with
   | Some (Wire.Payload.Zero_copy sub) ->
       (* The payload window lives inside the receive buffer. *)
@@ -114,14 +117,14 @@ let test_flatbuf_reads_are_zero_copy () =
         && Mem.Pinned.Buf.addr sub
            < Mem.Pinned.Buf.addr buf + Mem.Pinned.Buf.len buf)
   | _ -> Alcotest.fail "expected zero-copy payload");
-  Wire.Dyn.release back;
-  Mem.Pinned.Buf.decr_ref buf
+  Wire.Dyn.release ~cpu:none back;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_capnp_roundtrip () =
   let env = Test_env.make () in
   send_catch_check env (sample_message env)
     ~send:(fun ep -> Baselines.Capnp.serialize_and_send ep)
-    ~deser:(fun _env buf -> Baselines.Capnp.deserialize schema everything buf)
+    ~deser:(fun _env buf -> Baselines.Capnp.deserialize ~cpu:none schema everything buf)
 
 let test_capnp_multisegment () =
   let env = Test_env.make () in
@@ -133,20 +136,20 @@ let test_capnp_multisegment () =
   Wire.Dyn.append msg "tags"
     (Wire.Dyn.Payload
        (Wire.Payload.of_string env.Test_env.space (String.make 2500 'y')));
-  let segs = Baselines.Capnp.build env.Test_env.a msg in
+  let segs = Baselines.Capnp.build ~cpu:none env.Test_env.a msg in
   Alcotest.(check bool) "multiple segments" true (List.length segs >= 3);
   send_catch_check env msg
     ~send:(fun ep -> Baselines.Capnp.serialize_and_send ep)
-    ~deser:(fun _env buf -> Baselines.Capnp.deserialize schema everything buf)
+    ~deser:(fun _env buf -> Baselines.Capnp.deserialize ~cpu:none schema everything buf)
 
 let test_capnp_rejects_garbage () =
   let env = Test_env.make () in
   Net.Endpoint.send_string env.Test_env.a ~dst:2 "\x10\x00\x00\x00bad";
   let _src, buf = Test_env.catch env in
-  (match Baselines.Capnp.deserialize schema everything buf with
+  (match Baselines.Capnp.deserialize ~cpu:none schema everything buf with
   | _ -> Alcotest.fail "expected Decode_error"
   | exception Baselines.Capnp.Decode_error _ -> ());
-  Mem.Pinned.Buf.decr_ref buf
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let manual_views env =
   let pool = Test_env.data_pool env in
@@ -156,14 +159,14 @@ let manual_views env =
 
 let check_manual_roundtrip env views =
   let _src, buf = Test_env.catch env in
-  let fields = Baselines.Manual.parse (Mem.Pinned.Buf.view buf) in
+  let fields = Baselines.Manual.parse ~cpu:none (Mem.Pinned.Buf.view buf) in
   Alcotest.(check int) "field count" (List.length views) (List.length fields);
   List.iter2
     (fun want got ->
       Alcotest.(check string) "contents" (Mem.View.to_string want)
         (Mem.View.to_string got))
     views fields;
-  Mem.Pinned.Buf.decr_ref buf
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_manual_one_copy () =
   let env = Test_env.make () in
@@ -199,7 +202,7 @@ let test_manual_forward () =
   let got = ref None in
   Net.Endpoint.set_rx env.Test_env.a (fun ~src:_ b ->
       got := Some (Mem.View.to_string (Mem.Pinned.Buf.view b));
-      Mem.Pinned.Buf.decr_ref b);
+      Mem.Pinned.Buf.decr_ref ~cpu:none b);
   Baselines.Manual.forward (Net.Endpoint.transport env.Test_env.b) ~dst:1 buf;
   Sim.Engine.run_all env.Test_env.engine;
   Alcotest.(check (option string)) "echoed" (Some "fwd me") !got
@@ -236,22 +239,22 @@ let qcheck_all_libraries_roundtrip =
         send (Net.Endpoint.transport env.Test_env.a) msg;
         let _src, buf = Test_env.catch env in
         if not (Wire.Dyn.equal msg (deser buf)) then ok := false;
-        Mem.Pinned.Buf.decr_ref buf
+        Mem.Pinned.Buf.decr_ref ~cpu:none buf
       in
       try_lib
         (fun ep msg -> Baselines.Protobuf.serialize_and_send ep ~dst:2 msg)
         (fun buf ->
-          Baselines.Protobuf.deserialize env.Test_env.b Test_format.schema
+          Baselines.Protobuf.deserialize ~cpu:none env.Test_env.b Test_format.schema
             Test_format.everything buf);
       try_lib
         (fun ep msg -> Baselines.Flatbuf.serialize_and_send ep ~dst:2 msg)
         (fun buf ->
-          Baselines.Flatbuf.deserialize Test_format.schema
+          Baselines.Flatbuf.deserialize ~cpu:none Test_format.schema
             Test_format.everything buf);
       try_lib
         (fun ep msg -> Baselines.Capnp.serialize_and_send ep ~dst:2 msg)
         (fun buf ->
-          Baselines.Capnp.deserialize Test_format.schema
+          Baselines.Capnp.deserialize ~cpu:none Test_format.schema
             Test_format.everything buf);
       !ok)
 

@@ -2,6 +2,9 @@
    properties (QCheck), dispatcher fan-out semantics end to end, and the
    adaptive-estimator hooks on the dispatcher's send path. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 (* A scattered key universe: multiplying by a Knuth constant decorrelates
    the sequential indices so the test exercises the hash, not a pattern. *)
 let key_universe n =
@@ -109,8 +112,8 @@ let roundtrip topo backend ~op ~keys ?(vals = []) ~id () =
         Int64.to_int (Option.value ~default:(-1L) (Wire.Dyn.get_int msg "id"))
       in
       got := Some (rid, payload_strings msg "vals");
-      Wire.Dyn.release msg;
-      Mem.Pinned.Buf.decr_ref buf;
+      Wire.Dyn.release ~cpu:none msg;
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf;
       Mem.Arena.reset (Net.Transport.arena client));
   let msg = Wire.Dyn.create Apps.Proto.req in
   Wire.Dyn.set_int msg "id" (Int64.of_int id);
@@ -127,7 +130,7 @@ let roundtrip topo backend ~op ~keys ?(vals = []) ~id () =
     vals;
   backend.Apps.Backend.send client
     ~dst:Cluster.Topology.dispatcher_id msg;
-  Wire.Dyn.release msg;
+  Wire.Dyn.release ~cpu:none msg;
   Mem.Arena.reset (Net.Transport.arena client);
   Sim.Engine.run_all (Cluster.Topology.engine topo);
   !got

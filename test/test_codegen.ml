@@ -219,17 +219,17 @@ let test_service_emission () =
       "Rpc.Table.create ~n:3 ~fallback:unhandled";
       "let on_get";
       "let on_scan";
-      "let serve ?cpu s ~src buf";
-      "Wire.Reader.validate ?cpu s.s_reader buf";
+      "let serve s ~src buf";
+      "Wire.Reader.validate s.s_reader buf";
       "let serve_dyn s ~src req";
       "Rpc.Table.dispatch";
       "let emit_scan s ~dst ~id cur ~last";
       "Rpc.Stream.next cur ~last";
       "let client ?config ?engine ?reliab tr";
-      "let call_get ?cpu ?deadline_ms c ~dst req ~on_reply";
-      "let call_scan ?cpu ?deadline_ms c ~dst req ~on_chunk ~on_done";
+      "let call_get ?deadline_ms c ~dst req ~on_reply";
+      "let call_scan ?deadline_ms c ~dst req ~on_chunk ~on_done";
       "Rpc.Client.call_stream";
-      "let deliver ?cpu c buf";
+      "let deliver c buf";
       "Rpc.Client.complete";
     ];
   (* Unary-only services must not reference the stream runtime nor read a

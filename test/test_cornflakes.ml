@@ -2,6 +2,9 @@
    send_object over the simulated stack, zero-copy safety, SGE-limit
    demotion, and both send paths. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let schema = Test_format.schema
 
 let everything = Test_format.everything
@@ -9,8 +12,8 @@ let everything = Test_format.everything
 let default = Cornflakes.Config.default
 
 let make_value pool s =
-  let buf = Mem.Pinned.Buf.alloc pool ~len:(String.length s) in
-  Mem.Pinned.Buf.fill buf s;
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:(String.length s) in
+  Mem.Pinned.Buf.fill ~cpu:none buf s;
   buf
 
 let test_cf_ptr_threshold () =
@@ -20,7 +23,7 @@ let test_cf_ptr_threshold () =
   let large = make_value pool (String.make 1024 'l') in
   (* Small pinned value: copied, reference dropped. *)
   (match
-     Cornflakes.Cf_ptr.make default env.Test_env.b
+     Cornflakes.Cf_ptr.make ~cpu:none default env.Test_env.b
        (Mem.Pinned.Buf.view small)
    with
   | Wire.Payload.Copied _ -> ()
@@ -28,19 +31,19 @@ let test_cf_ptr_threshold () =
   Alcotest.(check int) "small ref untouched" 1 (Mem.Pinned.Buf.refcount small);
   (* Large pinned value: zero-copied with a new reference. *)
   (match
-     Cornflakes.Cf_ptr.make default env.Test_env.b
+     Cornflakes.Cf_ptr.make ~cpu:none default env.Test_env.b
        (Mem.Pinned.Buf.view large)
    with
   | Wire.Payload.Zero_copy b ->
       Alcotest.(check int) "ref taken" 2 (Mem.Pinned.Buf.refcount large);
-      Mem.Pinned.Buf.decr_ref b
+      Mem.Pinned.Buf.decr_ref ~cpu:none b
   | _ -> Alcotest.fail "large field should be zero-copy")
 
 let test_cf_ptr_memory_transparency () =
   let env = Test_env.make () in
   (* Large but NOT in pinned memory: must fall back to copy. *)
   let v = Mem.View.of_string env.Test_env.space (String.make 2048 'u') in
-  match Cornflakes.Cf_ptr.make default env.Test_env.b v with
+  match Cornflakes.Cf_ptr.make ~cpu:none default env.Test_env.b v with
   | Wire.Payload.Copied c ->
       Alcotest.(check string) "copy is faithful" (Mem.View.to_string v)
         (Mem.View.to_string c)
@@ -51,7 +54,7 @@ let test_cf_ptr_all_copy_config () =
   let pool = Test_env.data_pool env in
   let large = make_value pool (String.make 2048 'l') in
   match
-    Cornflakes.Cf_ptr.make Cornflakes.Config.all_copy env.Test_env.b
+    Cornflakes.Cf_ptr.make ~cpu:none Cornflakes.Config.all_copy env.Test_env.b
       (Mem.Pinned.Buf.view large)
   with
   | Wire.Payload.Copied _ -> ()
@@ -62,10 +65,10 @@ let test_cf_ptr_all_zero_copy_config () =
   let pool = Test_env.data_pool env in
   let tiny = make_value pool "xy" in
   match
-    Cornflakes.Cf_ptr.make Cornflakes.Config.all_zero_copy env.Test_env.b
+    Cornflakes.Cf_ptr.make ~cpu:none Cornflakes.Config.all_zero_copy env.Test_env.b
       (Mem.Pinned.Buf.view tiny)
   with
-  | Wire.Payload.Zero_copy b -> Mem.Pinned.Buf.decr_ref b
+  | Wire.Payload.Zero_copy b -> Mem.Pinned.Buf.decr_ref ~cpu:none b
   | _ -> Alcotest.fail "all-zero-copy config must scatter-gather"
 
 let hybrid_message env pool =
@@ -78,7 +81,7 @@ let hybrid_message env pool =
   List.iter
     (fun buf ->
       let p =
-        Cornflakes.Cf_ptr.make default env.Test_env.b (Mem.Pinned.Buf.view buf)
+        Cornflakes.Cf_ptr.make ~cpu:none default env.Test_env.b (Mem.Pinned.Buf.view buf)
       in
       Wire.Dyn.append msg "tags" (Wire.Dyn.Payload p))
     [ small; big1; big2 ];
@@ -93,7 +96,7 @@ let roundtrip_config env config msg =
   match !got with
   | None -> Alcotest.fail "no response delivered"
   | Some buf ->
-      let back = Cornflakes.Send.deserialize schema everything buf in
+      let back = Cornflakes.Send.deserialize ~cpu:none schema everything buf in
       (buf, back)
 
 let test_send_object_roundtrip () =
@@ -105,8 +108,8 @@ let test_send_object_roundtrip () =
   let buf, back = roundtrip_config env default msg in
   if not (Wire.Dyn.equal msg back) then
     Alcotest.failf "mismatch:@.%a@.vs@.%a" Wire.Dyn.pp msg Wire.Dyn.pp back;
-  Wire.Dyn.release back;
-  Mem.Pinned.Buf.decr_ref buf
+  Wire.Dyn.release ~cpu:none back;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_send_object_two_phase_path () =
   let env = Test_env.make () in
@@ -115,18 +118,18 @@ let test_send_object_two_phase_path () =
   let config = { default with Cornflakes.Config.serialize_and_send = false } in
   let buf, back = roundtrip_config env config msg in
   if not (Wire.Dyn.equal msg back) then Alcotest.fail "two-phase mismatch";
-  Wire.Dyn.release back;
-  Mem.Pinned.Buf.decr_ref buf
+  Wire.Dyn.release ~cpu:none back;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_zero_copy_safety_through_completion () =
   let env = Test_env.make () in
   let pool = Test_env.data_pool env in
   let value = make_value pool (String.make 2048 'v') in
-  Mem.Pinned.Buf.incr_ref value;
+  Mem.Pinned.Buf.incr_ref ~cpu:none value;
   (* app keeps a handle *)
   let msg = Wire.Dyn.create everything in
   Wire.Dyn.set_payload msg "name"
-    (Cornflakes.Cf_ptr.make default env.Test_env.b (Mem.Pinned.Buf.view value));
+    (Cornflakes.Cf_ptr.make ~cpu:none default env.Test_env.b (Mem.Pinned.Buf.view value));
   Alcotest.(check int) "refs before send" 3 (Mem.Pinned.Buf.refcount value);
   Cornflakes.Send.send_object default env.Test_env.b ~dst:1 msg;
   (* The stack still holds the reference until the NIC completes. *)
@@ -156,7 +159,7 @@ let test_sge_limit_demotes_smallest () =
       let buf = make_value pool (String.make n 'z') in
       Wire.Dyn.append msg "tags"
         (Wire.Dyn.Payload
-           (Cornflakes.Cf_ptr.make default env.Test_env.b
+           (Cornflakes.Cf_ptr.make ~cpu:none default env.Test_env.b
               (Mem.Pinned.Buf.view buf))))
     sizes;
   let before = Cornflakes.Format_.measure msg in
@@ -175,8 +178,8 @@ let test_sge_limit_demotes_smallest () =
     [ 550; 560; 570; 580; 590; 600; 610 ]
     zc_lens;
   if not (Wire.Dyn.equal msg back) then Alcotest.fail "demoted roundtrip";
-  Wire.Dyn.release back;
-  Mem.Pinned.Buf.decr_ref buf
+  Wire.Dyn.release ~cpu:none back;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_demote_tie_break_at_cutoff () =
   (* Equal-length payloads exactly at the demotion cutoff: the keep set is
@@ -205,7 +208,7 @@ let test_demote_tie_break_at_cutoff () =
       let buf = make_value pool (String.make n 't') in
       Wire.Dyn.append msg "tags"
         (Wire.Dyn.Payload
-           (Cornflakes.Cf_ptr.make default env.Test_env.b
+           (Cornflakes.Cf_ptr.make ~cpu:none default env.Test_env.b
               (Mem.Pinned.Buf.view buf))))
     sizes;
   let before = Cornflakes.Format_.measure msg in
@@ -223,8 +226,8 @@ let test_demote_tie_break_at_cutoff () =
     "first four at-cutoff payloads kept, last three demoted" "zzzzzzzccc"
     kinds;
   if not (Wire.Dyn.equal msg back) then Alcotest.fail "tie-break roundtrip";
-  Wire.Dyn.release back;
-  Mem.Pinned.Buf.decr_ref buf
+  Wire.Dyn.release ~cpu:none back;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_message_too_large_rejected () =
   let env = Test_env.make () in
@@ -245,13 +248,13 @@ let test_echo_reserialize_zero_copy () =
     (Wire.Payload.of_string env.Test_env.space (String.make 2048 'e'));
   Cornflakes.Send.send_object default env.Test_env.a ~dst:2 msg;
   let _src, req_buf = Test_env.catch env in
-  let req = Cornflakes.Send.deserialize schema everything req_buf in
+  let req = Cornflakes.Send.deserialize ~cpu:none schema everything req_buf in
   (* Rebuild a response reusing the request's field bytes. *)
   let resp = Wire.Dyn.create everything in
   (match Wire.Dyn.get_payload req "name" with
   | Some p ->
       let v = Wire.Payload.view p in
-      let p' = Cornflakes.Cf_ptr.make default env.Test_env.b v in
+      let p' = Cornflakes.Cf_ptr.make ~cpu:none default env.Test_env.b v in
       Alcotest.(check bool) "echo reuses rx buffer zero-copy" true
         (Wire.Payload.is_zero_copy p');
       Wire.Dyn.set_payload resp "name" p'
@@ -259,20 +262,20 @@ let test_echo_reserialize_zero_copy () =
   let got = ref None in
   Net.Endpoint.set_rx env.Test_env.a (fun ~src:_ buf -> got := Some buf);
   Cornflakes.Send.send_object default env.Test_env.b ~dst:1 resp;
-  Wire.Dyn.release req;
-  Mem.Pinned.Buf.decr_ref req_buf;
+  Wire.Dyn.release ~cpu:none req;
+  Mem.Pinned.Buf.decr_ref ~cpu:none req_buf;
   Sim.Engine.run_all env.Test_env.engine;
   match !got with
   | None -> Alcotest.fail "no echo"
   | Some buf ->
-      let back = Cornflakes.Send.deserialize schema everything buf in
+      let back = Cornflakes.Send.deserialize ~cpu:none schema everything buf in
       (match Wire.Dyn.get_payload back "name" with
       | Some p ->
           Alcotest.(check string) "payload intact" (String.make 2048 'e')
             (Wire.Payload.to_string p)
       | None -> Alcotest.fail "missing echoed field");
-      Wire.Dyn.release back;
-      Mem.Pinned.Buf.decr_ref buf
+      Wire.Dyn.release ~cpu:none back;
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_hybrid_cheaper_than_forced_paths () =
   (* Sanity check on the cost model: for a mixed message, the hybrid
@@ -292,7 +295,7 @@ let test_hybrid_cheaper_than_forced_paths () =
              (Cornflakes.Cf_ptr.make ~cpu config env.Test_env.b
                 (Mem.Pinned.Buf.view buf))))
       [ 32; 64; 2048; 4000 ];
-    Cornflakes.Send.send_object ~cpu config env.Test_env.b ~dst:1 msg;
+    Cornflakes.Send.send_object config env.Test_env.b ~dst:1 msg;
     Sim.Engine.run_all env.Test_env.engine;
     Memmodel.Cpu.cycles cpu
   in
@@ -333,14 +336,14 @@ let test_network_api_listing2 () =
   let net_b = Cornflakes.Network_api.attach env.Test_env.b ~data_pool:pool in
   (* alloc: a DMA-safe refcounted buffer. *)
   let value = Cornflakes.Network_api.alloc net_b ~size:1024 in
-  Mem.Pinned.Buf.fill value (String.make 1024 'n');
+  Mem.Pinned.Buf.fill ~cpu:none value (String.make 1024 'n');
   (* recover_ptr: finds it again from a raw window, taking a reference. *)
   (match
      Cornflakes.Network_api.recover_ptr net_b (Mem.Pinned.Buf.view value)
    with
   | Some r ->
       Alcotest.(check int) "recovered ref" 2 (Mem.Pinned.Buf.refcount value);
-      Mem.Pinned.Buf.decr_ref r
+      Mem.Pinned.Buf.decr_ref ~cpu:none r
   | None -> Alcotest.fail "recover_ptr failed");
   (* send_object + recv_packet roundtrip (b -> a). *)
   let net_a =
@@ -357,12 +360,12 @@ let test_network_api_listing2 () =
   match Cornflakes.Network_api.recv_packet net_a with
   | Some buf ->
       let back =
-        Cornflakes.Send.deserialize Test_format.schema Test_format.everything
+        Cornflakes.Send.deserialize ~cpu:none Test_format.schema Test_format.everything
           buf
       in
       Alcotest.(check (option int64)) "id" (Some 2L) (Wire.Dyn.get_int back "id");
-      Wire.Dyn.release back;
-      Mem.Pinned.Buf.decr_ref buf
+      Wire.Dyn.release ~cpu:none back;
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf
   | None -> Alcotest.fail "no packet in inbox"
 
 let suite = suite @ [

@@ -12,13 +12,15 @@ type t = {
   received_at_b : (int * Mem.Pinned.Buf.t) Queue.t;
 }
 
-let make ?cpu_b ?config () =
+let make ?(cpu_b = Memmodel.Cpu.none) ?config () =
   let engine = Sim.Engine.create () in
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let a = Net.Endpoint.create ?config fabric registry ~id:1 in
-  let b = Net.Endpoint.create ?cpu:cpu_b ?config fabric registry ~id:2 in
+  let a =
+    Net.Endpoint.create ~cpu:Memmodel.Cpu.none ?config fabric registry ~id:1
+  in
+  let b = Net.Endpoint.create ~cpu:cpu_b ?config fabric registry ~id:2 in
   let received_at_b = Queue.create () in
   Net.Endpoint.set_rx b (fun ~src buf -> Queue.add (src, buf) received_at_b);
   { engine; fabric; registry; space; a; b; received_at_b }
@@ -39,6 +41,7 @@ let data_pool ?(classes = [ (64, 256); (256, 256); (1024, 128); (4096, 64) ])
   pool
 
 let pinned_of_string pool s =
-  let buf = Mem.Pinned.Buf.alloc pool ~len:(String.length s) in
-  Mem.Pinned.Buf.fill buf s;
+  let cpu = Memmodel.Cpu.none in
+  let buf = Mem.Pinned.Buf.alloc ~cpu pool ~len:(String.length s) in
+  Mem.Pinned.Buf.fill ~cpu buf s;
   buf

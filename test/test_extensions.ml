@@ -1,6 +1,9 @@
 (* Tests for the section-7 extensions: copy-on-write smart pointers and the
    adaptive zero-copy threshold. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let make_pool () =
   let space = Mem.Addr_space.create () in
   let pool =
@@ -10,24 +13,24 @@ let make_pool () =
 
 let test_cow_write_in_place_when_exclusive () =
   let _space, pool = make_pool () in
-  let c = Cornflakes.Cow_buf.create pool ~len:100 in
+  let c = Cornflakes.Cow_buf.create ~cpu:none pool ~len:100 in
   let before = Mem.Pinned.Buf.addr (Cornflakes.Cow_buf.buf c) in
-  Cornflakes.Cow_buf.write c ~off:0 "exclusive";
+  Cornflakes.Cow_buf.write ~cpu:none c ~off:0 "exclusive";
   Alcotest.(check int) "no clone" 0 (Cornflakes.Cow_buf.cow_count c);
   Alcotest.(check int) "same buffer" before
     (Mem.Pinned.Buf.addr (Cornflakes.Cow_buf.buf c));
-  Cornflakes.Cow_buf.release c
+  Cornflakes.Cow_buf.release ~cpu:none c
 
 let test_cow_clones_when_shared () =
   let _space, pool = make_pool () in
-  let c = Cornflakes.Cow_buf.create pool ~len:64 in
-  Cornflakes.Cow_buf.write c ~off:0 "original-bytes!!";
+  let c = Cornflakes.Cow_buf.create ~cpu:none pool ~len:64 in
+  Cornflakes.Cow_buf.write ~cpu:none c ~off:0 "original-bytes!!";
   (* A pending zero-copy send takes its reference... *)
   let in_flight = Cornflakes.Cow_buf.buf c in
-  Mem.Pinned.Buf.incr_ref in_flight;
+  Mem.Pinned.Buf.incr_ref ~cpu:none in_flight;
   Alcotest.(check bool) "shared" true (Cornflakes.Cow_buf.shared c);
   (* ... and the application overwrites the value. *)
-  Cornflakes.Cow_buf.write c ~off:0 "updated-bytes!!!";
+  Cornflakes.Cow_buf.write ~cpu:none c ~off:0 "updated-bytes!!!";
   Alcotest.(check int) "one clone" 1 (Cornflakes.Cow_buf.cow_count c);
   (* The DMA still sees the original bytes, untouched. *)
   Alcotest.(check string) "in-flight bytes intact" "original-bytes!!"
@@ -37,27 +40,27 @@ let test_cow_clones_when_shared () =
     (String.sub
        (Mem.View.to_string (Mem.Pinned.Buf.view (Cornflakes.Cow_buf.buf c)))
        0 16);
-  Mem.Pinned.Buf.decr_ref in_flight;
-  Cornflakes.Cow_buf.release c;
+  Mem.Pinned.Buf.decr_ref ~cpu:none in_flight;
+  Cornflakes.Cow_buf.release ~cpu:none c;
   Alcotest.(check int) "all returned" 0 (Mem.Pinned.Pool.live pool)
 
 let test_cow_write_after_completion_is_in_place () =
   let _space, pool = make_pool () in
-  let c = Cornflakes.Cow_buf.create pool ~len:64 in
+  let c = Cornflakes.Cow_buf.create ~cpu:none pool ~len:64 in
   let b = Cornflakes.Cow_buf.buf c in
-  Mem.Pinned.Buf.incr_ref b;
-  Mem.Pinned.Buf.decr_ref b;
+  Mem.Pinned.Buf.incr_ref ~cpu:none b;
+  Mem.Pinned.Buf.decr_ref ~cpu:none b;
   (* transmission completed *)
-  Cornflakes.Cow_buf.write c ~off:0 "x";
+  Cornflakes.Cow_buf.write ~cpu:none c ~off:0 "x";
   Alcotest.(check int) "no clone needed" 0 (Cornflakes.Cow_buf.cow_count c);
-  Cornflakes.Cow_buf.release c
+  Cornflakes.Cow_buf.release ~cpu:none c
 
 let test_cow_bounds () =
   let _space, pool = make_pool () in
-  let c = Cornflakes.Cow_buf.create pool ~len:8 in
+  let c = Cornflakes.Cow_buf.create ~cpu:none pool ~len:8 in
   Alcotest.check_raises "oob" (Invalid_argument "Cow_buf.write: out of bounds")
-    (fun () -> Cornflakes.Cow_buf.write c ~off:4 "too-long");
-  Cornflakes.Cow_buf.release c
+    (fun () -> Cornflakes.Cow_buf.write ~cpu:none c ~off:4 "too-long");
+  Cornflakes.Cow_buf.release ~cpu:none c
 
 (* Adaptive threshold: drive constructions through a real endpoint and
    check the estimate converges near the static calibration (512 B). *)
@@ -76,8 +79,8 @@ let adaptive_converges ~params ()=
   (* A working set larger than L3, like the measurement study. *)
   let values =
     Array.init 4000 (fun i ->
-        let buf = Mem.Pinned.Buf.alloc pool ~len:(if i mod 2 = 0 then 700 else 300) in
-        Mem.Pinned.Buf.fill buf (Workload.Spec.filler (Mem.Pinned.Buf.len buf));
+        let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:(if i mod 2 = 0 then 700 else 300) in
+        Mem.Pinned.Buf.fill ~cpu:none buf (Workload.Spec.filler (Mem.Pinned.Buf.len buf));
         buf)
   in
   let adaptive = Cornflakes.Adaptive.create () in
@@ -87,7 +90,7 @@ let adaptive_converges ~params ()=
     let p =
       Cornflakes.Adaptive.make ~cpu adaptive ep (Mem.Pinned.Buf.view buf)
     in
-    Wire.Payload.release p;
+    Wire.Payload.release ~cpu:none p;
     Mem.Arena.reset (Net.Endpoint.arena ep)
   done;
   Cornflakes.Adaptive.threshold adaptive
@@ -119,10 +122,10 @@ let test_adaptive_without_cpu_is_static () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let ep = Net.Endpoint.create fabric registry ~id:1 in
+  let ep = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
   let adaptive = Cornflakes.Adaptive.create ~initial:512 () in
   let v = Mem.View.of_string space "hello" in
-  let (_ : Wire.Payload.t) = Cornflakes.Adaptive.make adaptive ep v in
+  let (_ : Wire.Payload.t) = Cornflakes.Adaptive.make ~cpu:none adaptive ep v in
   Alcotest.(check int) "unchanged" 512 (Cornflakes.Adaptive.threshold adaptive);
   Alcotest.(check int) "no observations recorded" 0
     (Cornflakes.Adaptive.observations adaptive)

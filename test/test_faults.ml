@@ -4,6 +4,9 @@
    soft-capacity exhaustion, zero-copy demotion under ring pressure, and
    the end-to-end exactly-once property under seeded fault plans. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 module Plan = Faults.Plan
 module Injector = Faults.Injector
 module Refsan = Sanitizer.Refsan
@@ -111,7 +114,7 @@ let test_fabric_injected_faults_counted () =
   Alcotest.(check int) "dropped" 2 (Net.Fabric.dropped env.Test_env.fabric);
   Alcotest.(check int) "delivered" 2
     (Queue.length env.Test_env.received_at_b);
-  Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref buf)
+  Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref ~cpu:none buf)
     env.Test_env.received_at_b
 
 (* --- Injector determinism ---------------------------------------------- *)
@@ -296,7 +299,7 @@ let test_completion_loss_pins_refs_until_reap () =
   let env = Test_env.make () in
   let pool = Test_env.data_pool env in
   let value = Test_env.pinned_of_string pool (String.make 1024 'v') in
-  Mem.Pinned.Buf.incr_ref value;
+  Mem.Pinned.Buf.incr_ref ~cpu:none value;
   let nic = Net.Endpoint.nic env.Test_env.a in
   Nic.Device.set_completion_fault nic lose_all;
   let staging = Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len in
@@ -313,8 +316,8 @@ let test_completion_loss_pins_refs_until_reap () =
   Alcotest.(check int) "reaped" 1 (Nic.Device.reap_lost nic);
   Alcotest.(check int) "ref released" 1 (Mem.Pinned.Buf.refcount value);
   Alcotest.(check int) "slot freed" 0 (Nic.Device.in_flight nic);
-  Mem.Pinned.Buf.decr_ref value;
-  Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref buf)
+  Mem.Pinned.Buf.decr_ref ~cpu:none value;
+  Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref ~cpu:none buf)
     env.Test_env.received_at_b
 
 let test_lost_completion_flags_stuck_hold () =
@@ -322,7 +325,7 @@ let test_lost_completion_flags_stuck_hold () =
       let env = Test_env.make () in
       let pool = Test_env.data_pool env in
       let value = Test_env.pinned_of_string pool (String.make 1024 'v') in
-      Mem.Pinned.Buf.incr_ref value;
+      Mem.Pinned.Buf.incr_ref ~cpu:none value;
       let nic = Net.Endpoint.nic env.Test_env.a in
       Nic.Device.set_completion_fault nic lose_all;
       let staging =
@@ -338,8 +341,8 @@ let test_lost_completion_flags_stuck_hold () =
       (* reaping recovers the references; no new stuck holds remain *)
       Alcotest.(check int) "reaped" 1 (Nic.Device.reap_lost nic);
       Alcotest.(check int) "no new stuck holds" 0 (Refsan.flag_stuck_holds ());
-      Mem.Pinned.Buf.decr_ref value;
-      Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref buf)
+      Mem.Pinned.Buf.decr_ref ~cpu:none value;
+      Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref ~cpu:none buf)
         env.Test_env.received_at_b)
 
 (* --- Arena soft capacity ------------------------------------------------ *)
@@ -348,14 +351,14 @@ let test_arena_soft_capacity () =
   let space = Mem.Addr_space.create () in
   let arena = Mem.Arena.create space ~capacity:8192 in
   let src = Mem.View.of_string space (String.make 512 's') in
-  ignore (Mem.Arena.copy_in arena src);
+  ignore (Mem.Arena.copy_in ~cpu:none arena src);
   Mem.Arena.set_soft_capacity arena (Some (Mem.Arena.used arena + 100));
-  (match Mem.Arena.copy_in arena src with
+  (match Mem.Arena.copy_in ~cpu:none arena src with
   | exception Mem.Pinned.Out_of_memory _ -> ()
   | _ -> Alcotest.fail "soft capacity not enforced");
   Alcotest.(check int) "oom counted" 1 (Mem.Arena.oom_events arena);
   Mem.Arena.set_soft_capacity arena None;
-  ignore (Mem.Arena.copy_in arena src);
+  ignore (Mem.Arena.copy_in ~cpu:none arena src);
   Alcotest.(check int) "no further ooms" 1 (Mem.Arena.oom_events arena)
 
 let test_arena_window_scheduled_on_rig () =
@@ -408,7 +411,7 @@ let test_pressure_demotes_zero_copy () =
   let msg = Wire.Dyn.create Apps.Proto.resp in
   Wire.Dyn.set_int msg "id" 1L;
   Wire.Dyn.append msg "vals"
-    (Wire.Dyn.Payload (Cornflakes.Cf_ptr.make cf env.Test_env.a
+    (Wire.Dyn.Payload (Cornflakes.Cf_ptr.make ~cpu:none cf env.Test_env.a
                          (Mem.Pinned.Buf.view value)));
   let demote0 = Cornflakes.Send.pressure_demotions () in
   Cornflakes.Send.send_object cf env.Test_env.a ~dst:2 msg;
@@ -425,7 +428,7 @@ let test_pressure_demotes_zero_copy () =
   let msg2 = Wire.Dyn.create Apps.Proto.resp in
   Wire.Dyn.set_int msg2 "id" 2L;
   Wire.Dyn.append msg2 "vals"
-    (Wire.Dyn.Payload (Cornflakes.Cf_ptr.make cf_off env.Test_env.a
+    (Wire.Dyn.Payload (Cornflakes.Cf_ptr.make ~cpu:none cf_off env.Test_env.a
                          (Mem.Pinned.Buf.view value)));
   for _ = 1 to 4 do
     Net.Endpoint.send_string env.Test_env.a ~dst:2 "jam"
@@ -437,8 +440,8 @@ let test_pressure_demotes_zero_copy () =
     (Cornflakes.Send.pressure_demotions () - d0);
   ignore (Nic.Device.reap_lost nic);
   Sim.Engine.run_all env.Test_env.engine;
-  Mem.Pinned.Buf.decr_ref value;
-  Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref buf)
+  Mem.Pinned.Buf.decr_ref ~cpu:none value;
+  Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref ~cpu:none buf)
     env.Test_env.received_at_b
 
 (* --- End-to-end exactly-once under faults ------------------------------- *)

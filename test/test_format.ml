@@ -2,6 +2,9 @@
    a contiguous object (header + copied region + zero-copy region, exactly as
    the NIC would gather it) and deserialize it back. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let schema =
   Schema.Parser.parse
     {|
@@ -42,10 +45,12 @@ let make_env () =
 let payload env flavour s =
   match flavour with
   | `Literal -> Wire.Payload.Literal (Mem.View.of_string env.space s)
-  | `Copied -> Wire.Payload.Copied (Mem.Arena.copy_in env.arena (Mem.View.of_string env.space s))
+  | `Copied -> Wire.Payload.Copied (Mem.Arena.copy_in ~cpu:none env.arena (Mem.View.of_string env.space s))
   | `Zero_copy ->
-      let buf = Mem.Pinned.Buf.alloc env.pool ~len:(max 1 (String.length s)) in
-      Mem.Pinned.Buf.fill buf s;
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu:none env.pool ~len:(max 1 (String.length s))
+      in
+      Mem.Pinned.Buf.fill ~cpu:none buf s;
       let buf =
         if String.length s = Mem.Pinned.Buf.len buf then buf
         else Mem.Pinned.Buf.sub buf ~off:0 ~len:(String.length s)
@@ -56,24 +61,24 @@ let payload env flavour s =
    sees it. *)
 let serialize env msg =
   let plan = Cornflakes.Format_.measure msg in
-  let buf = Mem.Pinned.Buf.alloc env.pool ~len:(max 1 plan.Cornflakes.Format_.total_len) in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none env.pool ~len:(max 1 plan.Cornflakes.Format_.total_len) in
   let contiguous =
     plan.Cornflakes.Format_.header_len + plan.Cornflakes.Format_.stream_len
   in
   let w =
-    Wire.Cursor.Writer.create
+    Wire.Cursor.Writer.create ~cpu:none
       (Mem.View.sub (Mem.Pinned.Buf.view buf) ~off:0 ~len:contiguous)
   in
   Cornflakes.Format_.write plan w msg;
   let off = ref contiguous in
   Cornflakes.Format_.iter_zc plan (fun zb ->
-      Mem.Pinned.Buf.blit_from buf ~src:(Mem.Pinned.Buf.view zb) ~dst_off:!off;
+      Mem.Pinned.Buf.blit_from ~cpu:none buf ~src:(Mem.Pinned.Buf.view zb) ~dst_off:!off;
       off := !off + Mem.Pinned.Buf.len zb);
   (plan, buf)
 
 let roundtrip env msg =
   let _plan, buf = serialize env msg in
-  Cornflakes.Format_.deserialize schema (Wire.Dyn.desc msg) buf
+  Cornflakes.Format_.deserialize ~cpu:none schema (Wire.Dyn.desc msg) buf
 
 let check_roundtrip env msg =
   let back = roundtrip env msg in
@@ -186,16 +191,16 @@ let test_deserialize_takes_references () =
   Wire.Dyn.set_payload msg "name" (payload env `Copied "refcounted");
   let _plan, buf = serialize env msg in
   Alcotest.(check int) "one ref" 1 (Mem.Pinned.Buf.refcount buf);
-  let back = Cornflakes.Format_.deserialize schema everything buf in
+  let back = Cornflakes.Format_.deserialize ~cpu:none schema everything buf in
   Alcotest.(check int) "payload holds ref" 2 (Mem.Pinned.Buf.refcount buf);
-  Wire.Dyn.release back;
+  Wire.Dyn.release ~cpu:none back;
   Alcotest.(check int) "released" 1 (Mem.Pinned.Buf.refcount buf)
 
 let test_malformed_bitmap () =
   let env = make_env () in
-  let buf = Mem.Pinned.Buf.alloc env.pool ~len:64 in
-  Mem.Pinned.Buf.fill buf (String.make 64 '\xff');
-  match Cornflakes.Format_.deserialize schema everything buf with
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none env.pool ~len:64 in
+  Mem.Pinned.Buf.fill ~cpu:none buf (String.make 64 '\xff');
+  match Cornflakes.Format_.deserialize ~cpu:none schema everything buf with
   | _ -> Alcotest.fail "expected Malformed"
   | exception Cornflakes.Format_.Malformed _ -> ()
 
@@ -209,15 +214,15 @@ let test_malformed_payload_offset () =
   let v = Mem.Pinned.Buf.view buf in
   Bytes.set v.Mem.View.data (v.Mem.View.off + 12) '\xff';
   Bytes.set v.Mem.View.data (v.Mem.View.off + 13) '\xff';
-  match Cornflakes.Format_.deserialize schema everything buf with
+  match Cornflakes.Format_.deserialize ~cpu:none schema everything buf with
   | _ -> Alcotest.fail "expected Malformed"
   | exception Cornflakes.Format_.Malformed _ -> ()
 
 let test_truncated_buffer () =
   let env = make_env () in
-  let buf = Mem.Pinned.Buf.alloc env.pool ~len:2 in
-  Mem.Pinned.Buf.fill buf "\x01\x00";
-  match Cornflakes.Format_.deserialize schema everything buf with
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none env.pool ~len:2 in
+  Mem.Pinned.Buf.fill ~cpu:none buf "\x01\x00";
+  match Cornflakes.Format_.deserialize ~cpu:none schema everything buf with
   | _ -> Alcotest.fail "expected Malformed"
   | exception Cornflakes.Format_.Malformed _ -> ()
 

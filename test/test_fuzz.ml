@@ -3,6 +3,9 @@
    (Nested offsets in the zero-copy formats could otherwise form cycles;
    the depth limits bound them.) *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let schema = Test_format.schema
 
 let everything = Test_format.everything
@@ -13,8 +16,10 @@ let make_buf bytes =
     Mem.Pinned.Pool.create space ~name:"fuzz"
       ~classes:[ (Workload.Spec.class_of (max 1 (String.length bytes)), 4) ]
   in
-  let buf = Mem.Pinned.Buf.alloc pool ~len:(max 1 (String.length bytes)) in
-  Mem.Pinned.Buf.fill buf bytes;
+  let buf =
+    Mem.Pinned.Buf.alloc ~cpu:none pool ~len:(max 1 (String.length bytes))
+  in
+  Mem.Pinned.Buf.fill ~cpu:none buf bytes;
   if String.length bytes > 0 && String.length bytes < Mem.Pinned.Buf.len buf
   then Mem.Pinned.Buf.sub buf ~off:0 ~len:(String.length bytes)
   else buf
@@ -61,7 +66,7 @@ let with_ep f =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let ep = Net.Endpoint.create fabric registry ~id:1 in
+  let ep = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
   let r = f ep in
   Mem.Arena.reset (Net.Endpoint.arena ep);
   r
@@ -70,18 +75,18 @@ let suite =
   [
     QCheck_alcotest.to_alcotest
       (fuzz_one "fuzz cornflakes deserialize" (fun buf ->
-           ignore (Cornflakes.Format_.deserialize schema everything buf)));
+           ignore (Cornflakes.Format_.deserialize ~cpu:none schema everything buf)));
     QCheck_alcotest.to_alcotest
       (fuzz_one "fuzz flatbuffers deserialize" (fun buf ->
-           ignore (Baselines.Flatbuf.deserialize schema everything buf)));
+           ignore (Baselines.Flatbuf.deserialize ~cpu:none schema everything buf)));
     QCheck_alcotest.to_alcotest
       (fuzz_one "fuzz capnp deserialize" (fun buf ->
-           ignore (Baselines.Capnp.deserialize schema everything buf)));
+           ignore (Baselines.Capnp.deserialize ~cpu:none schema everything buf)));
     QCheck_alcotest.to_alcotest
       (fuzz_one "fuzz protobuf deserialize" (fun buf ->
            with_ep (fun ep ->
-               ignore (Baselines.Protobuf.deserialize ep schema everything buf))));
+               ignore (Baselines.Protobuf.deserialize ~cpu:none ep schema everything buf))));
     QCheck_alcotest.to_alcotest
       (fuzz_one "fuzz resp decode" (fun buf ->
-           ignore (Mini_redis.Resp.decode (Mem.Pinned.Buf.view buf))));
+           ignore (Mini_redis.Resp.decode ~cpu:none (Mem.Pinned.Buf.view buf))));
   ]

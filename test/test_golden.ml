@@ -6,6 +6,9 @@
    digested; the digest was recorded from the Option-slot message
    representation, so any drift of the wire bytes shows up here. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let golden_digest = "dd00a502b17c01cd599e5348a879d80b"
 
 let space = Mem.Addr_space.create ()
@@ -23,11 +26,11 @@ let gen_payload rng =
   let s = gen_string rng (Sim.Rng.int rng 700) in
   match Sim.Rng.int rng 3 with
   | 0 -> Wire.Payload.Literal (Mem.View.of_string space s)
-  | 1 -> Wire.Payload.Copied (Mem.Arena.copy_in arena (Mem.View.of_string space s))
+  | 1 -> Wire.Payload.Copied (Mem.Arena.copy_in ~cpu:none arena (Mem.View.of_string space s))
   | _ ->
       let s = if s = "" then "z" else s in
-      let buf = Mem.Pinned.Buf.alloc pool ~len:(String.length s) in
-      Mem.Pinned.Buf.fill buf s;
+      let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:(String.length s) in
+      Mem.Pinned.Buf.fill ~cpu:none buf s;
       Wire.Payload.Zero_copy buf
 
 let child_desc = Schema.Desc.message Golden_msgs.schema "Child"
@@ -77,7 +80,7 @@ let frame ?write msg =
   in
   let data = Bytes.make plan.Cornflakes.Format_.total_len '\000' in
   let w =
-    Wire.Cursor.Writer.create
+    Wire.Cursor.Writer.create ~cpu:none
       (Mem.View.make ~addr:0 ~data ~off:0 ~len:contiguous)
   in
   (match write with
@@ -99,7 +102,7 @@ let corpus () =
   let add desc ~write ~p =
     let msg = gen_message rng desc ~p in
     out := (frame msg, frame ~write msg) :: !out;
-    Wire.Dyn.release msg
+    Wire.Dyn.release ~cpu:none msg
   in
   for k = 0 to 39 do
     let p = presences.(k mod Array.length presences) in
@@ -179,13 +182,17 @@ let build_by_index desc specs =
 
 (* The frame in a pinned receive buffer, parsed back by the Dyn oracle. *)
 let parse_back desc frame_bytes =
-  let buf = Mem.Pinned.Buf.alloc pool ~len:(max 1 (String.length frame_bytes)) in
-  Mem.Pinned.Buf.fill buf frame_bytes;
+  let buf =
+    Mem.Pinned.Buf.alloc ~cpu:none pool ~len:(max 1 (String.length frame_bytes))
+  in
+  Mem.Pinned.Buf.fill ~cpu:none buf frame_bytes;
   let buf =
     if String.length frame_bytes = Mem.Pinned.Buf.len buf then buf
     else Mem.Pinned.Buf.sub buf ~off:0 ~len:(String.length frame_bytes)
   in
-  let back = Cornflakes.Format_.deserialize Golden_msgs.schema desc buf in
+  let back =
+    Cornflakes.Format_.deserialize ~cpu:none Golden_msgs.schema desc buf
+  in
   (back, buf)
 
 let qcheck_by_name_equals_by_index =
@@ -208,13 +215,68 @@ let qcheck_by_name_equals_by_index =
         && String.equal f_name f_index
         && Wire.Dyn.equal back by_name
       in
-      Wire.Dyn.release back;
-      Mem.Pinned.Buf.decr_ref buf;
-      Wire.Dyn.release by_name;
+      Wire.Dyn.release ~cpu:none back;
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf;
+      Wire.Dyn.release ~cpu:none by_name;
       ok)
+
+
+(* --- golden cost digest -------------------------------------------------- *)
+
+(* A seeded kv run of a few thousand Twitter requests against the rig's
+   server, over UDP and over TCP under a drop/reorder plan. The server
+   meter's total and its per-category breakdown are digested bit for bit;
+   the digests were recorded before the meter became an endpoint-owned
+   value, so any drift of a simulated charge shows up here. *)
+
+let cost_digest_udp = "ca359cf88d0c43608bee16c8e41a6ebc"
+
+let cost_digest_tcp = "5ab9429decb937d7b4fa051a63cada8c"
+
+let cost_run ~transport ~lossy =
+  let rig = Apps.Rig.create ~seed:11 ~n_clients:2 ~transport () in
+  let app =
+    Apps.Kv_app.install rig ~backend:(Apps.Backend.cornflakes ())
+      ~workload:(Workload.Twitter.make ~n_keys:4096 ())
+  in
+  if lossy then begin
+    let open Faults.Plan in
+    let rule fault = { fault; schedule = Probability 0.002; scope = Anywhere } in
+    Apps.Rig.inject_faults rig
+      (Faults.Injector.create (make ~seed:5 [ rule Drop; rule Reorder ]))
+  end;
+  let r =
+    Loadgen.Driver.open_loop rig.Apps.Rig.engine ~clients:rig.Apps.Rig.clients
+      ~server:Apps.Rig.server_id ~rate_rps:1_000_000.0 ~duration_ns:3_000_000
+      ~warmup_ns:0 ~rng:rig.Apps.Rig.rng
+      ~send:(fun tr ~dst ~id -> Apps.Kv_app.send_next app tr ~dst ~id)
+      ~parse_id:(Some (fun buf -> Apps.Kv_app.parse_id app buf))
+  in
+  let cpu = Loadgen.Server.cpu rig.Apps.Rig.server in
+  let bits f = Printf.sprintf "%016Lx" (Int64.bits_of_float f) in
+  let text =
+    String.concat " "
+      (string_of_int (Loadgen.Server.served rig.Apps.Rig.server)
+      :: bits (Memmodel.Cpu.cycles cpu)
+      :: List.map (fun (_, c) -> bits c) (Memmodel.Cpu.breakdown cpu))
+  in
+  ( r.Loadgen.Driver.completed,
+    Net.Fabric.dropped rig.Apps.Rig.fabric,
+    Digest.to_hex (Digest.string text) )
+
+let test_cost_digest () =
+  let completed, _, udp = cost_run ~transport:`Udp ~lossy:false in
+  Alcotest.(check bool) "udp: thousands served" true (completed > 2000);
+  Alcotest.(check string) "udp meter digest" cost_digest_udp udp;
+  let completed, dropped, tcp = cost_run ~transport:`Tcp ~lossy:true in
+  Alcotest.(check bool) "tcp: thousands served" true (completed > 2000);
+  Alcotest.(check bool) "tcp: the plan dropped packets" true (dropped > 0);
+  Alcotest.(check string) "tcp meter digest" cost_digest_tcp tcp
 
 let suite =
   [
     Alcotest.test_case "golden frames, generic and folded" `Quick test_golden_frames;
     QCheck_alcotest.to_alcotest qcheck_by_name_equals_by_index;
+    Alcotest.test_case "golden server meter, udp and lossy tcp" `Quick
+      test_cost_digest;
   ]

@@ -1,6 +1,9 @@
 (* Tests for the key-value store: value lifecycle, pointer-swap puts,
    ownership. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let make () =
   let space = Mem.Addr_space.create () in
   let pool =
@@ -11,13 +14,13 @@ let make () =
   (space, pool, store)
 
 let value_of pool s =
-  let buf = Mem.Pinned.Buf.alloc pool ~len:(String.length s) in
-  Mem.Pinned.Buf.fill buf s;
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:(String.length s) in
+  Mem.Pinned.Buf.fill ~cpu:none buf s;
   Kvstore.Store.Single buf
 
 let test_put_get () =
   let _space, pool, store = make () in
-  Kvstore.Store.put store ~key:"a" (value_of pool "alpha");
+  Kvstore.Store.put ~cpu:none store ~key:"a" (value_of pool "alpha");
   (match Kvstore.Store.get store ~key:"a" with
   | Some (Kvstore.Store.Single buf) ->
       Alcotest.(check string) "value" "alpha"
@@ -28,10 +31,10 @@ let test_put_get () =
 
 let test_put_swaps_and_releases () =
   let _space, pool, store = make () in
-  let old_buf = Mem.Pinned.Buf.alloc pool ~len:64 in
-  Kvstore.Store.put store ~key:"k" (Kvstore.Store.Single old_buf);
+  let old_buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  Kvstore.Store.put ~cpu:none store ~key:"k" (Kvstore.Store.Single old_buf);
   Alcotest.(check int) "store owns old" 1 (Mem.Pinned.Buf.refcount old_buf);
-  Kvstore.Store.put store ~key:"k" (value_of pool "new");
+  Kvstore.Store.put ~cpu:none store ~key:"k" (value_of pool "new");
   (* The old value was released — stale handle. *)
   Alcotest.(check bool) "old released" false (Mem.Pinned.Buf.is_live old_buf);
   match Kvstore.Store.get store ~key:"k" with
@@ -44,16 +47,16 @@ let test_put_does_not_free_referenced () =
   (* A reader (e.g. an in-flight zero-copy send) holds a reference; the put
      must not recycle the buffer under it — the use-after-free guarantee. *)
   let _space, pool, store = make () in
-  let buf = Mem.Pinned.Buf.alloc pool ~len:64 in
-  Mem.Pinned.Buf.fill buf "pinned-in-flight";
-  Kvstore.Store.put store ~key:"k" (Kvstore.Store.Single buf);
-  Mem.Pinned.Buf.incr_ref buf;
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  Mem.Pinned.Buf.fill ~cpu:none buf "pinned-in-flight";
+  Kvstore.Store.put ~cpu:none store ~key:"k" (Kvstore.Store.Single buf);
+  Mem.Pinned.Buf.incr_ref ~cpu:none buf;
   (* reader's reference *)
-  Kvstore.Store.put store ~key:"k" (value_of pool "replacement");
+  Kvstore.Store.put ~cpu:none store ~key:"k" (value_of pool "replacement");
   Alcotest.(check bool) "still live for reader" true (Mem.Pinned.Buf.is_live buf);
   Alcotest.(check string) "reader sees old bytes" "pinned-in-flight"
     (String.sub (Mem.View.to_string (Mem.Pinned.Buf.view buf)) 0 16);
-  Mem.Pinned.Buf.decr_ref buf;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf;
   Alcotest.(check bool) "released after reader" false (Mem.Pinned.Buf.is_live buf)
 
 let test_linked_and_vector_values () =
@@ -61,12 +64,12 @@ let test_linked_and_vector_values () =
   let bufs =
     List.map
       (fun s ->
-        let b = Mem.Pinned.Buf.alloc pool ~len:(String.length s) in
-        Mem.Pinned.Buf.fill b s;
+        let b = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:(String.length s) in
+        Mem.Pinned.Buf.fill ~cpu:none b s;
         b)
       [ "one"; "two"; "three" ]
   in
-  Kvstore.Store.put store ~key:"list" (Kvstore.Store.Linked bufs);
+  Kvstore.Store.put ~cpu:none store ~key:"list" (Kvstore.Store.Linked bufs);
   (match Kvstore.Store.get store ~key:"list" with
   | Some v ->
       Alcotest.(check int) "three buffers" 3
@@ -75,11 +78,11 @@ let test_linked_and_vector_values () =
   | None -> Alcotest.fail "missing");
   let arr =
     Array.init 4 (fun i ->
-        let b = Mem.Pinned.Buf.alloc pool ~len:8 in
-        Mem.Pinned.Buf.fill b (Printf.sprintf "seg%05d" i);
+        let b = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:8 in
+        Mem.Pinned.Buf.fill ~cpu:none b (Printf.sprintf "seg%05d" i);
         b)
   in
-  Kvstore.Store.put store ~key:"vec" (Kvstore.Store.Vector arr);
+  Kvstore.Store.put ~cpu:none store ~key:"vec" (Kvstore.Store.Vector arr);
   match Kvstore.Store.get store ~key:"vec" with
   | Some (Kvstore.Store.Vector a) ->
       Alcotest.(check string) "index 2" "seg00002"
@@ -88,9 +91,9 @@ let test_linked_and_vector_values () =
 
 let test_remove () =
   let _space, pool, store = make () in
-  let buf = Mem.Pinned.Buf.alloc pool ~len:64 in
-  Kvstore.Store.put store ~key:"k" (Kvstore.Store.Single buf);
-  Kvstore.Store.remove store ~key:"k";
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  Kvstore.Store.put ~cpu:none store ~key:"k" (Kvstore.Store.Single buf);
+  Kvstore.Store.remove ~cpu:none store ~key:"k";
   Alcotest.(check bool) "gone" true (Kvstore.Store.get store ~key:"k" = None);
   Alcotest.(check bool) "buffer released" false (Mem.Pinned.Buf.is_live buf);
   Alcotest.(check int) "empty" 0 (Kvstore.Store.size store)
@@ -104,7 +107,7 @@ let test_get_charges_more_when_cold () =
   in
   let store = Kvstore.Store.create space ~name:"cold" ~capacity:4096 in
   for i = 0 to 4095 do
-    Kvstore.Store.put store ~key:(Printf.sprintf "key%05d" i)
+    Kvstore.Store.put ~cpu:none store ~key:(Printf.sprintf "key%05d" i)
       (value_of pool "v")
   done;
   let cpu = Memmodel.Cpu.create Memmodel.Params.default in
@@ -133,11 +136,11 @@ let qcheck_store_model =
           match op with
           | 0 ->
               let v = Printf.sprintf "v%d-%d" k (Hashtbl.hash ops) in
-              Kvstore.Store.put store ~key (value_of pool v);
+              Kvstore.Store.put ~cpu:none store ~key (value_of pool v);
               Hashtbl.replace model key v;
               true
           | 1 ->
-              Kvstore.Store.remove store ~key;
+              Kvstore.Store.remove ~cpu:none store ~key;
               Hashtbl.remove model key;
               true
           | _ -> (

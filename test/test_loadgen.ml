@@ -1,6 +1,9 @@
 (* Direct tests of the load drivers and the server harness's send-hold
    semantics. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 (* A trivial echo fixture with a controllable artificial service cost. *)
 let make_fixture ~service_cycles =
   let rig = Apps.Rig.create ~n_clients:2 () in
@@ -9,16 +12,16 @@ let make_fixture ~service_cycles =
       let v = Mem.Pinned.Buf.view buf in
       let s = Mem.View.to_string v in
       let staging =
-        Net.Endpoint.alloc_tx ~cpu:rig.Apps.Rig.cpu rig.Apps.Rig.server_ep
+        Net.Endpoint.alloc_tx rig.Apps.Rig.server_ep
           ~len:(Net.Packet.header_len + String.length s)
       in
       let sv = Mem.Pinned.Buf.view staging in
       Bytes.blit_string s 0 sv.Mem.View.data
         (sv.Mem.View.off + Net.Packet.header_len)
         (String.length s);
-      Net.Endpoint.send_inline_header ~cpu:rig.Apps.Rig.cpu
-        rig.Apps.Rig.server_ep ~dst:src ~segments:[ staging ];
-      Mem.Pinned.Buf.decr_ref buf);
+      Net.Endpoint.send_inline_header rig.Apps.Rig.server_ep ~dst:src
+        ~segments:[ staging ];
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   rig
 
 let send_fn tr ~dst ~id =
@@ -105,7 +108,7 @@ let test_held_sends_are_delayed () =
   let arrival = ref (-1) in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       arrival := Sim.Engine.now engine;
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Net.Endpoint.begin_hold rig.Apps.Rig.server_ep;
   let staging =
     Net.Endpoint.alloc_tx rig.Apps.Rig.server_ep ~len:(Net.Packet.header_len + 4)
@@ -133,7 +136,7 @@ let transport_fixture transport =
       Memmodel.Cpu.charge rig.Apps.Rig.cpu Memmodel.Cpu.App 3000.0;
       let s = Mem.View.to_string (Mem.Pinned.Buf.view buf) in
       Net.Transport.send_string rig.Apps.Rig.server_tr ~dst:src s;
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   rig
 
 let open_loop_at rig ~rate =

@@ -1,6 +1,9 @@
 (* Tests for the pinned-memory substrate: slab pools, refcounts,
    use-after-free detection, recover_ptr, arenas. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let make_pool ?(classes = [ (64, 8); (256, 8); (1024, 4) ]) () =
   let space = Mem.Addr_space.create () in
   let pool = Mem.Pinned.Pool.create space ~name:"test" ~classes in
@@ -8,41 +11,41 @@ let make_pool ?(classes = [ (64, 8); (256, 8); (1024, 4) ]) () =
 
 let test_alloc_and_fill () =
   let _space, pool = make_pool () in
-  let buf = Mem.Pinned.Buf.alloc pool ~len:100 in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:100 in
   Alcotest.(check int) "len" 100 (Mem.Pinned.Buf.len buf);
   Alcotest.(check int) "slot size rounds up" 256 (Mem.Pinned.Buf.slot_size buf);
   Alcotest.(check int) "refcount" 1 (Mem.Pinned.Buf.refcount buf);
-  Mem.Pinned.Buf.fill buf "hello";
+  Mem.Pinned.Buf.fill ~cpu:none buf "hello";
   let v = Mem.Pinned.Buf.view buf in
   Alcotest.(check string) "contents" "hello"
     (String.sub (Mem.View.to_string v) 0 5)
 
 let test_alloc_exhaustion () =
   let _space, pool = make_pool ~classes:[ (64, 2) ] () in
-  let a = Mem.Pinned.Buf.alloc pool ~len:64 in
-  let _b = Mem.Pinned.Buf.alloc pool ~len:64 in
-  (match Mem.Pinned.Buf.alloc pool ~len:64 with
+  let a = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  let _b = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  (match Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 with
   | _ -> Alcotest.fail "expected Out_of_memory"
   | exception Mem.Pinned.Out_of_memory _ -> ());
   (* Freeing returns capacity. *)
-  Mem.Pinned.Buf.decr_ref a;
-  let c = Mem.Pinned.Buf.alloc pool ~len:64 in
+  Mem.Pinned.Buf.decr_ref ~cpu:none a;
+  let c = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
   Alcotest.(check int) "recycled" 1 (Mem.Pinned.Buf.refcount c)
 
 let test_no_class_large_enough () =
   let _space, pool = make_pool () in
-  match Mem.Pinned.Buf.alloc pool ~len:4096 with
+  match Mem.Pinned.Buf.alloc ~cpu:none pool ~len:4096 with
   | _ -> Alcotest.fail "expected Out_of_memory"
   | exception Mem.Pinned.Out_of_memory _ -> ()
 
 let test_refcount_lifecycle () =
   let _space, pool = make_pool () in
-  let buf = Mem.Pinned.Buf.alloc pool ~len:64 in
-  Mem.Pinned.Buf.incr_ref buf;
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  Mem.Pinned.Buf.incr_ref ~cpu:none buf;
   Alcotest.(check int) "two refs" 2 (Mem.Pinned.Buf.refcount buf);
-  Mem.Pinned.Buf.decr_ref buf;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf;
   Alcotest.(check bool) "still live" true (Mem.Pinned.Buf.is_live buf);
-  Mem.Pinned.Buf.decr_ref buf;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf;
   Alcotest.(check bool) "dead" false (Mem.Pinned.Buf.is_live buf)
 
 (* The exception now carries a payload (buffer identity + RefSan history),
@@ -54,40 +57,40 @@ let expect_uaf label f =
 
 let test_use_after_free_raises () =
   let _space, pool = make_pool () in
-  let buf = Mem.Pinned.Buf.alloc pool ~len:64 in
-  Mem.Pinned.Buf.decr_ref buf;
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf;
   expect_uaf "view after free" (fun () -> ignore (Mem.Pinned.Buf.view buf));
-  expect_uaf "incr after free" (fun () -> Mem.Pinned.Buf.incr_ref buf)
+  expect_uaf "incr after free" (fun () -> Mem.Pinned.Buf.incr_ref ~cpu:none buf)
 
 let test_stale_generation_detected () =
   let _space, pool = make_pool ~classes:[ (64, 1) ] () in
-  let old = Mem.Pinned.Buf.alloc pool ~len:64 in
-  Mem.Pinned.Buf.decr_ref old;
+  let old = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  Mem.Pinned.Buf.decr_ref ~cpu:none old;
   (* Same slot is recycled; the stale handle must not alias it. *)
-  let fresh = Mem.Pinned.Buf.alloc pool ~len:64 in
+  let fresh = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
   Alcotest.(check bool) "fresh live" true (Mem.Pinned.Buf.is_live fresh);
   expect_uaf "stale handle" (fun () -> ignore (Mem.Pinned.Buf.view old))
 
 let test_sub_shares_refcount () =
   let _space, pool = make_pool () in
-  let buf = Mem.Pinned.Buf.alloc pool ~len:256 in
-  Mem.Pinned.Buf.fill buf (String.make 256 'x');
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:256 in
+  Mem.Pinned.Buf.fill ~cpu:none buf (String.make 256 'x');
   let sub = Mem.Pinned.Buf.sub buf ~off:100 ~len:50 in
   Alcotest.(check int) "sub len" 50 (Mem.Pinned.Buf.len sub);
   Alcotest.(check int) "sub addr" (Mem.Pinned.Buf.addr buf + 100)
     (Mem.Pinned.Buf.addr sub);
   Alcotest.(check int) "shared count" 1 (Mem.Pinned.Buf.refcount sub);
-  Mem.Pinned.Buf.decr_ref sub;
+  Mem.Pinned.Buf.decr_ref ~cpu:none sub;
   expect_uaf "parent dead too" (fun () -> ignore (Mem.Pinned.Buf.view buf))
 
 let test_recover_ptr_middle () =
   let space, pool = make_pool () in
   let registry = Mem.Registry.create space in
   Mem.Registry.register registry pool;
-  let buf = Mem.Pinned.Buf.alloc pool ~len:256 in
-  Mem.Pinned.Buf.fill buf (String.init 256 (fun i -> Char.chr (i land 0xff)));
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:256 in
+  Mem.Pinned.Buf.fill ~cpu:none buf (String.init 256 (fun i -> Char.chr (i land 0xff)));
   let addr = Mem.Pinned.Buf.addr buf + 10 in
-  (match Mem.Registry.recover_ptr registry ~addr ~len:20 with
+  (match Mem.Registry.recover_ptr ~cpu:none registry ~addr ~len:20 with
   | None -> Alcotest.fail "expected recovery"
   | Some r ->
       Alcotest.(check int) "recovered len" 20 (Mem.Pinned.Buf.len r);
@@ -96,7 +99,7 @@ let test_recover_ptr_middle () =
       Alcotest.(check string) "contents align"
         (String.init 20 (fun i -> Char.chr ((i + 10) land 0xff)))
         (Mem.View.to_string v);
-      Mem.Pinned.Buf.decr_ref r);
+      Mem.Pinned.Buf.decr_ref ~cpu:none r);
   Alcotest.(check int) "ref restored" 1 (Mem.Pinned.Buf.refcount buf)
 
 let test_recover_ptr_unpinned_fails () =
@@ -105,27 +108,27 @@ let test_recover_ptr_unpinned_fails () =
   Mem.Registry.register registry pool;
   let heap = Mem.Unpinned.of_string space "not pinned" in
   Alcotest.(check bool) "unpinned rejected" true
-    (Mem.Registry.recover_ptr registry ~addr:(Mem.Unpinned.addr heap) ~len:5
+    (Mem.Registry.recover_ptr ~cpu:none registry ~addr:(Mem.Unpinned.addr heap) ~len:5
     = None)
 
 let test_recover_ptr_freed_slot_fails () =
   let space, pool = make_pool () in
   let registry = Mem.Registry.create space in
   Mem.Registry.register registry pool;
-  let buf = Mem.Pinned.Buf.alloc pool ~len:64 in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
   let addr = Mem.Pinned.Buf.addr buf in
-  Mem.Pinned.Buf.decr_ref buf;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf;
   Alcotest.(check bool) "freed slot not recoverable" true
-    (Mem.Registry.recover_ptr registry ~addr ~len:8 = None)
+    (Mem.Registry.recover_ptr ~cpu:none registry ~addr ~len:8 = None)
 
 let test_recover_ptr_straddle_fails () =
   let space, pool = make_pool () in
   let registry = Mem.Registry.create space in
   Mem.Registry.register registry pool;
-  let buf = Mem.Pinned.Buf.alloc pool ~len:64 in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
   (* A range that runs off the end of the slot cannot be recovered. *)
   Alcotest.(check bool) "straddle rejected" true
-    (Mem.Registry.recover_ptr registry
+    (Mem.Registry.recover_ptr ~cpu:none registry
        ~addr:(Mem.Pinned.Buf.addr buf + 32)
        ~len:64
     = None)
@@ -134,7 +137,7 @@ let test_arena_copy_and_reset () =
   let space = Mem.Addr_space.create () in
   let arena = Mem.Arena.create space ~capacity:1024 in
   let src = Mem.View.of_string space "arena data" in
-  let copy = Mem.Arena.copy_in arena src in
+  let copy = Mem.Arena.copy_in ~cpu:none arena src in
   Alcotest.(check string) "copied" "arena data" (Mem.View.to_string copy);
   (* Allocations reserve their size class (10 B rounds up to the 16 B
      class) so the chunk can be recycled. *)
@@ -146,7 +149,7 @@ let test_arena_exhaustion () =
   let space = Mem.Addr_space.create () in
   let arena = Mem.Arena.create space ~capacity:16 in
   let src = Mem.View.of_string space (String.make 17 'x') in
-  match Mem.Arena.copy_in arena src with
+  match Mem.Arena.copy_in ~cpu:none arena src with
   | _ -> Alcotest.fail "expected arena overflow"
   | exception Mem.Pinned.Out_of_memory _ -> ()
 
@@ -179,7 +182,7 @@ let qcheck_alloc_free_capacity =
       List.iter
         (fun op ->
           if op < 5 then begin
-            match Mem.Pinned.Buf.alloc pool ~len:64 with
+            match Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 with
             | buf -> live := buf :: !live
             | exception Mem.Pinned.Out_of_memory _ -> ()
           end
@@ -187,10 +190,10 @@ let qcheck_alloc_free_capacity =
             match !live with
             | [] -> ()
             | buf :: rest ->
-                Mem.Pinned.Buf.decr_ref buf;
+                Mem.Pinned.Buf.decr_ref ~cpu:none buf;
                 live := rest)
         ops;
-      List.iter Mem.Pinned.Buf.decr_ref !live;
+      List.iter (Mem.Pinned.Buf.decr_ref ~cpu:none) !live;
       Mem.Pinned.Pool.live pool = 0
       && Mem.Pinned.Pool.available_for pool ~len:64 = 4)
 
@@ -203,11 +206,11 @@ let qcheck_recover_roundtrip =
       let space, pool = make_pool () in
       let registry = Mem.Registry.create space in
       Mem.Registry.register registry pool;
-      let buf = Mem.Pinned.Buf.alloc pool ~len:256 in
-      Mem.Pinned.Buf.fill buf
+      let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:256 in
+      Mem.Pinned.Buf.fill ~cpu:none buf
         (String.init 256 (fun i -> Char.chr (i land 0xff)));
       match
-        Mem.Registry.recover_ptr registry
+        Mem.Registry.recover_ptr ~cpu:none registry
           ~addr:(Mem.Pinned.Buf.addr buf + off)
           ~len
       with
@@ -221,10 +224,10 @@ let test_arena_recycle_reuses_and_counts () =
   let space = Mem.Addr_space.create () in
   let arena = Mem.Arena.create space ~capacity:1024 in
   let src = Mem.View.of_string space (String.make 100 'r') in
-  let first = Mem.Arena.copy_in arena src in
+  let first = Mem.Arena.copy_in ~cpu:none arena src in
   Mem.Arena.recycle arena first;
   Alcotest.(check int) "parked after recycle" 1 (Mem.Arena.parked arena);
-  let second = Mem.Arena.copy_in arena src in
+  let second = Mem.Arena.copy_in ~cpu:none arena src in
   (* Same class (128 B), so the recycled chunk is reused in place. *)
   Alcotest.(check int) "chunk reused" first.Mem.View.addr
     second.Mem.View.addr;
@@ -255,7 +258,7 @@ let qcheck_arena_recycle_never_live =
           let ok = ref true in
           List.iter
             (fun (len, do_recycle) ->
-              match Mem.Arena.alloc ~site:"prop.alloc" arena ~len with
+              match Mem.Arena.alloc ~cpu:none ~site:"prop.alloc" arena ~len with
               | v ->
                   (* Free-list reuse hands back a previous chunk's exact
                      start address; a live one must never reappear. *)

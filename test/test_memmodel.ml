@@ -124,6 +124,103 @@ let qcheck_cache_never_grows =
       in
       resident <= 2)
 
+(* --- the unmetered meter ------------------------------------------------- *)
+
+module Cpu = Memmodel.Cpu
+
+let all_ops =
+  let p = params in
+  Memmodel.Params.
+    [
+      (Cpu.Per_call, p.cost_per_call);
+      (Cpu.Arena_alloc, p.cost_arena_alloc);
+      (Cpu.Slab_alloc, p.cost_slab_alloc);
+      (Cpu.Hash_op, p.cost_hash_op);
+      (Cpu.Refcount_op, p.cost_refcount_op);
+      (Cpu.Range_lookup, p.cost_range_lookup);
+      (Cpu.Rx_packet, p.cost_rx_packet);
+      (Cpu.Completion_per_sge, p.cost_completion_per_sge);
+      (Cpu.Vec_alloc, p.cost_vec_alloc);
+    ]
+
+let ops = Array.of_list (List.map fst all_ops)
+
+(* One of every kind of charge, cache operation and reset. *)
+let touch_all cpu =
+  Cpu.charge cpu Cpu.App 17.0;
+  for i = 0 to Array.length ops - 1 do
+    Cpu.charge_op cpu Cpu.Safety ops.(i)
+  done;
+  Cpu.charge_ops cpu Cpu.Tx Cpu.Completion_per_sge 3;
+  Cpu.charge_post cpu ~nsge:4 ~batch:2;
+  Cpu.stream cpu Cpu.Copy ~addr:(1 lsl 22) ~len:4096;
+  Cpu.latency_access cpu Cpu.Rx ~addr:(1 lsl 23);
+  Cpu.install_dma cpu ~addr:(1 lsl 24) ~len:1024;
+  Cpu.reset_breakdown cpu;
+  Cpu.clear_caches cpu
+
+let test_none_stays_zero () =
+  Alcotest.(check bool) "unmetered" false (Cpu.metered Cpu.none);
+  touch_all Cpu.none;
+  Alcotest.(check (float 0.)) "cycles" 0.0 (Cpu.cycles Cpu.none);
+  List.iter
+    (fun (cat, c) ->
+      Alcotest.(check (float 0.)) (Cpu.category_label cat) 0.0 c)
+    (Cpu.breakdown Cpu.none);
+  (* A metered meter does move under the same calls. *)
+  let cpu = Cpu.create params in
+  touch_all cpu;
+  Alcotest.(check bool) "metered moves" true (Cpu.cycles cpu > 0.0)
+
+let words_over n f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* 10^4 rounds of every call: nothing but the [Gc.minor_words] readings
+   themselves may allocate. The metered meter's charges are unboxed too. *)
+let test_charges_allocate_nothing () =
+  List.iter
+    (fun (name, cpu) ->
+      let words = words_over 10_000 (fun () -> touch_all cpu) in
+      if words > 8.0 then
+        Alcotest.failf "%s: %.0f minor words over 10^4 rounds" name words)
+    [ ("none", Cpu.none); ("metered", Cpu.create params) ]
+
+(* An op charge adds exactly the float a [charge] of its [Params] field
+   adds, bit for bit; [charge_ops] and [charge_post] likewise match the
+   arithmetic they replaced. *)
+let test_op_charges_match_params () =
+  let bits f = Int64.bits_of_float f in
+  let after f =
+    let cpu = Cpu.create params in
+    Cpu.charge cpu Cpu.Other 0.1;
+    f cpu;
+    bits (Cpu.cycles cpu)
+  in
+  List.iter
+    (fun (op, cost) ->
+      Alcotest.(check int64) "charge_op"
+        (after (fun cpu -> Cpu.charge cpu Cpu.App cost))
+        (after (fun cpu -> Cpu.charge_op cpu Cpu.App op));
+      Alcotest.(check int64) "charge_ops"
+        (after (fun cpu -> Cpu.charge cpu Cpu.App (float_of_int 7 *. cost)))
+        (after (fun cpu -> Cpu.charge_ops cpu Cpu.App op 7)))
+    all_ops;
+  let p = params in
+  Alcotest.(check int64) "charge_post"
+    (after (fun cpu ->
+         Cpu.charge cpu Cpu.Tx
+           ((float_of_int 3 *. p.Memmodel.Params.cost_sg_post)
+           +. (p.Memmodel.Params.cost_doorbell /. float_of_int 5)
+           +. p.Memmodel.Params.cost_tx_packet)))
+    (after (fun cpu -> Cpu.charge_post cpu ~nsge:3 ~batch:5))
+
 let suite =
   [
     Alcotest.test_case "hit after access" `Quick test_hit_after_access;
@@ -137,4 +234,9 @@ let suite =
     Alcotest.test_case "shared l3" `Quick test_shared_l3;
     Alcotest.test_case "cycles to ns" `Quick test_cycles_to_ns;
     QCheck_alcotest.to_alcotest qcheck_cache_never_grows;
+    Alcotest.test_case "none stays at zero" `Quick test_none_stays_zero;
+    Alcotest.test_case "charges allocate nothing" `Quick
+      test_charges_allocate_nothing;
+    Alcotest.test_case "op charges match params bits" `Quick
+      test_op_charges_match_params;
   ]

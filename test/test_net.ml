@@ -1,6 +1,9 @@
 (* Tests for the NIC device and UDP endpoint: delivery, completions,
    reference release, gather limits, ring backpressure, loss. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let test_send_string_delivery () =
   let env = Test_env.make () in
   Net.Endpoint.send_string env.Test_env.a ~dst:2 "ping";
@@ -8,7 +11,7 @@ let test_send_string_delivery () =
   Alcotest.(check int) "src" 1 src;
   Alcotest.(check string) "payload" "ping"
     (Mem.View.to_string (Mem.Pinned.Buf.view buf));
-  Mem.Pinned.Buf.decr_ref buf
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_wire_delay () =
   let env = Test_env.make () in
@@ -17,7 +20,7 @@ let test_wire_delay () =
   let arrival = ref (-1) in
   Net.Endpoint.set_rx env.Test_env.b (fun ~src:_ buf ->
       arrival := Sim.Engine.now env.Test_env.engine;
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Sim.Engine.run_all env.Test_env.engine;
   let delay = !arrival - t_sent in
   (* one-way fabric delay + NIC serialization occupancy *)
@@ -27,7 +30,7 @@ let test_completion_releases_segments () =
   let env = Test_env.make () in
   let pool = Test_env.data_pool env in
   let value = Test_env.pinned_of_string pool (String.make 1024 'v') in
-  Mem.Pinned.Buf.incr_ref value (* our handle + the stack's *);
+  Mem.Pinned.Buf.incr_ref ~cpu:none value (* our handle + the stack's *);
   let staging =
     Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len
   in
@@ -35,10 +38,10 @@ let test_completion_releases_segments () =
     ~segments:[ staging; value ];
   Alcotest.(check int) "held during flight" 2 (Mem.Pinned.Buf.refcount value);
   let _src, buf = Test_env.catch env in
-  Mem.Pinned.Buf.decr_ref buf;
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf;
   Alcotest.(check int) "released after completion" 1
     (Mem.Pinned.Buf.refcount value);
-  Mem.Pinned.Buf.decr_ref value
+  Mem.Pinned.Buf.decr_ref ~cpu:none value
 
 let test_gathered_bytes_order () =
   let env = Test_env.make () in
@@ -48,7 +51,7 @@ let test_gathered_bytes_order () =
   Baselines.Manual.send_zero_copy ~safety:`Safe (Net.Endpoint.transport env.Test_env.a) ~dst:2
     [ Mem.Pinned.Buf.view f1; Mem.Pinned.Buf.view f2 ];
   let _src, buf = Test_env.catch env in
-  let fields = Baselines.Manual.parse (Mem.Pinned.Buf.view buf) in
+  let fields = Baselines.Manual.parse ~cpu:none (Mem.Pinned.Buf.view buf) in
   (match fields with
   | [ a; b ] ->
       Alcotest.(check string) "field 1" (String.make 600 'a')
@@ -56,7 +59,7 @@ let test_gathered_bytes_order () =
       Alcotest.(check string) "field 2" (String.make 700 'b')
         (Mem.View.to_string b)
   | _ -> Alcotest.fail "expected two fields");
-  Mem.Pinned.Buf.decr_ref buf
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_sge_limit_enforced () =
   let config =
@@ -93,12 +96,12 @@ let test_fabric_loss () =
   let fabric = Net.Fabric.create ~loss_rate:1.0 engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let a = Net.Endpoint.create fabric registry ~id:1 in
-  let b = Net.Endpoint.create fabric registry ~id:2 in
+  let a = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
+  let b = Net.Endpoint.create ~cpu:none fabric registry ~id:2 in
   let got = ref 0 in
   Net.Endpoint.set_rx b (fun ~src:_ buf ->
       incr got;
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Net.Endpoint.send_string a ~dst:2 "lost";
   Sim.Engine.run_all engine;
   Alcotest.(check int) "dropped" 0 !got;
@@ -182,8 +185,8 @@ let test_batched_completion_releases_segments () =
   let pool = Test_env.data_pool env in
   let v1 = Test_env.pinned_of_string pool (String.make 512 'p') in
   let v2 = Test_env.pinned_of_string pool (String.make 512 'q') in
-  Mem.Pinned.Buf.incr_ref v1 (* our handle + the stack's *);
-  Mem.Pinned.Buf.incr_ref v2;
+  Mem.Pinned.Buf.incr_ref ~cpu:none v1 (* our handle + the stack's *);
+  Mem.Pinned.Buf.incr_ref ~cpu:none v2;
   let s1 = Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len in
   let s2 = Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len in
   Net.Endpoint.send_inline_header env.Test_env.a ~dst:2 ~segments:[ s1; v1 ];
@@ -199,8 +202,8 @@ let test_batched_completion_releases_segments () =
     (Mem.Pinned.Buf.refcount v2);
   Alcotest.(check int) "both delivered" 2
     (Net.Endpoint.rx_packets env.Test_env.b);
-  Mem.Pinned.Buf.decr_ref v1;
-  Mem.Pinned.Buf.decr_ref v2
+  Mem.Pinned.Buf.decr_ref ~cpu:none v1;
+  Mem.Pinned.Buf.decr_ref ~cpu:none v2
 
 let suite =
   [

@@ -2,6 +2,9 @@
    the parallel experiment harness: `--jobs N` must be byte-identical to
    serial execution. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 (* --- Pool semantics ----------------------------------------------------- *)
 
 let test_map_preserves_order () =
@@ -85,7 +88,9 @@ let test_refsan_ledger_is_domain_local () =
         let pool =
           Mem.Pinned.Pool.create space ~name:"iso-leaky" ~classes:[ (256, 4) ]
         in
-        let buf = Mem.Pinned.Buf.alloc ~site:"test.leak" pool ~len:64 in
+        let buf =
+          Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.leak" pool ~len:64
+        in
         ignore (Sys.opaque_identity buf);
         (* deliberately never released *)
         let n = List.length (Sanitizer.Refsan.leaks ()) in
@@ -99,8 +104,10 @@ let test_refsan_ledger_is_domain_local () =
           Mem.Pinned.Pool.create space ~name:"iso-clean" ~classes:[ (256, 4) ]
         in
         for _ = 1 to 50 do
-          let buf = Mem.Pinned.Buf.alloc ~site:"test.clean" pool ~len:64 in
-          Mem.Pinned.Buf.decr_ref ~site:"test.clean" buf
+          let buf =
+            Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.clean" pool ~len:64
+          in
+          Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.clean" buf
         done;
         let n = List.length (Sanitizer.Refsan.leaks ()) in
         Sanitizer.Refsan.reset ();

@@ -16,6 +16,9 @@
    slot, and a leaked view is reported by RefSan at quiesce with its
    acquisition site. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let schema = Test_format.schema
 
 let everything = Test_format.everything
@@ -91,11 +94,11 @@ let qcheck_reader_equals_dyn =
       let rng = Sim.Rng.create ~seed:(seed + 11) in
       let msg = Test_format.gen_message env rng in
       let _plan, buf = Test_format.serialize env msg in
-      let d = Cornflakes.Format_.deserialize schema everything buf in
+      let d = Cornflakes.Format_.deserialize ~cpu:none schema everything buf in
       let r = Wire.Reader.create everything in
       Wire.Reader.validate r buf;
       check_equiv r d;
-      Wire.Dyn.release d;
+      Wire.Dyn.release ~cpu:none d;
       true)
 
 (* Touch every present field through the in-place accessors, opening nested
@@ -150,9 +153,9 @@ let qcheck_accepts_iff_dyn =
       in
       let buf = Test_fuzz.make_buf bytes in
       let dyn_ok =
-        match Cornflakes.Format_.deserialize schema everything buf with
+        match Cornflakes.Format_.deserialize ~cpu:none schema everything buf with
         | d ->
-            Wire.Dyn.release d;
+            Wire.Dyn.release ~cpu:none d;
             true
         | exception Cornflakes.Format_.Malformed _ -> false
       in
@@ -250,17 +253,17 @@ let test_rx_view_lifecycle () =
       let fabric = Net.Fabric.create engine in
       let space = Mem.Addr_space.create () in
       let registry = Mem.Registry.create space in
-      let ep1 = Net.Endpoint.create fabric registry ~id:1 in
-      let ep2 = Net.Endpoint.create fabric registry ~id:2 in
+      let ep1 = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
+      let ep2 = Net.Endpoint.create ~cpu:none fabric registry ~id:2 in
       let held = ref None in
       Net.Endpoint.set_rx ep2 (fun ~src:_ buf ->
           (* Retain a slice past the callback, then drop the delivery
              reference — from here the view alone keeps the slot pinned. *)
           held :=
             Some
-              (Wire.Rc_view.of_buf ~site:"test.rx_view" buf ~off:0
+              (Wire.Rc_view.of_buf ~cpu:none ~site:"test.rx_view" buf ~off:0
                  ~len:(Mem.Pinned.Buf.len buf));
-          Mem.Pinned.Buf.decr_ref ~site:"test.rx_deliver_done" buf);
+          Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.rx_deliver_done" buf);
       Net.Endpoint.send_string ep1 ~dst:2 "twelve bytes";
       Sim.Engine.run_all engine;
       let view =
@@ -274,7 +277,7 @@ let test_rx_view_lifecycle () =
       Alcotest.(check bool) "view still live" true (Wire.Rc_view.is_live view);
       Alcotest.(check string)
         "view reads the delivered bytes" "twelve bytes"
-        (Wire.Rc_view.to_string view);
+        (Wire.Rc_view.to_string ~cpu:none view);
       (* The leak is visible while the view is parked... *)
       let leaks = Refsan.leaks () in
       Alcotest.(check int) "one outstanding buffer" 1 (List.length leaks);
@@ -285,7 +288,7 @@ let test_rx_view_lifecycle () =
             (List.mem_assoc "test.rx_view" l.Refsan.l_ref_sites)
       | _ -> ());
       (* ...and releasing the view recycles the slot and clears the ledger. *)
-      Wire.Rc_view.release ~site:"test.rx_view_release" view;
+      Wire.Rc_view.release ~cpu:none ~site:"test.rx_view_release" view;
       Alcotest.(check int)
         "slot recycled at refcount 0" 0
         (Net.Endpoint.rx_outstanding ep2);
@@ -300,17 +303,17 @@ let test_rx_slot_reuse () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let ep1 = Net.Endpoint.create fabric registry ~id:1 in
-  let ep2 = Net.Endpoint.create fabric registry ~id:2 in
+  let ep1 = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
+  let ep2 = Net.Endpoint.create ~cpu:none fabric registry ~id:2 in
   let got = ref 0 in
   Net.Endpoint.set_rx ep2 (fun ~src:_ buf ->
       incr got;
       let v =
-        Wire.Rc_view.of_buf ~site:"test.reuse" buf ~off:0
+        Wire.Rc_view.of_buf ~cpu:none ~site:"test.reuse" buf ~off:0
           ~len:(Mem.Pinned.Buf.len buf)
       in
-      Mem.Pinned.Buf.decr_ref buf;
-      Wire.Rc_view.release v);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf;
+      Wire.Rc_view.release ~cpu:none v);
   for i = 1 to 50 do
     Net.Endpoint.send_string ep1 ~dst:2 (Printf.sprintf "frame %04d" i)
   done;
@@ -328,11 +331,11 @@ let test_read_folded_fallback_costs_validate () =
   let _plan, buf = Test_format.serialize env (Apps.Kv_rpc.Resp.to_dyn msg) in
   let cycles read =
     let cpu = Memmodel.Cpu.create Memmodel.Params.default in
-    read ~cpu (Apps.Kv_rpc.Resp.reader ()) buf;
+    read (Apps.Kv_rpc.Resp.reader ~cpu ()) buf;
     Memmodel.Cpu.cycles cpu
   in
-  let folded = cycles (fun ~cpu r b -> Apps.Kv_rpc.Resp.read_folded ~cpu r b) in
-  let generic = cycles (fun ~cpu r b -> Wire.Reader.validate ~cpu r b) in
+  let folded = cycles Apps.Kv_rpc.Resp.read_folded in
+  let generic = cycles Wire.Reader.validate in
   Alcotest.(check (float 0.)) "same cycles as validate" generic folded
 
 let suite =

@@ -1,5 +1,8 @@
 (* RESP protocol and mini-Redis server tests. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let space () = Mem.Addr_space.create ()
 
 let test_resp_roundtrip_values () =
@@ -29,7 +32,7 @@ let test_resp_roundtrip_values () =
       let s = Mini_redis.Resp.to_string sp v in
       Alcotest.(check int) "encoded_len" (String.length s)
         (Mini_redis.Resp.encoded_len v);
-      let back = Mini_redis.Resp.decode (Mem.View.of_string sp s) in
+      let back = Mini_redis.Resp.decode ~cpu:none (Mem.View.of_string sp s) in
       if not (Mini_redis.Resp.equal v back) then
         Alcotest.failf "roundtrip: %a vs %a" Mini_redis.Resp.pp v
           Mini_redis.Resp.pp back)
@@ -52,7 +55,7 @@ let test_resp_rejects_malformed () =
   let sp = space () in
   List.iter
     (fun s ->
-      match Mini_redis.Resp.decode (Mem.View.of_string sp s) with
+      match Mini_redis.Resp.decode ~cpu:none (Mem.View.of_string sp s) with
       | _ -> Alcotest.failf "accepted %S" s
       | exception Mini_redis.Resp.Protocol_error _ -> ())
     [ ""; "x"; "$5\r\nhi\r\n"; "*2\r\n+a\r\n"; ":abc\r\n"; "+no-term"; "$3\r\nabcXY" ]
@@ -68,7 +71,7 @@ let one_command rig reply_check cmd =
   let got = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       got := Some (Mem.View.to_string (Mem.Pinned.Buf.view buf));
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Net.Transport.send_string client ~dst:Apps.Rig.server_id
     (Mini_redis.Resp.to_string rig.Apps.Rig.space
        (Mini_redis.Resp.command rig.Apps.Rig.space cmd));
@@ -84,7 +87,7 @@ let test_native_lrange () =
   one_command rig
     (fun s ->
       let v =
-        Mini_redis.Resp.decode (Mem.View.of_string rig.Apps.Rig.space s)
+        Mini_redis.Resp.decode ~cpu:none (Mem.View.of_string rig.Apps.Rig.space s)
       in
       match v with
       | Mini_redis.Resp.Array [ Mini_redis.Resp.Bulk a; Mini_redis.Resp.Bulk b ]
@@ -111,7 +114,7 @@ let test_native_mget_with_missing () =
   one_command rig
     (fun s ->
       let v =
-        Mini_redis.Resp.decode (Mem.View.of_string rig.Apps.Rig.space s)
+        Mini_redis.Resp.decode ~cpu:none (Mem.View.of_string rig.Apps.Rig.space s)
       in
       match v with
       | Mini_redis.Resp.Array [ Mini_redis.Resp.Bulk _; Mini_redis.Resp.Null ] ->
@@ -134,7 +137,7 @@ let test_cornflakes_mode_replies () =
   let got = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       let msg =
-        Cornflakes.Send.deserialize Apps.Proto.schema Apps.Proto.resp buf
+        Cornflakes.Send.deserialize ~cpu:none Apps.Proto.schema Apps.Proto.resp buf
       in
       got :=
         Some
@@ -144,8 +147,8 @@ let test_cornflakes_mode_replies () =
                | Wire.Dyn.Payload p -> Some (Wire.Payload.len p)
                | _ -> None)
              (Wire.Dyn.get_list msg "vals"));
-      Wire.Dyn.release msg;
-      Mem.Pinned.Buf.decr_ref buf);
+      Wire.Dyn.release ~cpu:none msg;
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Net.Transport.send_string client ~dst:Apps.Rig.server_id
     (Mini_redis.Resp.to_string rig.Apps.Rig.space
        (Mini_redis.Resp.command rig.Apps.Rig.space [ "LRANGE"; key1; "0"; "-1" ]));
@@ -195,7 +198,7 @@ let qcheck_resp_roundtrip =
       let s = Mini_redis.Resp.to_string sp v in
       String.length s = Mini_redis.Resp.encoded_len v
       && Mini_redis.Resp.equal v
-           (Mini_redis.Resp.decode (Mem.View.of_string sp s)))
+           (Mini_redis.Resp.decode ~cpu:none (Mem.View.of_string sp s)))
 
 let suite =
   [

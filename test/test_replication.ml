@@ -1,6 +1,9 @@
 (* Tests for the replicated key-value store (nested-object application,
    paper §4). *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let small_workload () = Workload.Ycsb.make ~n_keys:128 ~entries:1 ~entry_size:600 ()
 
 let make ?(backups = 2) () =
@@ -13,7 +16,7 @@ let run_op rig cluster ?(id = 1) op =
   let got = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       got := Some (Replication.Replicated_kv.parse_id cluster buf);
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Replication.Replicated_kv.send_op cluster op client ~dst:Apps.Rig.server_id ~id;
   Sim.Engine.run_all rig.Apps.Rig.engine;
   !got
@@ -51,7 +54,7 @@ let test_ack_only_after_all_backups () =
   let acked = ref false in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       acked := true;
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Replication.Replicated_kv.send_op cluster
     (Workload.Spec.Put { key = "k"; sizes = [ 100 ] })
     client ~dst:Apps.Rig.server_id ~id:1;
@@ -70,7 +73,7 @@ let test_get_after_put_sees_new_value () =
   let got_len = ref (-1) in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       (match
-         Cornflakes.Send.deserialize Replication.Replicated_kv.schema
+         Cornflakes.Send.deserialize ~cpu:none Replication.Replicated_kv.schema
            (Schema.Desc.message Replication.Replicated_kv.schema "RepMsg")
            buf
        with
@@ -82,9 +85,9 @@ let test_get_after_put_sees_new_value () =
                 | Wire.Dyn.Payload p -> acc + Wire.Payload.len p
                 | _ -> acc)
               0 (Wire.Dyn.get_list msg "vals");
-          Wire.Dyn.release msg
+          Wire.Dyn.release ~cpu:none msg
       | exception Cornflakes.Format_.Malformed _ -> ());
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Replication.Replicated_kv.send_op cluster
     (Workload.Spec.Get { keys = [ key ] })
     client ~dst:Apps.Rig.server_id ~id:2;
@@ -94,7 +97,7 @@ let test_get_after_put_sees_new_value () =
 let test_many_random_puts_converge () =
   let rig, cluster = make ~backups:2 () in
   let client = List.hd rig.Apps.Rig.clients in
-  Net.Transport.set_rx client (fun ~src:_ buf -> Mem.Pinned.Buf.decr_ref buf);
+  Net.Transport.set_rx client (fun ~src:_ buf -> Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   let rng = Sim.Rng.create ~seed:5 in
   let n = 60 in
   for id = 1 to n do
@@ -180,7 +183,7 @@ let test_duplicate_ack_does_not_commit_early () =
   let client = List.hd rig.Apps.Rig.clients in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       at_reply := Some (value_string backup1 key);
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   Replication.Replicated_kv.send_op cluster
     (Workload.Spec.Put { key; sizes = [ 700 ] })
     client ~dst:Apps.Rig.server_id ~id:1;
@@ -212,7 +215,7 @@ let test_reordered_replication_converges () =
       let replies = ref 0 in
       Net.Transport.set_rx client (fun ~src:_ buf ->
           incr replies;
-          Mem.Pinned.Buf.decr_ref buf);
+          Mem.Pinned.Buf.decr_ref ~cpu:none buf);
       let n = 40 and keys = 4 in
       for id = 1 to n do
         let key = Printf.sprintf "user%026d" (1 + (id mod keys)) in

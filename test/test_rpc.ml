@@ -6,6 +6,9 @@
    byte-identically against both the skeleton's in-place reader and a
    [Wire.Dyn] decode of the same frame, streamed responses included. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 (* --- Table --------------------------------------------------------------- *)
 
 let test_table_dispatch () =
@@ -114,10 +117,11 @@ let make_rig ?(serve = true) ?on_frame () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let cli = Net.Endpoint.create fabric registry ~id:1 in
-  let srv_ep = Net.Endpoint.create fabric registry ~id:2 in
+  let cpu = Memmodel.Cpu.none in
+  let cli = Net.Endpoint.create ~cpu fabric registry ~id:1 in
+  let srv_ep = Net.Endpoint.create ~cpu fabric registry ~id:2 in
   let srv =
-    KS.server
+    KS.server ~cpu
       ~send:(fun ~dst resp ->
         Cornflakes.Send.send_object Cornflakes.Config.default srv_ep ~dst resp)
       ()
@@ -125,14 +129,14 @@ let make_rig ?(serve = true) ?on_frame () =
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
       (match on_frame with None -> () | Some f -> f buf);
       if serve then KS.serve srv ~src buf;
-      Mem.Pinned.Buf.decr_ref ~site:"test_rpc.srv_done" buf);
+      Mem.Pinned.Buf.decr_ref ~cpu ~site:"test_rpc.srv_done" buf);
   { engine; space; cli; srv_ep; srv }
 
 let attach_client ?engine rig =
   let c = KS.client ?engine (Net.Endpoint.transport rig.cli) in
   Net.Endpoint.set_rx rig.cli (fun ~src:_ buf ->
       KS.deliver c buf;
-      Mem.Pinned.Buf.decr_ref ~site:"test_rpc.cli_done" buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test_rpc.cli_done" buf);
   c
 
 let echo_get rig =
@@ -268,7 +272,7 @@ let qcheck_unary_round_trip =
         make_rig
           ~on_frame:(fun buf ->
             let d =
-              Cornflakes.Send.deserialize Kv_msgs.schema Kv_msgs.Getreq.desc
+              Cornflakes.Send.deserialize ~cpu:none Kv_msgs.schema Kv_msgs.Getreq.desc
                 buf
             in
             dyn_keys :=
@@ -279,7 +283,7 @@ let qcheck_unary_round_trip =
                          Some (Mem.View.to_string (Wire.Payload.view p))
                      | _ -> None)
                    (Wire.Dyn.get_list d "keys"));
-            Wire.Dyn.release d)
+            Wire.Dyn.release ~cpu:none d)
           ()
       in
       echo_get rig;
@@ -327,7 +331,7 @@ let test_round_trip_alloc_budget () =
   let c = KS.client ~engine:rig.engine ~reliab (Net.Endpoint.transport rig.cli) in
   Net.Endpoint.set_rx rig.cli (fun ~src:_ buf ->
       KS.deliver c buf;
-      Mem.Pinned.Buf.decr_ref ~site:"test_rpc.cli_done" buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test_rpc.cli_done" buf);
   let req = req_of rig [ "twitter:user:0000000000001:profile-01"; "k2" ] in
   let on_reply (_ : Wire.Reader.t) = () in
   let round_trip () =
@@ -370,7 +374,7 @@ let test_retransmission_resends_own_request () =
   let c = KS.client ~engine:rig.engine ~reliab (Net.Endpoint.transport rig.cli) in
   Net.Endpoint.set_rx rig.cli (fun ~src:_ buf ->
       KS.deliver c buf;
-      Mem.Pinned.Buf.decr_ref ~site:"test_rpc.cli_done" buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test_rpc.cli_done" buf);
   let replies = ref [] in
   let call name keys =
     ignore

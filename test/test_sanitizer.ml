@@ -2,6 +2,9 @@
    diagnostic naming the guilty site labels, a balanced run must stay
    clean, and the schema lint must flag the classic schema mistakes. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 module Refsan = Sanitizer.Refsan
 module Report = Sanitizer.Report
 module Lint = Sanitizer.Lint
@@ -38,8 +41,10 @@ let diag_of kind =
 let test_leak_names_sites () =
   with_san (fun () ->
       let pool = fresh_pool () in
-      let buf = Mem.Pinned.Buf.alloc ~site:"test.leak_alloc" pool ~len:100 in
-      Mem.Pinned.Buf.incr_ref ~site:"test.leak_extra_ref" buf;
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.leak_alloc" pool ~len:100
+      in
+      Mem.Pinned.Buf.incr_ref ~cpu:none ~site:"test.leak_extra_ref" buf;
       (match Refsan.leaks () with
       | [ l ] ->
           Alcotest.(check int) "two unexcused refs" 2 l.Refsan.l_refs;
@@ -57,25 +62,29 @@ let test_leak_names_sites () =
       Alcotest.(check bool)
         "report names ref site" true
         (contains rendered "test.leak_extra_ref");
-      Mem.Pinned.Buf.decr_ref ~site:"test.cleanup" buf;
-      Mem.Pinned.Buf.decr_ref ~site:"test.cleanup" buf)
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.cleanup" buf;
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.cleanup" buf)
 
 let test_balanced_run_clean () =
   with_san (fun () ->
       let pool = fresh_pool () in
-      let buf = Mem.Pinned.Buf.alloc ~site:"test.alloc" pool ~len:64 in
-      Mem.Pinned.Buf.fill ~site:"test.fill" buf (String.make 64 'x');
-      Mem.Pinned.Buf.incr_ref ~site:"test.ref" buf;
-      Mem.Pinned.Buf.decr_ref ~site:"test.unref" buf;
-      Mem.Pinned.Buf.decr_ref ~site:"test.done" buf;
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.alloc" pool ~len:64
+      in
+      Mem.Pinned.Buf.fill ~cpu:none ~site:"test.fill" buf (String.make 64 'x');
+      Mem.Pinned.Buf.incr_ref ~cpu:none ~site:"test.ref" buf;
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.unref" buf;
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.done" buf;
       Alcotest.(check bool) "clean" true (Report.clean ()))
 
 let test_double_free_provenance () =
   with_san (fun () ->
       let pool = fresh_pool () in
-      let buf = Mem.Pinned.Buf.alloc ~site:"test.df_alloc" pool ~len:64 in
-      Mem.Pinned.Buf.decr_ref ~site:"test.df_free" buf;
-      (match Mem.Pinned.Buf.decr_ref ~site:"test.df_again" buf with
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.df_alloc" pool ~len:64
+      in
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.df_free" buf;
+      (match Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.df_again" buf with
       | () -> Alcotest.fail "second decr_ref did not raise"
       | exception Mem.Pinned.Use_after_free _ -> ());
       match diag_of Refsan.Double_free with
@@ -97,7 +106,7 @@ let test_underflow_unseen_ref () =
   let was = Refsan.is_enabled () in
   Refsan.set_enabled false;
   let pool = fresh_pool () in
-  let buf = Mem.Pinned.Buf.alloc ~site:"test.uf_alloc" pool ~len:64 in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.uf_alloc" pool ~len:64 in
   Refsan.reset ();
   Refsan.set_enabled true;
   Fun.protect
@@ -105,7 +114,7 @@ let test_underflow_unseen_ref () =
       Refsan.set_enabled was;
       Refsan.reset ())
     (fun () ->
-      Mem.Pinned.Buf.decr_ref ~site:"test.uf_release" buf;
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.uf_release" buf;
       match diag_of Refsan.Underflow with
       | None -> Alcotest.fail "no underflow diagnostic"
       | Some d ->
@@ -116,9 +125,11 @@ let test_underflow_unseen_ref () =
 let test_use_after_free_history () =
   with_san (fun () ->
       let pool = fresh_pool () in
-      let buf = Mem.Pinned.Buf.alloc ~site:"test.uaf_alloc" pool ~len:64 in
-      Mem.Pinned.Buf.fill ~site:"test.uaf_fill" buf (String.make 64 'y');
-      Mem.Pinned.Buf.decr_ref ~site:"test.uaf_free" buf;
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.uaf_alloc" pool ~len:64
+      in
+      Mem.Pinned.Buf.fill ~cpu:none ~site:"test.uaf_fill" buf (String.make 64 'y');
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.uaf_free" buf;
       match Mem.Pinned.Buf.view buf with
       | _ -> Alcotest.fail "view of freed buffer did not raise"
       | exception Mem.Pinned.Use_after_free { history; _ } ->
@@ -134,8 +145,10 @@ let test_use_after_free_history () =
 let test_write_after_post () =
   with_san (fun () ->
       let pool = fresh_pool () in
-      let buf = Mem.Pinned.Buf.alloc ~site:"test.wap_alloc" pool ~len:256 in
-      Mem.Pinned.Buf.fill ~site:"test.wap_fill" buf (String.make 256 'z');
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.wap_alloc" pool ~len:256
+      in
+      Mem.Pinned.Buf.fill ~cpu:none ~site:"test.wap_fill" buf (String.make 256 'z');
       let token = Mem.Pinned.Buf.hold ~site:"test.wap_post" buf in
       Alcotest.(check bool) "hold token issued" true (token <> None);
       (* Mutating posted bytes without CoW is the race. *)
@@ -157,12 +170,14 @@ let test_write_after_post () =
       Mem.Pinned.Buf.release_hold token;
       Mem.Pinned.Buf.note_write ~site:"test.wap_late" buf ~off:16 ~len:8;
       Alcotest.(check int) "no further hazards" before (Refsan.hazard_count ());
-      Mem.Pinned.Buf.decr_ref ~site:"test.cleanup" buf)
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.cleanup" buf)
 
 let test_holds_and_roots_excuse_refs () =
   with_san (fun () ->
       let pool = fresh_pool () in
-      let buf = Mem.Pinned.Buf.alloc ~site:"test.alloc" pool ~len:64 in
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu:none ~site:"test.alloc" pool ~len:64
+      in
       (* In flight: not a leak. *)
       let token = Mem.Pinned.Buf.hold ~site:"test.post" buf in
       Alcotest.(check int) "held buffer excused" 0
@@ -175,7 +190,7 @@ let test_holds_and_roots_excuse_refs () =
       Alcotest.(check int) "rooted buffer excused" 0
         (List.length (Refsan.leaks ()));
       Mem.Pinned.Buf.unroot ~site:"test.store_del" buf;
-      Mem.Pinned.Buf.decr_ref ~site:"test.cleanup" buf;
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"test.cleanup" buf;
       Alcotest.(check bool) "clean after release" true (Report.clean ()))
 
 (* --- Whole-stack property: a KV run under RefSan is clean --------------- *)

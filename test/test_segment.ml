@@ -1,6 +1,9 @@
 (* Tests for the CornflakesObj iterator API (Listing 1) and multi-frame
    segmentation (the §3.2.3 extension). *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 let schema = Test_format.schema
 
 let everything = Test_format.everything
@@ -20,8 +23,8 @@ let make () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let a = Net.Endpoint.create fabric registry ~id:1 in
-  let b = Net.Endpoint.create fabric registry ~id:2 in
+  let a = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
+  let b = Net.Endpoint.create ~cpu:none fabric registry ~id:2 in
   let pool =
     Mem.Pinned.Pool.create space ~name:"seg"
       ~classes:[ (1024, 64); (16384, 64); (65536, 32); (131072, 8) ]
@@ -36,12 +39,12 @@ let big_message env ~zc_sizes ~copied =
     (Wire.Payload.Literal (Mem.View.of_string env.space copied));
   List.iteri
     (fun i n ->
-      let buf = Mem.Pinned.Buf.alloc env.pool ~len:n in
-      Mem.Pinned.Buf.fill buf
+      let buf = Mem.Pinned.Buf.alloc ~cpu:none env.pool ~len:n in
+      Mem.Pinned.Buf.fill ~cpu:none buf
         (String.init n (fun j -> Char.chr ((i + j) land 0x7f)));
       (* The send consumes the message's reference; the test keeps one so
          it can compare contents afterwards. *)
-      Mem.Pinned.Buf.incr_ref buf;
+      Mem.Pinned.Buf.incr_ref ~cpu:none buf;
       Wire.Dyn.append msg "tags" (Wire.Dyn.Payload (Wire.Payload.Zero_copy buf)))
     zc_sizes;
   msg
@@ -88,17 +91,17 @@ let test_obj_api_copy_range () =
       ~data:scratch_bytes ~off:0 ~len:copy_len
   in
   let got = ref None in
-  Cornflakes.Obj_api.iterate_over_copy_entries msg ~scratch ~start:0
+  Cornflakes.Obj_api.iterate_over_copy_entries ~cpu:none msg ~scratch ~start:0
     ~stop:copy_len (fun v -> got := Some (Mem.View.to_string v));
   (match !got with
   | Some s ->
       Alcotest.(check int) "whole copied region" copy_len (String.length s)
   | None -> Alcotest.fail "no copy entry");
   (* A range entirely inside the zc region yields no copy entries. *)
-  let none = ref true in
-  Cornflakes.Obj_api.iterate_over_copy_entries msg ~scratch ~start:copy_len
-    ~stop:(copy_len + 100) (fun _ -> none := false);
-  Alcotest.(check bool) "no copy entries in zc range" true !none
+  let no_copy = ref true in
+  Cornflakes.Obj_api.iterate_over_copy_entries ~cpu:none msg ~scratch ~start:copy_len
+    ~stop:(copy_len + 100) (fun _ -> no_copy := false);
+  Alcotest.(check bool) "no copy entries in zc range" true !no_copy
 
 (* --- Segmentation ------------------------------------------------------ *)
 
@@ -108,7 +111,7 @@ let segmented_roundtrip ?(loss_check = false) env msg =
   let reassembler = Cornflakes.Segment.Reassembler.create env.registry in
   let delivered = ref [] in
   Net.Endpoint.set_rx env.b (fun ~src buf ->
-      Cornflakes.Segment.Reassembler.on_packet reassembler ~src buf
+      Cornflakes.Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
         ~deliver:(fun ~src:_ obj -> delivered := obj :: !delivered));
   Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg;
   Sim.Engine.run_all env.engine;
@@ -119,10 +122,12 @@ let test_single_frame_object () =
   let msg = big_message env ~zc_sizes:[ 700 ] ~copied:"small" in
   match segmented_roundtrip env msg with
   | [ obj ] ->
-      let back = Cornflakes.Format_.deserialize schema everything obj in
+      let back =
+        Cornflakes.Format_.deserialize ~cpu:none schema everything obj
+      in
       if not (Wire.Dyn.equal msg back) then Alcotest.fail "roundtrip mismatch";
-      Wire.Dyn.release back;
-      Mem.Pinned.Buf.decr_ref obj
+      Wire.Dyn.release ~cpu:none back;
+      Mem.Pinned.Buf.decr_ref ~cpu:none obj
   | other -> Alcotest.failf "expected 1 object, got %d" (List.length other)
 
 let test_multi_frame_object () =
@@ -137,10 +142,12 @@ let test_multi_frame_object () =
     (Cornflakes.Format_.object_len msg > Net.Packet.max_payload);
   match segmented_roundtrip env msg with
   | [ obj ] ->
-      let back = Cornflakes.Format_.deserialize schema everything obj in
+      let back =
+        Cornflakes.Format_.deserialize ~cpu:none schema everything obj
+      in
       if not (Wire.Dyn.equal msg back) then Alcotest.fail "roundtrip mismatch";
-      Wire.Dyn.release back;
-      Mem.Pinned.Buf.decr_ref obj
+      Wire.Dyn.release ~cpu:none back;
+      Mem.Pinned.Buf.decr_ref ~cpu:none obj
   | other -> Alcotest.failf "expected 1 object, got %d" (List.length other)
 
 let test_interleaved_messages_same_sender () =
@@ -149,10 +156,10 @@ let test_interleaved_messages_same_sender () =
   let reassembler = Cornflakes.Segment.Reassembler.create env.registry in
   let delivered = ref 0 in
   Net.Endpoint.set_rx env.b (fun ~src buf ->
-      Cornflakes.Segment.Reassembler.on_packet reassembler ~src buf
+      Cornflakes.Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
           incr delivered;
-          Mem.Pinned.Buf.decr_ref obj));
+          Mem.Pinned.Buf.decr_ref ~cpu:none obj));
   for _ = 1 to 3 do
     let msg = big_message env ~zc_sizes:[ 30_000 ] ~copied:"x" in
     Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg
@@ -164,9 +171,9 @@ let test_interleaved_messages_same_sender () =
 
 let test_zc_refs_released_after_all_frames () =
   let env = make () in
-  let buf = Mem.Pinned.Buf.alloc env.pool ~len:50_000 in
-  Mem.Pinned.Buf.fill buf (String.make 50_000 'z');
-  Mem.Pinned.Buf.incr_ref buf;
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none env.pool ~len:50_000 in
+  Mem.Pinned.Buf.fill ~cpu:none buf (String.make 50_000 'z');
+  Mem.Pinned.Buf.incr_ref ~cpu:none buf;
   (* our handle survives the send *)
   let msg = Wire.Dyn.create everything in
   Wire.Dyn.set_payload msg "name" (Wire.Payload.Zero_copy buf);
@@ -184,7 +191,7 @@ let test_oversized_rejected () =
       ~classes:[ (1 lsl 22, 2) ]
   in
   Mem.Registry.register env.registry pool_big;
-  let buf = Mem.Pinned.Buf.alloc pool_big ~len:(Cornflakes.Segment.max_object + 1) in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool_big ~len:(Cornflakes.Segment.max_object + 1) in
   let msg = Wire.Dyn.create everything in
   Wire.Dyn.set_payload msg "name" (Wire.Payload.Zero_copy buf);
   let segmenter = Cornflakes.Segment.Segmenter.create env.a in
@@ -197,10 +204,10 @@ let test_reassembler_drops_garbage () =
   let reassembler = Cornflakes.Segment.Reassembler.create env.registry in
   let delivered = ref 0 in
   Net.Endpoint.set_rx env.b (fun ~src buf ->
-      Cornflakes.Segment.Reassembler.on_packet reassembler ~src buf
+      Cornflakes.Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
           incr delivered;
-          Mem.Pinned.Buf.decr_ref obj));
+          Mem.Pinned.Buf.decr_ref ~cpu:none obj));
   Net.Endpoint.send_string env.a ~dst:2 "short";
   Net.Endpoint.send_string env.a ~dst:2
     "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff-junk";
@@ -236,10 +243,10 @@ let test_reassembler_expires_stalled_objects () =
         Cornflakes.Segment.Reassembler.expire reassembler
           ~now:(Sim.Engine.now env.engine) ~timeout_ns:max_int
       in
-      Cornflakes.Segment.Reassembler.on_packet reassembler ~src buf
+      Cornflakes.Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
           incr delivered;
-          Mem.Pinned.Buf.decr_ref obj));
+          Mem.Pinned.Buf.decr_ref ~cpu:none obj));
   (* Lose ~half the fragments of a large object: it can never complete. *)
   Net.Fabric.set_loss_rate env.fabric 0.5;
   let msg = big_message env ~zc_sizes:[ 80_000 ] ~copied:"x" in

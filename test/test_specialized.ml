@@ -13,6 +13,9 @@
      against the generic writer for full presence (folded fast path) and
      partial presence (generic fallback). *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 type env = {
   space : Mem.Addr_space.t;
   pool : Mem.Pinned.Pool.t;
@@ -31,10 +34,12 @@ let payload env flavour s =
   match flavour with
   | `Literal -> Wire.Payload.Literal (Mem.View.of_string env.space s)
   | `Copied ->
-      Wire.Payload.Copied (Mem.Arena.copy_in env.arena (Mem.View.of_string env.space s))
+      Wire.Payload.Copied (Mem.Arena.copy_in ~cpu:none env.arena (Mem.View.of_string env.space s))
   | `Zero_copy ->
-      let buf = Mem.Pinned.Buf.alloc env.pool ~len:(max 1 (String.length s)) in
-      Mem.Pinned.Buf.fill buf s;
+      let buf =
+        Mem.Pinned.Buf.alloc ~cpu:none env.pool ~len:(max 1 (String.length s))
+      in
+      Mem.Pinned.Buf.fill ~cpu:none buf s;
       let buf =
         if String.length s = Mem.Pinned.Buf.len buf then buf
         else Mem.Pinned.Buf.sub buf ~off:0 ~len:(String.length s)
@@ -49,12 +54,12 @@ let view_to_string (v : Mem.View.t) =
    the plan's gather list — the full object as the wire sees it. *)
 let real_serialize ?write env msg =
   let plan = Cornflakes.Format_.measure msg in
-  let buf = Mem.Pinned.Buf.alloc env.pool ~len:(max 1 plan.Cornflakes.Format_.total_len) in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none env.pool ~len:(max 1 plan.Cornflakes.Format_.total_len) in
   let contiguous =
     plan.Cornflakes.Format_.header_len + plan.Cornflakes.Format_.stream_len
   in
   let w =
-    Wire.Cursor.Writer.create
+    Wire.Cursor.Writer.create ~cpu:none
       (Mem.View.sub (Mem.Pinned.Buf.view buf) ~off:0 ~len:contiguous)
   in
   (match write with
@@ -62,7 +67,7 @@ let real_serialize ?write env msg =
   | Some f -> Cornflakes.Format_.run plan w msg ~write:f);
   let off = ref contiguous in
   Cornflakes.Format_.iter_zc plan (fun zb ->
-      Mem.Pinned.Buf.blit_from buf ~src:(Mem.Pinned.Buf.view zb) ~dst_off:!off;
+      Mem.Pinned.Buf.blit_from ~cpu:none buf ~src:(Mem.Pinned.Buf.view zb) ~dst_off:!off;
       off := !off + Mem.Pinned.Buf.len zb);
   view_to_string (Mem.Pinned.Buf.view buf)
 
@@ -262,15 +267,15 @@ let folded_schema =
 let g_desc = Schema.Desc.message folded_schema "G"
 
 (* The exact writer shape [Codegen.Emit] generates for G. *)
-let folded_write ~cpu plan w msg =
+let folded_write plan w msg =
   if Wire.Dyn.bitmap_word msg 0 = 0x3 then begin
     Wire.Cursor.Writer.span w ~pos:0 ~len:24;
     Wire.Cursor.Writer.u32_at w ~pos:0 1;
     Wire.Cursor.Writer.u32_at w ~pos:4 0x3;
     Wire.Dyn.write_scalar msg 0 w ~pos:8;
-    Cornflakes.Format_.write_list_at ?cpu w plan msg 1 ~slot:16
+    Cornflakes.Format_.write_list_at w plan msg 1 ~slot:16
   end
-  else Cornflakes.Format_.write_msg_generic ?cpu w plan msg
+  else Cornflakes.Format_.write_msg_generic plan w msg
 
 let check_folded_matches env msg =
   let generic = real_serialize env msg in
@@ -338,13 +343,13 @@ let test_write_path_allocates_nothing () =
   let plan = Cornflakes.Format_.create_plan () in
   let data = Bytes.create 4096 in
   let view = Mem.View.make ~addr:0 ~data ~off:0 ~len:4096 in
-  let w = Wire.Cursor.Writer.create view in
+  let w = Wire.Cursor.Writer.create ~cpu:none view in
   check_budget "measure_into" ~per_call:0
     (words_over calls (fun () -> Cornflakes.Format_.measure_into plan msg));
   check_budget "write_folded" ~per_call:0
     (words_over calls (fun () ->
          Cornflakes.Format_.measure_into plan msg;
-         Wire.Cursor.Writer.reset w view;
+         Wire.Cursor.Writer.reset ~cpu:none w view;
          Cornflakes.Format_.run plan w msg ~write:Resp.write_folded))
 
 (* Rebuilding a pooled response with one zero-copy value allocates only
@@ -356,10 +361,10 @@ let test_pooled_build_allocates_handle () =
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let ep = Net.Endpoint.create fabric registry ~id:1 in
+  let ep = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
   let pool = Mem.Pinned.Pool.create space ~name:"budget" ~classes:[ (1024, 4) ] in
   Mem.Registry.register registry pool;
-  let buf = Mem.Pinned.Buf.alloc pool ~len:600 in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:600 in
   let view = Mem.Pinned.Buf.view buf in
   let config = Cornflakes.Config.default in
   let resp = Resp.create () in
@@ -367,7 +372,7 @@ let test_pooled_build_allocates_handle () =
     (words_over calls (fun () ->
          Resp.clear resp;
          Resp.set_id_int resp 9;
-         Resp.add_vals config ep resp view));
+         Resp.add_vals ~cpu:none config ep resp view));
   Alcotest.(check bool) "value went zero-copy" true
     (Wire.Payload.is_zero_copy (List.hd (Resp.vals resp)))
 

@@ -1,6 +1,9 @@
 (* TCP stack tests: handshake, message delivery, segmentation, loss and
    retransmission, zero-copy references held until ACK. *)
 
+(* Tests run unmetered unless they check a charge. *)
+let none = Memmodel.Cpu.none
+
 type tcp_env = {
   engine : Sim.Engine.t;
   fabric : Net.Fabric.t;
@@ -10,13 +13,13 @@ type tcp_env = {
   b : Tcp.Stack.t;
 }
 
-let make ?(loss = 0.0) () =
+let make ?(loss = 0.0) ?(cpu_a = Memmodel.Cpu.none) () =
   let engine = Sim.Engine.create () in
   let fabric = Net.Fabric.create ~loss_rate:loss engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
-  let ep_a = Net.Endpoint.create fabric registry ~id:1 in
-  let ep_b = Net.Endpoint.create fabric registry ~id:2 in
+  let ep_a = Net.Endpoint.create ~cpu:cpu_a fabric registry ~id:1 in
+  let ep_b = Net.Endpoint.create ~cpu:none fabric registry ~id:2 in
   {
     engine;
     fabric;
@@ -38,7 +41,7 @@ let collect_messages stack =
   let out = Queue.create () in
   Tcp.Stack.set_on_message stack (fun _conn buf ->
       Queue.add (Mem.View.to_string (Mem.Pinned.Buf.view buf)) out;
-      Mem.Pinned.Buf.decr_ref buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   out
 
 let test_handshake () =
@@ -77,9 +80,9 @@ let test_zero_copy_refs_until_ack () =
   let _inbox = collect_messages env.b in
   let conn = Tcp.Stack.connect env.a ~peer:2 in
   Sim.Engine.run_all env.engine;
-  let buf = Mem.Pinned.Buf.alloc pool ~len:2048 in
-  Mem.Pinned.Buf.fill buf (String.make 2048 'z');
-  Mem.Pinned.Buf.incr_ref buf;
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:2048 in
+  Mem.Pinned.Buf.fill ~cpu:none buf (String.make 2048 'z');
+  Mem.Pinned.Buf.incr_ref ~cpu:none buf;
   (* caller keeps one handle; one is consumed by send *)
   Tcp.Conn.send_message conn [ Wire.Payload.Zero_copy buf ];
   (* In flight: the connection holds the send ref (plus NIC in-flight). *)
@@ -108,8 +111,8 @@ let test_mixed_sources_order () =
   let inbox = collect_messages env.b in
   let conn = Tcp.Stack.connect env.a ~peer:2 in
   Sim.Engine.run_all env.engine;
-  let zc = Mem.Pinned.Buf.alloc pool ~len:1000 in
-  Mem.Pinned.Buf.fill zc (String.make 1000 'Z');
+  let zc = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:1000 in
+  Mem.Pinned.Buf.fill ~cpu:none zc (String.make 1000 'Z');
   let msg =
     [
       Wire.Payload.Literal (Mem.View.of_string env.space "head-");
@@ -146,6 +149,36 @@ let test_retransmission_under_loss () =
   done;
   Alcotest.(check bool) "retransmissions happened" true
     (Tcp.Conn.retransmissions conn > 0)
+
+(* The sim does not CPU-charge TCP protocol work: on a metered endpoint only
+   the data send moves the meter — not the handshake, not a forced
+   retransmission, not the ACKs the endpoint sends for its peer's data. *)
+let test_protocol_work_unmetered () =
+  let cpu = Memmodel.Cpu.create Memmodel.Params.default in
+  let env = make ~cpu_a:cpu () in
+  let inbox_a = collect_messages env.a and inbox_b = collect_messages env.b in
+  let literal s = [ Wire.Payload.Literal (Mem.View.of_string env.space s) ] in
+  let conn = Tcp.Stack.connect env.a ~peer:2 in
+  Sim.Engine.run_all env.engine;
+  Alcotest.(check (float 0.)) "handshake" 0.0 (Memmodel.Cpu.cycles cpu);
+  Net.Fabric.set_loss_rate env.fabric 1.0;
+  Tcp.Conn.send_message conn (literal "data");
+  let sent = Memmodel.Cpu.cycles cpu in
+  Alcotest.(check bool) "the data send is metered" true (sent > 0.0);
+  Sim.Engine.run env.engine
+    ~until:(Sim.Engine.now env.engine + (2 * Tcp.initial_rto_ns));
+  Alcotest.(check bool) "retransmitted" true (Tcp.Conn.retransmissions conn >= 1);
+  Net.Fabric.set_loss_rate env.fabric 0.0;
+  Sim.Engine.run_all env.engine;
+  (match Tcp.Stack.conn env.b ~peer:1 with
+  | Some c -> Tcp.Conn.send_message c (literal "reply")
+  | None -> Alcotest.fail "peer never saw the connection");
+  Sim.Engine.run_all env.engine;
+  Alcotest.(check int) "data delivered" 1 (Queue.length inbox_b);
+  Alcotest.(check int) "reply delivered" 1 (Queue.length inbox_a);
+  Alcotest.(check int64) "retransmission and ACKs add nothing"
+    (Int64.bits_of_float sent)
+    (Int64.bits_of_float (Memmodel.Cpu.cycles cpu))
 
 let test_bidirectional () =
   let env = make () in
@@ -220,6 +253,8 @@ let suite =
     Alcotest.test_case "large message segmented" `Quick test_large_message_segmented;
     Alcotest.test_case "mixed sources order" `Quick test_mixed_sources_order;
     Alcotest.test_case "retransmission under loss" `Quick test_retransmission_under_loss;
+    Alcotest.test_case "protocol work is unmetered" `Quick
+      test_protocol_work_unmetered;
     Alcotest.test_case "bidirectional" `Quick test_bidirectional;
     Alcotest.test_case "many messages in order" `Quick test_many_messages_in_order;
     QCheck_alcotest.to_alcotest qcheck_tcp_stream_integrity;
@@ -292,9 +327,9 @@ let test_completion_before_ack_keeps_pinned () =
       ]
   in
   Net.Fabric.set_injector env.fabric (Some (Faults.Injector.create plan));
-  let buf = Mem.Pinned.Buf.alloc pool ~len:1500 in
-  Mem.Pinned.Buf.fill buf (String.make 1500 'p');
-  Mem.Pinned.Buf.incr_ref buf (* caller keeps one handle *);
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:1500 in
+  Mem.Pinned.Buf.fill ~cpu:none buf (String.make 1500 'p');
+  Mem.Pinned.Buf.incr_ref ~cpu:none buf (* caller keeps one handle *);
   Tcp.Conn.send_message conn [ Wire.Payload.Zero_copy buf ];
   (* Run well past the NIC completion (sub-microsecond) and the first RTO:
      every TX completion has been processed, yet with the ACK path severed
@@ -310,7 +345,7 @@ let test_completion_before_ack_keeps_pinned () =
   Sim.Engine.run_all env.engine;
   Alcotest.(check int) "released once acked" 1 (Mem.Pinned.Buf.refcount buf);
   Alcotest.(check int) "fully acked" 0 (Tcp.Conn.unacked_bytes conn);
-  Mem.Pinned.Buf.decr_ref buf
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 (* Faultline end-to-end over TCP: the same seeded loss plan every run, a
    mixed Literal/Zero_copy message sequence, and three claims — the
@@ -323,8 +358,8 @@ let test_faultline_loss_plan_stream_intact () =
     List.init 25 (fun i ->
         if i mod 5 = 4 then begin
           let len = 900 + (i * 37) in
-          let zc = Mem.Pinned.Buf.alloc pool ~len in
-          Mem.Pinned.Buf.fill zc (String.make len (Char.chr (65 + (i mod 26))));
+          let zc = Mem.Pinned.Buf.alloc ~cpu:none pool ~len in
+          Mem.Pinned.Buf.fill ~cpu:none zc (String.make len (Char.chr (65 + (i mod 26))));
           [ Wire.Payload.Zero_copy zc ]
         end
         else
