@@ -5,7 +5,7 @@
    site labels are ("Pinned.Buf.alloc"). *)
 
 type func = {
-  fn_path : string;  (** e.g. [Endpoint.send_inline_zc] (file module included) *)
+  fn_path : string;  (** e.g. [Endpoint.send_inline] (file module included) *)
   fn_local : string;  (** path without the file-module prefix, e.g. [Buf.alloc] *)
   fn_expr : Parsetree.expression;  (** the binding's right-hand side *)
   fn_attrs : Parsetree.attributes;
@@ -116,7 +116,7 @@ let rec longident_components (li : Longident.t) =
   | Lapply (l, _) -> longident_components l
 
 (* Head path of an expression in call position: [Mem.Pinned.Buf.alloc] or a
-   record-field transport hook like [tr.Net.Transport.tr_send_inline_zc]
+   record-field transport hook like [tr.Net.Transport.tr_send_inline]
    (the field's qualified name is what the spec matches). *)
 let rec head_path (e : Parsetree.expression) =
   match e.pexp_desc with

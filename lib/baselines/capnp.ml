@@ -156,7 +156,7 @@ let serialize_and_send tr ~dst msg =
   List.iter (fun s -> Wire.Cursor.Writer.u32 w s.Mem.View.len) segs;
   (* Second copy: each segment moves into the DMA-safe staging buffer. *)
   List.iter (fun s -> Wire.Cursor.Writer.view_bytes w s) segs;
-  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
+  Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0
 
 (* --- Reading ----------------------------------------------------------- *)
 

@@ -150,7 +150,7 @@ let serialize_and_send tr ~dst msg =
   (* Second copy: the contiguous builder output moves into DMA-safe
      staging; the source is cache-hot from the build. *)
   Mem.Pinned.Buf.blit_from ~cpu staging ~src:finished ~dst_off:headroom;
-  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
+  Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0
 
 (* --- Reading (zero-copy) ---------------------------------------------- *)
 

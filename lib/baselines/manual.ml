@@ -2,7 +2,8 @@ type safety = [ `Raw | `Safe ]
 
 let frame_len lens = 4 + (4 * List.length lens) + List.fold_left ( + ) 0 lens
 
-let forward tr ~dst buf = Net.Transport.send_extra tr ~dst ~segments:[ buf ]
+let forward tr ~dst buf =
+  Net.Transport.send_extra tr ~dst ~head:buf ~zc:[||] ~zc_n:0
 
 let write_frame_header w views =
   let module W = Wire.Cursor.Writer in
@@ -47,7 +48,8 @@ let send_zero_copy ~safety tr ~dst views =
       Memmodel.Cpu.charge_ops cpu Memmodel.Cpu.Safety
         Memmodel.Cpu.Completion_per_sge (List.length lines)
   | `Raw -> ());
-  Net.Transport.send_inline tr ~dst ~segments:(staging :: entries)
+  let zc = Array.of_list entries in
+  Net.Transport.send_inline tr ~dst ~head:staging ~zc ~zc_n:(Array.length zc)
 
 let send_one_copy tr ~dst views =
   let ep = Net.Transport.endpoint tr in
@@ -61,7 +63,7 @@ let send_one_copy tr ~dst views =
   let w = Wire.Cursor.Writer.create ~cpu window in
   write_frame_header w views;
   List.iter (fun v -> Wire.Cursor.Writer.view_bytes w v) views;
-  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
+  Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0
 
 let send_two_copy tr ~dst views =
   let ep = Net.Transport.endpoint tr in
@@ -76,7 +78,7 @@ let send_two_copy tr ~dst views =
   (* Second copy: scratch into the DMA-safe staging buffer. *)
   let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + body) in
   Mem.Pinned.Buf.blit_from ~cpu staging ~src:scratch ~dst_off:headroom;
-  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
+  Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0
 
 let parse ~cpu view =
   let module R = Wire.Cursor.Reader in

@@ -161,7 +161,7 @@ let serialize_and_send tr ~dst msg =
   in
   let w = Wire.Cursor.Writer.create ~cpu window in
   encode ~cpu w msg;
-  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
+  Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0
 
 (* --- Decoding --------------------------------------------------------- *)
 

@@ -69,8 +69,9 @@ module Segmenter = struct
     Memmodel.Cpu.charge_ops cpu Memmodel.Cpu.Safety
       Memmodel.Cpu.Completion_per_sge
       (Memutil.distinct_meta_lines !zc);
-    Net.Endpoint.send_inline_header t.ep ~dst
-      ~segments:(staging :: List.rev !zc)
+    let zc = Array.of_list (List.rev !zc) in
+    Net.Endpoint.send_inline t.ep ~dst ~head:staging ~zc
+      ~zc_n:(Array.length zc)
 
   let send t ~dst msg =
     let cpu = Net.Endpoint.cpu t.ep in

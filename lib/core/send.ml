@@ -160,7 +160,7 @@ let send_planned (config : Config.t) (tr : Net.Transport.t) ~dst msg ~write =
     let w = scratch.writer in
     Wire.Cursor.Writer.reset ~cpu w window;
     Format_.run plan w msg ~write;
-    tr.Net.Transport.tr_send_inline_zc ~dst ~head:staging
+    tr.Net.Transport.tr_send_inline ~dst ~head:staging
       ~zc:plan.Format_.zc ~zc_n:plan.Format_.zc_count
   end
   else begin
@@ -184,7 +184,7 @@ let send_planned (config : Config.t) (tr : Net.Transport.t) ~dst msg ~write =
       ~len:(16 * nsge);
     Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx ~addr:sga.Mem.View.addr
       ~len:(16 * nsge);
-    tr.Net.Transport.tr_send_extra_zc ~dst ~head:obj ~zc:plan.Format_.zc
+    tr.Net.Transport.tr_send_extra ~dst ~head:obj ~zc:plan.Format_.zc
       ~zc_n:plan.Format_.zc_count;
     (* The stack has consumed the scatter-gather array; hand the chunk back
        so the next layered send reuses it. *)

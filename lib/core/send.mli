@@ -12,7 +12,7 @@
 
     Ownership: the message's zero-copy references transfer to the stack and
     are released on TX completion; the caller must not release the message's
-    payloads after a successful send. If the gather list would exceed the
+    payloads after a successful send. If the gather would exceed the
     NIC's SGE limit, the smallest zero-copy payloads are transparently
     demoted to copies first; and when the endpoint reports memory pressure
     (TX ring half full — completions lost or delayed) every zero-copy
@@ -34,10 +34,11 @@ val reset_counters : unit -> unit
     any transport, charging [Net.Transport.cpu tr]: the staging buffer
     reserves [tr]'s headroom (packet header for UDP; packet + TCP headers +
     record prefix for TCP, so the stream fast path is still one gather
-    entry), the size limit is the transport's, and the zero-copy array goes
-    down the transport's [_zc] fast path. Ownership is identical on both datapaths from the caller's
-    side; internally UDP releases references at completion, TCP at
-    cumulative ACK. *)
+    entry), the size limit is the transport's, and the staging buffer plus
+    the plan's zero-copy array go down as the transport's one gather shape
+    ([head], [zc], [zc_n]) — no segment list is built. Ownership is
+    identical on both datapaths from the caller's side; internally UDP
+    releases references at completion, TCP at cumulative ACK. *)
 val send_via : Config.t -> Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
 
 (** A serializer body: {!Format_.run}'s [write] contract. *)

@@ -217,7 +217,7 @@ let send_native t ~dst reply =
   in
   let w = Wire.Cursor.Writer.create ~cpu:(Net.Endpoint.cpu ep) window in
   Resp.encode w reply;
-  Net.Transport.send_inline tr ~dst ~segments:[ staging ]
+  Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0
 
 let send_cornflakes t ~dst config reply =
   let tr = t.rig.Apps.Rig.server_tr in

@@ -61,24 +61,22 @@ type t = {
 and transport = {
   tr_name : string;
   tr_ep : t;
-  (* Scratch bytes the caller must leave at the front of the first gather
-     segment of [tr_send_inline] / [tr_send_inline_zc]: the transport
-     writes its headers (and any framing) there, so object header + copied
-     fields + wire headers share one gather entry. *)
+  (* Scratch bytes the caller must leave at the front of the [head] of
+     [tr_send_inline]: the transport writes its headers (and any framing)
+     there, so object header + copied fields + wire headers share one
+     gather entry. *)
   tr_headroom : int;
   (* Largest message the transport can carry ([Packet.max_payload] for
      datagrams; the reassembly cap for stream transports). *)
   tr_max_msg_len : int;
   tr_connect : peer:int -> unit;
-  tr_send_inline : dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
-  tr_send_extra : dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
-  tr_send_inline_zc :
+  tr_send_inline :
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
     zc_n:int ->
     unit;
-  tr_send_extra_zc :
+  tr_send_extra :
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
@@ -269,42 +267,14 @@ let write_header ~cpu t ~dst buf =
   Memmodel.Cpu.stream cpu Memmodel.Cpu.Tx ~addr:(Mem.Pinned.Buf.addr buf)
     ~len:Packet.header_len
 
-let send_inline_header_on ~cpu t ~dst ~segments =
-  match segments with
-  | [] -> invalid_arg "Endpoint.send_inline_header: no segments"
-  | first :: _ ->
-      if Mem.Pinned.Buf.len first < Packet.header_len then
-        invalid_arg "Endpoint.send_inline_header: no header headroom";
-      write_header ~cpu t ~dst first;
-      charge_post ~cpu t ~nsge:(List.length segments);
-      let txd = acquire_txd t in
-      List.iter (Nic.Device.txd_push txd) segments;
-      post t txd
-
-let send_inline_header t ~dst ~segments =
-  send_inline_header_on ~cpu:t.cpu t ~dst ~segments
-
-let send_extra_header t ~dst ~segments =
-  let cpu = t.cpu in
-  let hdr =
-    Mem.Pinned.Buf.alloc ~cpu ~site:"Endpoint.send_extra_header" t.tx_pool
-      ~len:Packet.header_len
-  in
-  write_header ~cpu t ~dst hdr;
-  charge_post ~cpu t ~nsge:(1 + List.length segments);
-  let txd = acquire_txd t in
-  Nic.Device.txd_push txd hdr;
-  List.iter (Nic.Device.txd_push txd) segments;
-  post t txd
-
-(* Array-based serializer fast paths: gather entries come straight from the
-   measured plan's zero-copy array (first [zc_n] slots of [zc]), filling a
-   reusable NIC descriptor in place — no per-send segment list. *)
-let send_inline_zc t ~dst ~head ~zc ~zc_n =
+(* The one transmit gather shape: [head] plus the first [zc_n] slots of
+   [zc] (the measured plan's zero-copy array), pushed onto a reusable NIC
+   descriptor in place — no per-send segment list. *)
+let send_inline_on ~cpu t ~dst ~head ~zc ~zc_n =
   if Mem.Pinned.Buf.len head < Packet.header_len then
-    invalid_arg "Endpoint.send_inline_zc: no header headroom";
-  write_header ~cpu:t.cpu t ~dst head;
-  charge_post ~cpu:t.cpu t ~nsge:(1 + zc_n);
+    invalid_arg "Endpoint.send_inline: no header headroom";
+  write_header ~cpu t ~dst head;
+  charge_post ~cpu t ~nsge:(1 + zc_n);
   let txd = acquire_txd t in
   Nic.Device.txd_push txd head;
   for i = 0 to zc_n - 1 do
@@ -313,10 +283,14 @@ let send_inline_zc t ~dst ~head ~zc ~zc_n =
   post t txd
 [@@alloc_free]
 
-let send_extra_zc t ~dst ~head ~zc ~zc_n =
+let send_inline t ~dst ~head ~zc ~zc_n =
+  send_inline_on ~cpu:t.cpu t ~dst ~head ~zc ~zc_n
+[@@alloc_free]
+
+let send_extra t ~dst ~head ~zc ~zc_n =
   let cpu = t.cpu in
   let hdr =
-    Mem.Pinned.Buf.alloc ~cpu ~site:"Endpoint.send_extra_header" t.tx_pool
+    Mem.Pinned.Buf.alloc ~cpu ~site:"Endpoint.send_extra" t.tx_pool
       ~len:Packet.header_len
   in
   write_header ~cpu t ~dst hdr;
@@ -342,7 +316,7 @@ let send_string t ~dst s =
     (String.length s);
   Mem.Pinned.Buf.note_write ~site:"Endpoint.send_string" buf
     ~off:Packet.header_len ~len:(String.length s);
-  send_inline_header_on ~cpu t ~dst ~segments:[ buf ]
+  send_inline_on ~cpu t ~dst ~head:buf ~zc:[||] ~zc_n:0
 
 let set_rx t f = t.rx_handler <- f
 
@@ -387,13 +361,9 @@ let transport t =
           tr_max_msg_len = Packet.max_payload;
           tr_connect = (fun ~peer -> ignore peer);
           tr_send_inline =
-            (fun ~dst ~segments -> send_inline_header t ~dst ~segments);
+            (fun ~dst ~head ~zc ~zc_n -> send_inline t ~dst ~head ~zc ~zc_n);
           tr_send_extra =
-            (fun ~dst ~segments -> send_extra_header t ~dst ~segments);
-          tr_send_inline_zc =
-            (fun ~dst ~head ~zc ~zc_n -> send_inline_zc t ~dst ~head ~zc ~zc_n);
-          tr_send_extra_zc =
-            (fun ~dst ~head ~zc ~zc_n -> send_extra_zc t ~dst ~head ~zc ~zc_n);
+            (fun ~dst ~head ~zc ~zc_n -> send_extra t ~dst ~head ~zc ~zc_n);
           tr_send_string = (fun ~dst s -> send_string t ~dst s);
           tr_set_rx = (fun f -> set_rx t f);
         }

@@ -2,22 +2,19 @@
 
     Owns a NIC, pinned staging pools, and a receive path that delivers
     packets as refcounted buffers ([Listing 2] of the paper: [alloc],
-    [recv_packet] as the rx handler, [recover_ptr] via the registry). Two
-    pairs of send entry points encode the paper's §6.5.2 comparison:
+    [recv_packet] as the rx handler, [recover_ptr] via the registry). Every
+    send takes one gather shape — a [head] buffer plus the first [zc_n]
+    slots of a zero-copy array [zc] — pushed onto the NIC's reusable
+    transmit descriptor in place, so no per-send segment list is ever
+    built. Two entry points encode the paper's §6.5.2 comparison:
 
-    - [send_inline_header] / [send_inline_zc]: serialize-and-send. The
-      caller built the first segment with [Packet.header_len] bytes of
-      headroom; the stack writes the packet header there, so object header
-      + copied fields + packet header share one gather entry.
-    - [send_extra_header] / [send_extra_zc]: the conventional path. The
-      stack allocates a separate header-only entry and prepends it, costing
-      one more gather entry and one more allocation.
-
-    The [_header] variants take the gather list as an OCaml list; the [_zc]
-    variants (PR 4's serializer fast paths) take [head] plus the measured
-    plan's zero-copy {e array} and fill the NIC's reusable transmit
-    descriptor in place — no per-send segment list is ever built, which is
-    what keeps the serialize-and-send hot path allocation-free.
+    - [send_inline]: serialize-and-send. The caller built [head] with
+      [Packet.header_len] bytes of headroom; the stack writes the packet
+      header there, so object header + copied fields + packet header share
+      one gather entry.
+    - [send_extra]: the conventional path. The stack allocates a separate
+      header-only entry and prepends it, costing one more gather entry and
+      one more allocation.
 
     TX doorbell coalescing: every send path routes descriptors through the
     same batching layer. [config.tx_batch] descriptors share one doorbell
@@ -46,24 +43,22 @@ type transport = {
   tr_name : string;
   tr_ep : t;  (** underlying endpoint (arena, NIC counters, pressure) *)
   tr_headroom : int;
-      (** scratch bytes the caller must leave at the front of the first
-          gather segment of [tr_send_inline] / [tr_send_inline_zc]; the
-          transport writes its headers (and any framing) there *)
+      (** scratch bytes the caller must leave at the front of the [head]
+          of [tr_send_inline]; the transport writes its headers (and any
+          framing) there *)
   tr_max_msg_len : int;
       (** largest message the transport can carry ([Packet.max_payload]
           for datagrams; the reassembly cap for stream transports) *)
   tr_connect : peer:int -> unit;
       (** establish a path to [peer] (no-op for UDP; 3-way handshake for
           TCP — drive the engine afterwards, e.g. during warmup) *)
-  tr_send_inline : dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
-  tr_send_extra : dst:int -> segments:Mem.Pinned.Buf.t list -> unit;
-  tr_send_inline_zc :
+  tr_send_inline :
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
     zc_n:int ->
     unit;
-  tr_send_extra_zc :
+  tr_send_extra :
     dst:int ->
     head:Mem.Pinned.Buf.t ->
     zc:Mem.Pinned.Buf.t array ->
@@ -143,35 +138,15 @@ val under_pressure : t -> bool
     [site] labels the allocation in RefSan reports. *)
 val alloc_tx : ?site:string -> t -> len:int -> Mem.Pinned.Buf.t
 
-(** [send_inline_header t ~dst ~segments] — see module doc. The first
-    segment's initial [Packet.header_len] bytes are overwritten. *)
-val send_inline_header :
-  t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
-
-(** [alloc_tx] and [send_inline_header] charged to [cpu] instead of the
-    endpoint's meter. TCP posts its ACKs and retransmissions on
-    [Memmodel.Cpu.none]: the simulation does not CPU-charge TCP protocol
-    work. *)
+(** [alloc_tx] charged to [cpu] instead of the endpoint's meter. *)
 val alloc_tx_on :
   cpu:Memmodel.Cpu.t -> ?site:string -> t -> len:int -> Mem.Pinned.Buf.t
 
-val send_inline_header_on :
-  cpu:Memmodel.Cpu.t ->
-  t ->
-  dst:int ->
-  segments:Mem.Pinned.Buf.t list ->
-  unit
-
-(** [send_extra_header t ~dst ~segments] — see module doc. *)
-val send_extra_header :
-  t -> dst:int -> segments:Mem.Pinned.Buf.t list -> unit
-
-(** Array-based serializer fast paths: [send_inline_zc] /
-    [send_extra_zc] behave exactly like their [_header] counterparts on
-    [head :: zc.(0) .. zc.(zc_n - 1)], but fill the NIC's reusable
-    descriptor straight from the plan's zero-copy array — no per-send
-    segment list is built. Slots of [zc] at index [>= zc_n] are ignored. *)
-val send_inline_zc :
+(** [send_inline t ~dst ~head ~zc ~zc_n] — see module doc. The first
+    [Packet.header_len] bytes of [head] are overwritten; slots of [zc] at
+    index [>= zc_n] are ignored. Raises [Invalid_argument] if [head] is
+    shorter than [Packet.header_len]. *)
+val send_inline :
   t ->
   dst:int ->
   head:Mem.Pinned.Buf.t ->
@@ -179,7 +154,21 @@ val send_inline_zc :
   zc_n:int ->
   unit
 
-val send_extra_zc :
+(** [send_inline] charged to [cpu] instead of the endpoint's meter. TCP
+    posts its ACKs and retransmissions on [Memmodel.Cpu.none]: the
+    simulation does not CPU-charge TCP protocol work. *)
+val send_inline_on :
+  cpu:Memmodel.Cpu.t ->
+  t ->
+  dst:int ->
+  head:Mem.Pinned.Buf.t ->
+  zc:Mem.Pinned.Buf.t array ->
+  zc_n:int ->
+  unit
+
+(** [send_extra t ~dst ~head ~zc ~zc_n] — see module doc; every byte of
+    [head] is payload. *)
+val send_extra :
   t ->
   dst:int ->
   head:Mem.Pinned.Buf.t ->

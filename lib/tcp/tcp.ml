@@ -27,7 +27,11 @@ type state = Syn_sent | Established | Closed
 type frame = {
   f_seq : int;
   f_len : int;
-  f_segments : Mem.Pinned.Buf.t list; (* one connection-owned ref each *)
+  (* The frame's gather: a staging [f_head] (packet + TCP headroom first)
+     plus its zero-copy entries, exact length. One connection-owned
+     reference on each. *)
+  f_head : Mem.Pinned.Buf.t;
+  f_zc : Mem.Pinned.Buf.t array;
   mutable sent_at : int;
   mutable retries : int;
   (* RefSan holds covering the payload while the frame sits in the
@@ -94,14 +98,12 @@ let write_tcp_header buf ~off ~flags ~seq ~ack ~len =
 let rtx_header_skip = Net.Packet.header_len + header_len
 
 let take_frame_holds frame =
-  if Sanitizer.Refsan.is_enabled () && frame.f_holds = [] then
+  if Sanitizer.Refsan.is_enabled () && frame.f_holds = [] then begin
+    let hold ~skip seg = Mem.Pinned.Buf.hold ~site:"Tcp.rtx_queue" ~skip seg in
+    let head = hold ~skip:rtx_header_skip frame.f_head in
     frame.f_holds <-
-      List.mapi
-        (fun i seg ->
-          Mem.Pinned.Buf.hold ~site:"Tcp.rtx_queue"
-            ~skip:(if i = 0 then rtx_header_skip else 0)
-            seg)
-        frame.f_segments
+      head :: List.map (hold ~skip:0) (Array.to_list frame.f_zc)
+  end
 
 let release_frame_holds frame =
   List.iter Mem.Pinned.Buf.release_hold frame.f_holds;
@@ -119,36 +121,27 @@ let read_u32 (v : Mem.View.t) off =
   lor (Char.code (Bytes.get b (base + 2)) lsl 16)
   lor (Char.code (Bytes.get b (base + 3)) lsl 24)
 
-(* Post a frame's segments (header write + NIC post). The NIC's completion
+(* Post a frame's gather (header write + NIC post), for its first
+   transmission and every retransmission alike. The NIC's completion
    releases one reference per segment, so take one first: the connection
    keeps its own until the ACK. *)
 let post_frame ~cpu conn frame ~flags =
-  (match frame.f_segments with
-  | first :: _ ->
-      write_tcp_header first ~off:Net.Packet.header_len ~flags ~seq:frame.f_seq
-        ~ack:conn.rcv_nxt ~len:frame.f_len
-  | [] -> assert false);
-  List.iter
-    (fun seg -> Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.post_frame" seg)
-    frame.f_segments;
+  write_tcp_header frame.f_head ~off:Net.Packet.header_len ~flags
+    ~seq:frame.f_seq ~ack:conn.rcv_nxt ~len:frame.f_len;
+  Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.post_frame" frame.f_head;
+  for i = 0 to Array.length frame.f_zc - 1 do
+    Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.post_frame" frame.f_zc.(i)
+  done;
   frame.sent_at <- Sim.Engine.now conn.stack.engine;
-  Net.Endpoint.send_inline_header_on ~cpu conn.stack.ep ~dst:conn.peer
-    ~segments:frame.f_segments
+  Net.Endpoint.send_inline_on ~cpu conn.stack.ep ~dst:conn.peer
+    ~head:frame.f_head ~zc:frame.f_zc ~zc_n:(Array.length frame.f_zc)
 
-(* First transmission of a transport fast-path frame: same ownership moves
-   as [post_frame], but the descriptor is filled straight from the
-   serializer's zero-copy array ([Endpoint.send_inline_zc]) instead of a
-   rebuilt segment list. Retransmissions go through [post_frame] using the
-   frame's own segment list — the caller's array is only valid now. *)
-let post_frame_zc conn frame ~flags ~head ~zc ~zc_n =
-  write_tcp_header head ~off:Net.Packet.header_len ~flags ~seq:frame.f_seq
-    ~ack:conn.rcv_nxt ~len:frame.f_len;
-  let cpu = Net.Endpoint.cpu conn.stack.ep in
-  List.iter
-    (fun seg -> Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.post_frame" seg)
-    frame.f_segments;
-  frame.sent_at <- Sim.Engine.now conn.stack.engine;
-  Net.Endpoint.send_inline_zc conn.stack.ep ~dst:conn.peer ~head ~zc ~zc_n
+(* Drop the connection's own reference on every segment of [frame]. *)
+let release_frame_refs ~site frame =
+  Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site frame.f_head;
+  for i = 0 to Array.length frame.f_zc - 1 do
+    Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site frame.f_zc.(i)
+  done
 
 let send_control conn ~flags ~seq =
   let staging =
@@ -157,8 +150,8 @@ let send_control conn ~flags ~seq =
   in
   write_tcp_header staging ~off:Net.Packet.header_len ~flags ~seq
     ~ack:conn.rcv_nxt ~len:0;
-  Net.Endpoint.send_inline_header_on ~cpu:unmetered conn.stack.ep
-    ~dst:conn.peer ~segments:[ staging ]
+  Net.Endpoint.send_inline_on ~cpu:unmetered conn.stack.ep ~dst:conn.peer
+    ~head:staging ~zc:[||] ~zc_n:0
 
 (* --- Retransmission ---------------------------------------------------- *)
 
@@ -179,10 +172,7 @@ let check_rto conn =
           List.iter
             (fun f ->
               release_frame_holds f;
-              List.iter
-                (fun seg ->
-                  Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.abort" seg)
-                f.f_segments)
+              release_frame_refs ~site:"Tcp.abort" f)
             conn.inflight;
           conn.inflight <- []
         end
@@ -282,12 +272,17 @@ let frames_of_runs ~cpu conn runs =
           staging :: segments
         end
       in
-      let segments = List.rev (build [] [] frame_runs) in
+      let f_head, f_zc =
+        match List.rev (build [] [] frame_runs) with
+        | head :: zc -> (head, Array.of_list zc)
+        | [] -> assert false (* [flush ~first:true] always stages a head *)
+      in
       let f =
         {
           f_seq = conn.snd_nxt;
           f_len;
-          f_segments = segments;
+          f_head;
+          f_zc;
           sent_at = 0;
           retries = 0;
           f_holds = [];
@@ -448,10 +443,7 @@ let handle_ack conn ~ack ~pure =
       (fun f ->
         sample_rtt conn f;
         release_frame_holds f;
-        List.iter
-          (fun seg ->
-            Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.acked" seg)
-          f.f_segments)
+        release_frame_refs ~site:"Tcp.acked" f)
       acked;
     if remaining <> [] then arm_timer conn
   end
@@ -684,15 +676,18 @@ let write_record_prefix buf ~off ~record_len =
 (* Single-frame fast path: the whole record (plus its prefix) fits one MSS
    and the connection is up. The frame takes over the caller's reference on
    every segment — exactly the ownership a [send_message] round trip would
-   end with, minus the intermediate incr/decr pair. The record prefix is
-   written before retransmission holds are taken; only the packet + TCP
-   header prefix stays exempt ([rtx_header_skip]) for later rewrites. *)
-let fast_path_send conn ~segments ~payload_len ~post =
+   end with, minus the intermediate incr/decr pair. It keeps its own copy of
+   the zero-copy slots (the caller's array is only valid now), so the first
+   transmission and any retransmission post the same gather. The record
+   prefix is written before retransmission holds are taken; only the packet
+   + TCP header prefix stays exempt ([rtx_header_skip]) for later rewrites. *)
+let fast_path_send ~cpu conn ~head ~zc ~zc_n ~payload_len =
   let f =
     {
       f_seq = conn.snd_nxt;
       f_len = payload_len;
-      f_segments = segments;
+      f_head = head;
+      f_zc = Array.sub zc 0 zc_n;
       sent_at = 0;
       retries = 0;
       f_holds = [];
@@ -701,100 +696,52 @@ let fast_path_send conn ~segments ~payload_len ~post =
   conn.snd_nxt <- conn.snd_nxt + payload_len;
   conn.inflight <- conn.inflight @ [ f ];
   take_frame_holds f;
-  post f;
+  post_frame ~cpu conn f ~flags:(flag_data lor flag_ack);
   arm_timer conn
 
-(* Slow path: hand the segments to [send_message] as zero-copy payloads.
-   The first inline segment's headroom is scratch, not record bytes —
-   narrow past it ([Buf.sub] shares the refcount, so the caller's reference
-   rides along and [Payload.release] returns it after framing). *)
-let payloads_of_inline ~cpu segments =
-  match segments with
-  | [] -> []
-  | first :: rest ->
-      let flen = Mem.Pinned.Buf.len first in
-      let head_payloads =
-        if flen > transport_headroom then
-          [
-            Wire.Payload.Zero_copy
-              (Mem.Pinned.Buf.sub ~site:"Tcp.trim_headroom" first
-                 ~off:transport_headroom
-                 ~len:(flen - transport_headroom));
-          ]
-        else begin
-          Mem.Pinned.Buf.decr_ref ~cpu ~site:"Tcp.trim_headroom" first;
-          []
-        end
-      in
-      head_payloads @ List.map (fun b -> Wire.Payload.Zero_copy b) rest
+(* Slow path: hand the gather to [send_message] as zero-copy payloads. The
+   head's headroom is scratch, not record bytes — narrow past it
+   ([Buf.sub] shares the refcount, so the caller's reference rides along
+   and [Payload.release] returns it after framing). *)
+let payloads_of_inline ~cpu ~head ~zc ~zc_n =
+  let rest = List.init zc_n (fun i -> Wire.Payload.Zero_copy zc.(i)) in
+  let hlen = Mem.Pinned.Buf.len head in
+  if hlen > transport_headroom then
+    Wire.Payload.Zero_copy
+      (Mem.Pinned.Buf.sub ~site:"Tcp.trim_headroom" head ~off:transport_headroom
+         ~len:(hlen - transport_headroom))
+    :: rest
+  else begin
+    Mem.Pinned.Buf.decr_ref ~cpu ~site:"Tcp.trim_headroom" head;
+    rest
+  end
 
-let check_msg_len total =
-  let record_len = total - transport_headroom in
-  if record_len < 0 then
-    invalid_arg "Tcp.transport: first segment shorter than the headroom";
-  if record_len > max_msg_len then
-    invalid_arg
-      (Printf.sprintf "Tcp.transport: %d-byte record exceeds max_msg_len %d"
-         record_len max_msg_len);
-  record_len
-
-let transport_send_inline stack ~dst ~segments =
-  match segments with
-  | [] -> invalid_arg "Tcp.transport: empty gather list"
-  | first :: _ ->
-      let cpu = Net.Endpoint.cpu stack.ep in
-      let conn = conn_for stack ~peer:dst in
-      let total =
-        List.fold_left (fun a s -> a + Mem.Pinned.Buf.len s) 0 segments
-      in
-      let record_len = check_msg_len total in
-      let payload_len = record_prefix_len + record_len in
-      if
-        conn.state = Established
-        && payload_len <= mss
-        && Mem.Pinned.Buf.len first >= transport_headroom
-      then begin
-        write_record_prefix first
-          ~off:(Net.Packet.header_len + header_len)
-          ~record_len;
-        fast_path_send conn ~segments ~payload_len ~post:(fun f ->
-            post_frame ~cpu conn f ~flags:(flag_data lor flag_ack))
-      end
-      else send_message ~cpu conn (payloads_of_inline ~cpu segments)
-
-let transport_send_inline_zc stack ~dst ~head ~zc ~zc_n =
+let transport_send_inline stack ~dst ~head ~zc ~zc_n =
+  if Mem.Pinned.Buf.len head < transport_headroom then
+    invalid_arg "Tcp.transport: head shorter than the headroom";
   let cpu = Net.Endpoint.cpu stack.ep in
   let conn = conn_for stack ~peer:dst in
   let total = ref (Mem.Pinned.Buf.len head) in
   for i = 0 to zc_n - 1 do
     total := !total + Mem.Pinned.Buf.len zc.(i)
   done;
-  let record_len = check_msg_len !total in
+  let record_len = !total - transport_headroom in
+  if record_len > max_msg_len then
+    invalid_arg
+      (Printf.sprintf "Tcp.transport: %d-byte record exceeds max_msg_len %d"
+         record_len max_msg_len);
   let payload_len = record_prefix_len + record_len in
-  if
-    conn.state = Established
-    && payload_len <= mss
-    && Mem.Pinned.Buf.len head >= transport_headroom
-  then begin
+  if conn.state = Established && payload_len <= mss then begin
     write_record_prefix head
       ~off:(Net.Packet.header_len + header_len)
       ~record_len;
-    let segments = head :: Array.to_list (Array.sub zc 0 zc_n) in
-    fast_path_send conn ~segments ~payload_len ~post:(fun f ->
-        post_frame_zc conn f ~flags:(flag_data lor flag_ack) ~head ~zc ~zc_n)
+    fast_path_send ~cpu conn ~head ~zc ~zc_n ~payload_len
   end
-  else
-    send_message ~cpu conn
-      (payloads_of_inline ~cpu (head :: Array.to_list (Array.sub zc 0 zc_n)))
+  else send_message ~cpu conn (payloads_of_inline ~cpu ~head ~zc ~zc_n)
 
-(* The conventional paths carry no transport headroom: every byte of every
+(* The conventional path carries no transport headroom: every byte of every
    segment is record payload, and [send_message] stages the framing. *)
-let transport_send_extra stack ~dst ~segments =
-  let conn = conn_for stack ~peer:dst in
-  send_message ~cpu:(Net.Endpoint.cpu stack.ep) conn
-    (List.map (fun b -> Wire.Payload.Zero_copy b) segments)
-
-let transport_send_extra_zc stack ~dst ~head ~zc ~zc_n =
+let transport_send_extra stack ~dst ~head ~zc ~zc_n =
   let conn = conn_for stack ~peer:dst in
   send_message ~cpu:(Net.Endpoint.cpu stack.ep) conn
     (Wire.Payload.Zero_copy head
@@ -810,20 +757,23 @@ let transport stack =
   | Some tr -> tr
   | None ->
       let tr =
-        Net.Transport.make ~name:"tcp" ~ep:stack.ep
-          ~headroom:transport_headroom ~max_msg_len
-          ~connect:(fun ~peer -> ignore (conn_for stack ~peer))
-          ~send_inline:(fun ~dst ~segments ->
-            transport_send_inline stack ~dst ~segments)
-          ~send_extra:(fun ~dst ~segments ->
-            transport_send_extra stack ~dst ~segments)
-          ~send_inline_zc:(fun ~dst ~head ~zc ~zc_n ->
-            transport_send_inline_zc stack ~dst ~head ~zc ~zc_n)
-          ~send_extra_zc:(fun ~dst ~head ~zc ~zc_n ->
-            transport_send_extra_zc stack ~dst ~head ~zc ~zc_n)
-          ~send_string:(fun ~dst s -> transport_send_string stack ~dst s)
-          ~set_rx:(fun f ->
-            stack.on_message <- (fun conn buf -> f ~src:conn.peer buf))
+        {
+          Net.Transport.tr_name = "tcp";
+          tr_ep = stack.ep;
+          tr_headroom = transport_headroom;
+          tr_max_msg_len = max_msg_len;
+          tr_connect = (fun ~peer -> ignore (conn_for stack ~peer));
+          tr_send_inline =
+            (fun ~dst ~head ~zc ~zc_n ->
+              transport_send_inline stack ~dst ~head ~zc ~zc_n);
+          tr_send_extra =
+            (fun ~dst ~head ~zc ~zc_n ->
+              transport_send_extra stack ~dst ~head ~zc ~zc_n);
+          tr_send_string = (fun ~dst s -> transport_send_string stack ~dst s);
+          tr_set_rx =
+            (fun f ->
+              stack.on_message <- (fun conn buf -> f ~src:conn.peer buf));
+        }
       in
       stack.tcp_transport <- Some tr;
       tr

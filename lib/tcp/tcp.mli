@@ -19,11 +19,14 @@
     representation ([Copied]/[Literal] runs are staged into frame buffers;
     [Zero_copy] buffers ride as their own gather entries, reference
     consumed). [transport] exposes a stack as a {!Net.Transport.t}, so
-    serialize-and-send, the [_zc] array fast paths, and TX doorbell
-    batching all apply to TCP frames; its single-frame fast path sends
-    packet header + TCP header + record prefix + object bytes as one
-    gather entry and falls back to [Conn.send_message] segmentation for
-    records above the MSS or connections still in the handshake.
+    serialize-and-send and TX doorbell batching apply to TCP frames. It
+    takes the one transmit gather shape ([head] plus a zero-copy array);
+    its single-frame fast path sends packet header + TCP header + record
+    prefix + object bytes as one gather entry, and falls back to
+    [Conn.send_message] segmentation for records above the MSS or
+    connections still in the handshake. A frame keeps its gather as a head
+    plus an exact-length zero-copy array, and its first transmission and
+    every retransmission post that same gather.
 
     One [Stack.t] owns an endpoint's receive path and demultiplexes
     connections by peer id. ACK processing and reassembly are protocol
@@ -84,7 +87,9 @@ end
     exhaustion is transparently reopened on the next send. Ownership seen
     by callers is identical to UDP (each send takes over the caller's
     segment references); internally the references live until cumulative
-    ACK, not DMA completion. *)
+    ACK, not DMA completion. Like UDP, an inline send raises
+    [Invalid_argument] if its [head] is shorter than
+    {!transport_headroom}. *)
 val transport : Stack.t -> Net.Transport.t
 
 (** Protocol constants, exposed for tests. *)
@@ -97,7 +102,7 @@ val initial_rto_ns : int
 (** Bytes of the [u32] record-length prefix ([transport]'s framing). *)
 val record_prefix_len : int
 
-(** Headroom [transport] requires in the first inline gather segment:
+(** Headroom [transport] requires at the front of an inline send's [head]:
     packet header + TCP header + record prefix. *)
 val transport_headroom : int
 

@@ -303,8 +303,8 @@ let test_completion_loss_pins_refs_until_reap () =
   let nic = Net.Endpoint.nic env.Test_env.a in
   Nic.Device.set_completion_fault nic lose_all;
   let staging = Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len in
-  Net.Endpoint.send_inline_header env.Test_env.a ~dst:2
-    ~segments:[ staging; value ];
+  Net.Endpoint.send_inline env.Test_env.a ~dst:2
+    ~head:staging ~zc:[| value |] ~zc_n:1;
   Sim.Engine.run_all env.Test_env.engine;
   (* the wire side still delivered (egress is unaffected)... *)
   Alcotest.(check int) "delivered" 1 (Queue.length env.Test_env.received_at_b);
@@ -331,8 +331,8 @@ let test_lost_completion_flags_stuck_hold () =
       let staging =
         Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len
       in
-      Net.Endpoint.send_inline_header env.Test_env.a ~dst:2
-        ~segments:[ staging; value ];
+      Net.Endpoint.send_inline env.Test_env.a ~dst:2
+        ~head:staging ~zc:[| value |] ~zc_n:1;
       Sim.Engine.run_all env.Test_env.engine;
       (* a quiesce with the CQE still lost is a ledger hazard *)
       Alcotest.(check bool) "stuck holds flagged" true

@@ -19,8 +19,8 @@ let make_fixture ~service_cycles =
       Bytes.blit_string s 0 sv.Mem.View.data
         (sv.Mem.View.off + Net.Packet.header_len)
         (String.length s);
-      Net.Endpoint.send_inline_header rig.Apps.Rig.server_ep ~dst:src
-        ~segments:[ staging ];
+      Net.Endpoint.send_inline rig.Apps.Rig.server_ep ~dst:src
+        ~head:staging ~zc:[||] ~zc_n:0;
       Mem.Pinned.Buf.decr_ref ~cpu:none buf);
   rig
 
@@ -113,8 +113,8 @@ let test_held_sends_are_delayed () =
   let staging =
     Net.Endpoint.alloc_tx rig.Apps.Rig.server_ep ~len:(Net.Packet.header_len + 4)
   in
-  Net.Endpoint.send_inline_header rig.Apps.Rig.server_ep ~dst:100
-    ~segments:[ staging ];
+  Net.Endpoint.send_inline rig.Apps.Rig.server_ep ~dst:100
+    ~head:staging ~zc:[||] ~zc_n:0;
   Net.Endpoint.release_hold rig.Apps.Rig.server_ep ~after:5_000;
   Sim.Engine.run_all engine;
   (* One-way fabric delay is 850 ns; with the 5 us hold the packet cannot

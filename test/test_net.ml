@@ -34,8 +34,8 @@ let test_completion_releases_segments () =
   let staging =
     Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len
   in
-  Net.Endpoint.send_inline_header env.Test_env.a ~dst:2
-    ~segments:[ staging; value ];
+  Net.Endpoint.send_inline env.Test_env.a ~dst:2
+    ~head:staging ~zc:[| value |] ~zc_n:1;
   Alcotest.(check int) "held during flight" 2 (Mem.Pinned.Buf.refcount value);
   let _src, buf = Test_env.catch env in
   Mem.Pinned.Buf.decr_ref ~cpu:none buf;
@@ -189,8 +189,8 @@ let test_batched_completion_releases_segments () =
   Mem.Pinned.Buf.incr_ref ~cpu:none v2;
   let s1 = Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len in
   let s2 = Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len in
-  Net.Endpoint.send_inline_header env.Test_env.a ~dst:2 ~segments:[ s1; v1 ];
-  Net.Endpoint.send_inline_header env.Test_env.a ~dst:2 ~segments:[ s2; v2 ];
+  Net.Endpoint.send_inline env.Test_env.a ~dst:2 ~head:s1 ~zc:[| v1 |] ~zc_n:1;
+  Net.Endpoint.send_inline env.Test_env.a ~dst:2 ~head:s2 ~zc:[| v2 |] ~zc_n:1;
   Alcotest.(check int) "held while parked in the batch" 2
     (Mem.Pinned.Buf.refcount v1);
   Sim.Engine.run_all env.Test_env.engine;

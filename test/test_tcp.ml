@@ -437,4 +437,229 @@ let extra_suite =
       test_faultline_loss_plan_stream_intact;
   ]
 
-let suite = suite @ extra_suite
+(* --- The transport surface ([Tcp.transport]) ------------------------------ *)
+
+(* A connected transport from stack [a] to stack [b], with [b]'s messages
+   collected. *)
+let transport_env () =
+  let env = make () in
+  let inbox = collect_messages env.b in
+  let tr = Tcp.transport env.a in
+  Net.Transport.connect tr ~peer:2;
+  Sim.Engine.run_all env.engine;
+  (env, tr, inbox)
+
+let conn_to_b env =
+  match Tcp.Stack.conn env.a ~peer:2 with
+  | Some c -> c
+  | None -> Alcotest.fail "no connection to peer 2"
+
+(* A staging head: [headroom] scratch bytes, then [body]. *)
+let head_with tr ~headroom body =
+  let ep = Net.Transport.endpoint tr in
+  let head =
+    Net.Endpoint.alloc_tx ep ~len:(headroom + String.length body)
+  in
+  Mem.Pinned.Buf.fill_substring ~cpu:none
+    (Mem.Pinned.Buf.sub head ~off:headroom ~len:(String.length body))
+    body ~src_off:0 ~len:(String.length body);
+  head
+
+(* A zero-copy segment the caller keeps a handle on: refcount 2, one of
+   which the send takes over. *)
+let zc_seg pool s =
+  let b = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:(String.length s) in
+  Mem.Pinned.Buf.fill ~cpu:none b s;
+  Mem.Pinned.Buf.incr_ref ~cpu:none b;
+  b
+
+let ack_blackhole () =
+  Faults.Plan.make ~seed:7
+    [
+      {
+        Faults.Plan.fault = Faults.Plan.Drop;
+        schedule = Faults.Plan.Probability 1.0;
+        scope = Faults.Plan.Endpoint 1;
+      };
+    ]
+
+(* Head + two zero-copy segments through the transport: one frame on the
+   wire, the record byte-exact at the peer, and the zero-copy references
+   pinned past the NIC completion until the ACK. Slots past [zc_n] are not
+   sent. *)
+let test_transport_fast_path_one_frame () =
+  let env, tr, inbox = transport_env () in
+  let pool = data_pool env in
+  let ep = Net.Transport.endpoint tr in
+  let z1 = zc_seg pool (String.make 300 'x') in
+  let z2 = zc_seg pool (String.make 200 'y') in
+  let unused = zc_seg pool "not sent" in
+  let head = head_with tr ~headroom:Tcp.transport_headroom "head:" in
+  (* Sever the ACK path, so completion fires but the ACK never returns. *)
+  Net.Fabric.set_injector env.fabric
+    (Some (Faults.Injector.create (ack_blackhole ())));
+  let tx0 = Net.Endpoint.tx_packets ep in
+  Net.Transport.send_inline tr ~dst:2 ~head ~zc:[| z1; z2; unused |] ~zc_n:2;
+  (* Short of the initial RTO: no retransmission yet. *)
+  Sim.Engine.run env.engine ~until:(Sim.Engine.now env.engine + 150_000);
+  Alcotest.(check int) "one frame on the wire" 1
+    (Net.Endpoint.tx_packets ep - tx0);
+  Alcotest.(check int) "completion fired" 0
+    (Nic.Device.in_flight (Net.Endpoint.nic ep));
+  Alcotest.(check int) "one record" 1 (Queue.length inbox);
+  Alcotest.(check string) "byte-exact"
+    ("head:" ^ String.make 300 'x' ^ String.make 200 'y')
+    (Queue.take inbox);
+  Alcotest.(check int) "z1 pinned until ack" 2 (Mem.Pinned.Buf.refcount z1);
+  Alcotest.(check int) "z2 pinned until ack" 2 (Mem.Pinned.Buf.refcount z2);
+  Alcotest.(check int) "slot past zc_n untouched" 2
+    (Mem.Pinned.Buf.refcount unused);
+  Net.Fabric.set_injector env.fabric None;
+  Sim.Engine.run_all env.engine;
+  Alcotest.(check int) "z1 released once acked" 1 (Mem.Pinned.Buf.refcount z1);
+  Alcotest.(check int) "z2 released once acked" 1 (Mem.Pinned.Buf.refcount z2);
+  Alcotest.(check int) "fully acked" 0
+    (Tcp.Conn.unacked_bytes (conn_to_b env));
+  Alcotest.(check int) "delivered once" 0 (Queue.length inbox);
+  List.iter (Mem.Pinned.Buf.decr_ref ~cpu:none) [ z1; z2; unused; unused ]
+
+(* A fast-path frame lost once is retransmitted from the frame's own
+   gather: the retransmission is byte-identical to the first transmission,
+   and a RefSan-sanitized run quiesces clean. *)
+let test_transport_fast_path_retransmit () =
+  let was = Sanitizer.Refsan.is_enabled () in
+  Sanitizer.Refsan.reset ();
+  Sanitizer.Refsan.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Sanitizer.Refsan.set_enabled was;
+      Sanitizer.Refsan.reset ())
+    (fun () ->
+      let env, tr, inbox = transport_env () in
+      let pool = data_pool env in
+      let ep = Net.Transport.endpoint tr in
+      let frames = ref [] in
+      Nic.Device.set_on_wire (Net.Endpoint.nic ep) (fun frame ->
+          frames :=
+            Bytes.sub_string (Nic.Device.wire_bytes frame) 0
+              (Nic.Device.wire_len frame)
+            :: !frames;
+          Net.Fabric.inject env.fabric frame);
+      let plan =
+        Faults.Plan.make ~seed:3
+          [
+            {
+              Faults.Plan.fault = Faults.Plan.Drop;
+              schedule = Faults.Plan.One_shot { at_event = 1 };
+              scope = Faults.Plan.Endpoint 2;
+            };
+          ]
+      in
+      Net.Fabric.set_injector env.fabric (Some (Faults.Injector.create plan));
+      let z = zc_seg pool (String.make 700 'r') in
+      let head = head_with tr ~headroom:Tcp.transport_headroom "rtx:" in
+      Net.Transport.send_inline tr ~dst:2 ~head ~zc:[| z |] ~zc_n:1;
+      Sim.Engine.run_all env.engine;
+      Alcotest.(check int) "one retransmission" 1
+        (Tcp.Conn.retransmissions (conn_to_b env));
+      (match !frames with
+      | [ retransmitted; first ] ->
+          Alcotest.(check string) "retransmission byte-identical" first
+            retransmitted
+      | l -> Alcotest.failf "expected 2 frames, saw %d" (List.length l));
+      Alcotest.(check int) "delivered once" 1 (Queue.length inbox);
+      Alcotest.(check string) "intact" ("rtx:" ^ String.make 700 'r')
+        (Queue.take inbox);
+      Alcotest.(check int) "released once acked" 1 (Mem.Pinned.Buf.refcount z);
+      Mem.Pinned.Buf.decr_ref ~cpu:none z;
+      Sim.Engine.quiesce env.engine;
+      Alcotest.(check int) "refsan: no leaked buffers" 0
+        (List.length (Sanitizer.Refsan.leaks ()));
+      Alcotest.(check int) "refsan: no hazards" 0
+        (Sanitizer.Refsan.hazard_count ()))
+
+(* A record above the MSS sent through the transport falls back to
+   segmentation and arrives intact. *)
+let test_transport_large_record_segmented () =
+  let env, tr, inbox = transport_env () in
+  let pool = data_pool env in
+  let ep = Net.Transport.endpoint tr in
+  let big = String.init 12_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let z = zc_seg pool big in
+  let head = head_with tr ~headroom:Tcp.transport_headroom "big:" in
+  let tx0 = Net.Endpoint.tx_packets ep in
+  Net.Transport.send_inline tr ~dst:2 ~head ~zc:[| z |] ~zc_n:1;
+  Sim.Engine.run_all env.engine;
+  Alcotest.(check bool) "segmented into several frames" true
+    (Net.Endpoint.tx_packets ep - tx0 >= 2);
+  Alcotest.(check int) "one record" 1 (Queue.length inbox);
+  Alcotest.(check string) "intact" ("big:" ^ big) (Queue.take inbox);
+  Alcotest.(check int) "released once acked" 1 (Mem.Pinned.Buf.refcount z);
+  Mem.Pinned.Buf.decr_ref ~cpu:none z
+
+(* [tr_send_extra] carries no headroom: every byte of the head and of the
+   zero-copy segments is record payload. *)
+let test_transport_send_extra () =
+  let env, tr, inbox = transport_env () in
+  let pool = data_pool env in
+  let z = zc_seg pool (String.make 64 'e') in
+  let head = head_with tr ~headroom:0 "extra-head|" in
+  Net.Transport.send_extra tr ~dst:2 ~head ~zc:[| z |] ~zc_n:1;
+  Sim.Engine.run_all env.engine;
+  Alcotest.(check int) "one record" 1 (Queue.length inbox);
+  Alcotest.(check string) "intact" ("extra-head|" ^ String.make 64 'e')
+    (Queue.take inbox);
+  Alcotest.(check int) "released once acked" 1 (Mem.Pinned.Buf.refcount z);
+  Mem.Pinned.Buf.decr_ref ~cpu:none z
+
+(* An inline head shorter than the transport's headroom is rejected the
+   same way on both transports, even when the zero-copy segments make the
+   gather long enough: nothing goes on the wire and the caller keeps every
+   reference. *)
+let test_short_head_rejected () =
+  let env = make () in
+  let pool = data_pool env in
+  let _inbox = collect_messages env.b in
+  let tcp = Tcp.transport env.a in
+  Net.Transport.connect tcp ~peer:2;
+  Sim.Engine.run_all env.engine;
+  let udp = Net.Endpoint.transport (Tcp.Stack.endpoint env.b) in
+  List.iter
+    (fun (tr, dst) ->
+      let ep = Net.Transport.endpoint tr in
+      let head = head_with tr ~headroom:(Net.Transport.headroom tr - 1) "" in
+      let z = zc_seg pool (String.make 100 's') in
+      let tx0 = Net.Endpoint.tx_packets ep in
+      (match Net.Transport.send_inline tr ~dst ~head ~zc:[| z |] ~zc_n:1 with
+      | () -> Alcotest.failf "%s: short head accepted" (Net.Transport.name tr)
+      | exception Invalid_argument _ -> ());
+      Sim.Engine.run_all env.engine;
+      Alcotest.(check int)
+        (Net.Transport.name tr ^ ": nothing sent")
+        0
+        (Net.Endpoint.tx_packets ep - tx0);
+      Alcotest.(check int)
+        (Net.Transport.name tr ^ ": head reference kept")
+        1
+        (Mem.Pinned.Buf.refcount head);
+      Alcotest.(check int)
+        (Net.Transport.name tr ^ ": zero-copy references kept")
+        2 (Mem.Pinned.Buf.refcount z);
+      List.iter (Mem.Pinned.Buf.decr_ref ~cpu:none) [ head; z; z ])
+    [ (udp, 1); (tcp, 2) ]
+
+let transport_suite =
+  [
+    Alcotest.test_case "transport fast path: one frame, pinned until ack"
+      `Quick test_transport_fast_path_one_frame;
+    Alcotest.test_case "transport fast path: one-shot drop retransmits"
+      `Quick test_transport_fast_path_retransmit;
+    Alcotest.test_case "transport: record above mss segmented" `Quick
+      test_transport_large_record_segmented;
+    Alcotest.test_case "transport: send_extra delivers" `Quick
+      test_transport_send_extra;
+    Alcotest.test_case "short inline head rejected on udp and tcp" `Quick
+      test_short_head_rejected;
+  ]
+
+let suite = suite @ extra_suite @ transport_suite
