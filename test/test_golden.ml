@@ -273,10 +273,80 @@ let test_cost_digest () =
   Alcotest.(check bool) "tcp: the plan dropped packets" true (dropped > 0);
   Alcotest.(check string) "tcp meter digest" cost_digest_tcp tcp
 
+(* --- golden cache hit levels ---------------------------------------------- *)
+
+(* A seeded trace of 10^6 operations over a private hierarchy and a pair
+   of hierarchies sharing one L3: single-line accesses that walk a cursor
+   at mixed strides, hit a hot range, jump, or touch lines above 2^40,
+   interleaved with DDIO installs. The level each access hits is digested
+   per geometry; the digests were recorded from the stamp-LRU simulator,
+   so any change to a simulated hit, miss or eviction shows up here. *)
+
+let hit_digest_default = "06c6a9d7800b69994effe2e33b711065"
+
+let hit_digest_odd_sets = "139895de84a595002dd35fc6fd0dd7a8"
+
+(* 5, 15 and 60 sets: no level has a power-of-two set count. *)
+let odd_sets =
+  let level ~sets ~ways =
+    { Memmodel.Params.size_bytes = sets * ways * 64; ways; line_bytes = 64 }
+  in
+  {
+    Memmodel.Params.default with
+    l1 = level ~sets:5 ~ways:2;
+    l2 = level ~sets:15 ~ways:4;
+    l3 = level ~sets:60 ~ways:8;
+  }
+
+let hit_trace ?(ops = 1_000_000) (p : Memmodel.Params.t) =
+  let module H = Memmodel.Cache.Hierarchy in
+  let rng = Sim.Rng.create ~seed:31 in
+  let own = H.create p in
+  let l3 = Memmodel.Cache.create p.Memmodel.Params.l3 in
+  let left = H.create_shared p ~l3 and right = H.create_shared p ~l3 in
+  let region = 4 * p.Memmodel.Params.l3.Memmodel.Params.size_bytes in
+  let strides = [| 1; 8; 64; 72; 256; 4096 |] in
+  let out = Buffer.create ops in
+  let cursor = ref 0 in
+  let record level =
+    Buffer.add_char out
+      (match level with
+      | Memmodel.Cache.L1 -> '1'
+      | Memmodel.Cache.L2 -> '2'
+      | Memmodel.Cache.L3 -> '3'
+      | Memmodel.Cache.Dram -> 'D')
+  in
+  for _ = 1 to ops do
+    let h =
+      match Sim.Rng.int rng 4 with 0 -> left | 1 -> right | _ -> own
+    in
+    match Sim.Rng.int rng 16 with
+    | k when k < 9 ->
+        cursor := (!cursor + strides.(Sim.Rng.int rng 6)) mod region;
+        record (H.access_line h ~addr:!cursor)
+    | k when k < 12 -> record (H.access_line h ~addr:(Sim.Rng.int rng 8192))
+    | k when k < 14 ->
+        cursor := Sim.Rng.int rng region;
+        record (H.access_line h ~addr:!cursor)
+    | 14 -> record (H.access_line h ~addr:((1 lsl 46) + Sim.Rng.int rng region))
+    | _ ->
+        H.install_l3 h ~addr:(Sim.Rng.int rng region)
+          ~len:(1 + Sim.Rng.int rng 2048);
+        Buffer.add_char out 'i'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents out))
+
+let test_hit_levels () =
+  Alcotest.(check string) "default geometry" hit_digest_default
+    (hit_trace Memmodel.Params.default);
+  Alcotest.(check string) "odd set counts" hit_digest_odd_sets
+    (hit_trace odd_sets)
+
 let suite =
   [
     Alcotest.test_case "golden frames, generic and folded" `Quick test_golden_frames;
     QCheck_alcotest.to_alcotest qcheck_by_name_equals_by_index;
     Alcotest.test_case "golden server meter, udp and lossy tcp" `Quick
       test_cost_digest;
+    Alcotest.test_case "golden cache hit levels" `Quick test_hit_levels;
   ]
