@@ -142,7 +142,7 @@ let stream t cat ~addr ~len =
        byte range in the simulation. *)
     for line = first to last do
       add t i
-        (match Cache.Hierarchy.access_line t.hier ~addr:(line * lb) with
+        (match Cache.Hierarchy.access t.hier ~line with
         | Cache.L1 -> p.stream_l1
         | Cache.L2 -> p.stream_l2
         | Cache.L3 -> p.stream_l3
@@ -174,5 +174,3 @@ let reset_breakdown t = if t.metered then Array.fill t.acc 0 total_index 0.0
 
 let install_dma t ~addr ~len =
   if t.metered then Cache.Hierarchy.install_l3 t.hier ~addr ~len
-
-let clear_caches t = if t.metered then Cache.Hierarchy.clear t.hier

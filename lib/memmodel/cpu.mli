@@ -89,6 +89,3 @@ val reset_breakdown : t -> unit
 (** [install_dma t ~addr ~len] models device DMA with DDIO: the written
     lines land in the shared L3, free of CPU cycles. *)
 val install_dma : t -> addr:int -> len:int -> unit
-
-(** Drop all cache state (used between experiment repetitions). *)
-val clear_caches : t -> unit

@@ -289,6 +289,7 @@ let make_benchmarks ~seed () =
   let zipf = Sim.Dist.Zipf.create ~n:1_000_000 ~s:0.99 in
   let zipf_rng = Sim.Rng.create ~seed in
   let cache_cpu = Memmodel.Cpu.create Memmodel.Params.default in
+  let miss_addr = ref 0 in
   [
     {
       name = "protobuf-encode";
@@ -497,6 +498,17 @@ let make_benchmarks ~seed () =
       fn =
         (fun () ->
           Memmodel.Cpu.stream cache_cpu Memmodel.Cpu.Copy ~addr:(1 lsl 22)
+            ~len:2048);
+    };
+    (* The miss path: each op streams the next 2 KB of a 128 MB region,
+       four times the default L3, so every line misses L1, L2 and L3. *)
+    {
+      name = "cache-hierarchy-stream-miss";
+      tracked = true;
+      fn =
+        (fun () ->
+          miss_addr := (!miss_addr + 2048) land ((1 lsl 27) - 1);
+          Memmodel.Cpu.stream cache_cpu Memmodel.Cpu.Copy ~addr:!miss_addr
             ~len:2048);
     };
   ]

@@ -124,6 +124,125 @@ let qcheck_cache_never_grows =
       in
       resident <= 2)
 
+let words_over n f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* --- the recency-ordered sets against a reference LRU --------------------- *)
+
+module Cache = Memmodel.Cache
+
+(* The reference model: per set, the resident lines as a list, most
+   recent first. *)
+let reference_access sets ~ways ~line =
+  let s = (line land max_int) mod Array.length sets in
+  let hit = List.mem line sets.(s) in
+  let rest = List.filter (fun l -> l <> line) sets.(s) in
+  sets.(s) <- List.filteri (fun i _ -> i < ways) (line :: rest);
+  hit
+
+let reference_probe sets ~line =
+  List.mem line sets.((line land max_int) mod Array.length sets)
+
+(* (ways, sets, ops): an op is a probe or an access of a line, drawn from
+   about three times the cache's capacity, half of them above 2^40. *)
+let gen_cache_case =
+  QCheck.Gen.(
+    let* ways = int_range 1 16 in
+    let* sets =
+      oneof [ map (fun k -> 1 lsl k) (int_range 0 6); int_range 1 70 ]
+    in
+    let span = 3 * sets * ways in
+    let* ops =
+      list_size (int_range 0 600)
+        (pair (int_bound 3)
+           (map2
+              (fun high l -> if high then (1 lsl 40) + l else l)
+              bool (int_bound span)))
+    in
+    return (ways, sets, List.map (fun (k, line) -> (k = 0, line)) ops))
+
+let print_cache_case (ways, sets, ops) =
+  Printf.sprintf "%d ways x %d sets, %d ops: %s" ways sets (List.length ops)
+    (String.concat " "
+       (List.map
+          (fun (probe, l) -> (if probe then "p" else "a") ^ string_of_int l)
+          ops))
+
+(* Every access and probe answers as the reference does, and a second
+   cache that sees only the accesses answers them identically: a probe
+   changes no later result. *)
+let qcheck_cache_matches_reference =
+  QCheck.Test.make ~name:"cache = reference LRU; probe has no effect"
+    ~count:300
+    (QCheck.make ~print:print_cache_case gen_cache_case)
+    (fun (ways, sets, ops) ->
+      let g = { Memmodel.Params.size_bytes = sets * ways * 64; ways; line_bytes = 64 } in
+      let probed = Cache.create g and unprobed = Cache.create g in
+      let model = Array.make sets [] in
+      List.for_all
+        (fun (probe, line) ->
+          if probe then Cache.probe probed ~line = reference_probe model ~line
+          else
+            let expected = reference_access model ~ways ~line in
+            Cache.access probed ~line = expected
+            && Cache.access unprobed ~line = expected)
+        ops)
+
+let test_cache_allocates_nothing () =
+  let c = Cache.create params.Memmodel.Params.l3 in
+  let line = ref 0 in
+  let words =
+    words_over 10_000 (fun () ->
+        line := !line + 4099;
+        ignore (Cache.access c ~line:!line))
+  in
+  if words > 8.0 then
+    Alcotest.failf "Cache.access: %.0f minor words over 10^4 calls" words;
+  let cpu = Memmodel.Cpu.create params in
+  let addr = ref 0 in
+  let words =
+    words_over 10_000 (fun () ->
+        addr := (!addr + 2048) land ((1 lsl 28) - 1);
+        Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:!addr ~len:2048)
+  in
+  if words > 8.0 then
+    Alcotest.failf "Cpu.stream: %.0f minor words over 10^4 calls" words
+
+let test_geometry_checked () =
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  let g = small_geometry in
+  raises "no ways" (fun () -> Cache.create { g with ways = 0 });
+  raises "no line" (fun () -> Cache.create { g with line_bytes = 0 });
+  raises "smaller than one set" (fun () ->
+      Cache.create { g with size_bytes = (g.ways * g.line_bytes) - 1 });
+  let wide = { params.Memmodel.Params.l2 with line_bytes = 128 } in
+  raises "l2 line differs" (fun () ->
+      Cache.Hierarchy.create { params with l2 = wide });
+  raises "l3 line differs" (fun () ->
+      Cache.Hierarchy.create
+        { params with l3 = { params.Memmodel.Params.l3 with line_bytes = 128 } });
+  raises "shared l3 line differs" (fun () ->
+      Cache.Hierarchy.create_shared params
+        ~l3:(Cache.create { small_geometry with line_bytes = 128; size_bytes = 4096 }));
+  (* The smallest geometries in use stay valid: one set of one way (the
+     unmetered meter's levels) and one full set. *)
+  let one = { Memmodel.Params.size_bytes = 64; ways = 1; line_bytes = 64 } in
+  Alcotest.(check bool) "one line" false (Cache.access (Cache.create one) ~line:9);
+  Alcotest.(check bool) "one set" false
+    (Cache.access (Cache.create { g with size_bytes = 128 }) ~line:9);
+  ignore (Cache.Hierarchy.create { params with l1 = one; l2 = one; l3 = one })
+
 (* --- the unmetered meter ------------------------------------------------- *)
 
 module Cpu = Memmodel.Cpu
@@ -156,8 +275,7 @@ let touch_all cpu =
   Cpu.stream cpu Cpu.Copy ~addr:(1 lsl 22) ~len:4096;
   Cpu.latency_access cpu Cpu.Rx ~addr:(1 lsl 23);
   Cpu.install_dma cpu ~addr:(1 lsl 24) ~len:1024;
-  Cpu.reset_breakdown cpu;
-  Cpu.clear_caches cpu
+  Cpu.reset_breakdown cpu
 
 let test_none_stays_zero () =
   Alcotest.(check bool) "unmetered" false (Cpu.metered Cpu.none);
@@ -171,16 +289,6 @@ let test_none_stays_zero () =
   let cpu = Cpu.create params in
   touch_all cpu;
   Alcotest.(check bool) "metered moves" true (Cpu.cycles cpu > 0.0)
-
-let words_over n f =
-  for _ = 1 to 100 do
-    f ()
-  done;
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    f ()
-  done;
-  Gc.minor_words () -. w0
 
 (* 10^4 rounds of every call: nothing but the [Gc.minor_words] readings
    themselves may allocate. The metered meter's charges are unboxed too. *)
@@ -234,6 +342,11 @@ let suite =
     Alcotest.test_case "shared l3" `Quick test_shared_l3;
     Alcotest.test_case "cycles to ns" `Quick test_cycles_to_ns;
     QCheck_alcotest.to_alcotest qcheck_cache_never_grows;
+    QCheck_alcotest.to_alcotest qcheck_cache_matches_reference;
+    Alcotest.test_case "cache and stream allocate nothing" `Quick
+      test_cache_allocates_nothing;
+    Alcotest.test_case "geometry and line sizes checked" `Quick
+      test_geometry_checked;
     Alcotest.test_case "none stays at zero" `Quick test_none_stays_zero;
     Alcotest.test_case "charges allocate nothing" `Quick
       test_charges_allocate_nothing;
