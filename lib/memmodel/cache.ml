@@ -13,7 +13,10 @@ type t = {
 let invalid = -1
 
 let create (g : Params.cache_geometry) =
-  if g.ways <= 0 || g.line_bytes <= 0 || g.size_bytes < g.ways * g.line_bytes
+  if
+    g.ways <= 0 || g.line_bytes <= 0
+    || g.line_bytes land (g.line_bytes - 1) <> 0
+    || g.size_bytes < g.ways * g.line_bytes
   then
     invalid_arg
       (Printf.sprintf "Cache.create: %d B in %d ways of %d B lines" g.size_bytes
@@ -67,7 +70,12 @@ let probe t ~line =
   resident t.tags line base (base + t.ways)
 
 module Hierarchy = struct
-  type h = { l1 : t; l2 : t; l3 : t; line_bytes : int }
+  (* [line_shift] is log2 of the shared line size: an address's line is
+     [addr lsr line_shift], the same as [addr / line_bytes] for the
+     non-negative addresses of the simulated address space. *)
+  type h = { l1 : t; l2 : t; l3 : t; line_shift : int }
+
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1)
 
   (* These lets are not recursive: the [create] and [access] in their
      bodies are the single-level ones above. *)
@@ -77,18 +85,18 @@ module Hierarchy = struct
       invalid_arg
         (Printf.sprintf "Cache.Hierarchy: line sizes differ (%d/%d/%d B)"
            line_bytes p.l2.line_bytes l3.line_bytes);
-    { l1 = create p.l1; l2 = create p.l2; l3; line_bytes }
+    { l1 = create p.l1; l2 = create p.l2; l3; line_shift = log2 line_bytes }
 
   let create (p : Params.t) = create_shared p ~l3:(create p.l3)
 
-  let line_bytes h = h.line_bytes
+  let line_shift h = h.line_shift
 
   (* DDIO: device DMA installs lines into the LLC without touching the
      private levels and without costing CPU cycles. *)
   let install_l3 h ~addr ~len =
     if len > 0 then begin
-      let first = addr / h.line_bytes in
-      let last = (addr + len - 1) / h.line_bytes in
+      let first = addr lsr h.line_shift in
+      let last = (addr + len - 1) lsr h.line_shift in
       for line = first to last do
         ignore (access h.l3 ~line)
       done
@@ -101,5 +109,5 @@ module Hierarchy = struct
     else Dram
   [@@alloc_free]
 
-  let access_line h ~addr = access h ~line:(addr / h.line_bytes)
+  let access_line h ~addr = access h ~line:(addr lsr h.line_shift)
 end

@@ -1,8 +1,9 @@
 (** Set-associative cache level with exact LRU replacement.
 
-    Tags are simulated line addresses (byte address / line size). A
-    [Hierarchy.h] composes three levels (inclusive fill) and classifies each
-    access by the level it hits, which the cost model prices.
+    Tags are simulated line addresses (byte address / line size, a power
+    of two). A [Hierarchy.h] composes three levels (inclusive fill) and
+    classifies each access by the level it hits, which the cost model
+    prices.
 
     Each set keeps its ways in recency order, most recent first. A hit at
     way [k] moves ways [0..k-1] down by one and writes the line at way 0; a
@@ -25,8 +26,8 @@ type level = L1 | L2 | L3 | Dram
 type t
 
 (** [create g] has [g.size_bytes / g.line_bytes / g.ways] sets. Raises
-    [Invalid_argument] unless [g.ways > 0], [g.line_bytes > 0] and
-    [g.size_bytes >= g.ways * g.line_bytes]. *)
+    [Invalid_argument] unless [g.ways > 0], [g.line_bytes] is a power of
+    two and [g.size_bytes >= g.ways * g.line_bytes]. *)
 val create : Params.cache_geometry -> t
 
 (** [access t ~line] probes (and on miss, fills) the cache for a line
@@ -48,12 +49,13 @@ module Hierarchy : sig
       size differs from [params]' L1 or L2. *)
   val create_shared : Params.t -> l3:t -> h
 
-  (** Cache-line size shared by the three levels, for callers that walk a
-      byte range line by line themselves. *)
-  val line_bytes : h -> int
+  (** log2 of the cache-line size shared by the three levels, for callers
+      that walk a byte range line by line themselves: the line of a
+      non-negative address is [addr lsr line_shift h]. *)
+  val line_shift : h -> int
 
-  (** [access h ~line] touches line number [line] (byte address /
-      [line_bytes h]) and returns the level it hit. *)
+  (** [access h ~line] touches line number [line] (byte address lsr
+      [line_shift h]) and returns the level it hit. *)
   val access : h -> line:int -> level
 
   (** [access_line h ~addr] touches the single line containing [addr] and

@@ -135,8 +135,8 @@ let stream t cat ~addr ~len =
   if t.metered && len > 0 then begin
     let p = t.params in
     let i = category_index cat in
-    let lb = Cache.Hierarchy.line_bytes t.hier in
-    let first = addr / lb and last = (addr + len - 1) / lb in
+    let shift = Cache.Hierarchy.line_shift t.hier in
+    let first = addr lsr shift and last = (addr + len - 1) lsr shift in
     (* Accumulate straight into the unboxed slots: no per-level counters,
        no tuple, no boxed intermediate — this loop runs for every metered
        byte range in the simulation. *)

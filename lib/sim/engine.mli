@@ -10,6 +10,12 @@ type t
 
 val create : unit -> t
 
+(** Scheduling delay, in ns, from which an event waits in the engine's
+    second, far-future queue (retransmit and reaper timers) instead of the
+    queue of imminent events. The split only speeds up the event loop:
+    events fire in [(time, scheduling order)] whichever queue holds them. *)
+val horizon : int
+
 (** [now t] is the current simulated time in nanoseconds. *)
 val now : t -> int
 
@@ -29,7 +35,7 @@ val run : t -> until:int -> unit
 (** [run_all t] drains the event queue completely. *)
 val run_all : t -> unit
 
-(** [pending t] is the number of queued events. *)
+(** [pending t] is the number of queued events, near and far. *)
 val pending : t -> int
 
 (** [add_quiesce_hook t f] registers [f] to run at {!quiesce}, after the

@@ -4,9 +4,11 @@
     the same instant must fire in scheduling order, so the key is the pair of
     the event time and a monotonically increasing sequence number.
 
-    Keys and payloads are kept in parallel arrays, so {!push} and
-    {!pop_into} allocate nothing once the arrays have grown to the peak
-    queue length. *)
+    The heap arrays hold only ints — each entry's key and the index of its
+    payload's slot in a separate slot table — so sifting moves no pointer.
+    {!push} writes the payload into a free slot once and a pop clears it
+    once; neither allocates once the arrays have grown to the peak queue
+    length. *)
 
 type 'a t
 
@@ -34,3 +36,8 @@ val pop_into : 'a t -> (int -> 'a -> unit) -> bool
 (** [min_time heap] is the time of the minimum element. Raises
     [Invalid_argument] on an empty heap. *)
 val min_time : 'a t -> int
+
+(** [min_seq heap] is the sequence number of the minimum element: with
+    {!min_time}, the key that orders the roots of two heaps. Raises
+    [Invalid_argument] on an empty heap. *)
+val min_seq : 'a t -> int

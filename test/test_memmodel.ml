@@ -224,6 +224,10 @@ let test_geometry_checked () =
   let g = small_geometry in
   raises "no ways" (fun () -> Cache.create { g with ways = 0 });
   raises "no line" (fun () -> Cache.create { g with line_bytes = 0 });
+  (* Lines are found by shifting the address, so the size is a power of
+     two. *)
+  raises "line not a power of two" (fun () ->
+      Cache.create { g with line_bytes = 48 });
   raises "smaller than one set" (fun () ->
       Cache.create { g with size_bytes = (g.ways * g.line_bytes) - 1 });
   let wide = { params.Memmodel.Params.l2 with line_bytes = 128 } in

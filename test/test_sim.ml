@@ -195,29 +195,147 @@ let test_heap_releases_payloads () =
   (* The heap itself must stay live across the collection. *)
   Alcotest.(check int) "drained" 0 (Sim.Heap.length (Sys.opaque_identity h))
 
-(* The event loop's own cost: once the heap has grown, scheduling and
-   firing an event through a continuation built once allocates nothing. *)
+(* The event loop's own cost: once both heaps have grown, scheduling and
+   firing an event through a continuation built once allocates nothing,
+   for a near event and for a far timer alike. *)
 let test_engine_prealloc_alloc_free () =
   let e = Sim.Engine.create () in
-  let fired = ref 0 in
+  let fired = ref 0 and far_fired = ref 0 in
   let rec k () =
     incr fired;
     if !fired < 10_000 then Sim.Engine.schedule e ~after:3 k
   in
-  (* Warm-up: grow the heap arrays. *)
+  let rec far_k () =
+    incr far_fired;
+    if !far_fired < 100 then
+      Sim.Engine.schedule e ~after:(2 * Sim.Engine.horizon) far_k
+  in
+  (* Warm-up: grow the arrays of both heaps. *)
   for _ = 1 to 64 do
-    Sim.Engine.schedule e ~after:1 ignore
+    Sim.Engine.schedule e ~after:1 ignore;
+    Sim.Engine.schedule e ~after:Sim.Engine.horizon ignore
   done;
   Sim.Engine.run_all e;
   let words =
     minor_words_of (fun () ->
         Sim.Engine.schedule e ~after:1 k;
+        Sim.Engine.schedule e ~after:Sim.Engine.horizon far_k;
         Sim.Engine.run_all e)
   in
   Alcotest.(check int) "events fired" 10_000 !fired;
+  Alcotest.(check int) "far timers fired" 100 !far_fired;
   if words > 8 then
-    Alcotest.failf "%d minor words for 10k events (%.4f per event)" words
-      (float_of_int words /. 10_000.)
+    Alcotest.failf "%d minor words for 10,100 events (%.4f per event)" words
+      (float_of_int words /. 10_100.)
+
+(* --- near/far event queue ------------------------------------------------- *)
+
+let horizon = Sim.Engine.horizon
+
+(* Delays on both sides of the horizon, with few enough distinct values
+   that events land on the same instant from both heaps: an event due at
+   [horizon] waits in the far heap when scheduled at time 0, and in the
+   near heap when scheduled at time 7. *)
+let delays =
+  [| 0; 1; 7; horizon - 7; horizon - 1; horizon; horizon + 1; 2 * horizon;
+     5 * horizon |]
+
+(* Roots are scheduled up front; the n-th event to fire schedules the n-th
+   list of [spawns]. Between [run ~until] stops, the fired events are
+   exactly those due by [until], whichever heap holds the next one. At the
+   end, every event fired once, at its time, in the order of a sort by
+   [(time, seq)] — with [seq] the scheduling order, so ties fire FIFO. *)
+let qcheck_engine_order =
+  let delay_index = QCheck.Gen.int_bound (Array.length delays - 1) in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (1 -- 20) delay_index)
+        (list_size (0 -- 40) (list_size (0 -- 2) delay_index))
+        (list_size (0 -- 5) (int_bound (6 * horizon))))
+  in
+  QCheck.Test.make ~name:"engine fires in (time, seq) order across near and far"
+    ~count:300 (QCheck.make gen) (fun (roots, spawns, untils) ->
+      let e = Sim.Engine.create () in
+      let spawns = ref spawns and seq = ref 0 and ok = ref true in
+      let scheduled = ref [] and fired = ref [] in
+      let fired_seqs = Hashtbl.create 64 in
+      let rec schedule i =
+        incr seq;
+        let key = (Sim.Engine.now e + delays.(i), !seq) in
+        scheduled := key :: !scheduled;
+        Sim.Engine.schedule e ~after:delays.(i) (fun () ->
+            if Sim.Engine.now e <> fst key then ok := false;
+            fired := key :: !fired;
+            Hashtbl.replace fired_seqs (snd key) ();
+            match !spawns with
+            | [] -> ()
+            | children :: rest ->
+                spawns := rest;
+                List.iter schedule children)
+      in
+      List.iter schedule roots;
+      List.iter
+        (fun until ->
+          Sim.Engine.run e ~until;
+          List.iter
+            (fun (time, s) ->
+              if Hashtbl.mem fired_seqs s <> (time <= until) then ok := false)
+            !scheduled;
+          let unfired = List.length !scheduled - List.length !fired in
+          if Sim.Engine.now e <> until || Sim.Engine.pending e <> unfired then
+            ok := false)
+        (List.sort compare untils);
+      Sim.Engine.run_all e;
+      !ok
+      && List.rev !fired = List.sort compare !scheduled
+      && Sim.Engine.pending e = 0)
+
+(* A far timer and a near event due at the same instant fire in scheduling
+   order, and [pending] counts the events of both heaps. *)
+let test_engine_near_far () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  Sim.Engine.schedule e ~after:horizon (note "far");
+  Sim.Engine.schedule e ~after:(3 * horizon) (note "far 3h");
+  Sim.Engine.schedule e ~after:7 (fun () ->
+      note "near" ();
+      (* Due with "far", scheduled after it: fires after it. *)
+      Sim.Engine.schedule e ~after:(horizon - 7) (note "near tie"));
+  Sim.Engine.schedule e ~after:(horizon - 1) (note "near h-1");
+  Alcotest.(check int) "pending, near and far" 4 (Sim.Engine.pending e);
+  Sim.Engine.run e ~until:(horizon / 2);
+  Alcotest.(check int) "pending after one fired" 4 (Sim.Engine.pending e);
+  Sim.Engine.run e ~until:horizon;
+  Alcotest.(check (list string)) "order" [ "near"; "near h-1"; "far"; "near tie" ]
+    (List.rev !log);
+  Alcotest.(check int) "pending far" 1 (Sim.Engine.pending e);
+  Sim.Engine.run_all e;
+  Alcotest.(check int) "clock" (3 * horizon) (Sim.Engine.now e);
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending e)
+
+(* Far-heap payloads are released once they fire: the engine keeps no
+   fired timer's closure, or what it captured, reachable. *)
+let test_engine_releases_far_payloads () =
+  let e = Sim.Engine.create () in
+  let weak = Weak.create 8 in
+  let schedule_all () =
+    for i = 0 to 7 do
+      let b = Bytes.make 16 'x' in
+      Weak.set weak i (Some b);
+      Sim.Engine.schedule e ~after:((i + 2) * horizon) (fun () ->
+          ignore (Sys.opaque_identity b))
+    done
+  in
+  schedule_all ();
+  Sim.Engine.run_all e;
+  Gc.full_major ();
+  for i = 0 to 7 do
+    if Weak.check weak i then
+      Alcotest.failf "far timer %d still reachable after it fired" i
+  done;
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending (Sys.opaque_identity e))
 
 (* The id ring under its two growth regimes: a window of occupied ids
    wider than the ring widens it, and an id that is never freed is parked
@@ -338,4 +456,9 @@ let suite =
       test_heap_releases_payloads;
     Alcotest.test_case "engine event through a preallocated continuation allocates nothing"
       `Quick test_engine_prealloc_alloc_free;
+    QCheck_alcotest.to_alcotest qcheck_engine_order;
+    Alcotest.test_case "engine near/far ties and pending" `Quick
+      test_engine_near_far;
+    Alcotest.test_case "engine releases fired far timers" `Quick
+      test_engine_releases_far_payloads;
   ]
