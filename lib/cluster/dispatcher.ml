@@ -13,10 +13,10 @@
      path consumes one reference per zero-copy payload (released on NIC
      completion / cumulative ACK), so handing the slot's reference to the
      stack is a transfer, not a leak.
-   - Sub-threshold values are demoted to arena copies at assembly — the
-     per-shard [Cornflakes.Adaptive] estimator decides, and both of its
-     observation hooks are fed from this path. The slot reference is
-     dropped at demotion.
+   - Sub-threshold values are demoted to arena copies at assembly through
+     [Cornflakes.Adaptive.of_buf] — [Cf_ptr]'s threshold compare at the
+     per-shard learned threshold, which learns from both arms. The slot
+     reference is dropped at demotion.
 
    Pending slots are the only state that lives across handler
    invocations; everything else (arena copies, reader state) dies with
@@ -99,37 +99,21 @@ let fresh_fanout t =
   id
 
 (* Move a retained slot payload into the egress response: the per-source-
-   shard adaptive estimator picks zero-copy (reference handed to the
-   stack) or an arena copy (reference dropped here), and both arms feed
-   the estimator its observation. *)
+   shard adaptive estimator keeps the pinned reference (handed to the
+   stack) or copies into the arena and drops it, and learns from either. *)
 let forward t ~shard_idx (p : Wire.Payload.t) =
-  let cpu = t.cpu in
-  let a = t.adaptives.(shard_idx) in
   match p with
-  | Wire.Payload.Zero_copy b ->
-      let len = Mem.Pinned.Buf.len b in
-      if len >= Cornflakes.Adaptive.threshold a then begin
-        (* Keeping the pinned reference costs nothing now; the stack pays
-           one completion-side SGE release later — that is the zc fixed
-           cost the estimator tracks. *)
-        let prm = Memmodel.Cpu.params cpu in
-        Cornflakes.Adaptive.observe_zc a
-          ~cycles:prm.Memmodel.Params.cost_completion_per_sge;
-        t.zc_forwards <- t.zc_forwards + 1;
-        p
-      end
-      else begin
-        let c0 = Memmodel.Cpu.cycles cpu in
-        let copied =
-          Mem.Arena.copy_in ~cpu ~site:"Dispatcher.demote"
-            (Net.Transport.arena t.tr) (Mem.Pinned.Buf.view b)
-        in
-        Mem.Pinned.Buf.decr_ref ~cpu ~site:"Dispatcher.demote" b;
-        Cornflakes.Adaptive.observe_copy a ~bytes:len
-          ~cycles:(Memmodel.Cpu.cycles cpu -. c0);
-        t.copy_forwards <- t.copy_forwards + 1;
-        Wire.Payload.Copied copied
-      end
+  | Wire.Payload.Zero_copy b -> (
+      match
+        Cornflakes.Adaptive.of_buf ~cpu:t.cpu ~site:"Dispatcher.demote"
+          t.adaptives.(shard_idx) t.ep b
+      with
+      | Wire.Payload.Zero_copy _ as zc ->
+          t.zc_forwards <- t.zc_forwards + 1;
+          zc
+      | copied ->
+          t.copy_forwards <- t.copy_forwards + 1;
+          copied)
   | other -> other
 
 let record_completion t client_id =

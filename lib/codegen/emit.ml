@@ -34,18 +34,18 @@ let default_crossover = 512
 (* Which CFPtr entry does a payload field's setter compile to? A declared
    size bound that lands the whole field on one side of the crossover folds
    the per-field size test away entirely. *)
-type dispatch = Copy_folded | Zc_folded | Table
+type dispatch = Copy_folded | Zc_folded | Compare
 
 let payload_dispatch ~crossover (f : Schema.Desc.field) =
   match (f.Schema.Desc.max_size, f.Schema.Desc.min_size) with
   | Some mx, _ when mx < crossover -> Copy_folded
   | _, Some mn when mn >= crossover -> Zc_folded
-  | _ -> Table
+  | _ -> Compare
 
 let dispatch_ctor = function
   | Copy_folded -> "Cornflakes.Cf_ptr.copy_folded"
   | Zc_folded -> "Cornflakes.Cf_ptr.zc_folded"
-  | Table -> "Cornflakes.Cf_ptr.make"
+  | Compare -> "Cornflakes.Cf_ptr.make"
 
 let dispatch_reason ~crossover (f : Schema.Desc.field) = function
   | Copy_folded ->
@@ -56,7 +56,7 @@ let dispatch_reason ~crossover (f : Schema.Desc.field) = function
       Printf.sprintf "min_size %d >= crossover %d: always zero-copy"
         (Option.get f.Schema.Desc.min_size)
         crossover
-  | Table -> "CFPtr's size-class table decides copy vs zero-copy"
+  | Compare -> "CFPtr's len >= threshold compare decides copy vs zero-copy"
 
 (* Setters and getters address the field by its [idx_*] constant: the
    index API of [Wire.Dyn], with no name lookup and no boxed value. *)

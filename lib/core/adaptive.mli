@@ -11,10 +11,14 @@
       parameters),
 
     and sets [threshold = zc_fixed_cost / copy_cost_per_byte]. Construction
-    costs are measured from the per-core cycle meter around each [make], so
-    the estimate tracks whatever the cache hierarchy is currently doing —
-    under higher memory pressure copies get slower per byte and the
-    threshold drops; if metadata misses dominate it rises. *)
+    costs are measured from the per-core cycle meter around each [make] or
+    [of_buf], so the estimate tracks whatever the cache hierarchy is
+    currently doing — under higher memory pressure copies get slower per
+    byte and the threshold drops; if metadata misses dominate it rises.
+
+    The threshold is all this module owns: the copy/zero-copy decision
+    itself is {!Cf_ptr}'s [len >= threshold] compare, which [make] and
+    [of_buf] call with the learned value. *)
 
 type t
 
@@ -25,19 +29,35 @@ val create : ?initial:int -> ?alpha:float -> unit -> t
 (** Current threshold in bytes (clamped to [64, 8192]). *)
 val threshold : t -> int
 
-(** Drop-in replacement for {!Cf_ptr.make} that uses — and updates — the
-    adaptive threshold, timing each construction on [cpu]. On an
-    unmetered [cpu] ({!Memmodel.Cpu.none}) the estimates stay frozen. *)
+(** Drop-in replacement for {!Cf_ptr.make}: {!Cf_ptr.make_at} at the
+    current threshold, timed on [cpu], and one learning step — a zero-copy
+    construction observes its cycles plus [cost_completion_per_sge] (the
+    completion-side release it does not see), a copy observes its cycles
+    over [len] bytes, a zero-byte copy observes nothing. On an unmetered
+    [cpu] ({!Memmodel.Cpu.none}) the estimates stay frozen. *)
 val make :
   cpu:Memmodel.Cpu.t -> t -> Net.Endpoint.t -> Mem.View.t -> Wire.Payload.t
 
-(** Feed one synthetic copy-path observation ([cycles] spent copying
-    [bytes]) through the same EWMA/refresh step [make] performs. No-op when
+(** [of_buf ~cpu ?site t ep buf] is {!make} for an already-referenced
+    pinned buffer, built on {!Cf_ptr.of_buf}: at or above the threshold the
+    payload takes over the reference; below it the bytes are copied into
+    [ep]'s arena and the reference dropped, under [site]. Same learning
+    step as {!make}. *)
+val of_buf :
+  cpu:Memmodel.Cpu.t ->
+  ?site:string ->
+  t ->
+  Net.Endpoint.t ->
+  Mem.Pinned.Buf.t ->
+  Wire.Payload.t
+
+(** Feed one copy-path observation ([cycles] spent copying [bytes])
+    through the EWMA/refresh step {!make} performs. No-op when
     [bytes <= 0]. For tests and replayed traces. *)
 val observe_copy : t -> bytes:int -> cycles:float -> unit
 
-(** Feed one synthetic zero-copy construction cost (fixed cycles,
-    completion share included) through the EWMA/refresh step. *)
+(** Feed one zero-copy construction cost (fixed cycles, completion share
+    included) through the EWMA/refresh step. *)
 val observe_zc : t -> cycles:float -> unit
 
 (** Observed estimates, for inspection: (copy cycles/byte, zc fixed cycles). *)

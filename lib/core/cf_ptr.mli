@@ -17,10 +17,18 @@
     failing the request — the inverse of the usual demotion. Only a
     sub-threshold copy of non-pinned bytes still raises. *)
 
-(** [make ~cpu config ep view] builds a payload from arbitrary bytes. The
-    size test is a lookup in a precomputed {!Mem.Arena.Verdict} table over
-    the arena's 16 B size classes (cached per domain, keyed by the config's
-    threshold) — semantically identical to [len >= threshold]. *)
+(** [make_at ~cpu ~threshold ep view] builds a payload from arbitrary
+    bytes: zero-copy iff [view.len >= threshold]. This compare is the one
+    copy/zero-copy decision in the stack; {!Adaptive} calls it with the
+    threshold it is learning. *)
+val make_at :
+  cpu:Memmodel.Cpu.t ->
+  threshold:int ->
+  Net.Endpoint.t ->
+  Mem.View.t ->
+  Wire.Payload.t
+
+(** [make ~cpu config ep view] = [make_at ~threshold:config.zero_copy_threshold]. *)
 val make :
   cpu:Memmodel.Cpu.t ->
   Config.t ->
@@ -29,7 +37,7 @@ val make :
   Wire.Payload.t
 
 (** The two arms of {!make}, exposed for specialized (codegen-folded)
-    setters whose schema bounds prove the verdict at compile time:
+    setters whose schema bounds prove the decision at compile time:
     [copy_folded] when [max_size < crossover], [zc_folded] when
     [min_size >= crossover]. Each keeps {!make}'s resilience behaviour
     (arena exhaustion falls back to zero-copy; non-DMA-safe bytes fall back
@@ -49,21 +57,20 @@ val zc_folded :
   Mem.View.t ->
   Wire.Payload.t
 
-(** [of_buf ~cpu config buf] builds a payload from an already-referenced
-    pinned buffer (e.g. a value freshly read from the store, or a field of a
-    deserialized request): no recover_ptr lookup is needed, but the
-    threshold still applies — a small pinned field is copied and its
-    reference dropped. Ownership of one reference passes to the payload when
-    the zero-copy variant is chosen. *)
+(** [of_buf ~cpu ?site ~threshold ep buf] builds a payload from an
+    already-referenced pinned buffer (e.g. a value retained from a received
+    frame): no recover_ptr lookup is needed, but the same compare applies —
+    a buffer shorter than [threshold] is copied into [ep]'s arena and its
+    reference dropped, both under [site]. Otherwise ownership of one
+    reference passes to the payload. *)
 val of_buf :
   cpu:Memmodel.Cpu.t ->
-  Config.t ->
+  ?site:string ->
+  threshold:int ->
   Net.Endpoint.t ->
   Mem.Pinned.Buf.t ->
   Wire.Payload.t
 
 (** Copies refused by an exhausted arena that fell back to zero-copy
-    (process-wide counter; harnesses snapshot deltas). *)
+    (domain-local counter; harnesses snapshot deltas). *)
 val oom_fallbacks : unit -> int
-
-val reset_counters : unit -> unit

@@ -1,11 +1,6 @@
-type t = {
-  zero_copy_threshold : int;
-  serialize_and_send : bool;
-  demote_on_pressure : bool;
-}
+type t = { zero_copy_threshold : int; serialize_and_send : bool }
 
-let default =
-  { zero_copy_threshold = 512; serialize_and_send = true; demote_on_pressure = true }
+let default = { zero_copy_threshold = 512; serialize_and_send = true }
 
 let all_zero_copy = { default with zero_copy_threshold = 0 }
 
@@ -24,6 +19,5 @@ let pp ppf t =
     if t.zero_copy_threshold = max_int then "inf"
     else string_of_int t.zero_copy_threshold
   in
-  Format.fprintf ppf "{threshold=%s; serialize_and_send=%b%s}" threshold
+  Format.fprintf ppf "{threshold=%s; serialize_and_send=%b}" threshold
     t.serialize_and_send
-    (if t.demote_on_pressure then "" else "; demote_on_pressure=false")

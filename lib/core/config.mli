@@ -12,17 +12,13 @@
       Cornflakes materialises a scatter-gather array and the stack prepends
       a separate header entry (Table 5).
 
-    Plus one resilience knob: [demote_on_pressure] lets the send path
-    demote zero-copy fields to arena copies when the endpoint reports
-    memory pressure (TX ring backing up, completions pinned) — graceful
+    Pressure demotion is not a knob: the send path always demotes
+    zero-copy fields to arena copies when the endpoint reports memory
+    pressure (TX ring backing up, completions pinned) — graceful
     degradation instead of unbounded reference pinning. Healthy runs
     never trigger it. *)
 
-type t = {
-  zero_copy_threshold : int;
-  serialize_and_send : bool;
-  demote_on_pressure : bool;
-}
+type t = { zero_copy_threshold : int; serialize_and_send : bool }
 
 (** Threshold 512, serialize-and-send on. *)
 val default : t

@@ -118,12 +118,6 @@ let iter_zc plan f =
 
 let zc_bufs plan = Array.to_list (Array.sub plan.zc 0 plan.zc_count)
 
-(* Prepend [plan]'s zero-copy entries (in order) onto [tail] — the shape the
-   stack's segment-list API wants. *)
-let zc_segments plan ~head ~tail =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (plan.zc.(i) :: acc) in
-  head :: go (plan.zc_count - 1) tail
-
 let object_len msg = (measure msg).total_len
 
 let num_entries plan = 1 + plan.zc_count

@@ -68,14 +68,6 @@ val iter_zc : plan -> (Mem.Pinned.Buf.t -> unit) -> unit
 (** The live zero-copy entries as a fresh list (tests / cold paths). *)
 val zc_bufs : plan -> Mem.Pinned.Buf.t list
 
-(** [zc_segments plan ~head ~tail] = [head :: live zc entries @ tail] — the
-    segment list handed to the stack. *)
-val zc_segments :
-  plan ->
-  head:Mem.Pinned.Buf.t ->
-  tail:Mem.Pinned.Buf.t list ->
-  Mem.Pinned.Buf.t list
-
 (** [object_len msg] without keeping the plan. *)
 val object_len : Wire.Dyn.t -> int
 

@@ -125,10 +125,7 @@ let send_planned (config : Config.t) (tr : Net.Transport.t) ~dst msg ~write =
      CQEs filling the TX ring), stop pinning new references — demote every
      zero-copy payload to an arena copy, best-effort if the arena is
      constrained too. *)
-  if
-    config.demote_on_pressure && plan.Format_.zc_count > 0
-    && Net.Endpoint.under_pressure ep
-  then begin
+  if plan.Format_.zc_count > 0 && Net.Endpoint.under_pressure ep then begin
     let demoted, skipped =
       demote_excess ~cpu ~site:"Send.pressure_demote" ~best_effort:true ep msg
         ~keep:0

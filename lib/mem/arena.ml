@@ -204,50 +204,3 @@ let reset t =
   t.used <- 0;
   t.parked <- 0;
   Array.iter (fun s -> s.top <- 0) t.free
-
-(* --- Per-size-class copy/zc verdicts ---------------------------------- *)
-
-module Verdict = struct
-  (* One byte per 16 B granule bucket, same granule as [class_table]:
-     bucket [len lsr 4] covers lengths [16j, 16j+15], so all lengths in a
-     bucket share one verdict exactly when the threshold is a multiple of
-     the granule. Bucket indexing must be [len lsr 4], not the class
-     table's [(len - 1) lsr 4]: the latter folds a class boundary (e.g.
-     511 and 512) into one slot and cannot carry a boundary-exact verdict.
-     Non-representable thresholds (unaligned, or sentinels like
-     [Config.all_copy]'s [max_int]) keep the compare fallback. *)
-
-  let n_buckets = (1 lsl (max_class_log - min_class_log)) + 1
-
-  type t = { table : Bytes.t option; threshold : int }
-
-  let representable threshold =
-    threshold >= 0
-    && threshold land ((1 lsl min_class_log) - 1) = 0
-    && threshold <= 1 lsl max_class_log
-
-  let make ~threshold =
-    if representable threshold then begin
-      let tbl = Bytes.make n_buckets '\000' in
-      for j = threshold lsr min_class_log to n_buckets - 1 do
-        Bytes.unsafe_set tbl j '\001'
-      done;
-      { table = Some tbl; threshold }
-    end
-    else { table = None; threshold }
-
-  let threshold t = t.threshold
-
-  (* [zc t len]: should a payload of [len] bytes go zero-copy? One load in
-     the tabled case; an [lsr] of a (nonsensical) negative length lands
-     out of range and falls back to the compare, so the table can never be
-     indexed out of bounds. *)
-  let zc t len =
-    match t.table with
-    | None -> len >= t.threshold
-    | Some tbl ->
-        let b = len lsr min_class_log in
-        if b >= n_buckets then len >= t.threshold
-        else Bytes.unsafe_get tbl b <> '\000'
-  [@@alloc_free]
-end

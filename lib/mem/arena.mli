@@ -63,25 +63,3 @@ val recycle : ?site:string -> t -> View.t -> unit
 
 (** Mass-deallocate; O(1) plus free-list bookkeeping. *)
 val reset : t -> unit
-
-(** Branchless copy/zero-copy verdicts over the arena's 16 B size-class
-    granule.
-
-    [make ~threshold] precomputes, per granule bucket, whether a payload of
-    that size should travel zero-copy ([len >= threshold]); [zc] is then one
-    table load instead of a per-field compare, and — more importantly — the
-    codegen layer uses the same bucketing to fold the verdict away entirely
-    for fields with [max_size]/[min_size] bounds. Thresholds that are not
-    representable on the granule (unaligned, negative, or sentinels such as
-    [Config.all_copy]'s [max_int]) transparently keep the exact compare. *)
-module Verdict : sig
-  type t
-
-  val make : threshold:int -> t
-
-  val threshold : t -> int
-
-  (** [zc t len] — true iff a [len]-byte payload should go zero-copy.
-      Exactly equivalent to [len >= threshold t] for every [len]. *)
-  val zc : t -> int -> bool
-end

@@ -23,7 +23,6 @@ type txd = {
   mutable d_n : int;
   mutable d_holds : int option array; (* RefSan holds, parallel to d_segs *)
   mutable d_release : Mem.Pinned.Buf.t -> unit;
-  mutable d_done : unit -> unit;
   mutable d_wire : wire;
   mutable d_batch : txd array;
   mutable d_batch_n : int;
@@ -97,8 +96,6 @@ and t = {
   mutable delayed_completions : int;
   mutable reaped_completions : int;
 }
-
-let noop () = ()
 
 let noop_release (_ : Mem.Pinned.Buf.t) = ()
 
@@ -293,8 +290,6 @@ let txd_push txd buf =
 
 let txd_set_release txd f = txd.d_release <- f
 
-let txd_set_done txd f = txd.d_done <- f
-
 let txd_len txd = txd.d_n
 
 let txd_payload_bytes txd =
@@ -315,8 +310,8 @@ let gather t txd ~len =
   w
 
 (* Deliver one descriptor's completion: free the ring slot, release the
-   write-protect holds, release the stack's segment references, run the
-   callback, and return the descriptor to the free stack. *)
+   write-protect holds, release the stack's segment references, and
+   return the descriptor to the free stack. *)
 let finish_txd t txd =
   t.in_flight <- t.in_flight - 1;
   for i = 0 to txd.d_n - 1 do
@@ -327,16 +322,13 @@ let finish_txd t txd =
         txd.d_holds.(i) <- None);
     txd.d_release txd.d_segs.(i)
   done;
-  let cb = txd.d_done in
   txd.d_n <- 0;
   txd.d_release <- noop_release;
-  txd.d_done <- noop;
-  txd_recycle t txd;
-  cb ()
+  txd_recycle t txd
 
 (* Finish every member of the batch whose CQE [owner] carries, in post
    order. The owner is the last member, so it is recycled (and may be
-   reused by a callback) only after its membership has been read. *)
+   reused) only after its membership has been read. *)
 let finish_batch t owner =
   for i = 0 to owner.d_batch_n - 1 do
     finish_txd t owner.d_batch.(i)
@@ -401,7 +393,6 @@ let new_txd t =
       d_n = 0;
       d_holds = [||];
       d_release = noop_release;
-      d_done = noop;
       d_wire = t.idle_wire;
       d_batch = [||];
       d_batch_n = 0;

@@ -4,8 +4,9 @@
     doorbell) is charged by the networking stack; this module models the
     device side: per-descriptor and per-gather-entry PCIe time, line-rate
     serialization, and completion delivery. Completions run the descriptor's
-    callback, which is where the stack releases buffer references — i.e. the
-    point until which zero-copy memory must stay alive. *)
+    release function on each segment, which is where the stack releases
+    buffer references — i.e. the point until which zero-copy memory must
+    stay alive. *)
 
 exception Too_many_segments of { requested : int; limit : int }
 
@@ -19,8 +20,7 @@ type t
     automatically when its completion delivers — so the steady-state send
     path builds no per-send segment lists. The poster may set a per-segment
     release function (one long-lived closure) via {!txd_set_release}; it
-    runs for each segment when the completion fires, before the callback
-    set by {!txd_set_done} (if any). *)
+    runs for each segment when the completion fires. *)
 type txd
 
 val create : Sim.Engine.t -> model:Model.t -> t
@@ -38,8 +38,6 @@ val txd_acquire : t -> txd
 val txd_push : txd -> Mem.Pinned.Buf.t -> unit
 
 val txd_set_release : txd -> (Mem.Pinned.Buf.t -> unit) -> unit
-
-val txd_set_done : txd -> (unit -> unit) -> unit
 
 (** Number of gather entries pushed so far. *)
 val txd_len : txd -> int
@@ -151,7 +149,8 @@ type completion_fault = now:int -> [ `Lose | `Delay of int ] option
 val set_completion_fault : t -> completion_fault option -> unit
 
 (** Deliver every stashed lost completion now (releasing ring slots,
-    holds, and callbacks); returns how many descriptors were recovered.
+    holds, and segment references); returns how many descriptors were
+    recovered.
     Models a driver's periodic TX-ring reap. *)
 val reap_lost : t -> int
 

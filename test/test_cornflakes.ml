@@ -71,6 +71,56 @@ let test_cf_ptr_all_zero_copy_config () =
   | Wire.Payload.Zero_copy b -> Mem.Pinned.Buf.decr_ref ~cpu:none b
   | _ -> Alcotest.fail "all-zero-copy config must scatter-gather"
 
+(* The copy/zero-copy decision is one compare: for a pinned view,
+   [Cf_ptr.make] goes zero-copy iff [len >= threshold]. Thresholds cover 0,
+   unaligned values, the arena's largest size class (128 KB) +- 1 and the
+   all-copy sentinel [max_int]; lengths run 0 to 256 KB, biased to the
+   threshold's neighbours. *)
+let max_decision_len = 256 * 1024
+
+let decision_env =
+  lazy
+    (let env = Test_env.make () in
+     let pool = Test_env.data_pool ~classes:[ (max_decision_len, 1) ] env in
+     let big = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:max_decision_len in
+     (env, big))
+
+let gen_decision =
+  let open QCheck.Gen in
+  let fixed =
+    [ 0; 1; 15; 16; 17; 511; 512; 513; 4097; 131071; 131072; 131073; max_int ]
+  in
+  oneof [ oneofl fixed; int_range 0 (max_decision_len + 1) ] >>= fun threshold ->
+  let near d =
+    if threshold > max_decision_len then max_decision_len
+    else max 0 (min max_decision_len (threshold + d))
+  in
+  map
+    (fun len -> (threshold, len))
+    (oneof
+       [
+         int_range 0 max_decision_len;
+         oneofl [ 0; max_decision_len ];
+         map near (int_range (-2) 1);
+       ])
+
+let prop_cf_ptr_decision =
+  QCheck.Test.make ~count:500 ~name:"cf_ptr zero-copy iff len >= threshold"
+    (QCheck.make ~print:QCheck.Print.(pair int int) gen_decision)
+    (fun (threshold, len) ->
+      let env, big = Lazy.force decision_env in
+      let config =
+        { Cornflakes.Config.default with zero_copy_threshold = threshold }
+      in
+      let p =
+        Cornflakes.Cf_ptr.make ~cpu:none config env.Test_env.b
+          (Mem.View.sub (Mem.Pinned.Buf.view big) ~off:0 ~len)
+      in
+      let zc = Wire.Payload.is_zero_copy p in
+      Wire.Payload.release ~cpu:none p;
+      Mem.Arena.reset (Net.Endpoint.arena env.Test_env.b);
+      zc = (len >= threshold) && Mem.Pinned.Buf.refcount big = 1)
+
 let hybrid_message env pool =
   let msg = Wire.Dyn.create everything in
   Wire.Dyn.set_int msg "id" 99L;
@@ -315,6 +365,7 @@ let suite =
     Alcotest.test_case "cf_ptr all-copy config" `Quick test_cf_ptr_all_copy_config;
     Alcotest.test_case "cf_ptr all-zc config" `Quick
       test_cf_ptr_all_zero_copy_config;
+    QCheck_alcotest.to_alcotest prop_cf_ptr_decision;
     Alcotest.test_case "send_object roundtrip" `Quick test_send_object_roundtrip;
     Alcotest.test_case "two-phase send path" `Quick test_send_object_two_phase_path;
     Alcotest.test_case "zero-copy safety (completion)" `Quick

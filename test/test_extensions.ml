@@ -181,6 +181,55 @@ let test_adaptive_zero_byte_copy_ignored () =
   Alcotest.(check int) "threshold unchanged" 512
     (Cornflakes.Adaptive.threshold t)
 
+(* [Adaptive.of_buf] on an already-referenced buffer: at or above the
+   threshold the payload takes over the reference and the estimator
+   observes the completion-side release; below it the bytes are copied,
+   the reference dropped and the cycles per byte observed; a zero-byte
+   copy observes nothing. *)
+let test_adaptive_of_buf_arms () =
+  let cpu = Memmodel.Cpu.create Memmodel.Params.default in
+  let env = Test_env.make ~cpu_b:cpu () in
+  let ep = env.Test_env.b in
+  let pool = Test_env.data_pool env in
+  let a = Cornflakes.Adaptive.create ~initial:512 () in
+  let completion = Memmodel.Params.default.Memmodel.Params.cost_completion_per_sge in
+  (* Zero-copy arm: the caller's one reference moves into the payload. *)
+  let big = Test_env.pinned_of_string pool (String.make 1024 'z') in
+  (match Cornflakes.Adaptive.of_buf ~cpu a ep big with
+  | Wire.Payload.Zero_copy b ->
+      Alcotest.(check int) "reference kept" 1 (Mem.Pinned.Buf.refcount big);
+      Mem.Pinned.Buf.decr_ref ~cpu:none b
+  | _ -> Alcotest.fail "1024 B at threshold 512 must stay zero-copy");
+  Alcotest.(check int) "zc observed" 1 (Cornflakes.Adaptive.observations a);
+  let _, zc = Cornflakes.Adaptive.estimates a in
+  Alcotest.(check (float 1e-9)) "zc estimate takes the completion cost"
+    ((0.95 *. 512.0) +. (0.05 *. completion))
+    zc;
+  (* Copy arm: the handed-in reference is dropped. *)
+  let small = Test_env.pinned_of_string pool (String.make 100 's') in
+  Mem.Pinned.Buf.incr_ref ~cpu:none small;
+  (match Cornflakes.Adaptive.of_buf ~cpu a ep small with
+  | Wire.Payload.Copied v ->
+      Alcotest.(check string) "copy is faithful" (String.make 100 's')
+        (Mem.View.to_string v)
+  | _ -> Alcotest.fail "100 B below the threshold must be copied");
+  Alcotest.(check int) "refcount back to its prior value" 1
+    (Mem.Pinned.Buf.refcount small);
+  Alcotest.(check int) "copy observed" 2 (Cornflakes.Adaptive.observations a);
+  let copy, _ = Cornflakes.Adaptive.estimates a in
+  if copy = 1.0 then Alcotest.fail "copy estimate should move";
+  (* A zero-byte copy: nothing to learn per byte, no observation. *)
+  let empty = Mem.Pinned.Buf.sub small ~off:0 ~len:0 in
+  Mem.Pinned.Buf.incr_ref ~cpu:none empty;
+  (match Cornflakes.Adaptive.of_buf ~cpu a ep empty with
+  | Wire.Payload.Copied _ -> ()
+  | _ -> Alcotest.fail "an empty buffer must be copied");
+  Alcotest.(check int) "zero-byte copy not observed" 2
+    (Cornflakes.Adaptive.observations a);
+  Alcotest.(check int) "empty copy drops its reference" 1
+    (Mem.Pinned.Buf.refcount small);
+  Mem.Pinned.Buf.decr_ref ~cpu:none small
+
 let suite =
   [
     Alcotest.test_case "cow write in place" `Quick
@@ -198,4 +247,5 @@ let suite =
       test_adaptive_ewma_converges_on_synthetic;
     Alcotest.test_case "adaptive ignores zero-byte copy" `Quick
       test_adaptive_zero_byte_copy_ignored;
+    Alcotest.test_case "adaptive of_buf arms" `Quick test_adaptive_of_buf_arms;
   ]

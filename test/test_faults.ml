@@ -422,23 +422,6 @@ let test_pressure_demotes_zero_copy () =
   ignore (Nic.Device.reap_lost nic);
   Alcotest.(check int) "value not pinned by send" 1
     (Mem.Pinned.Buf.refcount value);
-  (* demotion off: the same send under pressure keeps the zero-copy ref *)
-  Nic.Device.set_completion_fault nic lose_all;
-  let cf_off = { cf with Cornflakes.Config.demote_on_pressure = false } in
-  let msg2 = Wire.Dyn.create Apps.Proto.resp in
-  Wire.Dyn.set_int msg2 "id" 2L;
-  Wire.Dyn.append msg2 "vals"
-    (Wire.Dyn.Payload (Cornflakes.Cf_ptr.make ~cpu:none cf_off env.Test_env.a
-                         (Mem.Pinned.Buf.view value)));
-  for _ = 1 to 4 do
-    Net.Endpoint.send_string env.Test_env.a ~dst:2 "jam"
-  done;
-  Sim.Engine.run_all env.Test_env.engine;
-  let d0 = Cornflakes.Send.pressure_demotions () in
-  Cornflakes.Send.send_object cf_off env.Test_env.a ~dst:2 msg2;
-  Alcotest.(check int) "no demotion when disabled" 0
-    (Cornflakes.Send.pressure_demotions () - d0);
-  ignore (Nic.Device.reap_lost nic);
   Sim.Engine.run_all env.Test_env.engine;
   Mem.Pinned.Buf.decr_ref ~cpu:none value;
   Queue.iter (fun (_, buf) -> Mem.Pinned.Buf.decr_ref ~cpu:none buf)
