@@ -46,7 +46,7 @@ let () =
       let cpu = Memmodel.Cpu.none (* the preload is not measured *) in
       let buf = Mem.Pinned.Buf.alloc ~cpu pool ~len:size in
       Mem.Pinned.Buf.fill ~cpu buf (Workload.Spec.filler size);
-      Kvstore.Store.put ~cpu store ~key (Kvstore.Store.Single buf))
+      Kvstore.Store.put_string ~cpu store ~key (Kvstore.Store.Single buf))
     [ ("small", 100); ("medium", 800); ("large", 4000) ];
   Loadgen.Server.set_handler rig.Apps.Rig.server (fun ~src buf ->
       handle_get rig store ~src buf);

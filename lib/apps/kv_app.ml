@@ -29,12 +29,12 @@ let pool t = t.pool
 
 (* Read a key payload out of a parsed request: the handler streams over
    the key bytes (it must hash them), charged to App — the same sweep
-   [Wire.Reader.elem_string] charges on the in-place path. *)
-let key_string ~cpu (p : Wire.Payload.t) =
+   [Wire.Reader.elem_key] charges on the in-place path. *)
+let key_view ~cpu (p : Wire.Payload.t) =
   let v = Wire.Payload.view p in
   Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:v.Mem.View.addr
     ~len:v.Mem.View.len;
-  Mem.View.to_string v
+  v
 
 let append_value t resp buf =
   let payload =
@@ -48,26 +48,31 @@ let rec append_values t resp = function
       append_value t resp buf;
       append_values t resp rest
 
-(* Values in [Kvstore.Store.buffers] order. *)
-let get t ~cpu resp key =
-  match Kvstore.Store.get ~cpu t.store ~key with
-  | Some (Kvstore.Store.Single buf) -> append_value t resp buf
-  | Some (Kvstore.Store.Linked bufs) -> append_values t resp bufs
-  | Some (Kvstore.Store.Vector arr) ->
-      for j = 0 to Array.length arr - 1 do
-        append_value t resp arr.(j)
-      done
-  | None -> ()
+(* Keys arrive as windows [(data, off, len)] on the request bytes: the
+   store hashes and compares them in place. Values go out in
+   [Kvstore.Store.buffers] order. *)
+let get t ~cpu resp data ~off ~len =
+  let entry = Kvstore.Store.find ~cpu t.store data ~off ~len in
+  if entry >= 0 then
+    match Kvstore.Store.value t.store entry with
+    | Kvstore.Store.Single buf -> append_value t resp buf
+    | Kvstore.Store.Linked bufs -> append_values t resp bufs
+    | Kvstore.Store.Vector arr ->
+        for j = 0 to Array.length arr - 1 do
+          append_value t resp arr.(j)
+        done
 
-let get_index t ~cpu resp key index =
-  match Kvstore.Store.get ~cpu t.store ~key with
-  | Some (Kvstore.Store.Vector arr) when index < Array.length arr ->
-      append_value t resp arr.(index)
-  | Some _ | None -> ()
+let get_index t ~cpu resp data ~off ~len index =
+  let entry = Kvstore.Store.find ~cpu t.store data ~off ~len in
+  if entry >= 0 then
+    match Kvstore.Store.value t.store entry with
+    | Kvstore.Store.Vector arr when index < Array.length arr ->
+        append_value t resp arr.(index)
+    | _ -> ()
 
 (* Allocate-and-swap: copy the incoming bytes into fresh pinned buffers;
    never touch the old value in place. *)
-let put t ~cpu key vals =
+let put t ~cpu data ~off ~len vals =
   let bufs =
     List.filter_map
       (fun src ->
@@ -87,8 +92,10 @@ let put t ~cpu key vals =
   in
   match bufs with
   | [] -> ()
-  | [ one ] -> Kvstore.Store.put ~cpu t.store ~key (Kvstore.Store.Single one)
-  | many -> Kvstore.Store.put ~cpu t.store ~key (Kvstore.Store.Linked many)
+  | [ one ] ->
+      Kvstore.Store.put ~cpu t.store data ~off ~len (Kvstore.Store.Single one)
+  | many ->
+      Kvstore.Store.put ~cpu t.store data ~off ~len (Kvstore.Store.Linked many)
 
 (* Resilience bookkeeping, first thing in every method row: the duplicate
    witness reads the id the skeleton already echoed into the response.
@@ -136,21 +143,25 @@ let activate t =
       ()
   in
   let nkeys r = Wire.Reader.count_or_zero r Proto.req_keys in
-  let key r j = Wire.Reader.elem_string r Proto.req_keys ~j in
+  let key r j = Wire.Reader.elem_key r Proto.req_keys ~j in
   let dyn_nkeys req = Wire.Dyn.count req Proto.req_keys in
   let dyn_key req j =
-    key_string ~cpu (Wire.Dyn.elem_payload req Proto.req_keys j)
+    key_view ~cpu (Wire.Dyn.elem_payload req Proto.req_keys j)
   in
   Kv_rpc.Kv_service.on_get srv
     ~reader:(fun ~src r resp ->
       if admit t ~src ~put:false resp then
         for j = 0 to nkeys r - 1 do
-          get t ~cpu resp (key r j)
+          let k = key r j in
+          get t ~cpu resp (Wire.Reader.data r) ~off:(Wire.Reader.key_off r k)
+            ~len:(Wire.Reader.key_len r k)
         done)
     ~dyn:(fun ~src req resp ->
       if admit t ~src ~put:false resp then
         for j = 0 to dyn_nkeys req - 1 do
-          get t ~cpu resp (dyn_key req j)
+          let v = dyn_key req j in
+          get t ~cpu resp v.Mem.View.data ~off:v.Mem.View.off
+            ~len:v.Mem.View.len
         done);
   Kv_rpc.Kv_service.on_get_index srv
     ~reader:(fun ~src r resp ->
@@ -159,27 +170,41 @@ let activate t =
         && nkeys r = 1
         && Wire.Reader.present r Proto.req_index
       then
-        get_index t ~cpu resp (key r 0)
-          (Int64.to_int (Wire.Reader.get_u64 r Proto.req_index)))
+        let index = Int64.to_int (Wire.Reader.get_u64 r Proto.req_index) in
+        let k = key r 0 in
+        get_index t ~cpu resp (Wire.Reader.data r)
+          ~off:(Wire.Reader.key_off r k) ~len:(Wire.Reader.key_len r k) index)
     ~dyn:(fun ~src req resp ->
       if
         admit t ~src ~put:false resp
         && dyn_nkeys req = 1
         && Wire.Dyn.mem req Proto.req_index
       then
-        get_index t ~cpu resp (dyn_key req 0)
-          (Wire.Dyn.int_of_int_at req Proto.req_index));
+        let index = Wire.Dyn.int_of_int_at req Proto.req_index in
+        let v = dyn_key req 0 in
+        get_index t ~cpu resp v.Mem.View.data ~off:v.Mem.View.off
+          ~len:v.Mem.View.len index);
+  (* Put rows read the value windows first, then the key: the key's App
+     sweep lands after the value slot reads and before the value
+     allocations. *)
   Kv_rpc.Kv_service.on_put srv
     ~reader:(fun ~src r resp ->
       if admit t ~src ~put:true resp && nkeys r = 1 then
-        put t ~cpu (key r 0)
-          (List.init (Wire.Reader.count_or_zero r Proto.req_vals) (fun j ->
-               Wire.Reader.elem_view r Proto.req_vals ~j)))
+        let vals =
+          List.init (Wire.Reader.count_or_zero r Proto.req_vals) (fun j ->
+              Wire.Reader.elem_view r Proto.req_vals ~j)
+        in
+        let k = key r 0 in
+        put t ~cpu (Wire.Reader.data r) ~off:(Wire.Reader.key_off r k)
+          ~len:(Wire.Reader.key_len r k) vals)
     ~dyn:(fun ~src req resp ->
       if admit t ~src ~put:true resp && dyn_nkeys req = 1 then
-        put t ~cpu (dyn_key req 0)
-          (List.init (Wire.Dyn.count req Proto.req_vals) (fun j ->
-               Wire.Payload.view (Wire.Dyn.elem_payload req Proto.req_vals j))));
+        let vals =
+          List.init (Wire.Dyn.count req Proto.req_vals) (fun j ->
+              Wire.Payload.view (Wire.Dyn.elem_payload req Proto.req_vals j))
+        in
+        let v = dyn_key req 0 in
+        put t ~cpu v.Mem.View.data ~off:v.Mem.View.off ~len:v.Mem.View.len vals);
   Loadgen.Server.set_handler t.rig.Rig.server (fun ~src buf ->
       handler t srv ~src buf);
   t

@@ -103,10 +103,10 @@ let fresh_fanout t =
    stack) or copies into the arena and drops it, and learns from either. *)
 let forward t ~shard_idx (p : Wire.Payload.t) =
   match p with
-  | Wire.Payload.Zero_copy b -> (
+  | Wire.Payload.Zero_copy _ -> (
       match
         Cornflakes.Adaptive.of_buf ~cpu:t.cpu ~site:"Dispatcher.demote"
-          t.adaptives.(shard_idx) t.ep b
+          t.adaptives.(shard_idx) t.ep p
       with
       | Wire.Payload.Zero_copy _ as zc ->
           t.zc_forwards <- t.zc_forwards + 1;
@@ -122,14 +122,12 @@ let record_completion t client_id =
 
 (* --- Client request: route, group, fan out ----------------------------- *)
 
-let charge_route t key =
-  Memmodel.Cpu.charge_op t.cpu Memmodel.Cpu.App Memmodel.Cpu.Hash_op;
-  ignore key
-
 (* Client request over the validated reader: keys are hashed straight out
-   of the receive buffer for routing, and each forwarded key/value becomes
-   an [Rc_view] slice whose reference transfers to the sub-request's send
-   path — the request bytes are never re-materialized. *)
+   of the receive buffer for routing ([Reader.elem_key] charges the App
+   sweep over the key, then the route pays one hash op), and each
+   forwarded key/value becomes an [Rc_view] slice whose reference
+   transfers to the sub-request's send path — the request bytes are never
+   re-materialized. *)
 let handle_request_zc t ~src r =
   let client_id = Wire.Reader.get_u64_or r Apps.Proto.req_id ~default:(-1L) in
   let op =
@@ -139,9 +137,10 @@ let handle_request_zc t ~src r =
   let nkeys = Wire.Reader.count_or_zero r Apps.Proto.req_keys in
   let owners =
     Array.init nkeys (fun j ->
-        let key = Wire.Reader.elem_string r Apps.Proto.req_keys ~j in
-        charge_route t key;
-        Ring.owner t.ring key)
+        let k = Wire.Reader.elem_key r Apps.Proto.req_keys ~j in
+        Memmodel.Cpu.charge_op t.cpu Memmodel.Cpu.App Memmodel.Cpu.Hash_op;
+        Ring.owner_window t.ring (Wire.Reader.data r)
+          ~off:(Wire.Reader.key_off r k) ~len:(Wire.Reader.key_len r k))
   in
   let slots = Array.map (fun o -> { owner = o; payload = None }) owners in
   let groups =

@@ -73,6 +73,6 @@ let install items shard =
       in
       Mem.Pinned.Buf.fill ~cpu ~site:"Cluster.populate" buf
         (Workload.Spec.filler size);
-      Kvstore.Store.put ~cpu store ~key:(key_of rank)
+      Kvstore.Store.put_string ~cpu store ~key:(key_of rank)
         (Kvstore.Store.Single buf))
     items

@@ -25,11 +25,13 @@ let fnv_offset = 0xCBF29CE484222325L
 
 let fnv_prime = 0x100000001B3L
 
-let hash_key key =
+let[@inline] hash_window data ~off ~len =
   let h = ref fnv_offset in
-  for i = 0 to String.length key - 1 do
+  for i = off to off + len - 1 do
     h :=
-      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code key.[i]))) fnv_prime
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get data i))))
+        fnv_prime
   done;
   Sim.Rng.mix64 !h
 
@@ -71,7 +73,7 @@ let shards t = Array.to_list t.shards
 let vnodes t = t.vnodes
 
 (* First point >= h (unsigned), wrapping to points.(0) past the top. *)
-let owner_of_hash t h =
+let[@inline] owner_of_hash t h =
   let n = Array.length t.points in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
@@ -81,7 +83,13 @@ let owner_of_hash t h =
   done;
   t.owners.(if !lo = n then 0 else !lo)
 
-let owner t key = owner_of_hash t (hash_key key)
+(* Placement ([Plan]) and routing (the dispatcher, straight out of the
+   receive buffer) share this one hash. Both helpers inline here, so the
+   64-bit hash stays unboxed: a lookup allocates nothing. *)
+let owner_window t data ~off ~len = owner_of_hash t (hash_window data ~off ~len)
+
+let owner t key =
+  owner_window t (Bytes.unsafe_of_string key) ~off:0 ~len:(String.length key)
 
 let add_shard t shard =
   if Array.exists (fun s -> s = shard) t.shards then t

@@ -43,33 +43,41 @@ let rec append_values t resp = function
       append_value t resp buf;
       append_values t resp rest
 
-(* Keys come out of the receive buffer through [Reader.elem_string], which
-   charges the byte sweep (the handler must hash/compare them) to App.
-   Values go out in [Kvstore.Store.buffers] order. *)
+(* Keys are read in place through [Reader.elem_key], which charges the
+   byte sweep (the handler must hash/compare them) to App; the store
+   probes with the receive buffer's own bytes. Values go out in
+   [Kvstore.Store.buffers] order. *)
 let handle_get t ~cpu r resp =
   for j = 0 to Wire.Reader.count_or_zero r Apps.Proto.req_keys - 1 do
-    let key = Wire.Reader.elem_string r Apps.Proto.req_keys ~j in
-    match Kvstore.Store.get ~cpu t.store ~key with
-    | Some value -> (
-        t.keys_served <- t.keys_served + 1;
-        match value with
-        | Kvstore.Store.Single buf -> append_value t resp buf
-        | Kvstore.Store.Linked bufs -> append_values t resp bufs
-        | Kvstore.Store.Vector arr ->
-            for k = 0 to Array.length arr - 1 do
-              append_value t resp arr.(k)
-            done)
-    | None ->
-        (* Positional alignment with the sub-request keys must survive a
-           miss: answer an empty value for this slot. *)
-        t.misses <- t.misses + 1;
-        Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals
-          (Wire.Payload.of_string t.space "")
+    let k = Wire.Reader.elem_key r Apps.Proto.req_keys ~j in
+    let entry =
+      Kvstore.Store.find ~cpu t.store (Wire.Reader.data r)
+        ~off:(Wire.Reader.key_off r k) ~len:(Wire.Reader.key_len r k)
+    in
+    if entry >= 0 then begin
+      t.keys_served <- t.keys_served + 1;
+      match Kvstore.Store.value t.store entry with
+      | Kvstore.Store.Single buf -> append_value t resp buf
+      | Kvstore.Store.Linked bufs -> append_values t resp bufs
+      | Kvstore.Store.Vector arr ->
+          for i = 0 to Array.length arr - 1 do
+            append_value t resp arr.(i)
+          done
+    end
+    else begin
+      (* Positional alignment with the sub-request keys must survive a
+         miss: answer an empty value for this slot. *)
+      t.misses <- t.misses + 1;
+      Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals
+        (Wire.Payload.of_string t.space "")
+    end
   done
 
 let handle_put t ~cpu r =
   if Wire.Reader.count_or_zero r Apps.Proto.req_keys = 1 then begin
-    let key = Wire.Reader.elem_string r Apps.Proto.req_keys ~j:0 in
+    let k = Wire.Reader.elem_key r Apps.Proto.req_keys ~j:0 in
+    let data = Wire.Reader.data r in
+    let off = Wire.Reader.key_off r k and len = Wire.Reader.key_len r k in
     let bufs =
       List.filter_map
         (fun j ->
@@ -89,12 +97,12 @@ let handle_put t ~cpu r =
     in
     match bufs with
     | [] -> ()
-    | [ one ] ->
+    | bufs ->
         t.puts <- t.puts + 1;
-        Kvstore.Store.put ~cpu t.store ~key (Kvstore.Store.Single one)
-    | many ->
-        t.puts <- t.puts + 1;
-        Kvstore.Store.put ~cpu t.store ~key (Kvstore.Store.Linked many)
+        Kvstore.Store.put ~cpu t.store data ~off ~len
+          (match bufs with
+          | [ one ] -> Kvstore.Store.Single one
+          | many -> Kvstore.Store.Linked many)
   end
 
 (* The generated skeleton validates the request once into its pooled

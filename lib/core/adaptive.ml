@@ -75,8 +75,11 @@ let make ~cpu t ep (view : Mem.View.t) =
   learn t ~cpu ~c0 ~len:view.Mem.View.len payload;
   payload
 
-let of_buf ~cpu ?site t ep buf =
-  let c0 = Memmodel.Cpu.cycles cpu in
-  let payload = Cf_ptr.of_buf ~cpu ?site ~threshold:t.threshold ep buf in
-  learn t ~cpu ~c0 ~len:(Mem.Pinned.Buf.len buf) payload;
-  payload
+let of_buf ~cpu ?site t ep (p : Wire.Payload.t) =
+  match p with
+  | Wire.Payload.Zero_copy buf ->
+      let c0 = Memmodel.Cpu.cycles cpu in
+      let payload = Cf_ptr.of_buf ~cpu ?site ~threshold:t.threshold ep p in
+      learn t ~cpu ~c0 ~len:(Mem.Pinned.Buf.len buf) payload;
+      payload
+  | Wire.Payload.Copied _ | Wire.Payload.Literal _ -> p

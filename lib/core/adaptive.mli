@@ -38,17 +38,18 @@ val threshold : t -> int
 val make :
   cpu:Memmodel.Cpu.t -> t -> Net.Endpoint.t -> Mem.View.t -> Wire.Payload.t
 
-(** [of_buf ~cpu ?site t ep buf] is {!make} for an already-referenced
-    pinned buffer, built on {!Cf_ptr.of_buf}: at or above the threshold the
-    payload takes over the reference; below it the bytes are copied into
-    [ep]'s arena and the reference dropped, under [site]. Same learning
-    step as {!make}. *)
+(** [of_buf ~cpu ?site t ep p] is {!make} for a [Zero_copy] payload the
+    caller already holds, built on {!Cf_ptr.of_buf}: at or above the
+    threshold [p] itself comes back, its reference untouched; below it the
+    bytes are copied into [ep]'s arena and the reference dropped, under
+    [site]. Same learning step as {!make}. Any other payload is returned
+    as is, unobserved. *)
 val of_buf :
   cpu:Memmodel.Cpu.t ->
   ?site:string ->
   t ->
   Net.Endpoint.t ->
-  Mem.Pinned.Buf.t ->
+  Wire.Payload.t ->
   Wire.Payload.t
 
 (** Feed one copy-path observation ([cycles] spent copying [bytes])

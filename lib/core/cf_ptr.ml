@@ -59,15 +59,16 @@ let zc_folded ~cpu (_config : Config.t) ep view = zc_arm ~cpu ep view
 
 let copy_folded ~cpu (_config : Config.t) ep view = copy_arm ~cpu ep view
 
-let of_buf ~cpu ?site ~threshold ep buf =
-  if Mem.Pinned.Buf.len buf >= threshold then Wire.Payload.Zero_copy buf
-  else
-    match copy ~cpu ?site ep (Mem.Pinned.Buf.view buf) with
-    | p ->
-        Mem.Pinned.Buf.decr_ref ~cpu ?site buf;
-        p
-    | exception Mem.Pinned.Out_of_memory _ ->
-        (* Already-referenced pinned bytes: keep the reference and ship
-           zero-copy instead of failing. *)
-        incr (oom_fallbacks_ctr ());
-        Wire.Payload.Zero_copy buf
+let of_buf ~cpu ?site ~threshold ep (p : Wire.Payload.t) =
+  match p with
+  | Wire.Payload.Zero_copy buf when Mem.Pinned.Buf.len buf < threshold -> (
+      match copy ~cpu ?site ep (Mem.Pinned.Buf.view buf) with
+      | copied ->
+          Mem.Pinned.Buf.decr_ref ~cpu ?site buf;
+          copied
+      | exception Mem.Pinned.Out_of_memory _ ->
+          (* Already-referenced pinned bytes: keep the reference and ship
+             zero-copy instead of failing. *)
+          incr (oom_fallbacks_ctr ());
+          p)
+  | _ -> p

@@ -57,18 +57,18 @@ val zc_folded :
   Mem.View.t ->
   Wire.Payload.t
 
-(** [of_buf ~cpu ?site ~threshold ep buf] builds a payload from an
-    already-referenced pinned buffer (e.g. a value retained from a received
-    frame): no recover_ptr lookup is needed, but the same compare applies —
-    a buffer shorter than [threshold] is copied into [ep]'s arena and its
-    reference dropped, both under [site]. Otherwise ownership of one
-    reference passes to the payload. *)
+(** [of_buf ~cpu ?site ~threshold ep p] applies the same compare to a
+    payload the caller already holds (e.g. a [Zero_copy] value retained
+    from a received frame; no recover_ptr lookup is needed): a [Zero_copy]
+    buffer shorter than [threshold] is copied into [ep]'s arena and its
+    reference dropped, both under [site]. Otherwise [p] itself is returned,
+    its reference untouched and nothing allocated. *)
 val of_buf :
   cpu:Memmodel.Cpu.t ->
   ?site:string ->
   threshold:int ->
   Net.Endpoint.t ->
-  Mem.Pinned.Buf.t ->
+  Wire.Payload.t ->
   Wire.Payload.t
 
 (** Copies refused by an exhausted arena that fell back to zero-copy

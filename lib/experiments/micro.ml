@@ -18,21 +18,24 @@ let handler t ~src buf =
   let tr = t.rig.Apps.Rig.server_tr in
   match Baselines.Manual.parse ~cpu (Mem.Pinned.Buf.view buf) with
   | [ keyv ] ->
-      let key = Mem.View.to_string keyv in
-      (match Kvstore.Store.get ~cpu t.store ~key with
-      | Some value ->
-          let views =
-            List.map Mem.Pinned.Buf.view (Kvstore.Store.buffers value)
-          in
-          (match t.path with
-          | Raw_sg ->
-              Baselines.Manual.send_zero_copy ~safety:`Raw tr ~dst:src views
-          | Safe_sg ->
-              Baselines.Manual.send_zero_copy ~safety:`Safe tr ~dst:src views
-          | Copy_once -> Baselines.Manual.send_one_copy tr ~dst:src views)
-      | None ->
-          (* Echo an empty frame so FIFO matching stays aligned. *)
-          Baselines.Manual.send_one_copy tr ~dst:src []);
+      let entry =
+        Kvstore.Store.find ~cpu t.store keyv.Mem.View.data
+          ~off:keyv.Mem.View.off ~len:keyv.Mem.View.len
+      in
+      (if entry < 0 then
+         (* Echo an empty frame so FIFO matching stays aligned. *)
+         Baselines.Manual.send_one_copy tr ~dst:src []
+       else
+         let views =
+           List.map Mem.Pinned.Buf.view
+             (Kvstore.Store.buffers (Kvstore.Store.value t.store entry))
+         in
+         match t.path with
+         | Raw_sg ->
+             Baselines.Manual.send_zero_copy ~safety:`Raw tr ~dst:src views
+         | Safe_sg ->
+             Baselines.Manual.send_zero_copy ~safety:`Safe tr ~dst:src views
+         | Copy_once -> Baselines.Manual.send_one_copy tr ~dst:src views);
       Mem.Pinned.Buf.decr_ref ~cpu buf
   | _ | (exception Invalid_argument _) -> Mem.Pinned.Buf.decr_ref ~cpu buf
 

@@ -16,13 +16,31 @@ type t = {
 
 let store t = t.store
 
-let arg_string ~cpu (v : Resp.value) =
+(* A bulk argument read in the receive buffer, its sweep charged to App:
+   keys are probed in place, never copied out. *)
+let arg_view ~cpu (v : Resp.value) =
   match v with
   | Resp.Bulk view ->
       Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:view.Mem.View.addr
         ~len:view.Mem.View.len;
-      Mem.View.to_string view
+      view
   | _ -> raise (Resp.Protocol_error "expected bulk argument")
+
+let arg_string ~cpu v = Mem.View.to_string (arg_view ~cpu v)
+
+(* The store entry of a key argument, or -1. *)
+let find_arg t ~cpu key =
+  let v = arg_view ~cpu key in
+  Kvstore.Store.find ~cpu t.store v.Mem.View.data ~off:v.Mem.View.off
+    ~len:v.Mem.View.len
+
+let first_buf t entry =
+  match Kvstore.Store.value t.store entry with
+  | Kvstore.Store.Single buf -> Resp.Bulk (Mem.Pinned.Buf.view buf)
+  | value -> (
+      match Kvstore.Store.buffers value with
+      | buf :: _ -> Resp.Bulk (Mem.Pinned.Buf.view buf)
+      | [] -> Resp.Null)
 
 (* Case-insensitive command dispatch straight over the decoded view: the
    command name never leaves the receive buffer (no [to_string], no
@@ -92,51 +110,44 @@ let command_id cmd =
 
 let exec_get t ~cpu cmd args =
   match args with
-  | [ key ] -> (
-      match Kvstore.Store.get ~cpu t.store ~key:(arg_string ~cpu key) with
-      | Some (Kvstore.Store.Single buf) -> Resp.Bulk (Mem.Pinned.Buf.view buf)
-      | Some value -> (
-          match Kvstore.Store.buffers value with
-          | buf :: _ -> Resp.Bulk (Mem.Pinned.Buf.view buf)
-          | [] -> Resp.Null)
-      | None -> Resp.Null)
+  | [ key ] ->
+      let entry = find_arg t ~cpu key in
+      if entry < 0 then Resp.Null else first_buf t entry
   | _ -> err_unknown ~cpu cmd
 
 let exec_mget t ~cpu _cmd keys =
   Resp.Array
     (List.map
        (fun key ->
-         match Kvstore.Store.get ~cpu t.store ~key:(arg_string ~cpu key) with
-         | Some value -> (
-             match Kvstore.Store.buffers value with
-             | buf :: _ -> Resp.Bulk (Mem.Pinned.Buf.view buf)
-             | [] -> Resp.Null)
-         | None -> Resp.Null)
+         let entry = find_arg t ~cpu key in
+         if entry < 0 then Resp.Null else first_buf t entry)
        keys)
 
 let exec_lrange t ~cpu cmd args =
   match args with
-  | [ key; _start; _stop ] -> (
+  | [ key; _start; _stop ] ->
       (* The experiments query whole lists: LRANGE key 0 -1. *)
-      match Kvstore.Store.get ~cpu t.store ~key:(arg_string ~cpu key) with
-      | Some value ->
-          Resp.Array
-            (List.map
-               (fun buf -> Resp.Bulk (Mem.Pinned.Buf.view buf))
-               (Kvstore.Store.buffers value))
-      | None -> Resp.Array [])
+      let entry = find_arg t ~cpu key in
+      if entry < 0 then Resp.Array []
+      else
+        Resp.Array
+          (List.map
+             (fun buf -> Resp.Bulk (Mem.Pinned.Buf.view buf))
+             (Kvstore.Store.buffers (Kvstore.Store.value t.store entry)))
   | _ -> err_unknown ~cpu cmd
 
 let exec_set t ~cpu cmd args =
   match args with
   | [ key; payload ] -> (
-      let key = arg_string ~cpu key in
+      let key = arg_view ~cpu key in
       match payload with
       | Resp.Bulk src -> (
           match Mem.Pinned.Buf.alloc ~cpu t.pool ~len:src.Mem.View.len with
           | buf ->
               Mem.Pinned.Buf.blit_from ~cpu buf ~src ~dst_off:0;
-              Kvstore.Store.put ~cpu t.store ~key (Kvstore.Store.Single buf);
+              Kvstore.Store.put ~cpu t.store key.Mem.View.data
+                ~off:key.Mem.View.off ~len:key.Mem.View.len
+                (Kvstore.Store.Single buf);
               Resp.Simple "OK"
           | exception Mem.Pinned.Out_of_memory _ ->
               Resp.Error "OOM command not allowed")
@@ -147,12 +158,14 @@ let exec_del t ~cpu _cmd keys =
   let removed =
     List.fold_left
       (fun acc key ->
-        let key = arg_string ~cpu key in
-        match Kvstore.Store.get ~cpu t.store ~key with
-        | Some _ ->
-            Kvstore.Store.remove ~cpu t.store ~key;
-            acc + 1
-        | None -> acc)
+        let v = arg_view ~cpu key in
+        let data = v.Mem.View.data and off = v.Mem.View.off in
+        let len = v.Mem.View.len in
+        if Kvstore.Store.find ~cpu t.store data ~off ~len < 0 then acc
+        else begin
+          Kvstore.Store.remove ~cpu t.store data ~off ~len;
+          acc + 1
+        end)
       0 keys
   in
   Resp.Int removed
@@ -160,18 +173,16 @@ let exec_del t ~cpu _cmd keys =
 let exec_exists t ~cpu _cmd keys =
   Resp.Int
     (List.fold_left
-       (fun acc key ->
-         match Kvstore.Store.get ~cpu t.store ~key:(arg_string ~cpu key) with
-         | Some _ -> acc + 1
-         | None -> acc)
+       (fun acc key -> if find_arg t ~cpu key < 0 then acc else acc + 1)
        0 keys)
 
 let exec_strlen t ~cpu cmd args =
   match args with
-  | [ key ] -> (
-      match Kvstore.Store.get ~cpu t.store ~key:(arg_string ~cpu key) with
-      | Some v -> Resp.Int (Kvstore.Store.value_len v)
-      | None -> Resp.Int 0)
+  | [ key ] ->
+      let entry = find_arg t ~cpu key in
+      Resp.Int
+        (if entry < 0 then 0
+         else Kvstore.Store.value_len (Kvstore.Store.value t.store entry))
   | _ -> err_unknown ~cpu cmd
 
 let exec_ping _t ~cpu cmd args =

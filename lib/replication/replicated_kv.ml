@@ -95,7 +95,7 @@ let committed t = t.committed
    (allocate-and-swap put). The sources are in-place views of the receive
    buffer (or parked [Rc_view]s) — one copy into the store, no
    intermediate. *)
-let apply_put_views replica ~key views =
+let apply_put_views replica data ~off ~len views =
   let cpu = replica.cpu in
   let bufs =
     List.filter_map
@@ -110,8 +110,11 @@ let apply_put_views replica ~key views =
   match bufs with
   | [] -> ()
   | [ one ] ->
-      Kvstore.Store.put ~cpu replica.store ~key (Kvstore.Store.Single one)
-  | many -> Kvstore.Store.put ~cpu replica.store ~key (Kvstore.Store.Linked many)
+      Kvstore.Store.put ~cpu replica.store data ~off ~len
+        (Kvstore.Store.Single one)
+  | many ->
+      Kvstore.Store.put ~cpu replica.store data ~off ~len
+        (Kvstore.Store.Linked many)
 
 let send replica ~dst msg =
   Msg.send config (Net.Endpoint.transport replica.ep) ~dst msg
@@ -145,12 +148,16 @@ let rec backup_apply_in_order replica ~src =
   | Some parked ->
       Hashtbl.remove replica.ooo replica.expected_seq;
       let cpu = replica.cpu in
-      let key =
-        match parked.pk_key with
-        | Some rc -> Wire.Rc_view.to_string ~cpu rc
-        | None -> ""
-      in
-      apply_put_views replica ~key (List.map Wire.Rc_view.view parked.pk_vals);
+      let vals = List.map Wire.Rc_view.view parked.pk_vals in
+      (* The key is read in the parked slice, its sweep charged to App. *)
+      (match parked.pk_key with
+      | Some rc ->
+          let key = Wire.Rc_view.view rc in
+          Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:key.Mem.View.addr
+            ~len:key.Mem.View.len;
+          apply_put_views replica key.Mem.View.data ~off:key.Mem.View.off
+            ~len:key.Mem.View.len vals
+      | None -> apply_put_views replica Bytes.empty ~off:0 ~len:0 vals);
       let seq = replica.expected_seq in
       replica.expected_seq <- Int64.add replica.expected_seq 1L;
       (* The store owns its copies now: release the parked slices, then
@@ -227,26 +234,31 @@ let replicate t ~seq ~key vals =
       send p ~dst:(Net.Endpoint.id backup.ep) env)
     t.backups
 
-let stored_buffers replica ~key =
-  match Kvstore.Store.get ~cpu:replica.cpu replica.store ~key with
-  | Some value -> Kvstore.Store.buffers value
-  | None -> []
+let stored_buffers replica data ~off ~len =
+  let entry =
+    Kvstore.Store.find ~cpu:replica.cpu replica.store data ~off ~len
+  in
+  if entry < 0 then []
+  else Kvstore.Store.buffers (Kvstore.Store.value replica.store entry)
 
 (* One client op over its validated [RepOp] level: the key is hashed
-   straight out of the receive buffer, and put values blit from their
-   in-place windows into the store — the apply path never materializes a
-   [Dyn]. *)
+   straight out of the receive buffer (an absent key reads as the empty
+   key), and put values blit from their in-place windows into the store —
+   the apply path never materializes a [Dyn]. *)
 let serve_op t ~src ~id op =
-  let key =
+  let k =
     if Wire.Reader.present op Op.idx_key then
-      Wire.Reader.payload_string op Op.idx_key
-    else ""
+      Wire.Reader.payload_key op Op.idx_key
+    else -1
   in
+  let data = Wire.Reader.data op in
+  let off = if k < 0 then 0 else Wire.Reader.key_off op k in
+  let len = if k < 0 then 0 else Wire.Reader.key_len op k in
   let kind = Wire.Reader.get_u64_or op Op.idx_kind ~default:(-1L) in
   if kind = Kv.id_get then
-    reply t.primary ~dst:src ~id (stored_buffers t.primary ~key)
+    reply t.primary ~dst:src ~id (stored_buffers t.primary data ~off ~len)
   else if kind = Kv.id_put then begin
-    apply_put_views t.primary ~key
+    apply_put_views t.primary data ~off ~len
       (List.init (Wire.Reader.count_or_zero op Op.idx_vals) (fun j ->
            Wire.Reader.elem_view op Op.idx_vals ~j));
     let seq = t.next_seq in
@@ -262,7 +274,8 @@ let serve_op t ~src ~id op =
           client_id = id;
           unacked = (1 lsl List.length t.backups) - 1;
         };
-      replicate t ~seq ~key (stored_buffers t.primary ~key)
+      let vals = stored_buffers t.primary data ~off ~len in
+      replicate t ~seq ~key:(Bytes.sub_string data off len) vals
     end
   end
   else reply t.primary ~dst:src ~id []

@@ -50,11 +50,3 @@ let to_payload t = Payload.Zero_copy t
    (store installation, [blit_from] sources). Does not transfer the
    reference. *)
 let buf t = t
-
-(* Explicit copy-out, charged as an App-side read — the one deliberate exit
-   from the zero-copy discipline (e.g. building a hash key). *)
-let to_string ~cpu t =
-  let v = Mem.Pinned.Buf.view t in
-  Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:v.Mem.View.addr
-    ~len:v.Mem.View.len;
-  Mem.View.to_string v

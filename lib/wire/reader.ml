@@ -316,6 +316,28 @@ let elem_string t i ~j =
   Memmodel.Cpu.stream t.cpu Memmodel.Cpu.App ~addr:(t.addr + off) ~len;
   Bytes.sub_string t.data (t.base + off) len
 
+(* Keys read in place. [elem_key] and [payload_key] charge exactly what
+   [elem_string] and [payload_string] charge (the slot read, then the App
+   sweep over the bytes the handler hashes) but copy nothing: they return
+   the field's (offset, length) slot, which [key_off] and [key_len] read
+   back uncharged as a window on [data]. *)
+let charge_key t s =
+  charge t ~off:s ~len:8;
+  Memmodel.Cpu.stream t.cpu Memmodel.Cpu.App ~addr:(t.addr + u32_at t s)
+    ~len:(u32_at t (s + 4));
+  s
+[@@alloc_free]
+
+let elem_key t i ~j = charge_key t (elem_slot t i ~j) [@@alloc_free]
+
+let payload_key t i = charge_key t (slot t i) [@@alloc_free]
+
+let data t = t.data
+
+let key_off t s = t.base + u32_at t s
+
+let key_len t s = u32_at t (s + 4)
+
 (* --- nested messages --------------------------------------------------- *)
 
 (* Open field [i]'s nested message into [into] (a reader created with the

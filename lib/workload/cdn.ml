@@ -65,7 +65,7 @@ let make ?(n_objects = n_objects_default) ?(zipf_s = 0.99) () =
     populate =
       (fun store ~pool ->
         for rank = 1 to n_objects do
-          Kvstore.Store.put ~cpu:Memmodel.Cpu.none store ~key:(key_of ~rank)
+          Kvstore.Store.put_string ~cpu:Memmodel.Cpu.none store ~key:(key_of ~rank)
             (Spec.alloc_value pool ~repr:`Vector (segment_sizes ~rank))
         done);
     next =

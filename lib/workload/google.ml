@@ -67,7 +67,7 @@ let make ?(n_keys = 65536) ?(zipf_s = 0.99) ~max_vals () =
         for rank = 1 to n_keys do
           let count = 1 + Sim.Rng.int rng max_vals in
           let sizes = sample_sizes dist rng ~count in
-          Kvstore.Store.put ~cpu:Memmodel.Cpu.none store ~key:(key_of rank)
+          Kvstore.Store.put_string ~cpu:Memmodel.Cpu.none store ~key:(key_of rank)
             (Spec.alloc_value pool ~repr:`Linked sizes)
         done);
     next =

@@ -43,7 +43,7 @@ let make ?(n_keys = 131072) ?(zipf_s = 0.99) ?(put_fraction = 0.08) () =
       (fun store ~pool ->
         let rng = Sim.Rng.create ~seed:0x7517 in
         for rank = 1 to n_keys do
-          Kvstore.Store.put ~cpu:Memmodel.Cpu.none store ~key:(key_of rank)
+          Kvstore.Store.put_string ~cpu:Memmodel.Cpu.none store ~key:(key_of rank)
             (Spec.alloc_value pool ~repr:`Single [ sample_size rng ])
         done);
     next =

@@ -15,7 +15,7 @@ let make ?(n_keys = 65536) ?(zipf_s = 0.99) ?(multiget = 1) ~entries
     populate =
       (fun store ~pool ->
         for rank = 1 to n_keys do
-          Kvstore.Store.put ~cpu:Memmodel.Cpu.none store ~key:(key_of rank)
+          Kvstore.Store.put_string ~cpu:Memmodel.Cpu.none store ~key:(key_of rank)
             (Spec.alloc_value pool ~repr:`Linked sizes)
         done);
     next =

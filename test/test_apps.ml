@@ -108,8 +108,8 @@ let fixture_workload =
           Mem.Pinned.Buf.fill ~cpu:none ~site:"Test.populate" b (value_bytes ~tag n);
           b
         in
-        Kvstore.Store.put ~cpu:none store ~key:"single" (Kvstore.Store.Single (buf 1 700));
-        Kvstore.Store.put ~cpu:none store ~key:"vector"
+        Kvstore.Store.put_string ~cpu:none store ~key:"single" (Kvstore.Store.Single (buf 1 700));
+        Kvstore.Store.put_string ~cpu:none store ~key:"vector"
           (Kvstore.Store.Vector [| buf 2 300; buf 3 900; buf 4 64 |]));
     next = (fun _ -> invalid_arg "rx-cases: ops are sent explicitly");
     mean_response_bytes = 0.0;

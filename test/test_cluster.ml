@@ -51,6 +51,35 @@ let prop_balance =
           float_of_int c <= 1.6 *. mean && float_of_int c >= 0.45 *. mean)
         (Cluster.Ring.census ring keys))
 
+(* Routing reads keys in place: the owner of a key window inside a larger
+   buffer (as the dispatcher sees it in a receive buffer) is the owner of
+   the key string (as placement computes it). *)
+let prop_owner_window =
+  let ring = Cluster.Ring.create ~vnodes:64 [ 1; 2; 3; 4; 5 ] in
+  QCheck.Test.make ~count:500 ~name:"ring owner over bytes = owner over string"
+    QCheck.(triple small_string (string_of_size Gen.(0 -- 64)) small_string)
+    (fun (before, key, after) ->
+      let data = Bytes.of_string (before ^ key ^ after) in
+      Cluster.Ring.owner_window ring data ~off:(String.length before)
+        ~len:(String.length key)
+      = Cluster.Ring.owner ring key)
+
+(* Routing a key in place allocates nothing: the 64-bit hash stays
+   unboxed. Over 10^4 lookups only the [Gc.minor_words] readings may. *)
+let test_owner_window_allocates_nothing () =
+  let ring = Cluster.Ring.create ~vnodes:128 [ 1; 2; 3; 4 ] in
+  let data = Bytes.of_string "tw:0000000000000042" in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Cluster.Ring.owner_window ring data ~off:0 ~len:19
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "same owner every time"
+    (10_000 * Cluster.Ring.owner ring "tw:0000000000000042")
+    !acc;
+  if words > 8.0 then Alcotest.failf "%.0f minor words over 10^4 lookups" words
+
 (* Minimal remapping: growing an n-shard ring moves keys only onto the new
    shard, and no more than ~2x the ideal 1/(n+1) fraction of them. *)
 let prop_minimal_remapping =
@@ -263,6 +292,9 @@ let suite =
       test_ring_remove_only_moves_orphans;
     QCheck_alcotest.to_alcotest prop_balance;
     QCheck_alcotest.to_alcotest prop_minimal_remapping;
+    QCheck_alcotest.to_alcotest prop_owner_window;
+    Alcotest.test_case "ring owner over bytes allocates nothing" `Quick
+      test_owner_window_allocates_nothing;
     Alcotest.test_case "fan-out exactly once" `Quick test_fanout_exactly_once;
     Alcotest.test_case "put then get via dispatcher" `Quick
       test_put_then_get_via_dispatcher;

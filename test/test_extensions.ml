@@ -193,10 +193,13 @@ let test_adaptive_of_buf_arms () =
   let pool = Test_env.data_pool env in
   let a = Cornflakes.Adaptive.create ~initial:512 () in
   let completion = Memmodel.Params.default.Memmodel.Params.cost_completion_per_sge in
-  (* Zero-copy arm: the caller's one reference moves into the payload. *)
+  (* Zero-copy arm: the caller's payload itself comes back, its one
+     reference untouched. *)
   let big = Test_env.pinned_of_string pool (String.make 1024 'z') in
-  (match Cornflakes.Adaptive.of_buf ~cpu a ep big with
-  | Wire.Payload.Zero_copy b ->
+  let big_p = Wire.Payload.Zero_copy big in
+  (match Cornflakes.Adaptive.of_buf ~cpu a ep big_p with
+  | Wire.Payload.Zero_copy b as p ->
+      Alcotest.(check bool) "same payload block" true (p == big_p);
       Alcotest.(check int) "reference kept" 1 (Mem.Pinned.Buf.refcount big);
       Mem.Pinned.Buf.decr_ref ~cpu:none b
   | _ -> Alcotest.fail "1024 B at threshold 512 must stay zero-copy");
@@ -208,7 +211,7 @@ let test_adaptive_of_buf_arms () =
   (* Copy arm: the handed-in reference is dropped. *)
   let small = Test_env.pinned_of_string pool (String.make 100 's') in
   Mem.Pinned.Buf.incr_ref ~cpu:none small;
-  (match Cornflakes.Adaptive.of_buf ~cpu a ep small with
+  (match Cornflakes.Adaptive.of_buf ~cpu a ep (Wire.Payload.Zero_copy small) with
   | Wire.Payload.Copied v ->
       Alcotest.(check string) "copy is faithful" (String.make 100 's')
         (Mem.View.to_string v)
@@ -221,7 +224,7 @@ let test_adaptive_of_buf_arms () =
   (* A zero-byte copy: nothing to learn per byte, no observation. *)
   let empty = Mem.Pinned.Buf.sub small ~off:0 ~len:0 in
   Mem.Pinned.Buf.incr_ref ~cpu:none empty;
-  (match Cornflakes.Adaptive.of_buf ~cpu a ep empty with
+  (match Cornflakes.Adaptive.of_buf ~cpu a ep (Wire.Payload.Zero_copy empty) with
   | Wire.Payload.Copied _ -> ()
   | _ -> Alcotest.fail "an empty buffer must be copied");
   Alcotest.(check int) "zero-byte copy not observed" 2
