@@ -117,8 +117,8 @@ let make_rpc_call_loop () =
   S.on_get srv ~reader:(fun ~src:_ r _resp ->
       let n = Wire.Reader.count r Apps.Proto.req_keys in
       for j = 0 to n - 1 do
-        let off, len = Wire.Reader.elem_off_len r Apps.Proto.req_keys ~j in
-        sink := !sink + off + len
+        let f = Wire.Reader.elem_field r Apps.Proto.req_keys ~j in
+        sink := !sink + Wire.Reader.field_off r f + Wire.Reader.field_len r f
       done);
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
       S.serve srv ~src buf;
@@ -139,6 +139,28 @@ let make_rpc_call_loop () =
     Sim.Engine.run_all engine;
     Mem.Arena.reset (Net.Endpoint.arena cli);
     Mem.Arena.reset (Net.Endpoint.arena srv_ep)
+
+(* One TCP record round trip per op: a 64 B record through the transport's
+   single-frame fast path, its zero-copy delivery on the peer and the pure
+   ACK that releases it, the engine drained (the RTO timer included). *)
+let make_tcp_round_trip () =
+  let engine = Sim.Engine.create () in
+  let fabric = Net.Fabric.create engine in
+  let space = Mem.Addr_space.create () in
+  let registry = Mem.Registry.create space in
+  let ep = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
+  let peer =
+    Tcp.Stack.attach (Net.Endpoint.create ~cpu:none fabric registry ~id:2)
+  in
+  Tcp.Stack.set_on_message peer (fun _ buf ->
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"bench.tcp" buf);
+  let tr = Tcp.transport (Tcp.Stack.attach ep) in
+  Net.Transport.connect tr ~peer:2;
+  Sim.Engine.run_all engine;
+  fun () ->
+    let head = Net.Endpoint.alloc_tx ep ~len:(Tcp.transport_headroom + 64) in
+    Net.Transport.send_inline tr ~dst:2 ~head ~zc:[||] ~zc_n:0;
+    Sim.Engine.run_all engine
 
 let event_tick () = ()
 
@@ -263,8 +285,9 @@ let make_benchmarks ~seed () =
   Apps.Kv_rpc.Kv_service.on_get rpc_srv ~reader:(fun ~src:_ r _resp ->
       let n = Wire.Reader.count r Apps.Proto.req_keys in
       for j = 0 to n - 1 do
-        let off, len = Wire.Reader.elem_off_len r Apps.Proto.req_keys ~j in
-        rpc_sink := !rpc_sink + off + len
+        let f = Wire.Reader.elem_field r Apps.Proto.req_keys ~j in
+        rpc_sink :=
+          !rpc_sink + Wire.Reader.field_off r f + Wire.Reader.field_len r f
       done);
   (* RX delivery: a dedicated device + receive ring; each op posts one
      1024 B frame into the ring and releases it straight back (refcount
@@ -309,6 +332,8 @@ let make_benchmarks ~seed () =
        (store, window))
   in
   let find_next = ref 0 in
+  (* Two TCP stacks, connected: built on first use, like the store. *)
+  let tcp_round_trip = lazy (make_tcp_round_trip ()) in
   let zipf = Sim.Dist.Zipf.create ~n:1_000_000 ~s:0.99 in
   let zipf_rng = Sim.Rng.create ~seed in
   let cache_cpu = Memmodel.Cpu.create Memmodel.Params.default in
@@ -416,7 +441,7 @@ let make_benchmarks ~seed () =
           ignore (Wire.Reader.get_u64 rx_reader Apps.Proto.resp_id);
           let n = Wire.Reader.count rx_reader Apps.Proto.resp_vals in
           for j = 0 to n - 1 do
-            ignore (Wire.Reader.elem_off_len rx_reader Apps.Proto.resp_vals ~j)
+            ignore (Wire.Reader.elem_field rx_reader Apps.Proto.resp_vals ~j)
           done);
     };
     (* One frame through the receive ring and straight back: DMA-visible
@@ -533,6 +558,11 @@ let make_benchmarks ~seed () =
           miss_addr := (!miss_addr + 2048) land ((1 lsl 27) - 1);
           Memmodel.Cpu.stream cache_cpu Memmodel.Cpu.Copy ~addr:!miss_addr
             ~len:2048);
+    };
+    {
+      name = "tcp-fast-path-roundtrip";
+      tracked = true;
+      fn = (fun () -> (Lazy.force tcp_round_trip) ());
     };
     (* Last: once built, its fixture stays live, and a large live heap
        slows the GC stabilization before every timing sample. *)

@@ -16,12 +16,22 @@ type ('o, 'a) t = {
   occupied : 'a -> bool;
   id_of : 'a -> int;
   parked : (int, 'a) Hashtbl.t;
+  mutable prune_at : int; (* parked-table size that triggers a prune *)
 }
 
 let max_width = 1 lsl 14
 
+let min_prune = 8
+
 let create ~make ~occupied ~id_of =
-  { slots = [||]; make; occupied; id_of; parked = Hashtbl.create 8 }
+  {
+    slots = [||];
+    make;
+    occupied;
+    id_of;
+    parked = Hashtbl.create 8;
+    prune_at = min_prune;
+  }
 
 let width t = Array.length t.slots
 
@@ -61,11 +71,17 @@ let widen t owner =
     t.slots;
   t.slots <- wider
 
+(* Freed stragglers are pruned from the parked table only once it has
+   doubled since the last prune, so parking stays amortised O(1); lookups
+   drop them meanwhile. *)
 let park t owner ~id =
   let s = t.slots.(index t id) in
-  Hashtbl.filter_map_inplace
-    (fun _ p -> if t.occupied p then Some p else None)
-    t.parked;
+  if Hashtbl.length t.parked >= t.prune_at then begin
+    Hashtbl.filter_map_inplace
+      (fun _ p -> if t.occupied p then Some p else None)
+      t.parked;
+    t.prune_at <- max min_prune (2 * Hashtbl.length t.parked)
+  end;
   Hashtbl.replace t.parked (t.id_of s) s;
   t.slots.(index t id) <- t.make owner
 

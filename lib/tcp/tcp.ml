@@ -1,3 +1,19 @@
+(* Simplified Demikernel-style TCP (see tcp.mli). The per-frame data path
+   allocates nothing beyond the pinned-buffer handles it hands on:
+
+   - The retransmission queue is a ring of reusable frame slots ([rtx],
+     [rtx_first], [rtx_n]) that doubles when full. A slot keeps its frame
+     record and its zero-copy array from one frame to the next.
+   - A cumulative ACK pops the acked prefix of the ring in seq order: frame
+     ends never decrease, so the frames it covers are always a prefix.
+     Each is RTT-sampled and released as it is popped.
+   - Headers are written and parsed as little-endian u32s on the buffer's
+     backing bytes ([set_u32]/[get_u32]), with no [View] or closure.
+   - In-order bytes that need reassembly collect in [asm]; [drain_assembly]
+     reads each record's length prefix where it lies and copies the record
+     straight from there into a reassembly-pool buffer, so buffered bytes
+     are copied once, not once per drain. *)
+
 let header_len = 16
 
 let mss = 8900 (* stream bytes per frame; fits a jumbo with headers *)
@@ -25,13 +41,15 @@ let flag_data = 4
 type state = Syn_sent | Established | Closed
 
 type frame = {
-  f_seq : int;
-  f_len : int;
+  mutable f_seq : int;
+  mutable f_len : int;
   (* The frame's gather: a staging [f_head] (packet + TCP headroom first)
-     plus its zero-copy entries, exact length. One connection-owned
-     reference on each. *)
-  f_head : Mem.Pinned.Buf.t;
-  f_zc : Mem.Pinned.Buf.t array;
+     plus the first [f_zc_n] entries of [f_zc], its zero-copy segments.
+     One connection-owned reference on each. The slot is reused once the
+     frame is acknowledged, array included; only the live prefix is read. *)
+  mutable f_head : Mem.Pinned.Buf.t;
+  mutable f_zc : Mem.Pinned.Buf.t array;
+  mutable f_zc_n : int;
   mutable sent_at : int;
   mutable retries : int;
   (* RefSan holds covering the payload while the frame sits in the
@@ -39,16 +57,29 @@ type frame = {
   mutable f_holds : int option list;
 }
 
+(* The RTT estimate lives in an all-float record, stored flat, so updating
+   it on every ACK boxes nothing. *)
+type rtt = { mutable srtt_ns : float; mutable rttvar_ns : float }
+
 type conn = {
   stack : stack;
   peer : int;
   mutable state : state;
   mutable snd_nxt : int;
   mutable snd_una : int;
-  mutable inflight : frame list; (* ascending seq *)
+  (* The retransmission queue: [rtx_n] frames in flight, ascending seq,
+     the oldest at [rtx.(rtx_first)], in a power-of-two ring of reusable
+     slots that doubles when full. *)
+  mutable rtx : frame array;
+  mutable rtx_first : int;
+  mutable rtx_n : int;
   mutable rcv_nxt : int;
-  ooo : (int, string) Hashtbl.t; (* out-of-order payloads by seq *)
-  assembly : Buffer.t; (* in-order bytes not yet framed into messages *)
+  ooo : (int, Bytes.t) Hashtbl.t; (* out-of-order payloads by seq *)
+  (* In-order bytes not yet framed into messages: [asm_len] bytes of [asm]
+     from [asm_off]. Records are parsed where they lie. *)
+  mutable asm : Bytes.t;
+  mutable asm_off : int;
+  mutable asm_len : int;
   mutable pending : Wire.Payload.t list list;
       (* messages queued pre-establishment; [Zero_copy] payloads keep their
          pinned references until the handshake completes and they frame *)
@@ -56,8 +87,7 @@ type conn = {
   mutable timer_armed : bool;
   rto_k : unit -> unit; (* the retransmission timer event, built once *)
   (* RTT estimation (RFC 6298 style) and fast retransmit. *)
-  mutable srtt_ns : float;
-  mutable rttvar_ns : float;
+  rtt : rtt;
   mutable rto_ns : int;
   mutable dup_acks : int;
   mutable last_ack : int;
@@ -74,23 +104,21 @@ and stack = {
 
 (* --- Frame emission ---------------------------------------------------- *)
 
+(* Header fields are little-endian u32s written and read on the buffer's
+   backing bytes: no [View] and no per-call closure. *)
+let set_u32 b pos x = Bytes.set_int32_le b pos (Int32.of_int x)
+
+let get_u32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFF_FFFF
+
 let write_tcp_header buf ~off ~flags ~seq ~ack ~len =
-  let v = Mem.Pinned.Buf.view buf in
-  let b = v.Mem.View.data and base = v.Mem.View.off + off in
-  Bytes.set b base (Char.chr flags);
-  Bytes.set b (base + 1) '\000';
-  Bytes.set b (base + 2) '\000';
-  Bytes.set b (base + 3) '\000';
-  let u32 o x =
-    Bytes.set b (base + o) (Char.chr (x land 0xff));
-    Bytes.set b (base + o + 1) (Char.chr ((x lsr 8) land 0xff));
-    Bytes.set b (base + o + 2) (Char.chr ((x lsr 16) land 0xff));
-    Bytes.set b (base + o + 3) (Char.chr ((x lsr 24) land 0xff))
-  in
-  u32 4 seq;
-  u32 8 ack;
-  u32 12 len;
+  let b = Mem.Pinned.Buf.backing buf
+  and base = Mem.Pinned.Buf.backing_off buf + off in
+  set_u32 b base flags;
+  set_u32 b (base + 4) seq;
+  set_u32 b (base + 8) ack;
+  set_u32 b (base + 12) len;
   Mem.Pinned.Buf.note_write ~site:"Tcp.write_header" buf ~off ~len:header_len
+[@@alloc_free]
 
 (* Retransmission-queue holds exempt the header prefix of the first
    segment: the stack legitimately rewrites the packet and TCP headers on
@@ -102,24 +130,19 @@ let take_frame_holds frame =
     let hold ~skip seg = Mem.Pinned.Buf.hold ~site:"Tcp.rtx_queue" ~skip seg in
     let head = hold ~skip:rtx_header_skip frame.f_head in
     frame.f_holds <-
-      head :: List.map (hold ~skip:0) (Array.to_list frame.f_zc)
+      head :: List.init frame.f_zc_n (fun i -> hold ~skip:0 frame.f_zc.(i))
   end
 
 let release_frame_holds frame =
-  List.iter Mem.Pinned.Buf.release_hold frame.f_holds;
-  frame.f_holds <- []
+  if frame.f_holds <> [] then begin
+    List.iter Mem.Pinned.Buf.release_hold frame.f_holds;
+    frame.f_holds <- []
+  end
 
 (* The simulation does not CPU-charge TCP protocol work: ACKs,
    retransmissions, reassembly and the releases the ACK path performs all
    run on the unmetered meter. Data frames charge the endpoint's meter. *)
 let unmetered = Memmodel.Cpu.none
-
-let read_u32 (v : Mem.View.t) off =
-  let b = v.Mem.View.data and base = v.Mem.View.off + off in
-  Char.code (Bytes.get b base)
-  lor (Char.code (Bytes.get b (base + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (base + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (base + 3)) lsl 24)
 
 (* Post a frame's gather (header write + NIC post), for its first
    transmission and every retransmission alike. The NIC's completion
@@ -129,17 +152,18 @@ let post_frame ~cpu conn frame ~flags =
   write_tcp_header frame.f_head ~off:Net.Packet.header_len ~flags
     ~seq:frame.f_seq ~ack:conn.rcv_nxt ~len:frame.f_len;
   Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.post_frame" frame.f_head;
-  for i = 0 to Array.length frame.f_zc - 1 do
+  for i = 0 to frame.f_zc_n - 1 do
     Mem.Pinned.Buf.incr_ref ~cpu ~site:"Tcp.post_frame" frame.f_zc.(i)
   done;
   frame.sent_at <- Sim.Engine.now conn.stack.engine;
   Net.Endpoint.send_inline_on ~cpu conn.stack.ep ~dst:conn.peer
-    ~head:frame.f_head ~zc:frame.f_zc ~zc_n:(Array.length frame.f_zc)
+    ~head:frame.f_head ~zc:frame.f_zc ~zc_n:frame.f_zc_n
+[@@alloc_free]
 
 (* Drop the connection's own reference on every segment of [frame]. *)
 let release_frame_refs ~site frame =
   Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site frame.f_head;
-  for i = 0 to Array.length frame.f_zc - 1 do
+  for i = 0 to frame.f_zc_n - 1 do
     Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site frame.f_zc.(i)
   done
 
@@ -153,6 +177,61 @@ let send_control conn ~flags ~seq =
   Net.Endpoint.send_inline_on ~cpu:unmetered conn.stack.ep ~dst:conn.peer
     ~head:staging ~zc:[||] ~zc_n:0
 
+(* --- The retransmission queue ------------------------------------------ *)
+
+(* The [i]th frame in flight, 0 being the oldest. *)
+let rtx_frame conn i =
+  Array.unsafe_get conn.rtx
+    ((conn.rtx_first + i) land (Array.length conn.rtx - 1))
+
+(* Double the ring, keeping the frames in flight in order at its front.
+   New slots start out pointing at [filler], a live handle that is only
+   a placeholder until the slot is first filled. *)
+let rtx_grow conn ~filler =
+  let n = Array.length conn.rtx in
+  conn.rtx <-
+    Array.init
+      (max 4 (2 * n))
+      (fun i ->
+        if i < n then rtx_frame conn i
+        else
+          {
+            f_seq = 0;
+            f_len = 0;
+            f_head = filler;
+            f_zc = [||];
+            f_zc_n = 0;
+            sent_at = 0;
+            retries = 0;
+            f_holds = [];
+          });
+  conn.rtx_first <- 0
+
+(* Queue the frame carrying the next [len] stream bytes: the first free
+   slot takes over [head] and a copy of [zc.(0 .. zc_n - 1)] (the caller's
+   array is only valid now). *)
+let rtx_push conn ~len ~head ~zc ~zc_n =
+  if conn.rtx_n = Array.length conn.rtx then rtx_grow conn ~filler:head;
+  let f = rtx_frame conn conn.rtx_n in
+  conn.rtx_n <- conn.rtx_n + 1;
+  f.f_seq <- conn.snd_nxt;
+  f.f_len <- len;
+  f.f_head <- head;
+  if Array.length f.f_zc < zc_n then f.f_zc <- Array.sub zc 0 zc_n
+  else Array.blit zc 0 f.f_zc 0 zc_n;
+  f.f_zc_n <- zc_n;
+  f.sent_at <- 0;
+  f.retries <- 0;
+  conn.snd_nxt <- conn.snd_nxt + len;
+  f
+
+(* Dequeue the oldest frame. Its slot stays valid until the next push. *)
+let rtx_pop conn =
+  let f = rtx_frame conn 0 in
+  conn.rtx_first <- (conn.rtx_first + 1) land (Array.length conn.rtx - 1);
+  conn.rtx_n <- conn.rtx_n - 1;
+  f
+
 (* --- Retransmission ---------------------------------------------------- *)
 
 let arm_timer conn =
@@ -162,31 +241,29 @@ let arm_timer conn =
   end
 
 let check_rto conn =
-  match (conn.state, conn.inflight) with
-  | Closed, _ | _, [] -> ()
-  | _, oldest :: _ ->
-      let now = Sim.Engine.now conn.stack.engine in
-      if now - oldest.sent_at >= conn.rto_ns then begin
-        if oldest.retries >= max_retries then begin
-          conn.state <- Closed;
-          List.iter
-            (fun f ->
-              release_frame_holds f;
-              release_frame_refs ~site:"Tcp.abort" f)
-            conn.inflight;
-          conn.inflight <- []
-        end
-        else begin
-          oldest.retries <- oldest.retries + 1;
-          conn.retransmissions <- conn.retransmissions + 1;
-          (* Exponential backoff on timeout-driven retransmission. *)
-          conn.rto_ns <- min max_rto_ns (conn.rto_ns * 2);
-          post_frame ~cpu:unmetered conn oldest
-            ~flags:(flag_data lor flag_ack);
-          arm_timer conn
-        end
+  if conn.state <> Closed && conn.rtx_n > 0 then begin
+    let oldest = rtx_frame conn 0 in
+    let now = Sim.Engine.now conn.stack.engine in
+    if now - oldest.sent_at >= conn.rto_ns then begin
+      if oldest.retries >= max_retries then begin
+        conn.state <- Closed;
+        while conn.rtx_n > 0 do
+          let f = rtx_pop conn in
+          release_frame_holds f;
+          release_frame_refs ~site:"Tcp.abort" f
+        done
       end
-      else arm_timer conn
+      else begin
+        oldest.retries <- oldest.retries + 1;
+        conn.retransmissions <- conn.retransmissions + 1;
+        (* Exponential backoff on timeout-driven retransmission. *)
+        conn.rto_ns <- min max_rto_ns (conn.rto_ns * 2);
+        post_frame ~cpu:unmetered conn oldest ~flags:(flag_data lor flag_ack);
+        arm_timer conn
+      end
+    end
+    else arm_timer conn
+  end
 
 (* --- Sending ------------------------------------------------------------ *)
 
@@ -208,7 +285,8 @@ let split_run run at =
       ( R_zc (Mem.Pinned.Buf.sub b ~off:0 ~len:at),
         R_zc (Mem.Pinned.Buf.sub b ~off:at ~len:(Mem.Pinned.Buf.len b - at)) )
 
-let frames_of_runs ~cpu conn runs =
+(* Queue the record's frames on the retransmission queue. *)
+let queue_frames ~cpu conn runs =
   (* Greedily pack runs into frames of at most [mss] stream bytes. *)
   let frames = ref [] in
   let pending = ref runs in
@@ -234,8 +312,7 @@ let frames_of_runs ~cpu conn runs =
     done;
     frames := List.rev !frame_runs :: !frames
   done;
-  let frames = List.rev !frames in
-  List.map
+  List.iter
     (fun frame_runs ->
       let f_len = List.fold_left (fun a r -> a + run_len r) 0 frame_runs in
       (* Coalesce leading copies (plus headers) into the first staging
@@ -272,34 +349,19 @@ let frames_of_runs ~cpu conn runs =
           staging :: segments
         end
       in
-      let f_head, f_zc =
-        match List.rev (build [] [] frame_runs) with
-        | head :: zc -> (head, Array.of_list zc)
-        | [] -> assert false (* [flush ~first:true] always stages a head *)
-      in
-      let f =
-        {
-          f_seq = conn.snd_nxt;
-          f_len;
-          f_head;
-          f_zc;
-          sent_at = 0;
-          retries = 0;
-          f_holds = [];
-        }
-      in
-      conn.snd_nxt <- conn.snd_nxt + f_len;
-      f)
-    frames
+      match List.rev (build [] [] frame_runs) with
+      | head :: zc ->
+          let zc = Array.of_list zc in
+          ignore
+            (rtx_push conn ~len:f_len ~head ~zc ~zc_n:(Array.length zc) : frame)
+      | [] -> assert false (* [flush ~first:true] always stages a head *))
+    (List.rev !frames)
 
 let transmit_message ~cpu conn payloads =
   let total = List.fold_left (fun acc p -> acc + Wire.Payload.len p) 0 payloads in
   (* Record framing: 4-byte length prefix. *)
   let prefix = Bytes.create 4 in
-  Bytes.set prefix 0 (Char.chr (total land 0xff));
-  Bytes.set prefix 1 (Char.chr ((total lsr 8) land 0xff));
-  Bytes.set prefix 2 (Char.chr ((total lsr 16) land 0xff));
-  Bytes.set prefix 3 (Char.chr ((total lsr 24) land 0xff));
+  set_u32 prefix 0 total;
   let space = Mem.Registry.space (Net.Endpoint.registry conn.stack.ep) in
   let prefix_view =
     Mem.View.make
@@ -314,41 +376,57 @@ let transmit_message ~cpu conn payloads =
            | Wire.Payload.Zero_copy b -> R_zc b)
          payloads
   in
-  let frames = frames_of_runs ~cpu conn runs in
+  let first = conn.rtx_n in
+  queue_frames ~cpu conn runs;
   (* The frames hold their own references on every zero-copy slice, so the
      ownership passed in by the caller can be dropped now. *)
   List.iter (fun p -> Wire.Payload.release ~cpu p) payloads;
-  conn.inflight <- conn.inflight @ frames;
-  List.iter take_frame_holds frames;
-  List.iter
-    (fun f -> post_frame ~cpu conn f ~flags:(flag_data lor flag_ack))
-    frames;
+  for i = first to conn.rtx_n - 1 do
+    take_frame_holds (rtx_frame conn i)
+  done;
+  for i = first to conn.rtx_n - 1 do
+    post_frame ~cpu conn (rtx_frame conn i) ~flags:(flag_data lor flag_ack)
+  done;
   arm_timer conn
 
 (* --- Receiving ----------------------------------------------------------- *)
 
 let deliver conn buf = conn.stack.on_message conn buf
 
-(* Extract complete length-prefixed records from the assembly buffer. *)
-let rec drain_assembly conn =
-  let a = conn.assembly in
-  if Buffer.length a >= 4 then begin
-    let s = Buffer.contents a in
-    let len =
-      Char.code s.[0]
-      lor (Char.code s.[1] lsl 8)
-      lor (Char.code s.[2] lsl 16)
-      lor (Char.code s.[3] lsl 24)
+(* Append [len] bytes of [b] to the in-order stream, first sliding the
+   unparsed bytes to the front when the tail lacks room, and growing only
+   when that is not enough. *)
+let asm_add conn b ~off ~len =
+  let need = conn.asm_len + len in
+  if conn.asm_off + need > Bytes.length conn.asm then begin
+    let dst =
+      if need > Bytes.length conn.asm then
+        Bytes.create (max need (2 * Bytes.length conn.asm))
+      else conn.asm
     in
-    if Buffer.length a >= 4 + len then begin
-      let record = String.sub s 4 len in
-      Buffer.clear a;
-      Buffer.add_substring a s (4 + len) (String.length s - 4 - len);
+    Bytes.blit conn.asm conn.asm_off dst 0 conn.asm_len;
+    conn.asm <- dst;
+    conn.asm_off <- 0
+  end;
+  Bytes.blit b off conn.asm (conn.asm_off + conn.asm_len) len;
+  conn.asm_len <- need
+
+(* Deliver every complete length-prefixed record of the in-order stream,
+   each copied out of the bytes where it lies into a reassembly buffer. *)
+let rec drain_assembly conn =
+  if conn.asm_len >= 4 then begin
+    let len = get_u32 conn.asm conn.asm_off in
+    if conn.asm_len >= 4 + len then begin
+      let src_off = conn.asm_off + 4 in
+      conn.asm_off <- src_off + len;
+      conn.asm_len <- conn.asm_len - 4 - len;
       let buf =
         Mem.Pinned.Buf.alloc ~cpu:unmetered ~site:"Tcp.reassemble"
           conn.stack.pool ~len:(max 1 len)
       in
-      Mem.Pinned.Buf.fill ~cpu:unmetered ~site:"Tcp.reassemble" buf record;
+      Mem.Pinned.Buf.fill_subbytes ~cpu:unmetered ~site:"Tcp.reassemble" buf
+        conn.asm ~src_off ~len;
+      if conn.asm_len = 0 then conn.asm_off <- 0;
       let buf =
         if len = Mem.Pinned.Buf.len buf then buf
         else Mem.Pinned.Buf.sub buf ~off:0 ~len
@@ -359,39 +437,35 @@ let rec drain_assembly conn =
   end
 
 let rec accept_in_order conn =
-  match Hashtbl.find_opt conn.ooo conn.rcv_nxt with
-  | None -> ()
-  | Some payload ->
-      Hashtbl.remove conn.ooo conn.rcv_nxt;
-      conn.rcv_nxt <- conn.rcv_nxt + String.length payload;
-      Buffer.add_string conn.assembly payload;
-      drain_assembly conn;
-      accept_in_order conn
+  if Hashtbl.length conn.ooo > 0 then
+    match Hashtbl.find conn.ooo conn.rcv_nxt with
+    | exception Not_found -> ()
+    | payload ->
+        Hashtbl.remove conn.ooo conn.rcv_nxt;
+        conn.rcv_nxt <- conn.rcv_nxt + Bytes.length payload;
+        asm_add conn payload ~off:0 ~len:(Bytes.length payload);
+        drain_assembly conn;
+        accept_in_order conn
+[@@alloc_free]
 
 let handle_data conn buf ~seq ~payload_off ~payload_len =
   if payload_len = 0 then
     Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
   else if seq = conn.rcv_nxt then begin
     conn.rcv_nxt <- conn.rcv_nxt + payload_len;
+    let b = Mem.Pinned.Buf.backing buf
+    and pos = Mem.Pinned.Buf.backing_off buf + payload_off in
     (* Fast path: the frame holds exactly one whole record and the stream
        is at a record boundary — deliver a window into the receive buffer,
        zero-copy. *)
-    let at_boundary =
-      Buffer.length conn.assembly = 0 && Hashtbl.length conn.ooo = 0
-    in
-    let record_len =
-      if payload_len >= 4 then read_u32 (Mem.Pinned.Buf.view buf) payload_off
-      else -1
-    in
+    let at_boundary = conn.asm_len = 0 && Hashtbl.length conn.ooo = 0 in
+    let record_len = if payload_len >= 4 then get_u32 b pos else -1 in
     if at_boundary && record_len >= 0 && 4 + record_len = payload_len then begin
       let msg = Mem.Pinned.Buf.sub buf ~off:(payload_off + 4) ~len:record_len in
       deliver conn msg
     end
     else begin
-      let v =
-        Mem.View.sub (Mem.Pinned.Buf.view buf) ~off:payload_off ~len:payload_len
-      in
-      Buffer.add_string conn.assembly (Mem.View.to_string v);
+      asm_add conn b ~off:pos ~len:payload_len;
       Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf;
       drain_assembly conn
     end;
@@ -400,12 +474,11 @@ let handle_data conn buf ~seq ~payload_off ~payload_len =
   end
   else begin
     (* Out of order (or duplicate): stash the bytes if new, re-ACK. *)
-    if seq > conn.rcv_nxt && not (Hashtbl.mem conn.ooo seq) then begin
-      let v =
-        Mem.View.sub (Mem.Pinned.Buf.view buf) ~off:payload_off ~len:payload_len
-      in
-      Hashtbl.replace conn.ooo seq (Mem.View.to_string v)
-    end;
+    if seq > conn.rcv_nxt && not (Hashtbl.mem conn.ooo seq) then
+      Hashtbl.replace conn.ooo seq
+        (Bytes.sub (Mem.Pinned.Buf.backing buf)
+           (Mem.Pinned.Buf.backing_off buf + payload_off)
+           payload_len);
     Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf;
     send_control conn ~flags:flag_ack ~seq:conn.snd_nxt
   end
@@ -414,40 +487,45 @@ let handle_data conn buf ~seq ~payload_off ~payload_len =
    retransmitted (Karn's algorithm). *)
 let sample_rtt conn frame =
   if frame.retries = 0 then begin
+    let est = conn.rtt in
     let rtt = float_of_int (Sim.Engine.now conn.stack.engine - frame.sent_at) in
-    if conn.srtt_ns = 0.0 then begin
-      conn.srtt_ns <- rtt;
-      conn.rttvar_ns <- rtt /. 2.0
+    if est.srtt_ns = 0.0 then begin
+      est.srtt_ns <- rtt;
+      est.rttvar_ns <- rtt /. 2.0
     end
     else begin
-      conn.rttvar_ns <-
-        (0.75 *. conn.rttvar_ns) +. (0.25 *. Float.abs (conn.srtt_ns -. rtt));
-      conn.srtt_ns <- (0.875 *. conn.srtt_ns) +. (0.125 *. rtt)
+      est.rttvar_ns <-
+        (0.75 *. est.rttvar_ns) +. (0.25 *. Float.abs (est.srtt_ns -. rtt));
+      est.srtt_ns <- (0.875 *. est.srtt_ns) +. (0.125 *. rtt)
     end;
     conn.rto_ns <-
-      max min_rto_ns
-        (min max_rto_ns
-           (int_of_float (conn.srtt_ns +. (4.0 *. conn.rttvar_ns))))
+      Int.max min_rto_ns
+        (Int.min max_rto_ns
+           (int_of_float (est.srtt_ns +. (4.0 *. est.rttvar_ns))))
   end
 
+(* A cumulative ACK. Frames sit in ascending seq and their ends never
+   decrease, so the frames it covers are a prefix of the queue: pop them
+   oldest first, sampling the RTT and releasing each in turn. *)
 let handle_ack conn ~ack ~pure =
   if ack > conn.snd_una then begin
     conn.dup_acks <- 0;
     conn.last_ack <- ack;
     conn.snd_una <- ack;
-    let acked, remaining =
-      List.partition (fun f -> f.f_seq + f.f_len <= ack) conn.inflight
-    in
-    conn.inflight <- remaining;
-    List.iter
-      (fun f ->
-        sample_rtt conn f;
-        release_frame_holds f;
-        release_frame_refs ~site:"Tcp.acked" f)
-      acked;
-    if remaining <> [] then arm_timer conn
+    while
+      conn.rtx_n > 0
+      &&
+      let f = rtx_frame conn 0 in
+      f.f_seq + f.f_len <= ack
+    do
+      let f = rtx_pop conn in
+      sample_rtt conn f;
+      release_frame_holds f;
+      release_frame_refs ~site:"Tcp.acked" f
+    done;
+    if conn.rtx_n > 0 then arm_timer conn
   end
-  else if pure && ack = conn.snd_una && conn.inflight <> [] then begin
+  else if pure && ack = conn.snd_una && conn.rtx_n > 0 then begin
     (* Duplicate cumulative ACK — counted only on payload-free segments,
        as in real TCP (a data frame repeating the cumulative ACK is normal
        pipelining, not a loss signal). After three, fast-retransmit the
@@ -455,15 +533,15 @@ let handle_ack conn ~ack ~pure =
     conn.dup_acks <- conn.dup_acks + 1;
     if conn.dup_acks >= dupack_threshold then begin
       conn.dup_acks <- 0;
-      match conn.inflight with
-      | oldest :: _ when oldest.retries < max_retries ->
-          oldest.retries <- oldest.retries + 1;
-          conn.retransmissions <- conn.retransmissions + 1;
-          post_frame ~cpu:unmetered conn oldest
-            ~flags:(flag_data lor flag_ack)
-      | _ -> ()
+      let oldest = rtx_frame conn 0 in
+      if oldest.retries < max_retries then begin
+        oldest.retries <- oldest.retries + 1;
+        conn.retransmissions <- conn.retransmissions + 1;
+        post_frame ~cpu:unmetered conn oldest ~flags:(flag_data lor flag_ack)
+      end
     end
   end
+[@@alloc_free]
 
 let flush_pending conn =
   let pending = List.rev conn.pending in
@@ -488,16 +566,19 @@ let new_conn stack ~peer ~state ~isn =
       state;
       snd_nxt = isn;
       snd_una = isn;
-      inflight = [];
+      rtx = [||];
+      rtx_first = 0;
+      rtx_n = 0;
       rcv_nxt = 0;
       ooo = Hashtbl.create 8;
-      assembly = Buffer.create 256;
+      asm = Bytes.create 256;
+      asm_off = 0;
+      asm_len = 0;
       pending = [];
       retransmissions = 0;
       timer_armed = false;
       rto_k = (fun () -> rto_fired conn);
-      srtt_ns = 0.0;
-      rttvar_ns = 0.0;
+      rtt = { srtt_ns = 0.0; rttvar_ns = 0.0 };
       rto_ns = initial_rto_ns;
       dup_acks = 0;
       last_ack = 0;
@@ -506,14 +587,16 @@ let new_conn stack ~peer ~state ~isn =
   conn
 
 let handle_frame stack ~src buf =
-  let v = Mem.Pinned.Buf.view buf in
-  if v.Mem.View.len < header_len then
+  let frame_len = Mem.Pinned.Buf.len buf in
+  if frame_len < header_len then
     Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
   else begin
-    let flags = Char.code (Bytes.get v.Mem.View.data v.Mem.View.off) in
-    let seq = read_u32 v 4 in
-    let ack = read_u32 v 8 in
-    let payload_len = read_u32 v 12 in
+    let b = Mem.Pinned.Buf.backing buf
+    and base = Mem.Pinned.Buf.backing_off buf in
+    let flags = Char.code (Bytes.get b base) in
+    let seq = get_u32 b (base + 4) in
+    let ack = get_u32 b (base + 8) in
+    let payload_len = get_u32 b (base + 12) in
     if flags land flag_syn <> 0 && flags land flag_ack = 0 then begin
       (* Passive open. *)
       let conn =
@@ -534,9 +617,10 @@ let handle_frame stack ~src buf =
       Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
     end
     else
-      match Hashtbl.find_opt stack.conns src with
-      | None -> Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
-      | Some conn ->
+      match Hashtbl.find stack.conns src with
+      | exception Not_found ->
+          Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
+      | conn ->
           if flags land flag_syn <> 0 && flags land flag_ack <> 0 then begin
             (* SYN-ACK completes the active open. *)
             if conn.state = Syn_sent then begin
@@ -553,7 +637,7 @@ let handle_frame stack ~src buf =
               handle_ack conn ~ack
                 ~pure:(flags land flag_data = 0 || payload_len = 0);
             if flags land flag_data <> 0 && payload_len > 0 then begin
-              if header_len + payload_len > v.Mem.View.len then
+              if header_len + payload_len > frame_len then
                 Mem.Pinned.Buf.decr_ref ~cpu:unmetered ~site:"Tcp.rx" buf
               else
                 handle_data conn buf ~seq ~payload_off:header_len ~payload_len
@@ -585,12 +669,12 @@ let stack_connect stack ~peer =
    connection torn down by retry exhaustion is reopened (the ISN function
    is deterministic, so a reconnect replays identically under a seed). *)
 let conn_for stack ~peer =
-  match Hashtbl.find_opt stack.conns peer with
-  | Some c when c.state <> Closed -> c
-  | Some _ ->
+  match Hashtbl.find stack.conns peer with
+  | c when c.state <> Closed -> c
+  | _ ->
       Hashtbl.remove stack.conns peer;
       stack_connect stack ~peer
-  | None -> stack_connect stack ~peer
+  | exception Not_found -> stack_connect stack ~peer
 
 module Conn = struct
   type t = conn
@@ -608,7 +692,7 @@ module Conn = struct
 
   let rto_ns t = t.rto_ns
 
-  let srtt_ns t = t.srtt_ns
+  let srtt_ns t = t.rtt.srtt_ns
 end
 
 module Stack = struct
@@ -647,6 +731,8 @@ module Stack = struct
 
   let conn t ~peer = Hashtbl.find_opt t.conns peer
 
+  let receive t ~src buf = handle_frame t ~src buf
+
   let endpoint t = t.ep
 end
 
@@ -664,40 +750,27 @@ let transport_headroom = Net.Packet.header_len + header_len + record_prefix_len
 let max_msg_len = 262144
 
 let write_record_prefix buf ~off ~record_len =
-  let v = Mem.Pinned.Buf.view buf in
-  let b = v.Mem.View.data and base = v.Mem.View.off + off in
-  Bytes.set b base (Char.chr (record_len land 0xff));
-  Bytes.set b (base + 1) (Char.chr ((record_len lsr 8) land 0xff));
-  Bytes.set b (base + 2) (Char.chr ((record_len lsr 16) land 0xff));
-  Bytes.set b (base + 3) (Char.chr ((record_len lsr 24) land 0xff));
+  set_u32 (Mem.Pinned.Buf.backing buf)
+    (Mem.Pinned.Buf.backing_off buf + off)
+    record_len;
   Mem.Pinned.Buf.note_write ~site:"Tcp.record_prefix" buf ~off
     ~len:record_prefix_len
 
 (* Single-frame fast path: the whole record (plus its prefix) fits one MSS
    and the connection is up. The frame takes over the caller's reference on
    every segment — exactly the ownership a [send_message] round trip would
-   end with, minus the intermediate incr/decr pair. It keeps its own copy of
-   the zero-copy slots (the caller's array is only valid now), so the first
-   transmission and any retransmission post the same gather. The record
-   prefix is written before retransmission holds are taken; only the packet
-   + TCP header prefix stays exempt ([rtx_header_skip]) for later rewrites. *)
+   end with, minus the intermediate incr/decr pair. Its queue slot keeps its
+   own copy of the zero-copy slots (the caller's array is only valid now), so
+   the first transmission and any retransmission post the same gather. The
+   record prefix is written before retransmission holds are taken; only the
+   packet + TCP header prefix stays exempt ([rtx_header_skip]) for later
+   rewrites. *)
 let fast_path_send ~cpu conn ~head ~zc ~zc_n ~payload_len =
-  let f =
-    {
-      f_seq = conn.snd_nxt;
-      f_len = payload_len;
-      f_head = head;
-      f_zc = Array.sub zc 0 zc_n;
-      sent_at = 0;
-      retries = 0;
-      f_holds = [];
-    }
-  in
-  conn.snd_nxt <- conn.snd_nxt + payload_len;
-  conn.inflight <- conn.inflight @ [ f ];
+  let f = rtx_push conn ~len:payload_len ~head ~zc ~zc_n in
   take_frame_holds f;
   post_frame ~cpu conn f ~flags:(flag_data lor flag_ack);
   arm_timer conn
+[@@alloc_free]
 
 (* Slow path: hand the gather to [send_message] as zero-copy payloads. The
    head's headroom is scratch, not record bytes — narrow past it

@@ -77,6 +77,12 @@ module Stack : sig
 
   val conn : t -> peer:int -> Conn.t option
 
+  (** [receive t ~src buf] processes one received frame from peer [src]
+      ([buf] starts at the TCP header) and takes over its reference: the
+      endpoint's receive upcall, exposed so tests can drive a connection
+      frame by frame. *)
+  val receive : t -> src:int -> Mem.Pinned.Buf.t -> unit
+
   val endpoint : t -> Net.Endpoint.t
 end
 

@@ -243,10 +243,19 @@ let get_u64_or t i ~default =
 
 let get_float t i = Int64.float_of_bits (get_u64 t i)
 
-let payload_off_len t i =
+(* A length-delimited field is read through its (offset, length) slot:
+   [payload_field] and [elem_field] charge the slot read and return the
+   slot, which [field_off] (frame-relative) and [field_len] read back
+   uncharged — no pair is built. *)
+let payload_field t i =
   let s = slot t i in
   charge t ~off:s ~len:8;
-  (u32_at t s, u32_at t (s + 4))
+  s
+[@@alloc_free]
+
+let field_off t s = u32_at t s
+
+let field_len t s = u32_at t (s + 4)
 
 let payload_len t i =
   let s = slot t i in
@@ -257,21 +266,29 @@ let the_buf t =
   if Array.length t.frame = 0 then invalid "reader has no validated frame"
   else Array.unsafe_get t.frame 0
 
-let payload_view t i =
-  let off, len = payload_off_len t i in
-  Mem.Pinned.Buf.sub_view (the_buf t) ~off ~len
+(* The field at slot [s] as a view, a refcounted view, or a copied-out
+   string; [payload_*] and [elem_*] below pick the slot. *)
+let field_view t s =
+  Mem.Pinned.Buf.sub_view (the_buf t) ~off:(field_off t s) ~len:(field_len t s)
 
-let payload_rc ?(site = "Reader.payload_rc") t i =
-  let off, len = payload_off_len t i in
-  Rc_view.of_buf ~cpu:t.cpu ~site (the_buf t) ~off ~len
+let field_rc ~site t s =
+  Rc_view.of_buf ~cpu:t.cpu ~site (the_buf t) ~off:(field_off t s)
+    ~len:(field_len t s)
 
 (* Copy-out, charged as an App-side read over the payload bytes — the
    deliberate small-field exit from the zero-copy discipline (hash keys,
    command names). *)
-let payload_string t i =
-  let off, len = payload_off_len t i in
+let field_string t s =
+  let off = field_off t s and len = field_len t s in
   Memmodel.Cpu.stream t.cpu Memmodel.Cpu.App ~addr:(t.addr + off) ~len;
   Bytes.sub_string t.data (t.base + off) len
+
+let payload_view t i = field_view t (payload_field t i)
+
+let payload_rc ?(site = "Reader.payload_rc") t i =
+  field_rc ~site t (payload_field t i)
+
+let payload_string t i = field_string t (payload_field t i)
 
 (* --- repeated fields --------------------------------------------------- *)
 
@@ -298,23 +315,18 @@ let elem_u64 t i ~j =
   charge t ~off:s ~len:8;
   u64_at t s
 
-let elem_off_len t i ~j =
+let elem_field t i ~j =
   let s = elem_slot t i ~j in
   charge t ~off:s ~len:8;
-  (u32_at t s, u32_at t (s + 4))
+  s
+[@@alloc_free]
 
-let elem_view t i ~j =
-  let off, len = elem_off_len t i ~j in
-  Mem.Pinned.Buf.sub_view (the_buf t) ~off ~len
+let elem_view t i ~j = field_view t (elem_field t i ~j)
 
 let elem_rc ?(site = "Reader.elem_rc") t i ~j =
-  let off, len = elem_off_len t i ~j in
-  Rc_view.of_buf ~cpu:t.cpu ~site (the_buf t) ~off ~len
+  field_rc ~site t (elem_field t i ~j)
 
-let elem_string t i ~j =
-  let off, len = elem_off_len t i ~j in
-  Memmodel.Cpu.stream t.cpu Memmodel.Cpu.App ~addr:(t.addr + off) ~len;
-  Bytes.sub_string t.data (t.base + off) len
+let elem_string t i ~j = field_string t (elem_field t i ~j)
 
 (* Keys read in place. [elem_key] and [payload_key] charge exactly what
    [elem_string] and [payload_string] charge (the slot read, then the App
@@ -336,7 +348,7 @@ let data t = t.data
 
 let key_off t s = t.base + u32_at t s
 
-let key_len t s = u32_at t (s + 4)
+let key_len = field_len
 
 (* --- nested messages --------------------------------------------------- *)
 
