@@ -535,6 +535,18 @@ let make_benchmarks ~seed () =
           Sim.Engine.schedule event_engine ~after:1 event_tick;
           Sim.Engine.run_all event_engine);
     };
+    (* A request's timer resolved by its reply: arm a 100 us timer, fire
+       one near event, cancel the timer. *)
+    {
+      name = "engine-timer-cancel";
+      tracked = true;
+      fn =
+        (fun () ->
+          let timer = Sim.Engine.timer event_engine ~after:100_000 event_tick in
+          Sim.Engine.schedule event_engine ~after:1 event_tick;
+          Sim.Engine.run event_engine ~until:(Sim.Engine.now event_engine + 1);
+          Sim.Engine.cancel event_engine timer);
+    };
     {
       name = "zipf-sample";
       tracked = false;
@@ -806,6 +818,15 @@ let gate_against_baseline results ~baseline_path =
                   else None)
           results
       in
+      (* An untracked row past the same tolerance, either way, is stale. *)
+      List.iter
+        (fun r ->
+          match words_of r.r_name with
+          | Some b when (not r.r_tracked)
+                        && Float.abs (r.words_per_op -. b) > (b *. (tolerance -. 1.0)) +. 1.0 ->
+              Printf.printf "stale: %-32s %10.1f -> %10.1f words/op\n" r.r_name b r.words_per_op
+          | _ -> ())
+        results;
       Printf.printf
         "\nbaseline gate (%s, words/op + normalized ns/op, +20%% tolerance): "
         baseline_path;

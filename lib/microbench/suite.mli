@@ -33,5 +33,7 @@ val parse_baseline : string -> (string * float * float) list
 (** Report ns/op deltas vs the baseline and exit 1 if any tracked
     benchmark's minor words/op regressed more than 20%, or its ns/op
     regressed more than 20% after dividing out the median now/base ratio
-    across tracked benches (machine-speed normalization). *)
+    across tracked benches (machine-speed normalization). An untracked
+    benchmark whose words/op is more than the same tolerance away from
+    its baseline, either way, only prints a [stale:] line. *)
 val gate_against_baseline : result list -> baseline_path:string -> unit

@@ -6,7 +6,8 @@
     window is a bounded FIFO of [(src, id)] keys — oldest keys are
     evicted once [capacity] distinct keys are tracked, bounding memory
     for arbitrarily long runs (an evicted key's late duplicate would be
-    re-applied; size the window above the retry horizon). *)
+    re-applied; size the window above the keys that arrive within one
+    request's retry span). *)
 
 type t
 

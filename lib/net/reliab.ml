@@ -10,21 +10,19 @@ let default_config =
   { timeout_ns = 100_000; max_retries = 4; backoff = 2.0; jitter = 0.1; reap_period_ns = 250_000 }
 
 (* Per-request state lives in an id-indexed slot ring ([Sim.Id_ring]).
-   A slot stays occupied until its timer event has fired — a resolved
-   request's timer is still in the engine's queue, and the slot's
-   continuation must not wake a later occupant — so the ring spans about
-   one timeout's worth of requests. Each slot's timer continuation is built
-   once with the slot. *)
+   A slot is occupied while its request is outstanding: resolving the
+   request cancels its queued timer and frees the slot at once, so the
+   ring spans the outstanding requests. Each slot's timer continuation is
+   built once with the slot. *)
 type slot = {
-  mutable busy : bool; (* holds a request, or its timer is still queued *)
+  mutable busy : bool; (* holds an outstanding request *)
   mutable id : int;
   mutable send : unit -> unit;
   mutable give_up : unit -> unit;
   mutable deadline : int; (* absolute engine time; [max_int] for none *)
   mutable attempts : int; (* sends so far, including the first *)
-  mutable resolved : bool;
   mutable at_deadline : bool; (* the queued timer is the deadline abandon *)
-  mutable timer_queued : bool;
+  mutable timer : int; (* the queued timer's [Sim.Engine] handle *)
   fire : unit -> unit; (* the timer continuation, built with the slot *)
 }
 
@@ -79,47 +77,46 @@ let timeout_for t s =
 
 let noop () = ()
 
-let free s =
+(* The request is done: its timer, if still queued, is cancelled and the
+   slot is free for the next request. *)
+let resolve t s =
+  Sim.Engine.cancel t.engine s.timer;
+  t.outstanding <- t.outstanding - 1;
   s.busy <- false;
   s.send <- noop;
   s.give_up <- noop
 
-let resolve t s =
-  s.resolved <- true;
-  t.outstanding <- t.outstanding - 1
+let give_up_on t s =
+  let give_up = s.give_up in
+  resolve t s;
+  t.give_ups <- t.give_ups + 1;
+  give_up ()
 
 (* Abandon at the deadline: the request resolves exactly when its budget
    expires, not one retransmission timeout later. *)
 let abandon t s =
-  resolve t s;
-  t.give_ups <- t.give_ups + 1;
   t.abandoned <- t.abandoned + 1;
-  s.give_up ()
+  give_up_on t s
 
 let arm t s =
   let timeout = timeout_for t s in
   let now = Sim.Engine.now t.engine in
-  s.timer_queued <- true;
   (* A per-request deadline clamps the retry budget: a retransmission
      whose timer would fire at or past the deadline is never scheduled —
      the request instead reports [Abandoned] deterministically at the
      deadline itself. *)
   if now + timeout >= s.deadline then begin
     s.at_deadline <- true;
-    Sim.Engine.schedule t.engine ~after:(max 1 (s.deadline - now)) s.fire
+    s.timer <- Sim.Engine.timer t.engine ~after:(max 1 (s.deadline - now)) s.fire
   end
   else begin
     s.at_deadline <- false;
-    Sim.Engine.schedule t.engine ~after:timeout s.fire
+    s.timer <- Sim.Engine.timer t.engine ~after:timeout s.fire
   end
 
 let expire t s =
   t.timeouts <- t.timeouts + 1;
-  if s.attempts > t.config.max_retries then begin
-    resolve t s;
-    t.give_ups <- t.give_ups + 1;
-    s.give_up ()
-  end
+  if s.attempts > t.config.max_retries then give_up_on t s
   else begin
     t.retries <- t.retries + 1;
     s.attempts <- s.attempts + 1;
@@ -127,13 +124,9 @@ let expire t s =
     arm t s
   end
 
-(* The slot's timer event. A request resolved meanwhile leaves nothing to
-   do; the slot is free once no timer of its is queued. *)
-let fired t s =
-  s.timer_queued <- false;
-  if not s.resolved then
-    if s.at_deadline then abandon t s else expire t s;
-  if s.resolved && not s.timer_queued then free s
+(* The slot's timer event: it fires only while the request is
+   outstanding, since resolving it cancels the timer. *)
+let fired t s = if s.at_deadline then abandon t s else expire t s
 
 let new_slot t =
   let rec s =
@@ -144,9 +137,8 @@ let new_slot t =
       give_up = noop;
       deadline = max_int;
       attempts = 0;
-      resolved = true;
       at_deadline = false;
-      timer_queued = false;
+      timer = 0;
       fire = (fun () -> fired t s);
     }
   in
@@ -180,13 +172,8 @@ let create ?(config = default_config) engine ~rng =
   t
 
 let track ?deadline_ns t ~id ~send ~give_up =
-  if Sim.Id_ring.mem t.slots ~id then begin
-    if not (Sim.Id_ring.get t.slots ~id).resolved then
-      invalid_arg (Printf.sprintf "Reliab.track: id %d already tracked" id);
-    (* Re-tracking an id whose old timer is still queued: that timer keeps
-       the old slot; the id gets a fresh one. *)
-    Sim.Id_ring.renew t.slots t ~id
-  end;
+  if Sim.Id_ring.mem t.slots ~id then
+    invalid_arg (Printf.sprintf "Reliab.track: id %d already tracked" id);
   (match deadline_ns with
   | Some d when d <= 0 -> invalid_arg "Reliab.track: deadline_ns must be positive"
   | _ -> ());
@@ -200,7 +187,6 @@ let track ?deadline_ns t ~id ~send ~give_up =
     | Some d -> Sim.Engine.now t.engine + d
     | None -> max_int);
   s.attempts <- 1;
-  s.resolved <- false;
   t.outstanding <- t.outstanding + 1;
   t.tracked <- t.tracked + 1;
   send ();
@@ -209,8 +195,7 @@ let track ?deadline_ns t ~id ~send ~give_up =
 [@@alloc_free]
 
 let ack t ~id =
-  if Sim.Id_ring.mem t.slots ~id && not (Sim.Id_ring.get t.slots ~id).resolved
-  then begin
+  if Sim.Id_ring.mem t.slots ~id then begin
     resolve t (Sim.Id_ring.get t.slots ~id);
     t.acked <- t.acked + 1;
     `Acked

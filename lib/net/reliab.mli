@@ -46,7 +46,7 @@ val create : ?config:config -> Sim.Engine.t -> rng:Sim.Rng.t -> t
 
     Per-request state lives in an id-indexed slot ring ({!Sim.Id_ring}),
     so ids should be dense, e.g. sequential: the ring grows to the span of
-    ids whose timers are still queued. *)
+    outstanding ids. *)
 val track :
   ?deadline_ns:int ->
   t ->
@@ -55,9 +55,9 @@ val track :
   give_up:(unit -> unit) ->
   unit
 
-(** Acknowledge a response. [`Acked] completes the request and disarms
-    its timer; [`Duplicate] means the id was unknown — already acked,
-    given up, or never tracked. *)
+(** Acknowledge a response. [`Acked] completes the request, cancels its
+    queued timer and frees its slot; [`Duplicate] means the id was
+    unknown — already acked, given up, or never tracked. *)
 val ack : t -> id:int -> [ `Acked | `Duplicate ]
 
 (** Install the reap callback (see module doc). *)

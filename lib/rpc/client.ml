@@ -23,23 +23,20 @@ type reply_handler =
     }
 
 (* One pending call, in an id-indexed slot ring ([Sim.Id_ring]). The slot
-   is occupied from the call until its reply, give-up or deadline — and,
-   when a deadline timer of its own is queued, until that timer fires, so
-   the timer never wakes a later call. It holds the call's request and
-   destination while the call is live, so its send continuation (built
-   once with the slot, like its give-up and deadline continuations)
+   is occupied from the call until its reply, give-up or deadline; a
+   deadline timer of its own is cancelled when the call resolves. It holds
+   the call's request and destination while the call is live, so its send
+   continuation (built once with the slot, like its give-up continuation)
    re-sends the call's own request on every retransmission. *)
 type call = {
-  mutable busy : bool;
   mutable live : bool; (* awaiting its reply *)
   mutable id : int;
   mutable handler : reply_handler;
-  mutable timer_queued : bool;
+  mutable deadline_timer : int; (* [Sim.Engine] handle, without a retry layer *)
   mutable req : Wire.Dyn.t; (* [Wire.Dyn.vacant] once resolved *)
   mutable dst : int;
   send : unit -> unit; (* send [req] to [dst] through the folded writer *)
   give_up : unit -> unit; (* retry layer exhausted or deadline hit *)
-  deadline_fired : unit -> unit; (* the deadline timer, without a retry layer *)
 }
 
 and t = {
@@ -64,15 +61,14 @@ and t = {
 
 let no_handler = Unary (fun (_ : Wire.Reader.t) -> ())
 
-let release c =
-  c.busy <- c.timer_queued;
-  c.handler <- no_handler;
-  c.req <- Wire.Dyn.vacant
-
 let resolve t c =
   c.live <- false;
+  (match t.engine with
+  | Some engine -> Sim.Engine.cancel engine c.deadline_timer
+  | None -> ());
   t.pending <- t.pending - 1;
-  release c
+  c.handler <- no_handler;
+  c.req <- Wire.Dyn.vacant
 
 let abandon t c =
   if c.live then begin
@@ -82,11 +78,6 @@ let abandon t c =
     match handler with Unary _ -> () | Streamed s -> s.on_done ~ok:false
   end
 
-let deadline_fired t c =
-  c.timer_queued <- false;
-  abandon t c;
-  if not c.live then c.busy <- false
-
 let send t c =
   Cornflakes.Send.send_planned t.config t.tr ~dst:c.dst c.req
     ~write:t.write
@@ -94,16 +85,14 @@ let send t c =
 let new_call t =
   let rec c =
     {
-      busy = false;
       live = false;
       id = 0;
       handler = no_handler;
-      timer_queued = false;
+      deadline_timer = 0;
       req = Wire.Dyn.vacant;
       dst = 0;
       send = (fun () -> send t c);
       give_up = (fun () -> abandon t c);
-      deadline_fired = (fun () -> deadline_fired t c);
     }
   in
   c
@@ -121,7 +110,7 @@ let create ?(config = Cornflakes.Config.default) ?engine ?reliab ~resp
     reader = Wire.Reader.create ~cpu:(Net.Transport.cpu tr) resp;
     calls_ring =
       Sim.Id_ring.create ~make:new_call
-        ~occupied:(fun c -> c.busy)
+        ~occupied:(fun c -> c.live)
         ~id_of:(fun c -> c.id);
     pending = 0;
     next_id = 1;
@@ -145,7 +134,6 @@ let fresh_id t =
 let start t ?deadline_ms ~handler ~op ~dst req =
   let id = fresh_id t in
   let c = Sim.Id_ring.claim t.calls_ring t ~id in
-  c.busy <- true;
   c.live <- true;
   c.id <- id;
   c.handler <- handler;
@@ -165,8 +153,7 @@ let start t ?deadline_ms ~handler ~op ~dst req =
          deterministically, provided an engine clock is attached. *)
       match (deadline_ns, t.engine) with
       | Some d, Some engine ->
-          c.timer_queued <- true;
-          Sim.Engine.schedule engine ~after:d c.deadline_fired
+          c.deadline_timer <- Sim.Engine.timer engine ~after:d c.give_up
       | _ -> ()));
   id
 
@@ -183,11 +170,8 @@ let ack_reliab t ~id =
   | Some rl -> ignore (Net.Reliab.ack rl ~id)
   | None -> ()
 
-let live_call t ~id =
-  Sim.Id_ring.mem t.calls_ring ~id && (Sim.Id_ring.get t.calls_ring ~id).live
-
 let complete ?seq_word t ~id r =
-  if not (live_call t ~id) then t.orphans <- t.orphans + 1
+  if not (Sim.Id_ring.mem t.calls_ring ~id) then t.orphans <- t.orphans + 1
   else
     let c = Sim.Id_ring.get t.calls_ring ~id in
     match c.handler with

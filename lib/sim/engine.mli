@@ -10,12 +10,6 @@ type t
 
 val create : unit -> t
 
-(** Scheduling delay, in ns, from which an event waits in the engine's
-    second, far-future queue (retransmit and reaper timers) instead of the
-    queue of imminent events. The split only speeds up the event loop:
-    events fire in [(time, scheduling order)] whichever queue holds them. *)
-val horizon : int
-
 (** [now t] is the current simulated time in nanoseconds. *)
 val now : t -> int
 
@@ -27,6 +21,17 @@ val schedule : t -> after:int -> (unit -> unit) -> unit
     in the past. *)
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 
+(** [timer t ~after f] is {!schedule} that returns a handle for {!cancel}:
+    a request's retransmit or deadline timer, cancelled when the request
+    resolves so it never fires stale. Handles are positive ints, so [0]
+    can stand for "no timer". *)
+val timer : t -> after:int -> (unit -> unit) -> int
+
+(** [cancel t handle] removes the timer's event from the queue. Cancelling
+    a timer that already fired or was already cancelled does nothing, even
+    after its queue slot went to another event. *)
+val cancel : t -> int -> unit
+
 (** [run t ~until] executes events in timestamp order until the queue is
     empty or the next event is after [until]; the clock finishes at [until]
     or at the last event time, whichever is larger. *)
@@ -35,7 +40,8 @@ val run : t -> until:int -> unit
 (** [run_all t] drains the event queue completely. *)
 val run_all : t -> unit
 
-(** [pending t] is the number of queued events, near and far. *)
+(** [pending t] is the number of queued events; cancelled timers are not
+    counted. *)
 val pending : t -> int
 
 (** [add_quiesce_hook t f] registers [f] to run at {!quiesce}, after the

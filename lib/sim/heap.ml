@@ -1,17 +1,20 @@
 (* Struct-of-arrays binary heap that sifts only ints. The heap arrays hold
    each entry's key ([times], [seqs]) and the index of its payload's slot
-   ([slots]); payloads live in a slot table that sifting never touches. A
-   payload is written once, at push, and overwritten with [dummy] once, at
-   pop, so the heap never keeps a popped payload reachable, and a sift
-   moves plain ints with no write barrier per level. Free slots form a
-   stack; every array grows (doubling) together, so [len + nfree] is the
-   capacity and push and pop allocate nothing once grown. Sifting moves a
-   hole instead of swapping entries. *)
+   ([slots]); payloads live in a slot table that sifting never touches,
+   and [pos] maps each slot back to its entry's heap position ([-1] while
+   the slot is free), so an entry can be removed by slot. A payload is
+   written once, at push, and overwritten with [dummy] once, when its
+   entry leaves the heap, so the heap never keeps a removed payload
+   reachable, and a sift moves plain ints with no write barrier per level.
+   Free slots form a stack; every array grows (doubling) together, so
+   [len + nfree] is the capacity and push, pop and remove allocate nothing
+   once grown. Sifting moves a hole instead of swapping entries. *)
 
 type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable slots : int array; (* heap position -> payload slot *)
+  mutable pos : int array; (* payload slot -> heap position, or -1 *)
   mutable payloads : 'a array; (* payload slot -> payload or [dummy] *)
   mutable free : int array; (* free payload slots, [nfree] of them *)
   mutable nfree : int;
@@ -24,6 +27,7 @@ let create ~dummy =
     times = [||];
     seqs = [||];
     slots = [||];
+    pos = [||];
     payloads = [||];
     free = [||];
     nfree = 0;
@@ -40,11 +44,12 @@ let is_empty t = t.len = 0
 let grow t =
   let cap = Array.length t.times in
   let ncap = if cap = 0 then 64 else cap * 2 in
-  let extend a = Array.append a (Array.make (ncap - cap) 0) in
-  t.times <- extend t.times;
-  t.seqs <- extend t.seqs;
-  t.slots <- extend t.slots;
-  t.payloads <- Array.append t.payloads (Array.make (ncap - cap) t.dummy);
+  let extend a x = Array.append a (Array.make (ncap - cap) x) in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.pos <- extend t.pos (-1);
+  t.payloads <- extend t.payloads t.dummy;
   t.free <- Array.init ncap (fun i -> ncap - 1 - i);
   t.nfree <- ncap - cap
 
@@ -56,7 +61,8 @@ let[@inline] before t i ~time ~seq =
 let[@inline] set t i ~time ~seq slot =
   Array.unsafe_set t.times i time;
   Array.unsafe_set t.seqs i seq;
-  Array.unsafe_set t.slots i slot
+  Array.unsafe_set t.slots i slot;
+  Array.unsafe_set t.pos slot i
 
 let[@inline] move t ~src ~dst =
   set t dst ~time:(Array.unsafe_get t.times src)
@@ -101,47 +107,49 @@ let push t ~time ~seq payload =
   Array.unsafe_set t.payloads slot payload;
   let i = t.len in
   t.len <- i + 1;
-  sift_up t i ~time ~seq slot
+  sift_up t i ~time ~seq slot;
+  slot
 [@@alloc_free]
 
-(* Remove the root and return its payload: the root's slot is cleared and
-   freed, and the last entry refills the hole from the top. *)
-let remove_min t =
-  let slot = Array.unsafe_get t.slots 0 in
+(* Take the entry at heap position [i] out and return its payload: its
+   slot is cleared and freed, and the last entry refills the hole, sifted
+   up if it is ordered before the hole's parent and down otherwise. *)
+let remove_at t i =
+  let slot = Array.unsafe_get t.slots i in
   let payload = Array.unsafe_get t.payloads slot in
   Array.unsafe_set t.payloads slot t.dummy;
+  Array.unsafe_set t.pos slot (-1);
   Array.unsafe_set t.free t.nfree slot;
   t.nfree <- t.nfree + 1;
   let last = t.len - 1 in
   t.len <- last;
-  if last > 0 then
-    sift_down t 0
-      ~time:(Array.unsafe_get t.times last)
-      ~seq:(Array.unsafe_get t.seqs last)
-      (Array.unsafe_get t.slots last);
+  if i < last then begin
+    let time = Array.unsafe_get t.times last and seq = Array.unsafe_get t.seqs last in
+    if i > 0 && not (before t ((i - 1) / 2) ~time ~seq) then
+      sift_up t i ~time ~seq (Array.unsafe_get t.slots last)
+    else sift_down t i ~time ~seq (Array.unsafe_get t.slots last)
+  end;
   payload
+
+let remove t ~slot ~seq =
+  let i = if slot >= 0 && slot < Array.length t.pos then t.pos.(slot) else -1 in
+  i >= 0 && t.seqs.(i) = seq && (ignore (remove_at t i); true)
+[@@alloc_free]
 
 let pop_min t =
   if t.len = 0 then None
-  else begin
+  else
     let time = t.times.(0) and seq = t.seqs.(0) in
-    Some (time, seq, remove_min t)
-  end
+    Some (time, seq, remove_at t 0)
 
 let pop_into t f =
-  if t.len = 0 then false
-  else begin
-    let time = Array.unsafe_get t.times 0 in
-    let payload = remove_min t in
-    f time payload;
-    true
-  end
+  t.len > 0
+  &&
+  let time = Array.unsafe_get t.times 0 in
+  f time (remove_at t 0);
+  true
 [@@alloc_free]
 
 let min_time t =
   if t.len = 0 then invalid_arg "Heap.min_time: empty heap";
   Array.unsafe_get t.times 0
-
-let min_seq t =
-  if t.len = 0 then invalid_arg "Heap.min_seq: empty heap";
-  Array.unsafe_get t.seqs 0

@@ -92,7 +92,3 @@ let rec claim t owner ~id =
     if width t < max_width then widen t owner else park t owner ~id;
     claim t owner ~id
   end
-
-let renew t owner ~id =
-  if in_ring t ~id then t.slots.(index t id) <- t.make owner
-  else Hashtbl.remove t.parked id

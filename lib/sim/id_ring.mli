@@ -10,7 +10,9 @@
     occupant is moved to a side table instead, so a slot that is never
     freed cannot make the ring span every later id. Whether a slot is
     occupied, and by which id, is the owner's state, read through
-    [occupied] and [id_of]. *)
+    [occupied] and [id_of]. An owner frees a slot only once nothing queued
+    can still reach it, e.g. after cancelling the slot's timer
+    ({!Engine.cancel}), since {!claim} hands a free slot to the next id. *)
 
 type ('o, 'a) t
 
@@ -29,9 +31,3 @@ val get : ('o, 'a) t -> id:int -> 'a
 (** [claim t owner ~id] is the free slot [id] maps to, widening the ring
     until that slot is free. The caller marks it occupied. *)
 val claim : ('o, 'a) t -> 'o -> id:int -> 'a
-
-(** [renew t owner ~id] forgets [id]'s slot: the slot stays valid for
-    whoever still references it (a queued timer continuation, say), but it
-    is no longer found through the ring, and the next {!claim} of [id]
-    gets a fresh slot. *)
-val renew : ('o, 'a) t -> 'o -> id:int -> unit

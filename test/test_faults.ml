@@ -205,6 +205,23 @@ let test_reliab_slot_reuse () =
   Alcotest.(check int) "drained" 0 (Net.Reliab.outstanding r);
   Alcotest.(check int) "acks" 1_002 (Net.Reliab.acked r)
 
+(* Resolving a request cancels its retransmit timer: after 1,000
+   requests, each acked 2 us into its 90-110 us timeout, the engine holds
+   at most the reaper. *)
+let test_reliab_ack_cancels_timer () =
+  let engine = Sim.Engine.create () in
+  let r = Net.Reliab.create engine ~rng:(Sim.Rng.create ~seed:3) in
+  Net.Reliab.set_reaper r ignore;
+  for id = 1 to 1_000 do
+    Net.Reliab.track r ~id ~send:ignore ~give_up:ignore;
+    Sim.Engine.run engine ~until:(Sim.Engine.now engine + 2_000);
+    if Net.Reliab.ack r ~id <> `Acked then Alcotest.failf "id %d not acked" id
+  done;
+  Alcotest.(check int) "outstanding" 0 (Net.Reliab.outstanding r);
+  Alcotest.(check int) "no retries" 0 (Net.Reliab.retries r);
+  if Sim.Engine.pending engine > 1 then
+    Alcotest.failf "%d events still queued" (Sim.Engine.pending engine)
+
 let test_reliab_reaper_runs_while_outstanding () =
   let engine = Sim.Engine.create () in
   let r =
@@ -545,6 +562,8 @@ let suite =
       test_reliab_retries_then_gives_up;
     Alcotest.test_case "reliab ack disarms timer" `Quick test_reliab_ack_disarms;
     Alcotest.test_case "reliab slot reuse" `Quick test_reliab_slot_reuse;
+    Alcotest.test_case "reliab ack cancels the timer" `Quick
+      test_reliab_ack_cancels_timer;
     Alcotest.test_case "reliab reaper cadence" `Quick
       test_reliab_reaper_runs_while_outstanding;
     Alcotest.test_case "reliab deadline clamps retries" `Quick

@@ -210,6 +210,24 @@ let test_deadline_abandon () =
   Alcotest.(check int) "none outstanding" 0 (Rpc.Client.outstanding c);
   Alcotest.(check int) "no replies" 0 (Rpc.Client.replies c)
 
+let test_deadline_cancelled_on_reply () =
+  (* No retry layer: a call answered before its deadline cancels the
+     deadline timer, so nothing stays queued and the clock stops at the
+     reply. *)
+  let rig = make_rig () in
+  echo_get rig;
+  let c = attach_client ~engine:rig.engine rig in
+  let replied = ref false in
+  ignore
+    (KS.call_get c ~deadline_ms:2 ~dst:2 (req_of rig [ "k" ])
+       ~on_reply:(fun _ -> replied := true));
+  Sim.Engine.run rig.engine ~until:1_000_000;
+  Alcotest.(check bool) "replied" true !replied;
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending rig.engine);
+  Sim.Engine.run_all rig.engine;
+  Alcotest.(check int) "clock" 1_000_000 (Sim.Engine.now rig.engine);
+  Alcotest.(check int) "not abandoned" 0 (Rpc.Client.abandoned c)
+
 let test_orphan_reply () =
   (* A response whose id matches no pending call is counted, not raised. *)
   let rig = make_rig () in
@@ -401,6 +419,8 @@ let suite =
       test_unary_round_trip;
     Alcotest.test_case "unhandled method answers id echo" `Quick
       test_unknown_method_id_echo;
+    Alcotest.test_case "deadline cancelled on reply" `Quick
+      test_deadline_cancelled_on_reply;
     Alcotest.test_case "deadline abandons deterministically" `Quick
       test_deadline_abandon;
     Alcotest.test_case "orphan reply counted" `Quick test_orphan_reply;

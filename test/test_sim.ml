@@ -5,7 +5,7 @@ let test_heap_ordering () =
   let rng = Sim.Rng.create ~seed:42 in
   let n = 1000 in
   for i = 0 to n - 1 do
-    Sim.Heap.push h ~time:(Sim.Rng.int rng 500) ~seq:i i
+    ignore (Sim.Heap.push h ~time:(Sim.Rng.int rng 500) ~seq:i i)
   done;
   Alcotest.(check int) "length" n (Sim.Heap.length h);
   let prev = ref (-1, -1) in
@@ -23,7 +23,7 @@ let test_heap_ordering () =
 let test_heap_fifo_same_time () =
   let h = Sim.Heap.create ~dummy:0 in
   for i = 0 to 9 do
-    Sim.Heap.push h ~time:7 ~seq:i i
+    ignore (Sim.Heap.push h ~time:7 ~seq:i i)
   done;
   for i = 0 to 9 do
     match Sim.Heap.pop_min h with
@@ -141,15 +141,20 @@ let test_rng_alloc_free () =
   ignore (Sys.opaque_identity !acc);
   if words > 8 then Alcotest.failf "rng int/bool: %d minor words for 20k draws" words
 
-(* Random interleavings of push and pop against a sorted-list model: every
-   pop returns the model's least [(time, seq)], so equal times come out in
-   push (FIFO) order. An op is [Some time] to push, [None] to pop. *)
+(* Random interleavings of push, pop and remove-by-slot against a
+   sorted-list model: every pop returns the model's least [(time, seq)], so
+   equal times come out in push (FIFO) order, and a remove takes out its
+   entry iff the entry is still in the model. An op [(kind, n)] pushes
+   time [n] (kinds 0 and 1), pops (kind 2), or removes the [n]th entry
+   pushed so far, live or not (kind 3): removing an entry that already
+   left must fail even when its slot holds a later entry. *)
 let qcheck_heap_model =
   QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
-    QCheck.(list (option (int_bound 20)))
+    QCheck.(list (pair (int_bound 3) (int_bound 20)))
     (fun ops ->
       let h = Sim.Heap.create ~dummy:(-1) in
       let model = ref [] and seq = ref 0 and ok = ref true in
+      let pushed = ref [||] in
       let pop_both () =
         match (Sim.Heap.pop_min h, !model) with
         | None, [] -> ()
@@ -159,13 +164,23 @@ let qcheck_heap_model =
         | _ -> ok := false
       in
       List.iter
-        (function
-          | Some time ->
+        (fun (kind, n) ->
+          match kind with
+          | 0 | 1 ->
               incr seq;
-              Sim.Heap.push h ~time ~seq:!seq !seq;
-              model := List.merge compare !model [ (time, !seq) ]
-          | None -> pop_both ())
+              let slot = Sim.Heap.push h ~time:n ~seq:!seq !seq in
+              pushed := Array.append !pushed [| (slot, !seq) |];
+              model := List.merge compare !model [ (n, !seq) ]
+          | 2 -> pop_both ()
+          | _ ->
+              if !pushed <> [||] then begin
+                let slot, s = !pushed.(n mod Array.length !pushed) in
+                let live = List.exists (fun (_, ms) -> ms = s) !model in
+                if Sim.Heap.remove h ~slot ~seq:s <> live then ok := false;
+                model := List.filter (fun (_, ms) -> ms <> s) !model
+              end)
         ops;
+      if Sim.Heap.length h <> List.length !model then ok := false;
       while !model <> [] || not (Sim.Heap.is_empty h) do
         pop_both ()
       done;
@@ -180,7 +195,7 @@ let test_heap_releases_payloads () =
     for i = 0 to 7 do
       let b = Bytes.make 16 'x' in
       Weak.set weak i (Some b);
-      Sim.Heap.push h ~time:(8 - i) ~seq:i b
+      ignore (Sim.Heap.push h ~time:(8 - i) ~seq:i b)
     done
   in
   fill ();
@@ -195,137 +210,187 @@ let test_heap_releases_payloads () =
   (* The heap itself must stay live across the collection. *)
   Alcotest.(check int) "drained" 0 (Sim.Heap.length (Sys.opaque_identity h))
 
-(* The event loop's own cost: once both heaps have grown, scheduling and
+(* The event loop's own cost: once the heap has grown, scheduling and
    firing an event through a continuation built once allocates nothing,
-   for a near event and for a far timer alike. *)
+   and so does arming a timer, firing a near event and cancelling the
+   timer from it. *)
 let test_engine_prealloc_alloc_free () =
   let e = Sim.Engine.create () in
-  let fired = ref 0 and far_fired = ref 0 in
+  let fired = ref 0 and cancelled = ref 0 and timer = ref 0 in
   let rec k () =
     incr fired;
     if !fired < 10_000 then Sim.Engine.schedule e ~after:3 k
   in
-  let rec far_k () =
-    incr far_fired;
-    if !far_fired < 100 then
-      Sim.Engine.schedule e ~after:(2 * Sim.Engine.horizon) far_k
+  let stale () = Alcotest.fail "a cancelled timer fired" in
+  let rec cancel_k () =
+    Sim.Engine.cancel e !timer;
+    incr cancelled;
+    if !cancelled < 100 then arm ()
+  and arm () =
+    timer := Sim.Engine.timer e ~after:100_000 stale;
+    Sim.Engine.schedule e ~after:1 cancel_k
   in
-  (* Warm-up: grow the arrays of both heaps. *)
+  (* Warm-up: grow the heap's arrays. *)
   for _ = 1 to 64 do
     Sim.Engine.schedule e ~after:1 ignore;
-    Sim.Engine.schedule e ~after:Sim.Engine.horizon ignore
+    ignore (Sim.Engine.timer e ~after:100_000 ignore)
   done;
   Sim.Engine.run_all e;
   let words =
     minor_words_of (fun () ->
         Sim.Engine.schedule e ~after:1 k;
-        Sim.Engine.schedule e ~after:Sim.Engine.horizon far_k;
+        arm ();
         Sim.Engine.run_all e)
   in
   Alcotest.(check int) "events fired" 10_000 !fired;
-  Alcotest.(check int) "far timers fired" 100 !far_fired;
+  Alcotest.(check int) "timers cancelled" 100 !cancelled;
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending e);
   if words > 8 then
-    Alcotest.failf "%d minor words for 10,100 events (%.4f per event)" words
-      (float_of_int words /. 10_100.)
+    Alcotest.failf "%d minor words for 10,200 events and 100 cancels (%.4f per event)"
+      words (float_of_int words /. 10_200.)
 
-(* --- near/far event queue ------------------------------------------------- *)
+(* --- cancellable timers --------------------------------------------------- *)
 
-let horizon = Sim.Engine.horizon
+(* Few distinct delays, so events land on the same instant from different
+   scheduling times and ties are common. *)
+let delays = [| 0; 1; 7; 30; 100; 1_000 |]
 
-(* Delays on both sides of the horizon, with few enough distinct values
-   that events land on the same instant from both heaps: an event due at
-   [horizon] waits in the far heap when scheduled at time 0, and in the
-   near heap when scheduled at time 7. *)
-let delays =
-  [| 0; 1; 7; horizon - 7; horizon - 1; horizon; horizon + 1; 2 * horizon;
-     5 * horizon |]
+type op = Spawn of int * bool (* delay index; armed as a timer *) | Cancel of int
 
-(* Roots are scheduled up front; the n-th event to fire schedules the n-th
-   list of [spawns]. Between [run ~until] stops, the fired events are
-   exactly those due by [until], whichever heap holds the next one. At the
-   end, every event fired once, at its time, in the order of a sort by
-   [(time, seq)] — with [seq] the scheduling order, so ties fire FIFO. *)
+(* Roots are scheduled up front; the n-th event to fire runs the n-th list
+   of [spawns], whose ops schedule events (plain or as timers) or cancel
+   the k-th timer handle issued so far (live, fired or already
+   cancelled); each [run ~until] stop is preceded by one such cancel. A
+   cancel must take out exactly one event if its timer is live and none
+   otherwise, even once the timer's queue slot holds another event.
+   Between stops, the fired events are exactly the uncancelled ones due by
+   [until], and [pending] counts the live ones. At the end, the fired
+   events are the scheduled minus the cancelled, each once, at its time,
+   in the order of a sort by [(time, seq)] — with [seq] the scheduling
+   order, so ties fire FIFO. *)
 let qcheck_engine_order =
-  let delay_index = QCheck.Gen.int_bound (Array.length delays - 1) in
-  let gen =
-    QCheck.Gen.(
-      triple
-        (list_size (1 -- 20) delay_index)
-        (list_size (0 -- 40) (list_size (0 -- 2) delay_index))
-        (list_size (0 -- 5) (int_bound (6 * horizon))))
+  let open QCheck.Gen in
+  let delay_index = int_bound (Array.length delays - 1) in
+  let op =
+    frequency
+      [ (3, map2 (fun d t -> Spawn (d, t)) delay_index bool);
+        (1, map (fun k -> Cancel k) nat) ]
   in
-  QCheck.Test.make ~name:"engine fires in (time, seq) order across near and far"
+  let gen =
+    triple
+      (list_size (1 -- 20) (pair delay_index bool))
+      (list_size (0 -- 40) (list_size (0 -- 3) op))
+      (list_size (0 -- 5) (pair (int_bound 3_000) nat))
+  in
+  QCheck.Test.make ~name:"engine fires in (time, seq) order across cancels"
     ~count:300 (QCheck.make gen) (fun (roots, spawns, untils) ->
       let e = Sim.Engine.create () in
       let spawns = ref spawns and seq = ref 0 and ok = ref true in
-      let scheduled = ref [] and fired = ref [] in
+      let scheduled = ref [] and fired = ref [] and handles = ref [||] in
+      let live = Hashtbl.create 64 and cancelled = Hashtbl.create 64 in
       let fired_seqs = Hashtbl.create 64 in
-      let rec schedule i =
+      let cancel k =
+        if !handles <> [||] then begin
+          let handle, s = !handles.(k mod Array.length !handles) in
+          let was_live = Hashtbl.mem live s and before = Sim.Engine.pending e in
+          Sim.Engine.cancel e handle;
+          if was_live then begin
+            Hashtbl.remove live s;
+            Hashtbl.replace cancelled s ()
+          end;
+          if Sim.Engine.pending e <> before - Bool.to_int was_live then
+            ok := false
+        end
+      in
+      let rec schedule (i, as_timer) =
         incr seq;
         let key = (Sim.Engine.now e + delays.(i), !seq) in
         scheduled := key :: !scheduled;
-        Sim.Engine.schedule e ~after:delays.(i) (fun () ->
-            if Sim.Engine.now e <> fst key then ok := false;
-            fired := key :: !fired;
-            Hashtbl.replace fired_seqs (snd key) ();
-            match !spawns with
-            | [] -> ()
-            | children :: rest ->
-                spawns := rest;
-                List.iter schedule children)
+        Hashtbl.replace live !seq ();
+        let f () =
+          if Sim.Engine.now e <> fst key || not (Hashtbl.mem live (snd key))
+          then ok := false;
+          Hashtbl.remove live (snd key);
+          fired := key :: !fired;
+          Hashtbl.replace fired_seqs (snd key) ();
+          match !spawns with
+          | [] -> ()
+          | ops :: rest ->
+              spawns := rest;
+              List.iter
+                (function Spawn (i, t) -> schedule (i, t) | Cancel k -> cancel k)
+                ops
+        in
+        if as_timer then
+          let h = Sim.Engine.timer e ~after:delays.(i) f in
+          handles := Array.append !handles [| (h, snd key) |]
+        else Sim.Engine.schedule e ~after:delays.(i) f
       in
       List.iter schedule roots;
       List.iter
-        (fun until ->
+        (fun (until, k) ->
+          cancel k;
           Sim.Engine.run e ~until;
           List.iter
             (fun (time, s) ->
-              if Hashtbl.mem fired_seqs s <> (time <= until) then ok := false)
+              if
+                Hashtbl.mem fired_seqs s
+                <> (time <= until && not (Hashtbl.mem cancelled s))
+              then ok := false)
             !scheduled;
-          let unfired = List.length !scheduled - List.length !fired in
-          if Sim.Engine.now e <> until || Sim.Engine.pending e <> unfired then
-            ok := false)
+          if Sim.Engine.now e <> until || Sim.Engine.pending e <> Hashtbl.length live
+          then ok := false)
         (List.sort compare untils);
       Sim.Engine.run_all e;
+      let uncancelled =
+        List.filter (fun (_, s) -> not (Hashtbl.mem cancelled s)) !scheduled
+      in
       !ok
-      && List.rev !fired = List.sort compare !scheduled
+      && List.rev !fired = List.sort compare uncancelled
       && Sim.Engine.pending e = 0)
 
-(* A far timer and a near event due at the same instant fire in scheduling
-   order, and [pending] counts the events of both heaps. *)
-let test_engine_near_far () =
+(* Cancelling before the timer fires removes it and keeps the clock at the
+   last live event; cancelling again, or after it fired, does nothing,
+   also once its queue slot went to a later event. *)
+let test_engine_cancel () =
   let e = Sim.Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
-  Sim.Engine.schedule e ~after:horizon (note "far");
-  Sim.Engine.schedule e ~after:(3 * horizon) (note "far 3h");
-  Sim.Engine.schedule e ~after:7 (fun () ->
-      note "near" ();
-      (* Due with "far", scheduled after it: fires after it. *)
-      Sim.Engine.schedule e ~after:(horizon - 7) (note "near tie"));
-  Sim.Engine.schedule e ~after:(horizon - 1) (note "near h-1");
-  Alcotest.(check int) "pending, near and far" 4 (Sim.Engine.pending e);
-  Sim.Engine.run e ~until:(horizon / 2);
-  Alcotest.(check int) "pending after one fired" 4 (Sim.Engine.pending e);
-  Sim.Engine.run e ~until:horizon;
-  Alcotest.(check (list string)) "order" [ "near"; "near h-1"; "far"; "near tie" ]
-    (List.rev !log);
-  Alcotest.(check int) "pending far" 1 (Sim.Engine.pending e);
+  let t1 = Sim.Engine.timer e ~after:100_000 (note "cancelled") in
+  let t2 = Sim.Engine.timer e ~after:50 (note "t2") in
+  Sim.Engine.schedule e ~after:10 (note "near");
+  Alcotest.(check int) "pending" 3 (Sim.Engine.pending e);
+  Sim.Engine.cancel e t1;
+  Sim.Engine.cancel e t1;
+  Alcotest.(check int) "pending after cancels" 2 (Sim.Engine.pending e);
   Sim.Engine.run_all e;
-  Alcotest.(check int) "clock" (3 * horizon) (Sim.Engine.now e);
-  Alcotest.(check int) "drained" 0 (Sim.Engine.pending e)
+  Alcotest.(check (list string)) "order" [ "near"; "t2" ] (List.rev !log);
+  Alcotest.(check int) "clock at the last live event" 50 (Sim.Engine.now e);
+  (* t1's and t2's slots are free again: new events take them. *)
+  Sim.Engine.schedule e ~after:5 (note "reuse a");
+  Sim.Engine.schedule e ~after:6 (note "reuse b");
+  Sim.Engine.cancel e t1;
+  Sim.Engine.cancel e t2;
+  Sim.Engine.cancel e 0;
+  Alcotest.(check int) "stale handles removed nothing" 2 (Sim.Engine.pending e);
+  Sim.Engine.run_all e;
+  Alcotest.(check (list string)) "reused slots fired"
+    [ "near"; "t2"; "reuse a"; "reuse b" ] (List.rev !log)
 
-(* Far-heap payloads are released once they fire: the engine keeps no
-   fired timer's closure, or what it captured, reachable. *)
-let test_engine_releases_far_payloads () =
+(* Fired and cancelled timers' payloads are released: the engine keeps no
+   timer's closure, or what it captured, reachable. *)
+let test_engine_releases_timer_payloads () =
   let e = Sim.Engine.create () in
   let weak = Weak.create 8 in
   let schedule_all () =
     for i = 0 to 7 do
       let b = Bytes.make 16 'x' in
       Weak.set weak i (Some b);
-      Sim.Engine.schedule e ~after:((i + 2) * horizon) (fun () ->
-          ignore (Sys.opaque_identity b))
+      let h =
+        Sim.Engine.timer e ~after:((i + 2) * 100_000) (fun () ->
+            ignore (Sys.opaque_identity b))
+      in
+      if i mod 2 = 0 then Sim.Engine.cancel e h
     done
   in
   schedule_all ();
@@ -333,7 +398,8 @@ let test_engine_releases_far_payloads () =
   Gc.full_major ();
   for i = 0 to 7 do
     if Weak.check weak i then
-      Alcotest.failf "far timer %d still reachable after it fired" i
+      Alcotest.failf "timer %d still reachable after it %s" i
+        (if i mod 2 = 0 then "was cancelled" else "fired")
   done;
   Alcotest.(check int) "drained" 0 (Sim.Engine.pending (Sys.opaque_identity e))
 
@@ -425,7 +491,7 @@ let qcheck_heap_sorted =
     QCheck.(list (pair small_nat small_nat))
     (fun pairs ->
       let h = Sim.Heap.create ~dummy:() in
-      List.iteri (fun i (t, _) -> Sim.Heap.push h ~time:t ~seq:i ()) pairs;
+      List.iteri (fun i (t, _) -> ignore (Sim.Heap.push h ~time:t ~seq:i ())) pairs;
       let rec drain last =
         match Sim.Heap.pop_min h with
         | None -> true
@@ -457,8 +523,8 @@ let suite =
     Alcotest.test_case "engine event through a preallocated continuation allocates nothing"
       `Quick test_engine_prealloc_alloc_free;
     QCheck_alcotest.to_alcotest qcheck_engine_order;
-    Alcotest.test_case "engine near/far ties and pending" `Quick
-      test_engine_near_far;
-    Alcotest.test_case "engine releases fired far timers" `Quick
-      test_engine_releases_far_payloads;
+    Alcotest.test_case "engine cancel: stale handles are no-ops" `Quick
+      test_engine_cancel;
+    Alcotest.test_case "engine releases fired and cancelled timers" `Quick
+      test_engine_releases_timer_payloads;
   ]
