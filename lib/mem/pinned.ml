@@ -10,11 +10,19 @@ exception Out_of_memory of string
 
 exception Unpinned
 
+(* Real bytes behind a class come in chunks of [chunk_bytes] (one slot per
+   chunk when the class is larger), created the first time a slot in them is
+   handed out: a pool reserves its whole simulated range up front but backs
+   only the slots it has used. *)
+let chunk_bytes = 65536
+
 type size_class = {
   size : int; (* power-of-two buffer size *)
   capacity : int;
   data_base : int; (* simulated address of slot 0 *)
-  backing : Bytes.t; (* capacity * size real bytes *)
+  chunk_shift : int; (* slot lsr chunk_shift = the slot's chunk *)
+  chunk_mask : int; (* slot land chunk_mask = its index in the chunk *)
+  chunks : Bytes.t array; (* [Bytes.empty] until first handed out *)
   meta_base : int; (* simulated address of refcount 0 (8 B per slot) *)
   refcounts : int array;
   gens : int array;
@@ -35,6 +43,8 @@ module Pool = struct
   type t = pool
 
   let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
   let create space ~name ~classes =
     if classes = [] then invalid_arg "Pinned.Pool.create: no classes";
@@ -60,11 +70,15 @@ module Pool = struct
       if data_base + (size * capacity) > !limit then
         limit := data_base + (size * capacity);
       let free = Array.init capacity (fun i -> capacity - 1 - i) in
+      let per_chunk = max 1 (chunk_bytes / size) in
+      let n_chunks = (capacity + per_chunk - 1) / per_chunk in
       {
         size;
         capacity;
         data_base;
-        backing = Bytes.create (size * capacity);
+        chunk_shift = log2 per_chunk;
+        chunk_mask = per_chunk - 1;
+        chunks = Array.make n_chunks Bytes.empty;
         meta_base;
         refcounts = Array.make capacity 0;
         gens = Array.make capacity 0;
@@ -133,6 +147,15 @@ module Buf = struct
 
   let sc t = t.pool.classes.(t.cls)
 
+  (* The chunk holding the slot, and the window's start within it. *)
+  let chunk t =
+    let c = sc t in
+    c.chunks.(t.slot lsr c.chunk_shift)
+
+  let chunk_off t =
+    let c = sc t in
+    ((t.slot land c.chunk_mask) * c.size) + t.off
+
   (* RefSan plumbing: the ledger check costs one boolean read when off. *)
 
   let san_on () = Sanitizer.Refsan.is_enabled ()
@@ -184,6 +207,14 @@ module Buf = struct
     Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Safety ~addr:(meta_addr t);
     Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Safety Memmodel.Cpu.Refcount_op
 
+  (* First use of chunk [ci]: it holds [chunk_mask + 1] slots, or the
+     slots that remain when it is the class's last. Zeroed, so what a run
+     reads never depends on what the host heap held before. *)
+  let back_chunk c ci =
+    let first = ci lsl c.chunk_shift in
+    let slots = min (c.chunk_mask + 1) (c.capacity - first) in
+    c.chunks.(ci) <- Bytes.make (slots * c.size) '\000'
+
   let alloc ~cpu ?(site = "Pinned.alloc") pool ~len =
     match Pool.class_for pool ~len with
     | -1 ->
@@ -198,6 +229,8 @@ module Buf = struct
                (Printf.sprintf "%s: class %d exhausted" pool.name c.size));
         c.free_top <- c.free_top - 1;
         let slot = c.free.(c.free_top) in
+        let ci = slot lsr c.chunk_shift in
+        if Bytes.length c.chunks.(ci) = 0 then back_chunk c ci;
         c.refcounts.(slot) <- 1;
         let t = { pool; cls; slot; gen = c.gens.(slot); off = 0; len } in
         if san_on () then Sanitizer.Refsan.on_alloc ~id:(san_id t) ~site;
@@ -237,35 +270,28 @@ module Buf = struct
 
   let view t =
     check_live ~site:"Pinned.view" ~op:`Read t;
-    let c = sc t in
-    View.make ~addr:(addr t) ~data:c.backing
-      ~off:((t.slot * c.size) + t.off)
-      ~len:t.len
+    View.make ~addr:(addr t) ~data:(chunk t) ~off:(chunk_off t) ~len:t.len
 
   (* Allocation-free window access for per-send hot paths: the backing bytes
      plus the window's start offset within them, without materialising a
      [View]. Callers must stay within [len t] bytes from [backing_off]. *)
   let backing t =
     check_live ~site:"Pinned.backing" ~op:`Read t;
-    (sc t).backing
+    chunk t
 
-  let backing_off t = (t.slot * (sc t).size) + t.off
+  let backing_off = chunk_off
 
   let sub_view ?(site = "Pinned.sub_view") t ~off ~len =
     check_live ~site ~op:`Read t;
     if off < 0 || len < 0 || t.off + off + len > slot_size t then
       invalid_arg "Pinned.Buf.sub_view: window out of bounds";
-    let c = sc t in
-    View.make ~addr:(addr t + off) ~data:c.backing
-      ~off:((t.slot * c.size) + t.off + off)
-      ~len
+    View.make ~addr:(addr t + off) ~data:(chunk t) ~off:(chunk_off t + off) ~len
 
   (* Copy the window out into [dst] (device DMA gather): a read, so no
      RefSan write event, and no intermediate [View]. *)
   let blit_to ?(site = "Pinned.blit_to") t ~dst ~dst_off =
     check_live ~site ~op:`Read t;
-    let c = sc t in
-    Bytes.blit c.backing ((t.slot * c.size) + t.off) dst dst_off t.len
+    Bytes.blit (chunk t) (chunk_off t) dst dst_off t.len
 
   let sub ?(site = "Pinned.sub") t ~off ~len =
     check_live ~site ~op:`Read t;
@@ -318,9 +344,7 @@ module Buf = struct
     check_live ~site ~op:`Write t;
     if String.length s > slot_size t - t.off then
       invalid_arg "Pinned.Buf.fill: string too long";
-    let c = sc t in
-    Bytes.blit_string s 0 c.backing ((t.slot * c.size) + t.off)
-      (String.length s);
+    Bytes.blit_string s 0 (chunk t) (chunk_off t) (String.length s);
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len:(String.length s) ~via_cow:false ~site;
@@ -333,8 +357,7 @@ module Buf = struct
       invalid_arg "Pinned.Buf.fill_substring: source out of bounds";
     if len > slot_size t - t.off then
       invalid_arg "Pinned.Buf.fill_substring: string too long";
-    let c = sc t in
-    Bytes.blit_string s src_off c.backing ((t.slot * c.size) + t.off) len;
+    Bytes.blit_string s src_off (chunk t) (chunk_off t) len;
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len ~via_cow:false ~site;
@@ -349,8 +372,7 @@ module Buf = struct
       invalid_arg "Pinned.Buf.fill_subbytes: source out of bounds";
     if len > slot_size t - t.off then
       invalid_arg "Pinned.Buf.fill_subbytes: source too long";
-    let c = sc t in
-    Bytes.blit s src_off c.backing ((t.slot * c.size) + t.off) len;
+    Bytes.blit s src_off (chunk t) (chunk_off t) len;
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t) ~len ~via_cow:false ~site;
@@ -360,8 +382,7 @@ module Buf = struct
     check_live ~site ~op:`Write t;
     if dst_off < 0 || t.off + dst_off + src.View.len > slot_size t then
       invalid_arg "Pinned.Buf.blit_from: out of bounds";
-    let c = sc t in
-    View.blit src ~dst:c.backing ~dst_off:((t.slot * c.size) + t.off + dst_off);
+    View.blit src ~dst:(chunk t) ~dst_off:(chunk_off t + dst_off);
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
         ~addr:(addr t + dst_off) ~len:src.View.len ~via_cow:false ~site;

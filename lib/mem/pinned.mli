@@ -11,6 +11,13 @@
     - a generation counter: any access through a stale handle raises
       [Use_after_free], which is how tests prove the safety property.
 
+    A pool reserves every class's full simulated range up front, but backs
+    it with host bytes only as it is used: in 64 KB chunks (one slot per
+    chunk for classes above 64 KB), each created, zeroed, the first time
+    {!Buf.alloc} hands out a slot in it. Slots are handed out LIFO from slot
+    0, so a class's backing grows to its high-water mark. Simulated
+    addresses never depend on the backing.
+
     Every mutating entry point takes an optional [?site] label. When the
     RefSan sanitizer is enabled ([CF_SANITIZE=1] or
     [Sanitizer.Refsan.set_enabled true]), each operation is mirrored into a
@@ -99,8 +106,8 @@ module Buf : sig
   val view : t -> View.t
 
   (** Allocation-free window access for per-send hot paths: the backing
-      bytes plus the window's start offset within them, without
-      materialising a [View]. Callers must stay within [len t] bytes from
+      bytes of the buffer's chunk plus the window's start offset within
+      them, without materialising a [View]. Callers must stay within [len t] bytes from
       [backing_off t]. [backing] raises [Use_after_free] on a stale
       handle. *)
   val backing : t -> Bytes.t

@@ -384,13 +384,13 @@ let suite =
 let test_network_api_listing2 () =
   let env = Test_env.make () in
   let pool = Test_env.data_pool env in
-  let net_b = Cornflakes.Network_api.attach env.Test_env.b ~data_pool:pool in
+  let net_b = Network_api.attach env.Test_env.b ~data_pool:pool in
   (* alloc: a DMA-safe refcounted buffer. *)
-  let value = Cornflakes.Network_api.alloc net_b ~size:1024 in
+  let value = Network_api.alloc net_b ~size:1024 in
   Mem.Pinned.Buf.fill ~cpu:none value (String.make 1024 'n');
   (* recover_ptr: finds it again from a raw window, taking a reference. *)
   (match
-     Cornflakes.Network_api.recover_ptr net_b (Mem.Pinned.Buf.view value)
+     Network_api.recover_ptr net_b (Mem.Pinned.Buf.view value)
    with
   | Some r ->
       Alcotest.(check int) "recovered ref" 2 (Mem.Pinned.Buf.refcount value);
@@ -398,17 +398,17 @@ let test_network_api_listing2 () =
   | None -> Alcotest.fail "recover_ptr failed");
   (* send_object + recv_packet roundtrip (b -> a). *)
   let net_a =
-    Cornflakes.Network_api.attach env.Test_env.a ~data_pool:pool
+    Network_api.attach env.Test_env.a ~data_pool:pool
   in
   Alcotest.(check bool) "inbox empty" true
-    (Cornflakes.Network_api.recv_packet net_a = None);
+    (Network_api.recv_packet net_a = None);
   let msg = Wire.Dyn.create Test_format.everything in
   Wire.Dyn.set_int msg "id" 2L;
   Wire.Dyn.set_payload msg "name"
-    (Cornflakes.Network_api.cf_ptr net_b (Mem.Pinned.Buf.view value));
-  Cornflakes.Network_api.send_object net_b ~dst:1 msg;
+    (Network_api.cf_ptr net_b (Mem.Pinned.Buf.view value));
+  Network_api.send_object net_b ~dst:1 msg;
   Sim.Engine.run_all env.Test_env.engine;
-  match Cornflakes.Network_api.recv_packet net_a with
+  match Network_api.recv_packet net_a with
   | Some buf ->
       let back =
         Cornflakes.Send.deserialize ~cpu:none Test_format.schema Test_format.everything

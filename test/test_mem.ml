@@ -270,6 +270,165 @@ let qcheck_arena_recycle_never_live =
             ops;
           !ok && Sanitizer.Refsan.diagnostics () = []))
 
+(* Model of a pool whose slots span many 64 KB backing chunks: classes below
+   (8 and 16 KB: eight and four slots a chunk; 32 KB: two), at (64 KB) and
+   above (128 KB: one slot a chunk) the chunk size, with capacities that
+   leave each small class's last chunk partial. Every handle is checked
+   against a reference copy of its slot after every operation. *)
+let chunk_classes =
+  [ (8192, 11); (16384, 6); (32768, 3); (65536, 3); (131072, 2) ]
+
+type model_slot = {
+  m_cls : int;
+  m_slot : int;
+  m_size : int;
+  m_addr : int; (* simulated address of the slot's first byte *)
+  m_bytes : Bytes.t; (* what the slot must hold, all [m_size] bytes *)
+  mutable m_refs : int;
+}
+
+type model_handle = {
+  h : Mem.Pinned.Buf.t;
+  h_slot : model_slot;
+  h_off : int; (* window start within the slot *)
+  h_len : int;
+}
+
+let pattern seed len =
+  String.init len (fun i -> Char.chr ((seed + (i * 31)) land 0xff))
+
+let model_agrees hd =
+  let want = Bytes.sub_string hd.h_slot.m_bytes hd.h_off hd.h_len in
+  let b = Mem.Pinned.Buf.backing hd.h
+  and o = Mem.Pinned.Buf.backing_off hd.h in
+  let out = Bytes.create hd.h_len in
+  Mem.Pinned.Buf.blit_to hd.h ~dst:out ~dst_off:0;
+  String.equal want (Mem.View.to_string (Mem.Pinned.Buf.view hd.h))
+  && String.equal want (Bytes.sub_string b o hd.h_len)
+  && String.equal want (Bytes.unsafe_to_string out)
+  && Mem.Pinned.Buf.addr hd.h = hd.h_slot.m_addr + hd.h_off
+
+let is_stale hd =
+  match Mem.Pinned.Buf.view hd.h with
+  | _ -> false
+  | exception Mem.Pinned.Use_after_free _ -> true
+
+let qcheck_chunked_model =
+  QCheck.Test.make ~name:"pinned pool matches a byte model across chunks"
+    ~count:40
+    QCheck.(
+      list_of_size (Gen.int_range 1 60)
+        (triple (int_bound 8) (int_bound 1_000_000) (int_bound 1_000_000)))
+    (fun ops ->
+      let space = Mem.Addr_space.create () in
+      let pool =
+        Mem.Pinned.Pool.create space ~name:"chunked" ~classes:chunk_classes
+      in
+      let classes = Array.of_list chunk_classes in
+      (* Free slots per class, LIFO from slot 0 as the pool hands them out;
+         a class's data range starts at the address slot 0 is given. *)
+      let free = Array.map (fun (_, cap) -> List.init cap Fun.id) classes in
+      let data_base = Array.make (Array.length classes) (-1) in
+      let live = ref [] and stale = ref [] in
+      let pick n = List.nth !live (n mod List.length !live) in
+      let step (op, a, b) =
+        match op with
+        | (0 | 1) ->
+            let ci = a mod Array.length classes in
+            let size, _ = classes.(ci) in
+            let lo = if ci = 0 then 1 else fst classes.(ci - 1) + 1 in
+            let len = lo + (b mod (size - lo + 1)) in
+            (match (Mem.Pinned.Buf.alloc ~cpu:none pool ~len, free.(ci)) with
+            | exception Mem.Pinned.Out_of_memory _ -> free.(ci) = []
+            | _, [] -> false
+            | h, slot :: rest ->
+                free.(ci) <- rest;
+                if slot = 0 && data_base.(ci) < 0 then
+                  data_base.(ci) <- Mem.Pinned.Buf.addr h;
+                let m_addr = data_base.(ci) + (slot * size) in
+                let whole = Mem.Pinned.Buf.sub_view h ~off:0 ~len:size in
+                let m_bytes = Bytes.of_string (Mem.View.to_string whole) in
+                let p = pattern a len in
+                Mem.Pinned.Buf.fill ~cpu:none h p;
+                Bytes.blit_string p 0 m_bytes 0 len;
+                let m =
+                  {
+                    m_cls = ci;
+                    m_slot = slot;
+                    m_size = size;
+                    m_addr;
+                    m_bytes;
+                    m_refs = 1;
+                  }
+                in
+                live := { h; h_slot = m; h_off = 0; h_len = len } :: !live;
+                Mem.Pinned.Buf.addr h = m_addr)
+        | _ when !live = [] -> true
+        | 2 ->
+            let hd = pick a in
+            Mem.Pinned.Buf.incr_ref ~cpu:none hd.h;
+            hd.h_slot.m_refs <- hd.h_slot.m_refs + 1;
+            true
+        | 3 ->
+            let hd = pick a in
+            Mem.Pinned.Buf.decr_ref ~cpu:none hd.h;
+            let m = hd.h_slot in
+            m.m_refs <- m.m_refs - 1;
+            if m.m_refs = 0 then begin
+              let dead, alive =
+                List.partition (fun x -> x.h_slot == m) !live
+              in
+              live := alive;
+              stale := dead @ !stale;
+              free.(m.m_cls) <- m.m_slot :: free.(m.m_cls)
+            end;
+            true
+        | 4 ->
+            let hd = pick a in
+            let p = pattern b (b mod (hd.h_len + 1)) in
+            Mem.Pinned.Buf.fill ~cpu:none hd.h p;
+            Bytes.blit_string p 0 hd.h_slot.m_bytes hd.h_off (String.length p);
+            true
+        | 5 ->
+            let hd = pick a in
+            let len = b mod (hd.h_len + 1) in
+            let src_off = b mod 7 in
+            let src = Bytes.of_string (pattern a (src_off + len)) in
+            Mem.Pinned.Buf.fill_subbytes ~cpu:none hd.h src ~src_off ~len;
+            Bytes.blit src src_off hd.h_slot.m_bytes hd.h_off len;
+            true
+        | 6 ->
+            let hd = pick a in
+            let dst_off = b mod (hd.h_len + 1) in
+            let len = a mod (hd.h_len - dst_off + 1) in
+            let p = pattern b len in
+            Mem.Pinned.Buf.blit_from ~cpu:none hd.h
+              ~src:(Mem.View.of_string space p) ~dst_off;
+            Bytes.blit_string p 0 hd.h_slot.m_bytes (hd.h_off + dst_off) len;
+            true
+        | 7 ->
+            let hd = pick a in
+            let room = hd.h_slot.m_size - hd.h_off in
+            let off = b mod (room + 1) in
+            let len = a mod (room - off + 1) in
+            let h = Mem.Pinned.Buf.sub hd.h ~off ~len in
+            live := { hd with h; h_off = hd.h_off + off; h_len = len } :: !live;
+            true
+        | _ ->
+            let hd = pick a in
+            let off = b mod (hd.h_len + 1) in
+            let len = a mod (hd.h_len - off + 1) in
+            String.equal
+              (Mem.View.to_string (Mem.Pinned.Buf.sub_view hd.h ~off ~len))
+              (Bytes.sub_string hd.h_slot.m_bytes (hd.h_off + off) len)
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && List.for_all model_agrees !live
+          && List.for_all is_stale !stale)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "alloc and fill" `Quick test_alloc_and_fill;
@@ -292,4 +451,5 @@ let suite =
     Alcotest.test_case "addr space disjoint" `Quick test_addr_space_disjoint;
     QCheck_alcotest.to_alcotest qcheck_alloc_free_capacity;
     QCheck_alcotest.to_alcotest qcheck_recover_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_chunked_model;
   ]

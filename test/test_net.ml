@@ -205,6 +205,46 @@ let test_batched_completion_releases_segments () =
   Mem.Pinned.Buf.decr_ref ~cpu:none v1;
   Mem.Pinned.Buf.decr_ref ~cpu:none v2
 
+(* A pool backs a slot only once it is handed out: creating an endpoint
+   reserves its pools' simulated ranges (nine TX classes x 2,048 slots plus
+   4,096 x 16 KB RX, about 134 MB) without growing the host heap by more
+   than 2^20 words, and each 64 KB chunk of the RX class (four 16 KB slots)
+   appears with the first slot handed out in it. *)
+let test_backing_follows_use () =
+  let engine = Sim.Engine.create () in
+  let fabric = Net.Fabric.create engine in
+  let space = Mem.Addr_space.create () in
+  let registry = Mem.Registry.create space in
+  (* [Gc.stat], not [Gc.quick_stat]: only the full count sees each large
+     block the moment it is allocated. *)
+  let heap_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.heap_words
+  in
+  let before = heap_words () in
+  let ep = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
+  let grown = heap_words () - before in
+  if grown >= 1 lsl 20 then
+    Alcotest.failf "Endpoint.create grew the heap by %d words" grown;
+  let rx =
+    List.find
+      (fun p -> Mem.Pinned.Pool.name p = "ep1-rx")
+      (Mem.Registry.pools registry)
+  in
+  (* A 64 KB chunk is 8,192 words plus its header and the allocator's. *)
+  let k = 9 in
+  let chunks = (k + 3) / 4 in
+  let before = heap_words () in
+  let bufs =
+    List.init k (fun _ -> Mem.Pinned.Buf.alloc ~cpu:none rx ~len:16384)
+  in
+  let grown = heap_words () - before in
+  if grown < chunks * 8192 || grown >= (chunks + 1) * 8192 then
+    Alcotest.failf "%d RX slots grew the heap by %d words, want about %d" k
+      grown (chunks * 8192);
+  List.iter (Mem.Pinned.Buf.decr_ref ~cpu:none) bufs;
+  ignore (Sys.opaque_identity ep)
+
 let suite =
   [
     Alcotest.test_case "send/recv string" `Quick test_send_string_delivery;
@@ -223,4 +263,5 @@ let suite =
       test_doorbell_timeout_flush;
     Alcotest.test_case "batched completion releases refs" `Quick
       test_batched_completion_releases_segments;
+    Alcotest.test_case "backing follows use" `Quick test_backing_follows_use;
   ]
