@@ -40,8 +40,8 @@ let reuse_one_cluster rates =
    one ref from every job. Expected: SC-PAR-MUT. *)
 let total_served topos =
   let served = ref 0 in
-  Par.Pool.mapi_list
-    (fun _i topo ->
+  Par.Pool.map_list
+    (fun topo ->
       let n = Cluster.Topology.per_shard_served topo in
       served := !served + List.fold_left ( + ) 0 n;
       n)

@@ -7,31 +7,30 @@
 
 let config = Cornflakes.Config.default
 
-(* handle_get from Listing 4: deserialize, look up each key, append a CFPtr
-   per value, send_object — no separate serialize call. *)
-let handle_get rig store ~src buf =
+(* handle_get from Listing 4: validate the request once, look up each key
+   read in place, append a CFPtr per value, send_object — no separate
+   serialize call, and no request object is built. *)
+let handle_get rig store getm ~src buf =
   let cpu = rig.Apps.Rig.cpu in
   let ep = rig.Apps.Rig.server_ep in
   let tr = rig.Apps.Rig.server_tr in
-  let getm = Kv_msgs.Getreq.deserialize ~cpu buf in
+  Kv_msgs.Getreq.read_folded getm buf;
   let resp = Kv_msgs.Getresp.create () in
-  (match Kv_msgs.Getreq.id getm with
-  | Some id -> Kv_msgs.Getresp.set_id resp id
-  | None -> ());
-  List.iter
-    (fun key_payload ->
-      let key = Wire.Payload.to_string key_payload in
-      match Kvstore.Store.get ~cpu store ~key with
-      | Some value ->
-          List.iter
-            (fun vbuf ->
-              Kv_msgs.Getresp.add_vals ~cpu config ep resp
-                (Mem.Pinned.Buf.view vbuf))
-            (Kvstore.Store.buffers value)
-      | None -> ())
-    (Kv_msgs.Getreq.keys getm);
+  if Wire.Reader.present getm Kv_msgs.Getreq.idx_id then
+    Kv_msgs.Getresp.set_id resp
+      (Wire.Reader.get_u64 getm Kv_msgs.Getreq.idx_id);
+  for j = 0 to Wire.Reader.count_or_zero getm Kv_msgs.Getreq.idx_keys - 1 do
+    let key = Wire.Reader.elem_string getm Kv_msgs.Getreq.idx_keys ~j in
+    match Kvstore.Store.get ~cpu store ~key with
+    | Some value ->
+        List.iter
+          (fun vbuf ->
+            Kv_msgs.Getresp.add_vals ~cpu config ep resp
+              (Mem.Pinned.Buf.view vbuf))
+          (Kvstore.Store.buffers value)
+    | None -> ()
+  done;
   Kv_msgs.Getresp.send config tr ~dst:src resp;
-  Kv_msgs.Getreq.release ~cpu getm;
   Mem.Pinned.Buf.decr_ref ~cpu buf
 
 let () =
@@ -48,20 +47,25 @@ let () =
       Mem.Pinned.Buf.fill ~cpu buf (Workload.Spec.filler size);
       Kvstore.Store.put_string ~cpu store ~key (Kvstore.Store.Single buf))
     [ ("small", 100); ("medium", 800); ("large", 4000) ];
+  (* Pooled in-place readers, one per message type per endpoint. *)
+  let getm = Kv_msgs.Getreq.reader ~cpu:rig.Apps.Rig.cpu () in
   Loadgen.Server.set_handler rig.Apps.Rig.server (fun ~src buf ->
-      handle_get rig store ~src buf);
+      handle_get rig store getm ~src buf);
 
   let client = List.hd rig.Apps.Rig.clients in
+  let resp = Kv_msgs.Getresp.reader ~cpu:Memmodel.Cpu.none () in
   Net.Transport.set_rx client (fun ~src:_ buf ->
-      let resp = Kv_msgs.Getresp.deserialize ~cpu:Memmodel.Cpu.none buf in
+      Kv_msgs.Getresp.read_folded resp buf;
+      let n = Wire.Reader.count_or_zero resp Kv_msgs.Getresp.idx_vals in
       Printf.printf "response id=%Ld with %d values: %s\n"
-        (Option.value ~default:0L (Kv_msgs.Getresp.id resp))
-        (List.length (Kv_msgs.Getresp.vals resp))
+        (Wire.Reader.get_u64_or resp Kv_msgs.Getresp.idx_id ~default:0L)
+        n
         (String.concat ", "
-           (List.map
-              (fun p -> string_of_int (Wire.Payload.len p) ^ "B")
-              (Kv_msgs.Getresp.vals resp)));
-      Wire.Dyn.release ~cpu:Memmodel.Cpu.none (Kv_msgs.Getresp.to_dyn resp);
+           (List.init n (fun j ->
+                let v =
+                  Wire.Reader.elem_view resp Kv_msgs.Getresp.idx_vals ~j
+                in
+                string_of_int v.Mem.View.len ^ "B")));
       Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none buf);
 
   (* A multi-get for all three keys: the 100 B value is copied, the 800 B

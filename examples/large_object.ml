@@ -1,7 +1,7 @@
 (* Segmentation demo (§3.2.3 extension): ship a 150 KB object — far beyond
    one jumbo frame — using the ranged CornflakesObj iterators. Large pinned
    fields are sliced zero-copy across frames; the receiver reassembles and
-   deserializes as usual.
+   reads the object in place as usual.
 
    Run with:  dune exec examples/large_object.exe *)
 
@@ -46,24 +46,21 @@ let () =
 
   let segmenter = Cornflakes.Segment.Segmenter.create alice in
   let reassembler = Cornflakes.Segment.Reassembler.create registry in
+  let back = Wire.Reader.create ~cpu blob in
+  let field = Schema.Desc.field_index blob in
   Net.Endpoint.set_rx bob (fun ~src buf ->
       Cornflakes.Segment.Reassembler.on_packet ~cpu reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
-          let back = Cornflakes.Send.deserialize ~cpu schema blob obj in
+          Wire.Reader.validate back obj;
+          let parts = Wire.Reader.count_or_zero back (field "parts") in
           Printf.printf "bob reassembled id=%Ld %S with parts [%s]\n"
-            (Option.value ~default:0L (Wire.Dyn.get_int back "id"))
-            (Option.fold ~none:"" ~some:Wire.Payload.to_string
-               (Wire.Dyn.get_payload back "label"))
+            (Wire.Reader.get_u64_or back (field "id") ~default:0L)
+            (Wire.Reader.payload_string back (field "label"))
             (String.concat "; "
-               (List.map
-                  (fun v ->
-                    match v with
-                    | Wire.Dyn.Payload p ->
-                        Printf.sprintf "%d x '%c'" (Wire.Payload.len p)
-                          (Wire.Payload.to_string p).[0]
-                    | _ -> "?")
-                  (Wire.Dyn.get_list back "parts")));
-          Wire.Dyn.release ~cpu back;
+               (List.init parts (fun j ->
+                    let v = Wire.Reader.elem_view back (field "parts") ~j in
+                    Printf.sprintf "%d x '%c'" v.Mem.View.len
+                      (Bytes.get v.Mem.View.data v.Mem.View.off))));
           Mem.Pinned.Buf.decr_ref ~cpu obj));
   Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg;
   Sim.Engine.run_all engine;

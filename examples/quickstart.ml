@@ -1,6 +1,6 @@
 (* Quickstart: define a schema, build a message whose fields live in pinned
-   memory, send it with the combined serialize-and-send API, and deserialize
-   it zero-copy on the other side.
+   memory, send it with the combined serialize-and-send API, and read it
+   in place, zero-copy, on the other side.
 
    Run with:  dune exec examples/quickstart.exe *)
 
@@ -60,24 +60,25 @@ let () =
     (Cornflakes.Format_.num_entries plan)
     (Cornflakes.Format_.zc_count plan);
 
-  (* 5. Send. The stack holds references on the zero-copy fields until the
-        NIC completion fires — freeing [big_value] early would be caught. *)
+  (* 5. Receive: Bob validates each frame once, then reads fields where
+        they lie in the receive buffer — no message object, no copies. *)
+  let received = Wire.Reader.create ~cpu greeting in
+  let field = Schema.Desc.field_index greeting in
   Net.Endpoint.set_rx bob (fun ~src buf ->
-      let received = Cornflakes.Send.deserialize ~cpu schema greeting buf in
+      Wire.Reader.validate received buf;
+      let chunks = Wire.Reader.count_or_zero received (field "chunks") in
       Printf.printf "bob received from %d: id=%Ld title=%S chunks=[%s]\n" src
-        (Option.value ~default:0L (Wire.Dyn.get_int received "id"))
-        (Option.fold ~none:"" ~some:Wire.Payload.to_string
-           (Wire.Dyn.get_payload received "title"))
+        (Wire.Reader.get_u64_or received (field "id") ~default:0L)
+        (Wire.Reader.payload_string received (field "title"))
         (String.concat "; "
-           (List.map
-              (fun v ->
-                match v with
-                | Wire.Dyn.Payload p ->
-                    Printf.sprintf "%d bytes" (Wire.Payload.len p)
-                | _ -> "?")
-              (Wire.Dyn.get_list received "chunks")));
-      Wire.Dyn.release ~cpu received;
+           (List.init chunks (fun j ->
+                Printf.sprintf "%d bytes"
+                  (Wire.Reader.elem_view received (field "chunks") ~j)
+                    .Mem.View.len)));
       Mem.Pinned.Buf.decr_ref ~cpu buf);
+
+  (* 6. Send. The stack holds references on the zero-copy fields until the
+        NIC completion fires — freeing [big_value] early would be caught. *)
   Cornflakes.Send.send_object config alice ~dst:2 msg;
   Sim.Engine.run_all engine;
   Printf.printf "big value still owned by the app: refcount=%d\n"

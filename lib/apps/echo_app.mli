@@ -1,7 +1,10 @@
 (** The echo server (§2.2, §6.1.2): almost no application logic — the
-    server deserializes the request and reserializes it back. Because the
-    receive buffer is pinned, Cornflakes' reserialize recovers the request's
-    own fields zero-copy; copying libraries re-copy them.
+    server deserializes the request and reserializes it back. Cornflakes
+    validates the request once and reads its fields in place
+    ([Wire.Reader]); because the receive buffer is pinned, its reserialize
+    recovers those fields zero-copy. The copying libraries parse into a
+    [Wire.Dyn] and re-copy them. A Cornflakes frame that fails validation
+    is dropped and counted ([Loadgen.Server.rejected]).
 
     Besides the library-backed echo, this module provides the manual
     handlers of Figure 1/2: raw forward (no serialization), zero-copy

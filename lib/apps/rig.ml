@@ -142,15 +142,6 @@ let inject_faults t inj =
         targets)
     (Faults.Injector.arena_windows inj)
 
-let clear_faults t =
-  Net.Fabric.set_injector t.fabric None;
-  List.iter
-    (fun ep ->
-      Nic.Device.set_completion_fault (Net.Endpoint.nic ep) None;
-      Mem.Arena.set_soft_capacity (Net.Endpoint.arena ep) None)
-    (endpoints t);
-  Loadgen.Server.set_service_fault t.server None
-
 let data_pool t ~name ~classes =
   let pool = Mem.Pinned.Pool.create t.space ~name ~classes in
   Mem.Registry.register t.registry pool;

@@ -69,10 +69,6 @@ val endpoints : t -> Net.Endpoint.t list
     arena-exhaustion windows. *)
 val inject_faults : t -> Faults.Injector.t -> unit
 
-(** Detach the injector and restore arenas/NICs/server to fault-free
-    behaviour (does not reap already-lost completions). *)
-val clear_faults : t -> unit
-
 (** Recover lost completions on every NIC ([Nic.Device.reap_lost]);
     returns descriptors recovered. Call before quiescing a faulted run. *)
 val reap_lost : t -> int

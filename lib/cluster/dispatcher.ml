@@ -268,15 +268,16 @@ let handle_partial_zc t ~src r =
           p.awaiting <- p.awaiting - 1;
           if p.awaiting = 0 then assemble t fid p)
 
+(* A frame that fails validation is counted and dropped: nothing is
+   forwarded or answered. *)
 let handler t ~src buf =
-  if Hashtbl.mem t.shard_index src then begin
-    Wire.Reader.validate t.partial_reader buf;
-    handle_partial_zc t ~src t.partial_reader
-  end
-  else begin
-    Wire.Reader.validate t.req_reader buf;
-    handle_request_zc t ~src t.req_reader
-  end;
+  let partial = Hashtbl.mem t.shard_index src in
+  let r = if partial then t.partial_reader else t.req_reader in
+  (match Wire.Reader.validate r buf with
+  | exception Wire.Reader.Invalid _ -> Loadgen.Server.reject t.server
+  | () ->
+      if partial then handle_partial_zc t ~src r
+      else handle_request_zc t ~src r);
   Mem.Pinned.Buf.decr_ref ~cpu:t.cpu ~site:"Dispatcher.handler_done" buf
 
 let create ~fabric ~registry ~kind ~backend ~queue_limit ~id ~ring ~shard_ids

@@ -107,9 +107,11 @@ let handle_put t ~cpu r =
 
 (* The generated skeleton validates the request once into its pooled
    reader, echoes the id into the pooled response, dispatches the method
-   word through the branchless table and tail-sends. *)
+   word through the branchless table and tail-sends; a frame that fails
+   validation is counted and dropped. *)
 let handler t ~src buf =
-  Apps.Kv_rpc.Kv_service.serve t.rpc ~src buf;
+  if not (Apps.Kv_rpc.Kv_service.serve t.rpc ~src buf) then
+    Loadgen.Server.reject t.server;
   Mem.Pinned.Buf.decr_ref ~cpu:t.cpu ~site:"Shard.handler_done" buf
 
 let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit

@@ -51,7 +51,7 @@ let create ?transport ?seed ?(n_clients = 8) ?(dispatchers = 1)
     ~n_keys ~backend () =
   if n < 1 then invalid_arg "Topology.create: shards < 1";
   (* Dispatchers and shards read requests in place: Cornflakes frames only. *)
-  if not backend.Apps.Backend.zc_rx then
+  if Option.is_some backend.Apps.Backend.recv then
     invalid_arg "Topology.create: the cluster needs the Cornflakes wire format";
   if dispatchers < 1 || dispatchers > client_base - dispatcher_id then
     invalid_arg "Topology.create: dispatchers out of range";

@@ -306,9 +306,6 @@ let emit_message ~crossover buf (m : Schema.Desc.message) =
     m.Schema.Desc.fields;
   Buffer.add_string buf
     "  let object_len t = Cornflakes.Format_.object_len t.msg\n\n";
-  Buffer.add_string buf
-    "  let deserialize ~cpu buf =\n\
-    \    { msg = Cornflakes.Send.deserialize ~cpu schema desc buf }\n\n";
   emit_read_folded buf m;
   emit_write_folded buf m;
   Buffer.add_string buf
@@ -468,15 +465,22 @@ let emit_service schema buf (s : Schema.Desc.service) =
     "  (* Server skeleton, zero-copy path: validate the frame exactly once\n\
     \     into the pooled in-place reader, echo the caller's id into the\n\
     \     pooled response, dispatch the method word through the branchless\n\
-    \     table; unary methods tail-send the response the handler filled. *)\n\
+    \     table; unary methods tail-send the response the handler filled.\n\
+    \     [false]: the frame failed validation and nothing was sent (the\n\
+    \     caller still owns, and releases, the delivery reference). *)\n\
     \  let serve s ~src buf =\n\
-    \    Wire.Reader.validate s.s_reader buf;\n\
-    \    Wire.Dyn.clear s.s_resp;\n\
-    \    if Wire.Reader.present s.s_reader req_id then\n\
-    \      Wire.Dyn.set_int_of_reader s.s_resp resp_id s.s_reader req_id;\n\
-    \    let h = Rpc.Table.dispatch s.s_table (method_of_reader s.s_reader) in\n\
-    \    h.h_reader ~src s.s_reader s.s_resp;\n\
-    \    if not h.h_stream then s.s_send ~dst:src s.s_resp\n\n\
+    \    match Wire.Reader.validate s.s_reader buf with\n\
+    \    | exception Wire.Reader.Invalid _ -> false\n\
+    \    | () ->\n\
+    \        Wire.Dyn.clear s.s_resp;\n\
+    \        if Wire.Reader.present s.s_reader req_id then\n\
+    \          Wire.Dyn.set_int_of_reader s.s_resp resp_id s.s_reader req_id;\n\
+    \        let h =\n\
+    \          Rpc.Table.dispatch s.s_table (method_of_reader s.s_reader)\n\
+    \        in\n\
+    \        h.h_reader ~src s.s_reader s.s_resp;\n\
+    \        if not h.h_stream then s.s_send ~dst:src s.s_resp;\n\
+    \        true\n\n\
     \  (* Copy-path twin: identical operation order over a request a\n\
     \     backend already parsed into a [Wire.Dyn.t] (caller keeps\n\
     \     ownership of [req]). *)\n\
@@ -632,7 +636,6 @@ let ir_message ~crossover buf (m : Schema.Desc.message) =
           fn n "getter" "Wire.Dyn.nested_at")
     m.Schema.Desc.fields;
   fn "object_len" "len" "Cornflakes.Format_.object_len";
-  fn "deserialize" "deserialize" "Cornflakes.Send.deserialize";
   fn "reader" "alloc" "Wire.Reader.create";
   fn "read_folded" "reader"
     (if Layout.foldable (Array.length m.Schema.Desc.fields) then

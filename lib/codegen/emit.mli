@@ -3,7 +3,9 @@
     This is the analogue of the paper's code-generation step (§3, Listing 1):
     from a message schema it produces, per message, a typed wrapper over the
     dynamic-message runtime with a constructor, setters, getters, repeated-
-    field appenders, [deserialize], a specialized [write_folded] serializer
+    field appenders, an in-place [reader] with its specialized validator
+    [read_folded] (received frames are read where they lie, never parsed
+    into a message object), a specialized [write_folded] serializer
     (constant-folded layout: literal bitmap + slot offsets behind one hoisted
     bounds check, falling back to the generic writer off the all-present
     path), and a combined [send] (serialize-and-send through the folded

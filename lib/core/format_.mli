@@ -137,7 +137,12 @@ val run :
 (** [deserialize ~cpu schema desc buf] rebuilds a message from a received
     object. Bytes/string fields become [Zero_copy] windows into [buf] (one
     new reference each); nothing larger than the header/tables is read.
-    Raises [Malformed] on out-of-bounds offsets or bad bitmaps. *)
+    Raises [Malformed] on out-of-bounds offsets or bad bitmaps.
+
+    The reference oracle only: servers, generated code and examples read
+    Cornflakes frames in place with [Wire.Reader], which accepts a frame
+    iff this parse does. Tests, the [exp_rx] ablation and the
+    [cf-read-dyn] microbench compare the reader against it. *)
 val deserialize :
   cpu:Memmodel.Cpu.t ->
   Schema.Desc.t ->

@@ -12,8 +12,8 @@
 
     Frames of one object may interleave with other traffic; the receiving
     {!Reassembler} collects chunks by (source, message id) and delivers the
-    complete object as a single pinned buffer that deserializes with the
-    ordinary {!Send.deserialize}.
+    complete object as a single pinned buffer, validated once and read in
+    place with the ordinary [Wire.Reader].
 
     Fragment header: [u32 msg_id][u32 offset][u32 total_len][u32 chunk_len]. *)
 
@@ -45,7 +45,7 @@ module Reassembler : sig
   type t
 
   (** [create registry] allocates the reassembly pool (registered as pinned,
-      so deserialized fields of reassembled objects are zero-copy-eligible
+      so fields read from reassembled objects are zero-copy-eligible
       when echoed). *)
   val create : Mem.Registry.t -> t
 

@@ -1,24 +1,13 @@
 exception Message_too_large of { len : int; max : int }
 
-(* Degradation counters (domain-local, like the scratch plan below): a
+(* Pressure demotions, domain-local like the scratch plan below: a
    parallel-harness job runs entirely on one domain, so the harness's
    snapshot-delta bookkeeping over one job sees exactly that job's
    demotions — never a concurrent job's. *)
-type counters = { mutable demotions : int; mutable demotion_skips : int }
+let demotions_dls : int ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref 0)
 
-let counters_dls : counters Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { demotions = 0; demotion_skips = 0 })
-
-let counters () = Domain.DLS.get counters_dls
-
-let pressure_demotions () = (counters ()).demotions
-
-let pressure_demotion_skips () = (counters ()).demotion_skips
-
-let reset_counters () =
-  let c = counters () in
-  c.demotions <- 0;
-  c.demotion_skips <- 0
+let pressure_demotions () = !(Domain.DLS.get demotions_dls)
 
 (* Demote the smallest zero-copy payloads to copies until at most [keep]
    remain ([keep = 0] demotes every one). Demotion pays both the metadata
@@ -26,7 +15,7 @@ let reset_counters () =
    double-cost case §3.2.1 warns about, which is why it only happens on
    SGE-limit overflow or under memory pressure. With [best_effort] an
    arena-exhausted copy keeps the zero-copy reference instead of raising;
-   returns (demoted, kept-for-lack-of-arena). *)
+   returns the number demoted. *)
 let demote_excess ~cpu ?(site = "Send.demote") ?(best_effort = false) ep msg ~keep =
   let zc_lens =
     Wire.Dyn.fold_payloads msg ~init:[] ~f:(fun acc p ->
@@ -36,7 +25,6 @@ let demote_excess ~cpu ?(site = "Send.demote") ?(best_effort = false) ep msg ~ke
   in
   let count = List.length zc_lens in
   let demoted = ref 0 in
-  let skipped = ref 0 in
   if count > keep then begin
     let sorted = List.sort (fun a b -> compare b a) zc_lens in
     let cutoff = if keep = 0 then max_int else List.nth sorted (keep - 1) in
@@ -71,12 +59,10 @@ let demote_excess ~cpu ?(site = "Send.demote") ?(best_effort = false) ep msg ~ke
                   Mem.Pinned.Buf.decr_ref ~cpu ~site buf;
                   incr demoted;
                   Wire.Payload.Copied copied
-              | exception Mem.Pinned.Out_of_memory _ when best_effort ->
-                  incr skipped;
-                  p
+              | exception Mem.Pinned.Out_of_memory _ when best_effort -> p
             end)
   end;
-  (!demoted, !skipped)
+  !demoted
 
 (* One reusable plan per domain: a domain runs one simulation at a time and
    [send_object] never re-enters itself (segmented sends go through
@@ -126,13 +112,12 @@ let send_planned (config : Config.t) (tr : Net.Transport.t) ~dst msg ~write =
      zero-copy payload to an arena copy, best-effort if the arena is
      constrained too. *)
   if plan.Format_.zc_count > 0 && Net.Endpoint.under_pressure ep then begin
-    let demoted, skipped =
+    let demoted =
       demote_excess ~cpu ~site:"Send.pressure_demote" ~best_effort:true ep msg
         ~keep:0
     in
-    let c = counters () in
-    c.demotions <- c.demotions + demoted;
-    c.demotion_skips <- c.demotion_skips + skipped;
+    let c = Domain.DLS.get demotions_dls in
+    c := !c + demoted;
     if demoted > 0 then Format_.measure_into plan msg
   end;
   let contiguous_len = plan.Format_.header_len + plan.Format_.stream_len in
@@ -197,5 +182,3 @@ let send_via config tr ~dst msg =
    cached per endpoint, so this stays allocation-free. *)
 let send_object config ep ~dst msg =
   send_via config (Net.Endpoint.transport ep) ~dst msg
-
-let deserialize = Format_.deserialize

@@ -21,14 +21,9 @@
 
 exception Message_too_large of { len : int; max : int }
 
-(** Zero-copy payloads demoted because of endpoint memory pressure /
-    demotions skipped because the arena was exhausted too (process-wide;
-    harnesses snapshot deltas). *)
+(** Zero-copy payloads demoted because of endpoint memory pressure
+    (domain-local; harnesses snapshot deltas). *)
 val pressure_demotions : unit -> int
-
-val pressure_demotion_skips : unit -> int
-
-val reset_counters : unit -> unit
 
 (** [send_via config tr ~dst msg] — serialize [msg] and send it over
     any transport, charging [Net.Transport.cpu tr]: the staging buffer
@@ -62,12 +57,3 @@ val send_planned :
     ep)] — the historical UDP entry point (Listing 2); allocation-free, the
     endpoint's transport record is cached. *)
 val send_object : Config.t -> Net.Endpoint.t -> dst:int -> Wire.Dyn.t -> unit
-
-(** [deserialize ~cpu schema desc buf] — re-export of {!Format_.deserialize}
-    for API symmetry with Listing 1. *)
-val deserialize :
-  cpu:Memmodel.Cpu.t ->
-  Schema.Desc.t ->
-  Schema.Desc.message ->
-  Mem.Pinned.Buf.t ->
-  Wire.Dyn.t

@@ -113,7 +113,7 @@ let measure_gen_dispatch () =
   let sent = ref 0 and sink = ref 0 in
   let srv = S.server ~cpu ~send:(fun ~dst:_ _ -> incr sent) () in
   S.on_get srv ~reader:(fun ~src:_ r _resp -> consume_keys r sink);
-  let op () = S.serve srv ~src:1 frame in
+  let op () = ignore (S.serve srv ~src:1 frame) in
   let r = measure cpu op in
   Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none ~site:"exp_rpc.frame" frame;
   r
@@ -141,7 +141,7 @@ let make_call_rig () =
   in
   S.on_get srv ~reader:(fun ~src:_ r _resp -> consume_keys r sink);
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
-      S.serve srv ~src buf;
+      ignore (S.serve srv ~src buf);
       Mem.Pinned.Buf.decr_ref ~cpu ~site:"exp_rpc.srv_done" buf);
   let req = Apps.Kv_rpc.Req.create () in
   List.iter

@@ -69,7 +69,7 @@ let measure_dyn_parse () =
   let sink = ref 0 in
   let op () =
     let d =
-      Cornflakes.Send.deserialize ~cpu Apps.Proto.schema Apps.Proto.req frame
+      Cornflakes.Format_.deserialize ~cpu Apps.Proto.schema Apps.Proto.req frame
     in
     (match Wire.Dyn.get_int d "id" with Some _ -> () | None -> ());
     (match Wire.Dyn.get_int d "op" with Some _ -> () | None -> ());

@@ -14,6 +14,7 @@ type t = {
   mutable handler : src:int -> Mem.Pinned.Buf.t -> unit;
   mutable served : int;
   mutable dropped : int;
+  mutable rejected : int;
   mutable service_ns_total : float;
   mutable busy_ns : int;
   (* Fault injection: extra ns to stall each request (slow consumer). *)
@@ -119,6 +120,7 @@ let create ?(queue_limit = 4096) tr =
             ~site:"Server.no_handler" buf);
       served = 0;
       dropped = 0;
+      rejected = 0;
       service_ns_total = 0.0;
       busy_ns = 0;
       service_fault = None;
@@ -138,6 +140,10 @@ let stalled_ns t = t.stalled_ns
 let served t = t.served
 
 let dropped t = t.dropped
+
+let reject t = t.rejected <- t.rejected + 1
+
+let rejected t = t.rejected
 
 let mean_service_ns t =
   if t.served = 0 then 0.0 else t.service_ns_total /. float_of_int t.served

@@ -31,6 +31,14 @@ val served : t -> int
 
 val dropped : t -> int
 
+(** [reject t] counts one request the handler dropped because its frame
+    failed validation: the handler released the delivery reference and
+    sent nothing. *)
+val reject : t -> unit
+
+(** Requests dropped by [reject] so far. *)
+val rejected : t -> int
+
 (** Mean service time (ns) over all served requests. *)
 val mean_service_ns : t -> float
 

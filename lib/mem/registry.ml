@@ -20,9 +20,6 @@ let rec pool_of pools ~addr =
   | [] -> raise_notrace Not_found
   | p :: rest -> if Pinned.Pool.contains p ~addr then p else pool_of rest ~addr
 
-let is_pinned t ~addr =
-  match pool_of t.pools ~addr with _ -> true | exception Not_found -> false
-
 let recover_exn ~cpu t ~addr ~len =
   (* Range-table lookup: arithmetic plus one (hot) table line. *)
   Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Safety Memmodel.Cpu.Range_lookup;

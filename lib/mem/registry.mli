@@ -16,10 +16,6 @@ val register : t -> Pinned.Pool.t -> unit
 
 val pools : t -> Pinned.Pool.t list
 
-(** [is_pinned t ~addr] checks range membership only (no refcount side
-    effects, no charges). *)
-val is_pinned : t -> addr:int -> bool
-
 (** [recover_ptr ~cpu t ~addr ~len] returns a referenced handle if
     [addr, addr+len) lies in a live pinned allocation. *)
 val recover_ptr :

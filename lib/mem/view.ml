@@ -18,5 +18,3 @@ let of_string space s =
   { addr; data; off = 0; len = Bytes.length data }
 
 let blit t ~dst ~dst_off = Bytes.blit t.data t.off dst dst_off t.len
-
-let equal_contents a b = a.len = b.len && to_string a = to_string b

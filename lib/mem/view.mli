@@ -23,5 +23,3 @@ val of_string : Addr_space.t -> string -> t
 
 (** [blit t ~dst ~dst_off] copies the visible bytes into [dst]. *)
 val blit : t -> dst:Bytes.t -> dst_off:int -> unit
-
-val equal_contents : t -> t -> bool

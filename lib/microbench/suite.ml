@@ -121,7 +121,7 @@ let make_rpc_call_loop () =
         sink := !sink + Wire.Reader.field_off r f + Wire.Reader.field_len r f
       done);
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
-      S.serve srv ~src buf;
+      ignore (S.serve srv ~src buf);
       Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"bench.rpc" buf);
   let c = S.client (Net.Endpoint.transport cli) in
   Net.Endpoint.set_rx cli (fun ~src:_ buf ->
@@ -425,7 +425,7 @@ let make_benchmarks ~seed () =
       fn =
         (fun () ->
           let m =
-            Cornflakes.Send.deserialize ~cpu:none Apps.Proto.schema
+            Cornflakes.Format_.deserialize ~cpu:none Apps.Proto.schema
               Apps.Proto.resp rx_frame
           in
           ignore (Wire.Dyn.get_int m "id");
@@ -514,7 +514,8 @@ let make_benchmarks ~seed () =
       name = "cf-rpc-dispatch";
       tracked = true;
       fn =
-        (fun () -> Apps.Kv_rpc.Kv_service.serve rpc_srv ~src:4 rpc_frame);
+        (fun () ->
+          ignore (Apps.Kv_rpc.Kv_service.serve rpc_srv ~src:4 rpc_frame));
     };
     (* Generated client stub end to end: call_get stamps id + method word,
        folded-writer send, generated serve on the peer, deliver routes the

@@ -1,6 +1,6 @@
 type t = {
   capacity : int;
-  seen : (int * int, int) Hashtbl.t; (* (src, id) -> arrivals *)
+  seen : (int * int, unit) Hashtbl.t; (* (src, id) keys in the window *)
   order : (int * int) Queue.t; (* insertion order, for FIFO eviction *)
   mutable distinct : int;
   mutable duplicates : int;
@@ -20,24 +20,21 @@ let create ?(capacity = 1 lsl 16) () =
 
 let witness t ~src ~id =
   let key = (src, id) in
-  match Hashtbl.find_opt t.seen key with
-  | Some n ->
-      Hashtbl.replace t.seen key (n + 1);
-      t.duplicates <- t.duplicates + 1;
-      `Duplicate
-  | None ->
-      Hashtbl.replace t.seen key 1;
-      Queue.add key t.order;
-      t.distinct <- t.distinct + 1;
-      if Queue.length t.order > t.capacity then begin
-        let oldest = Queue.pop t.order in
-        Hashtbl.remove t.seen oldest;
-        t.evicted <- t.evicted + 1
-      end;
-      `New
-
-let seen_count t ~src ~id =
-  Option.value (Hashtbl.find_opt t.seen (src, id)) ~default:0
+  if Hashtbl.mem t.seen key then begin
+    t.duplicates <- t.duplicates + 1;
+    `Duplicate
+  end
+  else begin
+    Hashtbl.replace t.seen key ();
+    Queue.add key t.order;
+    t.distinct <- t.distinct + 1;
+    if Queue.length t.order > t.capacity then begin
+      let oldest = Queue.pop t.order in
+      Hashtbl.remove t.seen oldest;
+      t.evicted <- t.evicted + 1
+    end;
+    `New
+  end
 
 let distinct t = t.distinct
 

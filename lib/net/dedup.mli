@@ -17,9 +17,6 @@ val create : ?capacity:int -> unit -> t
     first time a key is seen (within the window), [`Duplicate] after. *)
 val witness : t -> src:int -> id:int -> [ `New | `Duplicate ]
 
-(** Times a given key has been witnessed (0 if unseen or evicted). *)
-val seen_count : t -> src:int -> id:int -> int
-
 (** Distinct keys witnessed / duplicate arrivals suppressed / keys
     evicted by the window bound. *)
 val distinct : t -> int

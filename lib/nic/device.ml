@@ -290,8 +290,6 @@ let txd_push txd buf =
 
 let txd_set_release txd f = txd.d_release <- f
 
-let txd_len txd = txd.d_n
-
 let txd_payload_bytes txd =
   let total = ref 0 in
   for i = 0 to txd.d_n - 1 do

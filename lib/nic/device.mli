@@ -39,9 +39,6 @@ val txd_push : txd -> Mem.Pinned.Buf.t -> unit
 
 val txd_set_release : txd -> (Mem.Pinned.Buf.t -> unit) -> unit
 
-(** Number of gather entries pushed so far. *)
-val txd_len : txd -> int
-
 (** [post_txd t txd] enqueues a send. Raises [Too_many_segments] if the
     gather list exceeds the model's SGE limit, [Ring_full] if the device
     backlog exceeds the ring size. Gathers the segment bytes (device DMA —

@@ -218,14 +218,4 @@ let map ?jobs f arr =
 
 let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
 
-(* Index-aware variant: jobs that seed per-task RNG streams (e.g. the
-   cluster population planner's [Sim.Rng.stream ~index]) need their
-   submission index, and threading it through tuples at every call site
-   obscures the determinism contract. *)
-let mapi_list ?jobs f xs =
-  Array.to_list
-    (map ?jobs
-       (fun (i, x) -> f i x)
-       (Array.of_list (List.mapi (fun i x -> (i, x)) xs)))
-
 let run_jobs ?jobs (js : 'a Job.t list) = map_list ?jobs Job.run js

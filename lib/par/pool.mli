@@ -41,9 +41,5 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [mapi_list f xs] — like [map_list], passing each task its submission
-    index (e.g. to seed per-task [Sim.Rng.stream ~index] streams). *)
-val mapi_list : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-
 (** Run labeled jobs (see {!Job}); results in submission order. *)
 val run_jobs : ?jobs:int -> 'a Job.t list -> 'a list

@@ -69,12 +69,3 @@ let merge_into ~dst ~src =
   dst.sum <- dst.sum +. src.sum;
   if src.min_v < dst.min_v then dst.min_v <- src.min_v;
   if src.max_v > dst.max_v then dst.max_v <- src.max_v
-
-let pp_summary ppf t =
-  if t.count = 0 then Format.fprintf ppf "<empty>"
-  else
-    Format.fprintf ppf "n=%d mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus"
-      t.count (mean t /. 1e3)
-      (float_of_int (percentile t 0.50) /. 1e3)
-      (float_of_int (percentile t 0.99) /. 1e3)
-      (float_of_int t.max_v /. 1e3)

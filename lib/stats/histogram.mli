@@ -29,5 +29,3 @@ val clear : t -> unit
 
 (** Merge [src] into [dst]; resolutions must match. *)
 val merge_into : dst:t -> src:t -> unit
-
-val pp_summary : Format.formatter -> t -> unit

@@ -44,7 +44,7 @@ let test_kv_responses_carry_values () =
       let client = List.hd rig.Apps.Rig.clients in
       let got = ref None in
       Net.Transport.set_rx client (fun ~src:_ buf ->
-          let msg = backend.Apps.Backend.recv client Apps.Proto.resp buf in
+          let msg = Test_env.decode backend client Apps.Proto.resp buf in
           got := Some (Wire.Dyn.get_list msg "vals" |> List.length);
           Wire.Dyn.release ~cpu:none msg;
           Mem.Pinned.Buf.decr_ref ~cpu:none buf);
@@ -75,7 +75,7 @@ let test_kv_put_then_get () =
   (* And the new value is served. *)
   let got = ref 0 in
   Net.Transport.set_rx client (fun ~src:_ buf ->
-      let msg = backend.Apps.Backend.recv client Apps.Proto.resp buf in
+      let msg = Test_env.decode backend client Apps.Proto.resp buf in
       (match Wire.Dyn.get_list msg "vals" with
       | [ Wire.Dyn.Payload p ] -> got := Wire.Payload.len p
       | _ -> ());
@@ -158,7 +158,7 @@ let run_rx_case ~transport backend (label, ops, expect) =
   let client = List.hd rig.Apps.Rig.clients in
   let reply = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
-      let msg = backend.Apps.Backend.recv client Apps.Proto.resp buf in
+      let msg = Test_env.decode backend client Apps.Proto.resp buf in
       let vals =
         List.filter_map
           (function
@@ -262,6 +262,91 @@ let test_echo_modes_roundtrip () =
       Apps.Echo_app.Lib (Apps.Backend.cornflakes ());
     ]
 
+(* A meter's [Deser] total. *)
+let deser cpu = List.assoc Memmodel.Cpu.Deser (Memmodel.Cpu.breakdown cpu)
+
+(* The Cornflakes echo server reads each request where it lies: its Deser
+   charge for one request equals one [Wire.Reader.validate] of that frame,
+   plus the in-place reads of the id slot and of each element slot, on a
+   fresh meter that holds the frame in its LLC as the NIC's DMA leaves it.
+   There is no per-field parse call and no heap message. *)
+let test_echo_reads_in_place () =
+  let rig = Apps.Rig.create ~n_clients:2 ~transport:`Udp () in
+  let a, b =
+    match rig.Apps.Rig.clients with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "two clients"
+  in
+  let app =
+    Apps.Echo_app.install rig (Apps.Echo_app.Lib (Apps.Backend.cornflakes ()))
+  in
+  let send dst =
+    Apps.Echo_app.send_request app ~sizes:[ 1024; 512; 64 ] a ~dst ~id:7
+  in
+  (* A copy of the request frame, caught by the second client. *)
+  let frame = ref None in
+  Net.Transport.set_rx b (fun ~src:_ buf -> frame := Some buf);
+  send (Net.Endpoint.id (Net.Transport.endpoint b));
+  Sim.Engine.run_all rig.Apps.Rig.engine;
+  let frame =
+    match !frame with Some f -> f | None -> Alcotest.fail "no frame"
+  in
+  let replies = ref 0 in
+  Net.Transport.set_rx a (fun ~src:_ buf ->
+      incr replies;
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
+  let cpu = rig.Apps.Rig.cpu in
+  let before = deser cpu in
+  send Apps.Rig.server_id;
+  Sim.Engine.run_all rig.Apps.Rig.engine;
+  Alcotest.(check int) "echoed" 1 !replies;
+  let fresh = Memmodel.Cpu.create Memmodel.Params.default in
+  Memmodel.Cpu.install_dma fresh ~addr:(Mem.Pinned.Buf.addr frame)
+    ~len:(Mem.Pinned.Buf.len frame);
+  let r = Wire.Reader.create ~cpu:fresh Apps.Proto.resp in
+  Wire.Reader.validate r frame;
+  let resp = Wire.Dyn.create Apps.Proto.resp in
+  Wire.Dyn.set_int_of_reader resp Apps.Proto.resp_id r Apps.Proto.resp_id;
+  for j = 0 to Wire.Reader.count_or_zero r Apps.Proto.resp_vals - 1 do
+    ignore (Wire.Reader.elem_view r Apps.Proto.resp_vals ~j)
+  done;
+  Alcotest.(check (float 0.0))
+    "Deser = validate + in-place reads" (deser fresh) (deser cpu -. before);
+  Wire.Reader.clear r;
+  Mem.Pinned.Buf.decr_ref ~cpu:none frame
+
+(* A datagram that is not a Cornflakes frame is dropped by the kv server:
+   its delivery reference is released, it is counted once, nothing is
+   sent back, and the requests after it are served as before. *)
+let test_kv_drops_invalid_frame () =
+  Test_faults.with_san (fun () ->
+      let backend = Apps.Backend.cornflakes () in
+      let rig = Apps.Rig.create ~n_clients:1 ~transport:`Udp () in
+      let app = Apps.Kv_app.install rig ~backend ~workload:fixture_workload in
+      let client = List.hd rig.Apps.Rig.clients in
+      let replies = ref [] in
+      Net.Transport.set_rx client (fun ~src:_ buf ->
+          replies := Apps.Kv_app.parse_id app buf :: !replies;
+          Mem.Pinned.Buf.decr_ref ~cpu:none buf);
+      let server = rig.Apps.Rig.server in
+      Net.Transport.send_string client ~dst:Apps.Rig.server_id
+        (String.make 64 '\xff');
+      Sim.Engine.run_all rig.Apps.Rig.engine;
+      Alcotest.(check int) "rejected once" 1 (Loadgen.Server.rejected server);
+      Alcotest.(check (list int)) "no reply" [] !replies;
+      Apps.Kv_app.send_op app
+        (Workload.Spec.Get { keys = [ "single" ] })
+        client ~dst:Apps.Rig.server_id ~id:5;
+      Sim.Engine.run_all rig.Apps.Rig.engine;
+      Alcotest.(check (list int)) "later request served" [ 5 ] !replies;
+      Alcotest.(check int) "still rejected once" 1
+        (Loadgen.Server.rejected server);
+      Sim.Engine.quiesce rig.Apps.Rig.engine;
+      Alcotest.(check int) "refsan leaks" 0
+        (List.length (Sanitizer.Refsan.leaks ()));
+      Alcotest.(check int) "refsan hazards" 0
+        (Sanitizer.Refsan.hazard_count ()))
+
 let test_no_buffer_leaks_across_requests () =
   (* After a run drains, the only live buffers are the store's values. *)
   let backend = Apps.Backend.cornflakes () in
@@ -304,11 +389,15 @@ let suite =
     Alcotest.test_case "kv responses carry values" `Quick
       test_kv_responses_carry_values;
     Alcotest.test_case "kv put then get" `Quick test_kv_put_then_get;
+    Alcotest.test_case "kv drops an invalid frame" `Quick
+      test_kv_drops_invalid_frame;
     Alcotest.test_case "kv request shapes x decoders x transports" `Quick
       test_kv_rx_cases;
     Alcotest.test_case "open loop latency" `Quick test_open_loop_latency_reasonable;
     Alcotest.test_case "open loop overload" `Quick test_open_loop_overload_detected;
     Alcotest.test_case "echo modes roundtrip" `Slow test_echo_modes_roundtrip;
+    Alcotest.test_case "cornflakes echo reads in place" `Quick
+      test_echo_reads_in_place;
     Alcotest.test_case "no buffer leaks" `Quick test_no_buffer_leaks_across_requests;
     Alcotest.test_case "queue drops under burst" `Quick
       test_server_queue_drops_under_burst;

@@ -136,7 +136,7 @@ let roundtrip topo backend ~op ~keys ?(vals = []) ~id () =
   let space = Mem.Registry.space (Cluster.Topology.registry topo) in
   let got = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
-      let msg = backend.Apps.Backend.recv client Apps.Proto.resp buf in
+      let msg = Test_env.decode backend client Apps.Proto.resp buf in
       let rid =
         Int64.to_int (Option.value ~default:(-1L) (Wire.Dyn.get_int msg "id"))
       in
@@ -273,6 +273,39 @@ let test_adaptive_observations_advance () =
   Alcotest.(check int) "every forward observed (zc + copy)" (obs ())
     (Cluster.Dispatcher.zc_forwards d + Cluster.Dispatcher.copy_forwards d)
 
+(* A datagram that is not a Cornflakes frame is dropped by the dispatcher:
+   its delivery reference is released, it is counted once, nothing is
+   forwarded, and the requests after it are served as before. *)
+let test_dispatcher_drops_invalid_frame () =
+  Test_faults.with_san (fun () ->
+      let topo, backend = make_topo ~transport:`Udp () in
+      let client = List.hd (Cluster.Topology.clients topo) in
+      let server =
+        Cluster.Dispatcher.server (Cluster.Topology.dispatcher topo)
+      in
+      Net.Transport.send_string client ~dst:Cluster.Topology.dispatcher_id
+        (String.make 64 '\xff');
+      Sim.Engine.run_all (Cluster.Topology.engine topo);
+      Alcotest.(check int) "rejected once" 1 (Loadgen.Server.rejected server);
+      Alcotest.(check (list int)) "nothing forwarded" [ 0; 0 ]
+        (Cluster.Topology.per_shard_served topo);
+      let k1, k2 = keys_spanning topo in
+      (match
+         roundtrip topo backend ~op:Apps.Proto.op_get ~keys:[ k1; k2 ] ~id:9 ()
+       with
+      | Some (9, vals) ->
+          Alcotest.(check (list string)) "later request served"
+            [ stored_value topo k1; stored_value topo k2 ]
+            vals
+      | _ -> Alcotest.fail "later request unanswered");
+      Alcotest.(check int) "still rejected once" 1
+        (Loadgen.Server.rejected server);
+      Sim.Engine.quiesce (Cluster.Topology.engine topo);
+      Alcotest.(check int) "refsan leaks" 0
+        (List.length (Sanitizer.Refsan.leaks ()));
+      Alcotest.(check int) "refsan hazards" 0
+        (Sanitizer.Refsan.hazard_count ()))
+
 (* Dispatchers and shards read requests in place, so the topology only
    accepts the Cornflakes wire format. *)
 let test_rejects_baseline_backend () =
@@ -303,4 +336,6 @@ let suite =
       test_adaptive_observations_advance;
     Alcotest.test_case "topology rejects a baseline backend" `Quick
       test_rejects_baseline_backend;
+    Alcotest.test_case "dispatcher drops an invalid frame" `Quick
+      test_dispatcher_drops_invalid_frame;
   ]

@@ -36,10 +36,14 @@ let test_generated_source_mentions_all_fields () =
       "let set_ratio";
       "Wire.Dyn.set_float_at t.msg idx_ratio";
       "let set_first_int";
-      "let deserialize";
+      "let reader";
+      "let read_folded";
       "let send";
       "DO NOT EDIT";
-    ]
+    ];
+  (* Received frames are read in place: no message parses them into a
+     heap object. *)
+  Alcotest.(check bool) "no let deserialize" false (contains "let deserialize")
 
 (* The modules dune compiles from [.proto] files at build time (one rule
    per directory, running bin/compile_schema.exe), as build-tree paths

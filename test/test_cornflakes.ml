@@ -146,7 +146,9 @@ let roundtrip_config env config msg =
   match !got with
   | None -> Alcotest.fail "no response delivered"
   | Some buf ->
-      let back = Cornflakes.Send.deserialize ~cpu:none schema everything buf in
+      let back =
+        Cornflakes.Format_.deserialize ~cpu:none schema everything buf
+      in
       (buf, back)
 
 let test_send_object_roundtrip () =
@@ -298,7 +300,9 @@ let test_echo_reserialize_zero_copy () =
     (Wire.Payload.of_string env.Test_env.space (String.make 2048 'e'));
   Cornflakes.Send.send_object default env.Test_env.a ~dst:2 msg;
   let _src, req_buf = Test_env.catch env in
-  let req = Cornflakes.Send.deserialize ~cpu:none schema everything req_buf in
+  let req =
+    Cornflakes.Format_.deserialize ~cpu:none schema everything req_buf
+  in
   (* Rebuild a response reusing the request's field bytes. *)
   let resp = Wire.Dyn.create everything in
   (match Wire.Dyn.get_payload req "name" with
@@ -318,7 +322,9 @@ let test_echo_reserialize_zero_copy () =
   match !got with
   | None -> Alcotest.fail "no echo"
   | Some buf ->
-      let back = Cornflakes.Send.deserialize ~cpu:none schema everything buf in
+      let back =
+        Cornflakes.Format_.deserialize ~cpu:none schema everything buf
+      in
       (match Wire.Dyn.get_payload back "name" with
       | Some p ->
           Alcotest.(check string) "payload intact" (String.make 2048 'e')
@@ -411,8 +417,8 @@ let test_network_api_listing2 () =
   match Network_api.recv_packet net_a with
   | Some buf ->
       let back =
-        Cornflakes.Send.deserialize ~cpu:none Test_format.schema Test_format.everything
-          buf
+        Cornflakes.Format_.deserialize ~cpu:none Test_format.schema
+          Test_format.everything buf
       in
       Alcotest.(check (option int64)) "id" (Some 2L) (Wire.Dyn.get_int back "id");
       Wire.Dyn.release ~cpu:none back;

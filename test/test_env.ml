@@ -45,3 +45,13 @@ let pinned_of_string pool s =
   let buf = Mem.Pinned.Buf.alloc ~cpu pool ~len:(String.length s) in
   Mem.Pinned.Buf.fill ~cpu buf s;
   buf
+
+(* A received [Apps.Proto] frame as a heap message, through the backend's
+   own decoder; Cornflakes frames, which servers read in place, through the
+   reference oracle [Format_.deserialize]. *)
+let decode (backend : Apps.Backend.t) tr desc buf =
+  match backend.Apps.Backend.recv with
+  | Some recv -> recv tr desc buf
+  | None ->
+      Cornflakes.Format_.deserialize ~cpu:(Net.Transport.cpu tr)
+        Apps.Proto.schema desc buf

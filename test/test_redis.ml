@@ -137,7 +137,8 @@ let test_cornflakes_mode_replies () =
   let got = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       let msg =
-        Cornflakes.Send.deserialize ~cpu:none Apps.Proto.schema Apps.Proto.resp buf
+        Cornflakes.Format_.deserialize ~cpu:none Apps.Proto.schema
+          Apps.Proto.resp buf
       in
       got :=
         Some

@@ -73,7 +73,8 @@ let test_get_after_put_sees_new_value () =
   let got_len = ref (-1) in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       (match
-         Cornflakes.Send.deserialize ~cpu:none Replication.Replicated_kv.schema
+         Cornflakes.Format_.deserialize ~cpu:none
+           Replication.Replicated_kv.schema
            (Schema.Desc.message Replication.Replicated_kv.schema "RepMsg")
            buf
        with

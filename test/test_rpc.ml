@@ -128,7 +128,8 @@ let make_rig ?(serve = true) ?on_frame () =
   in
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
       (match on_frame with None -> () | Some f -> f buf);
-      if serve then KS.serve srv ~src buf;
+      if serve && not (KS.serve srv ~src buf) then
+        Alcotest.fail "a valid request frame was rejected";
       Mem.Pinned.Buf.decr_ref ~cpu ~site:"test_rpc.srv_done" buf);
   { engine; space; cli; srv_ep; srv }
 
@@ -290,8 +291,8 @@ let qcheck_unary_round_trip =
         make_rig
           ~on_frame:(fun buf ->
             let d =
-              Cornflakes.Send.deserialize ~cpu:none Kv_msgs.schema Kv_msgs.Getreq.desc
-                buf
+              Cornflakes.Format_.deserialize ~cpu:none Kv_msgs.schema
+                Kv_msgs.Getreq.desc buf
             in
             dyn_keys :=
               Some
@@ -383,7 +384,7 @@ let test_retransmission_resends_own_request () =
     make_rig ~serve:false
       ~on_frame:(fun buf ->
         if not !lost then lost := true
-        else Option.iter (fun srv -> KS.serve srv ~src:1 buf) !served)
+        else Option.iter (fun srv -> ignore (KS.serve srv ~src:1 buf)) !served)
       ()
   in
   served := Some rig.srv;
