@@ -15,8 +15,6 @@
                                                 #   independent configs on 4
                                                 #   worker domains (results
                                                 #   byte-identical to serial)
-     dune exec bench/main.exe -- --tx-batch 8   # coalesce TX doorbells
-                                                #   fleet-wide (default 1)
      dune exec bench/main.exe -- --json         # write BENCH_micro.json
                                                 #   (ns/op + minor words/op)
      dune exec bench/main.exe -- --baseline F   # compare minor words/op to a
@@ -42,7 +40,6 @@ let () =
   and json = ref false
   and seed = ref None
   and jobs = ref None
-  and tx_batch = ref None
   and baseline = ref None
   and selected = ref []
   and want_micro = ref false in
@@ -62,9 +59,6 @@ let () =
         parse rest
     | "--jobs" :: n :: rest ->
         jobs := Some (int_of_string n);
-        parse rest
-    | "--tx-batch" :: n :: rest ->
-        tx_batch := Some (int_of_string n);
         parse rest
     | "--baseline" :: f :: rest ->
         baseline := Some f;
@@ -87,9 +81,6 @@ let () =
   | None -> ());
   (match !jobs with
   | Some n -> Par.Pool.set_default_jobs (max 1 n)
-  | None -> ());
-  (match !tx_batch with
-  | Some n -> Net.Endpoint.set_default_tx_batch n
   | None -> ());
   let entries =
     match !selected with

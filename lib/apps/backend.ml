@@ -86,15 +86,17 @@ let response_id t reader ~clients buf =
         match Kv_rpc.Resp.read_folded reader buf with
         | () -> Wire.Reader.get_u64_or reader Proto.resp_id ~default:(-1L)
         | exception Wire.Reader.Invalid _ -> -1L)
-    | Some recv ->
-        let msg = recv (List.hd clients) Proto.resp buf in
-        let id =
-          if Wire.Dyn.mem msg Proto.resp_id then
-            Wire.Dyn.int_at msg Proto.resp_id
-          else -1L
-        in
-        Wire.Dyn.release ~cpu:Memmodel.Cpu.none msg;
-        id
+    | Some recv -> (
+        match recv (List.hd clients) Proto.resp buf with
+        | exception Wire.Reader.Invalid _ -> -1L
+        | msg ->
+            let id =
+              if Wire.Dyn.mem msg Proto.resp_id then
+                Wire.Dyn.int_at msg Proto.resp_id
+              else -1L
+            in
+            Wire.Dyn.release ~cpu:Memmodel.Cpu.none msg;
+            id)
   in
   List.iter (fun c -> Mem.Arena.reset (Net.Transport.arena c)) clients;
   Int64.to_int id

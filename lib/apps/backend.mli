@@ -38,10 +38,11 @@ val flatbuffers : t
 val capnproto : t
 
 (** [response_id t reader ~clients buf] — the request id a [Proto.resp]
-    frame echoes, or [-1]; the kv and echo drivers' client-side parse,
-    uncharged. Cornflakes frames are read in place through [reader] (a
-    pooled [Proto.resp] reader), baseline frames through their [recv] on
-    the first client. Resets every client's arena. *)
+    frame echoes, or [-1] (also for a frame its decoder rejects); the kv
+    and echo drivers' client-side parse, uncharged. Cornflakes frames are
+    read in place through [reader] (a pooled [Proto.resp] reader), baseline
+    frames through their [recv] on the first client. Resets every client's
+    arena. *)
 val response_id :
   t ->
   Wire.Reader.t ->

@@ -48,20 +48,22 @@ let lib_handler t backend ~src buf =
               (backend.Backend.wrap tr view)
           done;
           backend.Backend.send tr ~dst:src resp)
-  | Some recv ->
-      let req = recv tr Proto.resp buf in
-      if Wire.Dyn.mem req Proto.resp_id then
-        Wire.Dyn.set_int_at resp Proto.resp_id
-          (Wire.Dyn.int_at req Proto.resp_id);
-      for j = 0 to Wire.Dyn.count req Proto.resp_vals - 1 do
-        let view =
-          Wire.Payload.view (Wire.Dyn.elem_payload req Proto.resp_vals j)
-        in
-        Wire.Dyn.append_payload_at resp Proto.resp_vals
-          (backend.Backend.wrap tr view)
-      done;
-      backend.Backend.send tr ~dst:src resp;
-      Wire.Dyn.release ~cpu req);
+  | Some recv -> (
+      match recv tr Proto.resp buf with
+      | exception Wire.Reader.Invalid _ -> Loadgen.Server.reject rig.Rig.server
+      | req ->
+          if Wire.Dyn.mem req Proto.resp_id then
+            Wire.Dyn.set_int_at resp Proto.resp_id
+              (Wire.Dyn.int_at req Proto.resp_id);
+          for j = 0 to Wire.Dyn.count req Proto.resp_vals - 1 do
+            let view =
+              Wire.Payload.view (Wire.Dyn.elem_payload req Proto.resp_vals j)
+            in
+            Wire.Dyn.append_payload_at resp Proto.resp_vals
+              (backend.Backend.wrap tr view)
+          done;
+          backend.Backend.send tr ~dst:src resp;
+          Wire.Dyn.release ~cpu req));
   Mem.Pinned.Buf.decr_ref ~cpu buf
 
 let manual_handler rig mode ~src buf =

@@ -3,8 +3,8 @@
     validates the request once and reads its fields in place
     ([Wire.Reader]); because the receive buffer is pinned, its reserialize
     recovers those fields zero-copy. The copying libraries parse into a
-    [Wire.Dyn] and re-copy them. A Cornflakes frame that fails validation
-    is dropped and counted ([Loadgen.Server.rejected]).
+    [Wire.Dyn] and re-copy them. A frame that fails its decoder is
+    dropped and counted ([Loadgen.Server.rejected]).
 
     Besides the library-backed echo, this module provides the manual
     handlers of Figure 1/2: raw forward (no serialization), zero-copy

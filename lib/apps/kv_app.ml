@@ -119,22 +119,25 @@ let admit t ~src ~put resp =
 
 (* The server is the generated [Kv_rpc.Kv_service] skeleton, with one
    decoder per wire format. Cornflakes frames are validated once and read
-   in place ([serve], the [~reader] rows); a frame that fails validation
-   is counted and dropped. The baselines' formats only their own decoders
-   can read, so they parse into a [Wire.Dyn] for [serve_dyn] (the [~dyn]
-   rows). Either way the skeleton echoes the id into the pooled response,
-   dispatches the method word through the branchless table and tail-sends
-   the response, unknown ops included. *)
+   in place ([serve], the [~reader] rows). The baselines' formats only
+   their own decoders can read, so they parse into a [Wire.Dyn] for
+   [serve_dyn] (the [~dyn] rows). A frame that fails either decoder is
+   counted and dropped. Otherwise the skeleton echoes the id into the
+   pooled response, dispatches the method word through the branchless
+   table and tail-sends the response, unknown ops included. *)
 let handler t srv ~src buf =
   let cpu = t.rig.Rig.cpu in
   (match t.backend.Backend.recv with
   | None ->
       if not (Kv_rpc.Kv_service.serve srv ~src buf) then
         Loadgen.Server.reject t.rig.Rig.server
-  | Some recv ->
-      let req = recv t.rig.Rig.server_tr Proto.req buf in
-      Kv_rpc.Kv_service.serve_dyn srv ~src req;
-      Wire.Dyn.release ~cpu req);
+  | Some recv -> (
+      match recv t.rig.Rig.server_tr Proto.req buf with
+      | exception Wire.Reader.Invalid _ ->
+          Loadgen.Server.reject t.rig.Rig.server
+      | req ->
+          Kv_rpc.Kv_service.serve_dyn srv ~src req;
+          Wire.Dyn.release ~cpu req));
   Mem.Pinned.Buf.decr_ref ~cpu ~site:"Kv_app.handler_done" buf
 
 let activate t =

@@ -46,7 +46,7 @@ let set_default_seed s = Atomic.set seed_ref s
 let default_seed () = Atomic.get seed_ref
 
 let create ?(params = Memmodel.Params.default) ?shared_l3 ?nic_model
-    ?(n_clients = 16) ?seed ?server_config ?transport () =
+    ?(n_clients = 16) ?seed ?transport () =
   let seed = match seed with Some s -> s | None -> Atomic.get seed_ref in
   let transport_kind =
     match transport with Some k -> k | None -> Atomic.get transport_ref
@@ -60,15 +60,8 @@ let create ?(params = Memmodel.Params.default) ?shared_l3 ?nic_model
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
   let cpu = Memmodel.Cpu.create ?shared_l3 params in
-  let server_config =
-    match (server_config, nic_model) with
-    | Some c, _ -> c
-    | None, Some nic_model -> { Net.Endpoint.default_config with nic_model }
-    | None, None -> Net.Endpoint.default_config
-  in
   let server_ep =
-    Net.Endpoint.create ~cpu ~config:server_config fabric registry
-      ~id:server_id
+    Net.Endpoint.create ~cpu ?nic_model fabric registry ~id:server_id
   in
   let as_transport ep = transport_for ~kind:transport_kind ep in
   let server_tr = as_transport server_ep in

@@ -56,7 +56,6 @@ val create :
   ?nic_model:Nic.Model.t ->
   ?n_clients:int ->
   ?seed:int ->
-  ?server_config:Net.Endpoint.config ->
   ?transport:transport_kind ->
   unit ->
   t

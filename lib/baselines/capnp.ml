@@ -1,10 +1,8 @@
-exception Decode_error of string
-
 let name = "capnproto"
 
 let segment_bytes = 2048
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
+let fail = Wire.Reader.invalid
 
 (* --- Building --------------------------------------------------------- *)
 
@@ -188,6 +186,10 @@ let resolve frame ~seg ~off ~len =
 
 let max_depth = 32
 
+(* Every field read lands in [msg] as soon as it is read, so a frame that
+   fails part-way is dropped by releasing [msg]: its zero-copy payloads
+   hold references on the receive buffer. A nested struct that fails has
+   released its own fields before the failure reaches here. *)
 let rec read_msg ~cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
     frame ~seg ~off =
   if depth > max_depth then fail "nesting deeper than %d" max_depth;
@@ -199,20 +201,26 @@ let rec read_msg ~cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
   let bitmap = R.u32 r in
   let msg = Wire.Dyn.create desc in
   let k = ref 0 in
-  Array.iteri
-    (fun i (field : Schema.Desc.field) ->
-      if bitmap land (1 lsl i) <> 0 then begin
-        let slot_off = off + 4 + (12 * !k) in
-        incr k;
-        let slot = resolve frame ~seg ~off:slot_off ~len:12 in
-        let v = read_value ~cpu ~depth schema field buf frame r ~slot in
-        Wire.Dyn.set msg field.Schema.Desc.field_name v
-      end)
-    desc.Schema.Desc.fields;
+  (match
+     Array.iteri
+       (fun i (field : Schema.Desc.field) ->
+         if bitmap land (1 lsl i) <> 0 then begin
+           let slot_off = off + 4 + (12 * !k) in
+           incr k;
+           let slot = resolve frame ~seg ~off:slot_off ~len:12 in
+           read_field ~cpu ~depth schema msg i field buf frame r ~slot
+         end)
+       desc.Schema.Desc.fields
+   with
+  | () -> ()
+  | exception e ->
+      Wire.Dyn.release ~cpu msg;
+      raise e);
   msg
 
-and read_value ~cpu ~depth schema (field : Schema.Desc.field) buf frame r
-    ~slot =
+and read_field ~cpu ~depth schema msg i (field : Schema.Desc.field) buf frame
+    r ~slot =
+  let name = field.Schema.Desc.field_name in
   match field.Schema.Desc.label with
   | Schema.Desc.Repeated ->
       let module R = Wire.Cursor.Reader in
@@ -222,16 +230,15 @@ and read_value ~cpu ~depth schema (field : Schema.Desc.field) buf frame r
       let count = R.u32 r in
       if count > 100_000 then fail "implausible vector length %d" count;
       ignore (resolve frame ~seg:vseg ~off:voff ~len:(12 * count));
-      let elems =
-        List.init count (fun j ->
-            let slot =
-              resolve frame ~seg:vseg ~off:(voff + (12 * j)) ~len:12
-            in
-            read_element ~cpu ~depth schema field buf frame r ~slot)
-      in
-      Wire.Dyn.List elems
+      Wire.Dyn.touch_list msg i;
+      for j = 0 to count - 1 do
+        let slot = resolve frame ~seg:vseg ~off:(voff + (12 * j)) ~len:12 in
+        Wire.Dyn.append msg name
+          (read_element ~cpu ~depth schema field buf frame r ~slot)
+      done
   | Schema.Desc.Singular ->
-      read_element ~cpu ~depth schema field buf frame r ~slot
+      Wire.Dyn.set msg name
+        (read_element ~cpu ~depth schema field buf frame r ~slot)
 
 and read_element ~cpu ~depth schema (field : Schema.Desc.field) buf frame r
     ~slot =

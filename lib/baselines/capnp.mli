@@ -19,8 +19,6 @@
 
 val name : string
 
-exception Decode_error of string
-
 (** Segment capacity in bytes (blobs larger than this get a dedicated
     segment). *)
 val segment_bytes : int
@@ -31,6 +29,9 @@ val build : cpu:Memmodel.Cpu.t -> Net.Endpoint.t -> Wire.Dyn.t -> Mem.View.t lis
 
 val serialize_and_send : Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
 
+(** Zero-copy deserialization: payload fields are windows into [buf].
+    Raises [Wire.Reader.Invalid] on a malformed frame, after releasing
+    every reference the partial parse took. *)
 val deserialize :
   cpu:Memmodel.Cpu.t ->
   Schema.Desc.t ->

@@ -1,8 +1,6 @@
-exception Decode_error of string
-
 let name = "flatbuffers"
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
+let fail = Wire.Reader.invalid
 
 (* --- Sizing ----------------------------------------------------------- *)
 
@@ -156,6 +154,10 @@ let serialize_and_send tr ~dst msg =
 
 let max_depth = 32
 
+(* Every field read lands in [msg] as soon as it is read, so a frame that
+   fails part-way is dropped by releasing [msg]: its zero-copy payloads
+   hold references on the receive buffer. A nested table that fails has
+   released its own fields before the failure reaches here. *)
 let rec read_msg ~cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
     ~pos =
   if depth > max_depth then fail "nesting deeper than %d" max_depth;
@@ -168,20 +170,26 @@ let rec read_msg ~cpu ?(depth = 0) schema (desc : Schema.Desc.message) buf
   let bitmap = R.u32 r in
   let msg = Wire.Dyn.create desc in
   let k = ref 0 in
-  Array.iteri
-    (fun i (field : Schema.Desc.field) ->
-      if bitmap land (1 lsl i) <> 0 then begin
-        let slot = pos + 4 + (8 * !k) in
-        incr k;
-        if slot + 8 > total then fail "slot out of range";
-        let v = read_value ~cpu ~depth schema field buf r ~slot ~total in
-        Wire.Dyn.set msg field.Schema.Desc.field_name v
-      end)
-    desc.Schema.Desc.fields;
+  (match
+     Array.iteri
+       (fun i (field : Schema.Desc.field) ->
+         if bitmap land (1 lsl i) <> 0 then begin
+           let slot = pos + 4 + (8 * !k) in
+           incr k;
+           if slot + 8 > total then fail "slot out of range";
+           read_field ~cpu ~depth schema msg i field buf r ~slot ~total
+         end)
+       desc.Schema.Desc.fields
+   with
+  | () -> ()
+  | exception e ->
+      Wire.Dyn.release ~cpu msg;
+      raise e);
   msg
 
-and read_value ~cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
-    ~total =
+and read_field ~cpu ~depth schema msg i (field : Schema.Desc.field) buf r
+    ~slot ~total =
+  let name = field.Schema.Desc.field_name in
   match field.Schema.Desc.label with
   | Schema.Desc.Repeated ->
       let module R = Wire.Cursor.Reader in
@@ -190,15 +198,16 @@ and read_value ~cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
       let count = R.u32 r in
       let vec = slot + rel in
       if vec < 0 || vec + (8 * count) > total then fail "vector out of range";
-      let elems =
-        List.init count (fun j ->
-            read_element ~cpu ~depth schema field buf r
-              ~slot:(vec + (8 * j))
-              ~total)
-      in
-      Wire.Dyn.List elems
+      Wire.Dyn.touch_list msg i;
+      for j = 0 to count - 1 do
+        Wire.Dyn.append msg name
+          (read_element ~cpu ~depth schema field buf r
+             ~slot:(vec + (8 * j))
+             ~total)
+      done
   | Schema.Desc.Singular ->
-      read_element ~cpu ~depth schema field buf r ~slot ~total
+      Wire.Dyn.set msg name
+        (read_element ~cpu ~depth schema field buf r ~slot ~total)
 
 and read_element ~cpu ~depth schema (field : Schema.Desc.field) buf r ~slot
     ~total =

@@ -21,15 +21,15 @@
 
 val name : string
 
-exception Decode_error of string
-
 (** [build ~cpu ep msg] assembles the object in builder scratch (taken from
     the endpoint's arena) and returns the finished contiguous buffer. *)
 val build : cpu:Memmodel.Cpu.t -> Net.Endpoint.t -> Wire.Dyn.t -> Mem.View.t
 
 val serialize_and_send : Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
 
-(** Zero-copy deserialization: payload fields are windows into [buf]. *)
+(** Zero-copy deserialization: payload fields are windows into [buf].
+    Raises [Wire.Reader.Invalid] on a malformed frame, after releasing
+    every reference the partial parse took. *)
 val deserialize :
   cpu:Memmodel.Cpu.t ->
   Schema.Desc.t ->

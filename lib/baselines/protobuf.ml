@@ -1,8 +1,6 @@
-exception Decode_error of string
-
 let name = "protobuf"
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
+let fail = Wire.Reader.invalid
 
 (* Wire types. *)
 let wt_varint = 0

@@ -20,7 +20,9 @@ val serialize_and_send : Net.Transport.t -> dst:int -> Wire.Dyn.t -> unit
 
 (** [decode ~cpu ep schema desc view] parses an encoded body. Unknown field
     numbers are skipped, last-wins for duplicated singular fields. Raises
-    [Decode_error] on truncated/invalid input. *)
+    [Wire.Reader.Invalid] on truncated/invalid input; the partial message
+    holds no buffer reference (field bytes are arena copies), so nothing
+    needs releasing. *)
 val decode :
   cpu:Memmodel.Cpu.t ->
   Net.Endpoint.t ->
@@ -36,5 +38,3 @@ val deserialize :
   Schema.Desc.message ->
   Mem.Pinned.Buf.t ->
   Wire.Dyn.t
-
-exception Decode_error of string

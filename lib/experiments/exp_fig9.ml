@@ -5,9 +5,9 @@
 
    Everything rides the shared Transport path: the rig is created with
    [~transport:`Tcp], so the same Echo_app handlers and Loadgen drivers
-   that produce the UDP figures run here unchanged — serialize-and-send,
-   the [_zc] fast paths and doorbell batching all apply to TCP frames, and
-   the 3-way handshakes fall inside the warmup window. *)
+   that produce the UDP figures run here unchanged — serialize-and-send
+   and the [_zc] fast paths apply to TCP frames, and the 3-way handshakes
+   fall inside the warmup window. *)
 
 let sizes = [ 2048; 2048 ]
 

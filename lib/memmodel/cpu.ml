@@ -121,13 +121,12 @@ let charge_ops t cat op n =
     add t (category_index cat) (float_of_int n *. t.costs.(op_index op))
 [@@alloc_free]
 
-let charge_post t ~nsge ~batch =
+let charge_post t ~nsge =
   if t.metered then begin
     let p = t.params in
     add t (category_index Tx)
       ((float_of_int nsge *. p.cost_sg_post)
-      +. (p.cost_doorbell /. float_of_int batch)
-      +. p.cost_tx_packet)
+      +. p.cost_doorbell +. p.cost_tx_packet)
   end
 [@@alloc_free]
 

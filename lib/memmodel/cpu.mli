@@ -60,10 +60,9 @@ val charge_op : t -> category -> op -> unit
 (** [charge_ops t cat op n] adds [float_of_int n *.] [op]'s cost. *)
 val charge_ops : t -> category -> op -> int -> unit
 
-(** [charge_post t ~nsge ~batch] charges one TX ring post to [Tx]: [nsge]
-    ring-entry writes, a doorbell shared by a batch of [batch] posts, and
-    the per-packet transmit cost. *)
-val charge_post : t -> nsge:int -> batch:int -> unit
+(** [charge_post t ~nsge] charges one TX ring post to [Tx]: [nsge]
+    ring-entry writes, its doorbell, and the per-packet transmit cost. *)
+val charge_post : t -> nsge:int -> unit
 
 (** [stream t cat ~addr ~len] models a bulk (prefetchable) sweep over
     [addr, addr+len): per-line streaming cost by hit level. Used for both

@@ -1,28 +1,11 @@
-type config = {
-  nic_model : Nic.Model.t;
-  tx_class_capacity : int;
-  rx_capacity : int;
-  arena_capacity : int;
-  tx_batch : int;
-  tx_batch_timeout_ns : int;
-}
+(* Pool sizes, the same for every endpoint: staging buffers per
+   power-of-two TX class, jumbo receive buffers, and the per-request
+   arena. *)
+let tx_class_capacity = 2048
 
-let default_config =
-  {
-    nic_model = Nic.Model.mellanox_cx6;
-    tx_class_capacity = 2048;
-    rx_capacity = 4096;
-    arena_capacity = 1 lsl 20;
-    tx_batch = 0;
-    tx_batch_timeout_ns = 500;
-  }
+let rx_capacity = 4096
 
-(* Consulted when [config.tx_batch = 0]; the bench harness flips it to turn
-   doorbell coalescing on fleet-wide without threading a config through
-   every rig constructor. *)
-let default_tx_batch = Atomic.make 1
-
-let set_default_tx_batch n = Atomic.set default_tx_batch (max 1 n)
+let arena_capacity = 1 lsl 20
 
 type t = {
   id : int;
@@ -30,7 +13,6 @@ type t = {
   registry : Mem.Registry.t;
   cpu : Memmodel.Cpu.t;
   nic : Nic.Device.t;
-  config : config;
   tx_pool : Mem.Pinned.Pool.t;
   rx_pool : Mem.Pinned.Pool.t;
   rxq : Nic.Device.rxq; (* receive ring over [rx_pool] on [nic] *)
@@ -44,14 +26,8 @@ type t = {
   mutable held_n : int;
   mutable deferred : Nic.Device.txd array;
   mutable deferred_n : int;
-  (* Coalesced posts parked for the next doorbell: a reusable scratch array
-     (first [pending_n] slots live) — no per-batch list is built. *)
-  mutable pending_txds : Nic.Device.txd array;
-  mutable pending_n : int;
-  mutable flush_scheduled : bool;
-  (* Event continuations, built once with the endpoint. *)
-  flush_k : unit -> unit; (* the batch-timeout flush *)
-  submit_deferred_k : unit -> unit; (* a [release_hold ~after] replay *)
+  (* A [release_hold ~after] replay, built once with the endpoint. *)
+  submit_deferred_k : unit -> unit;
   (* Lazily built, cached UDP transport record (see [Transport]): hot send
      paths reach the datagram surfaces through the shared abstraction
      without allocating a record of closures per message. *)
@@ -85,8 +61,6 @@ and transport = {
   tr_send_string : dst:int -> string -> unit;
   tr_set_rx : (src:int -> Mem.Pinned.Buf.t -> unit) -> unit;
 }
-
-let tx_batch t = if t.config.tx_batch > 0 then t.config.tx_batch else Atomic.get default_tx_batch
 
 let engine t = Fabric.engine t.fabric
 
@@ -129,13 +103,6 @@ let alloc_tx_on ~cpu ?(site = "Endpoint.alloc_tx") t ~len =
 
 let alloc_tx ?site t ~len = alloc_tx_on ~cpu:t.cpu ?site t ~len
 
-(* Ring-entry writes, doorbell, and the completion-side processing
-   (descriptor reap + reference releases) pre-charged per packet. With
-   doorbell coalescing the MMIO write is shared by the whole batch, so each
-   send is charged its amortized share. *)
-let charge_post ~cpu t ~nsge =
-  Memmodel.Cpu.charge_post cpu ~nsge ~batch:(tx_batch t)
-
 (* One long-lived release closure shared by every descriptor: the stack's
    reference on each segment is dropped when the NIC completion fires;
    charged at post time. *)
@@ -156,70 +123,44 @@ let room arr n txd =
     grown
   end
 
-let pending_park t txd =
-  t.pending_txds <- room t.pending_txds t.pending_n txd;
-  t.pending_txds.(t.pending_n) <- txd;
-  t.pending_n <- t.pending_n + 1
-
-let flush_tx t =
-  if t.pending_n > 0 then begin
-    let n = t.pending_n in
-    t.pending_n <- 0;
-    Nic.Device.post_txd_batch t.nic t.pending_txds ~n
-  end
-
-(* Route one descriptor to the NIC: straight through when unbatched (the
-   pre-coalescing behavior, event-for-event), else park it until the batch
-   fills or the flush timer fires — so a lone send on an idle endpoint still
-   leaves within [tx_batch_timeout_ns]. *)
-let submit t txd =
-  if tx_batch t <= 1 then Nic.Device.post_txd t.nic txd
-  else begin
-    pending_park t txd;
-    if t.pending_n >= tx_batch t then flush_tx t
-    else if not t.flush_scheduled then begin
-      t.flush_scheduled <- true;
-      Sim.Engine.schedule (engine t) ~after:t.config.tx_batch_timeout_ns
-        t.flush_k
-    end
-  end
-
+(* Hand one descriptor to the NIC, or queue it behind a send hold. *)
 let post t txd =
   if t.holding then begin
     t.held <- room t.held t.held_n txd;
     t.held.(t.held_n) <- txd;
     t.held_n <- t.held_n + 1
   end
-  else submit t txd
+  else Nic.Device.post_txd t.nic txd
 
 let submit_deferred t =
   let n = t.deferred_n in
   t.deferred_n <- 0;
   for i = 0 to n - 1 do
-    submit t t.deferred.(i)
+    Nic.Device.post_txd t.nic t.deferred.(i)
   done
 
-let create ~cpu ?nic ?(config = default_config) fabric registry ~id =
+let create ~cpu ?nic ?(nic_model = Nic.Model.mellanox_cx6) fabric registry ~id
+    =
   let space = Mem.Registry.space registry in
   let tx_pool =
     Mem.Pinned.Pool.create space
       ~name:(Printf.sprintf "ep%d-tx" id)
       ~classes:
         (List.map
-           (fun size -> (size, config.tx_class_capacity))
+           (fun size -> (size, tx_class_capacity))
            [ 64; 128; 256; 512; 1024; 2048; 4096; 8192; 16384 ])
   in
   let rx_pool =
     Mem.Pinned.Pool.create space
       ~name:(Printf.sprintf "ep%d-rx" id)
-      ~classes:[ (16384, config.rx_capacity) ]
+      ~classes:[ (16384, rx_capacity) ]
   in
   Mem.Registry.register registry tx_pool;
   Mem.Registry.register registry rx_pool;
   let nic =
     match nic with
     | Some nic -> nic
-    | None -> Nic.Device.create (Fabric.engine fabric) ~model:config.nic_model
+    | None -> Nic.Device.create (Fabric.engine fabric) ~model:nic_model
   in
   let rec t =
     {
@@ -228,11 +169,10 @@ let create ~cpu ?nic ?(config = default_config) fabric registry ~id =
       registry;
       cpu;
       nic;
-      config;
       tx_pool;
       rx_pool;
       rxq = Nic.Device.attach_rx ~cpu nic rx_pool;
-      arena = Mem.Arena.create space ~capacity:config.arena_capacity;
+      arena = Mem.Arena.create space ~capacity:arena_capacity;
       rx_handler =
         (fun ~src:_ buf ->
           Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none
@@ -242,13 +182,6 @@ let create ~cpu ?nic ?(config = default_config) fabric registry ~id =
       held_n = 0;
       deferred = [||];
       deferred_n = 0;
-      pending_txds = [||];
-      pending_n = 0;
-      flush_scheduled = false;
-      flush_k =
-        (fun () ->
-          t.flush_scheduled <- false;
-          flush_tx t);
       submit_deferred_k = (fun () -> submit_deferred t);
       udp_transport = None;
     }
@@ -274,7 +207,7 @@ let send_inline_on ~cpu t ~dst ~head ~zc ~zc_n =
   if Mem.Pinned.Buf.len head < Packet.header_len then
     invalid_arg "Endpoint.send_inline: no header headroom";
   write_header ~cpu t ~dst head;
-  charge_post ~cpu t ~nsge:(1 + zc_n);
+  Memmodel.Cpu.charge_post cpu ~nsge:(1 + zc_n);
   let txd = acquire_txd t in
   Nic.Device.txd_push txd head;
   for i = 0 to zc_n - 1 do
@@ -294,7 +227,7 @@ let send_extra t ~dst ~head ~zc ~zc_n =
       ~len:Packet.header_len
   in
   write_header ~cpu t ~dst hdr;
-  charge_post ~cpu t ~nsge:(2 + zc_n);
+  Memmodel.Cpu.charge_post cpu ~nsge:(2 + zc_n);
   let txd = acquire_txd t in
   Nic.Device.txd_push txd hdr;
   Nic.Device.txd_push txd head;

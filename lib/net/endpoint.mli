@@ -16,12 +16,8 @@
       header-only entry and prepends it, costing one more gather entry and
       one more allocation.
 
-    TX doorbell coalescing: every send path routes descriptors through the
-    same batching layer. [config.tx_batch] descriptors share one doorbell
-    (a partial batch flushes after [tx_batch_timeout_ns], or explicitly via
-    [flush_tx]); [tx_batch = 1] rings per send, and the default [tx_batch =
-    0] means "follow [set_default_tx_batch]'s process-wide setting", itself
-    1 unless a harness raises it.
+    Each send is one NIC descriptor posted with [Nic.Device.post_txd]: one
+    gather list, one doorbell, one completion.
 
     Ownership: the stack takes over the caller's reference on every segment
     and releases it when the NIC completion fires — the use-after-free
@@ -77,36 +73,18 @@ type transport = {
     through the transport stay allocation-free. *)
 val transport : t -> transport
 
-type config = {
-  nic_model : Nic.Model.t;
-  tx_class_capacity : int; (* staging buffers per power-of-two class *)
-  rx_capacity : int; (* jumbo receive buffers *)
-  arena_capacity : int;
-  tx_batch : int;
-      (* TX doorbell coalescing: descriptors per doorbell. 1 = ring per
-         send (the classic behavior); 0 = follow [set_default_tx_batch]'s
-         process-wide default (itself 1 unless changed). *)
-  tx_batch_timeout_ns : int;
-      (* flush-on-idle: a partial batch leaves after this long *)
-}
-
-val default_config : config
-
-(** Process-wide default batch size used by endpoints whose config says
-    [tx_batch = 0]; clamped to >= 1. Set before driving traffic. *)
-val set_default_tx_batch : int -> unit
-
-(** [create ~cpu ?nic ?config fabric registry ~id] — [cpu] is the
+(** [create ~cpu ?nic ?nic_model fabric registry ~id] — [cpu] is the
     endpoint's meter: every send, TX allocation, receive charge and DDIO
     install on this endpoint is charged to it ([Memmodel.Cpu.none] for an
     endpoint the simulation does not meter, such as a load-generator
     client). Pass [nic] to share one NIC device between several endpoints
     (multicore experiments: cores share the port's line rate and DMA
-    pipeline). *)
+    pipeline); otherwise the endpoint gets its own device of [nic_model]
+    (default [Nic.Model.mellanox_cx6]). *)
 val create :
   cpu:Memmodel.Cpu.t ->
   ?nic:Nic.Device.t ->
-  ?config:config ->
+  ?nic_model:Nic.Model.t ->
   Fabric.t ->
   Mem.Registry.t ->
   id:int ->
@@ -207,10 +185,6 @@ val submit_deferred : t -> unit
 (** Software receive-path cost (parse + steering), charged to the
     endpoint's meter by the request harness when it dequeues a packet. *)
 val charge_rx : t -> unit
-
-(** Post any coalesced TX descriptors waiting for a full batch now, without
-    waiting for the flush timer. No-op when nothing is pending. *)
-val flush_tx : t -> unit
 
 val rx_packets : t -> int
 

@@ -12,21 +12,15 @@ type completion_fault = now:int -> [ `Lose | `Delay of int ] option
    the endpoint's decr_ref) runs per segment at completion.
 
    The descriptor also carries its own event continuations, built once
-   with it, so posting schedules no fresh closure: [d_egress] puts the
-   gathered frame [d_wire] on the wire; [d_egress_cqe] does that and then
-   delivers the CQE; [d_late] runs a completion a fault delayed. A batch's
-   coalesced CQE rides on its last descriptor, whose [d_batch] holds the
-   first [d_batch_n] members ([d_batch_n = 0] for a descriptor posted
-   alone). *)
+   with it, so posting schedules no fresh closure: [d_egress_cqe] puts the
+   gathered frame [d_wire] on the wire and then delivers the CQE; [d_late]
+   runs a completion a fault delayed. *)
 type txd = {
   mutable d_segs : Mem.Pinned.Buf.t array; (* first [d_n] slots live *)
   mutable d_n : int;
   mutable d_holds : int option array; (* RefSan holds, parallel to d_segs *)
   mutable d_release : Mem.Pinned.Buf.t -> unit;
   mutable d_wire : wire;
-  mutable d_batch : txd array;
-  mutable d_batch_n : int;
-  d_egress : unit -> unit;
   d_egress_cqe : unit -> unit;
   d_late : unit -> unit;
 }
@@ -324,41 +318,23 @@ let finish_txd t txd =
   txd.d_release <- noop_release;
   txd_recycle t txd
 
-(* Finish every member of the batch whose CQE [owner] carries, in post
-   order. The owner is the last member, so it is recycled (and may be
-   reused) only after its membership has been read. *)
-let finish_batch t owner =
-  for i = 0 to owner.d_batch_n - 1 do
-    finish_txd t owner.d_batch.(i)
-  done
-
-(* A completion a fault delayed: the descriptor's own, or its batch's. *)
-let finish_late t txd =
-  if txd.d_batch_n = 0 then finish_txd t txd else finish_batch t txd
-
 (* Decide the fate of a CQE that is due now. [`Lose] stashes the
-   completions on the lost list (ring slots stay occupied); [`Delay d]
-   re-schedules delivery [d] ns later. One decision covers a coalesced
-   batch CQE. *)
+   completion on the lost list (its ring slot stays occupied); [`Delay d]
+   re-schedules delivery [d] ns later. *)
 let cqe_fate t =
   match t.completion_fault with
   | None -> None
   | Some f -> f ~now:(Sim.Engine.now t.engine)
 
 let deliver_cqe t txd =
-  let n = max 1 txd.d_batch_n in
   match cqe_fate t with
   | Some `Lose ->
-      t.lost_completions <- t.lost_completions + n;
-      if txd.d_batch_n = 0 then t.lost <- txd :: t.lost
-      else
-        for i = 0 to n - 1 do
-          t.lost <- txd.d_batch.(i) :: t.lost
-        done
+      t.lost_completions <- t.lost_completions + 1;
+      t.lost <- txd :: t.lost
   | Some (`Delay extra) ->
-      t.delayed_completions <- t.delayed_completions + n;
+      t.delayed_completions <- t.delayed_completions + 1;
       Sim.Engine.schedule t.engine ~after:extra txd.d_late
-  | None -> finish_late t txd
+  | None -> finish_txd t txd
 
 let reap_lost t =
   let lost = t.lost in
@@ -392,14 +368,11 @@ let new_txd t =
       d_holds = [||];
       d_release = noop_release;
       d_wire = t.idle_wire;
-      d_batch = [||];
-      d_batch_n = 0;
-      d_egress = (fun () -> egress t d);
       d_egress_cqe =
         (fun () ->
           egress t d;
           deliver_cqe t d);
-      d_late = (fun () -> finish_late t d);
+      d_late = (fun () -> finish_txd t d);
     }
   in
   d
@@ -413,79 +386,43 @@ let txd_acquire t =
 
 (* --- Posting ----------------------------------------------------------- *)
 
-let take_holds txd ~site =
+let take_holds txd =
   if Sanitizer.Refsan.is_enabled () then
     for i = 0 to txd.d_n - 1 do
-      txd.d_holds.(i) <- Mem.Pinned.Buf.hold ~site txd.d_segs.(i)
+      txd.d_holds.(i) <- Mem.Pinned.Buf.hold ~site:"Nic.post" txd.d_segs.(i)
     done
 
-(* Occupy the DMA/wire pipeline for one descriptor and gather its frame;
-   returns the time its last bit leaves. PCIe descriptor + gather fetches
-   overlap wire serialization, so the pipeline occupancy per packet is
-   whichever is longer. [~first] pays the per-descriptor fetch. Bytes are
-   snapshotted at post time: the zero-copy contract says the app must not
-   mutate in place during sends, and refcounts keep buffers alive, so
-   gathering now is equivalent to gathering at DMA time. RefSan holds
-   write-protect each segment until the completion fires, turning any
-   in-place mutation of posted bytes into a write-after-post diagnostic. *)
-let occupy t txd ~first ~site =
+(* Post one descriptor under its own doorbell: occupy the DMA/wire
+   pipeline and gather the frame, then schedule its egress and CQE at the
+   time its last bit leaves. PCIe descriptor + gather fetches overlap wire
+   serialization, so the pipeline occupancy per packet is whichever is
+   longer. Bytes are snapshotted at post time: the zero-copy contract says
+   the app must not mutate in place during sends, and refcounts keep
+   buffers alive, so gathering now is equivalent to gathering at DMA time.
+   RefSan holds write-protect each segment until the completion fires,
+   turning any in-place mutation of posted bytes into a write-after-post
+   diagnostic. *)
+let post_txd t txd =
   let nsge = txd.d_n in
+  if nsge = 0 then invalid_arg "Device.post_txd: empty gather list";
+  if nsge > t.model.Model.max_sge then
+    raise (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge });
+  if t.in_flight >= t.model.Model.tx_ring_entries then raise Ring_full;
+  t.doorbells <- t.doorbells + 1;
   t.in_flight <- t.in_flight + 1;
   let start = max (Sim.Engine.now t.engine) t.busy_until in
   let payload_bytes = txd_payload_bytes txd in
   let dma_ns =
-    (if first then t.model.Model.pcie_per_descriptor_ns else 0.0)
+    t.model.Model.pcie_per_descriptor_ns
     +. (float_of_int nsge *. t.model.Model.pcie_per_sge_ns)
   in
   let wire_ns = Model.wire_time_ns t.model ~bytes:payload_bytes in
   let finish = start + int_of_float (ceil (Float.max dma_ns wire_ns)) in
   t.busy_until <- finish;
-  take_holds txd ~site;
+  take_holds txd;
   txd.d_wire <- gather t txd ~len:payload_bytes;
-  finish
-
-let check_sge t txd ~what =
-  let nsge = txd.d_n in
-  if nsge = 0 then invalid_arg what;
-  if nsge > t.model.Model.max_sge then
-    raise (Too_many_segments { requested = nsge; limit = t.model.Model.max_sge })
-
-let post_txd t txd =
-  check_sge t txd ~what:"Device.post_txd: empty gather list";
-  if t.in_flight >= t.model.Model.tx_ring_entries then raise Ring_full;
-  t.doorbells <- t.doorbells + 1;
-  txd.d_batch_n <- 0;
-  let finish = occupy t txd ~first:true ~site:"Nic.post" in
   Sim.Engine.schedule_at t.engine ~time:finish txd.d_egress_cqe
 [@@alloc_free]
-
-(* Batched post: one doorbell covers every descriptor. The first descriptor
-   pays the full per-descriptor PCIe fetch; the rest ride the same burst and
-   pay only their per-SGE fetches. Packets still leave the wire one by one
-   (each gets its own egress event at its own finish time, so fabric arrival
-   times match back-to-back unbatched posts), but completion delivery is
-   coalesced into a single CQE at the last packet's finish — which is when
-   every segment reference is released. Finish times never decrease along
-   the batch, so the last packet's egress and the batch CQE share one event
-   on the last descriptor, which takes a copy of the membership. [txds] may
-   be a caller-owned scratch array (only the first [n] slots are read), so
-   the caller can refill it immediately. *)
-let post_txd_batch t txds ~n =
-  if n = 0 then invalid_arg "Device.post_txd_batch: empty batch";
-  if t.in_flight + n > t.model.Model.tx_ring_entries then raise Ring_full;
-  t.doorbells <- t.doorbells + 1;
-  for i = 0 to n - 1 do
-    let txd = txds.(i) in
-    check_sge t txd ~what:"Device.post_txd_batch: empty gather list";
-    let finish = occupy t txd ~first:(i = 0) ~site:"Nic.post_batch" in
-    if i < n - 1 then Sim.Engine.schedule_at t.engine ~time:finish txd.d_egress
-    else begin
-      if Array.length txd.d_batch < n then txd.d_batch <- Array.make n txd;
-      Array.blit txds 0 txd.d_batch 0 n;
-      txd.d_batch_n <- n;
-      Sim.Engine.schedule_at t.engine ~time:finish txd.d_egress_cqe
-    end
-  done
 
 let in_flight t = t.in_flight
 

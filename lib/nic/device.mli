@@ -16,7 +16,7 @@ type t
 
 (** Reusable transmit descriptor: a preallocated gather array refilled in
     place per send. Acquired from the device's free stack, filled with
-    {!txd_push}, posted with {!post_txd} / {!post_txd_batch}, and recycled
+    {!txd_push}, posted with {!post_txd}, and recycled
     automatically when its completion delivers — so the steady-state send
     path builds no per-send segment lists. The poster may set a per-segment
     release function (one long-lived closure) via {!txd_set_release}; it
@@ -29,8 +29,7 @@ val model : t -> Model.t
 
 (** [txd_acquire t] takes a descriptor from the free stack (or allocates a
     fresh one the first few times). The caller must eventually pass it to
-    {!post_txd} / {!post_txd_batch}; descriptors return to the stack at
-    completion. *)
+    {!post_txd}; descriptors return to the stack at completion. *)
 val txd_acquire : t -> txd
 
 (** [txd_push txd buf] appends a gather entry. The descriptor owns the
@@ -39,21 +38,12 @@ val txd_push : txd -> Mem.Pinned.Buf.t -> unit
 
 val txd_set_release : txd -> (Mem.Pinned.Buf.t -> unit) -> unit
 
-(** [post_txd t txd] enqueues a send. Raises [Too_many_segments] if the
-    gather list exceeds the model's SGE limit, [Ring_full] if the device
-    backlog exceeds the ring size. Gathers the segment bytes (device DMA —
-    not CPU time), transmits at line rate, then completes the descriptor. *)
+(** [post_txd t txd] enqueues a send: one descriptor, one doorbell, one
+    completion. Raises [Too_many_segments] if the gather list exceeds the
+    model's SGE limit, [Ring_full] if the device backlog exceeds the ring
+    size. Gathers the segment bytes (device DMA — not CPU time), transmits
+    at line rate, then completes the descriptor. *)
 val post_txd : t -> txd -> unit
-
-(** [post_txd_batch t txds ~n] posts the first [n] slots of [txds] under a
-    single doorbell: the first pays the full per-descriptor PCIe fetch, the
-    rest only their per-SGE fetches, and completions are coalesced into one
-    CQE event at the last packet's finish time. Packets still egress (and
-    reach the fabric) at their individual finish times. Raises [Ring_full]
-    if the whole batch does not fit. The slots are snapshotted before
-    returning, so the caller may reuse the array for the next batch
-    immediately. *)
-val post_txd_batch : t -> txd array -> n:int -> unit
 
 (** Egress frame handed to the {!set_on_wire} hook: the device's pooled
     payload snapshot. The consumer owns one reference and must call
@@ -135,12 +125,11 @@ val rx_bytes : t -> int
 
 val rx_dropped : t -> int
 
-(** Fault injection: consulted once per CQE that is due ([post_txd] CQEs
-    cover one descriptor, [post_txd_batch] CQEs the whole batch). [`Lose]
-    stashes the completion — ring slots stay occupied and segment
-    references (and RefSan holds) stay pinned until {!reap_lost};
-    [`Delay d] delivers it [d] ns late. Egress is unaffected: the packet
-    still reaches the fabric. *)
+(** Fault injection: consulted once per CQE that is due (each CQE covers
+    one descriptor). [`Lose] stashes the completion — its ring slot stays
+    occupied and segment references (and RefSan holds) stay pinned until
+    {!reap_lost}; [`Delay d] delivers it [d] ns late. Egress is
+    unaffected: the packet still reaches the fabric. *)
 type completion_fault = now:int -> [ `Lose | `Delay of int ] option
 
 val set_completion_fault : t -> completion_fault option -> unit
@@ -164,6 +153,5 @@ val tx_packets : t -> int
 
 val tx_bytes : t -> int
 
-(** Doorbell rings so far ([post_txd] counts one each; [post_txd_batch]
-    one per batch). *)
+(** Doorbell rings so far: one per {!post_txd}. *)
 val doorbells : t -> int

@@ -347,6 +347,78 @@ let test_kv_drops_invalid_frame () =
       Alcotest.(check int) "refsan hazards" 0
         (Sanitizer.Refsan.hazard_count ()))
 
+(* The baseline decoders reject what they cannot parse the same way the
+   Cornflakes reader does: for each copying library, on the kv and on the
+   echo server, a 64-byte 0xff datagram and a valid request cut one byte
+   short are each counted once and answered with nothing, the next valid
+   request is served, and every reference a partial parse took is
+   released. *)
+let test_baselines_drop_invalid_frames () =
+  let kv rig backend =
+    let app = Apps.Kv_app.install rig ~backend ~workload:fixture_workload in
+    ( (fun client ~dst ~id ->
+        Apps.Kv_app.send_op app
+          (Workload.Spec.Get { keys = [ "single" ] })
+          client ~dst ~id),
+      Apps.Kv_app.parse_id app )
+  in
+  let echo rig backend =
+    let app = Apps.Echo_app.install rig (Apps.Echo_app.Lib backend) in
+    ( (fun client ~dst ~id ->
+        Apps.Echo_app.send_request app ~sizes:[ 64; 200; 64 ] client ~dst ~id),
+      Option.get (Apps.Echo_app.parse_id app) )
+  in
+  List.iter
+    (fun (backend : Apps.Backend.t) ->
+      List.iter
+        (fun (server_name, install) ->
+          let label what =
+            Printf.sprintf "%s %s: %s" backend.Apps.Backend.name server_name
+              what
+          in
+          Test_faults.with_san (fun () ->
+              let rig = Apps.Rig.create ~n_clients:2 ~transport:`Udp () in
+              let send, parse_id = install rig backend in
+              let engine = rig.Apps.Rig.engine in
+              let client, catcher =
+                match rig.Apps.Rig.clients with
+                | [ c; k ] -> (c, k)
+                | _ -> assert false
+              in
+              (* A valid request's bytes, caught at the second client. *)
+              let frame = ref "" in
+              Net.Transport.set_rx catcher (fun ~src:_ buf ->
+                  frame := Mem.View.to_string (Mem.Pinned.Buf.view buf);
+                  Mem.Pinned.Buf.decr_ref ~cpu:none buf);
+              send client
+                ~dst:(Net.Endpoint.id (Net.Transport.endpoint catcher))
+                ~id:7;
+              Sim.Engine.run_all engine;
+              let replies = ref [] in
+              Net.Transport.set_rx client (fun ~src:_ buf ->
+                  replies := parse_id buf :: !replies;
+                  Mem.Pinned.Buf.decr_ref ~cpu:none buf);
+              let server = rig.Apps.Rig.server in
+              Net.Transport.send_string client ~dst:Apps.Rig.server_id
+                (String.make 64 '\xff');
+              Net.Transport.send_string client ~dst:Apps.Rig.server_id
+                (String.sub !frame 0 (String.length !frame - 1));
+              Sim.Engine.run_all engine;
+              Alcotest.(check int) (label "rejected") 2
+                (Loadgen.Server.rejected server);
+              Alcotest.(check (list int)) (label "no reply") [] !replies;
+              send client ~dst:Apps.Rig.server_id ~id:5;
+              Sim.Engine.run_all engine;
+              Alcotest.(check (list int)) (label "later request served") [ 5 ]
+                !replies;
+              Sim.Engine.quiesce engine;
+              Alcotest.(check int) (label "refsan leaks") 0
+                (List.length (Sanitizer.Refsan.leaks ()));
+              Alcotest.(check int) (label "refsan hazards") 0
+                (Sanitizer.Refsan.hazard_count ())))
+        [ ("kv", kv); ("echo", echo) ])
+    Apps.Backend.[ protobuf; flatbuffers; capnproto ]
+
 let test_no_buffer_leaks_across_requests () =
   (* After a run drains, the only live buffers are the store's values. *)
   let backend = Apps.Backend.cornflakes () in
@@ -391,6 +463,8 @@ let suite =
     Alcotest.test_case "kv put then get" `Quick test_kv_put_then_get;
     Alcotest.test_case "kv drops an invalid frame" `Quick
       test_kv_drops_invalid_frame;
+    Alcotest.test_case "baselines drop invalid frames" `Quick
+      test_baselines_drop_invalid_frames;
     Alcotest.test_case "kv request shapes x decoders x transports" `Quick
       test_kv_rx_cases;
     Alcotest.test_case "open loop latency" `Quick test_open_loop_latency_reasonable;

@@ -86,8 +86,8 @@ let test_protobuf_rejects_garbage () =
   Net.Endpoint.send_string env.Test_env.a ~dst:2 "\xff\xff\xff\xff\xff";
   let _src, buf = Test_env.catch env in
   (match Baselines.Protobuf.deserialize ~cpu:none env.Test_env.b schema everything buf with
-  | _ -> Alcotest.fail "expected Decode_error"
-  | exception Baselines.Protobuf.Decode_error _ -> ());
+  | _ -> Alcotest.fail "expected Wire.Reader.Invalid"
+  | exception Wire.Reader.Invalid _ -> ());
   Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_flatbuf_roundtrip () =
@@ -147,9 +147,56 @@ let test_capnp_rejects_garbage () =
   Net.Endpoint.send_string env.Test_env.a ~dst:2 "\x10\x00\x00\x00bad";
   let _src, buf = Test_env.catch env in
   (match Baselines.Capnp.deserialize ~cpu:none schema everything buf with
-  | _ -> Alcotest.fail "expected Decode_error"
-  | exception Baselines.Capnp.Decode_error _ -> ());
+  | _ -> Alcotest.fail "expected Wire.Reader.Invalid"
+  | exception Wire.Reader.Invalid _ -> ());
   Mem.Pinned.Buf.decr_ref ~cpu:none buf
+
+(* The zero-copy readers take a reference per payload window as they go,
+   so a frame that fails part-way must hand back every one it took. Every
+   proper prefix of a valid frame and every single-byte 0xff overwrite of
+   it either decodes (and is released here) or raises
+   [Wire.Reader.Invalid]; either way the receive buffer's refcount is back
+   to the delivery reference alone. *)
+let test_rejects_release_partial_parses () =
+  List.iter
+    (fun (name, send, deser) ->
+      let env = Test_env.make () in
+      send (Net.Endpoint.transport env.Test_env.a) ~dst:2 (sample_message env);
+      let _src, buf = Test_env.catch env in
+      let frame = Mem.View.to_string (Mem.Pinned.Buf.view buf) in
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf;
+      let rejected = ref 0 in
+      let decode what s =
+        Net.Endpoint.send_string env.Test_env.a ~dst:2 s;
+        let _src, buf = Test_env.catch env in
+        (match deser buf with
+        | msg -> Wire.Dyn.release ~cpu:none msg
+        | exception Wire.Reader.Invalid _ -> incr rejected);
+        if Mem.Pinned.Buf.refcount buf <> 1 then
+          Alcotest.failf "%s: refcount %d after decoding %s" name
+            (Mem.Pinned.Buf.refcount buf) what;
+        Mem.Pinned.Buf.decr_ref ~cpu:none buf
+      in
+      let n = String.length frame in
+      for cut = 1 to n - 1 do
+        decode
+          (Printf.sprintf "the %d-byte prefix" cut)
+          (String.sub frame 0 cut)
+      done;
+      for pos = 0 to n - 1 do
+        let b = Bytes.of_string frame in
+        Bytes.set b pos '\xff';
+        decode (Printf.sprintf "0xff at byte %d" pos) (Bytes.to_string b)
+      done;
+      Alcotest.(check bool) (name ^ " rejected some") true (!rejected > 0))
+    [
+      ( "flatbuffers",
+        Baselines.Flatbuf.serialize_and_send,
+        Baselines.Flatbuf.deserialize ~cpu:none schema everything );
+      ( "capnproto",
+        Baselines.Capnp.serialize_and_send,
+        Baselines.Capnp.deserialize ~cpu:none schema everything );
+    ]
 
 let manual_views env =
   let pool = Test_env.data_pool env in
@@ -274,6 +321,8 @@ let suite =
     Alcotest.test_case "capnp roundtrip" `Quick test_capnp_roundtrip;
     Alcotest.test_case "capnp multisegment" `Quick test_capnp_multisegment;
     Alcotest.test_case "capnp rejects garbage" `Quick test_capnp_rejects_garbage;
+    Alcotest.test_case "rejects release partial parses" `Quick
+      test_rejects_release_partial_parses;
     Alcotest.test_case "manual one-copy" `Quick test_manual_one_copy;
     Alcotest.test_case "manual two-copy" `Quick test_manual_two_copy;
     Alcotest.test_case "manual zero-copy" `Quick test_manual_zero_copy;

@@ -191,13 +191,7 @@ let test_zero_copy_safety_through_completion () =
     (Mem.Pinned.Buf.refcount value)
 
 let test_sge_limit_demotes_smallest () =
-  let config =
-    {
-      Net.Endpoint.default_config with
-      Net.Endpoint.nic_model = Nic.Model.intel_e810;
-    }
-  in
-  let env = Test_env.make ~config () in
+  let env = Test_env.make ~nic_model:Nic.Model.intel_e810 () in
   let pool =
     Test_env.data_pool
       ~classes:[ (64, 256); (256, 256); (1024, 128); (4096, 64) ]
@@ -237,13 +231,7 @@ let test_demote_tie_break_at_cutoff () =
   (* Equal-length payloads exactly at the demotion cutoff: the keep set is
      every payload strictly larger, plus the first [keep - strictly_larger]
      cutoff-length payloads in traversal order — never more, never fewer. *)
-  let config =
-    {
-      Net.Endpoint.default_config with
-      Net.Endpoint.nic_model = Nic.Model.intel_e810;
-    }
-  in
-  let env = Test_env.make ~config () in
+  let env = Test_env.make ~nic_model:Nic.Model.intel_e810 () in
   let pool =
     Test_env.data_pool
       ~classes:[ (64, 256); (256, 256); (1024, 128); (4096, 64) ]

@@ -12,15 +12,16 @@ type t = {
   received_at_b : (int * Mem.Pinned.Buf.t) Queue.t;
 }
 
-let make ?(cpu_b = Memmodel.Cpu.none) ?config () =
+let make ?(cpu_b = Memmodel.Cpu.none) ?nic_model () =
   let engine = Sim.Engine.create () in
   let fabric = Net.Fabric.create engine in
   let space = Mem.Addr_space.create () in
   let registry = Mem.Registry.create space in
   let a =
-    Net.Endpoint.create ~cpu:Memmodel.Cpu.none ?config fabric registry ~id:1
+    Net.Endpoint.create ~cpu:Memmodel.Cpu.none ?nic_model fabric registry
+      ~id:1
   in
-  let b = Net.Endpoint.create ~cpu:cpu_b ?config fabric registry ~id:2 in
+  let b = Net.Endpoint.create ~cpu:cpu_b ?nic_model fabric registry ~id:2 in
   let received_at_b = Queue.create () in
   Net.Endpoint.set_rx b (fun ~src buf -> Queue.add (src, buf) received_at_b);
   { engine; fabric; registry; space; a; b; received_at_b }

@@ -411,8 +411,7 @@ let test_pressure_demotes_zero_copy () =
   let small_ring =
     { Nic.Model.mellanox_cx6 with Nic.Model.tx_ring_entries = 8 }
   in
-  let config = { Net.Endpoint.default_config with nic_model = small_ring } in
-  let env = Test_env.make ~config () in
+  let env = Test_env.make ~nic_model:small_ring () in
   let pool = Test_env.data_pool env in
   let nic = Net.Endpoint.nic env.Test_env.a in
   (* jam the ring: lose every completion so slots stay occupied *)

@@ -53,9 +53,7 @@ let fuzz_one name decode =
       match decode buf with
       | _ -> true
       | exception Cornflakes.Format_.Malformed _ -> true
-      | exception Baselines.Flatbuf.Decode_error _ -> true
-      | exception Baselines.Capnp.Decode_error _ -> true
-      | exception Baselines.Protobuf.Decode_error _ -> true
+      | exception Wire.Reader.Invalid _ -> true
       | exception Mini_redis.Resp.Protocol_error _ -> true
       | exception Invalid_argument _ ->
           (* Cursor bound violations surface as Invalid_argument. *)

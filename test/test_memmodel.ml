@@ -275,7 +275,7 @@ let touch_all cpu =
     Cpu.charge_op cpu Cpu.Safety ops.(i)
   done;
   Cpu.charge_ops cpu Cpu.Tx Cpu.Completion_per_sge 3;
-  Cpu.charge_post cpu ~nsge:4 ~batch:2;
+  Cpu.charge_post cpu ~nsge:4;
   Cpu.stream cpu Cpu.Copy ~addr:(1 lsl 22) ~len:4096;
   Cpu.latency_access cpu Cpu.Rx ~addr:(1 lsl 23);
   Cpu.install_dma cpu ~addr:(1 lsl 24) ~len:1024;
@@ -306,7 +306,8 @@ let test_charges_allocate_nothing () =
 
 (* An op charge adds exactly the float a [charge] of its [Params] field
    adds, bit for bit; [charge_ops] and [charge_post] likewise match the
-   arithmetic they replaced. *)
+   arithmetic they replaced ([charge_post]'s doorbell was once shared by a
+   batch; every post now pays it whole, as a batch of one did). *)
 let test_op_charges_match_params () =
   let bits f = Int64.bits_of_float f in
   let after f =
@@ -329,9 +330,9 @@ let test_op_charges_match_params () =
     (after (fun cpu ->
          Cpu.charge cpu Cpu.Tx
            ((float_of_int 3 *. p.Memmodel.Params.cost_sg_post)
-           +. (p.Memmodel.Params.cost_doorbell /. float_of_int 5)
+           +. (p.Memmodel.Params.cost_doorbell /. float_of_int 1)
            +. p.Memmodel.Params.cost_tx_packet)))
-    (after (fun cpu -> Cpu.charge_post cpu ~nsge:3 ~batch:5))
+    (after (fun cpu -> Cpu.charge_post cpu ~nsge:3))
 
 let suite =
   [

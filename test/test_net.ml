@@ -62,13 +62,7 @@ let test_gathered_bytes_order () =
   Mem.Pinned.Buf.decr_ref ~cpu:none buf
 
 let test_sge_limit_enforced () =
-  let config =
-    {
-      Net.Endpoint.default_config with
-      Net.Endpoint.nic_model = Nic.Model.intel_e810;
-    }
-  in
-  let env = Test_env.make ~config () in
+  let env = Test_env.make ~nic_model:Nic.Model.intel_e810 () in
   let pool = Test_env.data_pool env in
   (* e810: 8 SGEs. 1 staging + 8 fields = 9 -> must raise. *)
   let fields =
@@ -146,42 +140,21 @@ let test_nic_line_rate_backpressure () =
   Alcotest.(check bool) "at least wire time" true (elapsed >= 10_000);
   Alcotest.(check int) "all delivered" n (Net.Endpoint.rx_packets env.Test_env.b)
 
-let test_doorbell_coalescing () =
-  let config =
-    { Net.Endpoint.default_config with Net.Endpoint.tx_batch = 4 }
-  in
-  let env = Test_env.make ~config () in
+let test_one_doorbell_per_send () =
+  let env = Test_env.make () in
   for _ = 1 to 8 do
-    Net.Endpoint.send_string env.Test_env.a ~dst:2 "batched"
+    Net.Endpoint.send_string env.Test_env.a ~dst:2 "single"
   done;
   Sim.Engine.run_all env.Test_env.engine;
-  Alcotest.(check int) "two doorbells for eight sends" 2
+  Alcotest.(check int) "eight doorbells for eight sends" 8
     (Net.Endpoint.doorbells env.Test_env.a);
   Alcotest.(check int) "all delivered" 8
     (Net.Endpoint.rx_packets env.Test_env.b)
 
-let test_doorbell_timeout_flush () =
-  (* Batch never fills: the idle-flush timer must ring the doorbell. *)
-  let config =
-    { Net.Endpoint.default_config with Net.Endpoint.tx_batch = 8 }
-  in
-  let env = Test_env.make ~config () in
-  for _ = 1 to 3 do
-    Net.Endpoint.send_string env.Test_env.a ~dst:2 "tick"
-  done;
-  Alcotest.(check int) "no doorbell before timeout" 0
-    (Net.Endpoint.doorbells env.Test_env.a);
-  Sim.Engine.run_all env.Test_env.engine;
-  Alcotest.(check int) "one doorbell after timeout" 1
-    (Net.Endpoint.doorbells env.Test_env.a);
-  Alcotest.(check int) "all delivered" 3
-    (Net.Endpoint.rx_packets env.Test_env.b)
-
-let test_batched_completion_releases_segments () =
-  let config =
-    { Net.Endpoint.default_config with Net.Endpoint.tx_batch = 4 }
-  in
-  let env = Test_env.make ~config () in
+(* The stack's reference on a zero-copy segment lives exactly as long as
+   the descriptor: held while it sits in the TX ring, dropped by its CQE. *)
+let test_each_cqe_releases_segments () =
+  let env = Test_env.make () in
   let pool = Test_env.data_pool env in
   let v1 = Test_env.pinned_of_string pool (String.make 512 'p') in
   let v2 = Test_env.pinned_of_string pool (String.make 512 'q') in
@@ -191,14 +164,16 @@ let test_batched_completion_releases_segments () =
   let s2 = Net.Endpoint.alloc_tx env.Test_env.a ~len:Net.Packet.header_len in
   Net.Endpoint.send_inline env.Test_env.a ~dst:2 ~head:s1 ~zc:[| v1 |] ~zc_n:1;
   Net.Endpoint.send_inline env.Test_env.a ~dst:2 ~head:s2 ~zc:[| v2 |] ~zc_n:1;
-  Alcotest.(check int) "held while parked in the batch" 2
+  Alcotest.(check int) "held while in the TX ring" 2
     (Mem.Pinned.Buf.refcount v1);
+  Alcotest.(check int) "both descriptors in flight" 2
+    (Nic.Device.in_flight (Net.Endpoint.nic env.Test_env.a));
   Sim.Engine.run_all env.Test_env.engine;
-  Alcotest.(check int) "one doorbell for the pair" 1
+  Alcotest.(check int) "one doorbell per send" 2
     (Net.Endpoint.doorbells env.Test_env.a);
-  Alcotest.(check int) "v1 released after batched completion" 1
+  Alcotest.(check int) "v1 released after its completion" 1
     (Mem.Pinned.Buf.refcount v1);
-  Alcotest.(check int) "v2 released after batched completion" 1
+  Alcotest.(check int) "v2 released after its completion" 1
     (Mem.Pinned.Buf.refcount v2);
   Alcotest.(check int) "both delivered" 2
     (Net.Endpoint.rx_packets env.Test_env.b);
@@ -258,10 +233,9 @@ let suite =
     Alcotest.test_case "unknown destination" `Quick test_unknown_destination_dropped;
     Alcotest.test_case "staging recycled" `Quick test_staging_recycled_after_completion;
     Alcotest.test_case "line-rate pacing" `Quick test_nic_line_rate_backpressure;
-    Alcotest.test_case "doorbell coalescing" `Quick test_doorbell_coalescing;
-    Alcotest.test_case "doorbell timeout flush" `Quick
-      test_doorbell_timeout_flush;
-    Alcotest.test_case "batched completion releases refs" `Quick
-      test_batched_completion_releases_segments;
+    Alcotest.test_case "one doorbell per send" `Quick
+      test_one_doorbell_per_send;
+    Alcotest.test_case "each CQE releases its refs" `Quick
+      test_each_cqe_releases_segments;
     Alcotest.test_case "backing follows use" `Quick test_backing_follows_use;
   ]

@@ -195,9 +195,9 @@ let test_holds_and_roots_excuse_refs () =
 
 (* --- Whole-stack property: a KV run under RefSan is clean --------------- *)
 
-let twitter_rig_is_clean ?server_config ~seed ~put_fraction () =
+let twitter_rig_is_clean ~seed ~put_fraction () =
   with_san (fun () ->
-      let rig = Apps.Rig.create ?server_config ~n_clients:4 ~seed () in
+      let rig = Apps.Rig.create ~n_clients:4 ~seed () in
       let workload = Workload.Twitter.make ~n_keys:64 ~put_fraction () in
       let backend = Apps.Backend.cornflakes () in
       let app = Apps.Kv_app.install rig ~backend ~workload in
@@ -218,17 +218,6 @@ let test_fig7_twitter_run_clean () =
   Alcotest.(check bool)
     "fig7-style run: 0 leaks, 0 hazards" true
     (twitter_rig_is_clean ~seed:0xc0ffee ~put_fraction:0.08 ())
-
-let test_twitter_batched_run_clean () =
-  (* Same workload with TX doorbell coalescing on the server: parked
-     descriptors hold their segment refs until the batch posts, so any
-     imbalance in the batched release path shows up as leaks/hazards. *)
-  let server_config =
-    { Net.Endpoint.default_config with Net.Endpoint.tx_batch = 4 }
-  in
-  Alcotest.(check bool)
-    "batched run: 0 leaks, 0 hazards" true
-    (twitter_rig_is_clean ~server_config ~seed:0xc0ffee ~put_fraction:0.08 ())
 
 let prop_twitter_runs_clean =
   QCheck.Test.make ~name:"twitter run under RefSan is clean" ~count:4
@@ -322,8 +311,6 @@ let suite =
       test_holds_and_roots_excuse_refs;
     Alcotest.test_case "fig7 twitter run clean" `Quick
       test_fig7_twitter_run_clean;
-    Alcotest.test_case "twitter run clean with doorbell batching" `Quick
-      test_twitter_batched_run_clean;
     QCheck_alcotest.to_alcotest prop_twitter_runs_clean;
     Alcotest.test_case "lint duplicate field number" `Quick
       test_lint_duplicate_field_number;
