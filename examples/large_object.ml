@@ -41,15 +41,15 @@ let () =
     Wire.Dyn.append msg "parts" (Wire.Dyn.Payload (Wire.Payload.Zero_copy part))
   done;
   Printf.printf "object is %d bytes; a jumbo frame carries %d\n"
-    (Cornflakes.Obj_api.object_len msg)
+    (Obj_api.object_len msg)
     Net.Packet.max_payload;
 
-  let segmenter = Cornflakes.Segment.Segmenter.create alice in
-  let reassembler = Cornflakes.Segment.Reassembler.create registry in
+  let segmenter = Segment.Segmenter.create alice in
+  let reassembler = Segment.Reassembler.create registry in
   let back = Wire.Reader.create ~cpu blob in
   let field = Schema.Desc.field_index blob in
   Net.Endpoint.set_rx bob (fun ~src buf ->
-      Cornflakes.Segment.Reassembler.on_packet ~cpu reassembler ~src buf
+      Segment.Reassembler.on_packet ~cpu reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
           Wire.Reader.validate back obj;
           let parts = Wire.Reader.count_or_zero back (field "parts") in
@@ -62,6 +62,6 @@ let () =
                     Printf.sprintf "%d x '%c'" v.Mem.View.len
                       (Bytes.get v.Mem.View.data v.Mem.View.off))));
           Mem.Pinned.Buf.decr_ref ~cpu obj));
-  Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg;
+  Segment.Segmenter.send segmenter ~dst:2 msg;
   Sim.Engine.run_all engine;
   Printf.printf "frames on the wire: %d\n" (Net.Endpoint.tx_packets alice)

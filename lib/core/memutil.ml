@@ -1,15 +1,8 @@
-(* Count the distinct refcount-metadata cache lines behind a buffer list:
-   the unit of completion-side metadata misses. *)
-let distinct_meta_lines bufs =
-  let lines =
-    List.sort_uniq compare
-      (List.map (fun b -> Mem.Pinned.Buf.metadata_addr b lsr 6) bufs)
-  in
-  List.length lines
-
-(* Allocation-free variant over the first [n] entries of a plan's gather
-   array. SGE counts are bounded by the NIC model (tens at most), so the
-   quadratic scan beats sort_uniq's list churn on the hot path. *)
+(* Count the distinct refcount-metadata cache lines behind the first [n]
+   entries of a gather array: the unit of completion-side metadata misses.
+   SGE counts are bounded by the NIC model (tens at most), so the quadratic
+   scan beats sort_uniq's list churn on the hot path, and allocates
+   nothing. *)
 let distinct_meta_lines_arr bufs ~n =
   let distinct = ref 0 in
   for i = 0 to n - 1 do

@@ -1,8 +1,5 @@
-(** [distinct_meta_lines bufs] — how many distinct refcount cache lines the
-    buffers' metadata occupies (completion releases pay one miss per line,
-    not per buffer). *)
-val distinct_meta_lines : Mem.Pinned.Buf.t list -> int
-
-(** Same count over the first [n] entries of an array — allocation-free for
+(** [distinct_meta_lines_arr bufs ~n] — how many distinct refcount cache
+    lines the metadata of the first [n] buffers occupies (completion
+    releases pay one miss per line, not per buffer). Allocation-free for
     the hot send path (SGE counts are small, so the O(n²) scan is cheap). *)
 val distinct_meta_lines_arr : Mem.Pinned.Buf.t array -> n:int -> int

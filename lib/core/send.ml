@@ -65,8 +65,7 @@ let demote_excess ~cpu ?(site = "Send.demote") ?(best_effort = false) ep msg ~ke
   !demoted
 
 (* One reusable plan per domain: a domain runs one simulation at a time and
-   [send_object] never re-enters itself (segmented sends go through
-   [Segment], which measures independently), so the measured plan is always
+   [send_object] never re-enters itself, so the measured plan is always
    consumed before the next send starts. Domain-local rather than global so
    parallel harness workers never share it. *)
 type scratch = { plan : Format_.plan; writer : Wire.Cursor.Writer.t }

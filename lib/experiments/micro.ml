@@ -1,10 +1,5 @@
 type path = Raw_sg | Safe_sg | Copy_once
 
-let path_name = function
-  | Raw_sg -> "raw-scatter-gather"
-  | Safe_sg -> "scatter-gather"
-  | Copy_once -> "copy"
-
 type t = {
   rig : Apps.Rig.t;
   path : path;

@@ -12,8 +12,6 @@
 
 type path = Raw_sg | Safe_sg | Copy_once
 
-val path_name : path -> string
-
 type t
 
 (** [install rig path ~entries ~entry_size ~n_keys] populates a store of

@@ -10,10 +10,6 @@ type budget = {
   fault_loss_rates : float list; (* degradation-curve loss rates *)
 }
 
-val default_budget : budget
-
-val quick_budget : budget
-
 (** Selected by [set_quick]; consulted by every experiment. *)
 val budget : unit -> budget
 

@@ -19,7 +19,6 @@ type t = {
   mutable busy_ns : int;
   (* Fault injection: extra ns to stall each request (slow consumer). *)
   mutable service_fault : (now:int -> int) option;
-  mutable stalled_ns : int;
   (* The end of a service slot, built once with the server: the slot's
      held responses go to the NIC, then the next request starts. Both
      happen at the same instant, so one event carries them. *)
@@ -73,10 +72,7 @@ let service t =
     let dt =
       match t.service_fault with
       | None -> dt
-      | Some f ->
-          let stall = f ~now:(Sim.Engine.now t.engine) in
-          t.stalled_ns <- t.stalled_ns + stall;
-          dt + stall
+      | Some f -> dt + f ~now:(Sim.Engine.now t.engine)
     in
     Net.Endpoint.end_hold t.ep;
     t.served <- t.served + 1;
@@ -124,7 +120,6 @@ let create ?(queue_limit = 4096) tr =
       service_ns_total = 0.0;
       busy_ns = 0;
       service_fault = None;
-      stalled_ns = 0;
       slot_done = (fun () -> finish_slot t);
     }
   in
@@ -134,8 +129,6 @@ let create ?(queue_limit = 4096) tr =
 let set_handler t f = t.handler <- f
 
 let set_service_fault t f = t.service_fault <- f
-
-let stalled_ns t = t.stalled_ns
 
 let served t = t.served
 

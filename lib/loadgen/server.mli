@@ -24,9 +24,6 @@ val set_handler : t -> (src:int -> Mem.Pinned.Buf.t -> unit) -> unit
     next request alike — a forced slow consumer holding buffers longer. *)
 val set_service_fault : t -> (now:int -> int) option -> unit
 
-(** Total injected stall time so far. *)
-val stalled_ns : t -> int
-
 val served : t -> int
 
 val dropped : t -> int

@@ -303,16 +303,12 @@ module Buf = struct
     t'
 
   (* Record a write that bypassed [fill]/[blit_from] (e.g. direct view
-     mutation by a protocol header writer, or [Cow_buf.write]) so the
-     write-after-post detector still sees it. *)
-  let note_write ?(site = "Pinned.write") ?(via_cow = false) t ~off ~len =
+     mutation by a protocol header writer) so the write-after-post detector
+     still sees it. *)
+  let note_write ?(site = "Pinned.write") t ~off ~len =
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
-        ~addr:(addr t + off) ~len ~via_cow ~site
-
-  let note_cow_clone ?(site = "Cow_buf.write") t =
-    if san_on () then
-      Sanitizer.Refsan.on_cow_clone ~id:(san_id t) ~refs:(refcount t) ~site
+        ~addr:(addr t + off) ~len ~site
 
   (* Declare (and retract) long-lived ownership — e.g. a KV store holding a
      value buffer across requests. Rooted references are not leaks. *)
@@ -347,7 +343,7 @@ module Buf = struct
     Bytes.blit_string s 0 (chunk t) (chunk_off t) (String.length s);
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
-        ~addr:(addr t) ~len:(String.length s) ~via_cow:false ~site;
+        ~addr:(addr t) ~len:(String.length s) ~site;
     Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t)
       ~len:(String.length s)
 
@@ -360,7 +356,7 @@ module Buf = struct
     Bytes.blit_string s src_off (chunk t) (chunk_off t) len;
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
-        ~addr:(addr t) ~len ~via_cow:false ~site;
+        ~addr:(addr t) ~len ~site;
     Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t) ~len
 
   (* [fill_substring] over a caller-owned bytes window (e.g. a pooled NIC
@@ -375,7 +371,7 @@ module Buf = struct
     Bytes.blit s src_off (chunk t) (chunk_off t) len;
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
-        ~addr:(addr t) ~len ~via_cow:false ~site;
+        ~addr:(addr t) ~len ~site;
     Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t) ~len
 
   let blit_from ~cpu ?(site = "Pinned.blit_from") t ~src ~dst_off =
@@ -385,7 +381,7 @@ module Buf = struct
     View.blit src ~dst:(chunk t) ~dst_off:(chunk_off t + dst_off);
     if san_on () then
       Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
-        ~addr:(addr t + dst_off) ~len:src.View.len ~via_cow:false ~site;
+        ~addr:(addr t + dst_off) ~len:src.View.len ~site;
     Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:src.View.addr
       ~len:src.View.len;
     Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t + dst_off)

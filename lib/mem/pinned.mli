@@ -161,13 +161,9 @@ module Buf : sig
     cpu:Memmodel.Cpu.t -> ?site:string -> t -> src:View.t -> dst_off:int -> unit
 
   (** Report a write that mutated the buffer's bytes without going through
-      [fill]/[blit_from] (direct view mutation, e.g. a header writer or
-      [Cow_buf]) so the write-after-post detector sees it. [via_cow] marks
-      the write as CoW-mediated and therefore race-free. *)
-  val note_write : ?site:string -> ?via_cow:bool -> t -> off:int -> len:int -> unit
-
-  (** Record that a CoW clone replaced this buffer for a writer. *)
-  val note_cow_clone : ?site:string -> t -> unit
+      [fill]/[blit_from] (direct view mutation, e.g. a header writer) so the
+      write-after-post detector sees it. *)
+  val note_write : ?site:string -> t -> off:int -> len:int -> unit
 
   (** Declare (or retract) long-lived ownership of one reference — e.g. a KV
       store keeping a value buffer across requests. Rooted references are

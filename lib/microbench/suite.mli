@@ -26,10 +26,6 @@ val json_file : string
 (** Write [json_file] in the committed-baseline schema. *)
 val write_json : result list -> unit
 
-(** [(name, ns_per_op, minor_words_per_op)] triples from a baseline file
-    (dependency-free scanner). *)
-val parse_baseline : string -> (string * float * float) list
-
 (** Report ns/op deltas vs the baseline and exit 1 if any tracked
     benchmark's minor words/op regressed more than 20%, or its ns/op
     regressed more than 20% after dividing out the median now/base ratio

@@ -17,14 +17,15 @@ type t = {
 let store t = t.store
 
 (* A bulk argument read in the receive buffer, its sweep charged to App:
-   keys are probed in place, never copied out. *)
+   keys are probed in place, never copied out. [handler] admits only
+   commands whose every element is a bulk. *)
 let arg_view ~cpu (v : Resp.value) =
   match v with
   | Resp.Bulk view ->
       Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:view.Mem.View.addr
         ~len:view.Mem.View.len;
       view
-  | _ -> raise (Resp.Protocol_error "expected bulk argument")
+  | _ -> invalid_arg "Mini_redis.Server: non-bulk argument"
 
 let arg_string ~cpu v = Mem.View.to_string (arg_view ~cpu v)
 
@@ -138,20 +139,17 @@ let exec_lrange t ~cpu cmd args =
 
 let exec_set t ~cpu cmd args =
   match args with
-  | [ key; payload ] -> (
+  | [ key; Resp.Bulk src ] -> (
       let key = arg_view ~cpu key in
-      match payload with
-      | Resp.Bulk src -> (
-          match Mem.Pinned.Buf.alloc ~cpu t.pool ~len:src.Mem.View.len with
-          | buf ->
-              Mem.Pinned.Buf.blit_from ~cpu buf ~src ~dst_off:0;
-              Kvstore.Store.put ~cpu t.store key.Mem.View.data
-                ~off:key.Mem.View.off ~len:key.Mem.View.len
-                (Kvstore.Store.Single buf);
-              Resp.Simple "OK"
-          | exception Mem.Pinned.Out_of_memory _ ->
-              Resp.Error "OOM command not allowed")
-      | _ -> Resp.Error "ERR bad SET payload")
+      match Mem.Pinned.Buf.alloc ~cpu t.pool ~len:src.Mem.View.len with
+      | buf ->
+          Mem.Pinned.Buf.blit_from ~cpu buf ~src ~dst_off:0;
+          Kvstore.Store.put ~cpu t.store key.Mem.View.data
+            ~off:key.Mem.View.off ~len:key.Mem.View.len
+            (Kvstore.Store.Single buf);
+          Resp.Simple "OK"
+      | exception Mem.Pinned.Out_of_memory _ ->
+          Resp.Error "OOM command not allowed")
   | _ -> err_unknown ~cpu cmd
 
 let exec_del t ~cpu _cmd keys =
@@ -206,12 +204,11 @@ let exec_table =
 (* Execute a command against the store; returns the reply as values still
    referencing the store's buffers (no copies yet — the serializer decides
    how the bytes move). *)
-let execute t ~cpu req =
-  match req with
-  | Resp.Array (cmd :: args) ->
-      charge_cmd ~cpu cmd;
-      (Rpc.Table.dispatch exec_table (command_id cmd)) t ~cpu cmd args
-  | _ -> Resp.Error "ERR protocol: expected command array"
+let execute t ~cpu cmd args =
+  charge_cmd ~cpu cmd;
+  (Rpc.Table.dispatch exec_table (command_id cmd)) t ~cpu cmd args
+
+let is_bulk = function Resp.Bulk _ -> true | _ -> false
 
 (* Redis's handwritten serialization, over the integrated stack: the reply
    (values included) is composed directly into a DMA-safe output buffer —
@@ -257,17 +254,21 @@ let send_cornflakes t ~dst config reply =
    Redis are smaller than in the lean custom store (Table 3 vs Table 1). *)
 let command_overhead_cycles = 2500.0
 
+(* A request is a non-empty array of bulk strings. A frame that does not
+   decode, or decodes to any other shape, is counted and dropped: no reply,
+   and no exception escapes into the engine. *)
 let handler t ~src buf =
   let cpu = t.rig.Apps.Rig.cpu in
   Memmodel.Cpu.charge cpu Memmodel.Cpu.App command_overhead_cycles;
-  match Resp.decode ~cpu (Mem.Pinned.Buf.view buf) with
-  | exception Resp.Protocol_error _ -> Mem.Pinned.Buf.decr_ref ~cpu buf
-  | req ->
-      let reply = execute t ~cpu req in
-      (match t.mode with
+  (match Resp.decode ~cpu (Mem.Pinned.Buf.view buf) with
+  | Resp.Array (cmd :: args as elems) when List.for_all is_bulk elems -> (
+      let reply = execute t ~cpu cmd args in
+      match t.mode with
       | Native -> send_native t ~dst:src reply
-      | Cornflakes_backed config -> send_cornflakes t ~dst:src config reply);
-      Mem.Pinned.Buf.decr_ref ~cpu buf
+      | Cornflakes_backed config -> send_cornflakes t ~dst:src config reply)
+  | _ | (exception Resp.Protocol_error _) ->
+      Loadgen.Server.reject t.rig.Apps.Rig.server);
+  Mem.Pinned.Buf.decr_ref ~cpu buf
 
 let install rig mode ~workload ~list_values =
   let pool =

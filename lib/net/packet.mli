@@ -9,10 +9,6 @@
 module Off : sig
   val header_len : int
 
-  val ethertype : int
-
-  val ip_version : int
-
   val src : int
 
   val dst : int

@@ -23,12 +23,12 @@ type config = {
   reap_period_ns : int;  (** reap callback period while outstanding *)
 }
 
-val default_config : config
-
 type t
 
-(** [create ?config engine ~rng]. The rng should be split from the
-    experiment seed so retry jitter replays deterministically. Raises
+(** [create ?config engine ~rng]. Without [config]: a 100 µs timeout, 4
+    retries, backoff 2.0, jitter 0.1, a reap every 250 µs. The rng should
+    be split from the experiment seed so retry jitter replays
+    deterministically. Raises
     [Invalid_argument] on a non-positive timeout/period, negative
     retries, backoff < 1, or jitter outside [0,1]. *)
 val create : ?config:config -> Sim.Engine.t -> rng:Sim.Rng.t -> t

@@ -8,6 +8,8 @@ type t = {
   tx_ring_entries : int;
 }
 
+(* Mellanox ConnectX-5 Ex, 100 Gbps (measurement-study platform); WQEs take
+   up to 64 gather pointers. The base the exported models derive from. *)
 let mellanox_cx5 =
   {
     name = "mlx5-cx5ex";

@@ -15,10 +15,6 @@ type t = {
   tx_ring_entries : int;
 }
 
-(** Mellanox ConnectX-5 Ex, 100 Gbps (measurement-study platform); WQEs
-    take up to 64 gather pointers. *)
-val mellanox_cx5 : t
-
 (** Mellanox ConnectX-6, 100 Gbps (end-to-end platform). *)
 val mellanox_cx6 : t
 

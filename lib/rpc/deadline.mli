@@ -1,7 +1,5 @@
 (** Deadline clock for schema-declared [deadline_ms=N] method options. *)
 
-val ns_per_ms : int
-
 (** Raises [Invalid_argument] on a non-positive deadline. *)
 val ns_of_ms : int -> int
 

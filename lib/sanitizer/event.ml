@@ -6,8 +6,7 @@ type kind =
   | Free
   | Dma_post
   | Dma_complete
-  | Cow_clone
-  | Write of { via_cow : bool }
+  | Write
   | Root
   | Unroot
 
@@ -21,9 +20,7 @@ let kind_to_string = function
   | Free -> "free"
   | Dma_post -> "dma-post"
   | Dma_complete -> "dma-complete"
-  | Cow_clone -> "cow-clone"
-  | Write { via_cow = true } -> "write(cow)"
-  | Write { via_cow = false } -> "write"
+  | Write -> "write"
   | Root -> "root"
   | Unroot -> "unroot"
 

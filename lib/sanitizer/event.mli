@@ -9,14 +9,11 @@ type kind =
   | Free
   | Dma_post  (** buffer entered an in-flight window (NIC ring / rtx queue) *)
   | Dma_complete
-  | Cow_clone
-  | Write of { via_cow : bool }
+  | Write
   | Root  (** declared long-lived (e.g. stored in a KV table) *)
   | Unroot
 
 type t = { seq : int; kind : kind; site : string }
-
-val kind_to_string : kind -> string
 
 val to_string : t -> string
 

@@ -1,9 +1,9 @@
 (* RefSan: a shadow ledger over the pinned-memory refcount machinery.
 
    Every lifecycle event of a pinned buffer — alloc, incref, decref, sub,
-   free, DMA post/completion, copy-on-write clone, write — is mirrored here,
-   tagged with a caller-supplied site label. The ledger never influences the
-   run; it only observes and diagnoses:
+   free, DMA post/completion, write — is mirrored here, tagged with a
+   caller-supplied site label. The ledger never influences the run; it only
+   observes and diagnoses:
 
    - leaks: buffers still referenced at quiesce whose outstanding references
      are neither declared roots (e.g. KV-store values) nor active in-flight
@@ -13,8 +13,7 @@
    - refcount underflow: release of a reference the ledger never saw taken;
    - use-after-free: any access through a stale handle, with the buffer's
      full event history attached;
-   - write-after-post: mutation of bytes covered by an in-flight hold that
-     did not go through [Cow_buf.write].
+   - write-after-post: mutation of bytes covered by an in-flight hold.
 
    The ledger is domain-local (each parallel-harness worker observes only
    the simulations it runs; [checkpoint] folds findings into process-wide
@@ -281,10 +280,6 @@ let on_sub ~id ~refs ~site =
   let r = find_or_adopt id ~refs in
   push_event r Event.Sub site
 
-let on_cow_clone ~id ~refs ~site =
-  let r = find_or_adopt id ~refs in
-  push_event r Event.Cow_clone site
-
 let on_root ~id ~refs ~site =
   let r = find_or_adopt id ~refs in
   r.r_rooted <- r.r_rooted + 1;
@@ -355,23 +350,22 @@ let release_hold token =
           push_event r Event.Dma_complete h.h_site
       | None -> ())
 
-let on_write ~id ~refs ~addr ~len ~via_cow ~site =
+let on_write ~id ~refs ~addr ~len ~site =
   let r = find_or_adopt id ~refs in
-  push_event r (Event.Write { via_cow }) site;
-  if not via_cow then
-    match Hashtbl.find_opt (st ()).holds_by_pool id.pool_uid with
-    | None -> ()
-    | Some sub ->
-        Hashtbl.iter
-          (fun _token h ->
-            if addr < h.h_addr + h.h_len && h.h_addr < addr + len then
-              diag Write_hazard ~id:(Some id) ~site
-                "write-after-post: %s mutated [%d,%d) at %s while bytes \
-                 [%d,%d) are in flight (posted at %s); route the write \
-                 through Cow_buf.write"
-                (describe id) addr (addr + len) site h.h_addr
-                (h.h_addr + h.h_len) h.h_site)
-          sub
+  push_event r Event.Write site;
+  match Hashtbl.find_opt (st ()).holds_by_pool id.pool_uid with
+  | None -> ()
+  | Some sub ->
+      Hashtbl.iter
+        (fun _token h ->
+          if addr < h.h_addr + h.h_len && h.h_addr < addr + len then
+            diag Write_hazard ~id:(Some id) ~site
+              "write-after-post: %s mutated [%d,%d) at %s while bytes \
+               [%d,%d) are in flight (posted at %s); write a fresh buffer \
+               instead, or wait for the send's completion"
+              (describe id) addr (addr + len) site h.h_addr
+              (h.h_addr + h.h_len) h.h_site)
+        sub
 
 (* --- Reports ------------------------------------------------------------ *)
 

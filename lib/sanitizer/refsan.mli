@@ -1,14 +1,14 @@
 (** RefSan: shadow ledger + detectors for zero-copy memory safety.
 
     Mirrors every pinned-buffer lifecycle event (alloc, incref, decref, sub,
-    free, DMA post/completion, CoW clone, write), each tagged with a
-    caller-supplied site label, and diagnoses:
+    free, DMA post/completion, write), each tagged with a caller-supplied
+    site label, and diagnoses:
 
     - reference leaks at quiesce ({!leaks}),
     - double-free and refcount underflow with alloc/free provenance,
     - use-after-free with full event history ({!history}),
     - the write-after-post race: mutating bytes covered by an in-flight
-      scatter-gather hold without going through [Cow_buf.write].
+      scatter-gather hold.
 
     Enabled by [CF_SANITIZE=1] in the environment or {!set_enabled}. All
     hooks are no-ops unless the caller checks {!is_enabled} first (the
@@ -78,17 +78,15 @@ val on_free : id:buf_id -> site:string -> unit
 
 val on_sub : id:buf_id -> refs:int -> site:string -> unit
 
-val on_cow_clone : id:buf_id -> refs:int -> site:string -> unit
-
 val on_root : id:buf_id -> refs:int -> site:string -> unit
 
 val on_unroot : id:buf_id -> refs:int -> site:string -> unit
 
 (** Record a write of [len] bytes at simulated address [addr] and check it
-    against active in-flight holds of the same pool; a non-CoW overlap is a
+    against active in-flight holds of the same pool; any overlap is a
     write-after-post hazard. *)
 val on_write :
-  id:buf_id -> refs:int -> addr:int -> len:int -> via_cow:bool -> site:string -> unit
+  id:buf_id -> refs:int -> addr:int -> len:int -> site:string -> unit
 
 (** Record and classify an access through a stale handle (double-free when
     [op] is [`Release] on a freed buffer, use-after-free otherwise). *)

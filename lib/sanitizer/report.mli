@@ -10,13 +10,6 @@ val site_label : string -> string
     sites that took the unbalanced references. *)
 val leak_lines : unit -> string list
 
-(** One line per recorded diagnostic (double-free, underflow, use-after-free,
-    write-after-post), chronological. *)
-val diag_lines : unit -> string list
-
-(** e.g. ["refsan: 0 leaks, 0 hazards (1024 buffers tracked, 0 holds active)"] *)
-val summary_line : unit -> string
-
 (** Engine-quiesce hook body: prints the summary plus details when anything
     was found (or when [verbose]). *)
 val print_quiesce : ?verbose:bool -> unit -> unit

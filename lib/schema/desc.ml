@@ -116,11 +116,7 @@ let field_index msg name = field_index_from msg.fields name 0 [@@alloc_free]
 
 let field msg name = msg.fields.(field_index msg name)
 
-let find_service t name =
-  List.find_opt (fun s -> s.svc_name = name) t.services
-
-let service t name =
-  match find_service t name with Some s -> s | None -> raise Not_found
+let service t name = List.find (fun s -> s.svc_name = name) t.services
 
 let rec method_index_from methods name i =
   if i >= Array.length methods then raise Not_found

@@ -87,8 +87,6 @@ val field_index : message -> string -> int
 (** [service t name] finds a service by name. Raises [Not_found]. *)
 val service : t -> string -> service
 
-val find_service : t -> string -> service option
-
 (** [method_ svc name] finds a method by name. Raises [Not_found]. *)
 val method_ : service -> string -> method_
 

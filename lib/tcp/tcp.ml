@@ -738,6 +738,7 @@ end
 
 (* --- Transport view ------------------------------------------------------ *)
 
+(* Bytes of the [u32] record-length prefix ([transport]'s framing). *)
 let record_prefix_len = 4
 
 (* Headroom the caller leaves in the first inline segment: packet header +

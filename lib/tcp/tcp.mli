@@ -105,9 +105,6 @@ val mss : int
 
 val initial_rto_ns : int
 
-(** Bytes of the [u32] record-length prefix ([transport]'s framing). *)
-val record_prefix_len : int
-
 (** Headroom [transport] requires at the front of an inline send's [head]:
     packet header + TCP header + record prefix. *)
 val transport_headroom : int

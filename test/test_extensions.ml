@@ -13,54 +13,54 @@ let make_pool () =
 
 let test_cow_write_in_place_when_exclusive () =
   let _space, pool = make_pool () in
-  let c = Cornflakes.Cow_buf.create ~cpu:none pool ~len:100 in
-  let before = Mem.Pinned.Buf.addr (Cornflakes.Cow_buf.buf c) in
-  Cornflakes.Cow_buf.write ~cpu:none c ~off:0 "exclusive";
-  Alcotest.(check int) "no clone" 0 (Cornflakes.Cow_buf.cow_count c);
+  let c = Cow_buf.create ~cpu:none pool ~len:100 in
+  let before = Mem.Pinned.Buf.addr (Cow_buf.buf c) in
+  Cow_buf.write ~cpu:none c ~off:0 "exclusive";
+  Alcotest.(check int) "no clone" 0 (Cow_buf.cow_count c);
   Alcotest.(check int) "same buffer" before
-    (Mem.Pinned.Buf.addr (Cornflakes.Cow_buf.buf c));
-  Cornflakes.Cow_buf.release ~cpu:none c
+    (Mem.Pinned.Buf.addr (Cow_buf.buf c));
+  Cow_buf.release ~cpu:none c
 
 let test_cow_clones_when_shared () =
   let _space, pool = make_pool () in
-  let c = Cornflakes.Cow_buf.create ~cpu:none pool ~len:64 in
-  Cornflakes.Cow_buf.write ~cpu:none c ~off:0 "original-bytes!!";
+  let c = Cow_buf.create ~cpu:none pool ~len:64 in
+  Cow_buf.write ~cpu:none c ~off:0 "original-bytes!!";
   (* A pending zero-copy send takes its reference... *)
-  let in_flight = Cornflakes.Cow_buf.buf c in
+  let in_flight = Cow_buf.buf c in
   Mem.Pinned.Buf.incr_ref ~cpu:none in_flight;
-  Alcotest.(check bool) "shared" true (Cornflakes.Cow_buf.shared c);
+  Alcotest.(check bool) "shared" true (Cow_buf.shared c);
   (* ... and the application overwrites the value. *)
-  Cornflakes.Cow_buf.write ~cpu:none c ~off:0 "updated-bytes!!!";
-  Alcotest.(check int) "one clone" 1 (Cornflakes.Cow_buf.cow_count c);
+  Cow_buf.write ~cpu:none c ~off:0 "updated-bytes!!!";
+  Alcotest.(check int) "one clone" 1 (Cow_buf.cow_count c);
   (* The DMA still sees the original bytes, untouched. *)
   Alcotest.(check string) "in-flight bytes intact" "original-bytes!!"
     (String.sub (Mem.View.to_string (Mem.Pinned.Buf.view in_flight)) 0 16);
   (* The application sees the new value. *)
   Alcotest.(check string) "new value visible" "updated-bytes!!!"
     (String.sub
-       (Mem.View.to_string (Mem.Pinned.Buf.view (Cornflakes.Cow_buf.buf c)))
+       (Mem.View.to_string (Mem.Pinned.Buf.view (Cow_buf.buf c)))
        0 16);
   Mem.Pinned.Buf.decr_ref ~cpu:none in_flight;
-  Cornflakes.Cow_buf.release ~cpu:none c;
+  Cow_buf.release ~cpu:none c;
   Alcotest.(check int) "all returned" 0 (Mem.Pinned.Pool.live pool)
 
 let test_cow_write_after_completion_is_in_place () =
   let _space, pool = make_pool () in
-  let c = Cornflakes.Cow_buf.create ~cpu:none pool ~len:64 in
-  let b = Cornflakes.Cow_buf.buf c in
+  let c = Cow_buf.create ~cpu:none pool ~len:64 in
+  let b = Cow_buf.buf c in
   Mem.Pinned.Buf.incr_ref ~cpu:none b;
   Mem.Pinned.Buf.decr_ref ~cpu:none b;
   (* transmission completed *)
-  Cornflakes.Cow_buf.write ~cpu:none c ~off:0 "x";
-  Alcotest.(check int) "no clone needed" 0 (Cornflakes.Cow_buf.cow_count c);
-  Cornflakes.Cow_buf.release ~cpu:none c
+  Cow_buf.write ~cpu:none c ~off:0 "x";
+  Alcotest.(check int) "no clone needed" 0 (Cow_buf.cow_count c);
+  Cow_buf.release ~cpu:none c
 
 let test_cow_bounds () =
   let _space, pool = make_pool () in
-  let c = Cornflakes.Cow_buf.create ~cpu:none pool ~len:8 in
+  let c = Cow_buf.create ~cpu:none pool ~len:8 in
   Alcotest.check_raises "oob" (Invalid_argument "Cow_buf.write: out of bounds")
-    (fun () -> Cornflakes.Cow_buf.write ~cpu:none c ~off:4 "too-long");
-  Cornflakes.Cow_buf.release ~cpu:none c
+    (fun () -> Cow_buf.write ~cpu:none c ~off:4 "too-long");
+  Cow_buf.release ~cpu:none c
 
 (* Adaptive threshold: drive constructions through a real endpoint and
    check the estimate converges near the static calibration (512 B). *)

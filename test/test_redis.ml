@@ -236,6 +236,46 @@ let test_del_exists_strlen_ping () =
     (fun s -> Alcotest.(check string) "get nil" "$-1\r\n" s)
     [ "GET"; key1 ]
 
+(* Frames that do not decode, or decode to anything but an array of bulk
+   strings, are dropped and counted in both modes; no exception escapes
+   the handler, and the next command is served. *)
+let test_hostile_input_dropped () =
+  List.iter
+    (fun mode ->
+      let label what = Mini_redis.Server.mode_name mode ^ ": " ^ what in
+      Test_faults.with_san (fun () ->
+          let rig, _srv = redis_rig mode in
+          let client = List.hd rig.Apps.Rig.clients in
+          let replies = ref 0 in
+          Net.Transport.set_rx client (fun ~src:_ buf ->
+              incr replies;
+              Mem.Pinned.Buf.decr_ref ~cpu:none buf);
+          List.iter
+            (Net.Transport.send_string client ~dst:Apps.Rig.server_id)
+            [
+              "*1\r\n:5\r\n";
+              "*2\r\n$3\r\nGET\r\n:1\r\n";
+              "*2\r\n$3\r\nDEL\r\n+x\r\n";
+              "garbage";
+            ];
+          Sim.Engine.run_all rig.Apps.Rig.engine;
+          Alcotest.(check int) (label "rejected") 4
+            (Loadgen.Server.rejected rig.Apps.Rig.server);
+          Alcotest.(check int) (label "no reply") 0 !replies;
+          one_command rig
+            (fun s -> Alcotest.(check bool) (label "GET answered") true (s <> ""))
+            [ "GET"; key1 ];
+          Sim.Engine.quiesce rig.Apps.Rig.engine;
+          Alcotest.(check int) (label "refsan leaks") 0
+            (List.length (Sanitizer.Refsan.leaks ()));
+          Alcotest.(check int) (label "refsan hazards") 0
+            (Sanitizer.Refsan.hazard_count ())))
+    [
+      Mini_redis.Server.Native;
+      Mini_redis.Server.Cornflakes_backed Cornflakes.Config.default;
+    ]
+
 let suite = suite @ [
   Alcotest.test_case "del/exists/strlen/ping" `Quick test_del_exists_strlen_ping;
+  Alcotest.test_case "hostile input dropped" `Quick test_hostile_input_dropped;
 ]

@@ -163,10 +163,22 @@ let test_write_after_post () =
             "names the posting site" true
             (contains d.Refsan.d_message "test.wap_post"));
       let before = Refsan.hazard_count () in
-      (* The same write through CoW is race-free... *)
-      Mem.Pinned.Buf.note_write ~site:"test.wap_cow" ~via_cow:true buf ~off:16
-        ~len:8;
-      (* ...and so is any write once the hold is released. *)
+      (* A copy-on-write pointer over the posted buffer: the post keeps its
+         own reference, so the write goes to a fresh clone, race-free... *)
+      Mem.Pinned.Buf.incr_ref ~cpu:none ~site:"test.wap_cow_ref" buf;
+      let c = Cow_buf.of_buf pool buf in
+      Cow_buf.write ~cpu:none c ~off:16 "patched!";
+      Alcotest.(check int) "cow write cloned" 1 (Cow_buf.cow_count c);
+      Alcotest.(check bool) "clone is a new buffer" true (Cow_buf.buf c != buf);
+      Alcotest.(check int) "cow write is no hazard" before
+        (Refsan.hazard_count ());
+      Cow_buf.release ~cpu:none c;
+      (* ...while a raw write on the held bytes still is one... *)
+      Mem.Pinned.Buf.note_write ~site:"test.wap_raw" buf ~off:16 ~len:8;
+      Alcotest.(check int) "raw write still a hazard" (before + 1)
+        (Refsan.hazard_count ());
+      let before = Refsan.hazard_count () in
+      (* ...and no write is one once the hold is released. *)
       Mem.Pinned.Buf.release_hold token;
       Mem.Pinned.Buf.note_write ~site:"test.wap_late" buf ~off:16 ~len:8;
       Alcotest.(check int) "no further hazards" before (Refsan.hazard_count ());

@@ -56,34 +56,34 @@ let test_obj_api_lengths () =
   let msg = big_message env ~zc_sizes:[ 1000; 2000 ] ~copied:"abc" in
   let plan = Cornflakes.Format_.measure msg in
   Alcotest.(check int) "object_len" plan.Cornflakes.Format_.total_len
-    (Cornflakes.Obj_api.object_len msg);
+    (Obj_api.object_len msg);
   Alcotest.(check int) "copy bytes"
     (plan.Cornflakes.Format_.header_len + plan.Cornflakes.Format_.stream_len)
-    (Cornflakes.Obj_api.num_copy_bytes msg);
+    (Obj_api.num_copy_bytes msg);
   Alcotest.(check int) "zc entries" 2
-    (Cornflakes.Obj_api.num_zero_copy_entries msg)
+    (Obj_api.num_zero_copy_entries msg)
 
 let test_obj_api_ranged_zero_copy_iteration () =
   let env = make () in
   let msg = big_message env ~zc_sizes:[ 1000; 2000 ] ~copied:"abc" in
-  let copy_len = Cornflakes.Obj_api.num_copy_bytes msg in
+  let copy_len = Obj_api.num_copy_bytes msg in
   (* A range straddling the middle of the first zc entry and the start of
      the second. *)
   let start = copy_len + 500 and stop = copy_len + 1300 in
   let slices = ref [] in
-  Cornflakes.Obj_api.iterate_over_zero_copy_entries msg ~start ~stop
+  Obj_api.iterate_over_zero_copy_entries msg ~start ~stop
     (fun slice -> slices := Mem.Pinned.Buf.len slice :: !slices);
   Alcotest.(check (list int)) "slice lengths" [ 500; 300 ] (List.rev !slices);
   (* Full range covers everything exactly once. *)
   let total = ref 0 in
-  Cornflakes.Obj_api.iterate_over_zero_copy_entries msg ~start:0 ~stop:max_int
+  Obj_api.iterate_over_zero_copy_entries msg ~start:0 ~stop:max_int
     (fun slice -> total := !total + Mem.Pinned.Buf.len slice);
   Alcotest.(check int) "full coverage" 3000 !total
 
 let test_obj_api_copy_range () =
   let env = make () in
   let msg = big_message env ~zc_sizes:[ 600 ] ~copied:"0123456789" in
-  let copy_len = Cornflakes.Obj_api.num_copy_bytes msg in
+  let copy_len = Obj_api.num_copy_bytes msg in
   let scratch_bytes = Bytes.create copy_len in
   let scratch =
     Mem.View.make
@@ -91,7 +91,7 @@ let test_obj_api_copy_range () =
       ~data:scratch_bytes ~off:0 ~len:copy_len
   in
   let got = ref None in
-  Cornflakes.Obj_api.iterate_over_copy_entries ~cpu:none msg ~scratch ~start:0
+  Obj_api.iterate_over_copy_entries ~cpu:none msg ~scratch ~start:0
     ~stop:copy_len (fun v -> got := Some (Mem.View.to_string v));
   (match !got with
   | Some s ->
@@ -99,7 +99,7 @@ let test_obj_api_copy_range () =
   | None -> Alcotest.fail "no copy entry");
   (* A range entirely inside the zc region yields no copy entries. *)
   let no_copy = ref true in
-  Cornflakes.Obj_api.iterate_over_copy_entries ~cpu:none msg ~scratch ~start:copy_len
+  Obj_api.iterate_over_copy_entries ~cpu:none msg ~scratch ~start:copy_len
     ~stop:(copy_len + 100) (fun _ -> no_copy := false);
   Alcotest.(check bool) "no copy entries in zc range" true !no_copy
 
@@ -107,13 +107,13 @@ let test_obj_api_copy_range () =
 
 let segmented_roundtrip ?(loss_check = false) env msg =
   ignore loss_check;
-  let segmenter = Cornflakes.Segment.Segmenter.create env.a in
-  let reassembler = Cornflakes.Segment.Reassembler.create env.registry in
+  let segmenter = Segment.Segmenter.create env.a in
+  let reassembler = Segment.Reassembler.create env.registry in
   let delivered = ref [] in
   Net.Endpoint.set_rx env.b (fun ~src buf ->
-      Cornflakes.Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
+      Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
         ~deliver:(fun ~src:_ obj -> delivered := obj :: !delivered));
-  Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg;
+  Segment.Segmenter.send segmenter ~dst:2 msg;
   Sim.Engine.run_all env.engine;
   !delivered
 
@@ -152,22 +152,22 @@ let test_multi_frame_object () =
 
 let test_interleaved_messages_same_sender () =
   let env = make () in
-  let segmenter = Cornflakes.Segment.Segmenter.create env.a in
-  let reassembler = Cornflakes.Segment.Reassembler.create env.registry in
+  let segmenter = Segment.Segmenter.create env.a in
+  let reassembler = Segment.Reassembler.create env.registry in
   let delivered = ref 0 in
   Net.Endpoint.set_rx env.b (fun ~src buf ->
-      Cornflakes.Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
+      Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
           incr delivered;
           Mem.Pinned.Buf.decr_ref ~cpu:none obj));
   for _ = 1 to 3 do
     let msg = big_message env ~zc_sizes:[ 30_000 ] ~copied:"x" in
-    Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg
+    Segment.Segmenter.send segmenter ~dst:2 msg
   done;
   Sim.Engine.run_all env.engine;
   Alcotest.(check int) "three objects" 3 !delivered;
   Alcotest.(check int) "nothing pending" 0
-    (Cornflakes.Segment.Reassembler.pending reassembler)
+    (Segment.Reassembler.pending reassembler)
 
 let test_zc_refs_released_after_all_frames () =
   let env = make () in
@@ -177,8 +177,8 @@ let test_zc_refs_released_after_all_frames () =
   (* our handle survives the send *)
   let msg = Wire.Dyn.create everything in
   Wire.Dyn.set_payload msg "name" (Wire.Payload.Zero_copy buf);
-  let segmenter = Cornflakes.Segment.Segmenter.create env.a in
-  Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg;
+  let segmenter = Segment.Segmenter.create env.a in
+  Segment.Segmenter.send segmenter ~dst:2 msg;
   Alcotest.(check bool) "slices hold refs in flight" true
     (Mem.Pinned.Buf.refcount buf >= 2);
   Sim.Engine.run_all env.engine;
@@ -191,20 +191,20 @@ let test_oversized_rejected () =
       ~classes:[ (1 lsl 22, 2) ]
   in
   Mem.Registry.register env.registry pool_big;
-  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool_big ~len:(Cornflakes.Segment.max_object + 1) in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool_big ~len:(Segment.max_object + 1) in
   let msg = Wire.Dyn.create everything in
   Wire.Dyn.set_payload msg "name" (Wire.Payload.Zero_copy buf);
-  let segmenter = Cornflakes.Segment.Segmenter.create env.a in
-  match Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg with
+  let segmenter = Segment.Segmenter.create env.a in
+  match Segment.Segmenter.send segmenter ~dst:2 msg with
   | () -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ()
 
 let test_reassembler_drops_garbage () =
   let env = make () in
-  let reassembler = Cornflakes.Segment.Reassembler.create env.registry in
+  let reassembler = Segment.Reassembler.create env.registry in
   let delivered = ref 0 in
   Net.Endpoint.set_rx env.b (fun ~src buf ->
-      Cornflakes.Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
+      Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
           incr delivered;
           Mem.Pinned.Buf.decr_ref ~cpu:none obj));
@@ -233,38 +233,38 @@ let suite =
 
 let test_reassembler_expires_stalled_objects () =
   let env = make () in
-  let segmenter = Cornflakes.Segment.Segmenter.create env.a in
-  let reassembler = Cornflakes.Segment.Reassembler.create env.registry in
+  let segmenter = Segment.Segmenter.create env.a in
+  let reassembler = Segment.Reassembler.create env.registry in
   let delivered = ref 0 in
   Net.Endpoint.set_rx env.b (fun ~src buf ->
       (* Stamp the reassembler with the engine clock, like a real event
          loop would. *)
       let _ =
-        Cornflakes.Segment.Reassembler.expire reassembler
+        Segment.Reassembler.expire reassembler
           ~now:(Sim.Engine.now env.engine) ~timeout_ns:max_int
       in
-      Cornflakes.Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
+      Segment.Reassembler.on_packet ~cpu:none reassembler ~src buf
         ~deliver:(fun ~src:_ obj ->
           incr delivered;
           Mem.Pinned.Buf.decr_ref ~cpu:none obj));
   (* Lose ~half the fragments of a large object: it can never complete. *)
   Net.Fabric.set_loss_rate env.fabric 0.5;
   let msg = big_message env ~zc_sizes:[ 80_000 ] ~copied:"x" in
-  Cornflakes.Segment.Segmenter.send segmenter ~dst:2 msg;
+  Segment.Segmenter.send segmenter ~dst:2 msg;
   Sim.Engine.run_all env.engine;
   Net.Fabric.set_loss_rate env.fabric 0.0;
   Alcotest.(check int) "never delivered" 0 !delivered;
   Alcotest.(check int) "one stalled object" 1
-    (Cornflakes.Segment.Reassembler.pending reassembler);
+    (Segment.Reassembler.pending reassembler);
   (* An expiry pass with a finite timeout reclaims the buffer. *)
   let evicted =
-    Cornflakes.Segment.Reassembler.expire reassembler
+    Segment.Reassembler.expire reassembler
       ~now:(Sim.Engine.now env.engine + 10_000_000)
       ~timeout_ns:1_000_000
   in
   Alcotest.(check int) "evicted" 1 evicted;
   Alcotest.(check int) "nothing pending" 0
-    (Cornflakes.Segment.Reassembler.pending reassembler)
+    (Segment.Reassembler.pending reassembler)
 
 let suite = suite @ [
   Alcotest.test_case "reassembler expires stalls" `Quick
