@@ -15,7 +15,6 @@
 type t = {
   index : int; (* dense 0..n-1, for per-shard report rows *)
   id : int; (* endpoint id on the fabric *)
-  space : Mem.Addr_space.t;
   cpu : Memmodel.Cpu.t;
   ep : Net.Endpoint.t;
   tr : Net.Transport.t;
@@ -68,8 +67,7 @@ let handle_get t ~cpu r resp =
       (* Positional alignment with the sub-request keys must survive a
          miss: answer an empty value for this slot. *)
       t.misses <- t.misses + 1;
-      Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals
-        (Wire.Payload.of_string t.space "")
+      Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals Wire.Payload.empty
     end
   done
 
@@ -140,7 +138,6 @@ let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit
     {
       index;
       id;
-      space;
       cpu;
       ep;
       tr;

@@ -162,11 +162,15 @@ let gen_and_send t crng client ~dst ~id =
   (* Client-side arenas hold per-request copies; recycle them. *)
   Mem.Arena.reset (Net.Transport.arena client)
 
+(* The response's id, or -1 for a frame that fails validation. *)
 let parse_id t buf =
-  Wire.Reader.validate t.resp_reader buf;
   let id =
-    Int64.to_int
-      (Wire.Reader.get_u64_or t.resp_reader Apps.Proto.resp_id ~default:(-1L))
+    match Wire.Reader.validate t.resp_reader buf with
+    | exception Wire.Reader.Invalid _ -> -1
+    | () ->
+        Int64.to_int
+          (Wire.Reader.get_u64_or t.resp_reader Apps.Proto.resp_id
+             ~default:(-1L))
   in
   List.iter (fun c -> Mem.Arena.reset (Net.Transport.arena c)) t.clients;
   id

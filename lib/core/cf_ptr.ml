@@ -62,10 +62,10 @@ let copy_folded ~cpu (_config : Config.t) ep view = copy_arm ~cpu ep view
 let of_buf ~cpu ?site ~threshold ep (p : Wire.Payload.t) =
   match p with
   | Wire.Payload.Zero_copy buf when Mem.Pinned.Buf.len buf < threshold -> (
-      match copy ~cpu ?site ep (Mem.Pinned.Buf.view buf) with
+      match Mem.Arena.copy_in_buf ~cpu ?site (Net.Endpoint.arena ep) buf with
       | copied ->
           Mem.Pinned.Buf.decr_ref ~cpu ?site buf;
-          copied
+          Wire.Payload.Copied copied
       | exception Mem.Pinned.Out_of_memory _ ->
           (* Already-referenced pinned bytes: keep the reference and ship
              zero-copy instead of failing. *)

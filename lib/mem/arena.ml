@@ -162,6 +162,17 @@ let copy_in ~cpu ?site t src =
     ~len:src.View.len;
   dst
 
+(* [copy_in] from a pinned buffer's window, read straight out of its
+   backing chunk: the same bytes and charges, without a [View] of the
+   source. *)
+let copy_in_buf ~cpu ?site t buf =
+  let len = Pinned.Buf.len buf in
+  let dst = alloc ~cpu ?site t ~len in
+  Pinned.Buf.blit_to ?site buf ~dst:t.backing ~dst_off:dst.View.off;
+  Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(Pinned.Buf.addr buf) ~len;
+  Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:dst.View.addr ~len;
+  dst
+
 (* Generation bumps only happen while the sanitizer observes: with it off
    the gens table is never read, and keeping the recycle hit path free of
    hashing (and of the [Hashtbl.replace] allocation) is what makes

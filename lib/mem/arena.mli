@@ -51,6 +51,12 @@ val oom_events : t -> int
     of the copy. Raises [Out_of_memory] if the arena is full. *)
 val copy_in : cpu:Memmodel.Cpu.t -> ?site:string -> t -> View.t -> View.t
 
+(** [copy_in_buf ~cpu ?site t buf] is [copy_in] of [buf]'s window, read
+    from the pinned buffer directly: the same copy and charges, with no
+    source [View] built. Raises [Pinned.Use_after_free] for a dead buffer. *)
+val copy_in_buf :
+  cpu:Memmodel.Cpu.t -> ?site:string -> t -> Pinned.Buf.t -> View.t
+
 (** [alloc ~cpu ?site t ~len] reserves arena space (for headers built in
     place), preferring a recycled chunk of the same size class. *)
 val alloc : cpu:Memmodel.Cpu.t -> ?site:string -> t -> len:int -> View.t

@@ -162,6 +162,39 @@ let make_tcp_round_trip () =
     Net.Transport.send_inline tr ~dst:2 ~head ~zc:[||] ~zc_n:0;
     Sim.Engine.run_all engine
 
+(* One 4-key multi-get per op through a dispatcher in front of four
+   shards: the client's request, the sub-requests to the owning shards,
+   their partial responses, reassembly and the reply, the engine
+   drained. *)
+let make_cluster_fanout ~seed () =
+  let backend = Apps.Backend.cornflakes () in
+  let topo =
+    Cluster.Topology.create ~transport:`Udp ~seed ~n_clients:1 ~shards:4
+      ~n_keys:64 ~backend ()
+  in
+  let engine = Cluster.Topology.engine topo in
+  let client = List.hd (Cluster.Topology.clients topo) in
+  Net.Transport.set_rx client (fun ~src:_ buf ->
+      Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"bench.cluster" buf);
+  let space = Mem.Addr_space.create () in
+  let keys =
+    Array.init 4 (fun i ->
+        Wire.Payload.of_string space (Cluster.Plan.key_of (1 + i)))
+  in
+  let req = Wire.Dyn.create Apps.Proto.req in
+  let next_id = ref 0 in
+  fun () ->
+    incr next_id;
+    Wire.Dyn.clear req;
+    Wire.Dyn.set_int_of_int req Apps.Proto.req_id !next_id;
+    Wire.Dyn.set_int_at req Apps.Proto.req_op Apps.Proto.op_get;
+    for i = 0 to 3 do
+      Wire.Dyn.append_payload_at req Apps.Proto.req_keys keys.(i)
+    done;
+    backend.Apps.Backend.send client ~dst:Cluster.Topology.dispatcher_id req;
+    Mem.Arena.reset (Net.Transport.arena client);
+    Sim.Engine.run_all engine
+
 let event_tick () = ()
 
 let release_frame ~src:_ buf = Mem.Pinned.Buf.decr_ref ~cpu:none buf
@@ -333,6 +366,7 @@ let make_benchmarks ~seed () =
   let find_next = ref 0 in
   (* Two TCP stacks, connected: built on first use, like the store. *)
   let tcp_round_trip = lazy (make_tcp_round_trip ()) in
+  let cluster_fanout = lazy (make_cluster_fanout ~seed ()) in
   let zipf = Sim.Dist.Zipf.create ~n:1_000_000 ~s:0.99 in
   let zipf_rng = Sim.Rng.create ~seed in
   let cache_cpu = Memmodel.Cpu.create Memmodel.Params.default in
@@ -569,6 +603,11 @@ let make_benchmarks ~seed () =
       name = "tcp-fast-path-roundtrip";
       tracked = true;
       fn = (fun () -> (Lazy.force tcp_round_trip) ());
+    };
+    {
+      name = "cluster-fanout-mget4";
+      tracked = true;
+      fn = (fun () -> (Lazy.force cluster_fanout) ());
     };
     (* Last: once built, its fixture stays live, and a large live heap
        slows the GC stabilization before every timing sample. *)

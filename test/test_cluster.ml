@@ -131,9 +131,14 @@ let payload_strings msg field =
 
 (* Send one request through the dispatcher and run the engine dry;
    returns (response id, vals) as the client saw them. *)
-let roundtrip topo backend ~op ~keys ?(vals = []) ~id () =
+let roundtrip ?space ?(dst = Cluster.Topology.dispatcher_id) topo backend ~op
+    ~keys ?(vals = []) ~id () =
   let client = List.hd (Cluster.Topology.clients topo) in
-  let space = Mem.Registry.space (Cluster.Topology.registry topo) in
+  let space =
+    match space with
+    | Some s -> s
+    | None -> Mem.Registry.space (Cluster.Topology.registry topo)
+  in
   let got = ref None in
   Net.Transport.set_rx client (fun ~src:_ buf ->
       let msg = Test_env.decode backend client Apps.Proto.resp buf in
@@ -157,8 +162,7 @@ let roundtrip topo backend ~op ~keys ?(vals = []) ~id () =
       Wire.Dyn.append msg "vals"
         (Wire.Dyn.Payload (Wire.Payload.of_string space v)))
     vals;
-  backend.Apps.Backend.send client
-    ~dst:Cluster.Topology.dispatcher_id msg;
+  backend.Apps.Backend.send client ~dst msg;
   Wire.Dyn.release ~cpu:none msg;
   Mem.Arena.reset (Net.Transport.arena client);
   Sim.Engine.run_all (Cluster.Topology.engine topo);
@@ -317,6 +321,538 @@ let test_rejects_baseline_backend () =
         (Cluster.Topology.create ~seed:11 ~n_clients:1 ~shards:2 ~n_keys
            ~backend:Apps.Backend.protobuf ()))
 
+
+(* A miss answers the shared empty payload: positional alignment holds,
+   misses reserve no simulated address space, and a shard answers a
+   request of four misses with no more minor words than one of no keys.
+   The client builds its keys in a space of its own, so only the
+   cluster's space is watched. *)
+let test_misses_are_empty_and_reserve_nothing () =
+  let topo, backend = make_topo () in
+  let space = Mem.Registry.space (Cluster.Topology.registry topo) in
+  let client_space = Mem.Addr_space.create () in
+  let k1, k2 = keys_spanning topo in
+  let miss i = Cluster.Plan.key_of (10_000 + i) in
+  (match
+     roundtrip ~space:client_space topo backend ~op:Apps.Proto.op_get
+       ~keys:[ miss 0; k1; miss 1; k2; miss 2 ] ~id:3 ()
+   with
+  | Some (3, vals) ->
+      Alcotest.(check (list string)) "empty value at each miss"
+        [ ""; stored_value topo k1; ""; stored_value topo k2; "" ]
+        vals
+  | _ -> Alcotest.fail "bad mixed hit/miss response");
+  let used = Mem.Addr_space.used space in
+  for i = 0 to 249 do
+    match
+      roundtrip ~space:client_space topo backend ~op:Apps.Proto.op_get
+        ~keys:(List.init 4 (fun j -> miss (4 * i + j)))
+        ~id:(100 + i) ()
+    with
+    | Some (_, [ ""; ""; ""; "" ]) -> ()
+    | _ -> Alcotest.failf "bad all-miss response %d" i
+  done;
+  Alcotest.(check int) "misses counted" 1_003
+    (List.fold_left
+       (fun acc s -> acc + Cluster.Shard.misses s)
+       0
+       (Cluster.Topology.shard_list topo));
+  Alcotest.(check int) "1,000 misses reserve no address space" used
+    (Mem.Addr_space.used space);
+  let shard = List.hd (Cluster.Topology.shard_list topo) in
+  let words = ref 0.0 in
+  Loadgen.Server.set_handler (Cluster.Shard.server shard) (fun ~src buf ->
+      let w0 = Gc.minor_words () in
+      Cluster.Shard.handler shard ~src buf;
+      words := !words +. (Gc.minor_words () -. w0));
+  let words_per_request keys =
+    let ask id =
+      match
+        roundtrip ~space:client_space ~dst:(Cluster.Shard.id shard) topo
+          backend ~op:Apps.Proto.op_get ~keys ~id ()
+      with
+      | Some (rid, vals) when rid = id && List.length vals = List.length keys
+        ->
+          ()
+      | _ -> Alcotest.failf "bad direct response %d" id
+    in
+    for id = 1 to 100 do
+      ask id
+    done;
+    words := 0.0;
+    for id = 1 to 1_000 do
+      ask id
+    done;
+    !words /. 1_000.0
+  in
+  let none_ = words_per_request [] in
+  let misses = words_per_request (List.init 4 miss) in
+  if misses > none_ +. 0.5 then
+    Alcotest.failf "4 misses cost the shard %.1f words, no keys %.1f" misses
+      none_
+
+(* The client's response parser returns -1 for a frame that fails
+   validation, and parses the next valid reply as before. *)
+let test_parse_id_rejects_garbled_replies () =
+  let topo, _ = make_topo () in
+  let space = Mem.Addr_space.create () in
+  let reply =
+    let msg = Wire.Dyn.create Apps.Proto.resp in
+    Wire.Dyn.set_int msg "id" 4242L;
+    Wire.Dyn.append msg "vals"
+      (Wire.Dyn.Payload (Wire.Payload.of_string space "value"));
+    Test_reader.serialize_string msg
+  in
+  let parse s = Cluster.Topology.parse_id topo (Test_fuzz.make_buf s) in
+  Alcotest.(check int) "64 bytes of 0xff" (-1) (parse (String.make 64 '\xff'));
+  Alcotest.(check int) "reply cut one byte short" (-1)
+    (parse (String.sub reply 0 (String.length reply - 1)));
+  Alcotest.(check int) "next valid reply" 4242 (parse reply)
+
+(* --- dispatcher fan-out table against a model --------------------------- *)
+
+(* A dispatcher whose shards are bare endpoints: the test sees every
+   sub-request and answers it itself, so it picks the order, number and
+   shape of the partial responses. *)
+type harness = {
+  engine : Sim.Engine.t;
+  lit_space : Mem.Addr_space.t; (* the test's own payloads *)
+  backend : Apps.Backend.t;
+  disp : Cluster.Dispatcher.t;
+  ring : Cluster.Ring.t;
+  shard_trs : (int * Net.Transport.t) list;
+  client : Net.Transport.t;
+  subreqs : (int * int * string list) Queue.t; (* fan-out id, shard, keys *)
+  replies : (int64 * string list) Queue.t; (* client id, values *)
+}
+
+let make_harness ~shards =
+  let engine = Sim.Engine.create () in
+  let fabric = Net.Fabric.create engine in
+  let registry = Mem.Registry.create (Mem.Addr_space.create ()) in
+  let backend = Apps.Backend.cornflakes () in
+  let shard_ids = List.init shards (fun i -> i + 1) in
+  let ring = Cluster.Ring.create ~vnodes:64 shard_ids in
+  let disp =
+    Cluster.Dispatcher.create ~fabric ~registry ~kind:`Udp ~backend
+      ~queue_limit:1_000_000 ~id:Cluster.Topology.dispatcher_id ~ring
+      ~shard_ids
+  in
+  let transport id =
+    Apps.Rig.transport_for ~kind:`Udp
+      (Net.Endpoint.create ~cpu:none fabric registry ~id)
+  in
+  let subreqs = Queue.create () and replies = Queue.create () in
+  let on_frame tr desc f ~src:_ buf =
+    let msg = Test_env.decode backend tr desc buf in
+    f (Option.value ~default:(-1L) (Wire.Dyn.get_int msg "id")) msg;
+    Wire.Dyn.release ~cpu:none msg;
+    Mem.Pinned.Buf.decr_ref ~cpu:none buf;
+    Mem.Arena.reset (Net.Transport.arena tr)
+  in
+  let shard_trs =
+    List.map
+      (fun sid ->
+        let tr = transport sid in
+        Net.Transport.set_rx tr
+          (on_frame tr Apps.Proto.req (fun id msg ->
+               Queue.add
+                 (Int64.to_int id, sid, payload_strings msg "keys")
+                 subreqs));
+        (sid, tr))
+      shard_ids
+  in
+  let client = transport Cluster.Topology.client_base in
+  Net.Transport.set_rx client
+    (on_frame client Apps.Proto.resp (fun id msg ->
+         Queue.add (id, payload_strings msg "vals") replies));
+  {
+    engine;
+    lit_space = Mem.Addr_space.create ();
+    backend;
+    disp;
+    ring;
+    shard_trs;
+    client;
+    subreqs;
+    replies;
+  }
+
+let h_send h tr msg =
+  h.backend.Apps.Backend.send tr ~dst:Cluster.Topology.dispatcher_id msg;
+  Wire.Dyn.release ~cpu:none msg;
+  Mem.Arena.reset (Net.Transport.arena tr);
+  Sim.Engine.run_all h.engine
+
+let append_strings h msg field l =
+  List.iter
+    (fun v ->
+      Wire.Dyn.append msg field
+        (Wire.Dyn.Payload (Wire.Payload.of_string h.lit_space v)))
+    l
+
+let h_request h ~id keys =
+  let msg = Wire.Dyn.create Apps.Proto.req in
+  Wire.Dyn.set_int msg "id" id;
+  Wire.Dyn.set_int msg "op" Apps.Proto.op_get;
+  append_strings h msg "keys" keys;
+  h_send h h.client msg
+
+let h_partial h ~fid ~shard vals =
+  let msg = Wire.Dyn.create Apps.Proto.resp in
+  Wire.Dyn.set_int msg "id" (Int64.of_int fid);
+  append_strings h msg "vals" vals;
+  h_send h (List.assoc shard h.shard_trs) msg
+
+(* Key [i] of a 12-key universe and its value: lengths straddle the
+   adaptive threshold, so forwards go both zero-copy and copied. *)
+let fk i = Printf.sprintf "key-%02d" i
+
+let value_lens = [| 0; 1; 8; 40; 63; 64; 65; 100; 200; 300; 0; 600 |]
+
+let fv key =
+  let i = int_of_string (String.sub key 4 2) in
+  String.make value_lens.(i) (Char.chr (97 + i))
+
+(* Answer every sub-request seen so far in full. *)
+let answer_all h =
+  while not (Queue.is_empty h.subreqs) do
+    let fid, shard, keys = Queue.pop h.subreqs in
+    h_partial h ~fid ~shard (List.map fv keys)
+  done
+
+let check_reply h ~id expect =
+  match Queue.take_opt h.replies with
+  | Some (rid, vals) ->
+      Alcotest.(check int64) "client id echoed bit for bit" id rid;
+      Alcotest.(check (list string)) "values in request order" expect vals
+  | None -> Alcotest.failf "no reply to %Ld" id
+
+(* The client id is echoed exactly for any 64-bit value, on the fan-out
+   path and on the no-key path, and the audit counts responses per id. *)
+let test_completion_audit_ids () =
+  let keys = [ fk 1; fk 2; fk 3 ] in
+  let ask h id =
+    h_request h ~id keys;
+    answer_all h;
+    check_reply h ~id (List.map fv keys)
+  in
+  let h = make_harness ~shards:2 in
+  let audit () = Cluster.Dispatcher.audit h.disp in
+  List.iter (ask h) [ 0L; -1L; Int64.max_int; Int64.shift_left 1L 40 ];
+  h_request h ~id:Int64.min_int [];
+  check_reply h ~id:Int64.min_int [];
+  Alcotest.(check int) "one response per id" 1
+    (audit ()).Cluster.Dispatcher.max_completions_per_id;
+  Alcotest.(check bool) "exactly once" true
+    (Cluster.Dispatcher.exactly_once (audit ()));
+  ask h 0L;
+  Alcotest.(check int) "id 0 answered twice" 2
+    (audit ()).Cluster.Dispatcher.max_completions_per_id;
+  Alcotest.(check bool) "no longer exactly once" false
+    (Cluster.Dispatcher.exactly_once (audit ()));
+  let h = make_harness ~shards:2 in
+  List.iter (ask h) [ Int64.shift_left 1L 40; Int64.shift_left 1L 40 ];
+  Alcotest.(check int) "2^40 answered twice" 2
+    (Cluster.Dispatcher.audit h.disp).Cluster.Dispatcher.max_completions_per_id
+
+(* A partial for a finished fan-out whose ring slot now holds a later
+   fan-out (ids 1 and 65 share a slot of the 64-slot ring) is an orphan,
+   and the later fan-out completes as if it had not arrived. *)
+let test_stale_partial_on_reused_slot () =
+  let h = make_harness ~shards:1 in
+  let keys = [ fk 3; fk 7 ] in
+  h_request h ~id:1L keys;
+  let stale = Queue.peek h.subreqs in
+  answer_all h;
+  check_reply h ~id:1L (List.map fv keys);
+  for id = 2 to 64 do
+    h_request h ~id:(Int64.of_int id) keys;
+    answer_all h;
+    check_reply h ~id:(Int64.of_int id) (List.map fv keys)
+  done;
+  h_request h ~id:65L keys;
+  let fid, shard, _ = stale in
+  h_partial h ~fid ~shard [ "stale"; "stale" ];
+  let a = Cluster.Dispatcher.audit h.disp in
+  Alcotest.(check int) "stale partial is an orphan" 1
+    a.Cluster.Dispatcher.orphan_partials;
+  Alcotest.(check int) "fan-out 65 still in flight" 1 a.Cluster.Dispatcher.in_flight;
+  Alcotest.(check bool) "no reply yet" true (Queue.is_empty h.replies);
+  answer_all h;
+  check_reply h ~id:65L (List.map fv keys)
+
+(* Operations on the fan-out table. Indices pick among the candidates at
+   the time the operation runs. *)
+type fop =
+  | Request of int list (* key indices, duplicates allowed *)
+  | Deliver of int (* a pending group's partial, in full *)
+  | Short of int (* a pending group's partial, one value short *)
+  | Resend of int (* a partial delivered before: dup, or stale once done *)
+  | Unknown of int (* a fan-out id never issued *)
+  | Wrong_shard of int (* a pending fan-out, from a shard it did not ask *)
+
+let show_fop = function
+  | Request ks -> "Request[" ^ String.concat ";" (List.map string_of_int ks) ^ "]"
+  | Deliver i -> Printf.sprintf "Deliver %d" i
+  | Short i -> Printf.sprintf "Short %d" i
+  | Resend i -> Printf.sprintf "Resend %d" i
+  | Unknown i -> Printf.sprintf "Unknown %d" i
+  | Wrong_shard i -> Printf.sprintf "Wrong_shard %d" i
+
+let gen_fop =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun ks -> Request ks) (list_size (int_range 1 8) (int_bound 11)));
+        (5, map (fun i -> Deliver i) nat);
+        (1, map (fun i -> Short i) nat);
+        (1, map (fun i -> Resend i) nat);
+        (1, map (fun i -> Unknown i) nat);
+        (1, map (fun i -> Wrong_shard i) nat);
+      ])
+
+(* The reference model of one pending fan-out. *)
+type mgroup = { g_keys : string list; mutable g_vals : string list option }
+
+type mfanout = { m_id : int64; m_keys : string list; m_groups : (int * mgroup) list }
+
+type model = {
+  pending : (int, mfanout) Hashtbl.t;
+  mutable history : (int * int * string list) list; (* first deliveries *)
+  mutable started : int;
+  mutable completed : int;
+  mutable partials : int;
+  mutable dups : int;
+  mutable orphans : int;
+  mutable misaligned : int;
+}
+
+let groups_of ring keys =
+  List.fold_left
+    (fun acc k ->
+      let sh = Cluster.Ring.owner ring k in
+      if List.mem_assoc sh acc then
+        List.map (fun (s, ks) -> if s = sh then (s, ks @ [ k ]) else (s, ks)) acc
+      else acc @ [ (sh, [ k ]) ])
+    [] keys
+
+let nth_mod l i = List.nth l (i mod List.length l)
+
+let prop_fanout_table =
+  QCheck.Test.make ~count:40 ~name:"dispatcher fan-out table matches a model"
+    QCheck.(
+      make
+        ~print:(fun (n, ops) ->
+          Printf.sprintf "%d shards: %s" n (String.concat ", " (List.map show_fop ops)))
+        Gen.(pair (int_range 1 4) (list_size (int_range 100 400) gen_fop)))
+    (fun (shards, ops) ->
+      Test_faults.with_san (fun () ->
+          let h = make_harness ~shards in
+          let m =
+            {
+              pending = Hashtbl.create 64;
+              history = [];
+              started = 0;
+              completed = 0;
+              partials = 0;
+              dups = 0;
+              orphans = 0;
+              misaligned = 0;
+            }
+          in
+          let next_fid = ref 1 in
+          let fail fmt = QCheck.Test.fail_reportf fmt in
+          let undelivered () =
+            Hashtbl.fold
+              (fun fid f acc ->
+                List.fold_left
+                  (fun acc (sh, g) ->
+                    if g.g_vals = None then (fid, sh, g.g_keys) :: acc else acc)
+                  acc f.m_groups)
+              m.pending []
+            |> List.sort compare
+          in
+          let deliver ~fid ~shard vals =
+            h_partial h ~fid ~shard vals;
+            m.partials <- m.partials + 1;
+            match Hashtbl.find_opt m.pending fid with
+            | None -> m.orphans <- m.orphans + 1
+            | Some f -> (
+                match List.assoc_opt shard f.m_groups with
+                | None -> m.orphans <- m.orphans + 1
+                | Some { g_vals = Some _; _ } -> m.dups <- m.dups + 1
+                | Some g ->
+                    g.g_vals <- Some vals;
+                    m.history <- (fid, shard, vals) :: m.history;
+                    if List.length vals <> List.length g.g_keys then
+                      m.misaligned <- m.misaligned + 1;
+                    if List.for_all (fun (_, g) -> g.g_vals <> None) f.m_groups
+                    then begin
+                      Hashtbl.remove m.pending fid;
+                      m.completed <- m.completed + 1;
+                      (* Values are positional: a key is answered with the
+                         value at its rank in its group's partial, if the
+                         partial carried that many. *)
+                      let expect =
+                        List.concat
+                          (List.mapi
+                             (fun j k ->
+                               let sh = Cluster.Ring.owner h.ring k in
+                               let g = List.assoc sh f.m_groups in
+                               let rank =
+                                 List.length
+                                   (List.filter
+                                      (fun k' -> Cluster.Ring.owner h.ring k' = sh)
+                                      (List.filteri (fun j' _ -> j' < j) f.m_keys))
+                               in
+                               match List.nth_opt (Option.get g.g_vals) rank with
+                               | Some v -> [ v ]
+                               | None -> [])
+                             f.m_keys)
+                      in
+                      match Queue.take_opt h.replies with
+                      | Some (id, vals) when id = f.m_id && vals = expect -> ()
+                      | Some (id, vals) ->
+                          fail "reply %Ld [%s], expected %Ld [%s]" id
+                            (String.concat ";" vals) f.m_id
+                            (String.concat ";" expect)
+                      | None -> fail "fan-out %d completed without a reply" fid
+                    end)
+          in
+          let run = function
+            | Request ks ->
+                let keys = List.map fk ks in
+                let fid = !next_fid in
+                incr next_fid;
+                let id = Int64.of_int (1000 + fid) in
+                h_request h ~id keys;
+                m.started <- m.started + 1;
+                let groups = groups_of h.ring keys in
+                let seen = List.of_seq (Queue.to_seq h.subreqs) in
+                Queue.clear h.subreqs;
+                let want = List.sort compare (List.map (fun (sh, ks) -> (fid, sh, ks)) groups) in
+                if List.sort compare seen <> want then
+                  fail "fan-out %d: sub-requests differ from the model" fid;
+                Hashtbl.replace m.pending fid
+                  {
+                    m_id = id;
+                    m_keys = keys;
+                    m_groups =
+                      List.map (fun (sh, ks) -> (sh, { g_keys = ks; g_vals = None })) groups;
+                  }
+            | Deliver i -> (
+                match undelivered () with
+                | [] -> ()
+                | l ->
+                    let fid, shard, keys = nth_mod l i in
+                    deliver ~fid ~shard (List.map fv keys))
+            | Short i -> (
+                match undelivered () with
+                | [] -> ()
+                | l ->
+                    let fid, shard, keys = nth_mod l i in
+                    deliver ~fid ~shard
+                      (List.filteri (fun j _ -> j > 0) (List.map fv keys)))
+            | Resend i -> (
+                match m.history with
+                | [] -> ()
+                | l ->
+                    let fid, shard, vals = nth_mod l i in
+                    deliver ~fid ~shard vals)
+            | Unknown i -> deliver ~fid:(1_000_000 + i) ~shard:1 [ "x" ]
+            | Wrong_shard i -> (
+                let cands =
+                  Hashtbl.fold
+                    (fun fid f acc ->
+                      List.fold_left
+                        (fun acc sh ->
+                          if List.mem_assoc sh f.m_groups then acc
+                          else (fid, sh) :: acc)
+                        acc
+                        (List.init shards (fun s -> s + 1)))
+                    m.pending []
+                  |> List.sort compare
+                in
+                match cands with
+                | [] -> ()
+                | l ->
+                    let fid, shard = nth_mod l i in
+                    deliver ~fid ~shard [ "x" ])
+          in
+          let check what =
+            let a = Cluster.Dispatcher.audit h.disp in
+            let want =
+              Cluster.Dispatcher.
+                {
+                  fanouts_started = m.started;
+                  fanouts_completed = m.completed;
+                  partials = m.partials;
+                  dup_partials = m.dups;
+                  orphan_partials = m.orphans;
+                  misaligned = m.misaligned;
+                  in_flight = Hashtbl.length m.pending;
+                  max_completions_per_id = (if m.completed > 0 then 1 else 0);
+                }
+            in
+            if a <> want then fail "audit differs from the model after %s" what;
+            if not (Queue.is_empty h.replies) then fail "unexpected reply after %s" what
+          in
+          List.iter
+            (fun op ->
+              run op;
+              check (show_fop op))
+            ops;
+          List.iter
+            (fun (fid, shard, keys) -> deliver ~fid ~shard (List.map fv keys))
+            (undelivered ());
+          check "draining";
+          Sim.Engine.quiesce h.engine;
+          let leaks = List.length (Sanitizer.Refsan.leaks ()) in
+          let hazards = Sanitizer.Refsan.hazard_count () in
+          if leaks <> 0 || hazards <> 0 then
+            fail "refsan: %d leaks, %d hazards" leaks hazards;
+          true))
+
+(* Steady-state allocation of a 4-key multi-get in the dispatcher alone
+   (its handler, counted around each call). Every forwarded key and every
+   retained value is one 7-word buffer handle in a 2-word [Zero_copy]
+   box: 8 x 9 = 72 words is the per-reference floor. Beyond it are each
+   send's staging handle (12 words, one per sub-request and one for the
+   response) and the arena copies of values the adaptive threshold
+   demotes (7 words each): 24 to 88 words at 1 to 4 owning shards. *)
+let test_fanout_allocation_budget () =
+  let topo, backend = make_topo ~shards:4 () in
+  let d = Cluster.Topology.dispatcher topo in
+  let words = ref 0.0 in
+  Loadgen.Server.set_handler (Cluster.Dispatcher.server d) (fun ~src buf ->
+      let w0 = Gc.minor_words () in
+      Cluster.Dispatcher.handler d ~src buf;
+      words := !words +. (Gc.minor_words () -. w0));
+  let keys = List.init 4 (fun i -> Cluster.Plan.key_of (1 + (7 * i))) in
+  let client_space = Mem.Addr_space.create () in
+  let mget id =
+    match
+      roundtrip ~space:client_space topo backend ~op:Apps.Proto.op_get ~keys ~id ()
+    with
+    | Some (rid, vals) when rid = id && List.length vals = 4 -> ()
+    | _ -> Alcotest.failf "bad response to multi-get %d" id
+  in
+  for id = 1 to 200 do
+    mget id
+  done;
+  words := 0.0;
+  let n = 1_000 in
+  for id = 201 to 200 + n do
+    mget id
+  done;
+  let per = !words /. float_of_int n in
+  let floor = 72.0 and budget = 88.0 in
+  if per > floor +. budget then
+    Alcotest.failf "%.1f words per 4-key multi-get: %.1f beyond the %.0f-word \
+                    floor, budget %.0f"
+      per (per -. floor) floor budget
+
 let suite =
   [
     Alcotest.test_case "ring membership order irrelevant" `Quick
@@ -338,4 +874,15 @@ let suite =
       test_rejects_baseline_backend;
     Alcotest.test_case "dispatcher drops an invalid frame" `Quick
       test_dispatcher_drops_invalid_frame;
+    Alcotest.test_case "misses are empty and reserve nothing" `Quick
+      test_misses_are_empty_and_reserve_nothing;
+    Alcotest.test_case "parse_id rejects garbled replies" `Quick
+      test_parse_id_rejects_garbled_replies;
+    Alcotest.test_case "completion audit echoes any 64-bit id" `Quick
+      test_completion_audit_ids;
+    Alcotest.test_case "stale partial on a reused slot" `Quick
+      test_stale_partial_on_reused_slot;
+    QCheck_alcotest.to_alcotest prop_fanout_table;
+    Alcotest.test_case "fan-out allocation budget" `Quick
+      test_fanout_allocation_budget;
   ]
