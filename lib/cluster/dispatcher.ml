@@ -142,13 +142,6 @@ let fresh_fanout t =
   t.next_fanout <- id + 1;
   id
 
-(* Field [i] of [r] into [dst]'s 8 bytes, or [default] when absent:
-   charged as [Wire.Reader.get_u64_or], with no int64 boxed. *)
-let read_u64 r i dst ~default =
-  if Wire.Reader.present r i then Wire.Reader.blit_u64 r i dst ~dst_off:0
-  else Bytes.set_int64_le dst 0 default
-[@@alloc_free]
-
 (* Move a retained slot payload into the egress response: the per-source-
    shard adaptive estimator keeps the pinned reference (handed to the
    stack) or copies into the arena and drops it, and learns from either. *)
@@ -272,8 +265,9 @@ let release_fanout f =
 let handle_request_zc t ~src r =
   let fid = fresh_fanout t in
   let f = Sim.Id_ring.claim t.fanouts (Array.length t.shard_ids) ~id:fid in
-  read_u64 r Apps.Proto.req_id f.client_id ~default:(-1L);
-  read_u64 r Apps.Proto.req_op t.word ~default:Apps.Proto.op_get;
+  Wire.Reader.get_u64_into r Apps.Proto.req_id f.client_id ~default:(-1L);
+  Wire.Reader.get_u64_into r Apps.Proto.req_op t.word
+    ~default:Apps.Proto.op_get;
   let st =
     Rpc.Table.dispatch t.strategies (Int64.to_int (Bytes.get_int64_le t.word 0))
   in
@@ -342,7 +336,7 @@ let assemble t f =
 
 let handle_partial_zc t ~src r =
   t.partials <- t.partials + 1;
-  read_u64 r Apps.Proto.resp_id t.word ~default:(-1L);
+  Wire.Reader.get_u64_into r Apps.Proto.resp_id t.word ~default:(-1L);
   let fid = Int64.to_int (Bytes.get_int64_le t.word 0) in
   if not (Sim.Id_ring.mem t.fanouts ~id:fid) then
     t.orphan_partials <- t.orphan_partials + 1

@@ -8,6 +8,7 @@ let driver app =
    systems lets the first system pay every cold miss and hands the later
    ones a warm cache — an order bias we must not have. *)
 let with_apps ?rig ?transport ~workload backends f =
+  let fresh = Option.is_none rig in
   let run backend =
     let rig =
       match rig with Some r -> r | None -> Apps.Rig.create ?transport ()
@@ -21,6 +22,12 @@ let with_apps ?rig ?transport ~workload backends f =
       Sim.Engine.quiesce rig.Apps.Rig.engine;
       Sanitizer.Refsan.checkpoint ()
     end;
+    (* End of the rig's life: collect it now rather than whenever the
+       major GC next completes a cycle. Left to the GC's pacing, finished
+       rigs (pinned chunks, store, NIC state) pile up behind the next one,
+       and the experiment's peak RSS moves with every change to how much
+       the request path allocates. *)
+    if fresh then Gc.full_major ();
     (backend.Apps.Backend.name, result)
   in
   match rig with

@@ -247,15 +247,32 @@ let alloc_entry_addr t =
 
 (* Store-owned references are legitimate long-lived state, not leaks:
    declare them to RefSan as roots while the entry holds them. *)
-let root_value v =
-  List.iter (fun b -> Mem.Pinned.Buf.root ~site:"Store.put" b) (buffers v)
+let root_buf b = Mem.Pinned.Buf.root ~site:"Store.put" b
 
-let release_value ~cpu v =
-  List.iter
-    (fun b ->
-      Mem.Pinned.Buf.unroot ~site:"Store.release" b;
-      Mem.Pinned.Buf.decr_ref ~cpu ~site:"Store.release" b)
-    (buffers v)
+let root_value = function
+  | Single b -> root_buf b
+  | Linked bs -> List.iter root_buf bs
+  | Vector arr -> Array.iter root_buf arr
+
+let release_buf ~cpu b =
+  Mem.Pinned.Buf.unroot ~site:"Store.release" b;
+  Mem.Pinned.Buf.decr_ref ~cpu ~site:"Store.release" b
+
+let rec release_list ~cpu = function
+  | [] -> ()
+  | b :: rest ->
+      release_buf ~cpu b;
+      release_list ~cpu rest
+
+(* Buffer by buffer, in order, with no list or closure built: a put that
+   swaps out a value runs this on every request. *)
+let release_value ~cpu = function
+  | Single b -> release_buf ~cpu b
+  | Linked bs -> release_list ~cpu bs
+  | Vector arr ->
+      for i = 0 to Array.length arr - 1 do
+        release_buf ~cpu arr.(i)
+      done
 
 (* --- operations --------------------------------------------------------- *)
 

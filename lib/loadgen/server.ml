@@ -128,6 +128,8 @@ let create ?(queue_limit = 4096) tr =
 
 let set_handler t f = t.handler <- f
 
+let handler t = t.handler
+
 let set_service_fault t f = t.service_fault <- f
 
 let served t = t.served

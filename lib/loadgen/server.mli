@@ -19,6 +19,9 @@ val create : ?queue_limit:int -> Net.Transport.t -> t
 (** [set_handler t f] — [f ~src buf] owns one reference on [buf]. *)
 val set_handler : t -> (src:int -> Mem.Pinned.Buf.t -> unit) -> unit
 
+(** The handler {!set_handler} installed last (e.g. to wrap it). *)
+val handler : t -> src:int -> Mem.Pinned.Buf.t -> unit
+
 (** Fault injection: [f ~now] returns extra ns to stall the request being
     served (0 = no stall). The stall delays the response release and the
     next request alike — a forced slow consumer holding buffers longer. *)

@@ -387,6 +387,26 @@ module Buf = struct
     Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t + dst_off)
       ~len:src.View.len
 
+  (* [blit_from] with a pinned source window [src_off, src_off + len) of
+     [src], read in place: the same bytes, RefSan write event and charges,
+     with no source [View] built. *)
+  let blit_from_buf ~cpu ?(site = "Pinned.blit_from") t ~src ~src_off ~len
+      ~dst_off =
+    check_live ~site ~op:`Read src;
+    if src_off < 0 || len < 0 || src.off + src_off + len > slot_size src then
+      invalid_arg "Pinned.Buf.blit_from_buf: source out of bounds";
+    check_live ~site ~op:`Write t;
+    if dst_off < 0 || t.off + dst_off + len > slot_size t then
+      invalid_arg "Pinned.Buf.blit_from: out of bounds";
+    Bytes.blit (chunk src) (chunk_off src + src_off) (chunk t)
+      (chunk_off t + dst_off) len;
+    if san_on () then
+      Sanitizer.Refsan.on_write ~id:(san_id t) ~refs:(refcount t)
+        ~addr:(addr t + dst_off) ~len ~site;
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr src + src_off) ~len;
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.Copy ~addr:(addr t + dst_off) ~len
+  [@@alloc_free]
+
   let recover_exn ~cpu ?(site = "Pinned.recover") pool ~addr:a ~len =
     Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Safety Memmodel.Cpu.Range_lookup;
     match Pool.class_of_addr pool ~addr:a with

@@ -160,6 +160,21 @@ module Buf : sig
   val blit_from :
     cpu:Memmodel.Cpu.t -> ?site:string -> t -> src:View.t -> dst_off:int -> unit
 
+  (** [blit_from_buf ~cpu ?site t ~src ~src_off ~len ~dst_off] is
+      {!blit_from} of [src]'s window [src_off, src_off + len), read from the
+      pinned buffer in place: the same copy, RefSan write event and
+      charges, with no source [View] built. Raises [Use_after_free] for a
+      dead [src] or [t]. *)
+  val blit_from_buf :
+    cpu:Memmodel.Cpu.t ->
+    ?site:string ->
+    t ->
+    src:t ->
+    src_off:int ->
+    len:int ->
+    dst_off:int ->
+    unit
+
   (** Report a write that mutated the buffer's bytes without going through
       [fill]/[blit_from] (direct view mutation, e.g. a header writer) so the
       write-after-post detector sees it. *)

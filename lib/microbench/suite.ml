@@ -195,9 +195,36 @@ let make_cluster_fanout ~seed () =
     Mem.Arena.reset (Net.Transport.arena client);
     Sim.Engine.run_all engine
 
-let event_tick () = ()
-
 let release_frame ~src:_ buf = Mem.Pinned.Buf.decr_ref ~cpu:none buf
+
+(* One put per op through a replicated store's primary and two backups:
+   the client's request, the install, both replicates and their acks, and
+   the reply, the engine drained. Eight keys in turn, so each put swaps
+   out a stored value. *)
+let make_repl_put ~seed () =
+  let rig = Apps.Rig.create ~seed ~n_clients:1 () in
+  let workload =
+    Workload.Ycsb.make ~n_keys:64 ~entries:1 ~entry_size:600 ()
+  in
+  let cluster = Replication.Replicated_kv.create rig ~backups:2 ~workload in
+  let client = List.hd rig.Apps.Rig.clients in
+  Net.Transport.set_rx client release_frame;
+  let keys =
+    Array.init 8 (fun i ->
+        Workload.Spec.padded_key ~prefix:"user" ~width:26 (1 + i))
+  in
+  let ops =
+    Array.map (fun key -> Workload.Spec.Put { key; sizes = [ 600 ] }) keys
+  in
+  let next_id = ref 0 in
+  fun () ->
+    incr next_id;
+    Replication.Replicated_kv.send_op cluster
+      ops.(!next_id land 7)
+      client ~dst:Apps.Rig.server_id ~id:!next_id;
+    Sim.Engine.run_all rig.Apps.Rig.engine
+
+let event_tick () = ()
 
 let make_benchmarks ~seed () =
   let event_engine = Sim.Engine.create () in
@@ -367,6 +394,7 @@ let make_benchmarks ~seed () =
   (* Two TCP stacks, connected: built on first use, like the store. *)
   let tcp_round_trip = lazy (make_tcp_round_trip ()) in
   let cluster_fanout = lazy (make_cluster_fanout ~seed ()) in
+  let repl_put = lazy (make_repl_put ~seed ()) in
   let zipf = Sim.Dist.Zipf.create ~n:1_000_000 ~s:0.99 in
   let zipf_rng = Sim.Rng.create ~seed in
   let cache_cpu = Memmodel.Cpu.create Memmodel.Params.default in
@@ -608,6 +636,11 @@ let make_benchmarks ~seed () =
       name = "cluster-fanout-mget4";
       tracked = true;
       fn = (fun () -> (Lazy.force cluster_fanout) ());
+    };
+    {
+      name = "repl-put-2backups";
+      tracked = true;
+      fn = (fun () -> (Lazy.force repl_put) ());
     };
     (* Last: once built, its fixture stays live, and a large live heap
        slows the GC stabilization before every timing sample. *)

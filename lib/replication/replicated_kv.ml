@@ -5,7 +5,24 @@
    envelope's op word dispatches through one [Rpc.Table] per node. The
    generated server skeleton is not used: it tail-sends a reply at once,
    while a put is answered only after every backup acks it, and a backup
-   acks a parked op only when it applies it. *)
+   acks a parked op only when it applies it.
+
+   State that outlives a delivery lives in id rings ([Sim.Id_ring]) of
+   slots built once and reused: the primary's pending puts keyed by
+   sequence number (client endpoint, the client id's 8 bytes, unacked
+   bits), and each backup's out-of-order ops keyed by sequence number
+   (the receive buffer and the frame-relative windows of key and values).
+   Put values are copied from the receive window straight into the
+   replica's pool ([Pinned.Buf.blit_from_buf]); stored values are read in
+   place. An in-order op, which is every op on a lossless fabric, applies
+   straight from the reader, taking and releasing the same receive-buffer
+   references a parked op does, so the two paths charge alike.
+
+   Ingress: a frame that fails envelope or nested validation, carries an
+   op word the node does not serve, or comes from a peer the op may not
+   come from (a replicate not from the primary, an ack not from a backup)
+   is dropped and counted with [Loadgen.Server.reject], as is a replicate
+   whose seq is absent or has bit 63 set. *)
 
 module Rep = Replication_rpc
 module Msg = Rep.Repmsg
@@ -24,15 +41,30 @@ let op_reply = 3L
 
 let config = Cornflakes.Config.default
 
-(* An out-of-order replicate op parked until its sequence turn: the key and
-   value bytes stay in the receive buffer as [Rc_view] slices (one
-   reference each) plus the delivery reference on the buffer itself — no
-   [Dyn] materialization survives the handler. *)
-type parked = {
-  pk_key : Wire.Rc_view.t option;
-  pk_vals : Wire.Rc_view.t list;
-  pk_buf : Mem.Pinned.Buf.t;
+(* The value windows of one op, frame-relative, grown on demand. *)
+type windows = {
+  mutable n : int;
+  mutable offs : int array;
+  mutable lens : int array;
 }
+
+let windows () = { n = 0; offs = [||]; lens = [||] }
+
+(* An out-of-order replicate op parked until its sequence turn. Its key
+   and values stay in the receive buffer [frame], which the slot holds one
+   reference on per window plus the delivery reference. A slot is built
+   by the claim that first needs it, with that claim's buffer; a free
+   slot's [frame] is stale and never read. *)
+type parked = {
+  mutable seq : int; (* -1 while the slot is free *)
+  mutable frame : Mem.Pinned.Buf.t;
+  mutable key_off : int; (* -1: no key *)
+  mutable key_len : int;
+  vals : windows;
+}
+
+let new_parked frame =
+  { seq = -1; frame; key_off = -1; key_len = 0; vals = windows () }
 
 (* A node's handler for one op word, over the validated envelope. It owns
    the delivery reference on the buffer: it releases it, or keeps it (a
@@ -45,8 +77,8 @@ type replica = {
   server : Loadgen.Server.t;
   store : Kvstore.Store.t;
   pool : Mem.Pinned.Pool.t;
-  mutable expected_seq : int64; (* next sequence a backup will apply *)
-  ooo : (int64, parked) Hashtbl.t;
+  mutable expected_seq : int; (* next sequence a backup will apply *)
+  parked : (Mem.Pinned.Buf.t, parked) Sim.Id_ring.t; (* seq -> parked op *)
   table : handler Rpc.Table.t; (* op word -> handler; unknown words drop *)
   (* Pooled readers, revalidated per delivery. *)
   msg_reader : Wire.Reader.t;
@@ -54,198 +86,283 @@ type replica = {
   (* Pooled outgoing envelope and nested op, cleared before each build. *)
   out : Msg.t;
   out_op : Op.t;
+  request_id : Bytes.t; (* the request's id, unboxed *)
+  word : Bytes.t; (* a u64 field read out of a frame, unboxed *)
+  scratch : windows; (* the value windows of the op being applied *)
 }
 
-type pending_put = {
-  client_src : int;
-  client_id : int64;
+(* A put awaiting its backups' acks. *)
+type pending = {
+  mutable pseq : int; (* -1 while the slot is free *)
+  mutable client : int; (* the client's endpoint *)
+  client_id : Bytes.t; (* the client's request id, echoed bit for bit *)
   mutable unacked : int; (* bit [i]: backup [i] has not acked yet *)
 }
+
+let new_pending () =
+  { pseq = -1; client = 0; client_id = Bytes.make 8 '\000'; unacked = 0 }
 
 type cluster = {
   rig : Apps.Rig.t;
   primary : replica;
   backups : replica list;
-  pending : (int64, pending_put) Hashtbl.t;
-  mutable next_seq : int64;
+  nbackups : int;
+  pending : (unit, pending) Sim.Id_ring.t; (* seq -> pending put *)
+  mutable next_seq : int;
   mutable committed : int;
   workload : Workload.Spec.t;
   client_rng : Sim.Rng.t;
   client_msg : Msg.t;
   client_op : Op.t;
   client_reader : Wire.Reader.t; (* client-side id extraction, in place *)
+  (* [Workload.Spec.filler] of the longest put value sent so far: every
+     shorter filler is a prefix of it. *)
+  mutable filler : Bytes.t;
 }
 
 (* Backup [i] is endpoint [backup_id i]. *)
 let backup_id i = 11 + i
 
-let backup_bit src =
+let backup_bit t src =
   let i = src - backup_id 0 in
-  if i >= 0 && i < Sys.int_size - 1 then 1 lsl i else 0
+  if i >= 0 && i < t.nbackups then 1 lsl i else 0
 
 let primary_store t = t.primary.store
 
 let backup_stores t = List.map (fun b -> b.store) t.backups
 
+let backup_servers t = List.map (fun b -> b.server) t.backups
+
 let committed t = t.committed
 
 (* --- Shared helpers ----------------------------------------------------- *)
 
-(* Copy op value windows into a replica's own pinned pool and install
-   (allocate-and-swap put). The sources are in-place views of the receive
-   buffer (or parked [Rc_view]s) — one copy into the store, no
-   intermediate. *)
-let apply_put_views replica data ~off ~len views =
-  let cpu = replica.cpu in
-  let bufs =
-    List.filter_map
-      (fun (src : Mem.View.t) ->
-        match Mem.Pinned.Buf.alloc ~cpu replica.pool ~len:src.Mem.View.len with
-        | buf ->
-            Mem.Pinned.Buf.blit_from ~cpu buf ~src ~dst_off:0;
-            Some buf
-        | exception Mem.Pinned.Out_of_memory _ -> None)
-      views
-  in
-  match bufs with
+let reject replica buf =
+  Loadgen.Server.reject replica.server;
+  Mem.Pinned.Buf.decr_ref ~cpu:replica.cpu buf
+
+(* Field [i] of [r] as a native int, -1 when absent or outside
+   [0, max_int] (bit 63 set, which [Int64.to_int] would drop): read
+   through [replica.word], so nothing is boxed. *)
+let read_int replica r i =
+  Wire.Reader.get_u64_into r i replica.word ~default:(-1L);
+  let v = Bytes.get_int64_le replica.word 0 in
+  if Int64.compare v 0L < 0 then -1 else Int64.to_int v
+[@@alloc_free]
+
+(* Room for [n] windows; the old ones are not kept. *)
+let grow w n =
+  let cap = max 8 (2 * n) in
+  w.offs <- Array.make cap 0;
+  w.lens <- Array.make cap 0
+
+(* The op's value windows into [w], in order, each slot read charged as
+   [Wire.Reader.elem_field]. With [retain], each window takes a reference
+   on [buf] as it is read, as an [Rc_view] of it would. *)
+let take_vals ~cpu ~retain op buf w =
+  let n = Wire.Reader.count_or_zero op Op.idx_vals in
+  if n > Array.length w.offs then grow w n;
+  for j = 0 to n - 1 do
+    let s = Wire.Reader.elem_field op Op.idx_vals ~j in
+    if retain then
+      Mem.Pinned.Buf.incr_ref ~cpu ~site:"Replication.park" buf;
+    Array.unsafe_set w.offs j (Wire.Reader.field_off op s);
+    Array.unsafe_set w.lens j (Wire.Reader.field_len op s)
+  done;
+  w.n <- n
+[@@alloc_free]
+
+(* Copy windows [j, w.n) of [frame] into the replica's own pinned pool,
+   one buffer each, in order; a window the pool cannot hold is skipped. *)
+let rec copy_vals replica frame w ~j =
+  if j >= w.n then []
+  else
+    let len = Array.unsafe_get w.lens j in
+    match Mem.Pinned.Buf.alloc ~cpu:replica.cpu replica.pool ~len with
+    | buf ->
+        Mem.Pinned.Buf.blit_from_buf ~cpu:replica.cpu buf ~src:frame
+          ~src_off:(Array.unsafe_get w.offs j) ~len ~dst_off:0;
+        buf :: copy_vals replica frame w ~j:(j + 1)
+    | exception Mem.Pinned.Out_of_memory _ -> copy_vals replica frame w ~j:(j + 1)
+
+(* Install an op's values under the key window (allocate-and-swap put):
+   one copy from the receive buffer into the store, no intermediate. *)
+let install replica frame w data ~off ~len =
+  match copy_vals replica frame w ~j:0 with
   | [] -> ()
   | [ one ] ->
-      Kvstore.Store.put ~cpu replica.store data ~off ~len
+      Kvstore.Store.put ~cpu:replica.cpu replica.store data ~off ~len
         (Kvstore.Store.Single one)
   | many ->
-      Kvstore.Store.put ~cpu replica.store data ~off ~len
+      Kvstore.Store.put ~cpu:replica.cpu replica.store data ~off ~len
         (Kvstore.Store.Linked many)
+
+let add_val replica msg i buf =
+  Wire.Dyn.append_payload_at msg i
+    (Cornflakes.Cf_ptr.make ~cpu:replica.cpu config replica.ep
+       (Mem.Pinned.Buf.view buf))
+
+let rec add_val_list replica msg i = function
+  | [] -> ()
+  | buf :: rest ->
+      add_val replica msg i buf;
+      add_val_list replica msg i rest
+
+(* Store entry [entry]'s buffers (none when negative), in order, as
+   payloads of field [i] of [msg]: zero-copy out of the store past the
+   threshold. *)
+let add_value replica msg i ~entry =
+  if entry >= 0 then
+    match Kvstore.Store.value replica.store entry with
+    | Kvstore.Store.Single buf -> add_val replica msg i buf
+    | Kvstore.Store.Linked bufs -> add_val_list replica msg i bufs
+    | Kvstore.Store.Vector bufs ->
+        for k = 0 to Array.length bufs - 1 do
+          add_val replica msg i bufs.(k)
+        done
 
 let send replica ~dst msg =
   Msg.send config (Net.Endpoint.transport replica.ep) ~dst msg
 
-(* Reply to a client; [bufs] go out of the store zero-copy past the
-   threshold. *)
-let reply replica ~dst ~id bufs =
+(* Reply to a client with the id in [id]'s 8 bytes and store entry
+   [entry]'s value (none when negative). *)
+let reply replica ~dst ~id ~entry =
   let msg = replica.out in
   Msg.clear msg;
-  Msg.set_id msg id;
+  Msg.set_id msg (Bytes.get_int64_le id 0);
   Msg.set_op msg op_reply;
-  List.iter
-    (fun buf ->
-      Msg.add_vals ~cpu:replica.cpu config replica.ep msg
-        (Mem.Pinned.Buf.view buf))
-    bufs;
+  add_value replica (Msg.to_dyn msg) Msg.idx_vals ~entry;
   send replica ~dst msg
 
 let send_ack replica ~dst ~seq =
   let msg = replica.out in
   Msg.clear msg;
-  Msg.set_id msg seq;
+  Msg.set_id_int msg seq;
   Msg.set_op msg op_ack;
   send replica ~dst msg
 
 (* --- Backup side --------------------------------------------------------- *)
 
-let rec backup_apply_in_order replica ~src =
-  match Hashtbl.find_opt replica.ooo replica.expected_seq with
-  | None -> ()
-  | Some parked ->
-      Hashtbl.remove replica.ooo replica.expected_seq;
-      let cpu = replica.cpu in
-      let vals = List.map Wire.Rc_view.view parked.pk_vals in
-      (* The key is read in the parked slice, its sweep charged to App. *)
-      (match parked.pk_key with
-      | Some rc ->
-          let key = Wire.Rc_view.view rc in
-          Memmodel.Cpu.stream cpu Memmodel.Cpu.App ~addr:key.Mem.View.addr
-            ~len:key.Mem.View.len;
-          apply_put_views replica key.Mem.View.data ~off:key.Mem.View.off
-            ~len:key.Mem.View.len vals
-      | None -> apply_put_views replica Bytes.empty ~off:0 ~len:0 vals);
-      let seq = replica.expected_seq in
-      replica.expected_seq <- Int64.add replica.expected_seq 1L;
-      (* The store owns its copies now: release the parked slices, then
-         the delivery reference — at zero the RX ring slot recycles. *)
-      (match parked.pk_key with
-      | Some rc -> Wire.Rc_view.release ~cpu ~site:"Replication.apply" rc
-      | None -> ());
-      List.iter
-        (fun rc -> Wire.Rc_view.release ~cpu ~site:"Replication.apply" rc)
-        parked.pk_vals;
-      Mem.Pinned.Buf.decr_ref ~cpu parked.pk_buf;
-      (* Ack only now, when the op is applied. *)
-      send_ack replica ~dst:src ~seq;
-      backup_apply_in_order replica ~src
-
-let handle_replicate replica ~src r buf =
+(* Apply the op at the backup's sequence turn: the key is swept (App),
+   the values copied into the store, then the key's, each value's and the
+   delivery reference on [frame] are released, and the op is acked. *)
+let apply replica frame ~key_off ~key_len w ~src =
   let cpu = replica.cpu in
-  if not (Wire.Reader.present r Msg.idx_body) then
-    Mem.Pinned.Buf.decr_ref ~cpu buf
+  if key_off >= 0 then begin
+    Memmodel.Cpu.stream cpu Memmodel.Cpu.App
+      ~addr:(Mem.Pinned.Buf.addr frame + key_off)
+      ~len:key_len;
+    install replica frame w
+      (Mem.Pinned.Buf.backing frame)
+      ~off:(Mem.Pinned.Buf.backing_off frame + key_off)
+      ~len:key_len
+  end
+  else install replica frame w Bytes.empty ~off:0 ~len:0;
+  let seq = replica.expected_seq in
+  replica.expected_seq <- seq + 1;
+  if key_off >= 0 then
+    Mem.Pinned.Buf.decr_ref ~cpu ~site:"Replication.apply" frame;
+  for _ = 1 to w.n do
+    Mem.Pinned.Buf.decr_ref ~cpu ~site:"Replication.apply" frame
+  done;
+  Mem.Pinned.Buf.decr_ref ~cpu frame;
+  (* Ack only now, when the op is applied. *)
+  send_ack replica ~dst:src ~seq
+
+let rec apply_parked replica ~src =
+  let id = replica.expected_seq in
+  if Sim.Id_ring.mem replica.parked ~id then begin
+    let p = Sim.Id_ring.get replica.parked ~id in
+    apply replica p.frame ~key_off:p.key_off ~key_len:p.key_len p.vals ~src;
+    p.seq <- -1;
+    apply_parked replica ~src
+  end
+
+let handle_replicate replica ~primary ~src r buf =
+  if src <> primary || not (Wire.Reader.present r Msg.idx_body) then
+    reject replica buf
   else
     match Wire.Reader.nested r Msg.idx_body ~into:replica.op_reader with
-    | exception Wire.Reader.Invalid _ -> Mem.Pinned.Buf.decr_ref ~cpu buf
+    | exception Wire.Reader.Invalid _ -> reject replica buf
     | () ->
         let op = replica.op_reader in
-        let seq = Wire.Reader.get_u64_or op Op.idx_seq ~default:(-1L) in
-        if seq < replica.expected_seq then begin
+        let seq = read_int replica op Op.idx_seq in
+        if seq < 0 then
+          (* No seq, or one no primary numbers: not an op. *)
+          reject replica buf
+        else if seq < replica.expected_seq then begin
           (* Already applied (a duplicate): re-ack idempotently. *)
           send_ack replica ~dst:src ~seq;
-          Mem.Pinned.Buf.decr_ref ~cpu buf
+          Mem.Pinned.Buf.decr_ref ~cpu:replica.cpu buf
         end
-        else if Hashtbl.mem replica.ooo seq then
+        else if Sim.Id_ring.mem replica.parked ~id:seq then
           (* A duplicate of a parked op: its ack goes out when it applies. *)
-          Mem.Pinned.Buf.decr_ref ~cpu buf
+          Mem.Pinned.Buf.decr_ref ~cpu:replica.cpu buf
         else begin
-          (* Park the op until its turn: key and values stay in the
-             receive buffer as refcounted slices; the delivery reference
-             on [buf] transfers to the parked record. *)
-          let pk_key =
-            if Wire.Reader.present op Op.idx_key then
-              Some (Wire.Reader.payload_rc ~site:"Replication.park" op Op.idx_key)
-            else None
+          (* The key's slot read and its reference on [buf], as parking
+             takes them. *)
+          let ks =
+            if Wire.Reader.present op Op.idx_key then begin
+              let s = Wire.Reader.payload_field op Op.idx_key in
+              Mem.Pinned.Buf.incr_ref ~cpu:replica.cpu ~site:"Replication.park"
+                buf;
+              s
+            end
+            else -1
           in
-          let pk_vals =
-            List.init (Wire.Reader.count_or_zero op Op.idx_vals) (fun j ->
-                Wire.Reader.elem_rc ~site:"Replication.park" op Op.idx_vals ~j)
-          in
-          Hashtbl.replace replica.ooo seq { pk_key; pk_vals; pk_buf = buf };
-          backup_apply_in_order replica ~src
+          let key_off = if ks < 0 then -1 else Wire.Reader.field_off op ks in
+          let key_len = if ks < 0 then 0 else Wire.Reader.field_len op ks in
+          if seq = replica.expected_seq then begin
+            (* Its turn: apply straight from the reader. *)
+            take_vals ~cpu:replica.cpu ~retain:true op buf replica.scratch;
+            apply replica buf ~key_off ~key_len replica.scratch ~src;
+            apply_parked replica ~src
+          end
+          else begin
+            (* Park the op until its turn: the delivery reference on [buf]
+               transfers to the slot. *)
+            let p = Sim.Id_ring.claim replica.parked buf ~id:seq in
+            take_vals ~cpu:replica.cpu ~retain:true op buf p.vals;
+            p.frame <- buf;
+            p.key_off <- key_off;
+            p.key_len <- key_len;
+            p.seq <- seq
+          end
         end
 
 (* --- Primary side --------------------------------------------------------- *)
 
 (* Fan a put out to every backup as a nested op. Values go out of the
    primary's freshly installed store value — zero-copy for fields past the
-   threshold. *)
-let replicate t ~seq ~key vals =
-  let p = t.primary in
-  let cpu = p.cpu in
-  let env = p.out and op = p.out_op in
-  List.iter
-    (fun backup ->
+   threshold. The key is read from the request's receive window at a
+   freshly reserved address, as many bytes as a copy of it would
+   reserve. *)
+let rec replicate t ~seq ~entry data ~off ~len = function
+  | [] -> ()
+  | backup :: rest ->
+      let p = t.primary in
+      let env = p.out and op = p.out_op in
       Msg.clear env;
       Op.clear op;
-      Msg.set_id env seq;
+      Msg.set_id_int env seq;
       Msg.set_op env Svc.id_replicate;
-      Op.set_seq op seq;
+      Op.set_seq_int op seq;
       Op.set_kind op Kv.id_put;
-      Op.set_key ~cpu config p.ep op
-        (Mem.View.of_string t.rig.Apps.Rig.space key);
-      List.iter
-        (fun buf -> Op.add_vals ~cpu config p.ep op (Mem.Pinned.Buf.view buf))
-        vals;
+      Op.set_key ~cpu:p.cpu config p.ep op
+        (Mem.View.make
+           ~addr:(Mem.Addr_space.reserve t.rig.Apps.Rig.space ~bytes:len)
+           ~data ~off ~len);
+      add_value p (Op.to_dyn op) Op.idx_vals ~entry;
       Msg.set_body env (Op.to_dyn op);
-      send p ~dst:(Net.Endpoint.id backup.ep) env)
-    t.backups
-
-let stored_buffers replica data ~off ~len =
-  let entry =
-    Kvstore.Store.find ~cpu:replica.cpu replica.store data ~off ~len
-  in
-  if entry < 0 then []
-  else Kvstore.Store.buffers (Kvstore.Store.value replica.store entry)
+      send p ~dst:(Net.Endpoint.id backup.ep) env;
+      replicate t ~seq ~entry data ~off ~len rest
 
 (* One client op over its validated [RepOp] level: the key is hashed
    straight out of the receive buffer (an absent key reads as the empty
    key), and put values blit from their in-place windows into the store —
    the apply path never materializes a [Dyn]. *)
-let serve_op t ~src ~id op =
+let serve_op t ~src op buf =
+  let p = t.primary in
   let k =
     if Wire.Reader.present op Op.idx_key then
       Wire.Reader.payload_key op Op.idx_key
@@ -254,70 +371,78 @@ let serve_op t ~src ~id op =
   let data = Wire.Reader.data op in
   let off = if k < 0 then 0 else Wire.Reader.key_off op k in
   let len = if k < 0 then 0 else Wire.Reader.key_len op k in
-  let kind = Wire.Reader.get_u64_or op Op.idx_kind ~default:(-1L) in
-  if kind = Kv.id_get then
-    reply t.primary ~dst:src ~id (stored_buffers t.primary data ~off ~len)
-  else if kind = Kv.id_put then begin
-    apply_put_views t.primary data ~off ~len
-      (List.init (Wire.Reader.count_or_zero op Op.idx_vals) (fun j ->
-           Wire.Reader.elem_view op Op.idx_vals ~j));
+  Wire.Reader.get_u64_into op Op.idx_kind p.word ~default:(-1L);
+  let kind = Bytes.get_int64_le p.word 0 in
+  if Int64.equal kind Kv.id_get then
+    reply p ~dst:src ~id:p.request_id
+      ~entry:(Kvstore.Store.find ~cpu:p.cpu p.store data ~off ~len)
+  else if Int64.equal kind Kv.id_put then begin
+    take_vals ~cpu:p.cpu ~retain:false op buf p.scratch;
+    install p buf p.scratch data ~off ~len;
     let seq = t.next_seq in
-    t.next_seq <- Int64.add t.next_seq 1L;
-    if t.backups = [] then begin
+    t.next_seq <- seq + 1;
+    if t.nbackups = 0 then begin
       t.committed <- t.committed + 1;
-      reply t.primary ~dst:src ~id []
+      reply p ~dst:src ~id:p.request_id ~entry:(-1)
     end
     else begin
-      Hashtbl.replace t.pending seq
-        {
-          client_src = src;
-          client_id = id;
-          unacked = (1 lsl List.length t.backups) - 1;
-        };
-      let vals = stored_buffers t.primary data ~off ~len in
-      replicate t ~seq ~key:(Bytes.sub_string data off len) vals
+      let q = Sim.Id_ring.claim t.pending () ~id:seq in
+      q.pseq <- seq;
+      q.client <- src;
+      Bytes.blit p.request_id 0 q.client_id 0 8;
+      q.unacked <- (1 lsl t.nbackups) - 1;
+      let entry = Kvstore.Store.find ~cpu:p.cpu p.store data ~off ~len in
+      replicate t ~seq ~entry data ~off ~len t.backups
     end
   end
-  else reply t.primary ~dst:src ~id []
+  else reply p ~dst:src ~id:p.request_id ~entry:(-1)
 
 let handle_request t ~src r buf =
-  let id = Wire.Reader.get_u64_or r Msg.idx_id ~default:0L in
-  (if
-     Wire.Reader.present r Msg.idx_body
-     && match Wire.Reader.nested r Msg.idx_body ~into:t.primary.op_reader with
-        | () -> true
-        | exception Wire.Reader.Invalid _ -> false
-   then serve_op t ~src ~id t.primary.op_reader
-   else reply t.primary ~dst:src ~id []);
-  Mem.Pinned.Buf.decr_ref ~cpu:t.primary.cpu buf
+  let p = t.primary in
+  Wire.Reader.get_u64_into r Msg.idx_id p.request_id ~default:0L;
+  (if not (Wire.Reader.present r Msg.idx_body) then
+     reply p ~dst:src ~id:p.request_id ~entry:(-1)
+   else
+     match Wire.Reader.nested r Msg.idx_body ~into:p.op_reader with
+     | () -> serve_op t ~src p.op_reader buf
+     | exception Wire.Reader.Invalid _ -> Loadgen.Server.reject p.server);
+  Mem.Pinned.Buf.decr_ref ~cpu:p.cpu buf
 
 (* A put commits once every backup has acked it; repeated acks from one
    backup (it re-acks every duplicate replicate) count once. *)
 let handle_ack t ~src r buf =
-  (if Wire.Reader.present r Msg.idx_id then
-     let seq = Wire.Reader.get_u64 r Msg.idx_id in
-     match Hashtbl.find_opt t.pending seq with
-     | Some p when p.unacked land backup_bit src <> 0 ->
-         p.unacked <- p.unacked land lnot (backup_bit src);
-         if p.unacked = 0 then begin
-           Hashtbl.remove t.pending seq;
-           t.committed <- t.committed + 1;
-           reply t.primary ~dst:p.client_src ~id:p.client_id []
-         end
-     | Some _ | None -> () (* repeated ack, or the put already committed *));
-  Mem.Pinned.Buf.decr_ref ~cpu:t.primary.cpu buf
+  let p = t.primary in
+  let bit = backup_bit t src in
+  if bit = 0 then Loadgen.Server.reject p.server
+  else begin
+    (* An ack for no pending put (it committed) is dropped. *)
+    let seq = read_int p r Msg.idx_id in
+    if Sim.Id_ring.mem t.pending ~id:seq then begin
+      let q = Sim.Id_ring.get t.pending ~id:seq in
+      if q.unacked land bit <> 0 then begin
+        q.unacked <- q.unacked land lnot bit;
+        if q.unacked = 0 then begin
+          q.pseq <- -1;
+          t.committed <- t.committed + 1;
+          reply p ~dst:q.client ~id:q.client_id ~entry:(-1)
+        end
+      end
+    end
+  end;
+  Mem.Pinned.Buf.decr_ref ~cpu:p.cpu buf
 
 (* Every node's receive path: validate the envelope once into the pooled
    reader, then dispatch its op word. *)
 let serve replica ~src buf =
   let r = replica.msg_reader in
   match Msg.read_folded r buf with
-  | exception Wire.Reader.Invalid _ ->
-      Mem.Pinned.Buf.decr_ref ~cpu:replica.cpu buf
+  | exception Wire.Reader.Invalid _ -> reject replica buf
   | () ->
-      (* Bound before the call: applying the labelled arguments straight to
-         [dispatch]'s polymorphic result allocates on every delivery. *)
-      let handle = Rpc.Table.dispatch replica.table (Svc.method_of_reader r) in
+      (* The op word is read unboxed, charged as [Svc.method_of_reader].
+         The handler is bound before the call: applying the labelled
+         arguments straight to [dispatch]'s polymorphic result allocates on
+         every delivery. *)
+      let handle = Rpc.Table.dispatch replica.table (read_int replica r Msg.idx_op) in
       handle ~src r buf
 
 (* --- Construction --------------------------------------------------------- *)
@@ -331,26 +456,38 @@ let make_replica rig ~ep ~cpu ~server ~workload ~name =
       ~capacity:workload.Workload.Spec.store_capacity
   in
   workload.Workload.Spec.populate store ~pool;
-  let drop ~src:_ _ buf = Mem.Pinned.Buf.decr_ref ~cpu buf in
+  (* An op word this node does not serve. *)
+  let drop ~src:_ _ buf =
+    Loadgen.Server.reject server;
+    Mem.Pinned.Buf.decr_ref ~cpu buf
+  in
   {
     ep;
     cpu;
     server;
     store;
     pool;
-    expected_seq = 1L;
-    ooo = Hashtbl.create 32;
+    expected_seq = 1;
+    parked =
+      Sim.Id_ring.create ~make:new_parked
+        ~occupied:(fun p -> p.seq >= 0)
+        ~id_of:(fun p -> p.seq);
     table = Rpc.Table.create ~n:(Int64.to_int op_reply + 1) ~fallback:drop;
     msg_reader = Msg.reader ~cpu ();
     op_reader = Op.reader ~cpu ();
     out = Msg.create ();
     out_op = Op.create ();
+    request_id = Bytes.make 8 '\000';
+    word = Bytes.make 8 '\000';
+    scratch = windows ();
   }
 
 let on replica word (h : handler) =
   Rpc.Table.set replica.table ~id:(Int64.to_int word) h
 
 let create rig ~backups ~workload =
+  if backups < 0 || backups >= Sys.int_size - 1 then
+    invalid_arg "Replicated_kv.create: backup count out of range";
   let primary =
     make_replica rig ~ep:rig.Apps.Rig.server_ep ~cpu:rig.Apps.Rig.cpu
       ~server:rig.Apps.Rig.server ~workload ~name:"primary"
@@ -371,21 +508,27 @@ let create rig ~backups ~workload =
       rig;
       primary;
       backups = backup_replicas;
-      pending = Hashtbl.create 64;
-      next_seq = 1L;
+      nbackups = backups;
+      pending =
+        Sim.Id_ring.create ~make:new_pending
+          ~occupied:(fun q -> q.pseq >= 0)
+          ~id_of:(fun q -> q.pseq);
+      next_seq = 1;
       committed = 0;
       workload;
       client_rng = Sim.Rng.split rig.Apps.Rig.rng;
       client_msg = Msg.create ();
       client_op = Op.create ();
       client_reader = Msg.reader ~cpu:Memmodel.Cpu.none ();
+      filler = Bytes.empty;
     }
   in
   on primary Svc.id_request (handle_request t);
   on primary op_ack (handle_ack t);
+  let primary_id = Net.Endpoint.id primary.ep in
   List.iter
     (fun replica ->
-      on replica Svc.id_replicate (handle_replicate replica);
+      on replica Svc.id_replicate (handle_replicate replica ~primary:primary_id);
       Loadgen.Server.set_handler replica.server (serve replica))
     backup_replicas;
   Loadgen.Server.set_handler rig.Apps.Rig.server (serve primary);
@@ -393,8 +536,35 @@ let create rig ~backups ~workload =
 
 (* --- Client side ---------------------------------------------------------- *)
 
+(* A string as an unowned [Literal] at a freshly reserved address — the
+   reservation [Wire.Payload.of_string] makes, without its copy. The
+   serializer only reads a literal's bytes. *)
+let literal t s =
+  let len = String.length s in
+  Wire.Payload.Literal
+    (Mem.View.make
+       ~addr:(Mem.Addr_space.reserve t.rig.Apps.Rig.space ~bytes:len)
+       ~data:(Bytes.unsafe_of_string s) ~off:0 ~len)
+
+(* [Workload.Spec.filler n] as a literal: a prefix of the shared filler,
+   which grows to the longest value asked for. *)
+let filler t n =
+  if n > Bytes.length t.filler then
+    t.filler <-
+      Bytes.of_string
+        (Workload.Spec.filler (max n (2 * Bytes.length t.filler)));
+  Wire.Payload.Literal
+    (Mem.View.make
+       ~addr:(Mem.Addr_space.reserve t.rig.Apps.Rig.space ~bytes:n)
+       ~data:t.filler ~off:0 ~len:n)
+
+let rec add_fillers t o = function
+  | [] -> ()
+  | n :: rest ->
+      Op.add_vals_payload o (filler t (max 1 n));
+      add_fillers t o rest
+
 let send_op t op client ~dst ~id =
-  let space = t.rig.Apps.Rig.space in
   let msg = t.client_msg and o = t.client_op in
   Msg.clear msg;
   Op.clear o;
@@ -404,19 +574,15 @@ let send_op t op client ~dst ~id =
   | Workload.Spec.Get { keys } -> (
       Op.set_kind o Kv.id_get;
       match keys with
-      | key :: _ -> Op.set_key_payload o (Wire.Payload.of_string space key)
+      | key :: _ -> Op.set_key_payload o (literal t key)
       | [] -> ())
   | Workload.Spec.Get_index { key; _ } ->
       Op.set_kind o Kv.id_get;
-      Op.set_key_payload o (Wire.Payload.of_string space key)
+      Op.set_key_payload o (literal t key)
   | Workload.Spec.Put { key; sizes } ->
       Op.set_kind o Kv.id_put;
-      Op.set_key_payload o (Wire.Payload.of_string space key);
-      List.iter
-        (fun n ->
-          Op.add_vals_payload o
-            (Wire.Payload.of_string space (Workload.Spec.filler (max 1 n))))
-        sizes);
+      Op.set_key_payload o (literal t key);
+      add_fillers t o sizes);
   Msg.set_body msg (Op.to_dyn o);
   Msg.send config client ~dst msg;
   Mem.Arena.reset (Net.Transport.arena client)

@@ -16,13 +16,27 @@
     [RepOp.kind] carries the kv service's [Get]/[Put] method word.
 
     Ordering and duplicates: replicate envelopes carry a sequence number.
-    Each backup applies ops in sequence order, parking early arrivals (as
-    in-place views of their receive buffers) until their turn, and acks an
-    op only once it is applied; a duplicate of an applied op is re-acked, a
-    duplicate of a parked op is dropped. The primary commits a put once
-    every backup has acked it, counting each backup once, so reordering and
-    duplication on the fabric are safe. Loss recovery is out of scope: a
-    dropped replicate or ack leaves its put uncommitted.
+    Each backup applies ops in sequence order, parking early arrivals (their
+    receive buffers held, key and values as windows on them) until their
+    turn, and acks an op only once it is applied; a duplicate of an applied
+    op is re-acked, a duplicate of a parked op is dropped. The primary
+    commits a put once every backup has acked it, counting each backup
+    once, so reordering and duplication on the fabric are safe. Loss
+    recovery is out of scope: a dropped replicate or ack leaves its put
+    uncommitted.
+
+    Per-request state lives in slots of id rings keyed by sequence number
+    and reused: the primary's pending puts and each backup's parked ops.
+    Put values are copied from the receive buffer straight into the
+    replica's pool, and an in-order op applies straight from its frame, so
+    steady-state replication allocates only the handles the stores keep
+    and the send path's own.
+
+    Ingress: a node drops, and counts with {!Loadgen.Server.reject}, a
+    frame that fails envelope or nested validation, carries an op word the
+    node does not serve, or comes from the wrong peer: a replicate not from
+    the primary, an ack not from a backup. A replicate whose seq is absent
+    or has bit 63 set is no op a primary numbers, and is counted too.
 
     Schema:
     {v
@@ -41,12 +55,17 @@ type cluster
 (** [create rig ~backups ~workload] builds one primary (the rig's server)
     plus [backups] backup servers, each single-core with its own store,
     populated identically from the workload. Backup [i] is endpoint
-    [11 + i] on the rig's fabric. *)
+    [11 + i] on the rig's fabric. Raises [Invalid_argument] unless
+    [0 <= backups < Sys.int_size - 1]. *)
 val create : Apps.Rig.t -> backups:int -> workload:Workload.Spec.t -> cluster
 
 val primary_store : cluster -> Kvstore.Store.t
 
 val backup_stores : cluster -> Kvstore.Store.t list
+
+(** Each backup's server (its endpoint, transport and reject count),
+    backup [i] at position [i]. *)
+val backup_servers : cluster -> Loadgen.Server.t list
 
 (** Puts acknowledged to clients so far (i.e. fully replicated). *)
 val committed : cluster -> int

@@ -13,10 +13,10 @@
    - within a delivery callback, borrow with [Wire.Reader.payload_view]
      (no reference traffic) — the endpoint's delivery reference keeps the
      buffer live until the handler returns;
-   - to retain bytes *past* the callback (parked reassembly slots,
-     out-of-order replication ops), take an [Rc_view] and [release] it when
-     done — or hand it to the TX path with [to_payload], which transfers
-     the reference to the send machinery. *)
+   - to retain bytes *past* the callback (a dispatcher's pending fan-out
+     slots), take an [Rc_view] and [release] it when done — or hand it to
+     the TX path with [to_payload], which transfers the reference to the
+     send machinery. *)
 
 type t = Mem.Pinned.Buf.t
 

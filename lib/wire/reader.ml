@@ -5,7 +5,7 @@
    header — after which every getter is straight-line offset arithmetic
    into the original RX buffer: scalar reads are unchecked little-endian
    loads, payload reads hand back windows ([payload_view] to borrow within
-   the delivery callback, [payload_rc] to retain past it). No intermediate
+   the delivery callback, [elem_rc] to retain past it). No intermediate
    [Dyn] message is materialized and no field is copied.
 
    This is the LowParse validator-then-accessor split (and Vollmer's typed
@@ -241,6 +241,13 @@ let blit_u64 t i dst ~dst_off =
 let get_u64_or t i ~default =
   if present t i then get_u64 t i else default
 
+(* Field [i]'s 8 bytes into [dst], or [default]'s when absent: charged as
+   [get_u64_or], with no int64 boxed. *)
+let get_u64_into t i dst ~default =
+  if present t i then blit_u64 t i dst ~dst_off:0
+  else Bytes.set_int64_le dst 0 default
+[@@alloc_free]
+
 let get_float t i = Int64.float_of_bits (get_u64 t i)
 
 (* A length-delimited field is read through its (offset, length) slot:
@@ -284,9 +291,6 @@ let field_string t s =
   Bytes.sub_string t.data (t.base + off) len
 
 let payload_view t i = field_view t (payload_field t i)
-
-let payload_rc ?(site = "Reader.payload_rc") t i =
-  field_rc ~site t (payload_field t i)
 
 let payload_string t i = field_string t (payload_field t i)
 
