@@ -6,6 +6,7 @@ type t = {
     (Net.Transport.t -> Schema.Desc.message -> Mem.Pinned.Buf.t -> Wire.Dyn.t)
     option;
   wrap : Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
+  wrap_buf : Net.Transport.t -> Mem.Pinned.Buf.t -> Wire.Payload.t;
 }
 
 let cornflakes ?(config = Cornflakes.Config.default) () =
@@ -23,9 +24,15 @@ let cornflakes ?(config = Cornflakes.Config.default) () =
       (fun tr view ->
         Cornflakes.Cf_ptr.make ~cpu:(Net.Transport.cpu tr) config
           (Net.Transport.endpoint tr) view);
+    wrap_buf =
+      (fun tr buf ->
+        Cornflakes.Cf_ptr.make_buf ~cpu:(Net.Transport.cpu tr) config
+          (Net.Transport.endpoint tr) buf);
   }
 
 let literal_wrap _tr view = Wire.Payload.Literal view
+
+let literal_wrap_buf _tr buf = Wire.Payload.Literal (Mem.Pinned.Buf.view buf)
 
 (* Setting a bytes field on a Protobuf struct copies the data into the
    message object (paper section 8: "applications still move data from
@@ -35,6 +42,11 @@ let protobuf_wrap tr view =
   Wire.Payload.Copied
     (Mem.Arena.copy_in ~cpu:(Net.Transport.cpu tr) (Net.Transport.arena tr)
        view)
+
+let protobuf_wrap_buf tr buf =
+  Wire.Payload.Copied
+    (Mem.Arena.copy_in_buf ~cpu:(Net.Transport.cpu tr) (Net.Transport.arena tr)
+       buf)
 
 let protobuf =
   {
@@ -46,6 +58,7 @@ let protobuf =
           Baselines.Protobuf.deserialize ~cpu:(Net.Transport.cpu tr)
             (Net.Transport.endpoint tr) Proto.schema desc buf);
     wrap = protobuf_wrap;
+    wrap_buf = protobuf_wrap_buf;
   }
 
 let flatbuffers =
@@ -58,6 +71,7 @@ let flatbuffers =
           Baselines.Flatbuf.deserialize ~cpu:(Net.Transport.cpu tr) Proto.schema
             desc buf);
     wrap = literal_wrap;
+    wrap_buf = literal_wrap_buf;
   }
 
 let capnproto =
@@ -70,6 +84,7 @@ let capnproto =
           Baselines.Capnp.deserialize ~cpu:(Net.Transport.cpu tr) Proto.schema
             desc buf);
     wrap = literal_wrap;
+    wrap_buf = literal_wrap_buf;
   }
 
 let all = [ cornflakes (); protobuf; flatbuffers; capnproto ]
@@ -84,19 +99,19 @@ let response_id t reader ~clients buf =
     match t.recv with
     | None -> (
         match Kv_rpc.Resp.read_folded reader buf with
-        | () -> Wire.Reader.get_u64_or reader Proto.resp_id ~default:(-1L)
-        | exception Wire.Reader.Invalid _ -> -1L)
+        | () -> Wire.Reader.get_int_or reader Proto.resp_id ~default:(-1)
+        | exception Wire.Reader.Invalid _ -> -1)
     | Some recv -> (
         match recv (List.hd clients) Proto.resp buf with
-        | exception Wire.Reader.Invalid _ -> -1L
+        | exception Wire.Reader.Invalid _ -> -1
         | msg ->
             let id =
               if Wire.Dyn.mem msg Proto.resp_id then
-                Wire.Dyn.int_at msg Proto.resp_id
-              else -1L
+                Int64.to_int (Wire.Dyn.int_at msg Proto.resp_id)
+              else -1
             in
             Wire.Dyn.release ~cpu:Memmodel.Cpu.none msg;
             id)
   in
   List.iter (fun c -> Mem.Arena.reset (Net.Transport.arena c)) clients;
-  Int64.to_int id
+  id

@@ -15,7 +15,13 @@
     - Cornflakes wraps through {!Cornflakes.Cf_ptr.make} — the hybrid
       threshold plus [recover_ptr], paying copy or refcount per field;
     - the copying libraries hold a [Literal] window and pay their copies at
-      serialization time. *)
+      serialization time.
+
+    [wrap] takes arbitrary bytes (a window of a receive frame, say);
+    [wrap_buf] takes a pinned buffer the caller holds (a stored value) and
+    must pay exactly what [wrap] pays for its view: Cornflakes goes through
+    {!Cornflakes.Cf_ptr.make_buf}, which builds no view and references the
+    held handle itself. *)
 
 type t = {
   name : string;
@@ -25,6 +31,7 @@ type t = {
     (Net.Transport.t -> Schema.Desc.message -> Mem.Pinned.Buf.t -> Wire.Dyn.t)
     option;
   wrap : Net.Transport.t -> Mem.View.t -> Wire.Payload.t;
+  wrap_buf : Net.Transport.t -> Mem.Pinned.Buf.t -> Wire.Payload.t;
 }
 
 (** [cornflakes ~config] — hybrid by default; pass

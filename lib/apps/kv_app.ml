@@ -37,9 +37,7 @@ let key_view ~cpu (p : Wire.Payload.t) =
   v
 
 let append_value t resp buf =
-  let payload =
-    t.backend.Backend.wrap t.rig.Rig.server_tr (Mem.Pinned.Buf.view buf)
-  in
+  let payload = t.backend.Backend.wrap_buf t.rig.Rig.server_tr buf in
   Wire.Dyn.append_payload_at resp Proto.resp_vals payload
 
 let rec append_values t resp = function

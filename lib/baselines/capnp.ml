@@ -146,10 +146,7 @@ let serialize_and_send tr ~dst msg =
   if body > Net.Transport.max_msg_len tr then
     invalid_arg "Capnp.serialize_and_send: message exceeds frame";
   let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + body) in
-  let window =
-    Mem.View.sub (Mem.Pinned.Buf.view staging) ~off:headroom ~len:body
-  in
-  let w = Wire.Cursor.Writer.create ~cpu window in
+  let w = Wire.Cursor.Writer.of_buf ~cpu staging ~off:headroom ~len:body in
   Wire.Cursor.Writer.u32 w (List.length segs);
   List.iter (fun s -> Wire.Cursor.Writer.u32 w s.Mem.View.len) segs;
   (* Second copy: each segment moves into the DMA-safe staging buffer. *)

@@ -16,10 +16,7 @@ let send_zero_copy ~safety tr ~dst views =
   let headroom = Net.Transport.headroom tr in
   let hdr_len = 4 + (4 * List.length views) in
   let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + hdr_len) in
-  let window =
-    Mem.View.sub (Mem.Pinned.Buf.view staging) ~off:headroom ~len:hdr_len
-  in
-  let w = Wire.Cursor.Writer.create ~cpu window in
+  let w = Wire.Cursor.Writer.of_buf ~cpu staging ~off:headroom ~len:hdr_len in
   write_frame_header w views;
   let registry = Net.Endpoint.registry ep in
   let entries =
@@ -57,10 +54,7 @@ let send_one_copy tr ~dst views =
   let headroom = Net.Transport.headroom tr in
   let body = frame_len (List.map (fun (v : Mem.View.t) -> v.Mem.View.len) views) in
   let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + body) in
-  let window =
-    Mem.View.sub (Mem.Pinned.Buf.view staging) ~off:headroom ~len:body
-  in
-  let w = Wire.Cursor.Writer.create ~cpu window in
+  let w = Wire.Cursor.Writer.of_buf ~cpu staging ~off:headroom ~len:body in
   write_frame_header w views;
   List.iter (fun v -> Wire.Cursor.Writer.view_bytes w v) views;
   Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0

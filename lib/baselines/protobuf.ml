@@ -154,10 +154,7 @@ let serialize_and_send tr ~dst msg =
   if body > Net.Transport.max_msg_len tr then
     invalid_arg "Protobuf.serialize_and_send: message exceeds frame";
   let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + body) in
-  let window =
-    Mem.View.sub (Mem.Pinned.Buf.view staging) ~off:headroom ~len:body
-  in
-  let w = Wire.Cursor.Writer.create ~cpu window in
+  let w = Wire.Cursor.Writer.of_buf ~cpu staging ~off:headroom ~len:body in
   encode ~cpu w msg;
   Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0
 

@@ -33,7 +33,7 @@ type t = {
 }
 
 let append_value t resp buf =
-  let payload = t.backend.Apps.Backend.wrap t.tr (Mem.Pinned.Buf.view buf) in
+  let payload = t.backend.Apps.Backend.wrap_buf t.tr buf in
   Wire.Dyn.append_payload_at resp Apps.Proto.resp_vals payload
 
 let rec append_values t resp = function

@@ -168,9 +168,7 @@ let parse_id t buf =
     match Wire.Reader.validate t.resp_reader buf with
     | exception Wire.Reader.Invalid _ -> -1
     | () ->
-        Int64.to_int
-          (Wire.Reader.get_u64_or t.resp_reader Apps.Proto.resp_id
-             ~default:(-1L))
+        Wire.Reader.get_int_or t.resp_reader Apps.Proto.resp_id ~default:(-1)
   in
   List.iter (fun c -> Mem.Arena.reset (Net.Transport.arena c)) t.clients;
   id

@@ -457,8 +457,7 @@ let emit_service schema buf (s : Schema.Desc.service) =
     methods;
   Buffer.add_string buf
     "  (* Method word of a request; [-1] (the fallback row) when absent. *)\n\
-    \  let method_of_reader r =\n\
-    \    Int64.to_int (Wire.Reader.get_u64_or r req_op ~default:(-1L))\n\n\
+    \  let method_of_reader r = Wire.Reader.get_int_or r req_op ~default:(-1)\n\n\
     \  let method_of_dyn req =\n\
     \    if Wire.Dyn.mem req req_op then Wire.Dyn.int_of_int_at req req_op else -1\n\n";
   Buffer.add_string buf
@@ -556,7 +555,7 @@ let emit_service schema buf (s : Schema.Desc.service) =
         \  let deliver c buf =\n\
         \    let r = Rpc.Client.reader c in\n\
         \    %s.read_folded r buf;\n\
-        \    let id = Int64.to_int (Wire.Reader.get_u64_or r resp_id ~default:0L) in\n\
+        \    let id = Wire.Reader.get_int_or r resp_id ~default:0 in\n\
         \    let seq_word =\n\
         \      if Wire.Reader.present r resp_seq then\n\
         \        Some (Wire.Reader.get_u64 r resp_seq)\n\
@@ -571,7 +570,7 @@ let emit_service schema buf (s : Schema.Desc.service) =
         \  let deliver c buf =\n\
         \    let r = Rpc.Client.reader c in\n\
         \    %s.read_folded r buf;\n\
-        \    let id = Int64.to_int (Wire.Reader.get_u64_or r resp_id ~default:0L) in\n\
+        \    let id = Wire.Reader.get_int_or r resp_id ~default:0 in\n\
         \    Rpc.Client.complete c ~id r\n"
         resp_mod);
   Buffer.add_string buf "end\n\n"
@@ -656,7 +655,7 @@ let ir_service buf (s : Schema.Desc.service) =
     (fun (m : Schema.Desc.method_) ->
       fn ("on_" ^ ocaml_name m.Schema.Desc.meth_name) "setter" "Rpc.Table.set")
     s.Schema.Desc.methods;
-  fn "method_of_reader" "getter" "Wire.Reader.get_u64_or";
+  fn "method_of_reader" "getter" "Wire.Reader.get_int_or";
   fn "method_of_dyn" "getter" "Wire.Dyn.int_of_int_at";
   fn "serve" "reader" "Wire.Reader.validate";
   fn "serve_dyn" "accessor" "Rpc.Table.dispatch";

@@ -51,6 +51,32 @@ let make_at ~cpu ~threshold ep (view : Mem.View.t) =
 let make ~cpu (config : Config.t) ep view =
   make_at ~cpu ~threshold:config.zero_copy_threshold ep view
 
+(* [make] over a pinned buffer the caller holds (a stored value): the same
+   decision, charges and references as [make] of its view, with no view
+   built and the held handle itself referenced instead of a recovered
+   copy of it. *)
+
+let copy_buf ~cpu ep buf =
+  Wire.Payload.Copied (Mem.Arena.copy_in_buf ~cpu (Net.Endpoint.arena ep) buf)
+
+let recover_buf ~cpu ep buf =
+  Mem.Registry.recover_held_exn ~cpu (Net.Endpoint.registry ep) buf
+
+let make_buf ~cpu (config : Config.t) ep buf =
+  if Mem.Pinned.Buf.len buf >= config.zero_copy_threshold then
+    match recover_buf ~cpu ep buf with
+    | held -> Wire.Payload.Zero_copy held
+    | exception Mem.Pinned.Unpinned -> copy_buf ~cpu ep buf
+  else
+    match copy_buf ~cpu ep buf with
+    | p -> p
+    | exception (Mem.Pinned.Out_of_memory _ as oom) -> (
+        match recover_buf ~cpu ep buf with
+        | held ->
+            incr (oom_fallbacks_ctr ());
+            Wire.Payload.Zero_copy held
+        | exception Mem.Pinned.Unpinned -> raise oom)
+
 (* Codegen binds a field whose schema bounds prove the decision
    ([max_size]/[min_size] vs the crossover) straight to its arm; the config
    is taken only for a uniform call shape in generated setters. *)

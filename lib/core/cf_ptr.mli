@@ -36,6 +36,21 @@ val make :
   Mem.View.t ->
   Wire.Payload.t
 
+(** [make_buf ~cpu config ep buf] is [make ~cpu config ep
+    (Mem.Pinned.Buf.view buf)] for a pinned buffer the caller already
+    holds (a stored value): the same decision, charges, references, arena
+    use and RefSan events, without the view. The zero-copy arm returns
+    [buf] itself with one more reference ({!Mem.Registry.recover_held_exn})
+    and allocates only the [Zero_copy] box; the copy arm copies straight
+    out of [buf] ({!Mem.Arena.copy_in_buf}). Raises
+    [Mem.Pinned.Use_after_free] on a stale [buf]. *)
+val make_buf :
+  cpu:Memmodel.Cpu.t ->
+  Config.t ->
+  Net.Endpoint.t ->
+  Mem.Pinned.Buf.t ->
+  Wire.Payload.t
+
 (** The two arms of {!make}, exposed for specialized (codegen-folded)
     setters whose schema bounds prove the decision at compile time:
     [copy_folded] when [max_size < crossover], [zc_folded] when

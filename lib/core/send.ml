@@ -74,8 +74,8 @@ let scratch_dls : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         plan = Format_.create_plan ();
-        (* One reusable writer, retargeted ([Writer.reset]) at each send's
-           staging window instead of allocated per message. *)
+        (* One reusable writer, retargeted ([Writer.retarget]) at each
+           send's staging window instead of allocated per message. *)
         writer =
           Wire.Cursor.Writer.create ~cpu:Memmodel.Cpu.none
             (Mem.View.make ~addr:0 ~data:Bytes.empty ~off:0 ~len:0);
@@ -134,12 +134,9 @@ let send_planned (config : Config.t) (tr : Net.Transport.t) ~dst msg ~write =
        object header + copied fields. Zero-copy payloads ride as further
        gather entries. *)
     let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + contiguous_len) in
-    let window =
-      Mem.Pinned.Buf.sub_view ~site:"Send.staging" staging ~off:headroom
-        ~len:contiguous_len
-    in
     let w = scratch.writer in
-    Wire.Cursor.Writer.reset ~cpu w window;
+    Wire.Cursor.Writer.retarget ~cpu ~site:"Send.staging" w staging
+      ~off:headroom ~len:contiguous_len;
     Format_.run plan w msg ~write;
     tr.Net.Transport.tr_send_inline ~dst ~head:staging
       ~zc:plan.Format_.zc ~zc_n:plan.Format_.zc_count
@@ -149,7 +146,8 @@ let send_planned (config : Config.t) (tr : Net.Transport.t) ~dst msg ~write =
        handed to the stack, which prepends a header-only entry. *)
     let obj = Net.Endpoint.alloc_tx ep ~len:contiguous_len in
     let w = scratch.writer in
-    Wire.Cursor.Writer.reset ~cpu w (Mem.Pinned.Buf.view obj);
+    Wire.Cursor.Writer.retarget ~cpu ~site:"Send.object" w obj ~off:0
+      ~len:contiguous_len;
     Format_.run plan w msg ~write;
     let nsge = 1 + plan.Format_.zc_count in
     let arena = Net.Endpoint.arena ep in

@@ -87,14 +87,17 @@ let run_adaptive_threshold () =
      perform like) the statically calibrated 512 B on the same workload. *)
   let workload = Workload.Twitter.make () in
   let adaptive = Cornflakes.Adaptive.create ~initial:2048 () in
+  let wrap tr view =
+    Cornflakes.Adaptive.make ~cpu:(Net.Transport.cpu tr) adaptive
+      (Net.Transport.endpoint tr) view
+  in
+  (* Kv_app sends stored values through [wrap_buf]: both forms learn. *)
   let adaptive_backend =
     {
       (Apps.Backend.cornflakes ()) with
       Apps.Backend.name = "adaptive";
-      wrap =
-        (fun tr view ->
-          Cornflakes.Adaptive.make ~cpu:(Net.Transport.cpu tr) adaptive
-            (Net.Transport.endpoint tr) view);
+      wrap;
+      wrap_buf = (fun tr buf -> wrap tr (Mem.Pinned.Buf.view buf));
     }
   in
   let results =

@@ -45,7 +45,8 @@ let run () =
   let cells =
     Util.par_map
       (fun (nic_model, entries) ->
-        (nic_model.Nic.Model.name, run_cell (nic_model, entries)))
+        (nic_model.Nic.Model.name,
+         Util.with_rig_life run_cell (nic_model, entries)))
       (List.concat_map
          (fun nic -> List.map (fun e -> (nic, e)) entry_counts)
          nics)

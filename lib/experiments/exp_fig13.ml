@@ -88,7 +88,7 @@ let run () =
   in
   let cells =
     Util.par_map
-      (fun (cores, path) -> run_config ~cores path)
+      (Util.with_rig_life (fun (cores, path) -> run_config ~cores path))
       (List.concat_map
          (fun cores ->
            [ (cores, Micro.Copy_once); (cores, Micro.Raw_sg) ])

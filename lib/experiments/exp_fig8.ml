@@ -26,8 +26,9 @@ let run () =
   let slo_ns = 59_000 in
   let curves =
     Util.par_map
-      (fun mode ->
-        redis_curve mode ~workload:(Workload.Twitter.make ()) ~list_values:false)
+      (Util.with_rig_life (fun mode ->
+           redis_curve mode ~workload:(Workload.Twitter.make ())
+             ~list_values:false))
       modes
   in
   Util.print_curves ~title:"Figure 8: Redis serialization vs Cornflakes (Twitter)"

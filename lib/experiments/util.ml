@@ -53,6 +53,16 @@ let par_map f xs =
   if Sanitizer.Refsan.is_enabled () then List.map f xs
   else Par.Pool.map_list f xs
 
+(* End of a per-configuration rig's life, as [Kv_bench.with_apps] ends its
+   fresh rigs: collect the rig [f] built as soon as [f x] returns, rather
+   than when the major GC next completes a cycle, so finished rigs do not
+   pile up behind the next one and peak RSS does not move with the GC's
+   phase. *)
+let with_rig_life f x =
+  let r = f x in
+  Gc.full_major ();
+  r
+
 type driver = {
   send : Net.Transport.t -> dst:int -> id:int -> unit;
   parse_id : (Mem.Pinned.Buf.t -> int) option;

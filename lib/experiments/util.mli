@@ -24,6 +24,11 @@ val is_quick : unit -> bool
     Each call of [f] must be self-contained (own rig/engine/space). *)
 val par_map : ('a -> 'b) -> 'a list -> 'b list
 
+(** [with_rig_life f x] is [f x], followed by a [Gc.full_major] that
+    collects the rig [f] built (and dropped): one rig per configuration
+    stays resident, whatever the GC's pacing. *)
+val with_rig_life : ('a -> 'b) -> 'a -> 'b
+
 type driver = {
   send : Net.Transport.t -> dst:int -> id:int -> unit;
   parse_id : (Mem.Pinned.Buf.t -> int) option;

@@ -281,11 +281,18 @@ module Buf = struct
 
   let backing_off = chunk_off
 
-  let sub_view ?(site = "Pinned.sub_view") t ~off ~len =
+  (* [sub_view]'s checks without its [View]: the backing chunk of a live
+     buffer whose window [off, off + len) fits the slot. *)
+  let sub_backing ?(site = "Pinned.sub_view") t ~off ~len =
     check_live ~site ~op:`Read t;
     if off < 0 || len < 0 || t.off + off + len > slot_size t then
       invalid_arg "Pinned.Buf.sub_view: window out of bounds";
-    View.make ~addr:(addr t + off) ~data:(chunk t) ~off:(chunk_off t + off) ~len
+    chunk t
+  [@@alloc_free]
+
+  let sub_view ?site t ~off ~len =
+    let data = sub_backing ?site t ~off ~len in
+    View.make ~addr:(addr t + off) ~data ~off:(chunk_off t + off) ~len
 
   (* Copy the window out into [dst] (device DMA gather): a read, so no
      RefSan write event, and no intermediate [View]. *)

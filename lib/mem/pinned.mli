@@ -115,8 +115,15 @@ module Buf : sig
   val backing_off : t -> int
 
   (** [sub_view t ~off ~len] is [View.sub (view t) ~off ~len] in a single
-      allocation. *)
+      allocation. Raises [Use_after_free] on a stale handle (reported at
+      [site]) and [Invalid_argument] when the window leaves the slot. *)
   val sub_view : ?site:string -> t -> off:int -> len:int -> View.t
+
+  (** [sub_backing ?site t ~off ~len] makes {!sub_view}'s checks and
+      returns {!backing}, allocating nothing: the window is
+      [off, off + len) from [backing_off t], at simulated address
+      [addr t + off]. *)
+  val sub_backing : ?site:string -> t -> off:int -> len:int -> Bytes.t
 
   (** [blit_to t ~dst ~dst_off] copies the visible window into [dst]
       (device DMA gather) without materialising a [View]. *)

@@ -25,3 +25,12 @@ val recover_ptr :
     returning [None]: the zero-copy wrap allocates only the handle. *)
 val recover_exn :
   cpu:Memmodel.Cpu.t -> t -> addr:int -> len:int -> Pinned.Buf.t
+
+(** [recover_held_exn ~cpu t buf] is
+    [recover_exn ~cpu t ~addr:(Pinned.Buf.addr buf) ~len:(Pinned.Buf.len buf)]
+    for a buffer the caller already holds: the same charges, reference and
+    RefSan incref, returning [buf] itself (one more reference) instead of
+    a fresh handle. Raises [Pinned.Unpinned] when [buf]'s pool is not
+    registered and [Pinned.Use_after_free] when [buf] is stale. Allocates
+    nothing. *)
+val recover_held_exn : cpu:Memmodel.Cpu.t -> t -> Pinned.Buf.t -> Pinned.Buf.t

@@ -220,10 +220,10 @@ let send_native t ~dst reply =
   let headroom = Net.Transport.headroom tr in
   let len = Resp.encoded_len reply in
   let staging = Net.Endpoint.alloc_tx ep ~len:(headroom + len) in
-  let window =
-    Mem.View.sub (Mem.Pinned.Buf.view staging) ~off:headroom ~len
+  let w =
+    Wire.Cursor.Writer.of_buf ~cpu:(Net.Endpoint.cpu ep) staging ~off:headroom
+      ~len
   in
-  let w = Wire.Cursor.Writer.create ~cpu:(Net.Endpoint.cpu ep) window in
   Resp.encode w reply;
   Net.Transport.send_inline tr ~dst ~head:staging ~zc:[||] ~zc_n:0
 

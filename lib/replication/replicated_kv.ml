@@ -199,8 +199,7 @@ let install replica frame w data ~off ~len =
 
 let add_val replica msg i buf =
   Wire.Dyn.append_payload_at msg i
-    (Cornflakes.Cf_ptr.make ~cpu:replica.cpu config replica.ep
-       (Mem.Pinned.Buf.view buf))
+    (Cornflakes.Cf_ptr.make_buf ~cpu:replica.cpu config replica.ep buf)
 
 let rec add_val_list replica msg i = function
   | [] -> ()
@@ -594,4 +593,4 @@ let parse_id t buf =
   let r = t.client_reader in
   match Msg.read_folded r buf with
   | exception Wire.Reader.Invalid _ -> -1
-  | () -> Int64.to_int (Wire.Reader.get_u64_or r Msg.idx_id ~default:(-1L))
+  | () -> Wire.Reader.get_int_or r Msg.idx_id ~default:(-1)

@@ -8,46 +8,78 @@ let varint_len v =
   go v 1
 
 module Writer = struct
+  (* The window is held inline (backing bytes, start offset, length,
+     simulated address) rather than as a [Mem.View.t], so a writer can be
+     retargeted at a pinned buffer's window without building a view of it.
+     Every store charges [Tx]. *)
   type t = {
-    mutable view : Mem.View.t;
+    mutable data : Bytes.t;
+    mutable base : int; (* window start within [data] *)
+    mutable limit : int; (* window length *)
+    mutable addr : int; (* simulated address of the window *)
     mutable cpu : Memmodel.Cpu.t;
-    cat : Memmodel.Cpu.category;
     mutable pos : int;
   }
 
-  let create ~cpu ?(cat = Memmodel.Cpu.Tx) view = { view; cpu; cat; pos = 0 }
+  let create ~cpu (view : Mem.View.t) =
+    {
+      data = view.Mem.View.data;
+      base = view.Mem.View.off;
+      limit = view.Mem.View.len;
+      addr = view.Mem.View.addr;
+      cpu;
+      pos = 0;
+    }
 
-  (* Retarget a long-lived writer at a fresh window (same category), so
-     per-send paths reuse one writer instead of allocating one per message.
-     The charging cpu is rebound too: the scratch writer serves whichever
-     endpoint is currently sending. *)
-  let reset ~cpu t view =
-    t.view <- view;
+  (* Retarget a long-lived writer at a fresh window, so per-send paths
+     reuse one writer instead of allocating one per message. The charging
+     cpu is rebound too: the scratch writer serves whichever endpoint is
+     currently sending. *)
+  let reset ~cpu t (view : Mem.View.t) =
+    t.data <- view.Mem.View.data;
+    t.base <- view.Mem.View.off;
+    t.limit <- view.Mem.View.len;
+    t.addr <- view.Mem.View.addr;
     t.cpu <- cpu;
     t.pos <- 0
 
+  (* [reset] at [buf]'s window [off, off + len), with
+     [Pinned.Buf.sub_view]'s liveness and bounds checks but no view. *)
+  let retarget ~cpu ?site t buf ~off ~len =
+    t.data <- Mem.Pinned.Buf.sub_backing ?site buf ~off ~len;
+    t.base <- Mem.Pinned.Buf.backing_off buf + off;
+    t.limit <- len;
+    t.addr <- Mem.Pinned.Buf.addr buf + off;
+    t.cpu <- cpu;
+    t.pos <- 0
+  [@@alloc_free]
+
+  let of_buf ~cpu ?site buf ~off ~len =
+    let t =
+      { data = Bytes.empty; base = 0; limit = 0; addr = 0; cpu; pos = 0 }
+    in
+    retarget ~cpu ?site t buf ~off ~len;
+    t
+
   let pos t = t.pos
 
-  let remaining t = t.view.Mem.View.len - t.pos
+  let remaining t = t.limit - t.pos
 
   let seek t pos =
-    if pos < 0 || pos > t.view.Mem.View.len then
-      raise (Overflow "Cursor.Writer.seek");
+    if pos < 0 || pos > t.limit then raise (Overflow "Cursor.Writer.seek");
     t.pos <- pos
 
   let charge t ~len =
-    Memmodel.Cpu.stream t.cpu t.cat ~addr:(t.view.Mem.View.addr + t.pos) ~len
+    Memmodel.Cpu.stream t.cpu Memmodel.Cpu.Tx ~addr:(t.addr + t.pos) ~len
 
   let need t n =
-    if t.pos + n > t.view.Mem.View.len then
+    if t.pos + n > t.limit then
       raise (Overflow "Cursor.Writer: window overflow")
 
   (* [byte] is only reached behind a [need] (or [span]) bounds check, so
      the store itself is unchecked — the check is hoisted, not skipped. *)
   let byte t v =
-    Bytes.unsafe_set t.view.Mem.View.data
-      (t.view.Mem.View.off + t.pos)
-      (Char.unsafe_chr (v land 0xff));
+    Bytes.unsafe_set t.data (t.base + t.pos) (Char.unsafe_chr (v land 0xff));
     t.pos <- t.pos + 1
 
   (* --- constant-offset fast stores (specialized serializers) ----------
@@ -59,17 +91,15 @@ module Writer = struct
      checks and seek ping-pong disappear. *)
 
   let span t ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > t.view.Mem.View.len then
+    if pos < 0 || len < 0 || pos + len > t.limit then
       raise (Overflow "Cursor.Writer: span overflow")
 
   let charge_at t ~pos ~len =
-    Memmodel.Cpu.stream t.cpu t.cat ~addr:(t.view.Mem.View.addr + pos) ~len
+    Memmodel.Cpu.stream t.cpu Memmodel.Cpu.Tx ~addr:(t.addr + pos) ~len
 
   (* Store a byte at an absolute offset; caller has [span]-checked. *)
   let byte_at t ~pos v =
-    Bytes.unsafe_set t.view.Mem.View.data
-      (t.view.Mem.View.off + pos)
-      (Char.unsafe_chr (v land 0xff))
+    Bytes.unsafe_set t.data (t.base + pos) (Char.unsafe_chr (v land 0xff))
 
   let u32_at t ~pos v =
     charge_at t ~pos ~len:4;
@@ -144,26 +174,21 @@ module Writer = struct
      an int64. Charged like [u64_at]. *)
   let word_at t ~pos src ~src_off =
     charge_at t ~pos ~len:8;
-    Bytes.set_int64_le t.view.Mem.View.data
-      (t.view.Mem.View.off + pos)
-      (Bytes.get_int64_le src src_off)
+    Bytes.set_int64_le t.data (t.base + pos) (Bytes.get_int64_le src src_off)
 
   let string t s =
     let n = String.length s in
     need t n;
     charge t ~len:n;
-    Bytes.blit_string s 0 t.view.Mem.View.data
-      (t.view.Mem.View.off + t.pos)
-      n;
+    Bytes.blit_string s 0 t.data (t.base + t.pos) n;
     t.pos <- t.pos + n
 
   let view_bytes t src =
     let n = src.Mem.View.len in
     need t n;
-    Memmodel.Cpu.stream t.cpu t.cat ~addr:src.Mem.View.addr ~len:n;
+    Memmodel.Cpu.stream t.cpu Memmodel.Cpu.Tx ~addr:src.Mem.View.addr ~len:n;
     charge t ~len:n;
-    Mem.View.blit src ~dst:t.view.Mem.View.data
-      ~dst_off:(t.view.Mem.View.off + t.pos);
+    Mem.View.blit src ~dst:t.data ~dst_off:(t.base + t.pos);
     t.pos <- t.pos + n
 end
 
@@ -171,11 +196,11 @@ module Reader = struct
   type t = {
     view : Mem.View.t;
     cpu : Memmodel.Cpu.t;
-    cat : Memmodel.Cpu.category;
     mutable pos : int;
   }
 
-  let create ~cpu ?(cat = Memmodel.Cpu.Deser) view = { view; cpu; cat; pos = 0 }
+  (* Every read charges [Deser]. *)
+  let create ~cpu view = { view; cpu; pos = 0 }
 
   let pos t = t.pos
 
@@ -187,7 +212,8 @@ module Reader = struct
     t.pos <- pos
 
   let charge t ~len =
-    Memmodel.Cpu.stream t.cpu t.cat ~addr:(t.view.Mem.View.addr + t.pos) ~len
+    Memmodel.Cpu.stream t.cpu Memmodel.Cpu.Deser
+      ~addr:(t.view.Mem.View.addr + t.pos) ~len
 
   let need t n =
     if t.pos + n > t.view.Mem.View.len then

@@ -1,6 +1,6 @@
 (** Charged byte cursors.
 
-    Writers/readers over a {!Mem.View.t} window that perform the real byte
+    Writers/readers over a byte window that perform the real byte
     moves and charge the cache model for each access. Serializers use these
     for headers, varints, and field tables; bulk field copies go through
     {!Mem.Pinned.Buf.blit_from} / {!Mem.Arena.copy_in}. *)
@@ -8,14 +8,39 @@
 module Writer : sig
   type t
 
-  (** [create ~cpu ?cat view] writes into [view] starting at offset 0.
-      Charges go to [cpu], category [cat] (default [Tx]). *)
-  val create : cpu:Memmodel.Cpu.t -> ?cat:Memmodel.Cpu.category -> Mem.View.t -> t
+  (** [create ~cpu view] writes into [view] starting at offset 0.
+      Charges go to [cpu], category [Tx]. *)
+  val create : cpu:Memmodel.Cpu.t -> Mem.View.t -> t
 
   (** [reset ~cpu t view] retargets the writer at [view], position 0,
-      rebinding the charging cpu and keeping the category — so hot paths
-      reuse one writer across messages (and across endpoints). *)
+      rebinding the charging cpu — so hot paths reuse one writer across
+      messages (and across endpoints). *)
   val reset : cpu:Memmodel.Cpu.t -> t -> Mem.View.t -> unit
+
+  (** [retarget ~cpu ?site t buf ~off ~len] is
+      [reset ~cpu t (Mem.Pinned.Buf.sub_view ?site buf ~off ~len)] without
+      the view: the same liveness check ([Use_after_free] on a stale
+      handle, reported at [site]) and bounds check ([Invalid_argument]),
+      and the writer then raises [Overflow] at the same offsets.
+      Allocates nothing. *)
+  val retarget :
+    cpu:Memmodel.Cpu.t ->
+    ?site:string ->
+    t ->
+    Mem.Pinned.Buf.t ->
+    off:int ->
+    len:int ->
+    unit
+
+  (** [of_buf ~cpu ?site buf ~off ~len] is a fresh writer [retarget]ed at
+      [buf]'s window: one allocation, the writer itself. *)
+  val of_buf :
+    cpu:Memmodel.Cpu.t ->
+    ?site:string ->
+    Mem.Pinned.Buf.t ->
+    off:int ->
+    len:int ->
+    t
 
   val pos : t -> int
 
@@ -71,7 +96,9 @@ end
 module Reader : sig
   type t
 
-  val create : cpu:Memmodel.Cpu.t -> ?cat:Memmodel.Cpu.category -> Mem.View.t -> t
+  (** [create ~cpu view] reads [view] from offset 0; charges go to [cpu],
+      category [Deser]. *)
+  val create : cpu:Memmodel.Cpu.t -> Mem.View.t -> t
 
   val pos : t -> int
 

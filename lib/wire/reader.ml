@@ -241,6 +241,19 @@ let blit_u64 t i dst ~dst_off =
 let get_u64_or t i ~default =
   if present t i then get_u64 t i else default
 
+(* [Int64.to_int (get_u64_or t i ~default)] without the int64: the low 63
+   bits of field [i] (bit 63 dropped, as [Int64.to_int] drops it), or
+   [Int64.to_int default]'s value [default] when absent. Charged as
+   [get_u64_or]. *)
+let get_int_or t i ~default =
+  if present t i then begin
+    let s = slot t i in
+    charge t ~off:s ~len:8;
+    Int64.to_int (Bytes.get_int64_le t.data (t.base + s))
+  end
+  else default
+[@@alloc_free]
+
 (* Field [i]'s 8 bytes into [dst], or [default]'s when absent: charged as
    [get_u64_or], with no int64 boxed. *)
 let get_u64_into t i dst ~default =

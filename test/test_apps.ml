@@ -455,6 +455,63 @@ let test_server_queue_drops_under_burst () =
   Alcotest.(check bool) "most served" true
     (Loadgen.Server.served rig.Apps.Rig.server > 2_000)
 
+(* Steady-state minor words of one kv GET: the server's handler (the
+   generated skeleton over Kv_app's rows) and the client's generated
+   [deliver], each counted around its call with the engine drained. The
+   key's 700-byte value goes out zero-copy. The budget, item by item: the
+   value's [Zero_copy] box (2 words; the held buffer is referenced, not
+   recovered into a fresh handle, and no view of it is built), the staging
+   buffer's handle (7; the writer is retargeted at its window, no view),
+   and the two counter readings (2 each). Reading the method and id words
+   allocates nothing. *)
+let test_kv_get_allocation_budget () =
+  let rig = Apps.Rig.create ~n_clients:1 ~transport:`Udp () in
+  let backend = Apps.Backend.cornflakes () in
+  let (_ : Apps.Kv_app.t) =
+    Apps.Kv_app.install rig ~backend ~workload:fixture_workload
+  in
+  let module KS = Apps.Kv_rpc.Kv_service in
+  let client = List.hd rig.Apps.Rig.clients in
+  let c = KS.client client in
+  let words = ref 0.0 in
+  let count f =
+    let w0 = Gc.minor_words () in
+    f ();
+    words := !words +. (Gc.minor_words () -. w0)
+  in
+  let h = Loadgen.Server.handler rig.Apps.Rig.server in
+  Loadgen.Server.set_handler rig.Apps.Rig.server (fun ~src buf ->
+      count (fun () -> h ~src buf));
+  Net.Transport.set_rx client (fun ~src:_ buf ->
+      count (fun () -> KS.deliver c buf);
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
+  let req = Apps.Kv_rpc.Req.create () in
+  Apps.Kv_rpc.Req.add_keys_payload req
+    (Wire.Payload.of_string rig.Apps.Rig.space "single");
+  let values = ref 0 in
+  let on_reply r =
+    values := !values + Wire.Reader.count_or_zero r Apps.Proto.resp_vals
+  in
+  let get () =
+    ignore (KS.call_get c ~dst:Apps.Rig.server_id req ~on_reply);
+    Sim.Engine.run_all rig.Apps.Rig.engine;
+    Mem.Arena.reset (Net.Transport.arena client)
+  in
+  for _ = 1 to 200 do
+    get ()
+  done;
+  words := 0.0;
+  values := 0;
+  let n = 1_000 in
+  for _ = 1 to n do
+    get ()
+  done;
+  Alcotest.(check int) "every get answered with its value" n !values;
+  let per = !words /. float_of_int n in
+  let budget = 2.0 +. 7.0 +. (2.0 *. 2.0) in
+  if per > budget then
+    Alcotest.failf "%.1f words per kv GET, budget %.0f" per budget
+
 let suite =
   [
     Alcotest.test_case "kv all backends serve" `Slow test_kv_all_backends_serve;
@@ -475,4 +532,6 @@ let suite =
     Alcotest.test_case "no buffer leaks" `Quick test_no_buffer_leaks_across_requests;
     Alcotest.test_case "queue drops under burst" `Quick
       test_server_queue_drops_under_burst;
+    Alcotest.test_case "kv GET allocation budget" `Quick
+      test_kv_get_allocation_budget;
   ]

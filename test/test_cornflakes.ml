@@ -413,6 +413,107 @@ let test_network_api_listing2 () =
       Mem.Pinned.Buf.decr_ref ~cpu:none buf
   | None -> Alcotest.fail "no packet in inbox"
 
+(* [Cf_ptr.make_buf] against [Cf_ptr.make] of the buffer's view, each in
+   a fresh rig of its own: values below, at and above the threshold, under
+   the default, all-copy and all-zero-copy configs, from a registered pool
+   or one the registry does not know, with the arena open or refusing every
+   copy. The payload, the value's refcount, arena use, OOM fallbacks, the
+   per-category cycle breakdown and the value's RefSan history (sites
+   included) must be identical. *)
+let cf_twin ~config ~len ~registered ~oom make =
+  let module Refsan = Sanitizer.Refsan in
+  let was = Refsan.is_enabled () in
+  Refsan.reset ();
+  Refsan.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Refsan.set_enabled was;
+      Refsan.reset ())
+    (fun () ->
+      let cpu = Memmodel.Cpu.create Memmodel.Params.default in
+      let env = Test_env.make ~cpu_b:cpu () in
+      let pool =
+        if registered then Test_env.data_pool env
+        else
+          Mem.Pinned.Pool.create env.Test_env.space ~name:"data"
+            ~classes:[ (64, 8); (1024, 8); (4096, 8) ]
+      in
+      let value =
+        make_value pool (String.init len (fun i -> Char.chr (i land 0xff)))
+      in
+      let arena = Net.Endpoint.arena env.Test_env.b in
+      if oom then Mem.Arena.set_soft_capacity arena (Some 0);
+      let fallbacks = Cornflakes.Cf_ptr.oom_fallbacks () in
+      let payload =
+        match make ~cpu config env.Test_env.b value with
+        | Wire.Payload.Zero_copy b ->
+            Ok
+              ( "zero-copy",
+                Mem.Pinned.Buf.addr b,
+                Mem.View.to_string (Mem.Pinned.Buf.view b) )
+        | Wire.Payload.Copied v ->
+            Ok ("copied", v.Mem.View.addr, Mem.View.to_string v)
+        | Wire.Payload.Literal _ -> Error "literal"
+        | exception Mem.Pinned.Out_of_memory _ -> Error "out of memory"
+      in
+      ( payload,
+        Mem.Pinned.Buf.refcount value,
+        Mem.Arena.used arena,
+        Cornflakes.Cf_ptr.oom_fallbacks () - fallbacks,
+        Memmodel.Cpu.breakdown cpu,
+        Refsan.history (Mem.Pinned.Buf.san_id value) ))
+
+let test_make_buf_twins_make () =
+  let of_view ~cpu config ep buf =
+    Cornflakes.Cf_ptr.make ~cpu config ep (Mem.Pinned.Buf.view buf)
+  in
+  let held ~cpu config ep buf = Cornflakes.Cf_ptr.make_buf ~cpu config ep buf in
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun len ->
+          List.iter
+            (fun (registered, oom) ->
+              let case =
+                Printf.sprintf "%s len %d registered %b oom %b" cname len
+                  registered oom
+              in
+              let ((payload, _, _, _, _, _) as reference) =
+                cf_twin ~config ~len ~registered ~oom of_view
+              in
+              (match payload with
+              | Ok _ -> ()
+              | Error e ->
+                  if not (oom && not registered) then
+                    Alcotest.failf "%s: reference path failed: %s" case e);
+              if cf_twin ~config ~len ~registered ~oom held <> reference then
+                Alcotest.failf "%s: make_buf differs from make of the view"
+                  case)
+            [ (true, false); (true, true); (false, false); (false, true) ])
+        [ 1; 100; 511; 512; 513; 700; 2048; 4000 ])
+    [
+      ("default", Cornflakes.Config.default);
+      ("all-copy", Cornflakes.Config.all_copy);
+      ("all-zero-copy", Cornflakes.Config.all_zero_copy);
+    ]
+
+let test_make_buf_stale () =
+  let env = Test_env.make () in
+  let pool = Test_env.data_pool env in
+  List.iter
+    (fun len ->
+      let value = make_value pool (String.make len 's') in
+      Mem.Pinned.Buf.decr_ref ~cpu:none value;
+      match
+        Cornflakes.Cf_ptr.make_buf ~cpu:none default env.Test_env.b value
+      with
+      | _ -> Alcotest.failf "stale %d-byte value was wrapped" len
+      | exception Mem.Pinned.Use_after_free _ -> ())
+    [ 100; 2048 ]
+
 let suite = suite @ [
   Alcotest.test_case "Listing-2 network API" `Quick test_network_api_listing2;
+  Alcotest.test_case "make_buf twins make of the view" `Quick
+    test_make_buf_twins_make;
+  Alcotest.test_case "make_buf of a stale buffer" `Quick test_make_buf_stale;
 ]

@@ -92,6 +92,109 @@ let test_seek_and_backpatch () =
   Alcotest.(check int) "patched" 99 (Wire.Cursor.Reader.u32 r);
   Alcotest.(check int) "second intact" 7 (Wire.Cursor.Reader.u32 r)
 
+(* A writer retargeted at a pinned buffer's window behaves as a writer
+   over [Pinned.Buf.sub_view] of that window: over random windows and op
+   sequences the two raise [Overflow] at the same op, stop at the same
+   offset, write the same bytes and charge the same cycles; a window
+   leaving the slot raises the same [Invalid_argument] from both, and a
+   stale buffer [Use_after_free] from both. *)
+type wop =
+  | U8 of int
+  | U16 of int
+  | U32 of int
+  | U64 of int64
+  | Varint of int64
+  | Str of string
+
+let apply_wop w = function
+  | U8 v -> Wire.Cursor.Writer.u8 w v
+  | U16 v -> Wire.Cursor.Writer.u16 w v
+  | U32 v -> Wire.Cursor.Writer.u32 w v
+  | U64 v -> Wire.Cursor.Writer.u64 w v
+  | Varint v -> Wire.Cursor.Writer.varint w v
+  | Str s -> Wire.Cursor.Writer.string w s
+
+let gen_wop =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun v -> U8 v) (int_bound 0xff);
+        map (fun v -> U16 v) (int_bound 0xffff);
+        map (fun v -> U32 v) (int_bound 0x3fffffff);
+        map (fun v -> U64 v) ui64;
+        map (fun v -> Varint v) ui64;
+        map (fun s -> Str s) (string_size (int_bound 40));
+      ])
+
+(* Run [ops] until one overflows ([Invalid_argument]): the number applied
+   and the offset. *)
+let run_wops w ops =
+  let rec go n = function
+    | [] -> (n, Wire.Cursor.Writer.pos w)
+    | op :: rest -> (
+        match apply_wop w op with
+        | () -> go (n + 1) rest
+        | exception Invalid_argument _ -> (n, Wire.Cursor.Writer.pos w))
+  in
+  go 0 ops
+
+let retarget_twin ~off ~len ops how =
+  let space = Mem.Addr_space.create () in
+  let pool =
+    Mem.Pinned.Pool.create space ~name:"cursor" ~classes:[ (256, 4) ]
+  in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:200 in
+  let cpu = Memmodel.Cpu.create Memmodel.Params.default in
+  let outcome =
+    match
+      match how with
+      | `Sub_view ->
+          Wire.Cursor.Writer.create ~cpu
+            (Mem.Pinned.Buf.sub_view buf ~off ~len)
+      | `Of_buf -> Wire.Cursor.Writer.of_buf ~cpu buf ~off ~len
+      | `Retarget ->
+          let w = Wire.Cursor.Writer.create ~cpu:none (make_view 8) in
+          Wire.Cursor.Writer.u32 w 7;
+          Wire.Cursor.Writer.retarget ~cpu w buf ~off ~len;
+          w
+    with
+    | w -> Ok (run_wops w ops)
+    | exception Invalid_argument msg -> Error msg
+  in
+  let bytes =
+    let v = Mem.Pinned.Buf.view buf in
+    Bytes.sub_string v.Mem.View.data v.Mem.View.off 256
+  in
+  (outcome, bytes, Memmodel.Cpu.breakdown cpu)
+
+let qcheck_retarget_equals_sub_view =
+  QCheck.Test.make ~name:"retargeted writer overflows like a sub_view writer"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple (int_range (-2) 260) (int_range (-2) 260)
+            (list_size (int_bound 30) gen_wop)))
+    (fun (off, len, ops) ->
+      let reference = retarget_twin ~off ~len ops `Sub_view in
+      reference = retarget_twin ~off ~len ops `Of_buf
+      && reference = retarget_twin ~off ~len ops `Retarget)
+
+let test_retarget_stale () =
+  let space = Mem.Addr_space.create () in
+  let pool =
+    Mem.Pinned.Pool.create space ~name:"cursor" ~classes:[ (256, 4) ]
+  in
+  let buf = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  Mem.Pinned.Buf.decr_ref ~cpu:none buf;
+  let stale f =
+    match f () with
+    | _ -> Alcotest.fail "a stale buffer was written"
+    | exception Mem.Pinned.Use_after_free _ -> ()
+  in
+  stale (fun () -> Mem.Pinned.Buf.sub_view buf ~off:0 ~len:8);
+  stale (fun () -> Wire.Cursor.Writer.of_buf ~cpu:none buf ~off:0 ~len:8)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_scalar_roundtrip;
@@ -101,4 +204,6 @@ let suite =
     Alcotest.test_case "reader bounds" `Quick test_reader_bounds;
     Alcotest.test_case "varint too long" `Quick test_varint_max_length_rejected;
     Alcotest.test_case "seek and backpatch" `Quick test_seek_and_backpatch;
+    QCheck_alcotest.to_alcotest qcheck_retarget_equals_sub_view;
+    Alcotest.test_case "retarget of a stale buffer" `Quick test_retarget_stale;
   ]

@@ -338,6 +338,46 @@ let test_read_folded_fallback_costs_validate () =
   let generic = cycles Wire.Reader.validate in
   Alcotest.(check (float 0.)) "same cycles as validate" generic folded
 
+(* [get_int_or] is [Int64.to_int (get_u64_or ...)] without the int64: over
+   random 8-byte fields (bits 62 and 63 forced on or off) and absent ones,
+   with random defaults, the value and the cycles charged (per category,
+   after the same validation) are equal. *)
+let qcheck_get_int_or =
+  let id = idx "id" in
+  QCheck.Test.make ~name:"get_int_or equals Int64.to_int of get_u64_or"
+    ~count:300
+    QCheck.(triple (option int64) (int_bound 4) int64)
+    (fun (v, bits, default) ->
+      let v =
+        Option.map
+          (fun v ->
+            match bits with
+            | 0 -> Int64.logor v 0x4000000000000000L
+            | 1 -> Int64.logor v Int64.min_int
+            | 2 -> Int64.logor v 0xc000000000000000L
+            | 3 -> Int64.logand v 0x3fffffffffffffffL
+            | _ -> v)
+          v
+      in
+      let env = Test_format.make_env () in
+      let msg = Wire.Dyn.create everything in
+      Option.iter (Wire.Dyn.set_int msg "id") v;
+      let _plan, buf = Test_format.serialize env msg in
+      let read f =
+        let cpu = Memmodel.Cpu.create Memmodel.Params.default in
+        let r = Wire.Reader.create ~cpu everything in
+        Wire.Reader.validate r buf;
+        let x = f r in
+        (x, Memmodel.Cpu.breakdown cpu)
+      in
+      let boxed =
+        read (fun r -> Int64.to_int (Wire.Reader.get_u64_or r id ~default))
+      and native =
+        read (fun r ->
+            Wire.Reader.get_int_or r id ~default:(Int64.to_int default))
+      in
+      boxed = native)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_reader_equals_dyn;
@@ -352,4 +392,5 @@ let suite =
       test_rx_slot_reuse;
     Alcotest.test_case "read_folded fallback costs one validate" `Quick
       test_read_folded_fallback_costs_validate;
+    QCheck_alcotest.to_alcotest qcheck_get_int_or;
   ]

@@ -761,10 +761,12 @@ let prop_slot_tables =
    engine drained. The floor is what the three stores must keep: each
    installs a 7-word buffer handle in a 2-word [Single] (27 words). The
    budget beyond it is what the handlers hand to the send path and to the
-   store: each of the five sends' 7-word staging handle and 5-word view of
-   its window (60), per replicate the key's view and its arena copy (12) and the value's view
-   and zero-copy reference (14), the 3-word list cell each install builds
-   its value from (9), and the five counter readings (2 each). *)
+   store: each of the five sends' 7-word staging handle (35; the writer is
+   retargeted at its window, no view), per replicate the key's view and its
+   arena copy (12) and the stored value's 2-word [Zero_copy] box (the held
+   buffer is referenced, no view or fresh handle), the 3-word list cell
+   each install builds its value from (9), and the five counter readings
+   (2 each). *)
 let test_put_allocation_budget () =
   let rig, cluster = make ~backups:2 () in
   let client = List.hd rig.Apps.Rig.clients in
@@ -796,7 +798,7 @@ let test_put_allocation_budget () =
     (Replication.Replicated_kv.committed cluster);
   let per = !words /. float_of_int n in
   let floor = 27.0
-  and budget = (5.0 *. (7.0 +. 5.0)) +. (2.0 *. (12.0 +. 14.0)) +. 9.0 +. 10.0 in
+  and budget = (5.0 *. 7.0) +. (2.0 *. (12.0 +. 2.0)) +. 9.0 +. 10.0 in
   if per > floor +. budget then
     Alcotest.failf "%.1f words per replicated put: %.1f beyond the %.0f-word \
                     floor, budget %.0f"
