@@ -82,27 +82,28 @@ let run_sge_overflow () =
     "  (demotion keeps the e810 correct at a modest throughput cost — the\n\
     \   double cache-miss case of paper section 3.2.1)"
 
+(* The Cornflakes backend with every payload built through [adaptive].
+   Kv_app sends stored values through [wrap_buf]: both forms learn. *)
+let adaptive_backend adaptive =
+  let wrap tr view =
+    Cornflakes.Adaptive.make ~cpu:(Net.Transport.cpu tr) adaptive
+      (Net.Transport.endpoint tr) view
+  in
+  {
+    (Apps.Backend.cornflakes ()) with
+    Apps.Backend.name = "adaptive";
+    wrap;
+    wrap_buf = (fun tr buf -> wrap tr (Mem.Pinned.Buf.view buf));
+  }
+
 let run_adaptive_threshold () =
   (* Section-7 extension: the dynamic threshold should converge to (and
      perform like) the statically calibrated 512 B on the same workload. *)
   let workload = Workload.Twitter.make () in
   let adaptive = Cornflakes.Adaptive.create ~initial:2048 () in
-  let wrap tr view =
-    Cornflakes.Adaptive.make ~cpu:(Net.Transport.cpu tr) adaptive
-      (Net.Transport.endpoint tr) view
-  in
-  (* Kv_app sends stored values through [wrap_buf]: both forms learn. *)
-  let adaptive_backend =
-    {
-      (Apps.Backend.cornflakes ()) with
-      Apps.Backend.name = "adaptive";
-      wrap;
-      wrap_buf = (fun tr buf -> wrap tr (Mem.Pinned.Buf.view buf));
-    }
-  in
   let results =
     Kv_bench.capacities ~workload
-      [ Apps.Backend.cornflakes (); adaptive_backend ]
+      [ Apps.Backend.cornflakes (); adaptive_backend adaptive ]
   in
   let t =
     Stats.Table.create

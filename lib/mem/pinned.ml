@@ -16,7 +16,22 @@ exception Unpinned
    only the slots it has used. *)
 let chunk_bytes = 65536
 
+(* A handle packs its slot and generation into [id] and its window into
+   [win]; these bound a class's capacity and a slot's size, and stored
+   generations wrap at [gen_mask + 1] so that they always equal the packed
+   value. *)
+let slot_bits = 24
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let gen_mask = (1 lsl (63 - slot_bits)) - 1
+
+let len_bits = 31
+
+let len_mask = (1 lsl len_bits) - 1
+
 type size_class = {
+  pool : pool; (* the owner, for names and RefSan uids *)
   size : int; (* power-of-two buffer size *)
   capacity : int;
   data_base : int; (* simulated address of slot 0 *)
@@ -30,10 +45,10 @@ type size_class = {
   mutable free_top : int; (* number of entries in [free] *)
 }
 
-type pool = {
+and pool = {
   name : string;
   uid : int; (* process-unique, for the RefSan ledger *)
-  classes : size_class array; (* sorted by size *)
+  mutable classes : size_class array; (* sorted by size; set once *)
   base : int;
   limit : int;
   freelist_addr : int; (* hot line holding the per-class free-list heads *)
@@ -59,20 +74,39 @@ module Pool = struct
       (fun (size, cap) ->
         if not (is_pow2 size) then
           invalid_arg "Pinned.Pool.create: class size must be a power of two";
-        if cap <= 0 then invalid_arg "Pinned.Pool.create: capacity must be positive")
+        if size > len_mask then
+          invalid_arg "Pinned.Pool.create: class size above 2^30";
+        if cap <= 0 then
+          invalid_arg "Pinned.Pool.create: capacity must be positive";
+        if cap > slot_mask + 1 then
+          invalid_arg "Pinned.Pool.create: capacity above 2^24")
       classes;
     let freelist_addr = Addr_space.reserve space ~bytes:64 in
-    let base = ref max_int and limit = ref 0 in
-    let mk (size, capacity) =
-      let data_base = Addr_space.reserve space ~bytes:(size * capacity) in
-      let meta_base = Addr_space.reserve space ~bytes:(8 * capacity) in
-      if data_base < !base then base := data_base;
-      if data_base + (size * capacity) > !limit then
-        limit := data_base + (size * capacity);
+    let ranges =
+      List.map
+        (fun (size, capacity) ->
+          let data_base = Addr_space.reserve space ~bytes:(size * capacity) in
+          let meta_base = Addr_space.reserve space ~bytes:(8 * capacity) in
+          (size, capacity, data_base, meta_base))
+        classes
+    in
+    let pool =
+      {
+        name;
+        uid = Sanitizer.Refsan.register_pool ();
+        classes = [||];
+        base = List.fold_left (fun b (_, _, d, _) -> min b d) max_int ranges;
+        limit =
+          List.fold_left (fun l (s, c, d, _) -> max l (d + (s * c))) 0 ranges;
+        freelist_addr;
+      }
+    in
+    let mk (size, capacity, data_base, meta_base) =
       let free = Array.init capacity (fun i -> capacity - 1 - i) in
       let per_chunk = max 1 (chunk_bytes / size) in
       let n_chunks = (capacity + per_chunk - 1) / per_chunk in
       {
+        pool;
         size;
         capacity;
         data_base;
@@ -86,15 +120,8 @@ module Pool = struct
         free_top = capacity;
       }
     in
-    let classes = Array.of_list (List.map mk classes) in
-    {
-      name;
-      uid = Sanitizer.Refsan.register_pool ();
-      classes;
-      base = !base;
-      limit = !limit;
-      freelist_addr;
-    }
+    pool.classes <- Array.of_list (List.map mk ranges);
+    pool
 
   let name t = t.name
 
@@ -133,47 +160,52 @@ module Pool = struct
   let class_of_addr t ~addr = class_from t ~addr 0
 end
 
-type t = {
-  pool : pool;
-  cls : int;
-  slot : int;
-  gen : int;
-  off : int; (* window start within the slot *)
-  len : int; (* window length *)
-}
+(* Four words: [id] is [gen lsl slot_bits lor slot], [win] is
+   [off lsl len_bits lor len] (the window within the slot). *)
+type t = { sc : size_class; id : int; win : int }
 
 module Buf = struct
   type nonrec t = t
 
-  let sc t = t.pool.classes.(t.cls)
+  let slot_of t = t.id land slot_mask
+
+  let gen_of t = t.id lsr slot_bits
+
+  let off_of t = t.win lsr len_bits
+
+  let len_of t = t.win land len_mask
+
+  let make c ~slot ~off ~len =
+    let id = (c.gens.(slot) lsl slot_bits) lor slot in
+    { sc = c; id; win = (off lsl len_bits) lor len }
 
   (* The chunk holding the slot, and the window's start within it. *)
   let chunk t =
-    let c = sc t in
-    c.chunks.(t.slot lsr c.chunk_shift)
+    let c = t.sc in
+    c.chunks.(slot_of t lsr c.chunk_shift)
 
   let chunk_off t =
-    let c = sc t in
-    ((t.slot land c.chunk_mask) * c.size) + t.off
+    let c = t.sc in
+    ((slot_of t land c.chunk_mask) * c.size) + off_of t
 
   (* RefSan plumbing: the ledger check costs one boolean read when off. *)
 
   let san_on () = Sanitizer.Refsan.is_enabled ()
 
   let san_id t =
-    let c = sc t in
+    let c = t.sc in
     {
-      Sanitizer.Refsan.pool_uid = t.pool.uid;
-      pool = t.pool.name;
+      Sanitizer.Refsan.pool_uid = c.pool.uid;
+      pool = c.pool.name;
       size = c.size;
-      slot = t.slot;
-      gen = t.gen;
-      base = c.data_base + (t.slot * c.size);
+      slot = slot_of t;
+      gen = gen_of t;
+      base = c.data_base + (slot_of t * c.size);
     }
 
   let check_live ?(site = "Pinned.access") ?(op = `Read) t =
-    let c = sc t in
-    if c.gens.(t.slot) <> t.gen || c.refcounts.(t.slot) = 0 then begin
+    let c = t.sc and slot = slot_of t in
+    if c.gens.(slot) <> gen_of t || c.refcounts.(slot) = 0 then begin
       let history =
         if san_on () then begin
           let id = san_id t in
@@ -182,26 +214,27 @@ module Buf = struct
         end
         else []
       in
-      raise (Use_after_free { pool = t.pool.name; slot = t.slot; gen = t.gen; history })
+      raise
+        (Use_after_free { pool = c.pool.name; slot; gen = gen_of t; history })
     end
 
-  let meta_addr t = (sc t).meta_base + (t.slot * 8)
+  let meta_addr t = t.sc.meta_base + (slot_of t * 8)
 
-  let addr t = (sc t).data_base + (t.slot * (sc t).size) + t.off
+  let addr t = t.sc.data_base + (slot_of t * t.sc.size) + off_of t
 
   let metadata_addr t = meta_addr t
 
-  let len t = t.len
+  let len = len_of
 
-  let slot_size t = (sc t).size
+  let slot_size t = t.sc.size
 
   let refcount t =
-    let c = sc t in
-    if c.gens.(t.slot) <> t.gen then 0 else c.refcounts.(t.slot)
+    let c = t.sc and slot = slot_of t in
+    if c.gens.(slot) <> gen_of t then 0 else c.refcounts.(slot)
 
   let is_live t =
-    let c = sc t in
-    c.gens.(t.slot) = t.gen && c.refcounts.(t.slot) > 0
+    let c = t.sc and slot = slot_of t in
+    c.gens.(slot) = gen_of t && c.refcounts.(slot) > 0
 
   let charge_meta ~cpu t =
     Memmodel.Cpu.latency_access cpu Memmodel.Cpu.Safety ~addr:(meta_addr t);
@@ -232,7 +265,7 @@ module Buf = struct
         let ci = slot lsr c.chunk_shift in
         if Bytes.length c.chunks.(ci) = 0 then back_chunk c ci;
         c.refcounts.(slot) <- 1;
-        let t = { pool; cls; slot; gen = c.gens.(slot); off = 0; len } in
+        let t = make c ~slot ~off:0 ~len in
         if san_on () then Sanitizer.Refsan.on_alloc ~id:(san_id t) ~site;
         Memmodel.Cpu.charge_op cpu Memmodel.Cpu.Alloc Memmodel.Cpu.Slab_alloc;
         (* Free-list head is a hot line; refcount init touches the slot's
@@ -245,32 +278,32 @@ module Buf = struct
   let incr_ref ~cpu ?(site = "Pinned.incr_ref") t =
     check_live ~site ~op:`Ref t;
     charge_meta ~cpu t;
-    let c = sc t in
-    c.refcounts.(t.slot) <- c.refcounts.(t.slot) + 1;
+    let c = t.sc and slot = slot_of t in
+    c.refcounts.(slot) <- c.refcounts.(slot) + 1;
     if san_on () then
-      Sanitizer.Refsan.on_incref ~id:(san_id t) ~refs:c.refcounts.(t.slot) ~site
+      Sanitizer.Refsan.on_incref ~id:(san_id t) ~refs:c.refcounts.(slot) ~site
 
   let free_slot t =
-    let c = sc t in
-    c.gens.(t.slot) <- c.gens.(t.slot) + 1;
-    c.free.(c.free_top) <- t.slot;
+    let c = t.sc and slot = slot_of t in
+    c.gens.(slot) <- (c.gens.(slot) + 1) land gen_mask;
+    c.free.(c.free_top) <- slot;
     c.free_top <- c.free_top + 1
 
   let decr_ref ~cpu ?(site = "Pinned.decr_ref") t =
     check_live ~site ~op:`Release t;
     charge_meta ~cpu t;
-    let c = sc t in
-    c.refcounts.(t.slot) <- c.refcounts.(t.slot) - 1;
+    let c = t.sc and slot = slot_of t in
+    c.refcounts.(slot) <- c.refcounts.(slot) - 1;
     if san_on () then
-      Sanitizer.Refsan.on_decref ~id:(san_id t) ~refs:c.refcounts.(t.slot) ~site;
-    if c.refcounts.(t.slot) = 0 then begin
+      Sanitizer.Refsan.on_decref ~id:(san_id t) ~refs:c.refcounts.(slot) ~site;
+    if c.refcounts.(slot) = 0 then begin
       if san_on () then Sanitizer.Refsan.on_free ~id:(san_id t) ~site;
       free_slot t
     end
 
   let view t =
     check_live ~site:"Pinned.view" ~op:`Read t;
-    View.make ~addr:(addr t) ~data:(chunk t) ~off:(chunk_off t) ~len:t.len
+    View.make ~addr:(addr t) ~data:(chunk t) ~off:(chunk_off t) ~len:(len_of t)
 
   (* Allocation-free window access for per-send hot paths: the backing bytes
      plus the window's start offset within them, without materialising a
@@ -285,7 +318,7 @@ module Buf = struct
      buffer whose window [off, off + len) fits the slot. *)
   let sub_backing ?(site = "Pinned.sub_view") t ~off ~len =
     check_live ~site ~op:`Read t;
-    if off < 0 || len < 0 || t.off + off + len > slot_size t then
+    if off < 0 || len < 0 || off_of t + off + len > slot_size t then
       invalid_arg "Pinned.Buf.sub_view: window out of bounds";
     chunk t
   [@@alloc_free]
@@ -298,13 +331,13 @@ module Buf = struct
      RefSan write event, and no intermediate [View]. *)
   let blit_to ?(site = "Pinned.blit_to") t ~dst ~dst_off =
     check_live ~site ~op:`Read t;
-    Bytes.blit (chunk t) (chunk_off t) dst dst_off t.len
+    Bytes.blit (chunk t) (chunk_off t) dst dst_off (len_of t)
 
   let sub ?(site = "Pinned.sub") t ~off ~len =
     check_live ~site ~op:`Read t;
-    if off < 0 || len < 0 || t.off + off + len > slot_size t then
+    if off < 0 || len < 0 || off_of t + off + len > slot_size t then
       invalid_arg "Pinned.Buf.sub: window out of bounds";
-    let t' = { t with off = t.off + off; len } in
+    let t' = { t with win = ((off_of t + off) lsl len_bits) lor len } in
     if san_on () then
       Sanitizer.Refsan.on_sub ~id:(san_id t') ~refs:(refcount t') ~site;
     t'
@@ -330,12 +363,12 @@ module Buf = struct
   (* Declare the buffer's visible window in flight (NIC ring / rtx queue). *)
   let hold ?(site = "dma") ?skip t =
     if san_on () then begin
-      let skip = match skip with Some n -> min n t.len | None -> 0 in
-      if t.len - skip <= 0 then None
+      let skip = match skip with Some n -> min n (len_of t) | None -> 0 in
+      if len_of t - skip <= 0 then None
       else
         Some
           (Sanitizer.Refsan.hold ~id:(san_id t) ~refs:(refcount t)
-             ~addr:(addr t + skip) ~len:(t.len - skip) ~site)
+             ~addr:(addr t + skip) ~len:(len_of t - skip) ~site)
     end
     else None
 
@@ -345,7 +378,7 @@ module Buf = struct
 
   let fill ~cpu ?(site = "Pinned.fill") t s =
     check_live ~site ~op:`Write t;
-    if String.length s > slot_size t - t.off then
+    if String.length s > slot_size t - off_of t then
       invalid_arg "Pinned.Buf.fill: string too long";
     Bytes.blit_string s 0 (chunk t) (chunk_off t) (String.length s);
     if san_on () then
@@ -358,7 +391,7 @@ module Buf = struct
     check_live ~site ~op:`Write t;
     if src_off < 0 || len < 0 || src_off + len > String.length s then
       invalid_arg "Pinned.Buf.fill_substring: source out of bounds";
-    if len > slot_size t - t.off then
+    if len > slot_size t - off_of t then
       invalid_arg "Pinned.Buf.fill_substring: string too long";
     Bytes.blit_string s src_off (chunk t) (chunk_off t) len;
     if san_on () then
@@ -373,7 +406,7 @@ module Buf = struct
     check_live ~site ~op:`Write t;
     if src_off < 0 || len < 0 || src_off + len > Bytes.length s then
       invalid_arg "Pinned.Buf.fill_subbytes: source out of bounds";
-    if len > slot_size t - t.off then
+    if len > slot_size t - off_of t then
       invalid_arg "Pinned.Buf.fill_subbytes: source too long";
     Bytes.blit s src_off (chunk t) (chunk_off t) len;
     if san_on () then
@@ -383,7 +416,7 @@ module Buf = struct
 
   let blit_from ~cpu ?(site = "Pinned.blit_from") t ~src ~dst_off =
     check_live ~site ~op:`Write t;
-    if dst_off < 0 || t.off + dst_off + src.View.len > slot_size t then
+    if dst_off < 0 || off_of t + dst_off + src.View.len > slot_size t then
       invalid_arg "Pinned.Buf.blit_from: out of bounds";
     View.blit src ~dst:(chunk t) ~dst_off:(chunk_off t + dst_off);
     if san_on () then
@@ -400,10 +433,10 @@ module Buf = struct
   let blit_from_buf ~cpu ?(site = "Pinned.blit_from") t ~src ~src_off ~len
       ~dst_off =
     check_live ~site ~op:`Read src;
-    if src_off < 0 || len < 0 || src.off + src_off + len > slot_size src then
+    if src_off < 0 || len < 0 || off_of src + src_off + len > slot_size src then
       invalid_arg "Pinned.Buf.blit_from_buf: source out of bounds";
     check_live ~site ~op:`Write t;
-    if dst_off < 0 || t.off + dst_off + len > slot_size t then
+    if dst_off < 0 || off_of t + dst_off + len > slot_size t then
       invalid_arg "Pinned.Buf.blit_from: out of bounds";
     Bytes.blit (chunk src) (chunk_off src + src_off) (chunk t)
       (chunk_off t + dst_off) len;
@@ -423,10 +456,10 @@ module Buf = struct
         let rel = a - c.data_base in
         let slot = rel / c.size in
         let off = rel mod c.size in
-        if off + len > c.size then raise_notrace Unpinned
+        if len < 0 || off + len > c.size then raise_notrace Unpinned
         else if c.refcounts.(slot) = 0 then raise_notrace Unpinned
         else begin
-          let t = { pool; cls; slot; gen = c.gens.(slot); off; len } in
+          let t = make c ~slot ~off ~len in
           (* Zero-copy safety: recovering a pointer takes a reference. *)
           charge_meta ~cpu t;
           c.refcounts.(slot) <- c.refcounts.(slot) + 1;

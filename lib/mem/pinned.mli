@@ -47,7 +47,10 @@ module Pool : sig
 
   (** [create space ~name ~classes] builds a pool; [classes] lists
       [(buffer_size, capacity)] pairs; sizes must be powers of two and
-      strictly increasing. *)
+      strictly increasing. A handle packs its slot beside its generation
+      and its window in one int, so a class holds at most 2^24 slots of at
+      most 2^30 bytes: [create] raises [Invalid_argument] otherwise,
+      before it reserves anything. A slot's generation wraps modulo 2^39. *)
   val create : Addr_space.t -> name:string -> classes:(int * int) list -> t
 
   val name : t -> string

@@ -461,7 +461,7 @@ let test_server_queue_drops_under_burst () =
    key's 700-byte value goes out zero-copy. The budget, item by item: the
    value's [Zero_copy] box (2 words; the held buffer is referenced, not
    recovered into a fresh handle, and no view of it is built), the staging
-   buffer's handle (7; the writer is retargeted at its window, no view),
+   buffer's handle (4; the writer is retargeted at its window, no view),
    and the two counter readings (2 each). Reading the method and id words
    allocates nothing. *)
 let test_kv_get_allocation_budget () =
@@ -508,7 +508,7 @@ let test_kv_get_allocation_budget () =
   done;
   Alcotest.(check int) "every get answered with its value" n !values;
   let per = !words /. float_of_int n in
-  let budget = 2.0 +. 7.0 +. (2.0 *. 2.0) in
+  let budget = 2.0 +. 4.0 +. (2.0 *. 2.0) in
   if per > budget then
     Alcotest.failf "%.1f words per kv GET, budget %.0f" per budget
 

@@ -816,12 +816,12 @@ let prop_fanout_table =
 
 (* Steady-state allocation of a 4-key multi-get in the dispatcher alone
    (its handler, counted around each call). Every forwarded key and every
-   retained value is one 7-word buffer handle in a 2-word [Zero_copy]
-   box: 8 x 9 = 72 words is the per-reference floor. Beyond it are each
-   send's 7-word staging handle (one per sub-request and one for the
+   retained value is one 4-word buffer handle in a 2-word [Zero_copy]
+   box: 8 x 6 = 48 words is the per-reference floor. Beyond it are each
+   send's 4-word staging handle (one per sub-request and one for the
    response; the writer is retargeted at its window, no view) and the
-   arena copies of values the adaptive threshold demotes (7 words each):
-   14 to 63 words at 1 to 4 owning shards. *)
+   arena copies of values the adaptive threshold demotes (a 5-word view in
+   a 2-word [Copied] box each): 8 to 48 words at 1 to 4 owning shards. *)
 let test_fanout_allocation_budget () =
   let topo, backend = make_topo ~shards:4 () in
   let d = Cluster.Topology.dispatcher topo in
@@ -848,7 +848,7 @@ let test_fanout_allocation_budget () =
     mget id
   done;
   let per = !words /. float_of_int n in
-  let floor = 72.0 and budget = 63.0 in
+  let floor = 48.0 and budget = 48.0 in
   if per > floor +. budget then
     Alcotest.failf "%.1f words per 4-key multi-get: %.1f beyond the %.0f-word \
                     floor, budget %.0f"

@@ -117,6 +117,30 @@ let test_adaptive_tracks_memory_pressure () =
     Alcotest.failf "threshold should drop under pressure: %d -> %d" base
       pressured
 
+(* The adaptive-threshold ablation's backend reaches [Adaptive] on the kv
+   GET path: the stored values it answers with go through [wrap_buf], so
+   overriding [wrap] alone would leave the estimate unobserved. *)
+let test_ablation_backend_observes_gets () =
+  let adaptive = Cornflakes.Adaptive.create ~initial:2048 () in
+  let rig = Apps.Rig.create ~n_clients:1 () in
+  let app =
+    Apps.Kv_app.install rig
+      ~backend:(Experiments.Exp_ablations.adaptive_backend adaptive)
+      ~workload:(Workload.Twitter.make ~n_keys:256 ())
+  in
+  let client = List.hd rig.Apps.Rig.clients in
+  Net.Transport.set_rx client (fun ~src:_ buf ->
+      Mem.Pinned.Buf.decr_ref ~cpu:none buf);
+  for id = 1 to 8 do
+    let key = Printf.sprintf "tw:%016d" id in
+    Apps.Kv_app.send_op app
+      (Workload.Spec.Get { keys = [ key ] })
+      client ~dst:Apps.Rig.server_id ~id;
+    Sim.Engine.run_all rig.Apps.Rig.engine
+  done;
+  if Cornflakes.Adaptive.observations adaptive = 0 then
+    Alcotest.fail "8 kv GETs made no adaptive observation"
+
 let test_adaptive_without_cpu_is_static () =
   let engine = Sim.Engine.create () in
   let fabric = Net.Fabric.create engine in
@@ -245,6 +269,8 @@ let suite =
     Alcotest.test_case "adaptive tracks pressure" `Slow
       test_adaptive_tracks_memory_pressure;
     Alcotest.test_case "adaptive without cpu" `Quick test_adaptive_without_cpu_is_static;
+    Alcotest.test_case "adaptive ablation backend observes kv GETs" `Quick
+      test_ablation_backend_observes_gets;
     Alcotest.test_case "adaptive clamp bounds" `Quick test_adaptive_clamp_bounds;
     Alcotest.test_case "adaptive ewma converges on synthetic" `Quick
       test_adaptive_ewma_converges_on_synthetic;

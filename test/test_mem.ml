@@ -429,6 +429,170 @@ let qcheck_chunked_model =
           && List.for_all is_stale !stale)
         ops)
 
+(* --- Packed handles ---------------------------------------------------------
+
+   A handle packs its slot and generation into one int and its window into
+   another. Against a model that keeps them unpacked, every accessor must
+   give what the unpacked formulas give, for every class size up to 256 KB
+   (three slots each) and any window [alloc] and [sub] can make:
+   [addr = data_base + slot * size + off], [backing_off = (slot mod
+   per_chunk) * size + off] with [per_chunk = max 1 (65536 / size)], and
+   [metadata_addr = meta_base + slot * 8]. A handle whose slot was freed
+   stays stale after the slot is handed out again. *)
+
+let pack_classes = List.init 19 (fun i -> (1 lsl i, 3))
+
+type packed = {
+  p : Mem.Pinned.Buf.t;
+  p_cls : int;
+  p_slot : int;
+  p_off : int;
+  p_len : int;
+  p_refs : int ref; (* shared by every window on one allocation *)
+}
+
+let qcheck_packed_handles =
+  QCheck.Test.make ~name:"packed handles match the unpacked formulas"
+    ~count:60
+    QCheck.(
+      list_of_size (Gen.int_range 1 80)
+        (quad (int_bound 4) (int_bound 18) (int_bound 1_000_000)
+           (int_bound 1_000_000)))
+    (fun ops ->
+      let space = Mem.Addr_space.create () in
+      let pool =
+        Mem.Pinned.Pool.create space ~name:"packed" ~classes:pack_classes
+      in
+      let n = List.length pack_classes in
+      let free = Array.make n [ 0; 1; 2 ] in
+      (* Slot 0 of each class is handed out first: its handle gives the
+         class's data and metadata bases. *)
+      let data_base = Array.make n (-1) and meta_base = Array.make n (-1) in
+      let live = ref [] and stale = ref [] in
+      let pick a = List.nth !live (a mod List.length !live) in
+      let agrees h =
+        let size = 1 lsl h.p_cls in
+        let per_chunk = max 1 (65536 / size) in
+        Mem.Pinned.Buf.len h.p = h.p_len
+        && Mem.Pinned.Buf.slot_size h.p = size
+        && Mem.Pinned.Buf.refcount h.p = !(h.p_refs)
+        && Mem.Pinned.Buf.is_live h.p
+        && Mem.Pinned.Buf.addr h.p
+           = data_base.(h.p_cls) + (h.p_slot * size) + h.p_off
+        && Mem.Pinned.Buf.backing_off h.p
+           = ((h.p_slot mod per_chunk) * size) + h.p_off
+        && Mem.Pinned.Buf.metadata_addr h.p
+           = meta_base.(h.p_cls) + (h.p_slot * 8)
+      in
+      let dead h =
+        Mem.Pinned.Buf.refcount h.p = 0
+        && (not (Mem.Pinned.Buf.is_live h.p))
+        &&
+        match Mem.Pinned.Buf.view h.p with
+        | _ -> false
+        | exception Mem.Pinned.Use_after_free { slot; _ } -> slot = h.p_slot
+      in
+      let step (op, ci, a, b) =
+        match (op, free.(ci)) with
+        | (0 | 1), [] -> true
+        | (0 | 1), slot :: rest ->
+            let size = 1 lsl ci in
+            let len = (size / 2) + 1 + (a mod (size - (size / 2))) in
+            let p = Mem.Pinned.Buf.alloc ~cpu:none pool ~len in
+            free.(ci) <- rest;
+            if slot = 0 && data_base.(ci) < 0 then begin
+              data_base.(ci) <- Mem.Pinned.Buf.addr p;
+              meta_base.(ci) <- Mem.Pinned.Buf.metadata_addr p
+            end;
+            live :=
+              { p; p_cls = ci; p_slot = slot; p_off = 0; p_len = len;
+                p_refs = ref 1 }
+              :: !live;
+            true
+        | _ when !live = [] -> true
+        | 2, _ ->
+            let h = pick a in
+            let room = (1 lsl h.p_cls) - h.p_off in
+            let off = b mod (room + 1) in
+            let len = a mod (room - off + 1) in
+            let p = Mem.Pinned.Buf.sub h.p ~off ~len in
+            live := { h with p; p_off = h.p_off + off; p_len = len } :: !live;
+            true
+        | 3, _ ->
+            let h = pick a in
+            Mem.Pinned.Buf.incr_ref ~cpu:none h.p;
+            incr h.p_refs;
+            true
+        | _ ->
+            let h = pick a in
+            Mem.Pinned.Buf.decr_ref ~cpu:none h.p;
+            decr h.p_refs;
+            if !(h.p_refs) = 0 then begin
+              let gone, kept =
+                List.partition (fun x -> x.p_refs == h.p_refs) !live
+              in
+              live := kept;
+              stale := gone @ !stale;
+              free.(h.p_cls) <- h.p_slot :: free.(h.p_cls)
+            end;
+            true
+      in
+      List.for_all
+        (fun op ->
+          step op && List.for_all agrees !live && List.for_all dead !stale)
+        ops)
+
+(* Generations are kept whole, not cut to the 24 bits beside the slot: a
+   handle from generation 0 stays stale once the slot's generation has
+   passed 2^24, where a truncated generation would alias it, and the
+   exception reports each handle's own generation. *)
+let test_generation_past_2_24 () =
+  let _space, pool = make_pool ~classes:[ (64, 1) ] () in
+  let first = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  let window = Mem.Pinned.Buf.sub first ~off:8 ~len:16 in
+  Mem.Pinned.Buf.decr_ref ~cpu:none first;
+  let wrap = 1 lsl 24 in
+  let at_wrap = ref None in
+  for g = 1 to wrap + 2 do
+    let b = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+    if g = wrap then at_wrap := Some b;
+    Mem.Pinned.Buf.decr_ref ~cpu:none b
+  done;
+  let fresh = Mem.Pinned.Buf.alloc ~cpu:none pool ~len:64 in
+  Alcotest.(check bool) "fresh live" true (Mem.Pinned.Buf.is_live fresh);
+  Alcotest.(check int) "same slot" (Mem.Pinned.Buf.addr first)
+    (Mem.Pinned.Buf.addr fresh);
+  let gen_of label b =
+    match Mem.Pinned.Buf.view b with
+    | _ -> Alcotest.failf "%s: expected Use_after_free" label
+    | exception Mem.Pinned.Use_after_free { gen; _ } -> gen
+  in
+  Alcotest.(check int) "generation-0 handle" 0 (gen_of "first" first);
+  Alcotest.(check int) "generation-0 window" 0 (gen_of "window" window);
+  Alcotest.(check int) "generation-2^24 handle" wrap
+    (gen_of "at wrap" (Option.get !at_wrap));
+  Alcotest.(check int) "stale refcount" 0 (Mem.Pinned.Buf.refcount first)
+
+(* A class capacity above 2^24 does not fit beside the generation: the
+   pool refuses it before reserving addresses or building any array. *)
+let test_capacity_above_2_24_rejected () =
+  let space = Mem.Addr_space.create () in
+  let used = Mem.Addr_space.used space in
+  let words = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  (match
+     Mem.Pinned.Pool.create space ~name:"huge"
+       ~classes:[ (64, 4); (128, (1 lsl 24) + 1) ]
+   with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  let allocated =
+    Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. words
+  in
+  Alcotest.(check int) "no address reserved" used (Mem.Addr_space.used space);
+  if allocated > 1000.0 then
+    Alcotest.failf "%.0f words allocated before the capacity was refused"
+      allocated
+
 let suite =
   [
     Alcotest.test_case "alloc and fill" `Quick test_alloc_and_fill;
@@ -452,4 +616,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_alloc_free_capacity;
     QCheck_alcotest.to_alcotest qcheck_recover_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_chunked_model;
+    QCheck_alcotest.to_alcotest qcheck_packed_handles;
+    Alcotest.test_case "generation past 2^24 stays exact" `Quick
+      test_generation_past_2_24;
+    Alcotest.test_case "capacity above 2^24 rejected before allocating" `Quick
+      test_capacity_above_2_24_rejected;
   ]

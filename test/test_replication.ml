@@ -759,9 +759,9 @@ let prop_slot_tables =
    primary's request handler and its two ack handlers, and each backup's
    replicate handler, counted around each of those five calls with the
    engine drained. The floor is what the three stores must keep: each
-   installs a 7-word buffer handle in a 2-word [Single] (27 words). The
+   installs a 4-word buffer handle in a 2-word [Single] (18 words). The
    budget beyond it is what the handlers hand to the send path and to the
-   store: each of the five sends' 7-word staging handle (35; the writer is
+   store: each of the five sends' 4-word staging handle (20; the writer is
    retargeted at its window, no view), per replicate the key's view and its
    arena copy (12) and the stored value's 2-word [Zero_copy] box (the held
    buffer is referenced, no view or fresh handle), the 3-word list cell
@@ -797,8 +797,8 @@ let test_put_allocation_budget () =
   Alcotest.(check int) "all committed" (200 + n)
     (Replication.Replicated_kv.committed cluster);
   let per = !words /. float_of_int n in
-  let floor = 27.0
-  and budget = (5.0 *. 7.0) +. (2.0 *. (12.0 +. 2.0)) +. 9.0 +. 10.0 in
+  let floor = 18.0
+  and budget = (5.0 *. 4.0) +. (2.0 *. (12.0 +. 2.0)) +. 9.0 +. 10.0 in
   if per > floor +. budget then
     Alcotest.failf "%.1f words per replicated put: %.1f beyond the %.0f-word \
                     floor, budget %.0f"

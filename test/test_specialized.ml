@@ -354,7 +354,7 @@ let test_write_path_allocates_nothing () =
 
 (* Rebuilding a pooled response with one zero-copy value allocates only
    that value's payload handle: the [Zero_copy] block (2 words) around
-   its [Pinned.Buf.t] (7 words). Clearing, stamping the id and appending
+   its [Pinned.Buf.t] (4 words). Clearing, stamping the id and appending
    allocate nothing. *)
 let test_pooled_build_allocates_handle () =
   let engine = Sim.Engine.create () in
@@ -368,7 +368,7 @@ let test_pooled_build_allocates_handle () =
   let view = Mem.Pinned.Buf.view buf in
   let config = Cornflakes.Config.default in
   let resp = Resp.create () in
-  check_budget "pooled build" ~per_call:9
+  check_budget "pooled build" ~per_call:6
     (words_over calls (fun () ->
          Resp.clear resp;
          Resp.set_id_int resp 9;

@@ -1183,11 +1183,12 @@ let qcheck_reassembly_under_faults =
 (* --- Allocation ----------------------------------------------------------- *)
 
 (* One record through the transport fast path, its delivery and its ACK.
-   A round trip allocates five pinned-buffer handles and nothing else: the
-   sender's head, one RX handle per frame from the NIC (the record's and
-   the ACK's), the window the stack delivers and the ACK's staging buffer.
-   The stack's own share — all but the sender's head and the two NIC
-   handles — stays within 16 words over 10^4 round trips after warm-up. *)
+   A round trip allocates five 4-word pinned-buffer handles (20 words) and
+   nothing else: the sender's head, one RX handle per frame from the NIC
+   (the record's and the ACK's), the window the stack delivers and the
+   ACK's staging buffer. The stack's own share — all but the sender's head
+   and the two NIC handles, 8 words — stays within 16 words over 10^4
+   round trips after warm-up. *)
 let test_fast_path_round_trip_alloc () =
   let env, tr, _ = transport_env () in
   Tcp.Stack.set_on_message env.b (fun _ buf ->
