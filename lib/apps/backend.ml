@@ -16,7 +16,8 @@ let cornflakes ?(config = Cornflakes.Config.default) () =
        else if config = Cornflakes.Config.all_copy then "cornflakes-copy"
        else if config = Cornflakes.Config.all_zero_copy then "cornflakes-zc"
        else
-         Printf.sprintf "cornflakes-t%d%s" config.Cornflakes.Config.zero_copy_threshold
+         Printf.sprintf "cornflakes-t%d%s"
+           (Cornflakes.Adaptive.threshold config.Cornflakes.Config.zero_copy)
            (if config.Cornflakes.Config.serialize_and_send then "" else "-nosas"));
     send = (fun tr ~dst msg -> Cornflakes.Send.send_via config tr ~dst msg);
     recv = None;

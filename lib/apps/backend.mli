@@ -21,7 +21,8 @@
     [wrap_buf] takes a pinned buffer the caller holds (a stored value) and
     must pay exactly what [wrap] pays for its view: Cornflakes goes through
     {!Cornflakes.Cf_ptr.make_buf}, which builds no view and references the
-    held handle itself. *)
+    held handle itself. Both read and train the config's policy cell: a
+    policy is chosen by config, never by replacing these closures. *)
 
 type t = {
   name : string;
@@ -35,7 +36,8 @@ type t = {
 }
 
 (** [cornflakes ~config] — hybrid by default; pass
-    {!Cornflakes.Config.all_copy} / [all_zero_copy] for the ablations. *)
+    {!Cornflakes.Config.all_copy} / [all_zero_copy] for the ablations, or
+    a config with a learning cell for the adaptive one. *)
 val cornflakes : ?config:Cornflakes.Config.t -> unit -> t
 
 val protobuf : t

@@ -14,8 +14,8 @@
      completion / cumulative ACK), so handing the slot's reference to the
      stack is a transfer, not a leak.
    - Sub-threshold values are demoted to arena copies at assembly through
-     [Cornflakes.Adaptive.of_buf] — [Cf_ptr]'s threshold compare at the
-     per-shard learned threshold, which learns from both arms. The slot
+     [Cornflakes.Cf_ptr.of_buf] at the threshold of a learning policy
+     cell kept per source shard, which learns from both arms. The slot
      reference is dropped at demotion.
 
    Pending fan-outs are the only state that lives across handler
@@ -105,7 +105,7 @@ type t = {
   ring : Ring.t;
   shard_ids : int array; (* dense index -> shard endpoint id *)
   shard_of_ep : int array; (* endpoint id -> dense index, -1 if no shard *)
-  adaptives : Cornflakes.Adaptive.t array; (* per shard index *)
+  adaptives : Cornflakes.Adaptive.t array; (* policy cell per shard index *)
   subreq_scratch : Wire.Dyn.t;
   resp_scratch : Wire.Dyn.t;
   (* Pooled in-place readers: requests and partial responses are
@@ -142,14 +142,15 @@ let fresh_fanout t =
   t.next_fanout <- id + 1;
   id
 
-(* Move a retained slot payload into the egress response: the per-source-
-   shard adaptive estimator keeps the pinned reference (handed to the
-   stack) or copies into the arena and drops it, and learns from either. *)
+(* Move a retained slot payload into the egress response: at the source
+   shard's learning cell's threshold it keeps the pinned reference
+   (handed to the stack) or copies into the arena and drops it, and the
+   cell learns from either. *)
 let forward t ~shard_idx (p : Wire.Payload.t) =
   match p with
   | Wire.Payload.Zero_copy _ -> (
       match
-        Cornflakes.Adaptive.of_buf ~cpu:t.cpu ~site:"Dispatcher.demote"
+        Cornflakes.Cf_ptr.of_buf ~cpu:t.cpu ~site:"Dispatcher.demote"
           t.adaptives.(shard_idx) t.ep p
       with
       | Wire.Payload.Zero_copy _ as zc ->

@@ -22,6 +22,13 @@ let create ?(initial = 512) ?(alpha = 0.05) () =
     observations = 0;
   }
 
+(* An EWMA of weight 0 never moves, so a weight-0 cell is the fixed one
+   and nothing about it is written. Not clamped: 0 and [max_int] are the
+   all-zero-copy and all-copy policies. *)
+let fixed n = { (create ~initial:n ~alpha:0.0 ()) with threshold = n }
+
+let[@inline] learns t = t.est.alpha > 0.0
+
 let threshold t = t.threshold
 
 let estimates t = (t.est.copy_per_byte, t.est.zc_fixed)
@@ -35,12 +42,12 @@ let refresh t =
   if e.copy_per_byte > 0.0 then
     t.threshold <- clamp (int_of_float (e.zc_fixed /. e.copy_per_byte))
 
-(* The observation hooks: the EWMA/refresh step behind every learned
-   construction. Tests and replayed traces call them with a cost they
-   supply. *)
+(* The EWMA/refresh step behind every learned construction. A fixed cell
+   is never written: [Config]'s shared cells are read by parallel
+   harness domains. *)
 
 let[@inline] observe_copy t ~bytes ~cycles =
-  if bytes > 0 then begin
+  if learns t && bytes > 0 then begin
     let e = t.est in
     t.observations <- t.observations + 1;
     e.copy_per_byte <- ewma e e.copy_per_byte (cycles /. float_of_int bytes);
@@ -48,10 +55,12 @@ let[@inline] observe_copy t ~bytes ~cycles =
   end
 
 let[@inline] observe_zc t ~cycles =
-  let e = t.est in
-  t.observations <- t.observations + 1;
-  e.zc_fixed <- ewma e e.zc_fixed cycles;
-  refresh t
+  if learns t then begin
+    let e = t.est in
+    t.observations <- t.observations + 1;
+    e.zc_fixed <- ewma e e.zc_fixed cycles;
+    refresh t
+  end
 
 (* One learning step for a construction of [len] bytes that started at
    cycle [c0]: a zero-copy payload adds the completion-side release the
@@ -59,7 +68,7 @@ let[@inline] observe_zc t ~cycles =
    construction costs nothing visible: nothing to learn. Inlined so [c0]
    stays an unboxed float. *)
 let[@inline] learn t ~cpu ~c0 ~len (payload : Wire.Payload.t) =
-  if Memmodel.Cpu.metered cpu then begin
+  if learns t && Memmodel.Cpu.metered cpu then begin
     let cost = Memmodel.Cpu.cycles cpu -. c0 in
     match payload with
     | Wire.Payload.Zero_copy _ ->
@@ -68,18 +77,3 @@ let[@inline] learn t ~cpu ~c0 ~len (payload : Wire.Payload.t) =
     | Wire.Payload.Copied _ | Wire.Payload.Literal _ ->
         observe_copy t ~bytes:len ~cycles:cost
   end
-
-let make ~cpu t ep (view : Mem.View.t) =
-  let c0 = Memmodel.Cpu.cycles cpu in
-  let payload = Cf_ptr.make_at ~cpu ~threshold:t.threshold ep view in
-  learn t ~cpu ~c0 ~len:view.Mem.View.len payload;
-  payload
-
-let of_buf ~cpu ?site t ep (p : Wire.Payload.t) =
-  match p with
-  | Wire.Payload.Zero_copy buf ->
-      let c0 = Memmodel.Cpu.cycles cpu in
-      let payload = Cf_ptr.of_buf ~cpu ?site ~threshold:t.threshold ep p in
-      learn t ~cpu ~c0 ~len:(Mem.Pinned.Buf.len buf) payload;
-      payload
-  | Wire.Payload.Copied _ | Wire.Payload.Literal _ -> p

@@ -1,59 +1,50 @@
-(** Dynamic zero-copy threshold (paper §7, "Static zero-copy threshold").
+(** The copy/zero-copy policy cell: the threshold the stack's one
+    [len >= threshold] decision ({!Cf_ptr}) reads, and its only writer.
+    {!Config.t} carries a cell and seeds it. A cell is either
 
-    The 512-byte threshold is a point estimate for one machine under one
-    load; §7 observes it should move with memory-bandwidth pressure. This
-    module keeps online estimates of the two quantities whose ratio defines
-    the crossover:
-
-    - the per-byte cost of the copy path (EWMA over observed copies), and
-    - the fixed metadata cost of the zero-copy path (EWMA over observed
-      constructions, plus the completion-side share from the machine
-      parameters),
-
-    and sets [threshold = zc_fixed_cost / copy_cost_per_byte]. Construction
-    costs are measured from the per-core cycle meter around each [make] or
-    [of_buf], so the estimate tracks whatever the cache hierarchy is
-    currently doing — under higher memory pressure copies get slower per
-    byte and the threshold drops; if metadata misses dominate it rises.
-
-    The threshold is all this module owns: the copy/zero-copy decision
-    itself is {!Cf_ptr}'s [len >= threshold] compare, which [make] and
-    [of_buf] call with the learned value. *)
+    - {e fixed} ({!fixed}): it holds its seed and is never written, so
+      parallel domains can share it. {!Config.default} holds [fixed 512],
+      the value the measurement study derives (§5); or
+    - {e learning} ({!create}): it moves its threshold with load, as §7
+      ("Static zero-copy threshold") asks. It keeps online estimates of the
+      two costs whose ratio is the crossover — the copy path's cost per
+      byte and the zero-copy path's fixed metadata cost (completion-side
+      share included) — and sets
+      [threshold = zc_fixed_cost / copy_cost_per_byte]. The costs are the
+      per-core cycle meter's reading around each construction, so under
+      memory pressure copies get slower per byte and the threshold drops;
+      if metadata misses dominate it rises. *)
 
 type t
 
-(** [create ?initial ?alpha ()] — [initial] threshold (default 512),
-    EWMA weight [alpha] (default 0.05). *)
+(** [create ?initial ?alpha ()] — a learning cell: [initial] threshold
+    (default 512), EWMA weight [alpha] (default 0.05; a weight of 0 never
+    moves, so it makes the cell fixed). *)
 val create : ?initial:int -> ?alpha:float -> unit -> t
 
-(** Current threshold in bytes (clamped to [64, 8192]). *)
+(** [fixed n] — a cell frozen at [n], not clamped ([0] is all zero-copy,
+    [max_int] all copy). Every update below is a no-op on it. *)
+val fixed : int -> t
+
+(** Whether the cell learns ({!create}) or is fixed ({!fixed}). *)
+val learns : t -> bool
+
+(** Current threshold in bytes (a learning cell's is clamped to
+    [64, 8192]). *)
 val threshold : t -> int
 
-(** Drop-in replacement for {!Cf_ptr.make}: {!Cf_ptr.make_at} at the
-    current threshold, timed on [cpu], and one learning step — a zero-copy
-    construction observes its cycles plus [cost_completion_per_sge] (the
-    completion-side release it does not see), a copy observes its cycles
-    over [len] bytes, a zero-byte copy observes nothing. On an unmetered
-    [cpu] ({!Memmodel.Cpu.none}) the estimates stay frozen. *)
-val make :
-  cpu:Memmodel.Cpu.t -> t -> Net.Endpoint.t -> Mem.View.t -> Wire.Payload.t
-
-(** [of_buf ~cpu ?site t ep p] is {!make} for a [Zero_copy] payload the
-    caller already holds, built on {!Cf_ptr.of_buf}: at or above the
-    threshold [p] itself comes back, its reference untouched; below it the
-    bytes are copied into [ep]'s arena and the reference dropped, under
-    [site]. Same learning step as {!make}. Any other payload is returned
-    as is, unobserved. *)
-val of_buf :
-  cpu:Memmodel.Cpu.t ->
-  ?site:string ->
-  t ->
-  Net.Endpoint.t ->
-  Wire.Payload.t ->
-  Wire.Payload.t
+(** [learn t ~cpu ~c0 ~len payload] — one learning step for a
+    construction of [len] bytes that started when [cpu]'s meter read [c0]
+    and built [payload]: a zero-copy payload observes its cycles plus
+    [cost_completion_per_sge] (the completion-side release it does not
+    see), a copy observes its cycles over [len] bytes, a zero-byte copy
+    observes nothing. A no-op on a fixed cell and on an unmetered [cpu]
+    ({!Memmodel.Cpu.none}). *)
+val learn :
+  t -> cpu:Memmodel.Cpu.t -> c0:float -> len:int -> Wire.Payload.t -> unit
 
 (** Feed one copy-path observation ([cycles] spent copying [bytes])
-    through the EWMA/refresh step {!make} performs. No-op when
+    through the EWMA/refresh step {!learn} performs. No-op when
     [bytes <= 0]. For tests and replayed traces. *)
 val observe_copy : t -> bytes:int -> cycles:float -> unit
 

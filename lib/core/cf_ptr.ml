@@ -40,16 +40,19 @@ let copy_arm ~cpu ep view =
           Wire.Payload.Zero_copy buf
       | exception Mem.Pinned.Unpinned -> raise oom)
 
-(* The one copy/zero-copy decision in the stack: [len >= threshold], made
-   once per field when the payload is built. Callers with a fixed policy
-   pass their config's threshold ([make]); [Adaptive] passes the threshold
-   it is learning. *)
-let make_at ~cpu ~threshold ep (view : Mem.View.t) =
-  if view.Mem.View.len >= threshold then zc_arm ~cpu ep view
-  else copy_arm ~cpu ep view
-
-let make ~cpu (config : Config.t) ep view =
-  make_at ~cpu ~threshold:config.zero_copy_threshold ep view
+(* The one copy/zero-copy decision, [len >= threshold] at the policy
+   cell's threshold, once per input form. Only a learning cell reads the
+   meter, so a fixed one boxes no [c0] where [learn] is not inlined. *)
+let make ~cpu (config : Config.t) ep (view : Mem.View.t) =
+  let cell = config.zero_copy in
+  let learns = Adaptive.learns cell in
+  let c0 = if learns then Memmodel.Cpu.cycles cpu else 0.0 in
+  let p =
+    if view.Mem.View.len >= Adaptive.threshold cell then zc_arm ~cpu ep view
+    else copy_arm ~cpu ep view
+  in
+  if learns then Adaptive.learn cell ~cpu ~c0 ~len:view.Mem.View.len p;
+  p
 
 (* [make] over a pinned buffer the caller holds (a stored value): the same
    decision, charges and references as [make] of its view, with no view
@@ -63,19 +66,27 @@ let recover_buf ~cpu ep buf =
   Mem.Registry.recover_held_exn ~cpu (Net.Endpoint.registry ep) buf
 
 let make_buf ~cpu (config : Config.t) ep buf =
-  if Mem.Pinned.Buf.len buf >= config.zero_copy_threshold then
-    match recover_buf ~cpu ep buf with
-    | held -> Wire.Payload.Zero_copy held
-    | exception Mem.Pinned.Unpinned -> copy_buf ~cpu ep buf
-  else
-    match copy_buf ~cpu ep buf with
-    | p -> p
-    | exception (Mem.Pinned.Out_of_memory _ as oom) -> (
-        match recover_buf ~cpu ep buf with
-        | held ->
-            incr (oom_fallbacks_ctr ());
-            Wire.Payload.Zero_copy held
-        | exception Mem.Pinned.Unpinned -> raise oom)
+  let cell = config.zero_copy in
+  let len = Mem.Pinned.Buf.len buf in
+  let learns = Adaptive.learns cell in
+  let c0 = if learns then Memmodel.Cpu.cycles cpu else 0.0 in
+  let p =
+    if len >= Adaptive.threshold cell then
+      match recover_buf ~cpu ep buf with
+      | held -> Wire.Payload.Zero_copy held
+      | exception Mem.Pinned.Unpinned -> copy_buf ~cpu ep buf
+    else
+      match copy_buf ~cpu ep buf with
+      | p -> p
+      | exception (Mem.Pinned.Out_of_memory _ as oom) -> (
+          match recover_buf ~cpu ep buf with
+          | held ->
+              incr (oom_fallbacks_ctr ());
+              Wire.Payload.Zero_copy held
+          | exception Mem.Pinned.Unpinned -> raise oom)
+  in
+  if learns then Adaptive.learn cell ~cpu ~c0 ~len p;
+  p
 
 (* Codegen binds a field whose schema bounds prove the decision
    ([max_size]/[min_size] vs the crossover) straight to its arm; the config
@@ -85,16 +96,25 @@ let zc_folded ~cpu (_config : Config.t) ep view = zc_arm ~cpu ep view
 
 let copy_folded ~cpu (_config : Config.t) ep view = copy_arm ~cpu ep view
 
-let of_buf ~cpu ?site ~threshold ep (p : Wire.Payload.t) =
+let of_buf ~cpu ?site cell ep (p : Wire.Payload.t) =
   match p with
-  | Wire.Payload.Zero_copy buf when Mem.Pinned.Buf.len buf < threshold -> (
-      match Mem.Arena.copy_in_buf ~cpu ?site (Net.Endpoint.arena ep) buf with
-      | copied ->
-          Mem.Pinned.Buf.decr_ref ~cpu ?site buf;
-          Wire.Payload.Copied copied
-      | exception Mem.Pinned.Out_of_memory _ ->
-          (* Already-referenced pinned bytes: keep the reference and ship
-             zero-copy instead of failing. *)
-          incr (oom_fallbacks_ctr ());
-          p)
-  | _ -> p
+  | Wire.Payload.Zero_copy buf ->
+      let len = Mem.Pinned.Buf.len buf in
+      let learns = Adaptive.learns cell in
+      let c0 = if learns then Memmodel.Cpu.cycles cpu else 0.0 in
+      let q =
+        if len >= Adaptive.threshold cell then p
+        else
+          match Mem.Arena.copy_in_buf ~cpu ?site (Net.Endpoint.arena ep) buf with
+          | copied ->
+              Mem.Pinned.Buf.decr_ref ~cpu ?site buf;
+              Wire.Payload.Copied copied
+          | exception Mem.Pinned.Out_of_memory _ ->
+              (* Already-referenced pinned bytes: keep the reference and
+                 ship zero-copy instead of failing. *)
+              incr (oom_fallbacks_ctr ());
+              p
+      in
+      if learns then Adaptive.learn cell ~cpu ~c0 ~len q;
+      q
+  | Wire.Payload.Copied _ | Wire.Payload.Literal _ -> p

@@ -15,20 +15,17 @@
     Resilience: when the arena refuses a copy ([Out_of_memory]) but the
     bytes are DMA-safe, the constructor falls back to zero-copy instead of
     failing the request — the inverse of the usual demotion. Only a
-    sub-threshold copy of non-pinned bytes still raises. *)
+    sub-threshold copy of non-pinned bytes still raises.
 
-(** [make_at ~cpu ~threshold ep view] builds a payload from arbitrary
-    bytes: zero-copy iff [view.len >= threshold]. This compare is the one
-    copy/zero-copy decision in the stack; {!Adaptive} calls it with the
-    threshold it is learning. *)
-val make_at :
-  cpu:Memmodel.Cpu.t ->
-  threshold:int ->
-  Net.Endpoint.t ->
-  Mem.View.t ->
-  Wire.Payload.t
+    This is the one copy/zero-copy decision in the stack, with one entry
+    per input form: {!make} for a view, {!make_buf} for a held buffer,
+    {!of_buf} for a held payload. Each reads the threshold of one policy
+    cell ({!Adaptive.t}: the config's, or the one handed in) and, only
+    when the cell learns, times the construction for {!Adaptive.learn},
+    the cell's only writer. *)
 
-(** [make ~cpu config ep view] = [make_at ~threshold:config.zero_copy_threshold]. *)
+(** [make ~cpu config ep view] builds a payload from arbitrary bytes:
+    zero-copy iff [view.len] is at least [config.zero_copy]'s threshold. *)
 val make :
   cpu:Memmodel.Cpu.t ->
   Config.t ->
@@ -39,7 +36,7 @@ val make :
 (** [make_buf ~cpu config ep buf] is [make ~cpu config ep
     (Mem.Pinned.Buf.view buf)] for a pinned buffer the caller already
     holds (a stored value): the same decision, charges, references, arena
-    use and RefSan events, without the view. The zero-copy arm returns
+    use, RefSan events and learning step, without the view. The zero-copy arm returns
     [buf] itself with one more reference ({!Mem.Registry.recover_held_exn})
     and allocates only the [Zero_copy] box; the copy arm copies straight
     out of [buf] ({!Mem.Arena.copy_in_buf}). Raises
@@ -72,16 +69,18 @@ val zc_folded :
   Mem.View.t ->
   Wire.Payload.t
 
-(** [of_buf ~cpu ?site ~threshold ep p] applies the same compare to a
-    payload the caller already holds (e.g. a [Zero_copy] value retained
-    from a received frame; no recover_ptr lookup is needed): a [Zero_copy]
-    buffer shorter than [threshold] is copied into [ep]'s arena and its
-    reference dropped, both under [site]. Otherwise [p] itself is returned,
-    its reference untouched and nothing allocated. *)
+(** [of_buf ~cpu ?site cell ep p] applies the same decision, at [cell]'s
+    threshold, to a payload the caller already holds (e.g. a [Zero_copy]
+    value retained from a received frame; no recover_ptr lookup is
+    needed): a [Zero_copy] buffer shorter than the threshold is copied
+    into [ep]'s arena and its reference dropped, both under [site].
+    Otherwise [p] itself is returned, its reference untouched and nothing
+    allocated. Only a [Zero_copy] input is a construction [cell] learns
+    from. *)
 val of_buf :
   cpu:Memmodel.Cpu.t ->
   ?site:string ->
-  threshold:int ->
+  Adaptive.t ->
   Net.Endpoint.t ->
   Wire.Payload.t ->
   Wire.Payload.t

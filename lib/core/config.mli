@@ -2,11 +2,13 @@
 
     The two knobs the paper evaluates:
 
-    - [zero_copy_threshold]: bytes/string fields at least this large are
-      candidates for scatter-gather; smaller fields are copied. 512 B is the
-      value the measurement study derives (§5); [0] gives the all-scatter-
-      gather configuration and [max_int] the all-copy configuration used in
-      Figure 12 / Table 4.
+    - [zero_copy]: the copy/zero-copy policy cell ({!Adaptive.t}). Bytes/
+      string fields at least its threshold long are candidates for
+      scatter-gather; smaller fields are copied. The config seeds the
+      cell; only {!Adaptive} writes it, and only a learning one (§7). The
+      constants below hold fixed cells: 512 B, the value the measurement
+      study derives (§5), [0] (all scatter-gather) and [max_int] (all
+      copy, Figure 12 / Table 4).
     - [serialize_and_send]: when on, the object header and copied fields
       share the gather entry carrying the packet header (§3.2.3); when off,
       Cornflakes materialises a scatter-gather array and the stack prepends
@@ -18,17 +20,18 @@
     degradation instead of unbounded reference pinning. Healthy runs
     never trigger it. *)
 
-type t = { zero_copy_threshold : int; serialize_and_send : bool }
+type t = { zero_copy : Adaptive.t; serialize_and_send : bool }
 
-(** Threshold 512, serialize-and-send on. *)
+(** Fixed threshold 512, serialize-and-send on. *)
 val default : t
 
-(** Threshold 0: scatter-gather every bytes/string field in pinned memory. *)
+(** Fixed threshold 0: scatter-gather every bytes/string field. *)
 val all_zero_copy : t
 
-(** Threshold ∞: copy every field. *)
+(** Fixed threshold ∞: copy every field. *)
 val all_copy : t
 
+(** [with_threshold n] — {!default} with the cell fixed at [n]. *)
 val with_threshold : int -> t
 
 (** Whether the RefSan zero-copy safety sanitizer is recording (set by
@@ -37,5 +40,3 @@ val with_threshold : int -> t
 val sanitize : unit -> bool
 
 val set_sanitize : bool -> unit
-
-val pp : Format.formatter -> t -> unit

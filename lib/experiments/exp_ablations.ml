@@ -82,18 +82,15 @@ let run_sge_overflow () =
     "  (demotion keeps the e810 correct at a modest throughput cost — the\n\
     \   double cache-miss case of paper section 3.2.1)"
 
-(* The Cornflakes backend with every payload built through [adaptive].
-   Kv_app sends stored values through [wrap_buf]: both forms learn. *)
+(* The Cornflakes backend whose policy cell is [adaptive]: every payload
+   it builds, view or held buffer, reads and trains that cell. *)
 let adaptive_backend adaptive =
-  let wrap tr view =
-    Cornflakes.Adaptive.make ~cpu:(Net.Transport.cpu tr) adaptive
-      (Net.Transport.endpoint tr) view
-  in
   {
-    (Apps.Backend.cornflakes ()) with
+    (Apps.Backend.cornflakes
+       ~config:{ Cornflakes.Config.default with zero_copy = adaptive }
+       ())
+    with
     Apps.Backend.name = "adaptive";
-    wrap;
-    wrap_buf = (fun tr buf -> wrap tr (Mem.Pinned.Buf.view buf));
   }
 
 let run_adaptive_threshold () =

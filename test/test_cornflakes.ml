@@ -109,9 +109,7 @@ let prop_cf_ptr_decision =
     (QCheck.make ~print:QCheck.Print.(pair int int) gen_decision)
     (fun (threshold, len) ->
       let env, big = Lazy.force decision_env in
-      let config =
-        { Cornflakes.Config.default with zero_copy_threshold = threshold }
-      in
+      let config = Cornflakes.Config.with_threshold threshold in
       let p =
         Cornflakes.Cf_ptr.make ~cpu:none config env.Test_env.b
           (Mem.View.sub (Mem.Pinned.Buf.view big) ~off:0 ~len)
@@ -415,11 +413,12 @@ let test_network_api_listing2 () =
 
 (* [Cf_ptr.make_buf] against [Cf_ptr.make] of the buffer's view, each in
    a fresh rig of its own: values below, at and above the threshold, under
-   the default, all-copy and all-zero-copy configs, from a registered pool
-   or one the registry does not know, with the arena open or refusing every
-   copy. The payload, the value's refcount, arena use, OOM fallbacks, the
-   per-category cycle breakdown and the value's RefSan history (sites
-   included) must be identical. *)
+   the default, all-copy and all-zero-copy configs and a fresh learning
+   cell, from a registered pool or one the registry does not know, with
+   the arena open or refusing every copy. The payload, the value's
+   refcount, arena use, OOM fallbacks, the per-category cycle breakdown,
+   the value's RefSan history (sites included) and the policy cell's
+   threshold, observations and estimates must be identical. *)
 let cf_twin ~config ~len ~registered ~oom make =
   let module Refsan = Sanitizer.Refsan in
   let was = Refsan.is_enabled () in
@@ -444,6 +443,8 @@ let cf_twin ~config ~len ~registered ~oom make =
       let arena = Net.Endpoint.arena env.Test_env.b in
       if oom then Mem.Arena.set_soft_capacity arena (Some 0);
       let fallbacks = Cornflakes.Cf_ptr.oom_fallbacks () in
+      let config = config () in
+      let cell = config.Cornflakes.Config.zero_copy in
       let payload =
         match make ~cpu config env.Test_env.b value with
         | Wire.Payload.Zero_copy b ->
@@ -461,7 +462,10 @@ let cf_twin ~config ~len ~registered ~oom make =
         Mem.Arena.used arena,
         Cornflakes.Cf_ptr.oom_fallbacks () - fallbacks,
         Memmodel.Cpu.breakdown cpu,
-        Refsan.history (Mem.Pinned.Buf.san_id value) ))
+        Refsan.history (Mem.Pinned.Buf.san_id value),
+        ( Cornflakes.Adaptive.threshold cell,
+          Cornflakes.Adaptive.observations cell,
+          Cornflakes.Adaptive.estimates cell ) ))
 
 let test_make_buf_twins_make () =
   let of_view ~cpu config ep buf =
@@ -478,7 +482,7 @@ let test_make_buf_twins_make () =
                 Printf.sprintf "%s len %d registered %b oom %b" cname len
                   registered oom
               in
-              let ((payload, _, _, _, _, _) as reference) =
+              let ((payload, _, _, _, _, _, _) as reference) =
                 cf_twin ~config ~len ~registered ~oom of_view
               in
               (match payload with
@@ -492,9 +496,15 @@ let test_make_buf_twins_make () =
             [ (true, false); (true, true); (false, false); (false, true) ])
         [ 1; 100; 511; 512; 513; 700; 2048; 4000 ])
     [
-      ("default", Cornflakes.Config.default);
-      ("all-copy", Cornflakes.Config.all_copy);
-      ("all-zero-copy", Cornflakes.Config.all_zero_copy);
+      ("default", Fun.const Cornflakes.Config.default);
+      ("all-copy", Fun.const Cornflakes.Config.all_copy);
+      ("all-zero-copy", Fun.const Cornflakes.Config.all_zero_copy);
+      ( "learning",
+        fun () ->
+          {
+            Cornflakes.Config.default with
+            zero_copy = Cornflakes.Adaptive.create ();
+          } );
     ]
 
 let test_make_buf_stale () =

@@ -84,12 +84,11 @@ let adaptive_converges ~params ()=
         buf)
   in
   let adaptive = Cornflakes.Adaptive.create () in
+  let config = { Cornflakes.Config.default with zero_copy = adaptive } in
   let rng = Sim.Rng.create ~seed:99 in
   for _ = 1 to 20_000 do
     let buf = values.(Sim.Rng.int rng (Array.length values)) in
-    let p =
-      Cornflakes.Adaptive.make ~cpu adaptive ep (Mem.Pinned.Buf.view buf)
-    in
+    let p = Cornflakes.Cf_ptr.make ~cpu config ep (Mem.Pinned.Buf.view buf) in
     Wire.Payload.release ~cpu:none p;
     Mem.Arena.reset (Net.Endpoint.arena ep)
   done;
@@ -117,15 +116,11 @@ let test_adaptive_tracks_memory_pressure () =
     Alcotest.failf "threshold should drop under pressure: %d -> %d" base
       pressured
 
-(* The adaptive-threshold ablation's backend reaches [Adaptive] on the kv
-   GET path: the stored values it answers with go through [wrap_buf], so
-   overriding [wrap] alone would leave the estimate unobserved. *)
-let test_ablation_backend_observes_gets () =
-  let adaptive = Cornflakes.Adaptive.create ~initial:2048 () in
+(* Eight kv GETs served by [backend] on a rig whose server is metered. *)
+let kv_gets backend =
   let rig = Apps.Rig.create ~n_clients:1 () in
   let app =
-    Apps.Kv_app.install rig
-      ~backend:(Experiments.Exp_ablations.adaptive_backend adaptive)
+    Apps.Kv_app.install rig ~backend
       ~workload:(Workload.Twitter.make ~n_keys:256 ())
   in
   let client = List.hd rig.Apps.Rig.clients in
@@ -137,9 +132,46 @@ let test_ablation_backend_observes_gets () =
       (Workload.Spec.Get { keys = [ key ] })
       client ~dst:Apps.Rig.server_id ~id;
     Sim.Engine.run_all rig.Apps.Rig.engine
-  done;
+  done
+
+(* The adaptive-threshold ablation's backend reaches its cell on the kv
+   GET path: the stored values it answers with are held buffers
+   ([make_buf]), so a cell read only by [make] would stay unobserved. *)
+let test_ablation_backend_observes_gets () =
+  let adaptive = Cornflakes.Adaptive.create ~initial:2048 () in
+  kv_gets (Experiments.Exp_ablations.adaptive_backend adaptive);
   if Cornflakes.Adaptive.observations adaptive = 0 then
     Alcotest.fail "8 kv GETs made no adaptive observation"
+
+(* Fixed cells are never written: [Config.default]'s cell is shared by
+   every parallel harness domain. Neither metered GETs through the
+   default backend nor direct updates move it, and the all-copy and
+   all-zero-copy cells keep their unclamped extremes. *)
+let test_fixed_cell_is_read_only () =
+  let cell = Cornflakes.Config.default.Cornflakes.Config.zero_copy in
+  let check_default what =
+    Alcotest.(check int) (what ^ ": threshold") 512
+      (Cornflakes.Adaptive.threshold cell);
+    Alcotest.(check int) (what ^ ": observations") 0
+      (Cornflakes.Adaptive.observations cell);
+    Alcotest.(check (pair (float 0.0) (float 0.0)))
+      (what ^ ": estimates") (1.0, 512.0)
+      (Cornflakes.Adaptive.estimates cell)
+  in
+  kv_gets (Apps.Backend.cornflakes ());
+  check_default "after kv GETs";
+  Cornflakes.Adaptive.observe_zc cell ~cycles:1.0;
+  Cornflakes.Adaptive.observe_copy cell ~bytes:100 ~cycles:1_000_000.0;
+  let cpu = Memmodel.Cpu.create Memmodel.Params.default in
+  Cornflakes.Adaptive.learn cell ~cpu ~c0:(-1000.0) ~len:100
+    (Wire.Payload.Literal (Mem.View.of_string (Mem.Addr_space.create ()) "x"));
+  check_default "after direct updates";
+  Alcotest.(check int) "all-copy threshold" max_int
+    (Cornflakes.Adaptive.threshold
+       Cornflakes.Config.all_copy.Cornflakes.Config.zero_copy);
+  Alcotest.(check int) "all-zero-copy threshold" 0
+    (Cornflakes.Adaptive.threshold
+       Cornflakes.Config.all_zero_copy.Cornflakes.Config.zero_copy)
 
 let test_adaptive_without_cpu_is_static () =
   let engine = Sim.Engine.create () in
@@ -149,7 +181,8 @@ let test_adaptive_without_cpu_is_static () =
   let ep = Net.Endpoint.create ~cpu:none fabric registry ~id:1 in
   let adaptive = Cornflakes.Adaptive.create ~initial:512 () in
   let v = Mem.View.of_string space "hello" in
-  let (_ : Wire.Payload.t) = Cornflakes.Adaptive.make ~cpu:none adaptive ep v in
+  let config = { Cornflakes.Config.default with zero_copy = adaptive } in
+  let (_ : Wire.Payload.t) = Cornflakes.Cf_ptr.make ~cpu:none config ep v in
   Alcotest.(check int) "unchanged" 512 (Cornflakes.Adaptive.threshold adaptive);
   Alcotest.(check int) "no observations recorded" 0
     (Cornflakes.Adaptive.observations adaptive)
@@ -205,11 +238,11 @@ let test_adaptive_zero_byte_copy_ignored () =
   Alcotest.(check int) "threshold unchanged" 512
     (Cornflakes.Adaptive.threshold t)
 
-(* [Adaptive.of_buf] on an already-referenced buffer: at or above the
-   threshold the payload takes over the reference and the estimator
-   observes the completion-side release; below it the bytes are copied,
-   the reference dropped and the cycles per byte observed; a zero-byte
-   copy observes nothing. *)
+(* [Cf_ptr.of_buf] with a learning cell on an already-referenced buffer:
+   at or above the threshold the payload takes over the reference and the
+   cell observes the completion-side release; below it the bytes are
+   copied, the reference dropped and the cycles per byte observed; a
+   zero-byte copy observes nothing. *)
 let test_adaptive_of_buf_arms () =
   let cpu = Memmodel.Cpu.create Memmodel.Params.default in
   let env = Test_env.make ~cpu_b:cpu () in
@@ -221,7 +254,7 @@ let test_adaptive_of_buf_arms () =
      reference untouched. *)
   let big = Test_env.pinned_of_string pool (String.make 1024 'z') in
   let big_p = Wire.Payload.Zero_copy big in
-  (match Cornflakes.Adaptive.of_buf ~cpu a ep big_p with
+  (match Cornflakes.Cf_ptr.of_buf ~cpu a ep big_p with
   | Wire.Payload.Zero_copy b as p ->
       Alcotest.(check bool) "same payload block" true (p == big_p);
       Alcotest.(check int) "reference kept" 1 (Mem.Pinned.Buf.refcount big);
@@ -235,7 +268,7 @@ let test_adaptive_of_buf_arms () =
   (* Copy arm: the handed-in reference is dropped. *)
   let small = Test_env.pinned_of_string pool (String.make 100 's') in
   Mem.Pinned.Buf.incr_ref ~cpu:none small;
-  (match Cornflakes.Adaptive.of_buf ~cpu a ep (Wire.Payload.Zero_copy small) with
+  (match Cornflakes.Cf_ptr.of_buf ~cpu a ep (Wire.Payload.Zero_copy small) with
   | Wire.Payload.Copied v ->
       Alcotest.(check string) "copy is faithful" (String.make 100 's')
         (Mem.View.to_string v)
@@ -248,7 +281,7 @@ let test_adaptive_of_buf_arms () =
   (* A zero-byte copy: nothing to learn per byte, no observation. *)
   let empty = Mem.Pinned.Buf.sub small ~off:0 ~len:0 in
   Mem.Pinned.Buf.incr_ref ~cpu:none empty;
-  (match Cornflakes.Adaptive.of_buf ~cpu a ep (Wire.Payload.Zero_copy empty) with
+  (match Cornflakes.Cf_ptr.of_buf ~cpu a ep (Wire.Payload.Zero_copy empty) with
   | Wire.Payload.Copied _ -> ()
   | _ -> Alcotest.fail "an empty buffer must be copied");
   Alcotest.(check int) "zero-byte copy not observed" 2
@@ -271,6 +304,8 @@ let suite =
     Alcotest.test_case "adaptive without cpu" `Quick test_adaptive_without_cpu_is_static;
     Alcotest.test_case "adaptive ablation backend observes kv GETs" `Quick
       test_ablation_backend_observes_gets;
+    Alcotest.test_case "fixed policy cell is read-only" `Quick
+      test_fixed_cell_is_read_only;
     Alcotest.test_case "adaptive clamp bounds" `Quick test_adaptive_clamp_bounds;
     Alcotest.test_case "adaptive ewma converges on synthetic" `Quick
       test_adaptive_ewma_converges_on_synthetic;

@@ -1187,7 +1187,7 @@ let qcheck_reassembly_under_faults =
    nothing else: the sender's head, one RX handle per frame from the NIC
    (the record's and the ACK's), the window the stack delivers and the
    ACK's staging buffer. The stack's own share — all but the sender's head
-   and the two NIC handles, 8 words — stays within 16 words over 10^4
+   and the two NIC handles, 8 words — stays within 8 words over 10^4
    round trips after warm-up. *)
 let test_fast_path_round_trip_alloc () =
   let env, tr, _ = transport_env () in
@@ -1214,9 +1214,9 @@ let test_fast_path_round_trip_alloc () =
     float_of_int (Obj.size (Obj.repr h) + 1)
   in
   let stack_words = per_trip -. (3.0 *. handle) in
-  if stack_words > 16.0 then
+  if stack_words > 8.0 then
     Alcotest.failf
-      "%.1f words per round trip, %.1f of them the stack's (ceiling 16)"
+      "%.1f words per round trip, %.1f of them the stack's (ceiling 8)"
       per_trip stack_words;
   Alcotest.(check int) "every record acknowledged" 0
     (Tcp.Conn.unacked_bytes (conn_to_b env))
@@ -1225,6 +1225,6 @@ let suite =
   suite
   @ [
       QCheck_alcotest.to_alcotest qcheck_reassembly_under_faults;
-      Alcotest.test_case "tcp fast-path round trip allocates <= 16 words" `Quick
+      Alcotest.test_case "tcp fast-path round trip allocates <= 8 words" `Quick
         test_fast_path_round_trip_alloc;
     ]
