@@ -215,19 +215,8 @@ let compile_cmd =
               generated binding; `check` verifies the generated module \
               against it).")
   in
-  let crossover_from_probe =
-    Arg.(value & flag & info [ "crossover-from-probe" ]
-           ~doc:
-             "Fold payload copy/zc dispatch against the probe-calibrated \
-              crossover (Sanitizer.Crossover, the committed probe table) \
-              instead of the hardcoded 512 B default.")
-  in
-  let run input output ir crossover_from_probe =
-    let crossover =
-      if crossover_from_probe then Some (Sanitizer.Crossover.crossover_bytes ())
-      else None
-    in
-    match Codegen.Compile.file ?crossover ?output ?ir input with
+  let run input output ir =
+    match Codegen.Compile.file ?output ?ir input with
     | Error e ->
         prerr_endline e;
         exit 1
@@ -244,9 +233,8 @@ let compile_cmd =
     (Cmd.info "compile"
        ~doc:
          "Generate OCaml accessors from a schema (--ir also emits the \
-          ownership-IR sidecar for `check`; --crossover-from-probe folds \
-          bounded fields against the probe-calibrated crossover)")
-    Term.(const run $ input $ output $ ir $ crossover_from_probe)
+          ownership-IR sidecar for `check`)")
+    Term.(const run $ input $ output $ ir)
 
 (* --- StatCheck: static analysis over the OCaml sources ------------------ *)
 

@@ -9,16 +9,16 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let file ?crossover ?output ?ir path =
+let file ?output ?ir path =
   let text = read_file path in
   match Schema.Parser.parse text with
   | exception Schema.Parser.Parse_error e -> Error ("parse error: " ^ e)
   | exception Schema.Lexer.Lex_error { pos; message } ->
       Error (Printf.sprintf "lex error at offset %d: %s" pos message)
   | schema ->
-      let source = Emit.module_source ?crossover ~schema_text:text schema in
+      let source = Emit.module_source ~schema_text:text schema in
       (match output with
       | None -> print_string source
       | Some p -> write_file p source);
-      Option.iter (fun p -> write_file p (Emit.ir_source ?crossover schema)) ir;
+      Option.iter (fun p -> write_file p (Emit.ir_source schema)) ir;
       Ok schema

@@ -3,12 +3,8 @@
     schema file, parse it, report syntax errors, write the generated
     module and its ownership-IR sidecar. *)
 
-(** [file ?crossover ?output ?ir path] compiles the schema at [path]: the
+(** [file ?output ?ir path] compiles the schema at [path]: the
     [.ml] to [output] (stdout when absent), the IR sidecar to [ir] when
     given. On [Error msg] (a parse or lex diagnostic) nothing is written. *)
 val file :
-  ?crossover:int ->
-  ?output:string ->
-  ?ir:string ->
-  string ->
-  (Schema.Desc.t, string) result
+  ?output:string -> ?ir:string -> string -> (Schema.Desc.t, string) result

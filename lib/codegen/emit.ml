@@ -25,39 +25,6 @@ let ocaml_name s =
 
 let module_name s = String.capitalize_ascii (ocaml_name s)
 
-(* The copy/zc crossover used to fold payload dispatch; matches the runtime
-   default ([Config.default.zero_copy_threshold]) and the committed probe
-   table ([Sanitizer.Crossover]). The CLI can override it with the
-   probe-calibrated value (--crossover-from-probe). *)
-let default_crossover = 512
-
-(* Which CFPtr entry does a payload field's setter compile to? A declared
-   size bound that lands the whole field on one side of the crossover folds
-   the per-field size test away entirely. *)
-type dispatch = Copy_folded | Zc_folded | Compare
-
-let payload_dispatch ~crossover (f : Schema.Desc.field) =
-  match (f.Schema.Desc.max_size, f.Schema.Desc.min_size) with
-  | Some mx, _ when mx < crossover -> Copy_folded
-  | _, Some mn when mn >= crossover -> Zc_folded
-  | _ -> Compare
-
-let dispatch_ctor = function
-  | Copy_folded -> "Cornflakes.Cf_ptr.copy_folded"
-  | Zc_folded -> "Cornflakes.Cf_ptr.zc_folded"
-  | Compare -> "Cornflakes.Cf_ptr.make"
-
-let dispatch_reason ~crossover (f : Schema.Desc.field) = function
-  | Copy_folded ->
-      Printf.sprintf "max_size %d < crossover %d: always copied"
-        (Option.get f.Schema.Desc.max_size)
-        crossover
-  | Zc_folded ->
-      Printf.sprintf "min_size %d >= crossover %d: always zero-copy"
-        (Option.get f.Schema.Desc.min_size)
-        crossover
-  | Compare -> "CFPtr's len >= threshold compare decides copy vs zero-copy"
-
 (* Setters and getters address the field by its [idx_*] constant: the
    index API of [Wire.Dyn], with no name lookup and no boxed value. *)
 let emit_scalar_field buf (f : Schema.Desc.field) scalar =
@@ -101,18 +68,19 @@ let emit_scalar_field buf (f : Schema.Desc.field) scalar =
         \    else None\n\n"
         n n n
 
-let emit_payload_field ~crossover buf (f : Schema.Desc.field) =
+(* Every payload setter builds its CFPtr with [Cf_ptr.make]: the one
+   copy/zero-copy decision, read from the caller's [Config.t] at run time. *)
+let emit_payload_field buf (f : Schema.Desc.field) =
   let n = ocaml_name f.Schema.Desc.field_name in
-  let d = payload_dispatch ~crossover f in
-  let ctor = dispatch_ctor d in
-  let reason = dispatch_reason ~crossover f d in
   match f.Schema.Desc.label with
   | Schema.Desc.Repeated ->
       Printf.bprintf buf
-        "  (* [add_%s] accepts any bytes; %s. *)\n\
+        "  (* [add_%s] accepts any bytes; CFPtr's len >= threshold compare \
+         decides copy vs zero-copy. *)\n\
         \  let add_%s ~cpu config ep t view =\n\
-        \    Wire.Dyn.append_payload_at t.msg idx_%s (%s ~cpu config ep view)\n\n"
-        n reason n n ctor;
+        \    Wire.Dyn.append_payload_at t.msg idx_%s (Cornflakes.Cf_ptr.make \
+         ~cpu config ep view)\n\n"
+        n n n;
       Printf.bprintf buf
         "  let add_%s_payload t p = Wire.Dyn.append_payload_at t.msg idx_%s p\n\n"
         n n;
@@ -122,10 +90,12 @@ let emit_payload_field ~crossover buf (f : Schema.Desc.field) =
         n n n
   | Schema.Desc.Singular ->
       Printf.bprintf buf
-        "  (* [set_%s] accepts any bytes; %s. *)\n\
+        "  (* [set_%s] accepts any bytes; CFPtr's len >= threshold compare \
+         decides copy vs zero-copy. *)\n\
         \  let set_%s ~cpu config ep t view =\n\
-        \    Wire.Dyn.set_payload_at t.msg idx_%s (%s ~cpu config ep view)\n\n"
-        n reason n n ctor;
+        \    Wire.Dyn.set_payload_at t.msg idx_%s (Cornflakes.Cf_ptr.make \
+         ~cpu config ep view)\n\n"
+        n n n;
       Printf.bprintf buf
         "  let set_%s_payload t p = Wire.Dyn.set_payload_at t.msg idx_%s p\n\
         \  [@@alloc_free]\n\n"
@@ -269,7 +239,7 @@ let emit_read_folded buf (m : Schema.Desc.message) =
       (Layout.all_present_bitmap n)
       (Layout.all_present_header_len n)
 
-let emit_message ~crossover buf (m : Schema.Desc.message) =
+let emit_message buf (m : Schema.Desc.message) =
   Printf.bprintf buf "module %s = struct\n" (module_name m.Schema.Desc.msg_name);
   Printf.bprintf buf "  let desc = Schema.Desc.message schema %S\n\n"
     m.Schema.Desc.msg_name;
@@ -301,7 +271,7 @@ let emit_message ~crossover buf (m : Schema.Desc.message) =
       match f.Schema.Desc.ty with
       | Schema.Desc.Scalar s -> emit_scalar_field buf f s
       | Schema.Desc.Str | Schema.Desc.Bytes ->
-          emit_payload_field ~crossover buf f
+          emit_payload_field buf f
       | Schema.Desc.Message _ -> emit_message_field buf f)
     m.Schema.Desc.fields;
   Buffer.add_string buf
@@ -575,13 +545,13 @@ let emit_service schema buf (s : Schema.Desc.service) =
         resp_mod);
   Buffer.add_string buf "end\n\n"
 
-let module_source ?(crossover = default_crossover) ~schema_text schema =
+let module_source ~schema_text schema =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     "(* Generated by the Cornflakes compiler (Codegen.Emit). DO NOT EDIT. *)\n\n";
   Printf.bprintf buf "let schema = Schema.Parser.parse {schema|%s|schema}\n\n"
     schema_text;
-  List.iter (fun m -> emit_message ~crossover buf m) schema.Schema.Desc.messages;
+  List.iter (fun m -> emit_message buf m) schema.Schema.Desc.messages;
   List.iter (fun s -> emit_service schema buf s) schema.Schema.Desc.services;
   Buffer.contents buf
 
@@ -590,7 +560,7 @@ let module_source ?(crossover = default_crossover) ~schema_text schema =
    StatCheck's IR pass re-parses the generated .ml against this, so the
    generated code is verified mechanically instead of hand-spec'd — and a
    hand-edited generated file (or a stale sidecar) fails `check`. *)
-let ir_message ~crossover buf (m : Schema.Desc.message) =
+let ir_message buf (m : Schema.Desc.message) =
   let mn = module_name m.Schema.Desc.msg_name in
   let fn name role callee =
     Printf.bprintf buf "fn %s.%s role=%s callee=%s\n" mn name role callee
@@ -618,13 +588,11 @@ let ir_message ~crossover buf (m : Schema.Desc.message) =
           fn ("set_" ^ n ^ "_int") "setter" "Wire.Dyn.set_int_of_int";
           fn n "getter" "Wire.Dyn.int_at"
       | (Schema.Desc.Str | Schema.Desc.Bytes), Schema.Desc.Repeated ->
-          fn ("add_" ^ n) "setter"
-            (dispatch_ctor (payload_dispatch ~crossover f));
+          fn ("add_" ^ n) "setter" "Cornflakes.Cf_ptr.make";
           fn ("add_" ^ n ^ "_payload") "setter" "Wire.Dyn.append_payload_at";
           fn n "getter" "Wire.Dyn.count"
       | (Schema.Desc.Str | Schema.Desc.Bytes), Schema.Desc.Singular ->
-          fn ("set_" ^ n) "setter"
-            (dispatch_ctor (payload_dispatch ~crossover f));
+          fn ("set_" ^ n) "setter" "Cornflakes.Cf_ptr.make";
           fn ("set_" ^ n ^ "_payload") "setter" "Wire.Dyn.set_payload_at";
           fn n "getter" "Wire.Dyn.payload_at"
       | Schema.Desc.Message _, Schema.Desc.Repeated ->
@@ -676,14 +644,14 @@ let ir_service buf (s : Schema.Desc.service) =
     s.Schema.Desc.methods;
   fn "deliver" "reader" "Rpc.Client.complete"
 
-let ir_source ?(crossover = default_crossover) schema =
+let ir_source schema =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     "# Ownership IR generated by the Cornflakes compiler (Codegen.Emit). DO NOT EDIT.\n";
   List.iter
     (fun m ->
       Buffer.add_char buf '\n';
-      ir_message ~crossover buf m)
+      ir_message buf m)
     schema.Schema.Desc.messages;
   List.iter
     (fun s ->

@@ -9,26 +9,21 @@
     (constant-folded layout: literal bitmap + slot offsets behind one hoisted
     bounds check, falling back to the generic writer off the all-present
     path), and a combined [send] (serialize-and-send through the folded
-    writer). Payload setters whose [max_size]/[min_size] bounds prove the
-    copy/zero-copy verdict against [crossover] compile to the corresponding
-    [Cf_ptr] arm directly; unbounded fields keep the size-class-table
-    dispatch. The generated source depends only on the public [schema],
-    [wire], [mem] and [cornflakes] libraries. {!Compile} is the front end
-    the build rules and [cornflakes_cli compile] run. *)
+    writer). Every payload setter builds its CFPtr with [Cf_ptr.make], so
+    the copy/zero-copy decision is the caller's [Config.t] policy at run
+    time, bounded field or not. The generated source depends only on the
+    public [schema], [wire], [mem] and [cornflakes] libraries. {!Compile}
+    is the front end the build rules and [cornflakes_cli compile] run. *)
 
-(** [module_source ?crossover ~schema_text schema] is the complete [.ml]
-    source. [crossover] (default 512 B, the runtime default threshold)
-    drives the folded copy/zc dispatch of bounded payload fields. *)
-val module_source :
-  ?crossover:int -> schema_text:string -> Schema.Desc.t -> string
+(** [module_source ~schema_text schema] is the complete [.ml] source. *)
+val module_source : schema_text:string -> Schema.Desc.t -> string
 
-(** [ir_source ?crossover schema] is the ownership-IR sidecar for the
+(** [ir_source schema] is the ownership-IR sidecar for the
     generated module: one [fn <Rel.Path> role=<role> callee=<Path|->] line
     per emitted binding. StatCheck's IR pass re-parses the generated [.ml]
     against this summary, so generated accessors are verified mechanically
-    instead of hand-spec'd. Must use the same [crossover] as
-    {!module_source}: the folded setter callees depend on it. *)
-val ir_source : ?crossover:int -> Schema.Desc.t -> string
+    instead of hand-spec'd. *)
+val ir_source : Schema.Desc.t -> string
 
 (** [ocaml_name s] — a valid lower-case OCaml identifier for a field name. *)
 val ocaml_name : string -> string

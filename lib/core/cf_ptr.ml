@@ -88,14 +88,6 @@ let make_buf ~cpu (config : Config.t) ep buf =
   if learns then Adaptive.learn cell ~cpu ~c0 ~len p;
   p
 
-(* Codegen binds a field whose schema bounds prove the decision
-   ([max_size]/[min_size] vs the crossover) straight to its arm; the config
-   is taken only for a uniform call shape in generated setters. *)
-
-let zc_folded ~cpu (_config : Config.t) ep view = zc_arm ~cpu ep view
-
-let copy_folded ~cpu (_config : Config.t) ep view = copy_arm ~cpu ep view
-
 let of_buf ~cpu ?site cell ep (p : Wire.Payload.t) =
   match p with
   | Wire.Payload.Zero_copy buf ->

@@ -19,10 +19,11 @@
 
     This is the one copy/zero-copy decision in the stack, with one entry
     per input form: {!make} for a view, {!make_buf} for a held buffer,
-    {!of_buf} for a held payload. Each reads the threshold of one policy
-    cell ({!Adaptive.t}: the config's, or the one handed in) and, only
-    when the cell learns, times the construction for {!Adaptive.learn},
-    the cell's only writer. *)
+    {!of_buf} for a held payload; every generated payload setter calls
+    {!make}, whatever size bound its schema field declares. Each reads the
+    threshold of one policy cell ({!Adaptive.t}: the config's, or the one
+    handed in) and, only when the cell learns, times the construction for
+    {!Adaptive.learn}, the cell's only writer. *)
 
 (** [make ~cpu config ep view] builds a payload from arbitrary bytes:
     zero-copy iff [view.len] is at least [config.zero_copy]'s threshold. *)
@@ -46,27 +47,6 @@ val make_buf :
   Config.t ->
   Net.Endpoint.t ->
   Mem.Pinned.Buf.t ->
-  Wire.Payload.t
-
-(** The two arms of {!make}, exposed for specialized (codegen-folded)
-    setters whose schema bounds prove the decision at compile time:
-    [copy_folded] when [max_size < crossover], [zc_folded] when
-    [min_size >= crossover]. Each keeps {!make}'s resilience behaviour
-    (arena exhaustion falls back to zero-copy; non-DMA-safe bytes fall back
-    to copy), so a stale bound degrades gracefully instead of failing. *)
-
-val copy_folded :
-  cpu:Memmodel.Cpu.t ->
-  Config.t ->
-  Net.Endpoint.t ->
-  Mem.View.t ->
-  Wire.Payload.t
-
-val zc_folded :
-  cpu:Memmodel.Cpu.t ->
-  Config.t ->
-  Net.Endpoint.t ->
-  Mem.View.t ->
   Wire.Payload.t
 
 (** [of_buf ~cpu ?site cell ep p] applies the same decision, at [cell]'s

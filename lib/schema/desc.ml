@@ -16,10 +16,6 @@ type field = {
   max_size : int option;
       (** declared payload-size bound from a [[max_size=N]] field option;
           drives the zero-copy crossover lint *)
-  min_size : int option;
-      (** declared payload-size lower bound ([[min_size=N]] field option);
-          lets codegen prove a field always crosses the zero-copy
-          threshold and fold its dispatch away *)
 }
 
 type columns = {
@@ -183,19 +179,11 @@ let validate t =
             else begin
               fnames := SS.add f.field_name !fnames;
               fnums := IS.add f.number !fnums;
-              match (f.max_size, f.min_size) with
-              | Some n, _ when n < 0 ->
+              match f.max_size with
+              | Some n when n < 0 ->
                   Error
                     (Printf.sprintf "negative max_size in %s.%s" m.msg_name
                        f.field_name)
-              | _, Some n when n < 0 ->
-                  Error
-                    (Printf.sprintf "negative min_size in %s.%s" m.msg_name
-                       f.field_name)
-              | Some mx, Some mn when mn > mx ->
-                  Error
-                    (Printf.sprintf "min_size %d exceeds max_size %d in %s.%s"
-                       mn mx m.msg_name f.field_name)
               | _ -> (
                   match f.ty with
                   | Message target when find_message t target = None ->

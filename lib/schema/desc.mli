@@ -22,9 +22,6 @@ type field = {
   max_size : int option;
       (* declared payload-size bound ([max_size=N] field option); informs
          the zero-copy crossover lint, never enforced on the wire *)
-  min_size : int option;
-      (* declared payload-size lower bound ([min_size=N] field option);
-         lets codegen prove the zero-copy verdict and fold dispatch away *)
 }
 
 (** Where an in-memory message ([Wire.Dyn]) keeps each field: singular
@@ -98,7 +95,7 @@ val method_index : service -> string -> int
 val max_method_id : service -> int
 
 (** [validate t] checks field-number uniqueness, name uniqueness, size-bound
-    sanity ([0 <= min_size <= max_size]), that every [Message] reference
+    sanity ([0 <= max_size]), that every [Message] reference
     resolves, and the service contract: unique non-negative method ids, one
     request/response envelope per service, and the envelope fields the
     generated stubs dispatch on ([op]/[id] in the request, [id] — plus

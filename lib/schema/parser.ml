@@ -61,9 +61,8 @@ let parse_field st =
   let field_name = expect_ident st in
   expect st Lexer.Equals;
   let number = expect_int st in
-  (* proto-style field options: [max_size = N] and [min_size = N]. *)
+  (* proto-style field options: [max_size = N]. *)
   let max_size = ref None in
-  let min_size = ref None in
   if peek st = Lexer.Lbracket then begin
     advance st;
     let rec options () =
@@ -71,14 +70,10 @@ let parse_field st =
       | "max_size" ->
           expect st Lexer.Equals;
           max_size := Some (expect_int st)
-      | "min_size" ->
-          expect st Lexer.Equals;
-          min_size := Some (expect_int st)
       | other ->
           raise
             (Parse_error
-               (Printf.sprintf
-                  "unknown field option %S (supported: max_size, min_size)"
+               (Printf.sprintf "unknown field option %S (supported: max_size)"
                   other)));
       if peek st <> Lexer.Rbracket then options ()
     in
@@ -86,8 +81,7 @@ let parse_field st =
     expect st Lexer.Rbracket
   end;
   expect st Lexer.Semi;
-  { Desc.field_name; number; label; ty; max_size = !max_size;
-    min_size = !min_size }
+  { Desc.field_name; number; label; ty; max_size = !max_size }
 
 let parse_message st =
   expect st (Lexer.Ident "message");

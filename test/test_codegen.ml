@@ -96,59 +96,57 @@ let contains ~hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-(* Size-bound-driven dispatch folding: fields whose [max_size]/[min_size]
-   bounds settle the copy/zc verdict against the crossover compile to the
-   corresponding Cf_ptr arm directly; unbounded fields keep the table. *)
-let test_dispatch_folding () =
+(* One copy/zero-copy decision: every payload setter, whatever size bound
+   its field declares, builds its CFPtr with [Cf_ptr.make], so the
+   caller's [Config.t] policy decides at run time. No other [Cf_ptr]
+   function appears as a setter callee in the source or the IR. *)
+let test_setters_call_make () =
   let schema_text =
     "message B { bytes small = 1 [max_size=128]; bytes big = 2 \
-     [min_size=2048]; bytes any = 3; }"
+     [max_size=65536]; repeated bytes many = 3; }"
   in
   let schema = Schema.Parser.parse schema_text in
   let src = Codegen.Emit.module_source ~schema_text schema in
   let ir = Codegen.Emit.ir_source schema in
-  let setter name ctor =
-    (* The setter body for [name] must construct its payload via [ctor]. *)
-    let idx =
-      let pat = Printf.sprintf "let set_%s" name in
-      let n = String.length pat in
-      let rec go i =
-        if i + n > String.length src then
-          Alcotest.failf "no set_%s in generated source" name
-        else if String.sub src i n = pat then i
-        else go (i + 1)
-      in
-      go 0
-    in
-    let window = String.sub src idx (min 400 (String.length src - idx)) in
-    Alcotest.(check bool)
-      (Printf.sprintf "set_%s uses %s" name ctor)
-      true
-      (contains ~hay:window ctor)
-  in
-  setter "small" "Cornflakes.Cf_ptr.copy_folded";
-  setter "big" "Cornflakes.Cf_ptr.zc_folded";
-  setter "any" "Cornflakes.Cf_ptr.make";
-  (* The IR sidecar's callees must fold the same way. *)
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) needle true (contains ~hay:ir needle))
+    (fun (setter, store) ->
+      Alcotest.(check bool) (setter ^ " calls Cf_ptr.make") true
+        (contains ~hay:src
+           (Printf.sprintf
+              "let %s ~cpu config ep t view =\n\
+              \    %s (Cornflakes.Cf_ptr.make ~cpu config ep view)\n"
+              setter store));
+      Alcotest.(check bool) (setter ^ " IR callee is Cf_ptr.make") true
+        (contains ~hay:ir
+           (Printf.sprintf
+              "fn B.%s role=setter callee=Cornflakes.Cf_ptr.make\n" setter)))
     [
-      "fn B.set_small role=setter callee=Cornflakes.Cf_ptr.copy_folded";
-      "fn B.set_big role=setter callee=Cornflakes.Cf_ptr.zc_folded";
-      "fn B.set_any role=setter callee=Cornflakes.Cf_ptr.make";
+      ("set_small", "Wire.Dyn.set_payload_at t.msg idx_small");
+      ("set_big", "Wire.Dyn.set_payload_at t.msg idx_big");
+      ("add_many", "Wire.Dyn.append_payload_at t.msg idx_many");
     ];
-  (* A different crossover shifts the verdicts: at 64 B the max_size=128
-     field is no longer provably small; at 4096 B the min_size=2048 field
-     is no longer provably large. *)
-  let src64 = Codegen.Emit.module_source ~crossover:64 ~schema_text schema in
-  Alcotest.(check bool) "crossover 64: small falls back to table" false
-    (contains ~hay:src64 "copy_folded");
-  let src4k = Codegen.Emit.module_source ~crossover:4096 ~schema_text schema in
-  Alcotest.(check bool) "crossover 4096: small still folds to copy" true
-    (contains ~hay:src4k "Cornflakes.Cf_ptr.copy_folded");
-  Alcotest.(check bool) "crossover 4096: nothing proves zc" false
-    (contains ~hay:src4k "zc_folded")
+  (* Every [Cf_ptr] reference in the source and in the IR names [make]:
+     the three setters' calls and callees, and nothing else. *)
+  let cf_ptr = "Cornflakes.Cf_ptr." in
+  let n = String.length cf_ptr in
+  let rec names hay i acc =
+    if i + n > String.length hay then List.rev acc
+    else if String.sub hay i n <> cf_ptr then names hay (i + 1) acc
+    else
+      let stop = ref (i + n) in
+      while
+        match hay.[!stop] with 'a' .. 'z' | '_' -> true | _ -> false
+      do
+        incr stop
+      done;
+      names hay !stop (String.sub hay (i + n) (!stop - i - n) :: acc)
+  in
+  List.iter
+    (fun (what, hay) ->
+      Alcotest.(check (list string))
+        (what ^ ": Cf_ptr functions named")
+        [ "make"; "make"; "make" ] (names hay 0 []))
+    [ ("source", src); ("IR", ir) ]
 
 (* The specialized writer: foldable messages get a folded [write_folded]
    with literal offsets behind one hoisted span; unfoldable ones (>32
@@ -289,7 +287,8 @@ let suite =
       test_generated_source_mentions_all_fields;
     Alcotest.test_case "CLI compile equals build rule" `Quick
       test_cli_compile_matches_rule;
-    Alcotest.test_case "dispatch folding" `Quick test_dispatch_folding;
+    Alcotest.test_case "payload setters call Cf_ptr.make" `Quick
+      test_setters_call_make;
     Alcotest.test_case "folded writer emission" `Quick
       test_write_folded_emission;
     Alcotest.test_case "service emission" `Quick test_service_emission;

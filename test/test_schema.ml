@@ -72,6 +72,12 @@ let test_rejects_garbage () =
   expect_parse_error "message M { int32 a = 1 ";
   expect_parse_error "mess@ge M {}"
 
+(* [max_size] is the only field option; a lower bound is not one. *)
+let test_rejects_min_size () =
+  match Schema.Parser.parse "message M { bytes b = 1 [min_size=8]; }" with
+  | _ -> Alcotest.fail "expected Parse_error for [min_size=8]"
+  | exception Schema.Parser.Parse_error _ -> ()
+
 let test_field_index () =
   let s = Schema.Parser.parse kv_schema in
   let getm = Schema.Desc.message s "GetM" in
@@ -183,6 +189,7 @@ let suite =
     Alcotest.test_case "rejects unresolved nested" `Quick test_rejects_unresolved_nested;
     Alcotest.test_case "rejects zero field number" `Quick test_rejects_zero_field_number;
     Alcotest.test_case "rejects garbage" `Quick test_rejects_garbage;
+    Alcotest.test_case "rejects min_size option" `Quick test_rejects_min_size;
     Alcotest.test_case "field index" `Quick test_field_index;
     Alcotest.test_case "all scalar types" `Quick test_all_scalar_types;
   ]
