@@ -226,17 +226,26 @@ let qcheck_by_name_equals_by_index =
 (* A seeded kv run of a few thousand Twitter requests against the rig's
    server, over UDP and over TCP under a drop/reorder plan. The server
    meter's total and its per-category breakdown are digested bit for bit;
-   the digests were recorded before the meter became an endpoint-owned
-   value, so any drift of a simulated charge shows up here. *)
+   the Cornflakes digests were recorded before the meter became an
+   endpoint-owned value, so any drift of a simulated charge shows up here.
+   Each baseline's digest covers both transports of the same run and was
+   recorded while the baselines had their own copy of every kv handler. *)
 
 let cost_digest_udp = "ca359cf88d0c43608bee16c8e41a6ebc"
 
 let cost_digest_tcp = "5ab9429decb937d7b4fa051a63cada8c"
 
-let cost_run ~transport ~lossy =
+let cost_digest_baselines =
+  [
+    ("protobuf", "068e82ef607b09bcb5dbecec6e8503e3");
+    ("flatbuffers", "41a3ab8701660da8e607cb87cded7b82");
+    ("capnproto", "95186f0278b31f8319dad103b99f6964");
+  ]
+
+let cost_run ?(backend = Apps.Backend.cornflakes ()) ~transport ~lossy () =
   let rig = Apps.Rig.create ~seed:11 ~n_clients:2 ~transport () in
   let app =
-    Apps.Kv_app.install rig ~backend:(Apps.Backend.cornflakes ())
+    Apps.Kv_app.install rig ~backend
       ~workload:(Workload.Twitter.make ~n_keys:4096 ())
   in
   if lossy then begin
@@ -265,13 +274,23 @@ let cost_run ~transport ~lossy =
     Digest.to_hex (Digest.string text) )
 
 let test_cost_digest () =
-  let completed, _, udp = cost_run ~transport:`Udp ~lossy:false in
+  let completed, _, udp = cost_run ~transport:`Udp ~lossy:false () in
   Alcotest.(check bool) "udp: thousands served" true (completed > 2000);
   Alcotest.(check string) "udp meter digest" cost_digest_udp udp;
-  let completed, dropped, tcp = cost_run ~transport:`Tcp ~lossy:true in
+  let completed, dropped, tcp = cost_run ~transport:`Tcp ~lossy:true () in
   Alcotest.(check bool) "tcp: thousands served" true (completed > 2000);
   Alcotest.(check bool) "tcp: the plan dropped packets" true (dropped > 0);
-  Alcotest.(check string) "tcp meter digest" cost_digest_tcp tcp
+  Alcotest.(check string) "tcp meter digest" cost_digest_tcp tcp;
+  List.iter
+    (fun (name, digest) ->
+      let backend = Apps.Backend.by_name name in
+      let udp_done, _, udp = cost_run ~backend ~transport:`Udp ~lossy:false () in
+      let tcp_done, _, tcp = cost_run ~backend ~transport:`Tcp ~lossy:true () in
+      Alcotest.(check bool) (name ^ ": thousands served") true
+        (udp_done > 2000 && tcp_done > 2000);
+      Alcotest.(check string) (name ^ " meter digest") digest
+        (Digest.to_hex (Digest.string (udp ^ " " ^ tcp))))
+    cost_digest_baselines
 
 (* --- golden cache hit levels ---------------------------------------------- *)
 
