@@ -1,13 +1,15 @@
 (** The custom key-value store application (§6.1.2), parameterised by a
     serialization backend.
 
-    The server decodes each [Req] with the one decoder of the backend's
-    wire format — Cornflakes frames are validated once and read in place
-    by the generated skeleton ([Kv_service.serve]); the baselines parse
-    into a [Wire.Dyn] for [serve_dyn] — looks keys up in the store, wraps each
-    value buffer through the backend (Cornflakes: hybrid CFPtr; baselines:
-    literal views copied at serialization time), and sends a [Resp] with
-    the combined serialize-and-send path of the backend. Puts allocate new
+    The server is the generated [Kv_service.Server] skeleton over the one
+    decoder of the backend's wire format, chosen when the server is built:
+    Cornflakes frames are validated once and read in place
+    ([Req.In_place]), the baselines parse into a [Wire.Dyn]
+    ([Req.Parsed]). Each method's handler, written once against [Req.R],
+    looks keys up in the store, wraps each value buffer through the
+    backend (Cornflakes: hybrid CFPtr; baselines: literal views copied at
+    serialization time), and sends a [Resp] with the combined
+    serialize-and-send path of the backend. Puts allocate new
     pinned buffers and swap pointers — never updating values in place — per
     the Cornflakes memory-safety model (§4.1). *)
 

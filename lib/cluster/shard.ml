@@ -12,6 +12,9 @@
    reassemble multi-get responses without re-parsing keys. Requests are
    read in place: the shard speaks only the Cornflakes wire format. *)
 
+(* The generated skeleton over the in-place request reader. *)
+module Kv_server = Apps.Kv_rpc.Kv_service.Server (Apps.Kv_rpc.Req.In_place)
+
 type t = {
   index : int; (* dense 0..n-1, for per-shard report rows *)
   id : int; (* endpoint id on the fabric *)
@@ -25,7 +28,7 @@ type t = {
   (* Generated server skeleton: owns the pooled response and the
      branchless method-dispatch table ([Get]/[Put] rows registered at
      create; unregistered methods answer the bare id echo). *)
-  rpc : Apps.Kv_rpc.Kv_service.server;
+  rpc : Kv_server.server;
   mutable keys_served : int;
   mutable puts : int;
   mutable misses : int;
@@ -108,7 +111,7 @@ let handle_put t ~cpu r =
    word through the branchless table and tail-sends; a frame that fails
    validation is counted and dropped. *)
 let handler t ~src buf =
-  if not (Apps.Kv_rpc.Kv_service.serve t.rpc ~src buf) then
+  if not (Kv_server.serve t.rpc ~src buf) then
     Loadgen.Server.reject t.server;
   Mem.Pinned.Buf.decr_ref ~cpu:t.cpu ~site:"Shard.handler_done" buf
 
@@ -130,9 +133,9 @@ let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit
       ~capacity:store_capacity
   in
   let rpc =
-    Apps.Kv_rpc.Kv_service.server ~cpu
+    Kv_server.server
       ~send:(fun ~dst resp -> backend.Apps.Backend.send tr ~dst resp)
-      ()
+      (Apps.Kv_rpc.Req.reader ~cpu ())
   in
   let t =
     {
@@ -152,10 +155,8 @@ let create ~fabric ~registry ~space ~shared_l3 ~kind ~backend ~queue_limit
       drops = 0;
     }
   in
-  Apps.Kv_rpc.Kv_service.on_get rpc
-    ~reader:(fun ~src:_ r resp -> handle_get t ~cpu r resp);
-  Apps.Kv_rpc.Kv_service.on_put rpc
-    ~reader:(fun ~src:_ r _resp -> handle_put t ~cpu r);
+  Kv_server.on_get rpc (fun ~src:_ r resp -> handle_get t ~cpu r resp);
+  Kv_server.on_put rpc (fun ~src:_ r _resp -> handle_put t ~cpu r);
   Loadgen.Server.set_handler server (fun ~src buf -> handler t ~src buf);
   t
 

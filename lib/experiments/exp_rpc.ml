@@ -22,6 +22,7 @@
    regenerates and gates. *)
 
 module S = Apps.Kv_rpc.Kv_service
+module Srv = S.Server (Apps.Kv_rpc.Req.In_place)
 
 type meas = { ns_per_op : float; words_per_op : float }
 
@@ -111,9 +112,11 @@ let measure_gen_dispatch () =
   let frame = make_frame () in
   let cpu = Memmodel.Cpu.create Memmodel.Params.default in
   let sent = ref 0 and sink = ref 0 in
-  let srv = S.server ~cpu ~send:(fun ~dst:_ _ -> incr sent) () in
-  S.on_get srv ~reader:(fun ~src:_ r _resp -> consume_keys r sink);
-  let op () = ignore (S.serve srv ~src:1 frame) in
+  let srv =
+    Srv.server ~send:(fun ~dst:_ _ -> incr sent) (Apps.Kv_rpc.Req.reader ~cpu ())
+  in
+  Srv.on_get srv (fun ~src:_ r _resp -> consume_keys r sink);
+  let op () = ignore (Srv.serve srv ~src:1 frame) in
   let r = measure cpu op in
   Mem.Pinned.Buf.decr_ref ~cpu:Memmodel.Cpu.none ~site:"exp_rpc.frame" frame;
   r
@@ -134,14 +137,14 @@ let make_call_rig () =
   let srv_ep = Net.Endpoint.create ~cpu fabric registry ~id:2 in
   let sink = ref 0 in
   let srv =
-    S.server ~cpu
+    Srv.server
       ~send:(fun ~dst resp ->
         Cornflakes.Send.send_object Cornflakes.Config.default srv_ep ~dst resp)
-      ()
+      (Apps.Kv_rpc.Req.reader ~cpu ())
   in
-  S.on_get srv ~reader:(fun ~src:_ r _resp -> consume_keys r sink);
+  Srv.on_get srv (fun ~src:_ r _resp -> consume_keys r sink);
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
-      ignore (S.serve srv ~src buf);
+      ignore (Srv.serve srv ~src buf);
       Mem.Pinned.Buf.decr_ref ~cpu ~site:"exp_rpc.srv_done" buf);
   let req = Apps.Kv_rpc.Req.create () in
   List.iter

@@ -28,6 +28,10 @@ type result = {
    words, not simulated cycles. *)
 let none = Memmodel.Cpu.none
 
+(* The generated kv skeleton over the in-place request reader. *)
+module Kv_server =
+  Apps.Kv_rpc.Kv_service.Server (Apps.Kv_rpc.Req.In_place)
+
 let words_per_op ~iters fn =
   for _ = 1 to max 100 (iters / 10) do
     fn ()
@@ -109,19 +113,19 @@ let make_rpc_call_loop () =
   let srv_ep = Net.Endpoint.create ~cpu:none fabric registry ~id:2 in
   let sink = ref 0 in
   let srv =
-    S.server ~cpu:none
+    Kv_server.server
       ~send:(fun ~dst resp ->
         Cornflakes.Send.send_object Cornflakes.Config.default srv_ep ~dst resp)
-      ()
+      (Apps.Kv_rpc.Req.reader ~cpu:none ())
   in
-  S.on_get srv ~reader:(fun ~src:_ r _resp ->
+  Kv_server.on_get srv (fun ~src:_ r _resp ->
       let n = Wire.Reader.count r Apps.Proto.req_keys in
       for j = 0 to n - 1 do
         let f = Wire.Reader.elem_field r Apps.Proto.req_keys ~j in
         sink := !sink + Wire.Reader.field_off r f + Wire.Reader.field_len r f
       done);
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
-      ignore (S.serve srv ~src buf);
+      ignore (Kv_server.serve srv ~src buf);
       Mem.Pinned.Buf.decr_ref ~cpu:none ~site:"bench.rpc" buf);
   let c = S.client (Net.Endpoint.transport cli) in
   Net.Endpoint.set_rx cli (fun ~src:_ buf ->
@@ -338,11 +342,11 @@ let make_benchmarks ~seed () =
   in
   let rpc_sink = ref 0 in
   let rpc_srv =
-    Apps.Kv_rpc.Kv_service.server ~cpu:none
+    Kv_server.server
       ~send:(fun ~dst:_ _ -> incr rpc_sink)
-      ()
+      (Apps.Kv_rpc.Req.reader ~cpu:none ())
   in
-  Apps.Kv_rpc.Kv_service.on_get rpc_srv ~reader:(fun ~src:_ r _resp ->
+  Kv_server.on_get rpc_srv (fun ~src:_ r _resp ->
       let n = Wire.Reader.count r Apps.Proto.req_keys in
       for j = 0 to n - 1 do
         let f = Wire.Reader.elem_field r Apps.Proto.req_keys ~j in
@@ -570,7 +574,7 @@ let make_benchmarks ~seed () =
       tracked = true;
       fn =
         (fun () ->
-          ignore (Apps.Kv_rpc.Kv_service.serve rpc_srv ~src:4 rpc_frame));
+          ignore (Kv_server.serve rpc_srv ~src:4 rpc_frame));
     };
     (* Generated client stub end to end: call_get stamps id + method word,
        folded-writer send, generated serve on the peer, deliver routes the

@@ -437,7 +437,8 @@ let serve replica ~src buf =
   match Msg.read_folded r buf with
   | exception Wire.Reader.Invalid _ -> reject replica buf
   | () ->
-      (* The op word is read unboxed, charged as [Svc.method_of_reader].
+      (* The op word is read unboxed, charged as the generated skeleton's
+         [Server.method_of] charges it in place.
          The handler is bound before the call: applying the labelled
          arguments straight to [dispatch]'s polymorphic result allocates on
          every delivery. *)

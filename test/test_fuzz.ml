@@ -43,6 +43,40 @@ let gen_mutated rng =
   done;
   Bytes.to_string s
 
+(* --- hostile frames for the ingress properties ------------------------ *)
+
+(* Random bytes, a truncation, or bit flips of a valid frame. *)
+type mutation = Random_bytes of string | Truncate of int | Flip of int list
+
+let mutate frame = function
+  | Random_bytes s -> s
+  | Truncate n ->
+      let len = String.length frame in
+      String.sub frame 0 (max 1 (n mod max 1 (len - 1)))
+  | Flip bits ->
+      let b = Bytes.of_string frame in
+      List.iter
+        (fun bit ->
+          let i = bit / 8 mod Bytes.length b in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit land 7)))))
+        bits;
+      Bytes.to_string b
+
+let gen_mutation =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun s -> Random_bytes s) (string_size (int_range 1 300)));
+        (1, map (fun n -> Truncate n) nat);
+        (3, map (fun l -> Flip l) (list_size (int_range 1 4) nat));
+      ])
+
+let show_mutation = function
+  | Random_bytes s -> Printf.sprintf "random %S" s
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Flip l -> "flip " ^ String.concat "," (List.map string_of_int l)
+
 let fuzz_one name decode =
   QCheck.Test.make ~name ~count:300 QCheck.small_nat (fun seed ->
       let rng = Sim.Rng.create ~seed:(seed * 31 + 5) in

@@ -350,8 +350,6 @@ let is_valid_replicate s =
 
 type target = To_primary | To_backup_from_client | To_backup_from_primary
 
-type mutation = Random_bytes of string | Truncate of int | Flip of int list
-
 let valid_corpus =
   [|
     request_frame ~id:77L ~kind:kind_put ~key:"fz-1" [ String.make 40 'a' ];
@@ -364,33 +362,13 @@ let valid_corpus =
     rep_frame ~id:5L ~op:op_request ();
   |]
 
-let mutate frame = function
-  | Random_bytes s -> s
-  | Truncate n ->
-      let len = String.length frame in
-      String.sub frame 0 (max 1 (n mod max 1 (len - 1)))
-  | Flip bits ->
-      let b = Bytes.of_string frame in
-      List.iter
-        (fun bit ->
-          let i = bit / 8 mod Bytes.length b in
-          Bytes.set b i
-            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit land 7)))))
-        bits;
-      Bytes.to_string b
-
 let gen_fuzz =
   QCheck.Gen.(
     list_size (int_range 10 60)
       (triple
          (oneofl [ To_primary; To_backup_from_client; To_backup_from_primary ])
          (int_bound (Array.length valid_corpus - 1))
-         (frequency
-            [
-              (1, map (fun s -> Random_bytes s) (string_size (int_range 1 300)));
-              (1, map (fun n -> Truncate n) nat);
-              (3, map (fun l -> Flip l) (list_size (int_range 1 4) nat));
-            ])))
+         Test_fuzz.gen_mutation))
 
 let show_fuzz (target, i, m) =
   Printf.sprintf "%s frame %d %s"
@@ -398,11 +376,7 @@ let show_fuzz (target, i, m) =
     | To_primary -> "primary"
     | To_backup_from_client -> "backup<-client"
     | To_backup_from_primary -> "backup<-primary")
-    i
-    (match m with
-    | Random_bytes s -> Printf.sprintf "random %S" s
-    | Truncate n -> Printf.sprintf "truncate %d" n
-    | Flip l -> "flip " ^ String.concat "," (List.map string_of_int l))
+    i (Test_fuzz.show_mutation m)
 
 (* Random bytes, truncations and bit flips of valid [RepMsg] frames, sent
    to the primary from a client and to a backup from a client and from
@@ -428,7 +402,7 @@ let prop_ingress =
           let fail fmt = QCheck.Test.fail_reportf fmt in
           List.iter
             (fun ((target, i, m) as f) ->
-              let s = mutate valid_corpus.(i) m in
+              let s = Test_fuzz.mutate valid_corpus.(i) m in
               let replies0 = !replies and rejected0 = rejected_total rig cluster in
               let sent =
                 match target with

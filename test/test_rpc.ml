@@ -96,6 +96,7 @@ let test_stream_cursor_collector () =
 (* --- generated service end to end ---------------------------------------- *)
 
 module KS = Kv_msgs.Kv_service
+module Srv = KS.Server (Kv_msgs.Getreq.In_place)
 
 let keys_idx = Schema.Desc.field_index Kv_msgs.Getreq.desc "keys"
 let vals_idx = Schema.Desc.field_index Kv_msgs.Getresp.desc "vals"
@@ -105,7 +106,7 @@ type rig = {
   space : Mem.Addr_space.t;
   cli : Net.Endpoint.t;
   srv_ep : Net.Endpoint.t;
-  srv : KS.server;
+  srv : Srv.server;
 }
 
 (* Loopback rig: client endpoint 1, server endpoint 2 running the
@@ -121,14 +122,14 @@ let make_rig ?(serve = true) ?on_frame () =
   let cli = Net.Endpoint.create ~cpu fabric registry ~id:1 in
   let srv_ep = Net.Endpoint.create ~cpu fabric registry ~id:2 in
   let srv =
-    KS.server ~cpu
+    Srv.server
       ~send:(fun ~dst resp ->
         Cornflakes.Send.send_object Cornflakes.Config.default srv_ep ~dst resp)
-      ()
+      (Kv_msgs.Getreq.reader ~cpu ())
   in
   Net.Endpoint.set_rx srv_ep (fun ~src buf ->
       (match on_frame with None -> () | Some f -> f buf);
-      if serve && not (KS.serve srv ~src buf) then
+      if serve && not (Srv.serve srv ~src buf) then
         Alcotest.fail "a valid request frame was rejected";
       Mem.Pinned.Buf.decr_ref ~cpu ~site:"test_rpc.srv_done" buf);
   { engine; space; cli; srv_ep; srv }
@@ -141,7 +142,7 @@ let attach_client ?engine rig =
   c
 
 let echo_get rig =
-  KS.on_get rig.srv ~reader:(fun ~src:_ r resp ->
+  Srv.on_get rig.srv (fun ~src:_ r resp ->
       let n = Wire.Reader.count r keys_idx in
       for j = 0 to n - 1 do
         Wire.Dyn.append resp "vals"
@@ -244,7 +245,7 @@ let test_orphan_reply () =
    generated [emit_scan] (seq word stamped per chunk, last bit on the
    final data chunk, no terminator frame). *)
 let scan_echo rig =
-  KS.on_scan rig.srv ~reader:(fun ~src r resp ->
+  Srv.on_scan rig.srv (fun ~src r resp ->
       let id = Wire.Reader.get_u64 r KS.req_id in
       let cur = Rpc.Stream.cursor () in
       let n = Wire.Reader.count r keys_idx in
@@ -253,7 +254,7 @@ let scan_echo rig =
           (Wire.Dyn.Payload
              (Wire.Payload.of_string rig.space
                 (Wire.Reader.elem_string r keys_idx ~j)));
-        KS.emit_scan rig.srv ~dst:src ~id cur ~last:(j = n - 1)
+        Srv.emit_scan rig.srv ~dst:src ~id cur ~last:(j = n - 1)
       done)
 
 let test_streamed_round_trip () =
@@ -343,7 +344,7 @@ let words_per_call_ceiling = 22.0
 
 let test_round_trip_alloc_budget () =
   let rig = make_rig () in
-  KS.on_get rig.srv ~reader:(fun ~src:_ r _resp ->
+  Srv.on_get rig.srv (fun ~src:_ r _resp ->
       ignore (Wire.Reader.count r keys_idx));
   let reliab =
     Net.Reliab.create rig.engine ~rng:(Sim.Rng.create ~seed:3)
@@ -385,7 +386,7 @@ let test_retransmission_resends_own_request () =
     make_rig ~serve:false
       ~on_frame:(fun buf ->
         if not !lost then lost := true
-        else Option.iter (fun srv -> ignore (KS.serve srv ~src:1 buf)) !served)
+        else Option.iter (fun srv -> ignore (Srv.serve srv ~src:1 buf)) !served)
       ()
   in
   served := Some rig.srv;

@@ -373,8 +373,15 @@ let test_pooled_build_allocates_handle () =
          Resp.clear resp;
          Resp.set_id_int resp 9;
          Resp.add_vals ~cpu:none config ep resp view));
+  (* Read back through the parsed accessor: a zero-copy value's bytes are
+     the pinned buffer's own. *)
+  let parsed = Resp.Parsed.create ~cpu:none (fun _ -> Resp.to_dyn resp) in
+  Resp.Parsed.decode parsed buf;
+  Alcotest.(check int) "one value" 1 (Resp.Parsed.vals_count parsed);
+  let got = Resp.Parsed.vals_view parsed 0 in
   Alcotest.(check bool) "value went zero-copy" true
-    (Wire.Payload.is_zero_copy (List.hd (Resp.vals resp)))
+    (got.Mem.View.data == view.Mem.View.data
+    && got.Mem.View.addr = view.Mem.View.addr)
 
 let suite =
   [
